@@ -49,7 +49,10 @@ from .resolution import build_resolution_closed, build_resolution_recursive
 
 def _load_problem(args) -> ProblemFile:
     name = args.problem
-    override = FieldSpec.parse(args.field) if args.field else None
+    try:
+        override = FieldSpec.parse(args.field) if args.field else None
+    except ValueError as exc:
+        raise ParseError(str(exc), "--field") from None
     if os.path.exists(name):
         pf = parse_problem(name)
         if override is not None and override != pf.field:
@@ -66,6 +69,8 @@ def _load_problem(args) -> ProblemFile:
 
 def _effective_cap(pf: ProblemFile, args) -> int:
     cap = args.cap if args.cap is not None else pf.cap
+    if cap < 1:
+        raise ParseError(f"cap must be at least 1, got {cap}")
     if cap > 6:
         print(
             f"warning: cap {cap} implies tensor spaces of roughly "
@@ -76,6 +81,13 @@ def _effective_cap(pf: ProblemFile, args) -> int:
         if not args.force:
             raise ParseError("cap > 6 requires --force")
     return cap
+
+
+def _max_degree(args) -> int:
+    max_degree = args.max_degree if args.max_degree is not None else 3
+    if max_degree < 0:
+        raise ParseError(f"max degree must be at least 0, got {max_degree}")
+    return max_degree
 
 
 def _emit(doc: dict, args) -> int:
@@ -165,8 +177,10 @@ def cmd_homology(pf: ProblemFile, args, cochain: bool) -> dict:
 
 
 def cmd_spectral(pf: ProblemFile, args) -> dict:
-    cap = _effective_cap(pf, args)
     page_no = args.page
+    if page_no < 0:
+        raise ParseError(f"page must be at least 0, got {page_no}")
+    cap = _effective_cap(pf, args)
     cp = pf.crossed_product()
     m = pf.bimodule_or_regular(cp)
     rc = ReducedComplexes(cp, m, cap)
@@ -199,7 +213,7 @@ def cmd_e2_check(pf: ProblemFile, args) -> dict:
 
 
 def cmd_oracle_compare(pf: ProblemFile, args) -> dict:
-    max_degree = args.max_degree if args.max_degree is not None else 3
+    max_degree = _max_degree(args)
     cap = max_degree + 1
     cp = pf.crossed_product(with_inverse=False)
     m = pf.bimodule_or_regular(cp)
@@ -213,7 +227,7 @@ def cmd_oracle_compare(pf: ProblemFile, args) -> dict:
 
 
 def cmd_resolution_check(pf: ProblemFile, args) -> dict:
-    max_degree = args.max_degree if args.max_degree is not None else 3
+    max_degree = _max_degree(args)
     cap = max_degree + 1
     cp = pf.crossed_product(with_inverse=False)
     doc = _doc("resolution-check", pf, cap)

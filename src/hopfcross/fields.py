@@ -61,7 +61,7 @@ class FieldSpec:
         t = text.strip().lower()
         if t in ("q", "rationals"):
             return cls.rationals()
-        if t.startswith("fp:"):
+        if t.startswith("fp:") and t[3:].isdigit():
             return cls.prime(int(t[3:]))
         raise ValueError(f"cannot parse field spec {text!r} (expected 'q' or 'fp:P')")
 

@@ -159,10 +159,10 @@ def tor_spectral_report(cp: CrossedProductData, right_module, left_module,
 
 
 def regular_left_module(cp: CrossedProductData):
+    """E over itself, as (dim, act) with act[i][j] = e_i e_j; the table reads
+    both as a left action act[e][n] and as a right action act[m][e]."""
     e = cp.e
     return e.dim, [[e.mult[i][j] for j in range(e.dim)] for i in range(e.dim)]
 
 
-def regular_right_module(cp: CrossedProductData):
-    e = cp.e
-    return e.dim, [[e.mult[i][j] for j in range(e.dim)] for i in range(e.dim)]
+regular_right_module = regular_left_module

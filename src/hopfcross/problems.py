@@ -194,6 +194,9 @@ def parse_problem_dict(doc: dict, name="problem") -> ProblemFile:
     options = doc.get("options") or {}
     if not isinstance(options, dict):
         raise ParseError("options must be an object", "options")
+    cap = options.get("cap", 4)
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise ParseError(f"cap must be an integer, got {cap!r}", "options.cap")
     return ProblemFile(field, algebra, hopf, action, cocycle, bimodule,
                        tor_modules, options, name=name)
 

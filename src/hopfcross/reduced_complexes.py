@@ -74,18 +74,11 @@ def _mid_rank(space: TensorSpace, key: tuple) -> int | None:
 
 def _decode_block_generators(res: CrossedResolution, l, r, s):
     """Per generator: list of (e_left, mid_target, e_right, coefficient)."""
-    block = res.blocks[(l, r, s)]
-    src = res.block_spaces[(r, s)]
     tgt = res.block_spaces[(r + l - 1, s - l)]
-    out = []
-    for mid in src.generators():
-        col = block.cols[src.combine(0, mid, 0)]
-        terms = []
-        for flat, c in col.items():
-            e_left, mid_t, e_right = tgt.split(flat)
-            terms.append((e_left, mid_t, e_right, c))
-        out.append(terms)
-    return out
+    return [
+        [(*tgt.split(flat), c) for flat, c in col.items()]
+        for col in res.generator_columns[(l, r, s)]
+    ]
 
 
 def reduced_block_from_resolution(res: CrossedResolution, m: BimoduleData, l, r, s) -> ExactMatrix:

@@ -12,9 +12,11 @@ must agree block for block, which assert_constructions_agree certifies.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .crossed import CrossedProductData
 from .linalg import ExactMatrix, vec_add_into
-from .tensors import TensorSpace, expand_leg, keyed_sum_into
+from .tensors import TensorSpace, expand_leg, keyed_add_into
 from .twisting import TwistingCalculus
 
 
@@ -168,6 +170,17 @@ class CrossedResolution:
 
     method is "closed" (insertion-coefficient formulas) or "recursive"
     (the contraction-driven recursion); both yield identical blocks.
+
+    The resolution is built in two layers.  Construction builds the generator
+    layer: generator_columns[(l, r, s)] lists, per free generator
+    1 (x) h (x) a (x) 1 of block (r, s), its image under d^l as a flat column
+    over block (r + l - 1, s - l).  That is all the reduced complexes read.
+    The certificate layer -- the E^e-extended blocks, the row maps mu,
+    partial, sigma0_x, sigma0_y, sigma_minus1, mu_tilde, the augmentation and
+    the assembled d -- is built on first access.  The closed method extends
+    its own generator columns; the recursive method needs full blocks for its
+    recursion, so it builds them at once and reads its generator columns off
+    them.
     """
 
     def __init__(self, cp: CrossedProductData, cap: int, method: str = "closed"):
@@ -186,52 +199,63 @@ class CrossedResolution:
                 self.block_spaces[(n - s, s)] = BlockSpace(cp, n - s, s)
         for s in range(cap + 1):
             self.row_spaces[s] = RowSpace(cp, s)
+        self.dims = [self.degree_dim(n) for n in range(cap + 1)]
+        self._sweedler_memo: dict = {}
+        if method == "closed":
+            self.generator_columns = self._closed_generator_columns()
+        else:
+            self.generator_columns = {}
+            for (l, r, s), block in self.blocks.items():
+                xs = self.block_spaces[(r, s)]
+                self.generator_columns[(l, r, s)] = [
+                    block.cols[xs.combine(0, m, 0)] for m in xs.generators()
+                ]
 
-        self.mu: dict = {}        # mu_s : block (0, s) -> row target s
-        self.partial: dict = {}   # row target s -> s-1
-        self.sigma0_x: dict = {}  # block (r, s) -> (r+1, s)
-        self.sigma0_y: dict = {}  # row target s -> block (0, s)
-        self.sigma_minus1: dict = {}  # row target s -> s+1 (key -1 maps E in)
-        self.blocks: dict = {}    # (l, r, s) -> matrix, l >= 0 (l = 0 needs r >= 1)
-        self._build_row_maps()
-        self._build_blocks()
-        self._assemble()
+    def _sweedler(self, hs: tuple, count: int) -> dict:
+        """Each leg of hs comultiplied into `count` legs, keyed by the
+        concatenated components; memoised per (hs, count)."""
+        hit = self._sweedler_memo.get((hs, count))
+        if hit is None:
+            hit = {hs: self.field.one}
+            for t in range(len(hs) - 1, -1, -1):
+                hit = expand_leg(hit, t, self.cp.h.comult_row, count, self.field)
+            self._sweedler_memo[(hs, count)] = hit
+        return hit
 
-    # elementary maps --------------------------------------------------------
-    def _build_row_maps(self):
+    # elementary maps (certificate layer) --------------------------------------
+    @cached_property
+    def mu(self) -> dict:
+        """mu_s : block (0, s) -> row target s."""
         cp = self.cp
         field = self.field
         calc = self.calc
-        comult = cp.h.comult_row
-
+        out_maps: dict = {}
         for s in range(self.cap + 1):
-            xs = self.block_spaces.get((0, s))
             ys = self.row_spaces[s]
 
             def mu_col(key, s=s):
                 # a0 a1^(h_0..h_s firsts) (x) seconds (x) h_last
-                (a0, *hs), aR, hR = key[0:1] + key[1 : s + 2], key[-2], key[-1]
-                elem = {tuple(hs): field.one}
-                for t in range(s, -1, -1):
-                    elem = expand_leg(elem, t, comult, 2, field)
+                a0, hs, aR, hR = key[0], key[1 : s + 2], key[-2], key[-1]
                 out: dict = {}
-                for comps, c in elem.items():
-                    firsts = tuple(comps[2 * t] for t in range(s + 1))
-                    seconds = tuple(comps[2 * t + 1] for t in range(s + 1))
+                for comps, c in self._sweedler(hs, 2).items():
+                    firsts = comps[0::2]
+                    seconds = comps[1::2]
                     acted = calc.iter_act(firsts, aR)
                     left = cp.a.mult_elems({a0: field.one}, acted)
                     for a2, c2 in left.items():
-                        keyed_sum_into(
-                            out,
-                            {(a2,) + seconds + (hR,): field.mul(c, c2)},
-                            field.one,
-                            field,
-                        )
+                        keyed_add_into(out, (a2,) + seconds + (hR,), field.mul(c, c2), field)
                 return ys.flatten(out)
 
-            if xs is not None:
-                self.mu[s] = _make_matrix(field, ys.dim, xs, mu_col)
+            out_maps[s] = _make_matrix(field, ys.dim, self.block_spaces[(0, s)], mu_col)
+        return out_maps
 
+    @cached_property
+    def partial(self) -> dict:
+        """Row target s -> row target s - 1."""
+        cp = self.cp
+        field = self.field
+        calc = self.calc
+        out_maps: dict = {}
         for s in range(1, self.cap + 1):
             ys = self.row_spaces[s]
             ytgt = self.row_spaces[s - 1]
@@ -242,12 +266,9 @@ class CrossedResolution:
                 out: dict = {}
                 for i in range(s + 1):
                     sign = field.neg(field.one) if i % 2 == 0 else field.one
-                    elem = {tuple(hs[: i + 2]): field.one}
-                    for t in range(i + 1, -1, -1):
-                        elem = expand_leg(elem, t, comult, 2, field)
-                    for comps, c in elem.items():
-                        firsts = tuple(comps[2 * t] for t in range(i + 2))
-                        seconds = tuple(comps[2 * t + 1] for t in range(i + 2))
+                    for comps, c in self._sweedler(hs[: i + 2], 2).items():
+                        firsts = comps[0::2]
+                        seconds = comps[1::2]
                         fv = cp.cocycle.f[firsts[i]][firsts[i + 1]]
                         fv = calc.iter_act_vec(firsts[:i], fv)
                         left = cp.a.mult_elems({a: field.one}, fv)
@@ -256,110 +277,128 @@ class CrossedResolution:
                         merged = cp.h.algebra.mult[seconds[i]][seconds[i + 1]]
                         for a2, c2 in left.items():
                             for hm, cm in merged.items():
-                                nk = (a2,) + seconds[:i] + (hm,) + tuple(hs[i + 2 :])
+                                nk = (a2,) + seconds[:i] + (hm,) + hs[i + 2 :]
                                 coef = field.mul(field.mul(c, sign), field.mul(c2, cm))
-                                keyed_sum_into(out, {nk: coef}, field.one, field)
+                                keyed_add_into(out, nk, coef, field)
                 return ytgt.flatten(out)
 
-            self.partial[s] = _make_matrix(field, ytgt.dim, ys, partial_col)
+            out_maps[s] = _make_matrix(field, ytgt.dim, ys, partial_col)
+        return out_maps
 
-        # sigma^0 on rows
+    @cached_property
+    def sigma0_x(self) -> dict:
+        """sigma^0 on blocks: (r, s) -> (r + 1, s)."""
+        field = self.field
+        out_maps: dict = {}
         for (r, s), xs in self.block_spaces.items():
             if (r + 1, s) in self.block_spaces:
                 tgt = self.block_spaces[(r + 1, s)]
 
-                def sigma0_col(key, r=r, s=s, tgt=tgt):
+                def sigma0_col(key, r=r, tgt=tgt):
                     sign = field.one if (r + 1) % 2 == 0 else field.neg(field.one)
                     aR, hR = key[-2], key[-1]
                     nk = key[:-2] + (aR, 0, hR)  # aR becomes a new Abar leg
                     return tgt.flatten({nk: sign})
 
-                self.sigma0_x[(r, s)] = _make_matrix(field, tgt.dim, xs, sigma0_col)
+                out_maps[(r, s)] = _make_matrix(field, tgt.dim, xs, sigma0_col)
+        return out_maps
+
+    @cached_property
+    def sigma0_y(self) -> dict:
+        """sigma^0 on rows: row target s -> block (0, s)."""
+        field = self.field
+        out_maps: dict = {}
         for s in range(self.cap + 1):
-            ys = self.row_spaces[s]
             xs = self.block_spaces[(0, s)]
 
             def sigma0y_col(key, xs=xs):
-                nk = key[:-1] + (0, key[-1])
-                return xs.flatten({nk: field.one})
+                return xs.flatten({key[:-1] + (0, key[-1]): field.one})
 
-            self.sigma0_y[s] = _make_matrix(field, xs.dim, ys, sigma0y_col)
+            out_maps[s] = _make_matrix(field, xs.dim, self.row_spaces[s], sigma0y_col)
+        return out_maps
 
-        # sigma^{-1}: E into row target 0, then each row target up one
-        e_space = self.e_space
-
-        def sminus_base_col(key):
-            return self.row_spaces[0].flatten({key + (0,): field.neg(field.one)})
-
-        self.sigma_minus1[-1] = _make_matrix(
-            field, self.row_spaces[0].dim, e_space, sminus_base_col
-        )
+    @cached_property
+    def sigma_minus1(self) -> dict:
+        """sigma^{-1}: E into row target 0 (key -1), then each row target up one."""
+        field = self.field
+        y0 = self.row_spaces[0]
+        out_maps = {
+            -1: _make_matrix(field, y0.dim, self.e_space,
+                             lambda key: y0.flatten({key + (0,): field.neg(field.one)}))
+        }
         for s in range(self.cap):
-            ys = self.row_spaces[s]
             ytgt = self.row_spaces[s + 1]
 
             def sminus_col(key, s=s, ytgt=ytgt):
                 sign = field.one if s % 2 == 0 else field.neg(field.one)
                 return ytgt.flatten({key + (0,): sign})
 
-            self.sigma_minus1[s] = _make_matrix(field, ytgt.dim, ys, sminus_col)
+            out_maps[s] = _make_matrix(field, ytgt.dim, self.row_spaces[s], sminus_col)
+        return out_maps
 
-        # mu_tilde : Y_0 -> E and the augmentation
+    @cached_property
+    def mu_tilde(self) -> ExactMatrix:
+        """mu_tilde : row target 0 -> E."""
+        cp = self.cp
+        field = self.field
+
         def mu_tilde_col(key):
             a, h0, h1 = key
-            elem = expand_leg({(h0, h1): field.one}, 1, comult, 2, field)
-            elem = expand_leg(elem, 0, comult, 2, field)
             out: dict = {}
-            for (c00, c01, c10, c11), c in elem.items():
+            for (c00, c01, c10, c11), c in self._sweedler((h0, h1), 2).items():
                 fv = cp.a.mult_elems({a: field.one}, cp.cocycle.f[c00][c10])
                 merged = cp.h.algebra.mult[c01][c11]
                 for a2, c2 in fv.items():
                     for hm, cm in merged.items():
                         coef = field.neg(field.mul(c, field.mul(c2, cm)))
-                        keyed_sum_into(out, {(a2, hm): coef}, field.one, field)
+                        keyed_add_into(out, (a2, hm), coef, field)
             return self.e_space.flatten(out)
 
-        self.mu_tilde = _make_matrix(field, self.cp.e.dim, self.row_spaces[0], mu_tilde_col)
-        self.augmentation = self.mu_tilde @ self.mu[0]
+        return _make_matrix(field, cp.e.dim, self.row_spaces[0], mu_tilde_col)
 
-    # d blocks ----------------------------------------------------------------
+    @cached_property
+    def augmentation(self) -> ExactMatrix:
+        return self.mu_tilde @ self.mu[0]
+
+    # d on generators (generator layer) -----------------------------------------
     def _d0_column(self, key, r, s):
         cp = self.cp
         field = self.field
         calc = self.calc
         tgt = self.block_spaces[(r - 1, s)]
-        a0, h0 = key[0], key[1]
+        a0 = key[0]
         hs = key[1 : s + 2]  # h_0..h_s
         avs = key[s + 2 : s + 2 + r]
         aR, hR = key[-2], key[-1]
         out: dict = {}
         # absorb a_1 into the left slot through the iterated action
-        elem = {tuple(hs): field.one}
-        for t in range(s, -1, -1):
-            elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
-        for comps, c in elem.items():
-            firsts = tuple(comps[2 * t] for t in range(s + 1))
-            seconds = tuple(comps[2 * t + 1] for t in range(s + 1))
+        for comps, c in self._sweedler(hs, 2).items():
+            firsts = comps[0::2]
+            seconds = comps[1::2]
             acted = calc.iter_act(firsts, avs[0])
             left = cp.a.mult_elems({a0: field.one}, acted)
             for a2, c2 in left.items():
-                nk = (a2,) + seconds + tuple(avs[1:]) + (aR, hR)
-                keyed_sum_into(out, {nk: field.mul(c, c2)}, field.one, field)
+                nk = (a2,) + seconds + avs[1:] + (aR, hR)
+                keyed_add_into(out, nk, field.mul(c, c2), field)
         # middle merges
         sign = field.one
         for i in range(1, r):
             sign = field.neg(sign)
             prod = cp.a.mult[avs[i - 1]][avs[i]]
             for am, cm in prod.items():
-                nk = key[: s + 2] + tuple(avs[: i - 1]) + (am,) + tuple(avs[i + 1 :]) + (aR, hR)
-                keyed_sum_into(out, {nk: field.mul(sign, cm)}, field.one, field)
+                nk = key[: s + 2] + avs[: i - 1] + (am,) + avs[i + 1 :] + (aR, hR)
+                keyed_add_into(out, nk, field.mul(sign, cm), field)
         # absorb a_r into the right slot
         sign = field.neg(sign)
         prod = cp.a.mult_elems({avs[-1]: field.one}, {aR: field.one})
         for am, cm in prod.items():
-            nk = key[: s + 2] + tuple(avs[:-1]) + (am, hR)
-            keyed_sum_into(out, {nk: field.mul(sign, cm)}, field.one, field)
+            nk = key[: s + 2] + avs[:-1] + (am, hR)
+            keyed_add_into(out, nk, field.mul(sign, cm), field)
         return tgt.flatten(out)
+
+    def _d0_generator_columns(self, r, s) -> list:
+        xs = self.block_spaces[(r, s)]
+        return [self._d0_column((0, 0) + xs.mid_key(m) + (0, 0), r, s) for m in xs.generators()]
 
     def _d1_generator_column(self, mid_key, r, s):
         """Closed-form d^1 on a generator (left and right slots = 1)."""
@@ -367,17 +406,14 @@ class CrossedResolution:
         field = self.field
         calc = self.calc
         tgt = self.block_spaces[(r, s - 1)]
-        hs = (0,) + mid_key[:s]  # h_0 = 1 on generators
-        avs = mid_key[s:]
+        hs = (0,) + tuple(mid_key[:s])  # h_0 = 1 on generators
+        avs = tuple(mid_key[s:])
         out: dict = {}
         for i in range(s):
             sign = field.one if (i + r) % 2 == 0 else field.neg(field.one)
-            elem = {tuple(hs[: i + 2]): field.one}
-            for t in range(i + 1, -1, -1):
-                elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
-            for comps, c in elem.items():
-                firsts = tuple(comps[2 * t] for t in range(i + 2))
-                seconds = tuple(comps[2 * t + 1] for t in range(i + 2))
+            for comps, c in self._sweedler(hs[: i + 2], 2).items():
+                firsts = comps[0::2]
+                seconds = comps[1::2]
                 fv = cp.cocycle.f[firsts[i]][firsts[i + 1]]
                 fv = calc.iter_act_vec(firsts[:i], fv)
                 if not fv:
@@ -385,27 +421,19 @@ class CrossedResolution:
                 merged = cp.h.algebra.mult[seconds[i]][seconds[i + 1]]
                 for a2, c2 in fv.items():
                     for hm, cm in merged.items():
-                        nk = (
-                            (a2,)
-                            + seconds[:i]
-                            + (hm,)
-                            + tuple(hs[i + 2 :])
-                            + tuple(avs)
-                            + (0, 0)
-                        )
+                        nk = (a2,) + seconds[:i] + (hm,) + hs[i + 2 :] + avs + (0, 0)
                         coef = field.mul(field.mul(c, sign), field.mul(c2, cm))
-                        keyed_sum_into(out, {nk: coef}, field.one, field)
+                        keyed_add_into(out, nk, coef, field)
         # last term: vector action of h_s and its residual into the right slot
         sign = field.one if (r + s) % 2 == 0 else field.neg(field.one)
-        elem = expand_leg({(hs[s],): field.one}, 0, cp.h.comult_row, r + 1, field)
-        for comps, c in elem.items():
+        for comps, c in self._sweedler((hs[s],), r + 1).items():
             legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
             tail = comps[r]
 
             def scatter(pos, prefix, coef):
                 if pos == r:
-                    nk = (0, hs[0]) + tuple(hs[1:s]) + tuple(prefix) + (0, tail)
-                    keyed_sum_into(out, {nk: field.mul(coef, sign)}, field.one, field)
+                    nk = (0, hs[0]) + hs[1:s] + tuple(prefix) + (0, tail)
+                    keyed_add_into(out, nk, field.mul(coef, sign), field)
                     return
                 for b, cb in legs[pos].items():
                     prefix.append(b)
@@ -421,91 +449,104 @@ class CrossedResolution:
         field = self.field
         calc = self.calc
         tgt = self.block_spaces[(r + l - 1, s - l)]
-        hs = mid_key[:s]
-        avs = mid_key[s:]
+        hs = tuple(mid_key[:s])
+        avs = tuple(mid_key[s:])
         sign = field.one if (l * (r + s)) % 2 == 0 else field.neg(field.one)
-        elem = {tuple(hs[s - l :]): field.one}
-        for t in range(l - 1, -1, -1):
-            elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
         na = cp.a.dim
         f_tgt = TensorSpace((na,) * (r + l - 1))
         out: dict = {}
-        for comps, c in elem.items():
-            firsts = tuple(comps[2 * t] for t in range(l))
-            seconds = tuple(comps[2 * t + 1] for t in range(l))
-            fvec = calc.insertion_apply(l, r, firsts, tuple(avs))
+        for comps, c in self._sweedler(hs[s - l :], 2).items():
+            firsts = comps[0::2]
+            seconds = comps[1::2]
+            fvec = calc.insertion_apply(l, r, firsts, avs)
             if not fvec:
                 continue
             hprod = calc.h_product(seconds)
             for fid, cf in fvec.items():
                 alegs = f_tgt.unrank(fid)
                 for hm, cm in hprod.items():
-                    nk = (0, 0) + tuple(hs[: s - l]) + alegs + (0, hm)
+                    nk = (0, 0) + hs[: s - l] + alegs + (0, hm)
                     coef = field.mul(field.mul(c, sign), field.mul(cf, cm))
-                    keyed_sum_into(out, {nk: coef}, field.one, field)
+                    keyed_add_into(out, nk, coef, field)
         return tgt.flatten(out)
 
-    def _extend_bimodule(self, src: BlockSpace, tgt: BlockSpace, gen_cols: list) -> ExactMatrix:
-        """Full matrix from generator columns via x -> eL . x . eR."""
+    def _closed_generator_columns(self) -> dict:
+        cols: dict = {}
+        for (r, s), xs in self.block_spaces.items():
+            if r >= 1:
+                cols[(0, r, s)] = self._d0_generator_columns(r, s)
+            for l in range(1, s + 1):
+                cols[(l, r, s)] = [
+                    self._d1_generator_column(xs.mid_key(m), r, s)
+                    if l == 1
+                    else self._dl_generator_column(xs.mid_key(m), l, r, s)
+                    for m in xs.generators()
+                ]
+        return cols
+
+    # blocks (certificate layer) -------------------------------------------------
+    def _extend_bimodule(self, l, r, s, gen_cols: list) -> ExactMatrix:
+        """Full matrix of block (l, r, s) from generator columns via x -> eL . x . eR.
+
+        The generator columns themselves are kept, not copied."""
+        src = self.block_spaces[(r, s)]
+        tgt = self.block_spaces[(r + l - 1, s - l)]
         cols = []
         for flat in range(src.dim):
             e_left, mid, e_right = src.split(flat)
             img = gen_cols[mid]
-            img = tgt.left_mult(img, e_left)
-            img = tgt.right_mult(img, e_right)
+            if e_left:
+                img = tgt.left_mult(img, e_left)
+            if e_right:
+                img = tgt.right_mult(img, e_right)
             cols.append(img)
         return ExactMatrix(self.field, tgt.dim, src.dim, cols)
 
-    def _build_blocks(self):
+    @cached_property
+    def blocks(self) -> dict:
+        """(l, r, s) -> matrix, l >= 0 (l = 0 needs r >= 1)."""
+        if self.method == "recursive":
+            return self._recursive_blocks()
+        return {
+            (l, r, s): self._extend_bimodule(l, r, s, gens)
+            for (l, r, s), gens in self.generator_columns.items()
+        }
+
+    def _recursive_blocks(self) -> dict:
+        """The recursion: l ascending, then r ascending, from d^0 and the row maps."""
         field = self.field
-        # l = 0 blocks from the total formula
-        for (r, s), xs in self.block_spaces.items():
+        blocks: dict = {}
+        for (r, s) in self.block_spaces:
             if r >= 1:
-                tgt = self.block_spaces[(r - 1, s)]
-                self.blocks[(0, r, s)] = _make_matrix(
-                    field, tgt.dim, xs, lambda key, r=r, s=s: self._d0_column(key, r, s)
-                )
-        if self.method == "closed":
-            for (r, s), xs in self.block_spaces.items():
-                for l in range(1, s + 1):
-                    gens = [
-                        self._d1_generator_column(xs.mid_key(m), r, s)
-                        if l == 1
-                        else self._dl_generator_column(xs.mid_key(m), l, r, s)
-                        for m in xs.generators()
-                    ]
-                    tgt = self.block_spaces[(r + l - 1, s - l)]
-                    self.blocks[(l, r, s)] = self._extend_bimodule(xs, tgt, gens)
-        else:
-            # the recursion: l ascending, then r ascending
-            for l in range(1, self.cap + 1):
-                pairs = sorted(
-                    [(r, s) for (r, s) in self.block_spaces if l <= s], key=lambda p: p[0]
-                )
-                for r, s in pairs:
-                    xs = self.block_spaces[(r, s)]
-                    tgt = self.block_spaces[(r + l - 1, s - l)]
-                    gens = []
-                    for m in xs.generators():
-                        base = {xs.combine(0, m, 0): field.one}
-                        if r == 0 and l == 1:
-                            vec = self.mu[s].apply(base)
-                            vec = self.partial[s].apply(vec)
-                            vec = self.sigma0_y[s - 1].apply(vec)
-                        else:
-                            vec: dict = {}
-                            lo = 1 if r == 0 else 0
-                            for j in range(lo, l):
-                                if j == 0:
-                                    step = self.blocks[(0, r, s)].apply(base)
-                                    step = self.blocks[(l, r - 1, s)].apply(step)
-                                else:
-                                    step = self.blocks[(j, r, s)].apply(base)
-                                    step = self.blocks[(l - j, r + j - 1, s - j)].apply(step)
-                                step = self.sigma0_x[(r + l - 1 - 1, s - l)].apply(step)
-                                vec_add_into(vec, step, field.one, field)
-                        gens.append({k: field.neg(v) for k, v in vec.items()})
-                    self.blocks[(l, r, s)] = self._extend_bimodule(xs, tgt, gens)
+                blocks[(0, r, s)] = self._extend_bimodule(0, r, s, self._d0_generator_columns(r, s))
+        for l in range(1, self.cap + 1):
+            pairs = sorted(
+                [(r, s) for (r, s) in self.block_spaces if l <= s], key=lambda p: p[0]
+            )
+            for r, s in pairs:
+                xs = self.block_spaces[(r, s)]
+                gens = []
+                for m in xs.generators():
+                    base = {xs.combine(0, m, 0): field.one}
+                    if r == 0 and l == 1:
+                        vec = self.mu[s].apply(base)
+                        vec = self.partial[s].apply(vec)
+                        vec = self.sigma0_y[s - 1].apply(vec)
+                    else:
+                        vec: dict = {}
+                        lo = 1 if r == 0 else 0
+                        for j in range(lo, l):
+                            if j == 0:
+                                step = blocks[(0, r, s)].apply(base)
+                                step = blocks[(l, r - 1, s)].apply(step)
+                            else:
+                                step = blocks[(j, r, s)].apply(base)
+                                step = blocks[(l - j, r + j - 1, s - j)].apply(step)
+                            step = self.sigma0_x[(r + l - 1 - 1, s - l)].apply(step)
+                            vec_add_into(vec, step, field.one, field)
+                    gens.append({k: field.neg(v) for k, v in vec.items()})
+                blocks[(l, r, s)] = self._extend_bimodule(l, r, s, gens)
+        return blocks
 
     # assembly ----------------------------------------------------------------
     def degree_blocks(self, n: int):
@@ -522,10 +563,11 @@ class CrossedResolution:
     def degree_dim(self, n: int) -> int:
         return sum(sp.dim for _, _, _, sp in self.degree_blocks(n))
 
-    def _assemble(self):
+    @cached_property
+    def d(self) -> list:
+        """Assembled boundaries d[n] : degree n -> degree n - 1 (d[0] is None)."""
         field = self.field
-        self.dims = [self.degree_dim(n) for n in range(self.cap + 1)]
-        self.d: list = [None]
+        d: list = [None]
         for n in range(1, self.cap + 1):
             src_blocks = self.degree_blocks(n)
             tgt_blocks = self.degree_blocks(n - 1)
@@ -546,7 +588,8 @@ class CrossedResolution:
                             else:
                                 col[i + toff] = w
                     cols.append(col)
-            self.d.append(ExactMatrix(field, self.dims[n - 1], self.dims[n], cols))
+            d.append(ExactMatrix(field, self.dims[n - 1], self.dims[n], cols))
+        return d
 
     def mu_prime(self, n: int) -> ExactMatrix:
         """Degree n into row target n: mu_n on the (0, n) block, zero elsewhere."""

@@ -83,13 +83,6 @@ def keyed_add_into(dst: dict, key: tuple, coef, field: FieldSpec) -> None:
 
 
 
-def keyed_sum_into(dst: dict, src: dict, coef, field: FieldSpec) -> None:
-    if field.is_zero(coef):
-        return
-    for k, v in src.items():
-        keyed_add_into(dst, k, field.mul(coef, v), field)
-
-
 def transform_leg(
     elem: dict, pos: int, fn: Callable[[int], dict], field: FieldSpec
 ) -> dict:

@@ -166,3 +166,64 @@ def test_cli_field_override(capsys):
     assert main(["homology", "z2_trivial", "--field", "q", "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "[2, 0, 0, 0]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "klein_four", "--cap", "-1"],
+    ["homology", "klein_four", "--cap", "0"],
+    ["homology", "klein_four", "--field", "fp:4"],
+    ["homology", "klein_four", "--field", "fp:x"],
+    ["spectral", "z2_trivial", "--page", "-3"],
+    ["oracle-compare", "z2_trivial", "--max-degree", "-1"],
+    ["resolution-check", "z2_trivial", "--max-degree", "-1"],
+])
+def test_cli_bad_ranges_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_non_integer_file_cap_exits_2(tmp_path, capsys):
+    doc = minimal_problem_doc()
+    doc["options"]["cap"] = "x"
+    path = tmp_path / "bad_cap.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        parse_problem_dict(doc)
+    assert main(["homology", str(path)]) == 2
+    assert "options.cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "klein_four", "--cap", "3"],
+    ["cohomology", "klein_four", "--cap", "3"],
+    ["spectral", "klein_four", "--cap", "3"],
+    ["e2-check", "klein_four", "--cap", "3"],
+    ["oracle-compare", "klein_four", "--max-degree", "2"],
+    ["tor", "z2_trivial"],
+])
+def test_cli_reports_build_no_resolution_matrix(argv, monkeypatch, capsys):
+    # the reduced complexes read generator columns only: no E^e-extended
+    # block, row map or assembled boundary may be built
+    from hopfcross import resolution
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a resolution matrix was built")
+
+    monkeypatch.setattr(resolution, "_make_matrix", forbidden)
+    monkeypatch.setattr(resolution.CrossedResolution, "_extend_bimodule", forbidden)
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_cli_resolution_check_reports_every_identity(tmp_path, capsys):
+    out_path = tmp_path / "res.json"
+    assert main(["resolution-check", "klein_four", "--max-degree", "2",
+                 "--output", str(out_path)]) == 0
+    sections = json.loads(out_path.read_text())["sections"]
+    for key in ("closed_equals_recursive", "square_zero", "augmentation_d1_zero",
+                "contracting_homotopy"):
+        assert sections[key]["match"], key
+    for key in ("comparison_identities", "filtration_preservation", "bar_square_zero"):
+        assert sections[key]["passed"] and sections[key]["checks_run"] > 0, key
+    capsys.readouterr()

@@ -267,3 +267,70 @@ def test_trivial_hopf_collapses_to_bar_resolution():
         assert res.dims[n] == space.dim
         for j in range(space.dim):
             assert res.d[n].cols[j] == bar.bprime(n, {j: Q.one}), (n, j)
+
+
+CERTIFICATE_LAYER = (
+    "blocks", "d", "mu", "partial", "sigma0_x", "sigma0_y", "sigma_minus1",
+    "mu_tilde", "augmentation",
+)
+
+
+def test_generator_columns_are_those_of_the_blocks():
+    # both methods: the generator layer is exactly the generator columns of the
+    # certificate layer's blocks, and the closed blocks hold them uncopied
+    from hopfcross.problems import BUILTIN_NAMES
+
+    for name in BUILTIN_NAMES:
+        cp = BUILTIN_BUILDERS[name](Q)
+        for method in ("closed", "recursive"):
+            res = CrossedResolution(cp, 3, method)
+            assert set(res.generator_columns) == set(res.blocks), (name, method)
+            for (l, r, s), block in res.blocks.items():
+                src = res.block_spaces[(r, s)]
+                gens = [block.cols[src.combine(0, m, 0)] for m in src.generators()]
+                assert res.generator_columns[(l, r, s)] == gens, (name, method, l, r, s)
+                if method == "closed":
+                    assert all(
+                        a is b for a, b in zip(res.generator_columns[(l, r, s)], gens)
+                    ), (name, l, r, s)
+
+
+def test_d0_extension_matches_the_total_formula():
+    # l = 0 blocks are extended from generators; d^0 is E^e-linear, so they
+    # equal the displayed d^0 evaluated on every basis tensor
+    from hopfcross.resolution import _make_matrix
+
+    for name in ("s3_as_action_extension", "sweedler_smash"):
+        res = build_resolution_closed(BUILTIN_BUILDERS[name](Q), 3)
+        for (l, r, s), block in res.blocks.items():
+            if l:
+                continue
+            full = _make_matrix(
+                Q, block.nrows, res.block_spaces[(r, s)],
+                lambda key: res._d0_column(key, r, s),
+            )
+            assert block == full, (name, r, s)
+
+
+def test_reports_leave_certificate_layer_unbuilt():
+    from hopfcross.homology import hochschild_cohomology, hochschild_homology
+
+    cp = BUILTIN_BUILDERS["sweedler_smash"](Q)
+    res = CrossedResolution(cp, 4)
+    hochschild_homology(cp, cap=4, res=res)
+    hochschild_cohomology(cp, cap=4, res=res)
+    assert not set(CERTIFICATE_LAYER) & set(vars(res))
+
+
+def test_recursive_method_reads_no_closed_formula(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recursion read a closed-formula generator column")
+
+    closed = build_resolution_closed(BUILTIN_BUILDERS["klein_four"](Q), 3)
+    monkeypatch.setattr(CrossedResolution, "_closed_generator_columns", forbidden)
+    monkeypatch.setattr(CrossedResolution, "_d1_generator_column", forbidden)
+    monkeypatch.setattr(CrossedResolution, "_dl_generator_column", forbidden)
+    rec = build_resolution_recursive(closed.cp, 3)
+    assert rec.blocks == closed.blocks
+    for key, gens in rec.generator_columns.items():
+        assert not any(a is b for a, b in zip(gens, closed.generator_columns[key])), key
