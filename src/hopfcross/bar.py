@@ -214,49 +214,15 @@ def h_module_homology_complex(h, module, cap: int) -> ChainComplex:
 
 def h_module_cohomology_complex(h, module, cap: int) -> ChainComplex:
     """Complex Hom(Hbar^s, N) computing the cohomology of H with right-module
-    coefficients; module = (dim_n, rho) with rho[h_index] the right action."""
-    field = h.field
+    coefficients; module = (dim_n, rho) with rho[h_index] the right action.
+
+    It is the transpose of the homology complex of the dual left module
+    (rho[h] transposed); both lay out (argument tensor, N index) row-major.
+    """
     dim_n, rho = module
-    dim_hbar = h.dim - 1
-    dims = [dim_hbar**s * dim_n for s in range(cap + 1)]
-    maps: list = [None]
-    for s in range(1, cap + 1):
-        arg_space = TensorSpace((dim_hbar,) * s)
-        prev_args = TensorSpace((dim_hbar,) * (s - 1))
-        cols: list[dict] = [{} for _ in range(dims[s - 1])]
-
-        def add(col_idx, row_idx, coef):
-            col = cols[col_idx]
-            w = field.add(col.get(row_idx, field.zero), coef)
-            if field.is_zero(w):
-                col.pop(row_idx, None)
-            else:
-                col[row_idx] = w
-
-        for t in arg_space:
-            legs = [x + 1 for x in t]
-            row_base = arg_space.index(t) * dim_n
-            eps = h.counit[legs[0]]
-            if not field.is_zero(eps):
-                cidx = prev_args.index(t[1:]) * dim_n
-                for ni in range(dim_n):
-                    add(cidx + ni, row_base + ni, eps)
-            sign = field.one
-            for i in range(1, s):
-                sign = field.neg(sign)
-                for k, c in h.algebra.mult[legs[i - 1]][legs[i]].items():
-                    if k == 0:
-                        continue
-                    cidx = prev_args.index(t[: i - 1] + (k - 1,) + t[i + 1 :]) * dim_n
-                    for ni in range(dim_n):
-                        add(cidx + ni, row_base + ni, field.mul(sign, c))
-            sign = field.neg(sign)
-            cidx = prev_args.index(t[:-1]) * dim_n
-            for ni in range(dim_n):
-                for nj, c in rho[legs[-1]].column(ni).items():
-                    add(cidx + ni, row_base + nj, field.mul(sign, c))
-        maps.append(ExactMatrix(field, dims[s], dims[s - 1], cols))
-    return ChainComplex(field, dims, maps, COHOMOLOGY)
+    cx = h_module_homology_complex(h, (dim_n, [mat.transpose() for mat in rho]), cap)
+    maps = [None] + [d.transpose() for d in cx.maps[1:]]
+    return ChainComplex(h.field, cx.dims, maps, COHOMOLOGY)
 
 
 def trivial_left_module(h) -> tuple[int, list]:

@@ -24,7 +24,7 @@ from .comparison import (
     check_filtration_preservation,
 )
 from .complexes import check_convergence, spectral_page
-from .crossed import NotInvertibleError, verify_crossed_axioms
+from .crossed import AxiomViolation, NotInvertibleError, verify_crossed_axioms
 from .fields import FieldSpec
 from .homology import (
     e2_identification,
@@ -341,6 +341,11 @@ def main(argv=None) -> int:
     except NotInvertibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AxiomViolation as exc:
+        # the problem parsed but fails an axiom: report the witnesses, exit 1
+        doc = _doc(args.command, pf)
+        doc["sections"]["axioms"] = exc.report.as_dict()
+        doc["pass"] = False
     return _emit(doc, args)
 
 

@@ -79,14 +79,10 @@ def homology_dims(c: ChainComplex, check: bool = True) -> list[int]:
     """dim H_n for n = 0..cap-1 (the cap degree is untrusted and not reported)."""
     if check:
         c.check_square_zero()
-    out = []
-    for n in range(c.cap):
-        og = c.outgoing(n)
-        cycles = c.dims[n] - og.rank() if og is not None else c.dims[n]
-        inc = c.incoming(n)
-        boundaries = inc.rank() if inc is not None else 0
-        out.append(cycles - boundaries)
-    return out
+    # maps[n] joins degrees n - 1 and n in either direction, so each is ranked
+    # once and dim H_n = dims[n] - rank maps[n] - rank maps[n + 1]
+    ranks = [0] + [c.maps[n].rank() for n in range(1, c.cap + 1)]
+    return [c.dims[n] - ranks[n] - ranks[n + 1] for n in range(c.cap)]
 
 
 def homology_representatives(c: ChainComplex, n: int):

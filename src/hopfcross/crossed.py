@@ -515,6 +515,23 @@ def regular_bimodule(e: AlgebraData) -> BimoduleData:
     return BimoduleData(e.field, e.dim, e.dim, left, right)
 
 
+def dual_bimodule(m: BimoduleData) -> BimoduleData:
+    """M^v = Hom_k(M, k) on the dual basis, with (a . phi . b)(x) = phi(b . x . a).
+
+    Coefficients M^v turn chains into cochains: Hom_{E^e}(X, M) is the dual of
+    M^v (x)_{E^e} X for finite-dimensional M.
+    """
+    left = [[{} for _ in range(m.dim)] for _ in range(m.dim_e)]
+    right = [[{} for _ in range(m.dim_e)] for _ in range(m.dim)]
+    for e in range(m.dim_e):
+        for j in range(m.dim):
+            for i, c in m.right[j][e].items():
+                left[e][i][j] = c
+            for i, c in m.left[e][j].items():
+                right[i][e][j] = c
+    return BimoduleData(m.field, m.dim, m.dim_e, left, right)
+
+
 def restrict_bimodule_to_a(cp: CrossedProductData, m: BimoduleData) -> BimoduleData:
     """The same underlying space as an A-bimodule through a -> a#1."""
     a = cp.a

@@ -2,10 +2,17 @@
 crossed product, their untwisted variants, and the H-action on the homology
 of A.
 
-Boundaries are derived from the resolution (coefficients tensored in, or maps
-out of it), which is the provably correct construction; the displayed
-closed formulas are evaluated independently and compared block by block.  Any
-disagreement raises FormulaMismatch, never a silent fallback.
+Boundaries are derived from the resolution (coefficients tensored in), which
+is the provably correct construction; the displayed closed formulas are
+evaluated independently and compared block by block.  Any disagreement raises
+FormulaMismatch, never a silent fallback.
+
+Cohomology by duality: for finite-dimensional M, Hom_{E^e}(X, M) is the dual
+of M^v (x)_{E^e} X, where M^v is the dual bimodule (crossed.dual_bimodule).
+Every cochain matrix here is therefore a chain matrix with M^v coefficients,
+transposed and relabelled by dual_transpose; the displayed cochain formulas,
+evaluated on M, stay the independent check.  The decreasing cochain
+filtration is the annihilator of the increasing chain filtration.
 
 Space layouts (flat, row-major):
   chain blocks     M (x) Hbar^s (x) Abar^r   ->  (m, h_1..h_s, a_1..a_r)
@@ -17,8 +24,16 @@ filtration by the number of H legs is a span of leading coordinates.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex, FilteredComplex, HomologyLift
-from .crossed import BimoduleData, CrossedProductData, restrict_bimodule_to_a, unit_section_inverse_map
+from .crossed import (
+    BimoduleData,
+    CrossedProductData,
+    dual_bimodule,
+    restrict_bimodule_to_a,
+    unit_section_inverse_map,
+)
 from .bar import hochschild_chain_complex, hochschild_cochain_complex
 from .algebras import Report
 from .linalg import ExactMatrix, vec_add_into
@@ -70,6 +85,33 @@ def _mid_rank(space: TensorSpace, key: tuple) -> int | None:
     return space.index(tuple(i - 1 for i in key))
 
 
+def _swap_legs(dim_m: int, sizes) -> list[int]:
+    """Per stacked block of argument size t: chain index (m, t) -> cochain index (t, m)."""
+    perm: list[int] = []
+    off = 0
+    for size in sizes:
+        perm.extend(off + t * dim_m + mi for mi in range(dim_m) for t in range(size))
+        off += dim_m * size
+    return perm
+
+
+def dual_transpose(mat: ExactMatrix, dim_m: int, row_sizes=None, col_sizes=None) -> ExactMatrix:
+    """The cochain matrix with coefficients M whose chain mirror with M^v is mat.
+
+    mat maps stacked blocks M^v (x) T laid out (m, t); the result is its
+    transpose on the blocks Hom(T, M) laid out (t, m).  row_sizes / col_sizes
+    list dim(T) of each block stacked along that side (default: one block).
+    """
+    rows = _swap_legs(dim_m, row_sizes or [mat.nrows // max(dim_m, 1)])
+    cols = _swap_legs(dim_m, col_sizes or [mat.ncols // max(dim_m, 1)])
+    out: list[dict] = [{} for _ in range(mat.nrows)]
+    for j, col in enumerate(mat.cols):
+        cj = cols[j]
+        for i, v in col.items():
+            out[rows[i]][cj] = v
+    return ExactMatrix(mat.field, mat.ncols, mat.nrows, out)
+
+
 # resolution-derived boundaries ----------------------------------------------
 
 def _decode_block_generators(res: CrossedResolution, l, r, s):
@@ -109,25 +151,7 @@ def reduced_block_from_resolution(res: CrossedResolution, m: BimoduleData, l, r,
 
 def reduced_cochain_block_from_resolution(res, m: BimoduleData, l, r, s) -> ExactMatrix:
     """Hom_{E^e}(d^l_{rs}, M): phi -> (v -> sum e_left . phi(v') . e_right)."""
-    cp = res.cp
-    field = res.field
-    src_mid = _reduced_mid_space(cp, r, s)          # arguments of the target cochain
-    tgt_mid = _reduced_mid_space(cp, r + l - 1, s - l)  # arguments of the source cochain
-    gens = _decode_block_generators(res, l, r, s)
-    cols: list[dict] = [{} for _ in range(tgt_mid.size * m.dim)]
-    for mid in range(src_mid.size):
-        for e_left, mid_t, e_right, c in gens[mid]:
-            for mi in range(m.dim):
-                mvec = m.right_act(m.left_act(e_left, {mi: field.one}), e_right)
-                col = cols[mid_t * m.dim + mi]
-                for mj, cm in mvec.items():
-                    idx = mid * m.dim + mj
-                    w = field.add(col.get(idx, field.zero), field.mul(c, cm))
-                    if field.is_zero(w):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = w
-    return ExactMatrix(field, src_mid.size * m.dim, tgt_mid.size * m.dim, cols)
+    return dual_transpose(reduced_block_from_resolution(res, dual_bimodule(m), l, r, s), m.dim)
 
 
 # displayed formulas -----------------------------------------------------------
@@ -645,93 +669,30 @@ def untwist_inverse_block(cp: CrossedProductData, m: BimoduleData, r: int, s: in
 def untwist_cochain_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> ExactMatrix:
     """Hom(Abar^r (x) Hbar^s, M) -> Hom(Hbar^s (x) Abar^r, M),
     (T phi)(h (x) a) = (1#h_1^(1)) ... (1#h_s^(1)) phi(a (x) h^(2))."""
-    field = cp.field
-    out_args = _reduced_mid_space(cp, r, s)
-    in_args = _untwisted_mid_space(cp, r, s)
-    cols: list[dict] = [{} for _ in range(in_args.size * m.dim)]
-    for mid in range(out_args.size):
-        key = _mid_key(out_args, mid)
-        hs, avs = key[:s], key[s:]
-        elem = {tuple(hs): field.one}
-        for t in range(s - 1, -1, -1):
-            elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
-        for comps, c in elem.items():
-            seconds = tuple(comps[2 * t + 1] for t in range(s))
-            mid_in = _mid_rank(in_args, tuple(avs) + seconds)
-            if mid_in is None:
-                continue
-            for mi in range(m.dim):
-                mvec = {mi: field.one}
-                for t in range(s - 1, -1, -1):
-                    mvec = m.left_act(cp.include_h(comps[2 * t]), mvec)
-                col = cols[mid_in * m.dim + mi]
-                for mj, cm in mvec.items():
-                    idx = mid * m.dim + mj
-                    w = field.add(col.get(idx, field.zero), field.mul(c, cm))
-                    if field.is_zero(w):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = w
-    return ExactMatrix(field, out_args.size * m.dim, in_args.size * m.dim, cols)
+    return dual_transpose(untwist_block(cp, dual_bimodule(m), r, s), m.dim)
 
 
 def untwist_cochain_inverse_block(cp, m: BimoduleData, r: int, s: int) -> ExactMatrix:
     """(T^{-1} psi)(a (x) h) = (1#h_s^(1))^{-1} ... (1#h_1^(1))^{-1} psi(h^(2) (x) a)."""
-    field = cp.field
-    uinv = unit_section_inverse_map(cp)
-    out_args = _untwisted_mid_space(cp, r, s)
-    in_args = _reduced_mid_space(cp, r, s)
-    cols: list[dict] = [{} for _ in range(in_args.size * m.dim)]
-    for mid in range(out_args.size):
-        key = _mid_key(out_args, mid)
-        avs, hs = key[:r], key[r:]
-        elem = {tuple(hs): field.one}
-        for t in range(s - 1, -1, -1):
-            elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
-        for comps, c in elem.items():
-            seconds = tuple(comps[2 * t + 1] for t in range(s))
-            mid_in = _mid_rank(in_args, seconds + tuple(avs))
-            if mid_in is None:
-                continue
-            for mi in range(m.dim):
-                mvec = {mi: field.one}
-                for t in range(s):
-                    mvec = m.left_elem(uinv[comps[2 * t]], mvec)
-                col = cols[mid_in * m.dim + mi]
-                for mj, cm in mvec.items():
-                    idx = mid * m.dim + mj
-                    w = field.add(col.get(idx, field.zero), field.mul(c, cm))
-                    if field.is_zero(w):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = w
-    return ExactMatrix(field, out_args.size * m.dim, in_args.size * m.dim, cols)
+    return dual_transpose(untwist_inverse_block(cp, dual_bimodule(m), r, s), m.dim)
 
 
 # complex assembly --------------------------------------------------------------
 
 def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
-    """Stack blocks (r+s = n, s ascending) into degree matrices and filtration."""
-    block_dims = {}
-    for n in range(cap + 1):
-        for s in range(n + 1):
-            block_dims[(n - s, s)] = m.dim * mid_space_fn(cp, n - s, s).size
+    """Stack blocks (r+s = n, s ascending) into degree matrices and filtration.
 
-    def blocks_of(n):
-        out = []
-        off = 0
-        for s in range(n + 1):
-            r = n - s
-            out.append((r, s, off))
-            off += block_dims[(r, s)]
-        return out, off
-
+    Also returns, per degree, the argument-space size of each stacked block.
+    """
+    sizes = [[mid_space_fn(cp, n - s, s).size for s in range(n + 1)] for n in range(cap + 1)]
     dims = []
-    offsets = []
-    for n in range(cap + 1):
-        blks, total = blocks_of(n)
-        dims.append(total)
-        offsets.append({(r, s): off for r, s, off in blks})
+    offsets = []  # offsets[n][s]: first index of block (n - s, s)
+    for per_degree in sizes:
+        offs = [0]
+        for size in per_degree:
+            offs.append(offs[-1] + m.dim * size)
+        dims.append(offs.pop())
+        offsets.append(offs)
 
     maps: list = [None]
     for n in range(1, cap + 1):
@@ -743,11 +704,10 @@ def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
                 if r + l == 0:
                     continue
                 block_mats[l] = block_fn(l, r, s)
-            width = block_dims[(r, s)]
-            for local in range(width):
+            for local in range(m.dim * sizes[n][s]):
                 col: dict = {}
                 for l, mat in block_mats.items():
-                    toff = offsets[n - 1][(r + l - 1, s - l)]
+                    toff = offsets[n - 1][s - l]
                     for i, v in mat.cols[local].items():
                         w = field.add(col.get(i + toff, field.zero), v)
                         if field.is_zero(w):
@@ -757,74 +717,12 @@ def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
                 cols.append(col)
         maps.append(ExactMatrix(field, dims[n - 1], dims[n], cols))
 
-    filtration = []
-    for n in range(cap + 1):
-        levels = []
-        for i in range(n + 1):
-            idxs = []
-            for s in range(n + 1):
-                r = n - s
-                if s <= i:
-                    off = offsets[n][(r, s)]
-                    idxs.extend(range(off, off + block_dims[(r, s)]))
-            levels.append(tuple(sorted(idxs)))
-        filtration.append(levels)
-    return dims, maps, filtration, offsets
-
-
-def _assemble_cochain(field, cp, m, cap, block_fn, mid_space_fn):
-    block_dims = {}
-    for n in range(cap + 1):
-        for s in range(n + 1):
-            block_dims[(n - s, s)] = m.dim * mid_space_fn(cp, n - s, s).size
-
-    dims = []
-    offsets = []
-    for n in range(cap + 1):
-        off = 0
-        omap = {}
-        for s in range(n + 1):
-            r = n - s
-            omap[(r, s)] = off
-            off += block_dims[(r, s)]
-        dims.append(off)
-        offsets.append(omap)
-
-    maps: list = [None]
-    for n in range(1, cap + 1):
-        # map C^{n-1} -> C^n assembled from blocks indexed by the target (r, s)
-        cols: list[dict] = [{} for _ in range(dims[n - 1])]
-        for s in range(n + 1):
-            r = n - s
-            for l in range(0, s + 1):
-                if r + l == 0:
-                    continue
-                mat = block_fn(l, r, s)  # Hom-args (r+l-1, s-l) -> Hom-args (r, s)
-                coff = offsets[n - 1][(r + l - 1, s - l)]
-                roff = offsets[n][(r, s)]
-                for j in range(mat.ncols):
-                    col = cols[coff + j]
-                    for i, v in mat.cols[j].items():
-                        w = field.add(col.get(i + roff, field.zero), v)
-                        if field.is_zero(w):
-                            col.pop(i + roff, None)
-                        else:
-                            col[i + roff] = w
-        maps.append(ExactMatrix(field, dims[n], dims[n - 1], cols))
-
-    filtration = []
-    for n in range(cap + 1):
-        levels = []
-        for i in range(n + 2):
-            idxs = []
-            for s in range(n + 1):
-                r = n - s
-                if s >= i:
-                    off = offsets[n][(r, s)]
-                    idxs.extend(range(off, off + block_dims[(r, s)]))
-            levels.append(tuple(sorted(idxs)))
-        filtration.append(levels)
-    return dims, maps, filtration, offsets
+    # level i: the blocks with at most i H legs, a prefix of the degree space
+    filtration = [
+        [tuple(range(offsets[n][i] + m.dim * sizes[n][i])) for i in range(n + 1)]
+        for n in range(cap + 1)
+    ]
+    return dims, maps, filtration, sizes
 
 
 class ReducedComplexes:
@@ -832,7 +730,9 @@ class ReducedComplexes:
 
     The resolution route is authoritative; with compare=True every block is
     checked against the displayed formula and FormulaMismatch is raised on
-    disagreement.
+    disagreement.  The cochain complexes are the relabelled transposes of the
+    chain complexes with coefficients M^v (see the module docstring); their
+    blocks are still checked against the displayed cochain formulas on M.
     """
 
     def __init__(self, cp: CrossedProductData, m: BimoduleData, cap: int,
@@ -851,90 +751,93 @@ class ReducedComplexes:
         self.calc = self.res.calc
         self.literal = _Literal(cp, m, self.calc)
         self._reduced_blocks: dict = {}
-        self._reduced_cochain_blocks: dict = {}
+        self._dual_blocks: dict = {}
+
+    @cached_property
+    def dual(self) -> BimoduleData:
+        """M^v, the coefficients of the chain mirrors of the cochain complexes."""
+        return dual_bimodule(self.m)
+
+    def _check(self, which: str, literal, derived: ExactMatrix, cochain: bool, l, r, s) -> None:
+        """FormulaMismatch unless the displayed formula on M gives the derived
+        block (a chain block with M^v coefficients is dualized first)."""
+        if not self.compare:
+            return
+        if cochain:
+            derived = dual_transpose(derived, self.m.dim)
+        if literal(l, r, s) != derived:
+            raise FormulaMismatch(which, l, r, s)
 
     def reduced_block(self, l, r, s) -> ExactMatrix:
         key = (l, r, s)
         hit = self._reduced_blocks.get(key)
         if hit is None:
             hit = reduced_block_from_resolution(self.res, self.m, l, r, s)
-            if self.compare:
-                lit = self.literal.reduced_block(l, r, s)
-                if lit != hit:
-                    raise FormulaMismatch("chain", l, r, s)
+            self._check("chain", self.literal.reduced_block, hit, False, l, r, s)
             self._reduced_blocks[key] = hit
         return hit
 
-    def reduced_cochain_block(self, l, r, s) -> ExactMatrix:
+    def _dual_block(self, l, r, s) -> ExactMatrix:
+        """The chain block with M^v coefficients; dualized, the cochain block on M."""
         key = (l, r, s)
-        hit = self._reduced_cochain_blocks.get(key)
+        hit = self._dual_blocks.get(key)
         if hit is None:
-            hit = reduced_cochain_block_from_resolution(self.res, self.m, l, r, s)
-            if self.compare:
-                lit = self.literal.reduced_cochain_block(l, r, s)
-                if lit != hit:
-                    raise FormulaMismatch("cochain", l, r, s)
-            self._reduced_cochain_blocks[key] = hit
+            hit = reduced_block_from_resolution(self.res, self.dual, l, r, s)
+            self._check("cochain", self.literal.reduced_cochain_block, hit, True, l, r, s)
+            self._dual_blocks[key] = hit
         return hit
 
-    def reduced_chain_complex(self) -> FilteredComplex:
-        dims, maps, filtration, _ = _assemble_chain(
-            self.field, self.cp, self.m, self.cap, self.reduced_block, _reduced_mid_space
+    def reduced_cochain_block(self, l, r, s) -> ExactMatrix:
+        return dual_transpose(self._dual_block(l, r, s), self.m.dim)
+
+    def _filtered(self, block_fn, mid_space_fn, cochain: bool) -> FilteredComplex:
+        """Assembled complex; for cochains, the relabelled transpose of the M^v chains."""
+        dims, maps, filtration, sizes = _assemble_chain(
+            self.field, self.cp, self.m, self.cap, block_fn, mid_space_fn
         )
-        cx = ChainComplex(self.field, dims, maps, HOMOLOGY)
+        if cochain:
+            for n in range(1, self.cap + 1):
+                maps[n] = dual_transpose(maps[n], self.m.dim, sizes[n - 1], sizes[n])
+            # the annihilator: cochain level i is the complement of chain level
+            # i - 1, which is a prefix, so the complement is the matching suffix
+            filtration = [
+                [tuple(range(len(prev), dims[n])) for prev in [(), *levels]]
+                for n, levels in enumerate(filtration)
+            ]
+        cx = ChainComplex(self.field, dims, maps, COHOMOLOGY if cochain else HOMOLOGY)
         cx.check_square_zero()
         return FilteredComplex(cx, filtration)
 
+    def reduced_chain_complex(self) -> FilteredComplex:
+        return self._filtered(self.reduced_block, _reduced_mid_space, False)
+
     def reduced_cochain_complex(self) -> FilteredComplex:
-        dims, maps, filtration, _ = _assemble_cochain(
-            self.field, self.cp, self.m, self.cap, self.reduced_cochain_block, _reduced_mid_space
-        )
-        cx = ChainComplex(self.field, dims, maps, COHOMOLOGY)
-        cx.check_square_zero()
-        return FilteredComplex(cx, filtration)
+        return self._filtered(self._dual_block, _reduced_mid_space, True)
+
+    def _untwisted(self, cochain: bool) -> FilteredComplex:
+        self.cp.require_inverse()
+        if cochain:
+            coeff, inner = self.dual, self._dual_block
+            which, literal = "untwisted-cochain", self.literal.untwisted_cochain_block
+        else:
+            coeff, inner = self.m, self.reduced_block
+            which, literal = "untwisted-chain", self.literal.untwisted_block
+
+        def block(l, r, s):
+            left = untwist_block(self.cp, coeff, r + l - 1, s - l)
+            right = untwist_inverse_block(self.cp, coeff, r, s)
+            derived = left @ inner(l, r, s) @ right
+            self._check(which, literal, derived, cochain, l, r, s)
+            return derived
+
+        return self._filtered(block, _untwisted_mid_space, cochain)
 
     def untwisted_chain_complex(self) -> FilteredComplex:
         """The conjugate complex on M (x) Abar^r (x) Hbar^s; needs the inverse."""
-        self.cp.require_inverse()
-
-        def block(l, r, s):
-            inner = self.reduced_block(l, r, s)
-            left = untwist_block(self.cp, self.m, r + l - 1, s - l)
-            right = untwist_inverse_block(self.cp, self.m, r, s)
-            derived = left @ inner @ right
-            if self.compare:
-                lit = self.literal.untwisted_block(l, r, s)
-                if lit != derived:
-                    raise FormulaMismatch("untwisted-chain", l, r, s)
-            return derived
-
-        dims, maps, filtration, _ = _assemble_chain(
-            self.field, self.cp, self.m, self.cap, block, _untwisted_mid_space
-        )
-        cx = ChainComplex(self.field, dims, maps, HOMOLOGY)
-        cx.check_square_zero()
-        return FilteredComplex(cx, filtration)
+        return self._untwisted(False)
 
     def untwisted_cochain_complex(self) -> FilteredComplex:
-        self.cp.require_inverse()
-
-        def block(l, r, s):
-            inner = self.reduced_cochain_block(l, r, s)
-            left = untwist_cochain_inverse_block(self.cp, self.m, r, s)
-            right = untwist_cochain_block(self.cp, self.m, r + l - 1, s - l)
-            derived = left @ inner @ right
-            if self.compare:
-                lit = self.literal.untwisted_cochain_block(l, r, s)
-                if lit != derived:
-                    raise FormulaMismatch("untwisted-cochain", l, r, s)
-            return derived
-
-        dims, maps, filtration, _ = _assemble_cochain(
-            self.field, self.cp, self.m, self.cap, block, _untwisted_mid_space
-        )
-        cx = ChainComplex(self.field, dims, maps, COHOMOLOGY)
-        cx.check_square_zero()
-        return FilteredComplex(cx, filtration)
+        return self._untwisted(True)
 
     def untwist_degree_matrices(self):
         """Blockwise untwisting map and its displayed inverse per degree, as matrices on
@@ -958,21 +861,6 @@ def _block_diag(field, mats):
             cols.append({i + roff: v for i, v in m.cols[j].items()})
         roff += m.nrows
     return ExactMatrix(field, rows, cols_total, cols)
-
-
-def build_reduced_complex(cp, m, cap, res=None, compare=True, direction=HOMOLOGY,
-                      allow_large_cap=False) -> FilteredComplex:
-    rc = ReducedComplexes(cp, m, cap, res=res, compare=compare,
-                          allow_large_cap=allow_large_cap)
-    return rc.reduced_chain_complex() if direction == HOMOLOGY else rc.reduced_cochain_complex()
-
-
-def build_untwisted_complex(cp, m, cap, res=None, compare=True, direction=HOMOLOGY,
-                           allow_large_cap=False) -> FilteredComplex:
-    rc = ReducedComplexes(cp, m, cap, res=res, compare=compare,
-                          allow_large_cap=allow_large_cap)
-    return (rc.untwisted_chain_complex() if direction == HOMOLOGY
-            else rc.untwisted_cochain_complex())
 
 
 # the H-action on the homology of A --------------------------------------------
@@ -1032,58 +920,6 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
     return ExactMatrix(field, dim, dim, cols)
 
 
-def conjugation_cochain_matrix(cp, m: BimoduleData, r: int, h_idx: int) -> ExactMatrix:
-    """The right action on Hom(Abar^r, M):
-    (phi . h)(a) = (1#h^(1))^{-1} phi(a^(h^(2))) (1#h^(3))."""
-    from .hopf import sweedler_expand
-
-    field = cp.field
-    uinv = unit_section_inverse_map(cp)
-    mid = TensorSpace((cp.a.dim - 1,) * r)
-    dim = mid.size * m.dim
-    triple = sweedler_expand(cp.h, 3, {h_idx: field.one})
-    cols: list[dict] = [{} for _ in range(dim)]
-    for t in range(mid.size):
-        avs = _mid_key(mid, t)
-        for (h1, h2, h3), c in triple.items():
-            expanded = (
-                expand_leg({(h2,): field.one}, 0, cp.h.comult_row, r, field)
-                if r > 0
-                else {(): cp.h.counit[h2]}
-            )
-            for comps, c2 in expanded.items():
-                if field.is_zero(c2):
-                    continue
-                legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
-
-                def scatter(pos, prefix, coef):
-                    if pos == r:
-                        tt = _mid_rank(mid, tuple(prefix))
-                        if tt is None:
-                            return
-                        for mi in range(m.dim):
-                            mvec = m.right_elem(
-                                m.left_elem(uinv[h1], {mi: field.one}),
-                                {cp.include_h(h3): field.one},
-                            )
-                            col = cols[tt * m.dim + mi]
-                            for mj, cm in mvec.items():
-                                idx = t * m.dim + mj
-                                w = field.add(col.get(idx, field.zero), field.mul(coef, cm))
-                                if field.is_zero(w):
-                                    col.pop(idx, None)
-                                else:
-                                    col[idx] = w
-                        return
-                    for b, cb in legs[pos].items():
-                        prefix.append(b)
-                        scatter(pos + 1, prefix, field.mul(coef, cb))
-                        prefix.pop()
-
-                scatter(0, [], field.mul(c, c2))
-    return ExactMatrix(field, dim, dim, cols)
-
-
 class HActionOnHomology:
     """Induced matrices of the conjugation action on H_*(A, M) per H basis element.
 
@@ -1106,12 +942,15 @@ class HActionOnHomology:
             self.complex = hochschild_chain_complex(cp.a, m_a, cap)
         self.complex.check_square_zero()
         self.lifts = [HomologyLift(self.complex, n) for n in range(cap)]
+        # the right action (phi . h)(a) = (1#h^(1))^{-1} phi(a^(h^(2))) (1#h^(3))
+        # on Hom(Abar^r, M) is the dual of the conjugation on M^v (x) Abar^r
+        self.dual = dual_bimodule(m) if cochain else None
         self.chain_mats: list[list[ExactMatrix]] = []
         for r in range(cap):
             mats = []
             for h_idx in range(cp.h.dim):
                 if cochain:
-                    mats.append(conjugation_cochain_matrix(cp, m, r, h_idx))
+                    mats.append(dual_transpose(conjugation_chain_matrix(cp, self.dual, r, h_idx), m.dim))
                 else:
                     mats.append(conjugation_chain_matrix(cp, m, r, h_idx))
             self.chain_mats.append(mats)

@@ -146,3 +146,26 @@ def test_cohomological_two_level():
     fc = FilteredComplex(c, filtration)
     assert fc.verify().passed
     assert check_convergence(fc).passed
+
+
+def test_homology_dims_ranks_each_map_once(monkeypatch):
+    from hopfcross.reduced_complexes import ReducedComplexes
+
+    cap = 4
+    cp = BUILTIN_BUILDERS["klein_four"](Q)
+    rc = ReducedComplexes(cp, regular_bimodule(cp.e), cap)
+    chain = rc.reduced_chain_complex().complex
+    cochain = rc.reduced_cochain_complex().complex
+    calls = []
+    rank = ExactMatrix.rank
+    monkeypatch.setattr(ExactMatrix, "rank", lambda self: calls.append(self) or rank(self))
+    for c in (chain, cochain):
+        calls.clear()
+        dims = homology_dims(c)
+        assert len(calls) == cap
+        assert {id(m) for m in calls} == {id(m) for m in c.maps[1:]}
+        assert dims == [
+            c.dims[n] - (rank(c.outgoing(n)) if c.outgoing(n) else 0)
+            - (rank(c.incoming(n)) if c.incoming(n) else 0)
+            for n in range(cap)
+        ]

@@ -227,3 +227,21 @@ def test_cli_resolution_check_reports_every_identity(tmp_path, capsys):
     for key in ("comparison_identities", "filtration_preservation", "bar_square_zero"):
         assert sections[key]["passed"] and sections[key]["checks_run"] > 0, key
     capsys.readouterr()
+
+
+def test_cli_axiom_failure_reports_witnesses(tmp_path, capsys):
+    # a non-normal cocycle parses but fails the crossed-product axioms
+    doc = emit_problem(builtin("klein_four"))
+    doc["cocycle"][0][1] = ["2", "0"]
+    path = tmp_path / "not_normal.json"
+    path.write_text(json.dumps(doc))
+    for command in ("homology", "cohomology", "spectral", "e2-check",
+                    "oracle-compare", "resolution-check", "tor"):
+        out_path = tmp_path / f"{command}.json"
+        assert main([command, str(path), "--output", str(out_path)]) == 1, command
+        report = json.loads(out_path.read_text())
+        assert report["command"] == command and report["pass"] is False
+        axioms = report["sections"]["axioms"]
+        assert not axioms["passed"]
+        assert {"check": "cocycle-normality-left", "detail": "", "witness": [1]} in axioms["failures"]
+    capsys.readouterr()
