@@ -86,12 +86,6 @@ class AlgebraData:
         self.unit_index = 0
 
     # element helpers ------------------------------------------------------
-    def unit_vec(self) -> dict:
-        return {0: self.field.one}
-
-    def mult_vec(self, i: int, j: int) -> dict:
-        return self.mult[i][j]
-
     def mult_elems(self, u: dict, v: dict) -> dict:
         field = self.field
         out: dict = {}
@@ -107,10 +101,6 @@ class AlgebraData:
         for i in sorted(vec):
             parts.append(f"({vec[i]})*{self.basis_labels[i]}")
         return " + ".join(parts)
-
-    def left_mult_matrix(self, i: int) -> ExactMatrix:
-        cols = [dict(self.mult[i][j]) for j in range(self.dim)]
-        return ExactMatrix(self.field, self.dim, self.dim, cols)
 
     def __repr__(self):
         return f"AlgebraData(dim={self.dim}, field={self.field.spec_string()})"
@@ -159,9 +149,6 @@ class NormalizedSplitting:
             sect[(i, k)] = field.one
         self.projection = ExactMatrix.from_entries(field, parent.dim - 1, parent.dim, proj)
         self.section = ExactMatrix.from_entries(field, parent.dim, parent.dim - 1, sect)
-
-    def unit_component(self, vec: dict):
-        return vec.get(0, self.parent.field.zero)
 
 
 def normalized_quotient(a: AlgebraData) -> NormalizedSplitting:

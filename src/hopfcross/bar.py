@@ -14,7 +14,7 @@ from .algebras import AlgebraData
 from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex, FilteredComplex
 from .crossed import BimoduleData, CrossedProductData
 from .linalg import ExactMatrix
-from .tensors import TensorSpace
+from .tensors import TensorSpace, keyed_add_into
 
 
 def _chain_space(dim_m: int, dim_ebar: int, n: int) -> TensorSpace:
@@ -39,12 +39,7 @@ def hochschild_chain_complex(
             col: dict = {}
 
             def put(midx, tail, coef):
-                idx = tgt.index((midx,) + tuple(t - 1 for t in tail))
-                w = field.add(col.get(idx, field.zero), coef)
-                if field.is_zero(w):
-                    col.pop(idx, None)
-                else:
-                    col[idx] = w
+                keyed_add_into(col, tgt.index((midx,) + tuple(t - 1 for t in tail)), coef, field)
 
             for mj, c in m.right[mi][legs[0]].items():
                 put(mj, legs[1:], c)
@@ -81,12 +76,7 @@ def hochschild_cochain_complex(
         cols: list[dict] = [{} for _ in range(dims[n - 1])]
 
         def add(col_idx, row_idx, coef):
-            col = cols[col_idx]
-            w = field.add(col.get(row_idx, field.zero), coef)
-            if field.is_zero(w):
-                col.pop(row_idx, None)
-            else:
-                col[row_idx] = w
+            keyed_add_into(cols[col_idx], row_idx, coef, field)
 
         for t in arg_space:
             legs = [x + 1 for x in t]
@@ -191,11 +181,7 @@ def h_module_homology_complex(h, module, cap: int) -> ChainComplex:
             def put(tail, nvec, coef):
                 for nj, c in nvec.items():
                     idx = tgt.index(tuple(t - 1 for t in tail) + (nj,))
-                    w = field.add(col.get(idx, field.zero), field.mul(coef, c))
-                    if field.is_zero(w):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = w
+                    keyed_add_into(col, idx, field.mul(coef, c), field)
 
             put(legs[1:], {ni: field.one}, h.counit[legs[0]])
             sign = field.one

@@ -44,7 +44,14 @@ from .problems import (
     parse_problem,
 )
 from .reduced_complexes import ReducedComplexes
-from .resolution import build_resolution_closed, build_resolution_recursive
+from .resolution import (
+    HomotopyIdentityFailure,
+    RecursionMismatch,
+    assert_constructions_agree,
+    assert_contracting_homotopy,
+    build_resolution_closed,
+    build_resolution_recursive,
+)
 
 
 def _load_problem(args) -> ProblemFile:
@@ -234,26 +241,24 @@ def cmd_resolution_check(pf: ProblemFile, args) -> dict:
     sections = doc["sections"]
     closed = build_resolution_closed(cp, cap)
     recursive = build_resolution_recursive(cp, cap)
-    blocks_equal = set(closed.blocks) == set(recursive.blocks) and all(
-        closed.blocks[k] == recursive.blocks[k] for k in closed.blocks
-    )
+    try:
+        assert_constructions_agree(closed, recursive)
+        blocks_equal = True
+    except RecursionMismatch:
+        blocks_equal = False
     sections["closed_equals_recursive"] = {"match": blocks_equal}
     square = all((closed.d[n] @ closed.d[n + 1]).is_zero() for n in range(1, cap))
     aug = (closed.augmentation @ closed.d[1]).is_zero()
     sections["square_zero"] = {"match": square}
     sections["augmentation_d1_zero"] = {"match": aug}
-    sigma = closed.contracting_homotopy()
-    from .linalg import ExactMatrix
-
-    hom_ok = closed.augmentation @ sigma[0] == ExactMatrix.identity(cp.field, cp.e.dim)
-    lhs = closed.d[1] @ sigma[1] + sigma[0] @ closed.augmentation
-    hom_ok = hom_ok and lhs == ExactMatrix.identity(cp.field, closed.dims[0])
-    for n in range(1, cap):
-        lhs = closed.d[n + 1] @ sigma[n + 1] + sigma[n] @ closed.d[n]
-        hom_ok = hom_ok and lhs == ExactMatrix.identity(cp.field, closed.dims[n])
-    sections["contracting_homotopy"] = {"match": hom_ok}
     bar = BarCalculus(cp, cap + 1)
     cmp_maps = build_comparison(closed, bar, min(max_degree, cap - 1))
+    try:
+        assert_contracting_homotopy(closed, cmp_maps.sigma)
+        hom_ok = True
+    except HomotopyIdentityFailure:
+        hom_ok = False
+    sections["contracting_homotopy"] = {"match": hom_ok}
     r_ident = check_comparison_identities(cmp_maps)
     r_filt = check_filtration_preservation(cmp_maps)
     r_bar = check_bar_square_zero(bar, cap)

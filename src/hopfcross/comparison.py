@@ -14,84 +14,8 @@ from __future__ import annotations
 from .algebras import Report
 from .crossed import CrossedProductData
 from .linalg import vec_add_into
-from .resolution import CrossedResolution
-
-
-class BarSpace:
-    """B_n = E (x) Ebar^n (x) E on the flat basis (eL, x_1..x_n, eR)."""
-
-    def __init__(self, cp: CrossedProductData, n: int):
-        self.cp = cp
-        self.n = n
-        ne = cp.e.dim
-        self.ne = ne
-        self.mid_size = (ne - 1) ** n
-        self.dim = ne * self.mid_size * ne
-
-    def split(self, flat: int):
-        rest = self.mid_size * self.ne
-        e_left, rem = divmod(flat, rest)
-        mid, e_right = divmod(rem, self.ne)
-        return e_left, mid, e_right
-
-    def combine(self, e_left: int, mid: int, e_right: int) -> int:
-        return (e_left * self.mid_size + mid) * self.ne + e_right
-
-    def mid_key(self, mid: int) -> tuple:
-        return self._unrank(mid)
-
-    def _unrank(self, mid: int) -> tuple:
-        base = self.ne - 1
-        legs = []
-        for _ in range(self.n):
-            legs.append(mid % base)
-            mid //= base
-        legs.reverse()
-        return tuple(x + 1 for x in legs)
-
-    def mid_rank(self, legs: tuple) -> int | None:
-        """legs are full E indices; returns None when a leg is the unit."""
-        base = self.ne - 1
-        out = 0
-        for x in legs:
-            if x == 0:
-                return None
-            out = out * base + (x - 1)
-        return out
-
-    def left_mult(self, vec: dict, e_idx: int) -> dict:
-        if e_idx == 0:
-            return dict(vec)
-        cp = self.cp
-        field = cp.field
-        out: dict = {}
-        for flat, c in vec.items():
-            e_left, mid, e_right = self.split(flat)
-            for e2, c2 in cp.e.mult[e_idx][e_left].items():
-                idx = self.combine(e2, mid, e_right)
-                w = field.add(out.get(idx, field.zero), field.mul(c, c2))
-                if field.is_zero(w):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = w
-        return out
-
-    def right_mult(self, vec: dict, e_idx: int) -> dict:
-        if e_idx == 0:
-            return dict(vec)
-        cp = self.cp
-        field = cp.field
-        out: dict = {}
-        for flat, c in vec.items():
-            e_left, mid, e_right = self.split(flat)
-            for e2, c2 in cp.e.mult[e_right][e_idx].items():
-                idx = self.combine(e_left, mid, e2)
-                w = field.add(out.get(idx, field.zero), field.mul(c, c2))
-                if field.is_zero(w):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = w
-        return out
+from .resolution import CrossedResolution, FreeBimoduleSpace
+from .tensors import keyed_add_into
 
 
 class BarCalculus:
@@ -101,7 +25,7 @@ class BarCalculus:
         self.cp = cp
         self.cap = cap
         self.field = cp.field
-        self.spaces = [BarSpace(cp, n) for n in range(cap + 1)]
+        self.spaces = [FreeBimoduleSpace(cp, (cp.e.dim,) * n) for n in range(cap + 1)]
 
     def bprime(self, n: int, vec: dict) -> dict:
         """b'_n applied to a sparse vector of B_n, landing in B_{n-1}."""
@@ -110,22 +34,14 @@ class BarCalculus:
         src = self.spaces[n]
         tgt = self.spaces[n - 1]
         out: dict = {}
-
-        def put(idx, coef):
-            w = field.add(out.get(idx, field.zero), coef)
-            if field.is_zero(w):
-                out.pop(idx, None)
-            else:
-                out[idx] = w
-
         for flat, c in vec.items():
             e_left, mid, e_right = src.split(flat)
-            legs = src._unrank(mid)
+            legs = src.mid_key(mid)
             # merge into the left slot
             for e2, c2 in cp.e.mult[e_left][legs[0]].items():
                 nm = tgt.mid_rank(legs[1:])
                 if nm is not None:
-                    put(tgt.combine(e2, nm, e_right), field.mul(c, c2))
+                    keyed_add_into(out, tgt.combine(e2, nm, e_right), field.mul(c, c2), field)
             sign = field.one
             for i in range(1, n):
                 sign = field.neg(sign)
@@ -134,12 +50,14 @@ class BarCalculus:
                         continue
                     nm = tgt.mid_rank(legs[: i - 1] + (k,) + legs[i + 1 :])
                     if nm is not None:
-                        put(tgt.combine(e_left, nm, e_right), field.mul(field.mul(c, sign), c2))
+                        keyed_add_into(out, tgt.combine(e_left, nm, e_right),
+                                       field.mul(field.mul(c, sign), c2), field)
             sign = field.neg(sign)
             for e2, c2 in cp.e.mult[legs[-1]][e_right].items():
                 nm = tgt.mid_rank(legs[:-1])
                 if nm is not None:
-                    put(tgt.combine(e_left, nm, e2), field.mul(field.mul(c, sign), c2))
+                    keyed_add_into(out, tgt.combine(e_left, nm, e2),
+                                   field.mul(field.mul(c, sign), c2), field)
         return out
 
     def xi(self, n: int, vec: dict) -> dict:
@@ -153,16 +71,10 @@ class BarCalculus:
             e_left, mid, e_right = src.split(flat)
             if e_right == 0:
                 continue  # the class of the unit dies in the new Ebar leg
-            legs = src._unrank(mid) + (e_right,)
-            nm = tgt.mid_rank(legs)
+            nm = tgt.mid_rank(src.mid_key(mid) + (e_right,))
             if nm is None:
                 continue
-            idx = tgt.combine(e_left, nm, 0)
-            w = field.add(out.get(idx, field.zero), field.mul(c, sign))
-            if field.is_zero(w):
-                out.pop(idx, None)
-            else:
-                out[idx] = w
+            keyed_add_into(out, tgt.combine(e_left, nm, 0), field.mul(c, sign), field)
         return out
 
     def multiplication(self, vec: dict) -> dict:
@@ -178,16 +90,7 @@ class BarCalculus:
     def level(self, n: int, flat: int) -> int:
         """Filtration level: legs outside A#1."""
         _, mid, _ = self.spaces[n].split(flat)
-        legs = self.spaces[n]._unrank(mid)
-        count = 0
-        for x in legs:
-            _, h = self.cp.e_unrank(x)
-            if h != 0:
-                count += 1
-        return count
-
-    def gen_level(self, n: int, mid: int) -> int:
-        legs = self.spaces[n]._unrank(mid)
+        legs = self.spaces[n].mid_key(mid)
         count = 0
         for x in legs:
             _, h = self.cp.e_unrank(x)
@@ -221,34 +124,16 @@ class ComparisonMaps:
                 return r, s, off, space, flat - off
         raise IndexError(flat)
 
-    def degree_left_mult(self, n: int, vec: dict, e_idx: int) -> dict:
-        if e_idx == 0:
-            return dict(vec)
-        field = self.field
-        out: dict = {}
+    def degree_outer_mult(self, n: int, vec: dict, e_left: int, e_right: int) -> dict:
+        """e_left . vec . e_right on the degree-n space, block by block."""
+        parts: dict = {}
         for flat, c in vec.items():
-            r, s, off, space, local = self._degree_split(n, flat)
-            for idx, v in space.left_mult({local: c}, e_idx).items():
-                w = field.add(out.get(idx + off, field.zero), v)
-                if field.is_zero(w):
-                    out.pop(idx + off, None)
-                else:
-                    out[idx + off] = w
-        return out
-
-    def degree_right_mult(self, n: int, vec: dict, e_idx: int) -> dict:
-        if e_idx == 0:
-            return dict(vec)
-        field = self.field
+            _, _, off, space, local = self._degree_split(n, flat)
+            parts.setdefault(off, (space, {}))[1][local] = c
         out: dict = {}
-        for flat, c in vec.items():
-            r, s, off, space, local = self._degree_split(n, flat)
-            for idx, v in space.right_mult({local: c}, e_idx).items():
-                w = field.add(out.get(idx + off, field.zero), v)
-                if field.is_zero(w):
-                    out.pop(idx + off, None)
-                else:
-                    out[idx + off] = w
+        for off, (space, part) in parts.items():
+            img = space.right_mult(space.left_mult(part, e_left), e_right)
+            out.update((idx + off, v) for idx, v in img.items())
         return out
 
     def degree_level(self, n: int, flat: int) -> int:
@@ -312,9 +197,7 @@ class ComparisonMaps:
         out: dict = {}
         for flat, c in bvec.items():
             e_left, mid, e_right = self.bar.spaces[n].split(flat)
-            img = self.psi[n][mid]
-            img = self.degree_left_mult(n, img, e_left)
-            img = self.degree_right_mult(n, img, e_right)
+            img = self.degree_outer_mult(n, self.psi[n][mid], e_left, e_right)
             vec_add_into(out, img, c, field)
         return out
 

@@ -150,10 +150,6 @@ class HomologyLift:
         return ExactMatrix(field, self.rank, self.rank, cols)
 
 
-def induced_on_homology(c: ChainComplex, n: int, chain_map: ExactMatrix) -> ExactMatrix:
-    return HomologyLift(c, n).induced(chain_map)
-
-
 class FilteredComplex:
     """A complex plus nested coordinate filtrations.
 

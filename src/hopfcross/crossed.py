@@ -13,7 +13,7 @@ from .algebras import AlgebraData, Report, verify_algebra
 from .fields import FieldSpec
 from .hopf import HopfData, sweedler_expand
 from .linalg import vec_add_into
-from .tensors import TensorSpace
+from .tensors import TensorSpace, keyed_add_into
 
 
 class AxiomViolation(Exception):
@@ -226,12 +226,6 @@ class CrossedProductData:
     def include_h(self, h_idx: int) -> int:
         return self.e_index(0, h_idx)
 
-    def avec_to_e(self, avec: dict) -> dict:
-        return {self.include_a(i): c for i, c in avec.items()}
-
-    def hvec_to_e(self, hvec: dict) -> dict:
-        return {self.include_h(i): c for i, c in hvec.items()}
-
     def require_inverse(self):
         if self.conv_inverse is None:
             raise NotInvertibleError("cocycle has no convolution inverse")
@@ -260,12 +254,7 @@ def _crossed_mult_table(a, h, action, cocycle):
                             for k3, c3 in h.algebra.mult[h3][l2].items():
                                 c = field.mul(coef, c3)
                                 for pa, cp in part.items():
-                                    idx = e_space.index((pa, k3))
-                                    w = field.add(out.get(idx, field.zero), field.mul(c, cp))
-                                    if field.is_zero(w):
-                                        out.pop(idx, None)
-                                    else:
-                                        out[idx] = w
+                                    keyed_add_into(out, e_space.index((pa, k3)), field.mul(c, cp), field)
                     table[e_space.index((ia, ih))][e_space.index((ja, jh))] = out
     return table
 
@@ -404,12 +393,7 @@ def unit_section_inverse_map(cp: CrossedProductData):
                 for ai, ca in finv[s2][h3].items():
                     coef = field.mul(c, field.mul(c2, ca))
                     for s1, c1 in h.antipode[h1].items():
-                        idx = cp.e_index(ai, s1)
-                        w = field.add(vec.get(idx, field.zero), field.mul(coef, c1))
-                        if field.is_zero(w):
-                            vec.pop(idx, None)
-                        else:
-                            vec[idx] = w
+                        keyed_add_into(vec, cp.e_index(ai, s1), field.mul(coef, c1), field)
         out.append(vec)
     return out
 

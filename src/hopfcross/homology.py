@@ -14,12 +14,7 @@ from .bar import (
     hochschild_chain_complex,
     hochschild_cochain_complex,
 )
-from .complexes import (
-    check_convergence,
-    homology_dims,
-    infinity_page,
-    spectral_page,
-)
+from .complexes import check_convergence, homology_dims, spectral_page
 from .crossed import BimoduleData, CrossedProductData, regular_bimodule, tensor_bimodule
 from .reduced_complexes import ReducedComplexes, h_action_on_homology
 
@@ -45,7 +40,8 @@ def hochschild_homology(cp: CrossedProductData, m: BimoduleData | None = None,
     if m is None:
         m = regular_bimodule(cp.e)
     rc = ReducedComplexes(cp, m, cap, res=res, compare=compare)
-    dims = homology_dims(rc.reduced_chain_complex().complex)
+    # the reduced complexes are checked for d o d = 0 when they are assembled
+    dims = homology_dims(rc.reduced_chain_complex().complex, check=False)
     oracle_dims = None
     if oracle:
         oracle_dims = homology_dims(hochschild_chain_complex(cp.e, m, cap))
@@ -59,7 +55,7 @@ def hochschild_cohomology(cp: CrossedProductData, m: BimoduleData | None = None,
     if m is None:
         m = regular_bimodule(cp.e)
     rc = ReducedComplexes(cp, m, cap, res=res, compare=compare)
-    dims = homology_dims(rc.reduced_cochain_complex().complex)
+    dims = homology_dims(rc.reduced_cochain_complex().complex, check=False)
     oracle_dims = None
     if oracle:
         oracle_dims = homology_dims(hochschild_cochain_complex(cp.e, m, cap))
@@ -149,7 +145,7 @@ def tor_spectral_report(cp: CrossedProductData, right_module, left_module,
     if not report.passed:
         raise ValueError("supplied modules do not form a bimodule: " + report.summary())
     rc = ReducedComplexes(cp, bimod, cap, res=res)
-    dims = homology_dims(rc.reduced_chain_complex().complex)
+    dims = homology_dims(rc.reduced_chain_complex().complex, check=False)
     oracle_dims = homology_dims(hochschild_chain_complex(cp.e, bimod, cap))
     out = _dims_report(dims, cap, oracle_dims)
     out["tor_dims"] = dims

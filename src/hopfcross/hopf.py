@@ -35,15 +35,6 @@ class HopfData:
     def comult_row(self, i: int) -> dict:
         return self.comult[i]
 
-    def counit_of(self, i: int):
-        return self.counit[i]
-
-    def antipode_row(self, i: int) -> dict:
-        return self.antipode[i]
-
-    def mult_vec(self, i: int, j: int) -> dict:
-        return self.algebra.mult[i][j]
-
     def __repr__(self):
         return f"HopfData(dim={self.dim}, field={self.field.spec_string()})"
 
@@ -58,6 +49,18 @@ def sweedler_expand(h: HopfData, n: int, v: dict) -> dict:
         raise ValueError("sweedler_expand needs n >= 1")
     elem = {(i,): c for i, c in v.items()}
     return expand_leg(elem, 0, h.comult_row, n, h.field)
+
+
+def sweedler_legs(h: HopfData, hs: tuple, count: int) -> dict:
+    """Each leg of the basis tuple hs comultiplied into `count` legs.
+
+    Keys concatenate the components leg by leg: (h_1^(1), ..., h_1^(count),
+    h_2^(1), ...).  count >= 1; an empty hs gives {(): 1}.
+    """
+    elem = {tuple(hs): h.field.one}
+    for t in range(len(hs) - 1, -1, -1):
+        elem = expand_leg(elem, t, h.comult_row, count, h.field)
+    return elem
 
 
 def _tensor_mult(h: HopfData, left: dict, right: dict) -> dict:
@@ -131,20 +134,10 @@ def verify_hopf(h: HopfData) -> Report:
         for (u, w), c in h.comult[i].items():
             for su, cs in h.antipode[u].items():
                 for k, cm in alg.mult[su][w].items():
-                    v = field.mul(c, field.mul(cs, cm))
-                    nv = field.add(left_out.get(k, field.zero), v)
-                    if field.is_zero(nv):
-                        left_out.pop(k, None)
-                    else:
-                        left_out[k] = nv
+                    keyed_add_into(left_out, k, field.mul(c, field.mul(cs, cm)), field)
             for sw, cs in h.antipode[w].items():
                 for k, cm in alg.mult[u][sw].items():
-                    v = field.mul(c, field.mul(cs, cm))
-                    nv = field.add(right_out.get(k, field.zero), v)
-                    if field.is_zero(nv):
-                        right_out.pop(k, None)
-                    else:
-                        right_out[k] = nv
+                    keyed_add_into(right_out, k, field.mul(c, field.mul(cs, cm)), field)
         report.record(left_out == target, "antipode-left", (i,))
         report.record(right_out == target, "antipode-right", (i,))
     return report

@@ -307,11 +307,6 @@ class ExactMatrix:
             vec_add_into(x, pcombo, coef, field)
         return [x.get(j, field.zero) for j in range(self.ncols)]
 
-    def in_column_space(self, vec: dict) -> bool:
-        registry, _, _ = self._echelon(track_combos=False)
-        v = dict(vec)
-        return self._reduce_against(registry, v, None) is None
-
 
 class SpanSolver:
     """Reusable membership/coordinate solver for a fixed matrix.

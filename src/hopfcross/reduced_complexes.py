@@ -36,9 +36,10 @@ from .crossed import (
 )
 from .bar import hochschild_chain_complex, hochschild_cochain_complex
 from .algebras import Report
+from .hopf import sweedler_legs
 from .linalg import ExactMatrix, vec_add_into
 from .resolution import CrossedResolution
-from .tensors import TensorSpace, expand_leg
+from .tensors import TensorSpace, keyed_add_into, tensor_vectors
 from .twisting import TwistingCalculus
 
 
@@ -138,12 +139,7 @@ def reduced_block_from_resolution(res: CrossedResolution, m: BimoduleData, l, r,
             for e_left, mid_t, e_right, c in gens[mid]:
                 mvec = m.left_act(e_right, m.right_act(base, e_left))
                 for mj, cm in mvec.items():
-                    idx = mj * tgt_mid.size + mid_t
-                    w = field.add(col.get(idx, field.zero), field.mul(c, cm))
-                    if field.is_zero(w):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = w
+                    keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(c, cm), field)
             cols.append(col)
     # columns were produced m-major already: (m, mid) has flat m * size + mid
     return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
@@ -170,13 +166,6 @@ class _Literal:
         if self._uinv is None:
             self._uinv = unit_section_inverse_map(self.cp)
         return self._uinv[h_idx]
-
-    def uinv_vec(self, hvec: dict) -> dict:
-        field = self.field
-        out: dict = {}
-        for hi, c in hvec.items():
-            vec_add_into(out, self.uinv(hi), c, field)
-        return out
 
     def m_right_a(self, mvec, avec):
         out: dict = {}
@@ -208,19 +197,11 @@ class _Literal:
                     if mid_t is None:
                         return
                     for mj, cm in mvec.items():
-                        idx = mj * tgt_mid.size + mid_t
-                        w = field.add(col.get(idx, field.zero), field.mul(coef, cm))
-                        if field.is_zero(w):
-                            col.pop(idx, None)
-                        else:
-                            col[idx] = w
+                        keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(coef, cm), field)
 
                 base = {mi: field.one}
                 if l == 0:
-                    elem = {tuple(hs): field.one}
-                    for t in range(s - 1, -1, -1):
-                        elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
-                    for comps, c in elem.items():
+                    for comps, c in sweedler_legs(cp.h, hs, 2).items():
                         firsts = tuple(comps[2 * t] for t in range(s))
                         seconds = tuple(comps[2 * t + 1] for t in range(s))
                         acted = calc.iter_act(firsts, avs[0])
@@ -237,27 +218,14 @@ class _Literal:
                     sign = field.one if r % 2 == 0 else field.neg(field.one)
                     put(m.right_act(base, cp.include_h(hs[0])), tuple(hs[1:]) + tuple(avs), sign)
                     sign = field.one if (r + s) % 2 == 0 else field.neg(field.one)
-                    elem = expand_leg({(hs[-1],): field.one}, 0, cp.h.comult_row, r + 1, field)
-                    for comps, c in elem.items():
+                    for comps, c in sweedler_legs(cp.h, hs[-1:], r + 1).items():
                         legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
                         mv = m.left_act(cp.include_h(comps[r]), base)
-
-                        def scatter(pos, prefix, coef):
-                            if pos == r:
-                                put(mv, tuple(hs[:-1]) + tuple(prefix), field.mul(coef, sign))
-                                return
-                            for b, cb in legs[pos].items():
-                                prefix.append(b)
-                                scatter(pos + 1, prefix, field.mul(coef, cb))
-                                prefix.pop()
-
-                        scatter(0, [], c)
+                        for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
+                            put(mv, tuple(hs[:-1]) + alegs, coef)
                     for i in range(1, s):
                         tsign = field.one if (r + i) % 2 == 0 else field.neg(field.one)
-                        elem = {tuple(hs[: i + 1]): field.one}
-                        for t in range(i, -1, -1):
-                            elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
-                        for comps, c in elem.items():
+                        for comps, c in sweedler_legs(cp.h, hs[: i + 1], 2).items():
                             firsts = tuple(comps[2 * t] for t in range(i + 1))
                             seconds = tuple(comps[2 * t + 1] for t in range(i + 1))
                             fv = calc.iter_act_vec(firsts[: i - 1], cp.cocycle.f[firsts[i - 1]][firsts[i]])
@@ -269,12 +237,9 @@ class _Literal:
                                 put(mv, out_key, field.mul(field.mul(c, tsign), cm))
                 else:
                     sign = field.one if (l * (r + s)) % 2 == 0 else field.neg(field.one)
-                    elem = {tuple(hs[s - l :]): field.one}
-                    for t in range(l - 1, -1, -1):
-                        elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
                     na = cp.a.dim
                     f_tgt = TensorSpace((na,) * (r + l - 1))
-                    for comps, c in elem.items():
+                    for comps, c in sweedler_legs(cp.h, hs[s - l :], 2).items():
                         firsts = tuple(comps[2 * t] for t in range(l))
                         seconds = tuple(comps[2 * t + 1] for t in range(l))
                         fvec = calc.insertion_apply(l, r, firsts, tuple(avs))
@@ -287,14 +252,8 @@ class _Literal:
                                 out_key = tuple(hs[: s - l]) + f_tgt.unrank(fid)
                                 put(mv, out_key, field.mul(field.mul(c, sign), field.mul(cm, cf)))
                 cols.append(col)
-        # reorder columns to m-major flat layout (they are generated m-major)
-        ordered = [None] * (m.dim * src_mid.size)
-        k = 0
-        for mi in range(m.dim):
-            for mid in range(src_mid.size):
-                ordered[mi * src_mid.size + mid] = cols[k]
-                k += 1
-        return ExactMatrix(field, nrows, m.dim * src_mid.size, ordered)
+        # columns are generated m-major: (m, mid) has flat m * size + mid
+        return ExactMatrix(field, nrows, m.dim * src_mid.size, cols)
 
     # cochain blocks of the reduced complex -----------------------------------
     def reduced_cochain_block(self, l, r, s) -> ExactMatrix:
@@ -311,21 +270,13 @@ class _Literal:
                 mvec = postmap({mi: field.one})
                 col = cols[mid_in * m.dim + mi]
                 for mj, cm in mvec.items():
-                    idx = arg_out_mid * m.dim + mj
-                    w = field.add(col.get(idx, field.zero), field.mul(coef, cm))
-                    if field.is_zero(w):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = w
+                    keyed_add_into(col, arg_out_mid * m.dim + mj, field.mul(coef, cm), field)
 
         for mid in range(out_args.size):
             key = _mid_key(out_args, mid)
             hs, avs = key[:s], key[s:]
             if l == 0:
-                elem = {tuple(hs): field.one}
-                for t in range(s - 1, -1, -1):
-                    elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
-                for comps, c in elem.items():
+                for comps, c in sweedler_legs(cp.h, hs, 2).items():
                     firsts = tuple(comps[2 * t] for t in range(s))
                     seconds = tuple(comps[2 * t + 1] for t in range(s))
                     acted = calc.iter_act(firsts, avs[0])
@@ -345,29 +296,15 @@ class _Literal:
                 add(tuple(hs[1:]) + tuple(avs),
                     lambda v: m.left_act(cp.include_h(hs[0]), v), mid, sign)
                 sign = field.one if (r + s) % 2 == 0 else field.neg(field.one)
-                elem = expand_leg({(hs[-1],): field.one}, 0, cp.h.comult_row, r + 1, field)
-                for comps, c in elem.items():
+                for comps, c in sweedler_legs(cp.h, hs[-1:], r + 1).items():
                     legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
                     tail = comps[r]
-
-                    def scatter(pos, prefix, coef):
-                        if pos == r:
-                            add(tuple(hs[:-1]) + tuple(prefix),
-                                lambda v, tail=tail: m.right_act(v, cp.include_h(tail)),
-                                mid, field.mul(coef, sign))
-                            return
-                        for b, cb in legs[pos].items():
-                            prefix.append(b)
-                            scatter(pos + 1, prefix, field.mul(coef, cb))
-                            prefix.pop()
-
-                    scatter(0, [], c)
+                    for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
+                        add(tuple(hs[:-1]) + alegs,
+                            lambda v, tail=tail: m.right_act(v, cp.include_h(tail)), mid, coef)
                 for i in range(1, s):
                     tsign = field.one if (r + i) % 2 == 0 else field.neg(field.one)
-                    elem = {tuple(hs[: i + 1]): field.one}
-                    for t in range(i, -1, -1):
-                        elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
-                    for comps, c in elem.items():
+                    for comps, c in sweedler_legs(cp.h, hs[: i + 1], 2).items():
                         firsts = tuple(comps[2 * t] for t in range(i + 1))
                         seconds = tuple(comps[2 * t + 1] for t in range(i + 1))
                         fv = calc.iter_act_vec(firsts[: i - 1], cp.cocycle.f[firsts[i - 1]][firsts[i]])
@@ -379,12 +316,9 @@ class _Literal:
                                 mid, field.mul(field.mul(c, tsign), cm))
             else:
                 sign = field.one if (l * (r + s)) % 2 == 0 else field.neg(field.one)
-                elem = {tuple(hs[s - l :]): field.one}
-                for t in range(l - 1, -1, -1):
-                    elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
                 na = cp.a.dim
                 f_tgt = TensorSpace((na,) * (r + l - 1))
-                for comps, c in elem.items():
+                for comps, c in sweedler_legs(cp.h, hs[s - l :], 2).items():
                     firsts = tuple(comps[2 * t] for t in range(l))
                     seconds = tuple(comps[2 * t + 1] for t in range(l))
                     fvec = calc.insertion_apply(l, r, firsts, tuple(avs))
@@ -415,12 +349,7 @@ class _Literal:
                     if mid_t is None:
                         return
                     for mj, cm in mvec.items():
-                        idx = mj * tgt_mid.size + mid_t
-                        w = field.add(col.get(idx, field.zero), field.mul(coef, cm))
-                        if field.is_zero(w):
-                            col.pop(idx, None)
-                        else:
-                            col[idx] = w
+                        keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(coef, cm), field)
 
                 base = {mi: field.one}
                 if l == 0:
@@ -439,24 +368,14 @@ class _Literal:
                     if not field.is_zero(eps):
                         put(base, tuple(avs) + tuple(hs[1:]), field.mul(sign, eps))
                     sign = field.one if (r + s) % 2 == 0 else field.neg(field.one)
-                    elem = expand_leg({(hs[-1],): field.one}, 0, cp.h.comult_row, r + 2, field)
-                    for comps, c in elem.items():
+                    for comps, c in sweedler_legs(cp.h, hs[-1:], r + 2).items():
                         mv = self.m.left_elem(
                             {cp.include_h(comps[r + 1]): field.one},
                             self.m.right_elem(base, self.uinv(comps[0])),
                         )
                         legs = [cp.action.act[comps[1 + k]][avs[k]] for k in range(r)]
-
-                        def scatter(pos, prefix, coef):
-                            if pos == r:
-                                put(mv, tuple(prefix) + tuple(hs[:-1]), field.mul(coef, sign))
-                                return
-                            for b, cb in legs[pos].items():
-                                prefix.append(b)
-                                scatter(pos + 1, prefix, field.mul(coef, cb))
-                                prefix.pop()
-
-                        scatter(0, [], c)
+                        for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
+                            put(mv, alegs + tuple(hs[:-1]), coef)
                     for i in range(1, s):
                         tsign = field.one if (r + i) % 2 == 0 else field.neg(field.one)
                         for hm, cm in cp.h.algebra.mult[hs[i - 1]][hs[i]].items():
@@ -464,12 +383,9 @@ class _Literal:
                                 field.mul(tsign, cm))
                 else:
                     sign = field.one if (l * (r + s)) % 2 == 0 else field.neg(field.one)
-                    elem = {tuple(hs[s - l :]): field.one}
-                    for t in range(l - 1, -1, -1):
-                        elem = expand_leg(elem, t, cp.h.comult_row, 3, field)
                     na = cp.a.dim
                     f_tgt = TensorSpace((na,) * (r + l - 1))
-                    for comps, c in elem.items():
+                    for comps, c in sweedler_legs(cp.h, hs[s - l :], 3).items():
                         firsts = tuple(comps[3 * t] for t in range(l))
                         seconds = tuple(comps[3 * t + 1] for t in range(l))
                         thirds = tuple(comps[3 * t + 2] for t in range(l))
@@ -488,13 +404,7 @@ class _Literal:
                                 put(mv, f_tgt.unrank(fid) + tuple(hs[: s - l]),
                                     field.mul(field.mul(c, sign), field.mul(cm, cf)))
                 cols.append(col)
-        ordered = [None] * (m.dim * src_mid.size)
-        k = 0
-        for mi in range(m.dim):
-            for mid in range(src_mid.size):
-                ordered[mi * src_mid.size + mid] = cols[k]
-                k += 1
-        return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, ordered)
+        return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
 
     # untwisted cochain blocks ---------------------------------------------
     def untwisted_cochain_block(self, l, r, s) -> ExactMatrix:
@@ -511,12 +421,7 @@ class _Literal:
                 mvec = postmap({mi: field.one})
                 col = cols[mid_in * m.dim + mi]
                 for mj, cm in mvec.items():
-                    idx = arg_out_mid * m.dim + mj
-                    w = field.add(col.get(idx, field.zero), field.mul(coef, cm))
-                    if field.is_zero(w):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = w
+                    keyed_add_into(col, arg_out_mid * m.dim + mj, field.mul(coef, cm), field)
 
         for mid in range(out_args.size):
             key = _mid_key(out_args, mid)
@@ -539,26 +444,16 @@ class _Literal:
                 if not field.is_zero(eps):
                     add(tuple(avs) + tuple(hs[1:]), lambda v: v, mid, field.mul(sign, eps))
                 sign = field.one if (r + s) % 2 == 0 else field.neg(field.one)
-                elem = expand_leg({(hs[-1],): field.one}, 0, cp.h.comult_row, r + 2, field)
-                for comps, c in elem.items():
+                for comps, c in sweedler_legs(cp.h, hs[-1:], r + 2).items():
                     u0 = self.uinv(comps[0])
                     tail = comps[r + 1]
                     legs = [cp.action.act[comps[1 + k]][avs[k]] for k in range(r)]
-
-                    def scatter(pos, prefix, coef):
-                        if pos == r:
-                            add(tuple(prefix) + tuple(hs[:-1]),
-                                lambda v, u0=u0, tail=tail: self.m.right_elem(
-                                    self.m.left_elem(u0, v), {cp.include_h(tail): field.one}
-                                ),
-                                mid, field.mul(coef, sign))
-                            return
-                        for b, cb in legs[pos].items():
-                            prefix.append(b)
-                            scatter(pos + 1, prefix, field.mul(coef, cb))
-                            prefix.pop()
-
-                    scatter(0, [], c)
+                    for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
+                        add(alegs + tuple(hs[:-1]),
+                            lambda v, u0=u0, tail=tail: self.m.right_elem(
+                                self.m.left_elem(u0, v), {cp.include_h(tail): field.one}
+                            ),
+                            mid, coef)
                 for i in range(1, s):
                     tsign = field.one if (r + i) % 2 == 0 else field.neg(field.one)
                     for hm, cm in cp.h.algebra.mult[hs[i - 1]][hs[i]].items():
@@ -566,12 +461,9 @@ class _Literal:
                             lambda v: v, mid, field.mul(tsign, cm))
             else:
                 sign = field.one if (l * (r + s)) % 2 == 0 else field.neg(field.one)
-                elem = {tuple(hs[s - l :]): field.one}
-                for t in range(l - 1, -1, -1):
-                    elem = expand_leg(elem, t, cp.h.comult_row, 3, field)
                 na = cp.a.dim
                 f_tgt = TensorSpace((na,) * (r + l - 1))
-                for comps, c in elem.items():
+                for comps, c in sweedler_legs(cp.h, hs[s - l :], 3).items():
                     firsts = tuple(comps[3 * t] for t in range(l))
                     seconds = tuple(comps[3 * t + 1] for t in range(l))
                     thirds = tuple(comps[3 * t + 2] for t in range(l))
@@ -609,11 +501,8 @@ def untwist_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> Ex
         for mid in range(src_mid.size):
             key = _mid_key(src_mid, mid)
             hs, avs = key[:s], key[s:]
-            elem = {tuple(hs): field.one}
-            for t in range(s - 1, -1, -1):
-                elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
             col: dict = {}
-            for comps, c in elem.items():
+            for comps, c in sweedler_legs(cp.h, hs, 2).items():
                 mvec = {mi: field.one}
                 for t in range(s):
                     mvec = m.right_act(mvec, cp.include_h(comps[2 * t]))
@@ -622,12 +511,7 @@ def untwist_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> Ex
                 if mid_t is None:
                     continue
                 for mj, cm in mvec.items():
-                    idx = mj * tgt_mid.size + mid_t
-                    w = field.add(col.get(idx, field.zero), field.mul(c, cm))
-                    if field.is_zero(w):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = w
+                    keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(c, cm), field)
             cols.append(col)
     return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
 
@@ -643,11 +527,8 @@ def untwist_inverse_block(cp: CrossedProductData, m: BimoduleData, r: int, s: in
         for mid in range(src_mid.size):
             key = _mid_key(src_mid, mid)
             avs, hs = key[:r], key[r:]
-            elem = {tuple(hs): field.one}
-            for t in range(s - 1, -1, -1):
-                elem = expand_leg(elem, t, cp.h.comult_row, 2, field)
             col: dict = {}
-            for comps, c in elem.items():
+            for comps, c in sweedler_legs(cp.h, hs, 2).items():
                 mvec = {mi: field.one}
                 for t in range(s - 1, -1, -1):
                     mvec = m.right_elem(mvec, uinv[comps[2 * t]])
@@ -656,12 +537,7 @@ def untwist_inverse_block(cp: CrossedProductData, m: BimoduleData, r: int, s: in
                 if mid_t is None:
                     continue
                 for mj, cm in mvec.items():
-                    idx = mj * tgt_mid.size + mid_t
-                    w = field.add(col.get(idx, field.zero), field.mul(c, cm))
-                    if field.is_zero(w):
-                        col.pop(idx, None)
-                    else:
-                        col[idx] = w
+                    keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(c, cm), field)
             cols.append(col)
     return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
 
@@ -707,13 +583,9 @@ def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
             for local in range(m.dim * sizes[n][s]):
                 col: dict = {}
                 for l, mat in block_mats.items():
+                    # each l lands in its own target block (r + l - 1, s - l)
                     toff = offsets[n - 1][s - l]
-                    for i, v in mat.cols[local].items():
-                        w = field.add(col.get(i + toff, field.zero), v)
-                        if field.is_zero(w):
-                            col.pop(i + toff, None)
-                        else:
-                            col[i + toff] = w
+                    col.update((i + toff, v) for i, v in mat.cols[local].items())
                 cols.append(col)
         maps.append(ExactMatrix(field, dims[n - 1], dims[n], cols))
 
@@ -887,35 +759,17 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
                 )
                 if not mvec:
                     continue
-                expanded = (
-                    expand_leg({(h2,): field.one}, 0, cp.h.comult_row, r, field)
-                    if r > 0
-                    else {(): cp.h.counit[h2]}
-                )
+                expanded = sweedler_legs(cp.h, (h2,), r) if r > 0 else {(): cp.h.counit[h2]}
                 for comps, c2 in expanded.items():
                     if field.is_zero(c2):
                         continue
                     legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
-
-                    def scatter(pos, prefix, coef):
-                        if pos == r:
-                            tt = _mid_rank(mid, tuple(prefix))
-                            if tt is None:
-                                return
-                            for mj, cm in mvec.items():
-                                idx = mj * mid.size + tt
-                                w = field.add(col.get(idx, field.zero), field.mul(coef, cm))
-                                if field.is_zero(w):
-                                    col.pop(idx, None)
-                                else:
-                                    col[idx] = w
-                            return
-                        for b, cb in legs[pos].items():
-                            prefix.append(b)
-                            scatter(pos + 1, prefix, field.mul(coef, cb))
-                            prefix.pop()
-
-                    scatter(0, [], field.mul(c, c2))
+                    for alegs, coef in tensor_vectors(legs, field.mul(c, c2), field).items():
+                        tt = _mid_rank(mid, alegs)
+                        if tt is None:
+                            continue
+                        for mj, cm in mvec.items():
+                            keyed_add_into(col, mj * mid.size + tt, field.mul(coef, cm), field)
             cols.append(col)
     return ExactMatrix(field, dim, dim, cols)
 
@@ -961,9 +815,6 @@ class HActionOnHomology:
 
     def homology_dims(self) -> list[int]:
         return [lift.rank for lift in self.lifts]
-
-    def module_matrices(self, r: int) -> list[ExactMatrix]:
-        return self.induced[r]
 
     def check_chain_maps(self) -> Report:
         report = Report("conjugation chain maps")
@@ -1029,10 +880,7 @@ def reduced_coefficient_bimodule(cp: CrossedProductData, m: BimoduleData, s: int
         left.append(row)
     right = [[None] * cp.a.dim for _ in range(dim)]
     for t in range(mid.size):
-        hs = _mid_key(mid, t)
-        elem = {tuple(hs): field.one}
-        for p in range(s - 1, -1, -1):
-            elem = expand_leg(elem, p, cp.h.comult_row, 2, field)
+        elem = sweedler_legs(cp.h, _mid_key(mid, t), 2)
         for ai in range(cp.a.dim):
             images: dict = {}
             for comps, c in elem.items():
@@ -1043,23 +891,13 @@ def reduced_coefficient_bimodule(cp: CrossedProductData, m: BimoduleData, s: int
                     continue
                 acted = calc.iter_act(firsts, ai)
                 for aj, ca in acted.items():
-                    key = (aj, t2)
-                    w = field.add(images.get(key, field.zero), field.mul(c, ca))
-                    if field.is_zero(w):
-                        images.pop(key, None)
-                    else:
-                        images[key] = w
+                    keyed_add_into(images, (aj, t2), field.mul(c, ca), field)
             for mi in range(m.dim):
                 cell: dict = {}
                 for (aj, t2), c in images.items():
                     mv = m.right_act({mi: field.one}, cp.include_a(aj))
                     for mj, cm in mv.items():
-                        idx = mj * mid.size + t2
-                        w = field.add(cell.get(idx, field.zero), field.mul(c, cm))
-                        if field.is_zero(w):
-                            cell.pop(idx, None)
-                        else:
-                            cell[idx] = w
+                        keyed_add_into(cell, mj * mid.size + t2, field.mul(c, cm), field)
                 right[mi * mid.size + t][ai] = cell
     return BimoduleData(field, dim, cp.a.dim, left, right)
 
@@ -1084,11 +922,7 @@ def reduced_coefficient_hom_bimodule(cp: CrossedProductData, m: BimoduleData, s:
             right.append(row)
     left = [[{} for _ in range(dim)] for _ in range(cp.a.dim)]
     for t in range(mid.size):
-        hs = _mid_key(mid, t)
-        elem = {tuple(hs): field.one}
-        for p in range(s - 1, -1, -1):
-            elem = expand_leg(elem, p, cp.h.comult_row, 2, field)
-        for comps, c in elem.items():
+        for comps, c in sweedler_legs(cp.h, _mid_key(mid, t), 2).items():
             firsts = tuple(comps[2 * p] for p in range(s))
             seconds = tuple(comps[2 * p + 1] for p in range(s))
             t2 = _mid_rank(mid, seconds)
@@ -1102,11 +936,5 @@ def reduced_coefficient_hom_bimodule(cp: CrossedProductData, m: BimoduleData, s:
                     for aj, ca in acted.items():
                         mv = m.left_act(cp.include_a(aj), {mi: field.one})
                         for mj, cm in mv.items():
-                            idx = t * m.dim + mj
-                            w = field.add(cell.get(idx, field.zero),
-                                          field.mul(c, field.mul(ca, cm)))
-                            if field.is_zero(w):
-                                cell.pop(idx, None)
-                            else:
-                                cell[idx] = w
+                            keyed_add_into(cell, t * m.dim + mj, field.mul(c, field.mul(ca, cm)), field)
     return BimoduleData(field, dim, cp.a.dim, left, right)

@@ -13,10 +13,12 @@ must agree block for block, which assert_constructions_agree certifies.
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 
 from .crossed import CrossedProductData
+from .hopf import sweedler_legs
 from .linalg import ExactMatrix, vec_add_into
-from .tensors import TensorSpace, expand_leg, keyed_add_into
+from .tensors import TensorSpace, flatten, keyed_add_into, tensor_vectors
 from .twisting import TwistingCalculus
 
 
@@ -34,25 +36,24 @@ class HomotopyIdentityFailure(Exception):
 
 # space descriptors ----------------------------------------------------------
 
-class BlockSpace:
-    """The (r, s) block E (x) Hbar^s (x) Abar^r (x) E on the flat basis
-    (a0, h0, h_1..h_s, a_1..a_r, aR, hR) with normalized middle legs."""
+class FreeBimoduleSpace:
+    """The free E-bimodule E (x) V_1bar (x) ... (x) V_kbar (x) E on the flat
+    basis (e_left, mid, e_right); mid ranks the normalized middle legs
+    row-major, and the outer E slots split as (a, h) in `legs`.
 
-    def __init__(self, cp: CrossedProductData, r: int, s: int):
+    mid_dims lists the full dimension of each middle leg: the block
+    E (x) Hbar^s (x) Abar^r (x) E of the small resolution takes
+    (dim H,)*s + (dim A,)*r, the bar module E (x) Ebar^n (x) E takes (dim E,)*n.
+    """
+
+    def __init__(self, cp: CrossedProductData, mid_dims: tuple):
         self.cp = cp
-        self.r = r
-        self.s = s
-        na, nh = cp.a.dim, cp.h.dim
-        self.legs = (
-            [(na, False), (nh, False)]
-            + [(nh, True)] * s
-            + [(na, True)] * r
-            + [(na, False), (nh, False)]
-        )
-        self.mid_size = (nh - 1) ** s * (na - 1) ** r
-        self.ne = na * nh
+        self._radices = tuple(d - 1 for d in mid_dims)
+        outer = [(cp.a.dim, False), (cp.h.dim, False)]
+        self.legs = outer + [(d, True) for d in mid_dims] + outer
+        self.mid_size = prod(self._radices)
+        self.ne = cp.e.dim
         self.dim = self.ne * self.mid_size * self.ne
-        self._mid_space = TensorSpace((nh - 1,) * s + (na - 1,) * r)
 
     def split(self, flat: int):
         rest = self.mid_size * self.ne
@@ -65,13 +66,21 @@ class BlockSpace:
 
     def mid_key(self, mid: int) -> tuple:
         """Full-index section of a generator: all middle legs shifted off the unit."""
-        return tuple(i + 1 for i in self._mid_space.unrank(mid))
+        legs = []
+        for base in reversed(self._radices):
+            mid, i = divmod(mid, base)
+            legs.append(i + 1)
+        legs.reverse()
+        return tuple(legs)
 
-    def key_of(self, flat: int) -> tuple:
-        e_left, mid, e_right = self.split(flat)
-        a0, h0 = self.cp.e_unrank(e_left)
-        aR, hR = self.cp.e_unrank(e_right)
-        return (a0, h0) + self.mid_key(mid) + (aR, hR)
+    def mid_rank(self, legs: tuple) -> int | None:
+        """legs are full indices; returns None when a leg is the unit."""
+        out = 0
+        for x, base in zip(legs, self._radices):
+            if x == 0:
+                return None
+            out = out * base + (x - 1)
+        return out
 
     def generators(self):
         return range(self.mid_size)
@@ -79,40 +88,28 @@ class BlockSpace:
     def left_mult(self, vec: dict, e_idx: int) -> dict:
         if e_idx == 0:
             return dict(vec)
-        cp = self.cp
-        field = cp.field
+        field = self.cp.field
+        row = self.cp.e.mult[e_idx]
         out: dict = {}
         for flat, c in vec.items():
             e_left, mid, e_right = self.split(flat)
-            for e2, c2 in cp.e.mult[e_idx][e_left].items():
-                idx = self.combine(e2, mid, e_right)
-                w = field.add(out.get(idx, field.zero), field.mul(c, c2))
-                if field.is_zero(w):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = w
+            for e2, c2 in row[e_left].items():
+                keyed_add_into(out, self.combine(e2, mid, e_right), field.mul(c, c2), field)
         return out
 
     def right_mult(self, vec: dict, e_idx: int) -> dict:
         if e_idx == 0:
             return dict(vec)
-        cp = self.cp
-        field = cp.field
+        field = self.cp.field
+        mult = self.cp.e.mult
         out: dict = {}
         for flat, c in vec.items():
             e_left, mid, e_right = self.split(flat)
-            for e2, c2 in cp.e.mult[e_right][e_idx].items():
-                idx = self.combine(e_left, mid, e2)
-                w = field.add(out.get(idx, field.zero), field.mul(c, c2))
-                if field.is_zero(w):
-                    out.pop(idx, None)
-                else:
-                    out[idx] = w
+            for e2, c2 in mult[e_right][e_idx].items():
+                keyed_add_into(out, self.combine(e_left, mid, e2), field.mul(c, c2), field)
         return out
 
     def flatten(self, keyed: dict) -> dict:
-        from .tensors import flatten
-
         return flatten(keyed, self.legs, self.cp.field)
 
 
@@ -126,16 +123,7 @@ class RowSpace:
         self.legs = [(na, False), (nh, False)] + [(nh, True)] * s + [(nh, False)]
         self.dim = na * nh * (nh - 1) ** s * nh
 
-    def keys(self):
-        reduced = TensorSpace(tuple(d - 1 if nm else d for d, nm in self.legs))
-        for multi in reduced:
-            yield tuple(
-                i + 1 if nm else i for (d, nm), i in zip(self.legs, multi)
-            )
-
     def flatten(self, keyed: dict) -> dict:
-        from .tensors import flatten
-
         return flatten(keyed, self.legs, self.cp.field)
 
 
@@ -147,8 +135,6 @@ class ESpace:
         self.dim = na * nh
 
     def flatten(self, keyed: dict) -> dict:
-        from .tensors import flatten
-
         return flatten(keyed, self.legs, self.cp.field)
 
 
@@ -194,9 +180,10 @@ class CrossedResolution:
         self.block_spaces: dict = {}
         self.row_spaces: dict = {}
         self.e_space = ESpace(cp)
+        na, nh = cp.a.dim, cp.h.dim
         for n in range(cap + 1):
             for s in range(n + 1):
-                self.block_spaces[(n - s, s)] = BlockSpace(cp, n - s, s)
+                self.block_spaces[(n - s, s)] = FreeBimoduleSpace(cp, (nh,) * s + (na,) * (n - s))
         for s in range(cap + 1):
             self.row_spaces[s] = RowSpace(cp, s)
         self.dims = [self.degree_dim(n) for n in range(cap + 1)]
@@ -216,10 +203,7 @@ class CrossedResolution:
         concatenated components; memoised per (hs, count)."""
         hit = self._sweedler_memo.get((hs, count))
         if hit is None:
-            hit = {hs: self.field.one}
-            for t in range(len(hs) - 1, -1, -1):
-                hit = expand_leg(hit, t, self.cp.h.comult_row, count, self.field)
-            self._sweedler_memo[(hs, count)] = hit
+            hit = self._sweedler_memo[(hs, count)] = sweedler_legs(self.cp.h, hs, count)
         return hit
 
     # elementary maps (certificate layer) --------------------------------------
@@ -428,19 +412,8 @@ class CrossedResolution:
         sign = field.one if (r + s) % 2 == 0 else field.neg(field.one)
         for comps, c in self._sweedler((hs[s],), r + 1).items():
             legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
-            tail = comps[r]
-
-            def scatter(pos, prefix, coef):
-                if pos == r:
-                    nk = (0, hs[0]) + hs[1:s] + tuple(prefix) + (0, tail)
-                    keyed_add_into(out, nk, field.mul(coef, sign), field)
-                    return
-                for b, cb in legs[pos].items():
-                    prefix.append(b)
-                    scatter(pos + 1, prefix, field.mul(coef, cb))
-                    prefix.pop()
-
-            scatter(0, [], c)
+            for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
+                keyed_add_into(out, (0, hs[0]) + hs[1:s] + alegs + (0, comps[r]), coef, field)
         return tgt.flatten(out)
 
     def _dl_generator_column(self, mid_key, l, r, s):
@@ -579,14 +552,10 @@ class CrossedResolution:
                     for l in range(0, s + 1):
                         if r + l == 0 or (l, r, s) not in self.blocks:
                             continue
+                        # each l lands in its own target block (r + l - 1, s - l)
                         block = self.blocks[(l, r, s)]
                         toff = tgt_offset[(r + l - 1, s - l)]
-                        for i, v in block.cols[local].items():
-                            w = field.add(col.get(i + toff, field.zero), v)
-                            if field.is_zero(w):
-                                col.pop(i + toff, None)
-                            else:
-                                col[i + toff] = w
+                        col.update((i + toff, v) for i, v in block.cols[local].items())
                     cols.append(col)
             d.append(ExactMatrix(field, self.dims[n - 1], self.dims[n], cols))
         return d
@@ -714,10 +683,6 @@ def build_resolution_closed(cp: CrossedProductData, cap: int) -> CrossedResoluti
 
 def build_resolution_recursive(cp: CrossedProductData, cap: int) -> CrossedResolution:
     return CrossedResolution(cp, cap, method="recursive")
-
-
-def build_contracting_homotopy(res: CrossedResolution) -> dict:
-    return res.contracting_homotopy()
 
 
 def assert_constructions_agree(closed: CrossedResolution, recursive: CrossedResolution) -> None:

@@ -74,7 +74,8 @@ class TensorSpace:
 
 # keyed-element helpers ----------------------------------------------------
 
-def keyed_add_into(dst: dict, key: tuple, coef, field: FieldSpec) -> None:
+def keyed_add_into(dst: dict, key, coef, field: FieldSpec) -> None:
+    """dst[key] += coef, dropping the key when the sum is zero (any hashable key)."""
     w = field.add(dst.get(key, field.zero), coef)
     if field.is_zero(w):
         dst.pop(key, None)
@@ -82,6 +83,16 @@ def keyed_add_into(dst: dict, key: tuple, coef, field: FieldSpec) -> None:
         dst[key] = w
 
 
+def tensor_vectors(vecs, coef, field: FieldSpec) -> dict:
+    """coef * v_1 (x) ... (x) v_k as a keyed element over index tuples.
+
+    coef must be nonzero; over a field a product of nonzeros is nonzero, so
+    no entry needs a zero check.
+    """
+    out = {(): coef}
+    for vec in vecs:
+        out = {key + (i,): field.mul(c, ci) for key, c in out.items() for i, ci in vec.items()}
+    return out
 
 def transform_leg(
     elem: dict, pos: int, fn: Callable[[int], dict], field: FieldSpec
@@ -130,10 +141,6 @@ def merge_legs(
     return out
 
 
-
-
-
-
 def insert_leg(elem: dict, pos: int, index: int) -> dict:
     """Insert a fixed basis leg at position pos."""
     return {key[:pos] + (index,) + key[pos:]: v for key, v in elem.items()}
@@ -171,12 +178,7 @@ def flatten(
                 shifted.append(i)
         if dead:
             continue
-        flat = space.index(shifted)
-        w = field.add(out.get(flat, field.zero), coef)
-        if field.is_zero(w):
-            out.pop(flat, None)
-        else:
-            out[flat] = w
+        keyed_add_into(out, space.index(shifted), coef, field)
     return out
 
 

@@ -11,11 +11,12 @@ action, the cocycle, and the comultiplication.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from .crossed import CrossedProductData
+from .hopf import sweedler_legs
 from .linalg import ExactMatrix, SpanSolver, vec_add_into
-from .tensors import TensorSpace, expand_leg
+from .tensors import TensorSpace, expand_leg, keyed_add_into, tensor_vectors
 
 
 class TwistingCalculus:
@@ -103,15 +104,11 @@ class TwistingCalculus:
             if r == 0:
                 c = cp.h.counit[h_tuple[0]]
                 return {} if field.is_zero(c) else {0: c}
-            expanded = expand_leg({(h_tuple[0],): field.one}, 0, cp.h.comult_row, r, field)
             out: dict = {}
-            for comps, coef in expanded.items():
-                self._distribute(
-                    out,
-                    tgt,
-                    [cp.action.act[comps[k]][a_tuple[k]] for k in range(r)],
-                    coef,
-                )
+            for comps, coef in sweedler_legs(cp.h, h_tuple, r).items():
+                legs = [cp.action.act[comps[k]][a_tuple[k]] for k in range(r)]
+                for key, c in tensor_vectors(legs, coef, field).items():
+                    keyed_add_into(out, tgt.index(key), c, field)
             return out
 
         out = {}
@@ -165,59 +162,12 @@ class TwistingCalculus:
                         continue
                     if rec_tgt is None or rec_tgt.dims != (cp.a.dim,) * (rec_r + l - 2):
                         rec_tgt = TensorSpace((cp.a.dim,) * (rec_r + l - 2))
-                    self._distribute_with_rec(
-                        out, tgt, prefix, fv, rec_out, rec_tgt, coef
-                    )
+                    # prefix legs, then the cocycle value, then the recursive tail
+                    for key, c in tensor_vectors(prefix + [fv], coef, field).items():
+                        for rid, cr in rec_out.items():
+                            flat = tgt.index(key + rec_tgt.unrank(rid))
+                            keyed_add_into(out, flat, field.mul(c, cr), field)
         return out
-
-    def _distribute(self, out, tgt, leg_vecs, coef):
-        field = self.field
-        if not leg_vecs:
-            w = field.add(out.get(0, field.zero), coef)
-            if field.is_zero(w):
-                out.pop(0, None)
-            else:
-                out[0] = w
-            return
-
-        def rec(pos, idx_prefix, c):
-            if pos == len(leg_vecs):
-                flat = tgt.index(tuple(idx_prefix))
-                w = field.add(out.get(flat, field.zero), c)
-                if field.is_zero(w):
-                    out.pop(flat, None)
-                else:
-                    out[flat] = w
-                return
-            for b, cb in leg_vecs[pos].items():
-                idx_prefix.append(b)
-                rec(pos + 1, idx_prefix, field.mul(c, cb))
-                idx_prefix.pop()
-
-        rec(0, [], coef)
-
-    def _distribute_with_rec(self, out, tgt, prefix, fv, rec_out, rec_tgt, coef):
-        field = self.field
-
-        def rec(pos, idx_prefix, c):
-            if pos == len(prefix):
-                for fb, cf in fv.items():
-                    c2 = field.mul(c, cf)
-                    for rid, cr in rec_out.items():
-                        tail = rec_tgt.unrank(rid)
-                        flat = tgt.index(tuple(idx_prefix) + (fb,) + tail)
-                        w = field.add(out.get(flat, field.zero), field.mul(c2, cr))
-                        if field.is_zero(w):
-                            out.pop(flat, None)
-                        else:
-                            out[flat] = w
-                return
-            for b, cb in prefix[pos].items():
-                idx_prefix.append(b)
-                rec(pos + 1, idx_prefix, field.mul(c, cb))
-                idx_prefix.pop()
-
-        rec(0, [], coef)
 
     # diagnostics -----------------------------------------------------------
     def f_image_span(self) -> ExactMatrix:
@@ -239,19 +189,10 @@ class TwistingCalculus:
         tgt = TensorSpace((na,) * nlegs)
         cols = []
         for positions in combinations(range(nlegs), l - 1):
-            leg_mats = [fspan if p in positions else full for p in range(nlegs)]
-
-            def build(pos, idx_prefix, vec_prefix):
-                if pos == nlegs:
-                    col = {}
-                    self._distribute(col, tgt, vec_prefix, self.field.one)
-                    cols.append(col)
-                    return
-                m = leg_mats[pos]
-                for j in range(m.ncols):
-                    build(pos + 1, idx_prefix, vec_prefix + [m.column(j)])
-
-            build(0, [], [])
+            leg_cols = [(fspan if p in positions else full).cols for p in range(nlegs)]
+            for vecs in product(*leg_cols):
+                elem = tensor_vectors(vecs, self.field.one, self.field)
+                cols.append({tgt.index(key): c for key, c in elem.items()})
         span = ExactMatrix.from_columns(self.field, tgt.size, cols)
         solver = SpanSolver(span.column_space_basis())
         mat = self.insertion_matrix(l, r)

@@ -15,6 +15,7 @@ from hopfcross.hopf import (
     group_hopf,
     sweedler_expand,
     sweedler_hopf,
+    sweedler_legs,
     verify_hopf,
 )
 from hopfcross.tensors import expand_leg
@@ -134,3 +135,22 @@ def test_counit_identities():
             id_eps[u] = id_eps.get(u, Q.zero) + c * h.counit[w]
         assert {k: v for k, v in eps_id.items() if v != 0} == {i: Q.one}
         assert {k: v for k, v in id_eps.items() if v != 0} == {i: Q.one}
+
+
+def test_sweedler_legs_is_leg_by_leg_sweedler_expand():
+    # each leg of hs expanded on its own, then tensored in order
+    from hopfcross.problems import builtin
+
+    for name in ("sweedler_smash", "s3_as_action_extension"):
+        h = builtin(name).hopf
+        for size in range(4):
+            for hs in itertools.product(range(h.dim), repeat=size):
+                for count in (1, 2, 3):
+                    per_leg = [sweedler_expand(h, count, {i: Q.one}).items() for i in hs]
+                    expected = {}
+                    for terms in itertools.product(*per_leg):
+                        coef = Q.one
+                        for _, c in terms:
+                            coef *= c
+                        expected[sum((k for k, _ in terms), ())] = coef
+                    assert sweedler_legs(h, hs, count) == expected, (name, hs, count)

@@ -134,3 +134,16 @@ def test_first_page_is_twisted_coefficient_homology():
             dims = homology_dims(hochschild_cochain_complex(cp.a, coeff, window - s + 1))
             for r in range(window + 1 - s):
                 assert page1c.cell(s, r) == dims[r], (name, s, r)
+
+
+def test_cohomology_checks_square_zero_once(monkeypatch):
+    # the reduced cochain complex is checked when it is assembled; the
+    # report does not multiply d o d out a second time
+    from hopfcross.complexes import ChainComplex
+
+    calls = []
+    check = ChainComplex.check_square_zero
+    monkeypatch.setattr(ChainComplex, "check_square_zero",
+                        lambda self: calls.append(self) or check(self))
+    hochschild_cohomology(BUILTIN_BUILDERS["klein_four"](Q), cap=3)
+    assert len(calls) == 1

@@ -245,3 +245,16 @@ def test_cli_axiom_failure_reports_witnesses(tmp_path, capsys):
         assert not axioms["passed"]
         assert {"check": "cocycle-normality-left", "detail": "", "witness": [1]} in axioms["failures"]
     capsys.readouterr()
+
+
+def test_cli_resolution_check_builds_sigma_once(monkeypatch, capsys):
+    # the comparison maps and the homotopy certificate share one sigma
+    from hopfcross.resolution import CrossedResolution
+
+    calls = []
+    homotopy = CrossedResolution.contracting_homotopy
+    monkeypatch.setattr(CrossedResolution, "contracting_homotopy",
+                        lambda self: calls.append(self) or homotopy(self))
+    assert main(["resolution-check", "klein_four", "--max-degree", "2"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()

@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 
 from hopfcross.fields import FieldSpec
-from hopfcross.linalg import ExactMatrix
+from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.resolution import (
     CrossedResolution,
     build_resolution_closed,
@@ -176,8 +178,6 @@ def test_formulas_descend_to_quotients():
     # Representative choice is invisible: by linearity, adding multiples of the
     # unit to an input of a quotient-level map changes it by the value on a
     # tensor with a unit leg, and those values flatten to zero exactly.
-    from itertools import product
-
     from conftest import BUILTIN_BUILDERS
 
     for name in ("z4_as_cocycle_extension", "sweedler_smash", "s3_as_action_extension"):
@@ -334,3 +334,55 @@ def test_recursive_method_reads_no_closed_formula(monkeypatch):
     assert rec.blocks == closed.blocks
     for key, gens in rec.generator_columns.items():
         assert not any(a is b for a, b in zip(gens, closed.generator_columns[key])), key
+
+
+def _free_spaces():
+    from hopfcross.comparison import BarCalculus
+
+    cp = BUILTIN_BUILDERS["sweedler_smash"](Q)
+    block = build_resolution_closed(cp, 2).block_spaces[(1, 1)]
+    return cp, {"block": block, "bar": BarCalculus(cp, 2).spaces[2]}
+
+
+def test_free_bimodule_space_mid_key_round_trip():
+    cp, spaces = _free_spaces()
+    for kind, space in spaces.items():
+        keys = [space.mid_key(m) for m in space.generators()]
+        assert all(0 not in key for key in keys), kind
+        assert [space.mid_rank(key) for key in keys] == list(space.generators()), kind
+        # section keys enumerate the normalized legs row-major
+        radices = [d - 1 for d, norm in space.legs if norm]
+        assert keys == [tuple(i + 1 for i in multi) for multi in product(*map(range, radices))]
+        assert space.mid_rank((0,) + keys[-1][1:]) is None, kind
+        assert space.dim == cp.e.dim ** 2 * space.mid_size, kind
+
+
+def test_free_bimodule_space_is_a_bimodule():
+    cp, spaces = _free_spaces()
+    ne = cp.e.dim
+    for kind, space in spaces.items():
+        for flat in range(0, space.dim, 5):
+            x = {flat: Q.one}
+            for e in range(ne):
+                for e2 in range(ne):
+                    # (e . x) . e2 = e . (x . e2)
+                    assert space.right_mult(space.left_mult(x, e), e2) == space.left_mult(
+                        space.right_mult(x, e2), e
+                    ), (kind, flat, e, e2)
+                    # e . (e2 . x) = (e e2) . x and (x . e) . e2 = x . (e e2)
+                    lhs_left: dict = {}
+                    lhs_right: dict = {}
+                    for k, c in cp.e.mult[e][e2].items():
+                        vec_add_into(lhs_left, space.left_mult(x, k), c, Q)
+                        vec_add_into(lhs_right, space.right_mult(x, k), c, Q)
+                    assert space.left_mult(space.left_mult(x, e2), e) == lhs_left, (kind, flat)
+                    assert space.right_mult(space.right_mult(x, e), e2) == lhs_right, (kind, flat)
+
+
+def test_bar_contraction_on_builtins():
+    from hopfcross.comparison import BarCalculus, check_bar_contraction
+    from hopfcross.problems import BUILTIN_NAMES
+
+    for name in BUILTIN_NAMES:
+        report = check_bar_contraction(BarCalculus(BUILTIN_BUILDERS[name](Q), 3), 2)
+        assert report.passed and report.checks_run > 0, (name, report.summary())

@@ -1,0 +1,87 @@
+"""Static checks on the package source, parsed with ast (the repo has no linter).
+
+* No module but the package __init__ (which re-exports) imports a name it
+  never uses.
+* The add-and-drop-zero accumulation (w = field.add(...); if field.is_zero(w):
+  pop, else set) is written out only in tensors.keyed_add_into and
+  linalg.vec_add_into; everything else calls one of them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hopfcross"
+MODULES = sorted(PACKAGE.glob("*.py"))
+ACCUMULATORS = {"keyed_add_into", "vec_add_into"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def _inline_accumulations(tree: ast.Module) -> list[str]:
+    """Functions that test is_zero on a name assigned from a .add(...) call."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name in ACCUMULATORS:
+            continue
+        sums = {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "add"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "is_zero"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.Name)
+                and (node.args[0].id in sums or node.args[0].id == "w")
+            ):
+                found.append(f"{fn.name} (line {node.lineno})")
+    return found
+
+
+def test_package_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "tensors.py", "linalg.py"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_add_and_drop_zero_only_in_the_accumulators(path):
+    assert _inline_accumulations(_tree(path)) == []
+
+
+def test_accumulators_are_detected():
+    # the check sees the idiom inside the two helpers it exempts
+    for module, name in (("tensors.py", "keyed_add_into"), ("linalg.py", "vec_add_into")):
+        tree = _tree(PACKAGE / module)
+        (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        fn.name = "renamed"
+        assert _inline_accumulations(ast.Module(body=[fn], type_ignores=[])), name

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from hopfcross.fields import FieldSpec
@@ -8,6 +10,7 @@ from hopfcross.tensors import (
     insert_leg,
     merge_legs,
     permute_legs,
+    tensor_vectors,
     transform_leg,
     unflatten,
 )
@@ -76,3 +79,19 @@ def test_flatten_normalized_kills_unit_leg():
     assert flat == {TensorSpace((2, 3)).index((1, 1)): one}
     back = unflatten(flat, [(3, True), (3, False)])
     assert back == {(2, 1): one}
+
+
+def test_tensor_vectors_matches_itertools_product():
+    F5 = FieldSpec.prime(5)
+    vecs = [{0: 2, 3: -1}, {1: 1}, {0: 3, 2: 6, 4: -7}]
+    for field, coef in ((Q, Q.from_int(-3)), (F5, F5.from_int(2))):
+        vecs_f = [{i: field.from_int(v) for i, v in vec.items()} for vec in vecs]
+        for k in range(len(vecs_f) + 1):
+            expected = {}
+            for terms in product(*(vec.items() for vec in vecs_f[:k])):
+                c = coef
+                for _, ci in terms:
+                    c = field.mul(c, ci)
+                expected[tuple(i for i, _ in terms)] = c
+            assert tensor_vectors(vecs_f[:k], coef, field) == expected, (field, k)
+    assert tensor_vectors([{0: Q.one}, {}], Q.one, Q) == {}
