@@ -1,15 +1,23 @@
 """Chain/cochain complexes, filtered complexes, spectral-sequence pages.
 
 Complexes are truncated at a degree cap; homology at the cap degree is never
-reported because the incoming boundary there is unknown.  All page dimensions
-come from the explicit subquotient description of a filtered complex
-(cycles-over-boundaries with exact subspace sums and intersections); there are
-no homotopy-theoretic shortcuts.
+reported because the incoming boundary there is unknown.
 
 Filtration levels are stored as cumulative tuples of coordinate indices: every
-filtration in this package is spanned by basis vectors, which the page
-formulas exploit (quotients become row deletions, images become column
-selections).
+filtration in this package is spanned by basis vectors.  Page dimensions need
+no subspace bases.  With Z(p, r) the chains in F_p whose boundary lies r
+levels lower,
+
+    dim E_r^p = dim Z(p, r) - dim Z(p-1, r-1)
+                - dim(d F_{p+r-1} cap F_p) + dim(d F_{p+r-1} cap F_{p-1})
+
+(shifts flipped for cochains), and every term is |F_s| or a rank of a block
+d[rows outside F_t, cols in F_s].  Each degree's coordinates are stably sorted
+by level first (ascending for chains, descending for cochains), so every
+level is a prefix and each such block is a lower-left block of the sorted
+map.  By the pairing lemma its rank is a count of the pivot pairs of one
+reduction of that map (ExactMatrix.pivot_pairs); there are no
+homotopy-theoretic shortcuts.
 """
 
 from __future__ import annotations
@@ -105,11 +113,8 @@ def homology_representatives(c: ChainComplex, n: int):
     solver = SpanSolver(boundary_basis)
     reps = []
     for col in cycle_basis.cols:
-        if not solver.contains(col):
-            # extend the registry so later columns are reduced mod chosen reps too
-            vec = dict(col)
-            p = boundary_basis._reduce_against(solver.registry, vec, None)
-            solver.registry[p] = (vec, None)
+        # each chosen rep joins the solver, so later columns are reduced mod it too
+        if solver.insert(col):
             reps.append(dict(col))
     return ExactMatrix.from_columns(field, c.dims[n], reps), boundary_basis
 
@@ -181,8 +186,9 @@ class FilteredComplex:
                 for a, b in zip(levels, levels[1:]):
                     if not set(b) <= set(a):
                         raise ValueError("filtration is not nested (decreasing)")
-        self._z_cache: dict = {}
-        self._img_cache: dict = {}
+        # d lowers the filtration index (homology) or raises it (cohomology)
+        self._down = 1 if complex.direction == HOMOLOGY else -1
+        self._pairs: dict = {}
 
     # level access ---------------------------------------------------------
     def level_indices(self, n: int, p: int) -> tuple:
@@ -208,7 +214,7 @@ class FilteredComplex:
             og = c.outgoing(n)
             if og is None:
                 continue
-            tgt = n - 1 if c.direction == HOMOLOGY else n + 1
+            tgt = n - self._down
             for p in range(len(self.filtration[n])):
                 src = self.level_indices(n, p)
                 allowed = set(self.level_indices(tgt, p))
@@ -217,90 +223,58 @@ class FilteredComplex:
                     report.record(ok, "boundary-preserves-filtration", (n, p, j))
         return report
 
-    # subquotient machinery --------------------------------------------------
-    def _z_space(self, p: int, n: int, r: int) -> list[dict]:
-        """Basis (columns in ambient degree n) of {x in F_p(n): d(x) in F_{p +/- r}}."""
-        key = (p, n, r)
-        hit = self._z_cache.get(key)
-        if hit is not None:
-            return hit
-        c = self.complex
-        field = c.field
-        src = self.level_indices(n, p)
-        og = c.outgoing(n)
-        if og is None or not src:
-            basis = [{j: field.one} for j in src]
-            self._z_cache[key] = basis
-            return basis
-        tgt_degree = n - 1 if c.direction == HOMOLOGY else n + 1
-        tgt_level = p - r if c.direction == HOMOLOGY else p + r
-        inside = set(self.level_indices(tgt_degree, tgt_level))
-        outside = [i for i in range(c.dims[tgt_degree]) if i not in inside]
-        sub = og.select_columns(src).select_rows(outside)
-        combos = sub.kernel_basis()
-        basis = []
-        for col in combos.cols:
-            basis.append({src[i]: v for i, v in col.items()})
-        self._z_cache[key] = basis
-        return basis
+    # page arithmetic --------------------------------------------------------
+    def _size(self, n: int, p: int) -> int:
+        """|F_p| at degree n (0 outside the degree range)."""
+        return len(self.level_indices(n, p)) if 0 <= n <= self.complex.cap else 0
 
-    def _boundary_image(self, p_source: int, p_target: int, n: int) -> list[dict]:
-        """Basis of d(F_{p_source}(n +/- 1)) intersected with F_{p_target}(n)."""
-        key = (p_source, p_target, n)
-        hit = self._img_cache.get(key)
-        if hit is not None:
-            return hit
-        c = self.complex
-        field = c.field
-        inc = c.incoming(n)
-        if inc is None:
-            self._img_cache[key] = []
-            return []
-        src_degree = n + 1 if c.direction == HOMOLOGY else n - 1
-        src = self.level_indices(src_degree, p_source)
-        if not src:
-            self._img_cache[key] = []
-            return []
-        image = inc.select_columns(src).column_space_basis()
-        inside = set(self.level_indices(n, p_target))
-        outside = [i for i in range(c.dims[n]) if i not in inside]
-        if outside:
-            proj = image.select_rows(outside)
-            combos = proj.kernel_basis()
-            basis = [image.apply(col) for col in combos.cols]
-            basis = [b for b in basis if b]
-            basis = ExactMatrix.from_columns(field, c.dims[n], basis).column_space_basis().cols
-        else:
-            basis = [dict(col) for col in image.cols]
-        self._img_cache[key] = basis
-        return basis
+    def _level_order(self, n: int) -> list[int]:
+        """Degree-n coordinates stably sorted so that every level is a prefix."""
+        levels = self.filtration[n]
+        # a coordinate's level: the first level holding it (chains), the last (cochains)
+        level = [0] * self.complex.dims[n]
+        for p in range(len(levels))[:: -self._down]:
+            for j in levels[p]:
+                level[j] = p
+        return sorted(range(len(level)), key=lambda j: self._down * level[j])
+
+    def _rank(self, n: int, a: int, b: int) -> int:
+        """rank of the map leaving degree n on [rows >= a, cols < b], in level order.
+
+        By the pairing lemma, the number of pivot pairs in that lower-left
+        block; the pairs of each map are found once and kept, its reduced
+        columns are not.
+        """
+        pairs = self._pairs.get(n)
+        if pairs is None:
+            og = self.complex.outgoing(n) if 0 <= n <= self.complex.cap else None
+            pairs = []
+            if og is not None:
+                row_of = {i: k for k, i in enumerate(self._level_order(n - self._down))}
+                cols = [{row_of[i]: v for i, v in og.cols[j].items()} for j in self._level_order(n)]
+                pairs = ExactMatrix(og.field, og.nrows, og.ncols, cols).pivot_pairs()
+            self._pairs[n] = pairs
+        return sum(1 for low, j in pairs if low >= a and j < b)
 
     def page_cell_dim(self, r: int, p: int, q: int) -> int:
         """dim of the page-r cell at filtration index p, complementary index q."""
         n = p + q
-        c = self.complex
-        if n < 0 or n > c.cap or p < 0:
+        if n < 0 or n > self.complex.cap or p < 0:
             return 0
+        down, size = self._down, self._size
         if r == 0:
-            return len(self.level_indices(n, p)) - len(
-                self.level_indices(n, p - 1 if c.direction == HOMOLOGY else p + 1)
-            )
-        if c.direction == HOMOLOGY:
-            z = self._z_space(p, n, r)
-            u = self._z_space(p - 1, n, r - 1)
-            v = self._boundary_image(p + r - 1, p, n)
-        else:
-            z = self._z_space(p, n, r)
-            u = self._z_space(p + 1, n, r - 1)
-            v = self._boundary_image(p - r + 1, p, n)
-        if not z:
-            return 0
-        denom = u + v
-        if not denom:
-            return len(z)
-        field = c.field
-        denom_rank = ExactMatrix.from_columns(field, c.dims[n], denom).rank()
-        return len(z) - denom_rank
+            return size(n, p) - size(n, p - down)
+
+        def cycles(p, r):  # dim Z(p, r) = dim {x in F_p : dx in F_{p - down r}}
+            b = size(n, p)
+            return b - self._rank(n, size(n - down, p - down * r), b)
+
+        def boundaries(s, t):  # dim (d F_s(n + down) cap F_t(n))
+            b = size(n + down, s)
+            return self._rank(n + down, 0, b) - self._rank(n + down, size(n, t), b)
+
+        s = p + down * (r - 1)
+        return cycles(p, r) - cycles(p - down, r - 1) - boundaries(s, p) + boundaries(s, p - down)
 
 
 class SpectralPage:
@@ -359,23 +333,20 @@ def spectral_page(fc: FilteredComplex, r: int, window: int | None = None) -> Spe
     return SpectralPage(r, table, window, c.direction)
 
 
-def stable_page_number(fc: FilteredComplex, window: int | None = None) -> int:
-    """Smallest r with E^r = E^infinity on the window.
+def stable_page_number(fc: FilteredComplex) -> int:
+    """A page number r with E^r = E^infinity.
 
     With a bounded filtration every differential on page r is zero once r
-    exceeds the largest filtration level in the window (its source or target
-    falls outside the filtration range), so the pages are constant from
-    madegree_level + 1 on.
+    exceeds the largest filtration level (its source or target falls outside
+    the filtration range), so the pages are constant from max_level + 1 on.
     """
     c = fc.complex
-    if window is None:
-        window = c.cap - 1
-    madegree_level = max(fc.top_level(n) for n in range(c.cap + 1))
-    return madegree_level + 1
+    max_level = max(fc.top_level(n) for n in range(c.cap + 1))
+    return max_level + 1
 
 
 def infinity_page(fc: FilteredComplex, window: int | None = None) -> SpectralPage:
-    r = stable_page_number(fc, window)
+    r = stable_page_number(fc)
     page = spectral_page(fc, r, window)
     nxt = spectral_page(fc, r + 1, window)
     if page.table != nxt.table:

@@ -1,14 +1,16 @@
-"""Sparse exact matrices over Q or F_p: rank, kernel, solve, composition.
+"""Sparse exact matrices over Q or F_p: rank, kernel, pivot pairs, solve, composition.
 
 Storage is one dict per column (row index -> nonzero scalar).  Sparsity is an
 internal optimization only; every operation is dense-equivalent and exact.
 Matrices are immutable after construction and safe to share across threads;
 none of the public methods mutate self.
 
-Elimination is plain Gaussian reduction of columns against a registry of
-pivot columns.  The pivot inside a column is always its largest nonzero row
-index, so the whole computation is deterministic: same input, same pivots,
-same bases.
+Elimination is the persistence column reduction: columns left to right, each
+reduced against the registry of earlier pivot columns, with the pivot of a
+column at its largest nonzero row index (its "low").  The computation is
+deterministic: same input, same pivots, same bases.  The (low, column) pairs
+of one reduction give the rank of every lower-left block of the matrix
+(pivot_pairs); rank, bases and solves read the same reduction.
 """
 
 from __future__ import annotations
@@ -244,14 +246,15 @@ class ExactMatrix:
     def _echelon(self, track_combos: bool):
         """Left-to-right column reduction.
 
-        Returns (registry, kernel_combos, pivot_order) where registry maps
-        pivot row -> (reduced column, combo) and kernel_combos lists, in
-        column order, the coefficient vectors of columns that reduced to zero.
+        Returns (registry, kernel_combos, pairs) where registry maps pivot
+        row -> (reduced column, combo), kernel_combos lists, in column order,
+        the coefficient vectors of columns that reduced to zero, and pairs
+        lists (pivot row, column) for the columns that did not.
         """
         field = self.field
         registry: dict = {}
         kernel: list[dict] = []
-        order: list[int] = []
+        pairs: list[tuple[int, int]] = []
         for j, col in enumerate(self.cols):
             vec = dict(col)
             combo = {j: field.one} if track_combos else None
@@ -261,12 +264,20 @@ class ExactMatrix:
                     kernel.append(combo)
             else:
                 registry[p] = (vec, combo)
-                order.append(p)
-        return registry, kernel, order
+                pairs.append((p, j))
+        return registry, kernel, pairs
+
+    def pivot_pairs(self) -> list[tuple[int, int]]:
+        """(low, j) for every column j that stays nonzero, low its pivot row.
+
+        Pairing lemma (Cohen-Steiner, Edelsbrunner, Morozov 2006): the rank of
+        the lower-left block self[rows >= a, cols < b] is the number of pairs
+        with low >= a and j < b.
+        """
+        return self._echelon(track_combos=False)[2]
 
     def rank(self) -> int:
-        registry, _, _ = self._echelon(track_combos=False)
-        return len(registry)
+        return len(self.pivot_pairs())
 
     def kernel_basis(self) -> "ExactMatrix":
         """Columns span ker(self); column count = ncols - rank."""
@@ -275,9 +286,9 @@ class ExactMatrix:
 
     def column_space_basis(self) -> "ExactMatrix":
         """Columns form a basis of the column space (echelon, deterministic)."""
-        registry, _, order = self._echelon(track_combos=False)
+        registry, _, pairs = self._echelon(track_combos=False)
         return ExactMatrix.from_columns(
-            self.field, self.nrows, [registry[p][0] for p in order]
+            self.field, self.nrows, [registry[p][0] for p, _ in pairs]
         )
 
     def solve(self, rhs) -> list | None:
@@ -291,21 +302,9 @@ class ExactMatrix:
         else:
             if len(rhs) != self.nrows:
                 raise ValueError("rhs length mismatch")
-            vec = {
-                i: field.scalar(v) for i, v in enumerate(rhs) if not field.is_zero(field.scalar(v))
-            }
-        registry, _, _ = self._echelon(track_combos=True)
-        x: dict = {}
-        while vec:
-            p = max(vec)
-            hit = registry.get(p)
-            if hit is None:
-                return None
-            pvec, pcombo = hit
-            coef = field.div(vec[p], pvec[p])
-            vec_add_into(vec, pvec, field.neg(coef), field)
-            vec_add_into(x, pcombo, coef, field)
-        return [x.get(j, field.zero) for j in range(self.ncols)]
+            scalars = map(field.scalar, rhs)
+            vec = {i: v for i, v in enumerate(scalars) if not field.is_zero(v)}
+        return SpanSolver(self, track_combos=True).coordinates(vec)
 
 
 class SpanSolver:
@@ -328,6 +327,18 @@ class SpanSolver:
         v = dict(vec)
         return self.matrix._reduce_against(self.registry, v, None) is None
 
+    def insert(self, vec: dict) -> bool:
+        """Register vec when it is independent of the span so far; True if it was.
+
+        Later queries reduce modulo it too.  It carries no coordinates.
+        """
+        v = dict(vec)
+        p = self.matrix._reduce_against(self.registry, v, None)
+        if p is None:
+            return False
+        self.registry[p] = (v, None)
+        return True
+
     def coordinates(self, vec: dict) -> list | None:
         field = self.field
         v = dict(vec)
@@ -345,26 +356,3 @@ class SpanSolver:
             vec_add_into(x, pcombo, coef, field)
         return [x.get(j, field.zero) for j in range(self.matrix.ncols)]
 
-
-# subspace arithmetic ----------------------------------------------------
-
-
-def span_sum(spans: list[ExactMatrix]) -> ExactMatrix:
-    """Basis of the sum of column spans (all in the same ambient space)."""
-    return ExactMatrix.hstack(spans).column_space_basis()
-
-
-def span_intersection(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Basis of the intersection of two column spans."""
-    if a.nrows != b.nrows:
-        raise ValueError("ambient mismatch")
-    stacked = ExactMatrix.hstack([a, b])
-    kern = stacked.kernel_basis()
-    cols = []
-    for k in kern.cols:
-        u = {j: v for j, v in k.items() if j < a.ncols}
-        vec = a.apply(u)
-        if vec:
-            cols.append(vec)
-    basis = ExactMatrix.from_columns(a.field, a.nrows, cols)
-    return basis.column_space_basis()

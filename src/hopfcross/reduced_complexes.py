@@ -624,6 +624,7 @@ class ReducedComplexes:
         self.literal = _Literal(cp, m, self.calc)
         self._reduced_blocks: dict = {}
         self._dual_blocks: dict = {}
+        self._untwist_maps: dict = {}
 
     @cached_property
     def dual(self) -> BimoduleData:
@@ -686,6 +687,14 @@ class ReducedComplexes:
     def reduced_cochain_complex(self) -> FilteredComplex:
         return self._filtered(self._dual_block, _reduced_mid_space, True)
 
+    def _untwist(self, fn, coeff: BimoduleData, r: int, s: int) -> ExactMatrix:
+        """fn (untwist_block or untwist_inverse_block) on coeff (M or M^v), built once."""
+        key = (fn, id(coeff), r, s)
+        hit = self._untwist_maps.get(key)
+        if hit is None:
+            hit = self._untwist_maps[key] = fn(self.cp, coeff, r, s)
+        return hit
+
     def _untwisted(self, cochain: bool) -> FilteredComplex:
         self.cp.require_inverse()
         if cochain:
@@ -696,8 +705,8 @@ class ReducedComplexes:
             which, literal = "untwisted-chain", self.literal.untwisted_block
 
         def block(l, r, s):
-            left = untwist_block(self.cp, coeff, r + l - 1, s - l)
-            right = untwist_inverse_block(self.cp, coeff, r, s)
+            left = self._untwist(untwist_block, coeff, r + l - 1, s - l)
+            right = self._untwist(untwist_inverse_block, coeff, r, s)
             derived = left @ inner(l, r, s) @ right
             self._check(which, literal, derived, cochain, l, r, s)
             return derived
@@ -717,8 +726,8 @@ class ReducedComplexes:
         out = []
         for n in range(self.cap + 1):
             blocks = [(n - s, s) for s in range(n + 1)]
-            mats = [untwist_block(self.cp, self.m, r, s) for r, s in blocks]
-            invs = [untwist_inverse_block(self.cp, self.m, r, s) for r, s in blocks]
+            mats = [self._untwist(untwist_block, self.m, r, s) for r, s in blocks]
+            invs = [self._untwist(untwist_inverse_block, self.m, r, s) for r, s in blocks]
             out.append((_block_diag(self.field, mats), _block_diag(self.field, invs)))
         return out
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcross.fields import FieldSpec
-from hopfcross.linalg import ExactMatrix, SpanSolver, span_intersection, span_sum
+from hopfcross.linalg import ExactMatrix, SpanSolver
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -87,16 +87,22 @@ def test_stacking():
 def test_span_ops():
     e1 = ExactMatrix.from_rows(Q, [[1], [0], [0]])
     e12 = ExactMatrix.from_rows(Q, [[1, 0], [0, 1], [0, 0]])
-    e23 = ExactMatrix.from_rows(Q, [[0, 0], [1, 0], [0, 1]])
-    assert span_sum([e12, e23]).ncols == 3
-    inter = span_intersection(e12, e23)
-    assert inter.ncols == 1
-    col = inter.column(0)
-    assert set(col) == {1}
     solver = SpanSolver(e12)
     assert solver.contains({0: Q.one, 1: Q.from_int(5)})
     assert not solver.contains({2: Q.one})
     assert solver.contains(e1.column(0))
+
+
+def test_span_solver_insert():
+    solver = SpanSolver(ExactMatrix.from_rows(Q, [[1], [1], [0]]))
+    assert not solver.insert({0: Q.from_int(2), 1: Q.from_int(2)})
+    assert solver.insert({1: Q.one})
+    assert solver.rank == 2
+    # later queries reduce modulo the inserted vector too
+    assert solver.contains({0: Q.one})
+    assert not solver.insert({0: Q.from_int(3), 1: Q.one})
+    assert solver.insert({2: Q.one})
+    assert solver.contains({0: Q.one, 1: Q.from_int(4), 2: Q.from_int(-1)})
 
 
 matrix_strategy = st.integers(min_value=1, max_value=5).flatmap(
@@ -163,3 +169,16 @@ def test_arbitrary_precision_rationals():
     assert x is not None
     back = m.apply({j: v for j, v in enumerate(x) if not Q.is_zero(v)})
     assert back == {i: Q.one for i in range(n)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=matrix_strategy)
+def test_pivot_pairs_rank_lower_left_blocks(rows):
+    # pairing lemma: rank of m[rows >= a, cols < b] counts pairs in that block
+    m = ExactMatrix.from_rows(F5, rows)
+    pairs = m.pivot_pairs()
+    assert len(pairs) == m.rank()
+    for a in range(m.nrows + 1):
+        for b in range(m.ncols + 1):
+            block = m.select_columns(range(b)).select_rows(range(a, m.nrows))
+            assert block.rank() == sum(1 for low, j in pairs if low >= a and j < b)

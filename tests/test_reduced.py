@@ -84,6 +84,24 @@ def test_untwisting_is_iso_and_chain_map(cps):
             assert th_t @ reduced.complex.maps[n] == over.complex.maps[n] @ th_s, (name, n)
 
 
+def test_untwisting_maps_built_once_per_argument(cps, monkeypatch):
+    import hopfcross.reduced_complexes as rcmod
+
+    cp = cps["klein_four"]
+    calls = []
+    for fn in (untwist_block, untwist_inverse_block):
+        def counted(cp_, coeff, r, s, fn=fn):
+            calls.append((fn.__name__, id(coeff), r, s))
+            return fn(cp_, coeff, r, s)
+
+        monkeypatch.setattr(rcmod, fn.__name__, counted)
+    rc = ReducedComplexes(cp, regular_bimodule(cp.e), 4)
+    rc.untwisted_chain_complex()
+    rc.untwisted_cochain_complex()
+    rc.untwist_degree_matrices()
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_untwisting_cochain_is_iso(cps):
     for name in ("z4_as_cocycle_extension", "sweedler_smash"):
         cp = cps[name]

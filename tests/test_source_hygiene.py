@@ -5,6 +5,9 @@
 * The add-and-drop-zero accumulation (w = field.add(...); if field.is_zero(w):
   pop, else set) is written out only in tensors.keyed_add_into and
   linalg.vec_add_into; everything else calls one of them.
+* No module but linalg.py reaches into the elimination internals
+  (_echelon, _reduce_against, a solver's .registry); the rest use the public
+  ExactMatrix / SpanSolver methods.
 """
 
 import ast
@@ -15,6 +18,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hopfcross"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ACCUMULATORS = {"keyed_add_into", "vec_add_into"}
+LINALG_INTERNALS = {"_echelon", "_reduce_against", "registry"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -63,6 +67,14 @@ def _inline_accumulations(tree: ast.Module) -> list[str]:
     return found
 
 
+def _linalg_internals(tree: ast.Module) -> list[str]:
+    return sorted(
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in LINALG_INTERNALS
+    )
+
+
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "tensors.py", "linalg.py"}
 
@@ -85,3 +97,13 @@ def test_accumulators_are_detected():
         (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
         fn.name = "renamed"
         assert _inline_accumulations(ast.Module(body=[fn], type_ignores=[])), name
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_linalg_internals_stay_in_linalg(path):
+    assert _linalg_internals(_tree(path)) == []
+
+
+def test_linalg_internals_are_detected():
+    assert _linalg_internals(_tree(PACKAGE / "linalg.py"))

@@ -1,0 +1,136 @@
+"""Spectral pages from pivot pairs against the brute-force subquotient reference."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfcross.bar import hochschild_chain_filtered, hochschild_cochain_filtered
+from hopfcross.complexes import (
+    COHOMOLOGY,
+    HOMOLOGY,
+    ChainComplex,
+    FilteredComplex,
+    check_convergence,
+    infinity_page,
+    spectral_page,
+    stable_page_number,
+)
+from hopfcross.crossed import regular_bimodule
+from hopfcross.fields import FieldSpec
+from hopfcross.linalg import ExactMatrix, vec_add_into
+from hopfcross.problems import BUILTIN_NAMES
+from hopfcross.reduced_complexes import ReducedComplexes
+from spectral_reference import reference_page
+
+Q = FieldSpec.rationals()
+F5 = FieldSpec.prime(5)
+
+
+def _killed_column(draw, field, next_map, allowed):
+    """A random vector on the `allowed` coordinates that next_map sends to 0."""
+    if next_map is None:
+        basis = [{i: field.one} for i in allowed]
+    else:
+        kernel = next_map.select_columns(allowed).kernel_basis()
+        basis = [{allowed[i]: v for i, v in k.items()} for k in kernel.cols]
+    col: dict = {}
+    for b in basis:
+        vec_add_into(col, b, field.from_int(draw(st.integers(-2, 2))), field)
+    return col
+
+
+@st.composite
+def filtered_complexes(draw):
+    """d o d = 0 and d(F_p) in F_p, with each coordinate at a random level."""
+    field = draw(st.sampled_from([Q, F5]))
+    homology = draw(st.booleans())
+    cap = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(0, 4), min_size=cap + 1, max_size=cap + 1))
+    level_of = []
+    for d in dims:
+        top = draw(st.integers(0, 3))
+        level_of.append(draw(st.lists(st.integers(0, top), min_size=d, max_size=d)))
+    tops = [max(lv, default=0) for lv in level_of]
+    # homology: F_p = {level <= p}; cohomology: F_p = {level >= p}
+    if homology:
+        filtration = [[tuple(j for j, lv in enumerate(lvs) if lv <= p) for p in range(t + 1)]
+                      for lvs, t in zip(level_of, tops)]
+    else:
+        filtration = [[tuple(j for j, lv in enumerate(lvs) if lv >= p) for p in range(t + 1)]
+                      for lvs, t in zip(level_of, tops)]
+    maps = [None] * (cap + 1)
+    # build each map after the one leaving its target degree, so d o d = 0 holds
+    order = range(1, cap + 1) if homology else range(cap, 0, -1)
+    for n in order:
+        src, tgt = (n, n - 1) if homology else (n - 1, n)
+        nxt = None
+        if homology and tgt >= 1:
+            nxt = maps[tgt]
+        elif not homology and tgt < cap:
+            nxt = maps[tgt + 1]
+        cols = []
+        for j in range(dims[src]):
+            lv = level_of[src][j]
+            allowed = [i for i, t in enumerate(level_of[tgt]) if (t <= lv if homology else t >= lv)]
+            cols.append(_killed_column(draw, field, nxt, allowed))
+        maps[n] = ExactMatrix(field, dims[tgt], dims[src], cols)
+    cx = ChainComplex(field, dims, maps, HOMOLOGY if homology else COHOMOLOGY)
+    return FilteredComplex(cx, filtration)
+
+
+def _assert_pages_match(fc, pages):
+    for r in pages:
+        assert spectral_page(fc, r).table == reference_page(fc, r), r
+
+
+@settings(max_examples=150, deadline=None)
+@given(fc=filtered_complexes())
+def test_pages_match_reference_on_random_filtered_complexes(fc):
+    fc.complex.check_square_zero()
+    assert fc.verify().passed
+    _assert_pages_match(fc, range(stable_page_number(fc) + 2))
+    assert check_convergence(fc).passed
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_pages_match_reference_on_builtins(name, crossed_products):
+    cap = 3
+    cp = crossed_products[name]
+    m = regular_bimodule(cp.e)
+    rc = ReducedComplexes(cp, m, cap)
+    for fc in (rc.reduced_chain_complex(), rc.reduced_cochain_complex(),
+               rc.untwisted_chain_complex(), rc.untwisted_cochain_complex()):
+        _assert_pages_match(fc, range(stable_page_number(fc) + 2))
+    # the bar levels are scattered coordinate sets
+    for fc in (hochschild_chain_filtered(cp, m, cap), hochschild_cochain_filtered(cp, m, cap)):
+        _assert_pages_match(fc, range(1, 4))
+
+
+def test_page_sweep_reduces_each_map_once(monkeypatch, crossed_products):
+    cp = crossed_products["klein_four"]
+    m = regular_bimodule(cp.e)
+    rc = ReducedComplexes(cp, m, 4)
+    fcs = [rc.reduced_chain_complex(), rc.untwisted_cochain_complex(),
+           hochschild_chain_filtered(cp, m, 3)]
+    shapes = []
+    echelon = ExactMatrix._echelon
+
+    def counted(self, track_combos):
+        shapes.append((self.nrows, self.ncols))
+        return echelon(self, track_combos)
+
+    def refused(self):
+        raise AssertionError("page code built a subspace basis")
+
+    monkeypatch.setattr(ExactMatrix, "_echelon", counted)
+    monkeypatch.setattr(ExactMatrix, "kernel_basis", refused)
+    monkeypatch.setattr(ExactMatrix, "column_space_basis", refused)
+    for fc in fcs:
+        c = fc.complex
+        shapes.clear()
+        for r in range(stable_page_number(fc) + 2):
+            spectral_page(fc, r)
+        infinity_page(fc)
+        # a reduction is of some map with its coordinates in level order
+        assert Counter(shapes) <= Counter((d.nrows, d.ncols) for d in c.maps[1:])
