@@ -1,9 +1,16 @@
 """Exact scalar arithmetic: rationals (arbitrary precision) and prime fields.
 
-All other modules treat scalars as opaque values managed through a FieldSpec.
-Rationals are gmpy2.mpq (C-speed exact fractions, falling back to
-fractions.Fraction when gmpy2 is unavailable); prime-field scalars are plain
-ints in 0..p-1.
+All other modules treat scalars as opaque values managed through a FieldSpec;
+no other module builds a rational.  Over Q an integral value is always a
+Python int, and only a non-integral value is a rational object: a gmpy2.mpq
+when gmpy2 is installed (it is optional), else a fractions.Fraction.  Both
+backends therefore give the same scalars for integral values and the same
+documents.  Prime-field scalars are plain ints in 0..p-1.
+
+Elimination (linalg.py) does not call these methods per entry: it runs one
+kernel per field on plain ints (inline `% p` over F_p, fraction-free integer
+columns over Q) and divides through FieldSpec only to hand back a kernel
+vector or a solution.
 """
 
 from __future__ import annotations
@@ -12,6 +19,13 @@ try:
     from gmpy2 import mpq as _ratio
 except ImportError:  # pragma: no cover
     from fractions import Fraction as _ratio
+
+
+def _canonical(r):
+    """A rational in canonical form: an int when integral, else r itself."""
+    if r.__class__ is int:
+        return r
+    return int(r.numerator) if r.denominator == 1 else r
 
 
 def _is_prime(p: int) -> bool:
@@ -71,21 +85,19 @@ class FieldSpec:
     # scalar constructors ------------------------------------------------
     @property
     def zero(self):
-        return _ratio(0) if self.kind == "Q" else 0
+        return 0
 
     @property
     def one(self):
-        return _ratio(1) if self.kind == "Q" else 1
+        return 1
 
     def from_int(self, n: int):
-        return _ratio(n) if self.kind == "Q" else n % self.p
+        return n if self.kind == "Q" else n % self.p
 
     def scalar(self, value):
         """Coerce an int, rational, or 'p/q' string into a field scalar."""
         if self.kind == "Q":
-            if isinstance(value, str):
-                return _ratio(value)
-            return _ratio(value)
+            return _canonical(_ratio(value))
         if isinstance(value, str):
             value = int(value)
         if not isinstance(value, int):
@@ -94,13 +106,13 @@ class FieldSpec:
 
     # arithmetic ---------------------------------------------------------
     def add(self, a, b):
-        return a + b if self.kind == "Q" else (a + b) % self.p
+        return _canonical(a + b) if self.kind == "Q" else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.kind == "Q" else (a - b) % self.p
+        return _canonical(a - b) if self.kind == "Q" else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.kind == "Q" else (a * b) % self.p
+        return _canonical(a * b) if self.kind == "Q" else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.kind == "Q" else (-a) % self.p
@@ -109,7 +121,7 @@ class FieldSpec:
         if self.kind == "Q":
             if a == 0:
                 raise ZeroDivisionError("division by zero")
-            return 1 / _ratio(a)
+            return _canonical(1 / _ratio(a))
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("division by zero")

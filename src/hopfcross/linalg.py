@@ -11,27 +11,60 @@ column at its largest nonzero row index (its "low").  The computation is
 deterministic: same input, same pivots, same bases.  The (low, column) pairs
 of one reduction give the rank of every lower-left block of the matrix
 (pivot_pairs); rank, bases and solves read the same reduction.
+
+The reduction runs on plain ints, by one reduction kernel per field, chosen
+once per matrix (_PrimeReduction, _RationalReduction):
+
+* F_p: entries in 0..p-1, each registered pivot column scaled so its pivot
+  is 1, and every update an inline `% p`.
+* Q: fraction-free primitive column reduction (Bareiss 1968).  Each column is
+  scaled to an integer vector; a step forms a*v - b*pivot with a, b the pivot
+  entries over their gcd, then divides by the content gcd.
+
+Both only rescale the vectors of the field-generic reduction, so the pivot
+rule and the pivot pairs are unchanged, a kernel vector (normalised to 1 at
+its own column) is the same vector entry for entry, and solve coordinates
+are the same values.  Only the column_space_basis columns may differ from the
+generic reduction's, each by a nonzero scalar.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .fields import FieldSpec
 
 
 def vec_add_into(dst: dict, src: dict, scale, field: FieldSpec) -> None:
-    """dst += scale * src, dropping zeros. The one mutating helper (dst is local)."""
+    """dst += scale * src, dropping zeros. The one mutating helper (dst is local).
+
+    The loop is chosen once per call: inline `% p` over F_p, int arithmetic
+    over Q for an int scale (only a sum that is not an int, from a rational
+    entry, is coerced back to a canonical scalar), else the FieldSpec ops.
+    """
     if field.is_zero(scale):
         return
-    add = field.add
-    mul = field.mul
-    for i, v in src.items():
-        w = add(dst.get(i, field.zero), mul(scale, v))
-        if field.is_zero(w):
-            dst.pop(i, None)
-        else:
-            dst[i] = w
+    if field.kind == "Fp":
+        _axpy_mod(dst, src, scale, field.p)
+    elif scale.__class__ is int:
+        get = dst.get
+        for i, v in src.items():
+            t = get(i, 0) + scale * v
+            if t.__class__ is not int:
+                t = field.scalar(t)
+            if t:
+                dst[i] = t
+            else:
+                dst.pop(i, None)
+    else:
+        mul = field.mul
+        for i, v in src.items():
+            w = field.add(dst.get(i, 0), mul(scale, v))
+            if field.is_zero(w):
+                dst.pop(i, None)
+            else:
+                dst[i] = w
 
 
 def vec_scale(vec: dict, scale, field: FieldSpec) -> dict:
@@ -39,6 +72,159 @@ def vec_scale(vec: dict, scale, field: FieldSpec) -> dict:
         return {}
     mul = field.mul
     return {i: mul(scale, v) for i, v in vec.items()}
+
+
+def _axpy(dst: dict, src: dict, c: int) -> None:
+    """dst += c * src over the integers, dropping zeros."""
+    get = dst.get
+    for i, v in src.items():
+        t = get(i, 0) + c * v
+        if t:
+            dst[i] = t
+        else:
+            dst.pop(i, None)
+
+
+def _axpy_mod(dst: dict, src: dict, c: int, p: int) -> None:
+    """dst += c * src mod p, dropping zeros."""
+    get = dst.get
+    for i, v in src.items():
+        t = (get(i, 0) + c * v) % p
+        if t:
+            dst[i] = t
+        else:
+            dst.pop(i, None)
+
+
+def _scale_into(vec: dict, a: int) -> None:
+    for i, v in vec.items():
+        vec[i] = v * a
+
+
+def _scale_mod_into(vec: dict, a: int, p: int) -> None:
+    for i, v in vec.items():
+        vec[i] = v * a % p
+
+
+def _divide_by_content(vec: dict, combo: dict | None, sign: int = 1) -> None:
+    """Divide vec (nonempty) and its combo, if tracked, by sign * their gcd."""
+    g = gcd(*vec.values(), *combo.values()) if combo is not None else gcd(*vec.values())
+    g *= sign
+    if g != 1:
+        for part in (vec, combo) if combo is not None else (vec,):
+            for i, v in part.items():
+                part[i] = v // g
+
+
+class _PrimeReduction:
+    """Reduction over F_p on ints 0..p-1; registered pivots are 1."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, field: FieldSpec):
+        self.p = field.p
+
+    def start(self, vec: dict) -> tuple[dict, int]:
+        """A working copy of a field vector, and its integer scale (always 1)."""
+        return dict(vec), 1
+
+    def reduce(self, registry: dict, vec: dict, combo: dict | None):
+        """Reduce vec (and its combo) in place; the low left over, or None at zero."""
+        p = self.p
+        while vec:
+            low = max(vec)
+            hit = registry.get(low)
+            if hit is None:
+                return low
+            pvec, pcombo = hit
+            c = p - vec[low]
+            _axpy_mod(vec, pvec, c, p)
+            if combo is not None:
+                _axpy_mod(combo, pcombo, c, p)
+        return None
+
+    def register(self, vec: dict, combo: dict | None, low: int):
+        p = self.p
+        inv = pow(vec[low], p - 2, p)
+        if inv != 1:
+            _scale_mod_into(vec, inv, p)
+            if combo is not None:
+                _scale_mod_into(combo, inv, p)
+        return vec, combo
+
+    def unit_at(self, combo: dict, j: int) -> dict:
+        """combo scaled so its entry at j is 1.
+
+        It already is: only registered (pivot) combos are ever rescaled.
+        """
+        return combo
+
+
+class _RationalReduction:
+    """Fraction-free reduction over Q on integer vectors.
+
+    A working vector is an integer multiple of the field vector it stands
+    for; registered pivot columns are divided by their content and have a
+    positive pivot.  With combos, the content is taken over the vector and
+    its combo together, so that vec = M @ combo stays exact in integers.
+    """
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+
+    def start(self, vec: dict) -> tuple[dict, int]:
+        """(d * vec, d) for the least d > 0 that makes every entry an int."""
+        if all(v.__class__ is int for v in vec.values()):
+            return dict(vec), 1
+        d = lcm(*[v.denominator for v in vec.values()])
+        return {i: int(v * d) for i, v in vec.items()}, d
+
+    def reduce(self, registry: dict, vec: dict, combo: dict | None):
+        """Reduce vec (and its combo) in place; the low left over, or None at zero."""
+        while vec:
+            low = max(vec)
+            hit = registry.get(low)
+            if hit is None:
+                return low
+            pvec, pcombo = hit
+            a = pvec[low]
+            b = vec[low]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                _scale_into(vec, a)
+                if combo is not None:
+                    _scale_into(combo, a)
+            _axpy(vec, pvec, -b)
+            if combo is not None:
+                _axpy(combo, pcombo, -b)
+            if a != 1 and vec:
+                _divide_by_content(vec, combo)
+        return None
+
+    def register(self, vec: dict, combo: dict | None, low: int):
+        _divide_by_content(vec, combo, -1 if vec[low] < 0 else 1)
+        return vec, combo
+
+    def unit_at(self, combo: dict, j: int) -> dict:
+        """combo scaled so its entry at j is 1, as field scalars."""
+        cj = combo[j]
+        if cj == 1:
+            return combo
+        inv = self.field.inv(cj)
+        mul = self.field.mul
+        return {i: v // cj if v % cj == 0 else mul(v, inv) for i, v in combo.items()}
+
+
+_QUERY = -1  # combo key of a query vector; matrix columns are 0..ncols-1
+
+
+def _reduction(field: FieldSpec):
+    return _PrimeReduction(field) if field.kind == "Fp" else _RationalReduction(field)
 
 
 class ExactMatrix:
@@ -228,44 +414,29 @@ class ExactMatrix:
         return cls(field, offset, ncols, cols)
 
     # elimination --------------------------------------------------------
-    def _reduce_against(self, registry: dict, vec: dict, combo: dict | None):
-        """Reduce vec against pivot registry in place; returns when no pivot applies."""
-        field = self.field
-        while vec:
-            p = max(vec)
-            hit = registry.get(p)
-            if hit is None:
-                return p
-            pvec, pcombo = hit
-            coef = field.neg(field.div(vec[p], pvec[p]))
-            vec_add_into(vec, pvec, coef, field)
-            if combo is not None and pcombo is not None:
-                vec_add_into(combo, pcombo, coef, field)
-        return None
-
     def _echelon(self, track_combos: bool):
-        """Left-to-right column reduction.
+        """Left-to-right column reduction, by the integer reduction of self.field.
 
         Returns (registry, kernel_combos, pairs) where registry maps pivot
-        row -> (reduced column, combo), kernel_combos lists, in column order,
-        the coefficient vectors of columns that reduced to zero, and pairs
-        lists (pivot row, column) for the columns that did not.
+        row -> (reduced integer column, combo), kernel_combos lists, in column
+        order, the coefficient vectors of columns that reduced to zero, and
+        pairs lists (pivot row, column) for the columns that did not.
         """
-        field = self.field
+        reduction = _reduction(self.field)
         registry: dict = {}
-        kernel: list[dict] = []
+        kernel_combos: list[dict] = []
         pairs: list[tuple[int, int]] = []
         for j, col in enumerate(self.cols):
-            vec = dict(col)
-            combo = {j: field.one} if track_combos else None
-            p = self._reduce_against(registry, vec, combo)
-            if p is None:
+            vec, d = reduction.start(col)
+            combo = {j: d} if track_combos else None
+            low = reduction.reduce(registry, vec, combo)
+            if low is None:
                 if track_combos:
-                    kernel.append(combo)
+                    kernel_combos.append(reduction.unit_at(combo, j))
             else:
-                registry[p] = (vec, combo)
-                pairs.append((p, j))
-        return registry, kernel, pairs
+                registry[low] = reduction.register(vec, combo, low)
+                pairs.append((low, j))
+        return registry, kernel_combos, pairs
 
     def pivot_pairs(self) -> list[tuple[int, int]]:
         """(low, j) for every column j that stays nonzero, low its pivot row.
@@ -316,7 +487,8 @@ class SpanSolver:
 
     def __init__(self, matrix: ExactMatrix, track_combos: bool = False):
         self.matrix = matrix
-        self.field = matrix.field
+        self.reduction = _reduction(matrix.field)
+        self.track_combos = track_combos
         self.registry, _, _ = matrix._echelon(track_combos=track_combos)
 
     @property
@@ -324,35 +496,35 @@ class SpanSolver:
         return len(self.registry)
 
     def contains(self, vec: dict) -> bool:
-        v = dict(vec)
-        return self.matrix._reduce_against(self.registry, v, None) is None
+        v, _ = self.reduction.start(vec)
+        return self.reduction.reduce(self.registry, v, None) is None
 
     def insert(self, vec: dict) -> bool:
         """Register vec when it is independent of the span so far; True if it was.
 
-        Later queries reduce modulo it too.  It carries no coordinates.
+        Later queries reduce modulo it too.  It carries no coordinates, so
+        the solver answers no coordinates afterwards.
         """
-        v = dict(vec)
-        p = self.matrix._reduce_against(self.registry, v, None)
-        if p is None:
+        v, _ = self.reduction.start(vec)
+        low = self.reduction.reduce(self.registry, v, None)
+        if low is None:
             return False
-        self.registry[p] = (v, None)
+        self.registry[low] = self.reduction.register(v, None, low)
+        self.track_combos = False
         return True
 
     def coordinates(self, vec: dict) -> list | None:
-        field = self.field
-        v = dict(vec)
-        x: dict = {}
-        while v:
-            p = max(v)
-            hit = self.registry.get(p)
-            if hit is None:
-                return None
-            pvec, pcombo = hit
-            if pcombo is None:
-                raise ValueError("SpanSolver built without combo tracking")
-            coef = field.div(v[p], pvec[p])
-            vec_add_into(v, pvec, field.neg(coef), field)
-            vec_add_into(x, pcombo, coef, field)
-        return [x.get(j, field.zero) for j in range(self.matrix.ncols)]
+        """x with matrix @ x = vec, supported on the pivot columns; None outside the span.
 
+        vec is reduced as one more column, its combo keyed by _QUERY: when it
+        reaches zero, the combo normalised to 1 at _QUERY is (1, -x).
+        """
+        if not self.track_combos:
+            raise ValueError("SpanSolver built without combo tracking")
+        v, d = self.reduction.start(vec)
+        combo = {_QUERY: d}
+        if self.reduction.reduce(self.registry, v, combo) is not None:
+            return None
+        x = self.reduction.unit_at(combo, _QUERY)
+        neg = self.matrix.field.neg
+        return [neg(x[j]) if j in x else 0 for j in range(self.matrix.ncols)]

@@ -17,7 +17,7 @@ from hopfcross.complexes import (
     spectral_page,
 )
 from hopfcross.crossed import regular_bimodule
-from hopfcross.linalg import ExactMatrix
+from hopfcross.linalg import ExactMatrix, SpanSolver
 from conftest import BUILTIN_BUILDERS
 
 Q = FieldSpec.rationals()
@@ -66,11 +66,12 @@ def test_homology_invariant_under_basis_change():
     ps = [_random_invertible(Q, d, rng) for d in c.dims]
     inv = []
     for p in ps:
+        # one elimination per matrix; each column of p^-1 solves p x = e_j
+        solver = SpanSolver(p, track_combos=True)
         cols = []
         n = p.nrows
         for j in range(n):
-            rhs = [Q.one if i == j else Q.zero for i in range(n)]
-            x = p.solve(rhs)
+            x = solver.coordinates({j: Q.one})
             cols.append({i: v for i, v in enumerate(x) if not Q.is_zero(v)})
         inv.append(ExactMatrix(Q, n, n, cols))
     maps = [None]

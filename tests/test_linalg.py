@@ -1,3 +1,6 @@
+import numbers
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,38 @@ def test_scalar_formatting():
     assert Q.fmt(Q.scalar("3/4")) == "3/4"
     assert F5.fmt(F5.scalar(7)) == 2
     assert Q.scalar(-2) == Q.from_int(-2)
+
+
+def test_integral_rationals_are_ints():
+    half, third = Q.scalar("1/2"), Q.scalar("1/3")
+    integral = [
+        Q.add(third, Q.scalar("2/3")), Q.add(2, 3),
+        Q.sub(Q.scalar("5/2"), half), Q.sub(2, 7),
+        Q.mul(Q.scalar("3/2"), 2), Q.mul(-2, 3),
+        Q.neg(Q.scalar("4/2")), Q.neg(5),
+        Q.inv(half), Q.inv(-1),
+        Q.div(3, Q.scalar("3/2")), Q.div(4, 2),
+        Q.scalar("4/2"), Q.scalar(Fraction(6, 3)), Q.scalar(-3),
+        Q.zero, Q.one, Q.from_int(-7),
+    ]
+    assert [type(v) for v in integral] == [int] * len(integral)
+    rational = [
+        Q.add(third, 1), Q.sub(1, third), Q.mul(third, 2), Q.neg(third),
+        Q.inv(2), Q.inv(Q.scalar("3/2")), Q.div(1, 2), Q.div(third, 2), Q.scalar("-1/6"),
+    ]
+    assert all(
+        isinstance(v, numbers.Rational) and type(v) is not int and v.denominator > 1
+        for v in rational
+    )
+    assert Q.inv(2) == Q.div(1, 2) == half and Q.div(third, 2) == Q.scalar("1/6")
+    prime = [F5.add(3, 4), F5.mul(3, 4), F5.neg(2), F5.inv(2), F5.div(1, 2), F5.scalar("7")]
+    assert prime == [2, 2, 3, 3, 3, 2]
+    assert not any(isinstance(v, float) for v in integral + rational + prime)
+
+
+def test_fmt_ignores_the_scalar_type():
+    assert Q.fmt(2) == Q.fmt(Fraction(2)) == Q.fmt(Q.scalar("4/2")) == "2"
+    assert Q.fmt(Q.div(-1, 2)) == "-1/2"
 
 
 def test_rank_identity_and_zero():

@@ -8,6 +8,9 @@
 * No module but linalg.py reaches into the elimination internals
   (_echelon, _reduce_against, a solver's .registry); the rest use the public
   ExactMatrix / SpanSolver methods.
+* No module but fields.py imports fractions or gmpy2 or names Fraction, mpq
+  or _ratio: every scalar is made through FieldSpec, which keeps integral
+  rationals as ints.
 """
 
 import ast
@@ -19,6 +22,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hopfcross"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ACCUMULATORS = {"keyed_add_into", "vec_add_into"}
 LINALG_INTERNALS = {"_echelon", "_reduce_against", "registry"}
+RATIONAL_MODULES = {"fractions", "gmpy2"}
+RATIONAL_NAMES = {"Fraction", "mpq", "_ratio"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -75,6 +80,26 @@ def _linalg_internals(tree: ast.Module) -> list[str]:
     )
 
 
+def _rational_constructors(tree: ast.Module) -> list[str]:
+    """Imports of a rational backend, and every use of its type names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] in RATIONAL_MODULES]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[0]
+            names = [a.name for a in node.names
+                     if module in RATIONAL_MODULES or a.name in RATIONAL_NAMES]
+        elif isinstance(node, ast.Name):
+            names = [node.id] if node.id in RATIONAL_NAMES else []
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr] if node.attr in RATIONAL_NAMES else []
+        else:
+            continue
+        found.extend(f"{name} (line {node.lineno})" for name in names)
+    return sorted(found)
+
+
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "tensors.py", "linalg.py"}
 
@@ -107,3 +132,25 @@ def test_linalg_internals_stay_in_linalg(path):
 
 def test_linalg_internals_are_detected():
     assert _linalg_internals(_tree(PACKAGE / "linalg.py"))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"],
+                         ids=lambda p: p.name)
+def test_rationals_are_made_only_in_fields(path):
+    assert _rational_constructors(_tree(path)) == []
+
+
+def test_rational_constructors_are_detected():
+    assert _rational_constructors(_tree(PACKAGE / "fields.py"))
+    for source in (
+        "from fractions import Fraction",
+        "import fractions",
+        "import gmpy2",
+        "from gmpy2 import mpz",
+        "from .fields import _ratio",
+        "x = fields._ratio(1)",
+        "x = gmpy2.mpq(1, 2)",
+        "def f(Fraction):\n    return Fraction(1, 2)",
+    ):
+        assert _rational_constructors(ast.parse(source)), source
+    assert _rational_constructors(ast.parse("from .fields import FieldSpec\nx = q.denominator")) == []
