@@ -9,20 +9,24 @@ from hopfcross.crossed import (
     convolution_inverse,
     regular_bimodule,
     restrict_bimodule_to_a,
+    tensor_bimodule,
     trivial_action,
     trivial_cocycle,
 )
+from hopfcross.homology import regular_left_module
 from hopfcross.hopf import trivial_hopf
 from hopfcross.linalg import ExactMatrix
+from hopfcross.problems import builtin
 from hopfcross.reduced_complexes import (
+    FormulaMismatch,
     ReducedComplexes,
     h_action_on_homology,
-    iterated_action,
     untwist_block,
     untwist_cochain_block,
     untwist_cochain_inverse_block,
     untwist_inverse_block,
 )
+from hopfcross.twisting import TwistingCalculus
 from conftest import BUILTIN_BUILDERS, z_n_algebra
 
 Q = FieldSpec.rationals()
@@ -43,12 +47,12 @@ def cps():
 def test_iterated_action_element_level(cps):
     cp = cps["sweedler_smash"]
     y = {1: Q.one}
-    assert iterated_action(cp, y, []) == y
-    assert iterated_action(cp, y, [{0: Q.one}, {0: Q.one}]) == y
+    assert TwistingCalculus(cp).iter_act_vec((), y) == y
+    assert TwistingCalculus(cp).iter_act_vec((0, 0), y) == y
     # trivial action consumes through counits
     cp2 = cps["z4_as_cocycle_extension"]
     a = {1: Q.one}
-    assert iterated_action(cp2, a, [{1: Q.one}, {1: Q.one}]) == a
+    assert TwistingCalculus(cp2).iter_act_vec((1, 1), a) == a
 
 
 def test_trivial_hopf_reduces_to_hochschild_complex():
@@ -229,8 +233,6 @@ def test_resolution_cap_guard(cps):
 
 def test_formula_mismatch_surfaces(cps):
     # a corrupted closed-formula evaluation must be reported, never resolved
-    from hopfcross.reduced_complexes import FormulaMismatch
-
     cp = cps["sweedler_smash"]
     m = regular_bimodule(cp.e)
     rc = ReducedComplexes(cp, m, 2)
@@ -245,3 +247,50 @@ def test_formula_mismatch_surfaces(cps):
     with pytest.raises(FormulaMismatch) as err:
         rc.reduced_block(0, 1, 0)
     assert err.value.block == (0, 1, 0)
+
+
+def _side_cases():
+    """s3 with M = E and with M = E (x) k, whose two sides act differently."""
+    pf = builtin("s3_as_action_extension")
+    cp = pf.crossed_product()
+    right, _ = pf.tor_modules
+    return [("E", cp, regular_bimodule(cp.e)),
+            ("E (x) k", cp, tensor_bimodule(cp.e, regular_left_module(cp), right))]
+
+
+def _swap_sides(terms, which=lambda index, l: True):
+    """terms with x and y exchanged in the terms picked by which(index, l)."""
+    def swapped(key, l, r, s):
+        for index, (x, out_key, y, c) in enumerate(terms(key, l, r, s)):
+            yield (y, out_key, x, c) if which(index, l) else (x, out_key, y, c)
+    return swapped
+
+
+@pytest.mark.parametrize("name, cp, m", _side_cases(), ids=["E", "E (x) k"])
+def test_swapped_term_sides_surface(name, cp, m, monkeypatch):
+    # x and y exchanged in the first l = 1 term (1#h on the right of m):
+    # the chain and the cochain placement both see it
+    for block in ("reduced_block", "reduced_cochain_block"):
+        rc = ReducedComplexes(cp, m, 2)
+        monkeypatch.setattr(rc.literal, "reduced_terms",
+                            _swap_sides(rc.literal.reduced_terms, lambda index, l: l == 1 and index == 0))
+        with pytest.raises(FormulaMismatch) as err:
+            getattr(rc, block)(1, 0, 1)
+        assert err.value.block == (1, 0, 1), (name, block)
+
+
+@pytest.mark.parametrize("name, cp, m", _side_cases(), ids=["E", "E (x) k"])
+def test_swapped_cochain_placement_surfaces(name, cp, m, monkeypatch):
+    # the cochain placement puts y.phi(v').x instead of x.phi(v').y: only the
+    # cochain check fails
+    rc = ReducedComplexes(cp, m, 2)
+    placed = rc.literal._placed
+
+    def mutated(terms, mid_space, l, r, s, cochain):
+        return placed(_swap_sides(terms) if cochain else terms, mid_space, l, r, s, cochain)
+
+    monkeypatch.setattr(rc.literal, "_placed", mutated)
+    rc.reduced_block(1, 0, 1)
+    with pytest.raises(FormulaMismatch) as err:
+        rc.reduced_cochain_block(1, 0, 1)
+    assert (err.value.which, err.value.block) == ("cochain", (1, 0, 1)), name

@@ -11,6 +11,9 @@
 * No module but fields.py imports fractions or gmpy2 or names Fraction, mpq
   or _ratio: every scalar is made through FieldSpec, which keeps integral
   rationals as ints.
+* The displayed-formula evaluator (reduced_complexes._Literal, with the
+  module functions it calls) names no resolution, duality or untwisting code,
+  so the formula check shares no code with the blocks it checks.
 """
 
 import ast
@@ -24,6 +27,10 @@ ACCUMULATORS = {"keyed_add_into", "vec_add_into"}
 LINALG_INTERNALS = {"_echelon", "_reduce_against", "registry"}
 RATIONAL_MODULES = {"fractions", "gmpy2"}
 RATIONAL_NAMES = {"Fraction", "mpq", "_ratio"}
+LITERAL_FORBIDDEN = {
+    "dual_transpose", "dual_bimodule", "reduced_block_from_resolution", "generator_columns",
+    "CrossedResolution", "untwist_block", "untwist_inverse_block",
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -100,6 +107,23 @@ def _rational_constructors(tree: ast.Module) -> list[str]:
     return sorted(found)
 
 
+def _literal_forbidden_names(tree: ast.Module, cls: str = "_Literal") -> list[str]:
+    """Forbidden names in class cls and in the module functions it reaches."""
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    assert len(todo) == 1, cls
+    seen, found = set(), []
+    while todo:
+        for node in ast.walk(todo.pop()):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in LITERAL_FORBIDDEN:
+                found.append(f"{name} (line {node.lineno})")
+            elif name in functions and name not in seen:
+                seen.add(name)
+                todo.append(functions[name])
+    return sorted(found)
+
+
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "tensors.py", "linalg.py"}
 
@@ -154,3 +178,24 @@ def test_rational_constructors_are_detected():
     ):
         assert _rational_constructors(ast.parse(source)), source
     assert _rational_constructors(ast.parse("from .fields import FieldSpec\nx = q.denominator")) == []
+
+
+def test_displayed_formulas_call_no_checked_code():
+    assert _literal_forbidden_names(_tree(PACKAGE / "reduced_complexes.py")) == []
+
+
+def test_checked_code_in_the_formulas_is_detected():
+    for source in (
+        "class _Literal:\n    def f(self, m):\n        return dual_bimodule(m)",
+        "class _Literal:\n    def f(self):\n        return self.res.generator_columns",
+        "class _Literal:\n    def f(self, cp):\n        return CrossedResolution(cp, 2)",
+        "class _Literal:\n    def f(self, mod, cp, m):\n        return mod.untwist_block(cp, m, 1, 1)",
+        # reached through a module helper
+        "def helper(mat, d):\n    return dual_transpose(mat, d)\n"
+        "class _Literal:\n    def f(self, mat):\n        return helper(mat, 1)",
+    ):
+        assert _literal_forbidden_names(ast.parse(source)), source
+    assert _literal_forbidden_names(ast.parse(
+        "def dual_helper(m):\n    return dual_bimodule(m)\n"
+        "class _Literal:\n    def f(self, m):\n        return m"
+    )) == []
