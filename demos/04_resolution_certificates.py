@@ -13,6 +13,7 @@ from hopfcross import ExactMatrix
 from hopfcross.comparison import (
     BarCalculus,
     build_comparison,
+    check_bimodule_extension,
     check_comparison_identities,
     check_filtration_preservation,
 )
@@ -56,6 +57,8 @@ print(f"  closed == recursive on {len(res.blocks)} blocks "
 print()
 print("comparison with the bar resolution (degrees <= 3):")
 cmp_maps = build_comparison(res, bar, 3)
+rep = check_bimodule_extension(cmp_maps)
+print(f"  {rep.summary()}")
 rep = check_comparison_identities(cmp_maps)
 print(f"  {rep.summary()}")
 rep = check_filtration_preservation(cmp_maps)

@@ -20,6 +20,7 @@ from .comparison import (
     BarCalculus,
     build_comparison,
     check_bar_square_zero,
+    check_bimodule_extension,
     check_comparison_identities,
     check_filtration_preservation,
 )
@@ -259,15 +260,16 @@ def cmd_resolution_check(pf: ProblemFile, args) -> dict:
     except HomotopyIdentityFailure:
         hom_ok = False
     sections["contracting_homotopy"] = {"match": hom_ok}
+    r_ext = check_bimodule_extension(cmp_maps)
     r_ident = check_comparison_identities(cmp_maps)
     r_filt = check_filtration_preservation(cmp_maps)
     r_bar = check_bar_square_zero(bar, cap)
+    sections["bimodule_extension"] = r_ext.as_dict()
     sections["comparison_identities"] = r_ident.as_dict()
     sections["filtration_preservation"] = r_filt.as_dict()
     sections["bar_square_zero"] = r_bar.as_dict()
-    doc["pass"] = all(
-        [blocks_equal, square, aug, hom_ok, r_ident.passed, r_filt.passed, r_bar.passed]
-    )
+    doc["pass"] = all([blocks_equal, square, aug, hom_ok, r_ext.passed, r_ident.passed,
+                       r_filt.passed, r_bar.passed])
     return doc
 
 

@@ -89,12 +89,11 @@ class TwistingCalculus:
         return mat
 
     def insertion_apply(self, l: int, r: int, h_tuple: tuple, a_tuple: tuple) -> dict:
-        """Column of F^(l)_r at a basis tuple, as a flat dict over A^(r+l-1)."""
-        na = self.cp.a.dim
-        tgt = TensorSpace((na,) * (r + l - 1))
-        mat = self.insertion_matrix(l, r)
-        src = TensorSpace((self.cp.h.dim,) * l + (na,) * r)
-        return dict(mat.cols[src.index(h_tuple + a_tuple)])
+        """The stored column of F^(l)_r at a basis tuple (flat over A^(r+l-1)); read only."""
+        flat = 0
+        for x, d in zip(h_tuple + a_tuple, (self.cp.h.dim,) * l + (self.cp.a.dim,) * r):
+            flat = flat * d + x
+        return self.insertion_matrix(l, r).cols[flat]
 
     def _insertion_column(self, l, r, h_tuple, a_tuple, tgt) -> dict:
         field = self.field

@@ -195,7 +195,7 @@ def test_criterion_04_resolution_identities(shared):
         for n in range(1, 4):
             lhs = res.d[n + 1] @ sigma[n + 1] + sigma[n] @ res.d[n]
             assert lhs == ExactMatrix.identity(field, res.dims[n]), (name, n)
-        report = check_comparison_identities(shared.comparison(name), upto=3)
+        report = check_comparison_identities(shared.comparison(name))
         assert report.passed, (name, report.failures[:3])
     announce(4, True, "aug d1 = 0, d sigma + sigma d = id, psi phi = id, homotopy exact (deg <= 3)")
 
@@ -329,7 +329,7 @@ def test_criterion_09_desk_numbers():
 
 def test_criterion_10_filtrations_and_serre_comparison(shared):
     for name in BUILTIN_NAMES:
-        report = check_filtration_preservation(shared.comparison(name), upto=3)
+        report = check_filtration_preservation(shared.comparison(name))
         assert report.passed, (name, report.failures[:3])
     for name in BUILTIN_NAMES:
         cp, m = shared.cp(name), shared.m(name)

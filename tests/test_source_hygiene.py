@@ -14,6 +14,9 @@
 * The displayed-formula evaluator (reduced_complexes._Literal, with the
   module functions it calls) names no resolution, duality or untwisting code,
   so the formula check shares no code with the blocks it checks.
+* In comparison.py only the one extension loop (extend_by_outer_mult), the
+  bimodule-extension certificate and degree_outer_mult call left_mult /
+  right_mult, so no second hand-written extension escapes the certificate.
 """
 
 import ast
@@ -31,6 +34,8 @@ LITERAL_FORBIDDEN = {
     "dual_transpose", "dual_bimodule", "reduced_block_from_resolution", "generator_columns",
     "CrossedResolution", "untwist_block", "untwist_inverse_block",
 }
+OUTER_MULTS = {"left_mult", "right_mult"}
+OUTER_MULT_CALLERS = {"extend_by_outer_mult", "check_bimodule_extension", "degree_outer_mult"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -124,6 +129,19 @@ def _literal_forbidden_names(tree: ast.Module, cls: str = "_Literal") -> list[st
     return sorted(found)
 
 
+def _outer_mult_callers(tree: ast.Module) -> set[str]:
+    """Functions and methods that call left_mult or right_mult."""
+    return {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in OUTER_MULTS
+    }
+
+
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "tensors.py", "linalg.py"}
 
@@ -199,3 +217,16 @@ def test_checked_code_in_the_formulas_is_detected():
         "def dual_helper(m):\n    return dual_bimodule(m)\n"
         "class _Literal:\n    def f(self, m):\n        return m"
     )) == []
+
+
+def test_comparison_extends_in_one_loop():
+    assert _outer_mult_callers(_tree(PACKAGE / "comparison.py")) == OUTER_MULT_CALLERS
+
+
+def test_second_extension_is_detected():
+    source = (
+        "class ComparisonMaps:\n"
+        "    def phi_apply(self, space, img, e_left, e_right):\n"
+        "        return space.right_mult(space.left_mult(img, e_left), e_right)"
+    )
+    assert _outer_mult_callers(ast.parse(source)) == {"phi_apply"}
