@@ -21,39 +21,54 @@ def _chain_space(dim_m: int, dim_ebar: int, n: int) -> TensorSpace:
     return TensorSpace((dim_m,) + (dim_ebar,) * n)
 
 
+def _faces(e: AlgebraData, n: int):
+    """Per argument tensor t of Ebar^n, in flat order: (legs, tail, merges, head, sign).
+
+    legs are the section reps of t in E; tail and head are the flat indices of
+    t[1:] and t[:-1] in Ebar^(n-1); merges lists (flat index, signed coef)
+    of the middle faces, and sign is the sign (-1)^n of the last face.
+    """
+    field = e.field
+    dim = e.dim - 1
+    for flat, t in enumerate(TensorSpace((dim,) * n)):
+        legs = [x + 1 for x in t]
+        merges = []
+        sign = field.one
+        for i in range(1, n):
+            sign = field.neg(sign)
+            low = dim ** (n - i - 1)  # stride of leg i in t, and of the merged leg
+            prefix = flat // (low * dim * dim)
+            for k, c in e.mult[legs[i - 1]][legs[i]].items():
+                if k:  # the class of the unit dies in Ebar
+                    merges.append(((prefix * dim + k - 1) * low + flat % low, field.mul(sign, c)))
+        yield legs, flat % dim ** (n - 1), merges, flat // dim, field.neg(sign)
+
+
 def hochschild_chain_complex(
     e: AlgebraData, m: BimoduleData, cap: int
 ) -> ChainComplex:
-    """(M (x) Ebar^*, b): the normalized Hochschild chain complex, degrees 0..cap."""
+    """(M (x) Ebar^*, b): the normalized Hochschild chain complex, degrees 0..cap.
+
+    Basis of M (x) Ebar^n: pairs (value basis index, argument tensor t), flat
+    index value * dim(Ebar^n) + t.
+    """
     field = e.field
     dim_ebar = e.dim - 1
     dims = [m.dim * dim_ebar**n for n in range(cap + 1)]
     maps: list = [None]
     for n in range(1, cap + 1):
-        src = _chain_space(m.dim, dim_ebar, n)
-        tgt = _chain_space(m.dim, dim_ebar, n - 1)
-        cols: list[dict] = []
-        for key in src:
-            mi = key[0]
-            legs = [x + 1 for x in key[1:]]  # section reps in E
-            col: dict = {}
-
-            def put(midx, tail, coef):
-                keyed_add_into(col, tgt.index((midx,) + tuple(t - 1 for t in tail)), coef, field)
-
-            for mj, c in m.right[mi][legs[0]].items():
-                put(mj, legs[1:], c)
-            sign = field.one
-            for i in range(1, n):
-                sign = field.neg(sign)
-                for k, c in e.mult[legs[i - 1]][legs[i]].items():
-                    if k == 0:
-                        continue  # class of the unit dies in Ebar
-                    put(mi, legs[: i - 1] + [k] + legs[i + 1 :], field.mul(sign, c))
-            sign = field.neg(sign)
-            for mj, c in m.left[legs[-1]][mi].items():
-                put(mj, legs[:-1], field.mul(sign, c))
-            cols.append(col)
+        size, prev = dim_ebar**n, dim_ebar ** (n - 1)
+        cols: list = [None] * dims[n]
+        for t, (legs, tail, merges, head, sign) in enumerate(_faces(e, n)):
+            for mi in range(m.dim):
+                col: dict = {}
+                for mj, c in m.right[mi][legs[0]].items():
+                    keyed_add_into(col, mj * prev + tail, c, field)
+                for idx, c in merges:
+                    keyed_add_into(col, mi * prev + idx, c, field)
+                for mj, c in m.left[legs[-1]][mi].items():
+                    keyed_add_into(col, mj * prev + head, field.mul(sign, c), field)
+                cols[mi * size + t] = col
         maps.append(ExactMatrix(field, dims[n - 1], dims[n], cols))
     return ChainComplex(field, dims, maps, HOMOLOGY)
 
@@ -71,38 +86,25 @@ def hochschild_cochain_complex(
     dims = [dim_ebar**n * m.dim for n in range(cap + 1)]
     maps: list = [None]
     for n in range(1, cap + 1):
-        arg_space = TensorSpace((dim_ebar,) * n)
-        prev_args = TensorSpace((dim_ebar,) * (n - 1))
         cols: list[dict] = [{} for _ in range(dims[n - 1])]
 
         def add(col_idx, row_idx, coef):
             keyed_add_into(cols[col_idx], row_idx, coef, field)
 
-        for t in arg_space:
-            legs = [x + 1 for x in t]
-            row_base = arg_space.index(t) * m.dim
+        for t, (legs, tail, merges, head, sign) in enumerate(_faces(e, n)):
+            row_base = t * m.dim
             # term 0: x1 . phi(x2..xn)
-            cidx = prev_args.index(t[1:]) * m.dim
             for mi in range(m.dim):
                 for mj, c in m.left[legs[0]][mi].items():
-                    add(cidx + mi, row_base + mj, c)
+                    add(tail * m.dim + mi, row_base + mj, c)
             # middle merges
-            sign = field.one
-            for i in range(1, n):
-                sign = field.neg(sign)
-                for k, c in e.mult[legs[i - 1]][legs[i]].items():
-                    if k == 0:
-                        continue
-                    merged = t[: i - 1] + (k - 1,) + t[i + 1 :]
-                    cidx = prev_args.index(merged) * m.dim
-                    for mi in range(m.dim):
-                        add(cidx + mi, row_base + mi, field.mul(sign, c))
+            for idx, c in merges:
+                for mi in range(m.dim):
+                    add(idx * m.dim + mi, row_base + mi, c)
             # last term: phi(x1..x_{n-1}) . xn
-            sign = field.neg(sign)
-            cidx = prev_args.index(t[:-1]) * m.dim
             for mi in range(m.dim):
                 for mj, c in m.right[mi][legs[-1]].items():
-                    add(cidx + mi, row_base + mj, field.mul(sign, c))
+                    add(head * m.dim + mi, row_base + mj, field.mul(sign, c))
         maps.append(ExactMatrix(field, dims[n], dims[n - 1], cols))
     return ChainComplex(field, dims, maps, COHOMOLOGY)
 

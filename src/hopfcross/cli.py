@@ -46,6 +46,7 @@ from .problems import (
 )
 from .reduced_complexes import ReducedComplexes
 from .resolution import (
+    CrossedResolution,
     HomotopyIdentityFailure,
     RecursionMismatch,
     assert_constructions_agree,
@@ -225,8 +226,9 @@ def cmd_oracle_compare(pf: ProblemFile, args) -> dict:
     cap = max_degree + 1
     cp = pf.crossed_product(with_inverse=False)
     m = pf.bimodule_or_regular(cp)
-    rep_h = hochschild_homology(cp, m, cap=cap, oracle=True)
-    rep_c = hochschild_cohomology(cp, m, cap=cap, oracle=True)
+    res = CrossedResolution(cp, cap)
+    rep_h = hochschild_homology(cp, m, cap=cap, oracle=True, res=res)
+    rep_c = hochschild_cohomology(cp, m, cap=cap, oracle=True, res=res)
     doc = _doc("oracle-compare", pf, cap)
     doc["sections"]["homology"] = rep_h
     doc["sections"]["cohomology"] = rep_c

@@ -18,6 +18,11 @@ level is a prefix and each such block is a lower-left block of the sorted
 map.  By the pairing lemma its rank is a count of the pivot pairs of one
 reduction of that map (ExactMatrix.pivot_pairs); there are no
 homotopy-theoretic shortcuts.
+
+Total (co)homology (homology_dims) reduces each map once more, independently
+of the pages: upward, as C_{n-1} -> C_n in increasing degree, with the
+clearing of Chen and Kerber ("Persistent homology computation with a twist",
+2011), as in Ripser (Bauer 2021).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ class ChainComplex:
 
     direction == "homology":   maps[n] : C_n -> C_{n-1}   (n = 1..cap)
     direction == "cohomology": maps[n] : C_{n-1} -> C_n   (n = 1..cap)
-    maps[0] is always None.
+    maps[0] is always None.  square_zero records a passed check_square_zero.
     """
 
     def __init__(self, field, dims: list[int], maps: list, direction: str = HOMOLOGY):
@@ -54,6 +59,7 @@ class ChainComplex:
         self.maps = list(maps)
         self.direction = direction
         self.cap = len(dims) - 1
+        self.square_zero = False
         for n in range(1, self.cap + 1):
             m = maps[n]
             lo, hi = dims[n - 1], dims[n]
@@ -62,13 +68,15 @@ class ChainComplex:
                 raise ValueError(f"map {n} has shape {(m.nrows, m.ncols)}, expected {expect}")
 
     def check_square_zero(self) -> None:
+        """d o d = 0, one column at a time: no product matrix is built, and the
+        first nonzero image raises."""
         for n in range(1, self.cap):
-            if self.direction == HOMOLOGY:
-                comp = self.maps[n] @ self.maps[n + 1]
-            else:
-                comp = self.maps[n + 1] @ self.maps[n]
-            if not comp.is_zero():
+            first, then = self.maps[n + 1], self.maps[n]
+            if self.direction == COHOMOLOGY:
+                first, then = then, first
+            if any(then.apply(col) for col in first.cols):
                 raise BoundaryNotSquareZero(n + 1)
+        self.square_zero = True
 
     def outgoing(self, n: int) -> ExactMatrix | None:
         """The differential leaving degree n (None when it is the zero edge map)."""
@@ -83,13 +91,36 @@ class ChainComplex:
         return self.maps[n] if n >= 1 else None
 
 
-def homology_dims(c: ChainComplex, check: bool = True) -> list[int]:
-    """dim H_n for n = 0..cap-1 (the cap degree is untrusted and not reported)."""
-    if check:
+def homology_dims(c: ChainComplex) -> list[int]:
+    """dim H_n for n = 0..cap-1 (the cap degree is untrusted and not reported).
+
+    maps[n] joins degrees n - 1 and n in either direction, so
+    dim H_n = dims[n] - rank maps[n] - rank maps[n + 1].  Each map is reduced
+    once, upward as U_n : C_{n-1} -> C_n (the transpose of a homology map),
+    in increasing n, leaving out the columns that the previous reduction
+    clears.  Clearing lemma: let (i, j) be a pivot pair of U_n.  The reduced
+    column R_j = U_n V_j has its low at i, and U_{n+1} R_j = 0 since
+    d o d = 0, so column i of U_{n+1} is a combination of earlier columns;
+    by induction on i, the kept columns up to i span what all columns up to
+    i span, and the rank is unchanged.  The check of d o d = 0 runs unless
+    the complex has passed it.  The top map's pivots clear nothing, so it is
+    ranked with ExactMatrix.rank.
+    """
+    if not c.square_zero:
         c.check_square_zero()
-    # maps[n] joins degrees n - 1 and n in either direction, so each is ranked
-    # once and dim H_n = dims[n] - rank maps[n] - rank maps[n + 1]
-    ranks = [0] + [c.maps[n].rank() for n in range(1, c.cap + 1)]
+    ranks = [0] * (c.cap + 2)
+    cleared: set = set()
+    for n in range(1, c.cap + 1):
+        up = c.maps[n].transpose() if c.direction == HOMOLOGY else c.maps[n]
+        # the kept columns share their dicts; the reduction copies each one
+        kept = [col for i, col in enumerate(up.cols) if i not in cleared]
+        up = ExactMatrix(c.field, up.nrows, len(kept), kept)
+        if n == c.cap:
+            ranks[n] = up.rank()
+        else:
+            pairs = up.pivot_pairs()
+            ranks[n] = len(pairs)
+            cleared = {low for low, _ in pairs}
     return [c.dims[n] - ranks[n] - ranks[n + 1] for n in range(c.cap)]
 
 
@@ -363,7 +394,7 @@ def check_convergence(
     if window is None:
         window = c.cap - 1
     if total_homology is None:
-        total_homology = homology_dims(c, check=False)
+        total_homology = homology_dims(c)
     einf = infinity_page(fc, window)
     for n in range(window + 1):
         got = einf.antidiagonal_sum(n)

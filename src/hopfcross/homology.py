@@ -41,7 +41,7 @@ def hochschild_homology(cp: CrossedProductData, m: BimoduleData | None = None,
         m = regular_bimodule(cp.e)
     rc = ReducedComplexes(cp, m, cap, res=res, compare=compare)
     # the reduced complexes are checked for d o d = 0 when they are assembled
-    dims = homology_dims(rc.reduced_chain_complex().complex, check=False)
+    dims = homology_dims(rc.reduced_chain_complex().complex)
     oracle_dims = None
     if oracle:
         oracle_dims = homology_dims(hochschild_chain_complex(cp.e, m, cap))
@@ -55,7 +55,7 @@ def hochschild_cohomology(cp: CrossedProductData, m: BimoduleData | None = None,
     if m is None:
         m = regular_bimodule(cp.e)
     rc = ReducedComplexes(cp, m, cap, res=res, compare=compare)
-    dims = homology_dims(rc.reduced_cochain_complex().complex, check=False)
+    dims = homology_dims(rc.reduced_cochain_complex().complex)
     oracle_dims = None
     if oracle:
         oracle_dims = homology_dims(hochschild_cochain_complex(cp.e, m, cap))
@@ -115,7 +115,7 @@ def e2_identification(cp: CrossedProductData, m: BimoduleData | None = None,
             for s in range(window + 1)
             for r in range(window + 1 - s)
         )
-        total = homology_dims(fc.complex, check=False)
+        total = homology_dims(fc.complex)
         conv = check_convergence(fc, total, window)
         out["cochain" if cochain else "chain"] = {
             "e1": _table_to_json(page1.table),
@@ -145,7 +145,7 @@ def tor_spectral_report(cp: CrossedProductData, right_module, left_module,
     if not report.passed:
         raise ValueError("supplied modules do not form a bimodule: " + report.summary())
     rc = ReducedComplexes(cp, bimod, cap, res=res)
-    dims = homology_dims(rc.reduced_chain_complex().complex, check=False)
+    dims = homology_dims(rc.reduced_chain_complex().complex)
     oracle_dims = homology_dims(hochschild_chain_complex(cp.e, bimod, cap))
     out = _dims_report(dims, cap, oracle_dims)
     out["tor_dims"] = dims

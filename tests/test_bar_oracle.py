@@ -27,6 +27,8 @@ from hopfcross.complexes import (
 from hopfcross.crossed import regular_bimodule
 from hopfcross.hopf import group_hopf  # noqa: F401
 from hopfcross.linalg import ExactMatrix
+from hopfcross.problems import BUILTIN_NAMES
+from bar_reference import chain_complex_reference, cochain_complex_reference
 from conftest import BUILTIN_BUILDERS, z_n_hopf
 
 Q = FieldSpec.rationals()
@@ -134,3 +136,18 @@ def test_chain_filtration_convergence_z2():
     page1 = spectral_page(fc, 1)
     assert all(q == 0 for (p, q) in page1.table)
     assert [page1.cell(s, 0) for s in range(4)] == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_flat_face_indices_match_reference(name, field):
+    # every map entry for entry, in the same dict order, as the TensorSpace.index builders
+    cp = BUILTIN_BUILDERS[name](field)
+    m = regular_bimodule(cp.e)
+    for build, reference in ((hochschild_chain_complex, chain_complex_reference),
+                             (hochschild_cochain_complex, cochain_complex_reference)):
+        got, want = build(cp.e, m, 4), reference(cp.e, m, 4)
+        assert got.dims == want.dims
+        for d, r in zip(got.maps[1:], want.maps[1:]):
+            assert (d.nrows, d.ncols) == (r.nrows, r.ncols)
+            assert [list(col.items()) for col in d.cols] == [list(col.items()) for col in r.cols]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from hopfcross.fields import FieldSpec
 from hopfcross.bar import hochschild_chain_filtered
@@ -18,7 +19,9 @@ from hopfcross.complexes import (
 )
 from hopfcross.crossed import regular_bimodule
 from hopfcross.linalg import ExactMatrix, SpanSolver
+from hopfcross.problems import BUILTIN_NAMES
 from conftest import BUILTIN_BUILDERS
+from test_spectral_pages import filtered_complexes
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -149,24 +152,57 @@ def test_cohomological_two_level():
     assert check_convergence(fc).passed
 
 
+def _plain_dims(c):
+    """dims[n] - rank maps[n] - rank maps[n + 1], every map ranked whole."""
+    r = [0] + [d.rank() for d in c.maps[1:]] + [0]
+    return [c.dims[n] - r[n] - r[n + 1] for n in range(c.cap)]
+
+
 def test_homology_dims_ranks_each_map_once(monkeypatch):
+    from hopfcross.bar import hochschild_chain_complex, hochschild_cochain_complex
     from hopfcross.reduced_complexes import ReducedComplexes
 
     cap = 4
     cp = BUILTIN_BUILDERS["klein_four"](Q)
-    rc = ReducedComplexes(cp, regular_bimodule(cp.e), cap)
-    chain = rc.reduced_chain_complex().complex
-    cochain = rc.reduced_cochain_complex().complex
-    calls = []
-    rank = ExactMatrix.rank
-    monkeypatch.setattr(ExactMatrix, "rank", lambda self: calls.append(self) or rank(self))
-    for c in (chain, cochain):
-        calls.clear()
+    m = regular_bimodule(cp.e)
+    rc = ReducedComplexes(cp, m, cap)
+    complexes = [rc.reduced_chain_complex().complex, rc.reduced_cochain_complex().complex,
+                 hochschild_chain_complex(cp.e, m, cap), hochschild_cochain_complex(cp.e, m, cap)]
+    ranks = [[0] + [d.rank() for d in c.maps[1:]] for c in complexes]
+    expected = [_plain_dims(c) for c in complexes]
+    shapes, rank_calls = [], []
+    echelon, rank = ExactMatrix._echelon, ExactMatrix.rank
+
+    def counted(self, track_combos):
+        shapes.append((self.nrows, self.ncols))
+        return echelon(self, track_combos)
+
+    monkeypatch.setattr(ExactMatrix, "_echelon", counted)
+    monkeypatch.setattr(ExactMatrix, "rank", lambda self: rank_calls.append(self) or rank(self))
+    for c, r, want in zip(complexes, ranks, expected):
+        shapes.clear()
+        rank_calls.clear()
         dims = homology_dims(c)
-        assert len(calls) == cap
-        assert {id(m) for m in calls} == {id(m) for m in c.maps[1:]}
-        assert dims == [
-            c.dims[n] - (rank(c.outgoing(n)) if c.outgoing(n) else 0)
-            - (rank(c.incoming(n)) if c.incoming(n) else 0)
-            for n in range(cap)
-        ]
+        # U_n : C_{n-1} -> C_n, less the rank(U_{n-1}) columns its pivots cleared
+        assert shapes == [(c.dims[n], c.dims[n - 1] - r[n - 1]) for n in range(1, cap + 1)]
+        assert len(rank_calls) <= 1
+        assert dims == want
+    assert any(r[2] for r in ranks)  # some reduction has columns cleared
+
+
+@settings(max_examples=150, deadline=None)
+@given(fc=filtered_complexes())
+def test_clearing_dims_equal_plain_rank_dims(fc):
+    assert homology_dims(fc.complex) == _plain_dims(fc.complex)
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_clearing_dims_on_bar_complexes(name, field):
+    from hopfcross.bar import hochschild_chain_complex, hochschild_cochain_complex
+
+    cp = BUILTIN_BUILDERS[name](field)
+    m = regular_bimodule(cp.e)
+    for build in (hochschild_chain_complex, hochschild_cochain_complex):
+        c = build(cp.e, m, 4)
+        assert homology_dims(c) == _plain_dims(c), build.__name__
