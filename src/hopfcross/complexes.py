@@ -41,6 +41,22 @@ HOMOLOGY = "homology"
 COHOMOLOGY = "cohomology"
 
 
+def _composites_vanish(first_cols: list, then_cols: list, p) -> bool:
+    """then . col == 0 for every col of first_cols (over F_p when p, else over Q)."""
+    for col in first_cols:
+        acc: dict = {}
+        get = acc.get
+        for j, v in col.items():
+            for i, w in then_cols[j].items():
+                acc[i] = get(i, 0) + v * w
+        if p is None:
+            if any(acc.values()):
+                return False
+        elif any(t % p for t in acc.values()):
+            return False
+    return True
+
+
 class ChainComplex:
     """Graded dimensions with exact boundary matrices, truncated at a cap.
 
@@ -69,12 +85,15 @@ class ChainComplex:
 
     def check_square_zero(self) -> None:
         """d o d = 0, one column at a time: no product matrix is built, and the
-        first nonzero image raises."""
+        first nonzero image raises.  Each image is summed in one inline loop,
+        chosen once per pair of maps: plain arithmetic over Q (ints, and
+        rationals where an entry is one), ints reduced mod p over F_p."""
+        p = self.field.p if self.field.kind == "Fp" else None
         for n in range(1, self.cap):
             first, then = self.maps[n + 1], self.maps[n]
             if self.direction == COHOMOLOGY:
                 first, then = then, first
-            if any(then.apply(col) for col in first.cols):
+            if not _composites_vanish(first.cols, then.cols, p):
                 raise BoundaryNotSquareZero(n + 1)
         self.square_zero = True
 

@@ -185,28 +185,38 @@ class _Literal:
         return self._placed(self.untwisted_terms, _untwisted_mid_space, l, r, s, True)
 
     def _placed(self, terms, mid_space, l, r, s, cochain: bool) -> ExactMatrix:
-        """The block of d^l on M: chains laid out (m, mid), cochains (arg, m)."""
+        """The block of d^l on M: chains laid out (m, mid), cochains (arg, m).
+
+        The images y.e_mi.x (chains) or x.e_mi.y (cochains) of the basis of M
+        are computed once per distinct (x, y) of the block."""
         field, m = self.field, self.m
         src = mid_space(self.cp, r, s)
         tgt = mid_space(self.cp, r + l - 1, s - l)
         row_space, col_space = (src, tgt) if cochain else (tgt, src)
         cols: list[dict] = [{} for _ in range(m.dim * col_space.size)]
+        images: dict = {}
         for mid in range(src.size):
             for x, key, y, c in terms(_mid_key(src, mid), l, r, s):
                 mid_t = _mid_rank(tgt, key)
                 if mid_t is None:
                     continue
-                for mi in range(m.dim):
-                    base = {mi: field.one}
-                    if cochain:
-                        # the cochain e_mi at v' goes to c x.e_mi.y at v
-                        col = cols[mid_t * m.dim + mi]
-                        for mj, cm in m.right_elem(m.left_elem(x, base), y).items():
-                            keyed_add_into(col, mid * m.dim + mj, field.mul(c, cm), field)
-                    else:
-                        col = cols[mi * src.size + mid]
-                        for mj, cm in m.left_elem(y, m.right_elem(base, x)).items():
-                            keyed_add_into(col, mj * tgt.size + mid_t, field.mul(c, cm), field)
+                xy = (tuple(x.items()), tuple(y.items()))
+                per_m = images.get(xy)
+                if per_m is None:
+                    per_m = images[xy] = [
+                        m.right_elem(m.left_elem(x, {mi: field.one}), y) if cochain
+                        else m.left_elem(y, m.right_elem({mi: field.one}, x))
+                        for mi in range(m.dim)
+                    ]
+                if cochain:
+                    # the cochain e_mi at v' goes to c x.e_mi.y at v
+                    col_at, col_step, row_at, row_step = mid_t * m.dim, 1, mid * m.dim, 1
+                else:
+                    col_at, col_step, row_at, row_step = mid, src.size, mid_t, tgt.size
+                for mi, img in enumerate(per_m):
+                    col = cols[col_at + mi * col_step]
+                    for mj, cm in img.items():
+                        keyed_add_into(col, row_at + mj * row_step, field.mul(c, cm), field)
         return ExactMatrix(field, m.dim * row_space.size, m.dim * col_space.size, cols)
 
     def reduced_terms(self, key: tuple, l, r, s):
@@ -245,7 +255,7 @@ class _Literal:
             sign = field.one if (l * (r + s)) % 2 == 0 else field.neg(field.one)
             f_tgt = TensorSpace((cp.a.dim,) * (r + l - 1))
             for comps, c in sweedler_legs(cp.h, hs[s - l :], 2).items():
-                fvec = calc.insertion_apply(l, r, comps[0::2], avs)
+                fvec = calc.insertion_column(l, r, comps[0::2], avs)
                 if not fvec:
                     continue
                 for hm, cm in calc.h_product(comps[1::2]).items():
@@ -284,7 +294,7 @@ class _Literal:
             f_tgt = TensorSpace((cp.a.dim,) * (r + l - 1))
             for comps, c in sweedler_legs(cp.h, hs[s - l :], 3).items():
                 firsts = comps[0::3]
-                fvec = calc.insertion_apply(l, r, comps[1::3], avs)
+                fvec = calc.insertion_column(l, r, comps[1::3], avs)
                 if not fvec:
                     continue
                 # the inverse of the ordered product (1#h_{s-l+1}^(1)) ... (1#h_s^(1)):
@@ -317,23 +327,24 @@ def untwist_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> Ex
     field = cp.field
     src_mid = _reduced_mid_space(cp, r, s)
     tgt_mid = _untwisted_mid_space(cp, r, s)
-    cols: list[dict] = []
-    for mi in range(m.dim):
-        for mid in range(src_mid.size):
-            key = _mid_key(src_mid, mid)
-            hs, avs = key[:s], key[s:]
-            col: dict = {}
-            for comps, c in sweedler_legs(cp.h, hs, 2).items():
+    cols: list[dict] = [{} for _ in range(m.dim * src_mid.size)]
+    for mid in range(src_mid.size):
+        key = _mid_key(src_mid, mid)
+        hs, avs = key[:s], key[s:]
+        # the Sweedler legs of the generator, expanded once for every m
+        terms = []
+        for comps, c in sweedler_legs(cp.h, hs, 2).items():
+            mid_t = _mid_rank(tgt_mid, tuple(avs) + comps[1::2])
+            if mid_t is not None:
+                terms.append((comps[0::2], mid_t, c))
+        for mi in range(m.dim):
+            col = cols[mi * src_mid.size + mid]
+            for firsts, mid_t, c in terms:
                 mvec = {mi: field.one}
-                for t in range(s):
-                    mvec = m.right_act(mvec, cp.include_h(comps[2 * t]))
-                seconds = tuple(comps[2 * t + 1] for t in range(s))
-                mid_t = _mid_rank(tgt_mid, tuple(avs) + seconds)
-                if mid_t is None:
-                    continue
+                for h in firsts:
+                    mvec = m.right_act(mvec, cp.include_h(h))
                 for mj, cm in mvec.items():
                     keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(c, cm), field)
-            cols.append(col)
     return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
 
 
@@ -343,23 +354,24 @@ def untwist_inverse_block(cp: CrossedProductData, m: BimoduleData, r: int, s: in
     uinv = unit_section_inverse_map(cp)
     src_mid = _untwisted_mid_space(cp, r, s)
     tgt_mid = _reduced_mid_space(cp, r, s)
-    cols: list[dict] = []
-    for mi in range(m.dim):
-        for mid in range(src_mid.size):
-            key = _mid_key(src_mid, mid)
-            avs, hs = key[:r], key[r:]
-            col: dict = {}
-            for comps, c in sweedler_legs(cp.h, hs, 2).items():
+    cols: list[dict] = [{} for _ in range(m.dim * src_mid.size)]
+    for mid in range(src_mid.size):
+        key = _mid_key(src_mid, mid)
+        avs, hs = key[:r], key[r:]
+        # the Sweedler legs of the generator, expanded once for every m
+        terms = []
+        for comps, c in sweedler_legs(cp.h, hs, 2).items():
+            mid_t = _mid_rank(tgt_mid, comps[1::2] + tuple(avs))
+            if mid_t is not None:
+                terms.append((comps[0::2], mid_t, c))
+        for mi in range(m.dim):
+            col = cols[mi * src_mid.size + mid]
+            for firsts, mid_t, c in terms:
                 mvec = {mi: field.one}
-                for t in range(s - 1, -1, -1):
-                    mvec = m.right_elem(mvec, uinv[comps[2 * t]])
-                seconds = tuple(comps[2 * t + 1] for t in range(s))
-                mid_t = _mid_rank(tgt_mid, seconds + tuple(avs))
-                if mid_t is None:
-                    continue
+                for h in reversed(firsts):
+                    mvec = m.right_elem(mvec, uinv[h])
                 for mj, cm in mvec.items():
                     keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(c, cm), field)
-            cols.append(col)
     return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
 
 
@@ -575,20 +587,21 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
     uinv = unit_section_inverse_map(cp)
     mid = TensorSpace((cp.a.dim - 1,) * r)
     dim = m.dim * mid.size
-    triple = sweedler_expand(cp.h, 3, {h_idx: field.one})
+    triple = list(sweedler_expand(cp.h, 3, {h_idx: field.one}).items())
+    # the middle leg of each Sweedler term, expanded once for every m and a
+    middles = [sweedler_legs(cp.h, (h2,), r) if r > 0 else {(): cp.h.counit[h2]}
+               for (_, h2, _), _ in triple]
     cols: list[dict] = []
     for mi in range(m.dim):
+        # (1#h^(3)) e_mi (1#h^(1))^{-1}, once for every a
+        mvecs = [m.left_elem({cp.include_h(h3): field.one}, m.right_elem({mi: field.one}, uinv[h1]))
+                 for (h1, _, h3), _ in triple]
         for t in range(mid.size):
             avs = _mid_key(mid, t)
             col: dict = {}
-            for (h1, h2, h3), c in triple.items():
-                mvec = m.left_elem(
-                    {cp.include_h(h3): field.one},
-                    m.right_elem({mi: field.one}, uinv[h1]),
-                )
+            for (_, c), mvec, expanded in zip(triple, mvecs, middles):
                 if not mvec:
                     continue
-                expanded = sweedler_legs(cp.h, (h2,), r) if r > 0 else {(): cp.h.counit[h2]}
                 for comps, c2 in expanded.items():
                     if field.is_zero(c2):
                         continue

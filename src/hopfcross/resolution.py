@@ -431,7 +431,7 @@ class CrossedResolution:
         for comps, c in self._sweedler(hs[s - l :], 2).items():
             firsts = comps[0::2]
             seconds = comps[1::2]
-            fvec = calc.insertion_apply(l, r, firsts, avs)
+            fvec = calc.insertion_column(l, r, firsts, avs)
             if not fvec:
                 continue
             hprod = calc.h_product(seconds)

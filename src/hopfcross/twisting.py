@@ -1,32 +1,49 @@
-"""Cocycle-insertion coefficients and shuffle products.
+"""Cocycle-insertion coefficients.
 
 The maps F^(l)_r : H^l (x) A^r -> A^(r+l-1) insert l-1 cocycle values into an
 A-string while distributing iterated actions through Sweedler legs.  They are
-built here as exact matrices on full (unnormalized) bases, by the recursive
-definition; the small-complex and resolution boundary blocks consume them.
+evaluated column by column, by the recursive definition, only at the basis
+tuples that the resolution and small-complex boundaries reach (and those
+their recursion reaches).  A column of F^(l-1) is looked up before the rest of
+a recursive term is formed, so a term whose recursive column vanishes costs
+one lookup.
 
 Everything is memoized per crossed product: the calculus only depends on the
-action, the cocycle, and the comultiplication.
+action, the cocycle, and the comultiplication.  Each iterated
+comultiplication Delta^(n)(h) is expanded once, and each column is built once.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, product
+from itertools import product
 
 from .crossed import CrossedProductData
-from .hopf import sweedler_legs
-from .linalg import ExactMatrix, SpanSolver, vec_add_into
-from .tensors import TensorSpace, expand_leg, keyed_add_into, tensor_vectors
+from .hopf import sweedler_expand
+from .linalg import vec_add_into
+from .tensors import keyed_add_into
+
+
+def _flat_tensor(vecs, coef, dim: int, field) -> dict:
+    """coef * v_1 (x) ... (x) v_k, flat over the k-th tensor power of a dim-dimensional space.
+
+    coef must be nonzero; over a field a product of nonzeros is nonzero.
+    """
+    out = {0: coef}
+    mul = field.mul
+    for vec in vecs:
+        out = {f * dim + i: mul(c, ci) for f, c in out.items() for i, ci in vec.items()}
+    return out
 
 
 class TwistingCalculus:
-    """Per-crossed-product cache of iterated actions and insertion matrices."""
+    """Per-crossed-product cache of iterated actions and insertion columns."""
 
     def __init__(self, cp: CrossedProductData):
         self.cp = cp
         self.field = cp.field
         self._act_cache: dict = {}
-        self._insertion_cache: dict = {}
+        self._comult_cache: dict = {}
+        self._columns: dict = {}
 
     # iterated weak action ------------------------------------------------
     def act_vec(self, h_idx: int, avec: dict) -> dict:
@@ -66,155 +83,86 @@ class TwistingCalculus:
             out = nxt
         return out
 
+    def _comult_groups(self, h_idx: int, n: int) -> list:
+        """Delta^(n)(h) grouped by the last component:
+        [(h^(n), [(h^(1) .. h^(n), coefficient), ...]), ...]; expanded once, read only."""
+        key = (h_idx, n)
+        hit = self._comult_cache.get(key)
+        if hit is None:
+            groups: dict = {}
+            for comps, c in sweedler_expand(self.cp.h, n, {h_idx: self.field.one}).items():
+                groups.setdefault(comps[-1], []).append((comps, c))
+            hit = self._comult_cache[key] = list(groups.items())
+        return hit
+
     # insertion coefficients ----------------------------------------------
-    def insertion_matrix(self, l: int, r: int) -> ExactMatrix:
-        """F^(l)_r as a matrix from H^l (x) A^r to A^(r+l-1), full bases."""
-        if l < 1 or r < 0:
-            raise ValueError("need l >= 1 and r >= 0")
-        key = (l, r)
-        hit = self._insertion_cache.get(key)
-        if hit is not None:
-            return hit
-        cp = self.cp
-        na, nh = cp.a.dim, cp.h.dim
-        src = TensorSpace((nh,) * l + (na,) * r)
-        tgt = TensorSpace((na,) * (r + l - 1))
-        cols = []
-        for key_multi in src:
-            h_tuple = key_multi[:l]
-            a_tuple = key_multi[l:]
-            cols.append(self._insertion_column(l, r, h_tuple, a_tuple, tgt))
-        mat = ExactMatrix(self.field, tgt.size, src.size, cols)
-        self._insertion_cache[key] = mat
-        return mat
+    def insertion_column(self, l: int, r: int, h_tuple: tuple, a_tuple: tuple) -> dict:
+        """The column of F^(l)_r at h_tuple (x) a_tuple, flat over A^(r+l-1).
 
-    def insertion_apply(self, l: int, r: int, h_tuple: tuple, a_tuple: tuple) -> dict:
-        """The stored column of F^(l)_r at a basis tuple (flat over A^(r+l-1)); read only."""
-        flat = 0
-        for x, d in zip(h_tuple + a_tuple, (self.cp.h.dim,) * l + (self.cp.a.dim,) * r):
-            flat = flat * d + x
-        return self.insertion_matrix(l, r).cols[flat]
+        Built on first use and memoized; the returned dict is shared, read only.
+        """
+        key = (h_tuple, a_tuple)
+        hit = self._columns.get(key)
+        if hit is None:
+            hit = self._columns[key] = self._insertion_column(l, r, h_tuple, a_tuple)
+        return hit
 
-    def _insertion_column(self, l, r, h_tuple, a_tuple, tgt) -> dict:
+    def _insertion_column(self, l, r, h_tuple, a_tuple) -> dict:
         field = self.field
         cp = self.cp
+        na = cp.a.dim
         if l == 1:
             # the vector action a_1^(h^(1)) (x) ... (x) a_r^(h^(r)); r = 0 is the counit
             if r == 0:
                 c = cp.h.counit[h_tuple[0]]
                 return {} if field.is_zero(c) else {0: c}
             out: dict = {}
-            for comps, coef in sweedler_legs(cp.h, h_tuple, r).items():
-                legs = [cp.action.act[comps[k]][a_tuple[k]] for k in range(r)]
-                for key, c in tensor_vectors(legs, coef, field).items():
-                    keyed_add_into(out, tgt.index(key), c, field)
+            for _, terms in self._comult_groups(h_tuple[0], r):
+                for comps, coef in terms:
+                    legs = [cp.action.act[comps[k]][a_tuple[k]] for k in range(r)]
+                    vec_add_into(out, _flat_tensor(legs, coef, na, field), field.one, field)
             return out
 
         out = {}
         lm1 = l - 1
-        rec_tgt = None
+        mult = cp.h.algebra.mult
         for j in range(1, l):  # 1-based position of the merged pair
             for i in range(r + 1):
-                sign_exp = i * lm1 + j
-                sign = field.one if sign_exp % 2 == 0 else field.neg(field.one)
-                counts = [i + 2 if t <= j + 1 else i + 1 for t in range(1, l + 1)]
-                elem = {tuple(h_tuple): field.one}
-                for t in range(l - 1, -1, -1):
-                    elem = expand_leg(elem, t, cp.h.comult_row, counts[t], field)
-                offsets = [0] * l
-                for t in range(1, l):
-                    offsets[t] = offsets[t - 1] + counts[t - 1]
-                for comps, ecoef in elem.items():
-                    coef = field.mul(sign, ecoef)
-
-                    def comp(t, k):  # component k of original leg t (0-based)
-                        return comps[offsets[t] + k]
-
-                    # acted prefix a_1..a_i
-                    prefix = [
-                        self.iter_act(
-                            tuple(comp(t, k) for t in range(l)), a_tuple[k]
+                sign = field.one if (i * lm1 + j) % 2 == 0 else field.neg(field.one)
+                rest = a_tuple[i:]
+                stride = na ** (r - i + l - 2)  # size of A^(r-i+l-2), the recursive target
+                # legs 1..j+1 split into i+2 components, the others into i+1
+                leg_groups = [
+                    self._comult_groups(h_tuple[t], i + 2 if t <= j else i + 1) for t in range(l)
+                ]
+                for groups in product(*leg_groups):
+                    # the recursive argument reads only the last component of each leg
+                    lasts = tuple(last for last, _ in groups)
+                    rec: dict = {}
+                    for hm, cm in mult[lasts[j - 1]][lasts[j]].items():
+                        col = self.insertion_column(
+                            lm1, r - i, lasts[: j - 1] + (hm,) + lasts[j + 1 :], rest
                         )
-                        for k in range(i)
-                    ]
-                    # cocycle value f(c_j[i], c_{j+1}[i]) acted by legs 1..j-1
-                    fv = cp.cocycle.f[comp(j - 1, i)][comp(j, i)]
-                    fv = self.iter_act_vec(
-                        tuple(comp(t, i) for t in range(j - 1)), fv
-                    )
-                    if not fv:
+                        vec_add_into(rec, col, cm, field)
+                    if not rec:
                         continue
-                    # recursive argument legs
-                    head = tuple(comp(t, i + 1) for t in range(j - 1))
-                    merged = cp.h.algebra.mult[comp(j - 1, i + 1)][comp(j, i + 1)]
-                    tail = tuple(comp(t, i) for t in range(j + 1, l))
-                    rec_r = r - i
-                    rec_mat = self.insertion_matrix(l - 1, rec_r)
-                    rec_src = TensorSpace(
-                        (cp.h.dim,) * (l - 1) + (cp.a.dim,) * rec_r
-                    )
-                    rec_out: dict = {}
-                    for hm, cm in merged.items():
-                        idx = rec_src.index(head + (hm,) + tail + tuple(a_tuple[i:]))
-                        vec_add_into(rec_out, rec_mat.cols[idx], cm, field)
-                    if not rec_out:
-                        continue
-                    if rec_tgt is None or rec_tgt.dims != (cp.a.dim,) * (rec_r + l - 2):
-                        rec_tgt = TensorSpace((cp.a.dim,) * (rec_r + l - 2))
-                    # prefix legs, then the cocycle value, then the recursive tail
-                    for key, c in tensor_vectors(prefix + [fv], coef, field).items():
-                        for rid, cr in rec_out.items():
-                            flat = tgt.index(key + rec_tgt.unrank(rid))
-                            keyed_add_into(out, flat, field.mul(c, cr), field)
+                    for choice in product(*(terms for _, terms in groups)):
+                        comps = [cs for cs, _ in choice]
+                        # cocycle value f(c_j[i], c_{j+1}[i]) acted by legs 1..j-1
+                        fv = cp.cocycle.f[comps[j - 1][i]][comps[j][i]]
+                        fv = self.iter_act_vec(tuple(comps[t][i] for t in range(j - 1)), fv)
+                        if not fv:
+                            continue
+                        coef = sign
+                        for _, c in choice:
+                            coef = field.mul(coef, c)
+                        # acted prefix a_1..a_i, then the cocycle value, then the recursive tail
+                        prefix = [
+                            self.iter_act(tuple(comps[t][k] for t in range(l)), a_tuple[k])
+                            for k in range(i)
+                        ]
+                        for pflat, c in _flat_tensor(prefix + [fv], coef, na, field).items():
+                            base = pflat * stride
+                            for rid, cr in rec.items():
+                                keyed_add_into(out, base + rid, field.mul(c, cr), field)
         return out
-
-    # diagnostics -----------------------------------------------------------
-    def f_image_span(self) -> ExactMatrix:
-        """Span of all cocycle values inside A."""
-        cp = self.cp
-        cols = [dict(cell) for row in cp.cocycle.f for cell in row]
-        return ExactMatrix.from_columns(self.field, cp.a.dim, cols).column_space_basis()
-
-    def check_insertion_image(self, l: int, r: int) -> bool:
-        """Every F^(l)_r value lies in the span of elementary tensors with
-        l-1 coordinates in the image of the cocycle."""
-        if l < 2:
-            return True
-        cp = self.cp
-        na = cp.a.dim
-        nlegs = r + l - 1
-        fspan = self.f_image_span()
-        full = ExactMatrix.identity(self.field, na)
-        tgt = TensorSpace((na,) * nlegs)
-        cols = []
-        for positions in combinations(range(nlegs), l - 1):
-            leg_cols = [(fspan if p in positions else full).cols for p in range(nlegs)]
-            for vecs in product(*leg_cols):
-                elem = tensor_vectors(vecs, self.field.one, self.field)
-                cols.append({tgt.index(key): c for key, c in elem.items()})
-        span = ExactMatrix.from_columns(self.field, tgt.size, cols)
-        solver = SpanSolver(span.column_space_basis())
-        mat = self.insertion_matrix(l, r)
-        return all(solver.contains(col) for col in mat.cols)
-
-
-def signed_shuffle(first: tuple, second: tuple) -> dict:
-    """Signed shuffle: insert the legs of `first` into the string `second`.
-
-    Returns {interleaved tuple: +1/-1}; placing first[k] after second[i_k]
-    contributes (-1)^(i_1 + ... + i_r) with 0 <= i_1 <= ... <= i_r <= len(second).
-    """
-    r, l = len(first), len(second)
-    out: dict = {}
-    for positions in combinations_with_replacement(range(l + 1), r):
-        sign = -1 if sum(positions) % 2 else 1
-        word = []
-        prev = 0
-        for k, ik in enumerate(positions):
-            word.extend(second[prev:ik])
-            word.append(first[k])
-            prev = ik
-        word.extend(second[prev:])
-        key = tuple(word)
-        out[key] = out.get(key, 0) + sign
-    return {k: v for k, v in out.items() if v}

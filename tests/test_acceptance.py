@@ -37,7 +37,7 @@ from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.problems import BUILTIN_NAMES, builtin
 from hopfcross.reduced_complexes import ReducedComplexes
 from hopfcross.resolution import build_resolution_closed, build_resolution_recursive
-from hopfcross.twisting import signed_shuffle
+from insertion_reference import signed_shuffle
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)

@@ -45,6 +45,25 @@ def test_square_zero_violation_detected():
         homology_dims(c)
 
 
+@pytest.mark.parametrize("field,row,vanishes", [
+    (FieldSpec.prime(3), (1, 2), True),       # 1 + 2 = 3 is zero mod 3 only
+    (FieldSpec.prime(5), (1, 2), False),
+    (Q, ("1/2", "-1/2"), True),                # rational entries that cancel
+    (Q, ("1/2", "1/3"), False),
+])
+def test_square_zero_check_in_each_field(field, row, vanishes):
+    d1 = ExactMatrix.from_columns(field, 1, [{0: field.scalar(v)} for v in row])
+    d2 = ExactMatrix.from_columns(field, 2, [{0: field.one, 1: field.one}])
+    c = ChainComplex(field, [1, 2, 1], [None, d1, d2], HOMOLOGY)
+    if vanishes:
+        c.check_square_zero()
+        assert c.square_zero
+    else:
+        with pytest.raises(BoundaryNotSquareZero):
+            c.check_square_zero()
+        assert not c.square_zero
+
+
 def _random_invertible(field, n, rng):
     # product of elementary operations applied to the identity
     m = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]

@@ -1,0 +1,83 @@
+"""The on-demand insertion columns of hopfcross.twisting against the full-basis
+reference matrices (tests/insertion_reference.py), and the work they save."""
+
+from collections import Counter
+
+import pytest
+
+import hopfcross.twisting as twisting
+from hopfcross.cli import main
+from hopfcross.crossed import regular_bimodule
+from hopfcross.fields import FieldSpec
+from hopfcross.problems import BUILTIN_NAMES, builtin
+from hopfcross.reduced_complexes import _Literal, _reduced_mid_space, _untwisted_mid_space, _mid_key
+from hopfcross.resolution import CrossedResolution
+from hopfcross.tensors import TensorSpace
+from insertion_reference import ReferenceInsertion
+
+Q = FieldSpec.rationals()
+
+CASES = [(name, 4, "q") for name in BUILTIN_NAMES] + [(name, 4, "fp:5") for name in BUILTIN_NAMES] + [
+    ("s3_as_action_extension", 5, "q"), ("klein_four", 5, "q"), ("z4_as_cocycle_extension", 5, "q"),
+    ("sweedler_smash", 5, "q"),
+]
+
+
+def _reach_all_columns(cp, cap):
+    """Build the closed resolution and run every l >= 2 displayed term, so every
+    caller of TwistingCalculus.insertion_column reaches its columns."""
+    res = CrossedResolution(cp, cap)
+    literal = _Literal(cp, regular_bimodule(cp.e), res.calc)
+    for n in range(cap + 1):
+        for s in range(2, n + 1):
+            r = n - s
+            for l in range(2, s + 1):
+                for terms, space in ((literal.reduced_terms, _reduced_mid_space),
+                                     (literal.untwisted_terms, _untwisted_mid_space)):
+                    mids = space(cp, r, s)
+                    for mid in range(mids.size):
+                        for _ in terms(_mid_key(mids, mid), l, r, s):
+                            pass
+    return res.calc
+
+
+@pytest.mark.parametrize("name,cap,field", CASES, ids=[f"{n}-cap{c}-{f}" for n, c, f in CASES])
+def test_every_reached_column_matches_the_reference(name, cap, field):
+    cp = builtin(name, field=FieldSpec.parse(field)).crossed_product()
+    calc = _reach_all_columns(cp, cap)
+    ref = ReferenceInsertion(cp)
+    nh, na = cp.h.dim, cp.a.dim
+    levels = Counter(len(h_tuple) for h_tuple, _ in calc._columns)
+    # with H = k there is no normalized H leg, so no d^l with l >= 2
+    assert (levels[1] and levels[2]) or cp.h.dim == 1, levels
+    for (h_tuple, a_tuple), col in calc._columns.items():
+        l, r = len(h_tuple), len(a_tuple)
+        flat = TensorSpace((nh,) * l + (na,) * r).index(h_tuple + a_tuple)
+        assert col == ref.insertion_matrix(l, r).cols[flat], (h_tuple, a_tuple)
+
+
+def test_columns_are_built_on_demand(monkeypatch, tmp_path):
+    """homology at cap 4 builds fewer F columns than the full bases of the
+    F^(l)_r it touches, and expands each Delta^(n)(h) once."""
+    built = []
+    expansions = Counter()
+    column = twisting.TwistingCalculus._insertion_column
+    expand = twisting.sweedler_expand
+
+    def counting_column(self, l, r, h_tuple, a_tuple, *rest):
+        built.append((l, r))
+        return column(self, l, r, h_tuple, a_tuple, *rest)
+
+    def counting_expand(h, n, v):
+        expansions[(n, tuple(v.items()))] += 1
+        return expand(h, n, v)
+
+    monkeypatch.setattr(twisting.TwistingCalculus, "_insertion_column", counting_column)
+    monkeypatch.setattr(twisting, "sweedler_expand", counting_expand)
+    out = tmp_path / "doc.json"
+    assert main(["homology", "s3_as_action_extension", "--cap", "4", "--output", str(out)]) == 0
+    cp = builtin("s3_as_action_extension", field=Q).crossed_product()
+    full = sum(cp.h.dim ** l * cp.a.dim ** r for l, r in set(built))
+    assert any(l >= 2 for l, _ in built)
+    assert 0 < len(built) < full, (len(built), full)
+    assert expansions and set(expansions.values()) == {1}, expansions

@@ -17,6 +17,10 @@
 * In comparison.py only the one extension loop (extend_by_outer_mult), the
   bimodule-extension certificate and degree_outer_mult call left_mult /
   right_mult, so no second hand-written extension escapes the certificate.
+* The full-basis insertion matrices live only in tests/insertion_reference.py:
+  no src/ module names insertion_matrix, and the reference imports nothing
+  from hopfcross.twisting or hopfcross.resolution, so it checks the on-demand
+  columns without sharing their code.
 """
 
 import ast
@@ -25,6 +29,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hopfcross"
+INSERTION_REFERENCE = Path(__file__).resolve().parent / "insertion_reference.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ACCUMULATORS = {"keyed_add_into", "vec_add_into"}
 LINALG_INTERNALS = {"_echelon", "_reduce_against", "registry"}
@@ -36,6 +41,7 @@ LITERAL_FORBIDDEN = {
 }
 OUTER_MULTS = {"left_mult", "right_mult"}
 OUTER_MULT_CALLERS = {"extend_by_outer_mult", "check_bimodule_extension", "degree_outer_mult"}
+REFERENCE_FORBIDDEN_MODULES = {"hopfcross.twisting", "hopfcross.resolution"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -142,6 +148,40 @@ def _outer_mult_callers(tree: ast.Module) -> set[str]:
     }
 
 
+def _imported_modules(tree: ast.Module, modules: set) -> list[str]:
+    """Imports of any of the given modules, by any import form."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.extend(f"{name} (line {node.lineno})" for name in names if name in modules)
+    return sorted(found)
+
+
+def _mentions(tree: ast.Module, name: str) -> list[str]:
+    """Every definition, use, attribute or import of name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            hit = node.id
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            hit = node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = name if any(alias.name == name for alias in node.names) else None
+        else:
+            continue
+        if hit == name:
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "tensors.py", "linalg.py"}
 
@@ -230,3 +270,34 @@ def test_second_extension_is_detected():
         "        return space.right_mult(space.left_mult(img, e_left), e_right)"
     )
     assert _outer_mult_callers(ast.parse(source)) == {"phi_apply"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_full_basis_insertion_matrix_is_test_only(path):
+    assert _mentions(_tree(path), "insertion_matrix") == []
+
+
+def test_insertion_reference_is_independent():
+    assert _imported_modules(_tree(INSERTION_REFERENCE), REFERENCE_FORBIDDEN_MODULES) == []
+
+
+def test_insertion_guards_are_detected():
+    assert _mentions(_tree(INSERTION_REFERENCE), "insertion_matrix")
+    for source in (
+        "def insertion_matrix(l, r):\n    pass",
+        "x = calc.insertion_matrix(2, 1)",
+        "from .reference import insertion_matrix",
+    ):
+        assert _mentions(ast.parse(source), "insertion_matrix"), source
+    assert _mentions(ast.parse("x = calc.insertion_column(2, 1, (1, 1), ())"), "insertion_matrix") == []
+    for source in (
+        "from hopfcross.twisting import TwistingCalculus",
+        "import hopfcross.resolution",
+        "import hopfcross.twisting as tw",
+        "from hopfcross import twisting",
+        "from hopfcross import linalg, resolution",
+    ):
+        assert _imported_modules(ast.parse(source), REFERENCE_FORBIDDEN_MODULES), source
+    assert _imported_modules(ast.parse(
+        "from hopfcross.linalg import ExactMatrix\nimport hopfcross.tensors"
+    ), REFERENCE_FORBIDDEN_MODULES) == []
