@@ -2,23 +2,18 @@
 
 These complexes are the independent reference route for everything else in
 the package: normalized Hochschild chains M (x) Ebar^n and cochains
-Hom(Ebar^n, M) for any algebra, their leg-count filtrations for a crossed
-product, and the canonical complexes computing the (co)homology of a Hopf
-algebra with module coefficients.  Nothing here touches the reduced
+Hom(Ebar^n, M) for any algebra, and the canonical complexes computing the
+(co)homology of a Hopf algebra with module coefficients.  Nothing here touches the reduced
 complexes or the resolution.
 """
 
 from __future__ import annotations
 
 from .algebras import AlgebraData
-from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex, FilteredComplex
-from .crossed import BimoduleData, CrossedProductData
+from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex
+from .crossed import BimoduleData
 from .linalg import ExactMatrix
 from .tensors import TensorSpace, keyed_add_into
-
-
-def _chain_space(dim_m: int, dim_ebar: int, n: int) -> TensorSpace:
-    return TensorSpace((dim_m,) + (dim_ebar,) * n)
 
 
 def _faces(e: AlgebraData, n: int):
@@ -107,55 +102,6 @@ def hochschild_cochain_complex(
                     add(head * m.dim + mi, row_base + mj, field.mul(sign, c))
         maps.append(ExactMatrix(field, dims[n], dims[n - 1], cols))
     return ChainComplex(field, dims, maps, COHOMOLOGY)
-
-
-# filtrations by legs outside A ---------------------------------------------
-
-def _legs_outside_a(cp: CrossedProductData, ebar_tuple) -> int:
-    count = 0
-    for x in ebar_tuple:
-        _, h_idx = cp.e_unrank(x + 1)
-        if h_idx != 0:
-            count += 1
-    return count
-
-
-def hochschild_chain_filtered(
-    cp: CrossedProductData, m: BimoduleData, cap: int
-) -> FilteredComplex:
-    """The chain oracle with F^i = span of tensors having at most i legs outside A#1."""
-    cx = hochschild_chain_complex(cp.e, m, cap)
-    dim_ebar = cp.e.dim - 1
-    filtration = []
-    for n in range(cap + 1):
-        space = _chain_space(m.dim, dim_ebar, n)
-        level_of = [_legs_outside_a(cp, key[1:]) for key in space]
-        levels = []
-        for i in range(n + 1):
-            levels.append(tuple(j for j, lv in enumerate(level_of) if lv <= i))
-        filtration.append(levels)
-    return FilteredComplex(cx, filtration)
-
-
-def hochschild_cochain_filtered(
-    cp: CrossedProductData, m: BimoduleData, cap: int
-) -> FilteredComplex:
-    """The cochain oracle with the decreasing filtration F_i = maps vanishing
-    whenever fewer than i legs lie outside A#1."""
-    cx = hochschild_cochain_complex(cp.e, m, cap)
-    dim_ebar = cp.e.dim - 1
-    filtration = []
-    for n in range(cap + 1):
-        arg_space = TensorSpace((dim_ebar,) * n)
-        level_of = []
-        for t in arg_space:
-            lv = _legs_outside_a(cp, t)
-            level_of.extend([lv] * m.dim)
-        levels = []
-        for i in range(n + 2):
-            levels.append(tuple(j for j, lv in enumerate(level_of) if lv >= i))
-        filtration.append(levels)
-    return FilteredComplex(cx, filtration)
 
 
 # Hopf-algebra (co)homology with module coefficients -------------------------

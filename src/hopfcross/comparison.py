@@ -77,16 +77,6 @@ class BarCalculus:
             keyed_add_into(out, tgt.combine(e_left, nm, 0), field.mul(c, sign), field)
         return out
 
-    def multiplication(self, vec: dict) -> dict:
-        """B_0 = E (x) E -> E."""
-        cp = self.cp
-        field = self.field
-        out: dict = {}
-        for flat, c in vec.items():
-            e_left, _, e_right = self.spaces[0].split(flat)
-            vec_add_into(out, cp.e.mult[e_left][e_right], c, field)
-        return out
-
     def level(self, n: int, flat: int) -> int:
         """Filtration level: legs outside A#1."""
         _, mid, _ = self.spaces[n].split(flat)
@@ -321,34 +311,6 @@ def check_filtration_preservation(cmp: ComparisonMaps) -> Report:
     return report
 
 
-def check_bar_contraction(bar: BarCalculus, top: int) -> Report:
-    """mu xi_0 = id and b'_{n+1} xi_{n+1} + xi_n b'_n = id on B_n.
-
-    xi appends a unit on the right, so it is only left E-linear and is not
-    determined by its values on generators: this check sweeps every basis
-    vector of B_0 .. B_top.
-    """
-    report = Report("bar contraction")
-    field = bar.field
-    ne = bar.cp.e.dim
-    for e in range(ne):
-        vec = {e: field.one}
-        lifted = {bar.spaces[0].combine(e, 0, 0): field.one}
-        report.record(bar.multiplication(lifted) == vec, "mu-xi0", (e,))
-    for n in range(top + 1):
-        space = bar.spaces[n]
-        for idx in range(space.dim):
-            gen = {idx: field.one}
-            lhs = bar.bprime(n + 1, bar.xi(n + 1, gen))
-            if n:
-                back = bar.xi(n, bar.bprime(n, gen))
-            else:  # xi_0 mu: the product, back in B_0 as x (x) 1
-                back = {space.combine(x, 0, 0): c for x, c in bar.multiplication(gen).items()}
-            vec_add_into(lhs, back, field.one, field)
-            report.record(lhs == gen, "bar-contraction", (n, idx))
-    return report
-
-
 def check_bar_square_zero(bar: BarCalculus, top: int) -> Report:
     report = Report("bar square zero")
     field = bar.field
@@ -359,19 +321,3 @@ def check_bar_square_zero(bar: BarCalculus, top: int) -> Report:
             out = bar.bprime(n - 1, bar.bprime(n, gen))
             report.record(not out, "bprime-square-zero", (n, mid))
     return report
-
-
-class IdentityFailure(Exception):
-    def __init__(self, check, degree, witness):
-        super().__init__(f"{check} fails at degree {degree}, basis column {witness}")
-        self.check = check
-        self.degree = degree
-        self.witness = witness
-
-
-def assert_comparison_identities(cmp: ComparisonMaps) -> None:
-    """Raise IdentityFailure carrying the first failing degree and witness."""
-    report = check_comparison_identities(cmp)
-    if not report.passed:
-        first = report.failures[0]
-        raise IdentityFailure(first.check, first.witness[0], first.witness[1])

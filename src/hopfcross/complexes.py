@@ -425,19 +425,3 @@ def check_convergence(
             f"sum over page cells = {got}, homology dim = {want}",
         )
     return report
-
-
-def page_monotone(fc: FilteredComplex, upto_r: int, window: int | None = None) -> Report:
-    """Entries weakly decrease from page to page (subquotients only shrink)."""
-    report = Report("page monotonicity")
-    prev = spectral_page(fc, 1, window)
-    for r in range(2, upto_r + 1):
-        cur = spectral_page(fc, r, window)
-        for key in set(prev.table) | set(cur.table):
-            report.record(
-                cur.cell(*key) <= prev.cell(*key),
-                "page-entry-monotone",
-                (r, *key),
-            )
-        prev = cur
-    return report

@@ -43,9 +43,6 @@ class WeakActionData:
             for row in act
         ]
 
-    def of(self, h: int, a: int) -> dict:
-        return self.act[h][a]
-
 
 class CocycleData:
     """f[h][l] is the sparse A-vector f(h, l) for basis elements."""
@@ -63,13 +60,6 @@ class CocycleData:
             ]
             for row in f
         ]
-
-    def of(self, h: int, l: int) -> dict:
-        return self.f[h][l]
-
-    def is_scalar_valued(self) -> bool:
-        """True when every value lies in k*1_A."""
-        return all(set(cell) <= {0} for row in self.f for cell in row)
 
 
 def trivial_action(field: FieldSpec, h: HopfData, a: AlgebraData) -> WeakActionData:

@@ -91,9 +91,6 @@ class FieldSpec:
     def one(self):
         return 1
 
-    def from_int(self, n: int):
-        return n if self.kind == "Q" else n % self.p
-
     def scalar(self, value):
         """Coerce an int, rational, or 'p/q' string into a field scalar."""
         if self.kind == "Q":
@@ -126,9 +123,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("division by zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a == 0 if self.kind == "Q" else a % self.p == 0

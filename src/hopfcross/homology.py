@@ -16,7 +16,7 @@ from .bar import (
 )
 from .complexes import check_convergence, homology_dims, spectral_page
 from .crossed import BimoduleData, CrossedProductData, regular_bimodule, tensor_bimodule
-from .reduced_complexes import ReducedComplexes, h_action_on_homology
+from .reduced_complexes import HActionOnHomology, ReducedComplexes
 
 
 def _dims_report(dims, cap, oracle_dims=None):
@@ -32,34 +32,35 @@ def _dims_report(dims, cap, oracle_dims=None):
     return report
 
 
+def _hochschild(cp, m, cap, oracle, res, compare, cochain: bool) -> dict:
+    """dim H_n(E, M) or dim H^n(E, M) for n < cap through the reduced
+    complex; oracle=True recomputes through the normalized bar complex."""
+    if m is None:
+        m = regular_bimodule(cp.e)
+    rc = ReducedComplexes(cp, m, cap, res=res, compare=compare)
+    # the reduced complexes are checked for d o d = 0 when they are assembled
+    reduced = rc.reduced_cochain_complex() if cochain else rc.reduced_chain_complex()
+    dims = homology_dims(reduced.complex)
+    oracle_dims = None
+    if oracle:
+        bar = hochschild_cochain_complex if cochain else hochschild_chain_complex
+        oracle_dims = homology_dims(bar(cp.e, m, cap))
+    return _dims_report(dims, cap, oracle_dims)
+
+
 def hochschild_homology(cp: CrossedProductData, m: BimoduleData | None = None,
                         cap: int = 4, oracle: bool = False, res=None,
                         compare: bool = True) -> dict:
     """dim H_n(E, M) for n < cap through the reduced complex; oracle=True
     recomputes through the normalized bar complex and compares."""
-    if m is None:
-        m = regular_bimodule(cp.e)
-    rc = ReducedComplexes(cp, m, cap, res=res, compare=compare)
-    # the reduced complexes are checked for d o d = 0 when they are assembled
-    dims = homology_dims(rc.reduced_chain_complex().complex)
-    oracle_dims = None
-    if oracle:
-        oracle_dims = homology_dims(hochschild_chain_complex(cp.e, m, cap))
-    return _dims_report(dims, cap, oracle_dims)
+    return _hochschild(cp, m, cap, oracle, res, compare, cochain=False)
 
 
 def hochschild_cohomology(cp: CrossedProductData, m: BimoduleData | None = None,
                           cap: int = 4, oracle: bool = False, res=None,
                           compare: bool = True) -> dict:
     """dim H^n(E, M) for n < cap through the reduced cochain complex."""
-    if m is None:
-        m = regular_bimodule(cp.e)
-    rc = ReducedComplexes(cp, m, cap, res=res, compare=compare)
-    dims = homology_dims(rc.reduced_cochain_complex().complex)
-    oracle_dims = None
-    if oracle:
-        oracle_dims = homology_dims(hochschild_cochain_complex(cp.e, m, cap))
-    return _dims_report(dims, cap, oracle_dims)
+    return _hochschild(cp, m, cap, oracle, res, compare, cochain=True)
 
 
 def _table_to_json(table):
@@ -85,7 +86,7 @@ def e2_identification(cp: CrossedProductData, m: BimoduleData | None = None,
 
     for cochain in (False, True):
         fc = rc.untwisted_cochain_complex() if cochain else rc.untwisted_chain_complex()
-        act = h_action_on_homology(cp, m, cap, cochain=cochain)
+        act = HActionOnHomology(cp, m, cap, cochain=cochain)
         base_dims = act.homology_dims()
         page1 = spectral_page(fc, 1, window)
         page2 = spectral_page(fc, 2, window)

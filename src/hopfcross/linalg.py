@@ -249,20 +249,6 @@ class ExactMatrix:
         return cls(field, n, n, [{j: one} for j in range(n)])
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows: list[list]) -> "ExactMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        cols: list[dict] = [{} for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                s = field.scalar(v)
-                if not field.is_zero(s):
-                    cols[j][i] = s
-        return cls(field, nrows, ncols, cols)
-
-    @classmethod
     def from_columns(
         cls, field: FieldSpec, nrows: int, columns: Iterable[dict]
     ) -> "ExactMatrix":
@@ -280,9 +266,6 @@ class ExactMatrix:
         return cls(field, nrows, ncols, cols)
 
     # inspection ---------------------------------------------------------
-    def entry(self, i: int, j: int):
-        return self.cols[j].get(i, self.field.zero)
-
     def column(self, j: int) -> dict:
         return dict(self.cols[j])
 
@@ -293,13 +276,6 @@ class ExactMatrix:
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
-
-    def to_rows(self) -> list[list]:
-        zero = self.field.zero
-        rows = [[zero] * self.ncols for _ in range(self.nrows)]
-        for i, j, v in self.iter_entries():
-            rows[i][j] = v
-        return rows
 
     def is_zero(self) -> bool:
         return all(not c for c in self.cols)
@@ -372,18 +348,6 @@ class ExactMatrix:
             cols[i][j] = v
         return ExactMatrix(self.field, self.ncols, self.nrows, cols)
 
-    def select_columns(self, indices: Iterable[int]) -> "ExactMatrix":
-        cols = [dict(self.cols[j]) for j in indices]
-        return ExactMatrix(self.field, self.nrows, len(cols), cols)
-
-    def select_rows(self, indices: Iterable[int]) -> "ExactMatrix":
-        idx = list(indices)
-        remap = {i: k for k, i in enumerate(idx)}
-        cols = []
-        for c in self.cols:
-            cols.append({remap[i]: v for i, v in c.items() if i in remap})
-        return ExactMatrix(self.field, len(idx), self.ncols, cols)
-
     @classmethod
     def hstack(cls, mats: list["ExactMatrix"]) -> "ExactMatrix":
         if not mats:
@@ -396,22 +360,6 @@ class ExactMatrix:
                 raise ValueError("row count mismatch in hstack")
             cols.extend(dict(c) for c in m.cols)
         return cls(field, nrows, len(cols), cols)
-
-    @classmethod
-    def vstack(cls, mats: list["ExactMatrix"]) -> "ExactMatrix":
-        if not mats:
-            raise ValueError("vstack of nothing")
-        ncols = mats[0].ncols
-        field = mats[0].field
-        cols: list[dict] = [{} for _ in range(ncols)]
-        offset = 0
-        for m in mats:
-            if m.ncols != ncols:
-                raise ValueError("column count mismatch in vstack")
-            for i, j, v in m.iter_entries():
-                cols[j][i + offset] = v
-            offset += m.nrows
-        return cls(field, offset, ncols, cols)
 
     # elimination --------------------------------------------------------
     def _echelon(self, track_combos: bool):
@@ -494,10 +442,6 @@ class SpanSolver:
     @property
     def rank(self) -> int:
         return len(self.registry)
-
-    def contains(self, vec: dict) -> bool:
-        v, _ = self.reduction.start(vec)
-        return self.reduction.reduce(self.registry, v, None) is None
 
     def insert(self, vec: dict) -> bool:
         """Register vec when it is independent of the span so far; True if it was.

@@ -39,7 +39,6 @@ from .crossed import (
     unit_section_inverse_map,
 )
 from .bar import hochschild_chain_complex, hochschild_cochain_complex
-from .algebras import Report
 from .hopf import sweedler_expand, sweedler_legs
 from .linalg import ExactMatrix
 from .resolution import CrossedResolution
@@ -375,17 +374,6 @@ def untwist_inverse_block(cp: CrossedProductData, m: BimoduleData, r: int, s: in
     return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
 
 
-def untwist_cochain_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> ExactMatrix:
-    """Hom(Abar^r (x) Hbar^s, M) -> Hom(Hbar^s (x) Abar^r, M),
-    (T phi)(h (x) a) = (1#h_1^(1)) ... (1#h_s^(1)) phi(a (x) h^(2))."""
-    return dual_transpose(untwist_block(cp, dual_bimodule(m), r, s), m.dim)
-
-
-def untwist_cochain_inverse_block(cp, m: BimoduleData, r: int, s: int) -> ExactMatrix:
-    """(T^{-1} psi)(a (x) h) = (1#h_s^(1))^{-1} ... (1#h_1^(1))^{-1} psi(h^(2) (x) a)."""
-    return dual_transpose(untwist_inverse_block(cp, dual_bimodule(m), r, s), m.dim)
-
-
 # complex assembly --------------------------------------------------------------
 
 def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
@@ -554,30 +542,6 @@ class ReducedComplexes:
     def untwisted_cochain_complex(self) -> FilteredComplex:
         return self._untwisted(True)
 
-    def untwist_degree_matrices(self):
-        """Blockwise untwisting map and its displayed inverse per degree, as matrices on
-        the assembled spaces (block order s ascending on both sides)."""
-        out = []
-        for n in range(self.cap + 1):
-            blocks = [(n - s, s) for s in range(n + 1)]
-            mats = [self._untwist(untwist_block, self.m, r, s) for r, s in blocks]
-            invs = [self._untwist(untwist_inverse_block, self.m, r, s) for r, s in blocks]
-            out.append((_block_diag(self.field, mats), _block_diag(self.field, invs)))
-        return out
-
-
-def _block_diag(field, mats):
-    rows = sum(m.nrows for m in mats)
-    cols_total = sum(m.ncols for m in mats)
-    cols: list[dict] = []
-    roff = 0
-    for m in mats:
-        for j in range(m.ncols):
-            cols.append({i + roff: v for i, v in m.cols[j].items()})
-        roff += m.nrows
-    return ExactMatrix(field, rows, cols_total, cols)
-
-
 # the H-action on the homology of A --------------------------------------------
 
 def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_idx: int) -> ExactMatrix:
@@ -620,8 +584,7 @@ class HActionOnHomology:
     """Induced matrices of the conjugation action on H_*(A, M) per H basis element.
 
     Cycle selection is deterministic (kernel columns reduced against image
-    spans), and the H-module law holds on homology, which check_module_law
-    asserts on every basis pair.
+    spans), and the H-module law holds on homology.
     """
 
     def __init__(self, cp: CrossedProductData, m: BimoduleData, cap: int,
@@ -658,125 +621,6 @@ class HActionOnHomology:
     def homology_dims(self) -> list[int]:
         return [lift.rank for lift in self.lifts]
 
-    def check_chain_maps(self) -> Report:
-        report = Report("conjugation chain maps")
-        c = self.complex
-        for n in range(1, self.cap):
-            for h_idx in range(self.cp.h.dim):
-                if self.cochain:
-                    lhs = self.chain_mats[n][h_idx] @ c.maps[n]
-                    rhs = c.maps[n] @ self.chain_mats[n - 1][h_idx]
-                else:
-                    lhs = c.maps[n] @ self.chain_mats[n][h_idx]
-                    rhs = self.chain_mats[n - 1][h_idx] @ c.maps[n]
-                report.record(lhs == rhs, "conjugation-chain-map", (n, h_idx))
-        return report
-
-    def check_module_law(self) -> Report:
-        """induced(h) induced(l) = induced(hl) on homology (right action for
-        the cochain variant), plus identity at h = 1."""
-        report = Report("H-module law on homology")
-        field = self.field
-        halg = self.cp.h.algebra
-        for r in range(self.cap):
-            k = self.lifts[r].rank
-            ident = ExactMatrix.identity(field, k)
-            report.record(self.induced[r][0] == ident, "unit-acts-trivially", (r,))
-            for hi in range(self.cp.h.dim):
-                for li in range(self.cp.h.dim):
-                    prod_mat = ExactMatrix.zeros(field, k, k)
-                    for kk, c in halg.mult[hi][li].items():
-                        prod_mat = prod_mat + self.induced[r][kk].scale(c)
-                    if self.cochain:
-                        got = self.induced[r][li] @ self.induced[r][hi]
-                    else:
-                        got = self.induced[r][hi] @ self.induced[r][li]
-                    report.record(got == prod_mat, "module-law", (r, hi, li))
-        return report
-
     def as_h_module(self, r: int):
         """(dim, rho) consumable by the H-(co)homology complexes."""
         return self.lifts[r].rank, self.induced[r]
-
-
-def h_action_on_homology(cp, m, cap, cochain=False) -> HActionOnHomology:
-    return HActionOnHomology(cp, m, cap, cochain=cochain)
-
-
-# twisted coefficient bimodules for the first-page identifications ---------------
-
-def reduced_coefficient_bimodule(cp: CrossedProductData, m: BimoduleData, s: int) -> BimoduleData:
-    """M (x) Hbar^s as an A-bimodule: a1 (m (x) h) a2 = a1 m a2^(h^(1)) (x) h^(2)."""
-    field = cp.field
-    nhbar = cp.h.dim - 1
-    mid = TensorSpace((nhbar,) * s)
-    calc = TwistingCalculus(cp)
-    dim = m.dim * mid.size
-    left = []
-    for ai in range(cp.a.dim):
-        row = []
-        for mi in range(m.dim):
-            for t in range(mid.size):
-                mv = m.left_act(cp.include_a(ai), {mi: field.one})
-                row.append({mj * mid.size + t: c for mj, c in mv.items()})
-        left.append(row)
-    right = [[None] * cp.a.dim for _ in range(dim)]
-    for t in range(mid.size):
-        elem = sweedler_legs(cp.h, _mid_key(mid, t), 2)
-        for ai in range(cp.a.dim):
-            images: dict = {}
-            for comps, c in elem.items():
-                firsts = tuple(comps[2 * p] for p in range(s))
-                seconds = tuple(comps[2 * p + 1] for p in range(s))
-                t2 = _mid_rank(mid, seconds)
-                if t2 is None:
-                    continue
-                acted = calc.iter_act(firsts, ai)
-                for aj, ca in acted.items():
-                    keyed_add_into(images, (aj, t2), field.mul(c, ca), field)
-            for mi in range(m.dim):
-                cell: dict = {}
-                for (aj, t2), c in images.items():
-                    mv = m.right_act({mi: field.one}, cp.include_a(aj))
-                    for mj, cm in mv.items():
-                        keyed_add_into(cell, mj * mid.size + t2, field.mul(c, cm), field)
-                right[mi * mid.size + t][ai] = cell
-    return BimoduleData(field, dim, cp.a.dim, left, right)
-
-
-def reduced_coefficient_hom_bimodule(cp: CrossedProductData, m: BimoduleData, s: int) -> BimoduleData:
-    """Hom(Hbar^s, M) as an A-bimodule: (a1 phi a2)(h) = a1^(h^(1)) phi(h^(2)) a2.
-
-    Basis: phi_{t, mi}; flat index t * dim(M) + mi.
-    """
-    field = cp.field
-    nhbar = cp.h.dim - 1
-    mid = TensorSpace((nhbar,) * s)
-    calc = TwistingCalculus(cp)
-    dim = mid.size * m.dim
-    right = []
-    for t in range(mid.size):
-        for mi in range(m.dim):
-            row = []
-            for ai in range(cp.a.dim):
-                mv = m.right_act({mi: field.one}, cp.include_a(ai))
-                row.append({t * m.dim + mj: c for mj, c in mv.items()})
-            right.append(row)
-    left = [[{} for _ in range(dim)] for _ in range(cp.a.dim)]
-    for t in range(mid.size):
-        for comps, c in sweedler_legs(cp.h, _mid_key(mid, t), 2).items():
-            firsts = tuple(comps[2 * p] for p in range(s))
-            seconds = tuple(comps[2 * p + 1] for p in range(s))
-            t2 = _mid_rank(mid, seconds)
-            if t2 is None:
-                continue
-            for ai in range(cp.a.dim):
-                acted = calc.iter_act(firsts, ai)
-                for mi in range(m.dim):
-                    # value of (a1 . phi_{t2, mi}) at argument t
-                    cell = left[ai][t2 * m.dim + mi]
-                    for aj, ca in acted.items():
-                        mv = m.left_act(cp.include_a(aj), {mi: field.one})
-                        for mj, cm in mv.items():
-                            keyed_add_into(cell, t * m.dim + mj, field.mul(c, field.mul(ca, cm)), field)
-    return BimoduleData(field, dim, cp.a.dim, left, right)

@@ -1,10 +1,10 @@
-"""Tensor-space indexing and sparse multilinear leg operations.
+"""Tensor-space indexing and the sparse keyed-tensor helpers.
 
 Two representations of tensors are used throughout:
 
 * flat: dict[int, scalar] over a TensorSpace with lexicographic indexing;
 * keyed: dict[tuple[int, ...], scalar], one slot per tensor leg, which is what
-  the structure-map plumbing (comultiplication, merging, actions) operates on.
+  the iterated comultiplication (expand_leg) operates on.
 
 Keyed elements always carry full-basis indices; normalized legs (classes in
 B/k) are converted at the flat boundary, where basis index 0 is the unit and
@@ -94,19 +94,6 @@ def tensor_vectors(vecs, coef, field: FieldSpec) -> dict:
         out = {key + (i,): field.mul(c, ci) for key, c in out.items() for i, ci in vec.items()}
     return out
 
-def transform_leg(
-    elem: dict, pos: int, fn: Callable[[int], dict], field: FieldSpec
-) -> dict:
-    """Replace leg pos through a linear map given on basis indices.
-
-    fn(i) returns a sparse dict over basis indices of the target leg.
-    """
-    out: dict = {}
-    for key, coef in elem.items():
-        for j, c in fn(key[pos]).items():
-            keyed_add_into(out, key[:pos] + (j,) + key[pos + 1 :], field.mul(coef, c), field)
-    return out
-
 
 def expand_leg(
     elem: dict, pos: int, comult: Callable[[int], dict], count: int, field: FieldSpec
@@ -127,28 +114,6 @@ def expand_leg(
                 keyed_add_into(nxt, nk, field.mul(coef, c), field)
         out = nxt
     return out
-
-
-def merge_legs(
-    elem: dict, pos: int, mult: Callable[[int, int], dict], field: FieldSpec
-) -> dict:
-    """Multiply legs pos and pos+1 into a single leg."""
-    out: dict = {}
-    for key, coef in elem.items():
-        for j, c in mult(key[pos], key[pos + 1]).items():
-            nk = key[:pos] + (j,) + key[pos + 2 :]
-            keyed_add_into(out, nk, field.mul(coef, c), field)
-    return out
-
-
-def insert_leg(elem: dict, pos: int, index: int) -> dict:
-    """Insert a fixed basis leg at position pos."""
-    return {key[:pos] + (index,) + key[pos:]: v for key, v in elem.items()}
-
-
-def permute_legs(elem: dict, perm) -> dict:
-    """Reorder legs: new key[k] = old key[perm[k]]."""
-    return {tuple(key[p] for p in perm): v for key, v in elem.items()}
 
 
 # flat <-> keyed conversion ------------------------------------------------
@@ -179,18 +144,4 @@ def flatten(
         if dead:
             continue
         keyed_add_into(out, space.index(shifted), coef, field)
-    return out
-
-
-def unflatten(flat_elem: dict, legs: list[tuple[int, bool]]) -> dict:
-    """Flat dict -> keyed element with full-basis indices (sections of classes)."""
-    dims = [d - 1 if norm else d for d, norm in legs]
-    space = TensorSpace(dims)
-    out: dict = {}
-    for idx, coef in flat_elem.items():
-        multi = space.unrank(idx)
-        key = tuple(
-            i + 1 if norm else i for (d, norm), i in zip(legs, multi)
-        )
-        out[key] = coef
     return out

@@ -8,6 +8,10 @@ the small and bar spaces through degree cmp.upto, with b' taken from
 `bprime_reference`; they need no bimodule-extension argument, which makes
 them an independent check of the generator certificate in
 hopfcross.comparison.
+
+`check_bar_contraction` sweeps the contraction xi of the bar resolution,
+with the multiplication mu : B_0 -> E written here; nothing in this module
+imports hopfcross.comparison.
 """
 
 from hopfcross.algebras import Report
@@ -101,4 +105,44 @@ def filtration_reference(cmp) -> Report:
                 img = cmp.omega_apply(n + 1, {idx: field.one})
                 report.record(all(bar.level(n + 1, j) <= level for j in img),
                               "omega-preserves-filtration", (n, idx, level))
+    return report
+
+
+def bar_multiplication(bar, vec: dict) -> dict:
+    """mu : B_0 = E (x) E -> E."""
+    cp = bar.cp
+    field = bar.field
+    out: dict = {}
+    for flat, c in vec.items():
+        e_left, _, e_right = bar.spaces[0].split(flat)
+        vec_add_into(out, cp.e.mult[e_left][e_right], c, field)
+    return out
+
+
+def check_bar_contraction(bar, top: int) -> Report:
+    """mu xi_0 = id and b'_{n+1} xi_{n+1} + xi_n b'_n = id on B_n.
+
+    xi appends a unit on the right, so it is only left E-linear and is not
+    determined by its values on generators: this check sweeps every basis
+    vector of B_0 .. B_top.
+    """
+    report = Report("bar contraction")
+    field = bar.field
+    ne = bar.cp.e.dim
+    for e in range(ne):
+        vec = {e: field.one}
+        lifted = {bar.spaces[0].combine(e, 0, 0): field.one}
+        report.record(bar_multiplication(bar, lifted) == vec, "mu-xi0", (e,))
+    for n in range(top + 1):
+        space = bar.spaces[n]
+        for idx in range(space.dim):
+            gen = {idx: field.one}
+            lhs = bar.bprime(n + 1, bar.xi(n + 1, gen))
+            if n:
+                back = bar.xi(n, bar.bprime(n, gen))
+            else:  # xi_0 mu: the product, back in B_0 as x (x) 1
+                product = bar_multiplication(bar, gen)
+                back = {space.combine(x, 0, 0): c for x, c in product.items()}
+            vec_add_into(lhs, back, field.one, field)
+            report.record(lhs == gen, "bar-contraction", (n, idx))
     return report

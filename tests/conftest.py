@@ -2,6 +2,8 @@ import pytest
 
 from hopfcross.fields import FieldSpec
 from hopfcross.crossed import convolution_inverse, regular_bimodule
+from hopfcross.linalg import ExactMatrix
+from hopfcross.reduced_complexes import untwist_block, untwist_inverse_block
 from hopfcross.problems import (
     BUILTIN_NAMES,
     builtin,
@@ -11,6 +13,55 @@ from hopfcross.problems import (
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
+
+
+def from_rows(field, rows: list[list]) -> ExactMatrix:
+    """The matrix with these dense rows, each entry coerced by field.scalar."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError("ragged rows")
+        for j, v in enumerate(row):
+            s = field.scalar(v)
+            if not field.is_zero(s):
+                cols[j][i] = s
+    return ExactMatrix(field, nrows, ncols, cols)
+
+
+def to_rows(m: ExactMatrix) -> list[list]:
+    """The dense rows of m."""
+    zero = m.field.zero
+    rows = [[zero] * m.ncols for _ in range(m.nrows)]
+    for i, j, v in m.iter_entries():
+        rows[i][j] = v
+    return rows
+
+
+def block_diag(field, mats) -> ExactMatrix:
+    """The block-diagonal matrix with the given blocks, in order."""
+    rows = sum(m.nrows for m in mats)
+    cols_total = sum(m.ncols for m in mats)
+    cols: list[dict] = []
+    roff = 0
+    for m in mats:
+        for j in range(m.ncols):
+            cols.append({i + roff: v for i, v in m.cols[j].items()})
+        roff += m.nrows
+    return ExactMatrix(field, rows, cols_total, cols)
+
+
+def untwist_degree_matrices(rc):
+    """Blockwise untwisting map and its displayed inverse per degree, as matrices on
+    the assembled spaces (block order s ascending on both sides)."""
+    out = []
+    for n in range(rc.cap + 1):
+        blocks = [(n - s, s) for s in range(n + 1)]
+        mats = [rc._untwist(untwist_block, rc.m, r, s) for r, s in blocks]
+        invs = [rc._untwist(untwist_inverse_block, rc.m, r, s) for r, s in blocks]
+        out.append((block_diag(rc.field, mats), block_diag(rc.field, invs)))
+    return out
 
 
 def z_n_algebra(field, n):

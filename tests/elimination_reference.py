@@ -1,6 +1,6 @@
 """The field-generic elimination, as a test reference.
 
-Every scalar operation goes through the FieldSpec methods (div, neg, add,
+Every scalar operation goes through the FieldSpec methods (inv, neg, add,
 mul, is_zero), one call per entry, with no integer kernel.  It is the same
 persistence column reduction as `ExactMatrix._echelon` (columns left to
 right, pivot at the largest nonzero row), so pivot pairs, ranks, kernel
@@ -30,7 +30,7 @@ def reduce_against(field, registry, vec, combo):
         if hit is None:
             return p
         pvec, pcombo = hit
-        coef = field.neg(field.div(vec[p], pvec[p]))
+        coef = field.neg(field.mul(vec[p], field.inv(pvec[p])))
         add_into(vec, pvec, coef, field)
         if combo is not None:
             add_into(combo, pcombo, coef, field)
@@ -75,9 +75,6 @@ class SolverReference:
         self.ncols = matrix.ncols
         self.registry = echelon(matrix)[0]
 
-    def contains(self, vec):
-        return reduce_against(self.field, self.registry, dict(vec), None) is None
-
     def insert(self, vec):
         v = dict(vec)
         p = reduce_against(self.field, self.registry, v, None)
@@ -96,7 +93,7 @@ class SolverReference:
             if hit is None:
                 return None
             pvec, pcombo = hit
-            coef = field.div(v[p], pvec[p])
+            coef = field.mul(v[p], field.inv(pvec[p]))
             add_into(v, pvec, field.neg(coef), field)
             add_into(x, pcombo, coef, field)
         return [x.get(j, field.zero) for j in range(self.ncols)]

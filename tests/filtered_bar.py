@@ -1,0 +1,64 @@
+"""The bar-complex oracles of hopfcross.bar, filtered by legs outside A#1.
+
+For a crossed product E = A #_f H, a basis tensor of Ebar^n has some number
+of legs whose H-index is not the unit.  The chain oracle is filtered
+increasingly by that count (F^i: at most i such legs) and the cochain oracle
+decreasingly (F_i: maps vanishing when fewer than i legs lie outside A#1).
+The spectral tests compare these filtered oracles with the reduced complexes.
+"""
+
+from hopfcross.bar import hochschild_chain_complex, hochschild_cochain_complex
+from hopfcross.complexes import FilteredComplex
+from hopfcross.crossed import BimoduleData, CrossedProductData
+from hopfcross.tensors import TensorSpace
+
+
+def _chain_space(dim_m: int, dim_ebar: int, n: int) -> TensorSpace:
+    return TensorSpace((dim_m,) + (dim_ebar,) * n)
+
+
+def _legs_outside_a(cp: CrossedProductData, ebar_tuple) -> int:
+    count = 0
+    for x in ebar_tuple:
+        _, h_idx = cp.e_unrank(x + 1)
+        if h_idx != 0:
+            count += 1
+    return count
+
+
+def hochschild_chain_filtered(
+    cp: CrossedProductData, m: BimoduleData, cap: int
+) -> FilteredComplex:
+    """The chain oracle with F^i = span of tensors having at most i legs outside A#1."""
+    cx = hochschild_chain_complex(cp.e, m, cap)
+    dim_ebar = cp.e.dim - 1
+    filtration = []
+    for n in range(cap + 1):
+        space = _chain_space(m.dim, dim_ebar, n)
+        level_of = [_legs_outside_a(cp, key[1:]) for key in space]
+        levels = []
+        for i in range(n + 1):
+            levels.append(tuple(j for j, lv in enumerate(level_of) if lv <= i))
+        filtration.append(levels)
+    return FilteredComplex(cx, filtration)
+
+
+def hochschild_cochain_filtered(
+    cp: CrossedProductData, m: BimoduleData, cap: int
+) -> FilteredComplex:
+    """The cochain oracle with the decreasing filtration F_i = maps vanishing
+    whenever fewer than i legs lie outside A#1."""
+    cx = hochschild_cochain_complex(cp.e, m, cap)
+    dim_ebar = cp.e.dim - 1
+    filtration = []
+    for n in range(cap + 1):
+        arg_space = TensorSpace((dim_ebar,) * n)
+        level_of = []
+        for t in arg_space:
+            lv = _legs_outside_a(cp, t)
+            level_of.extend([lv] * m.dim)
+        levels = []
+        for i in range(n + 2):
+            levels.append(tuple(j for j, lv in enumerate(level_of) if lv >= i))
+        filtration.append(levels)
+    return FilteredComplex(cx, filtration)

@@ -12,6 +12,22 @@ from hopfcross.complexes import HOMOLOGY
 from hopfcross.linalg import ExactMatrix
 
 
+def select_columns(m, indices):
+    """The submatrix of m on the given columns, in that order."""
+    cols = [dict(m.cols[j]) for j in indices]
+    return ExactMatrix(m.field, m.nrows, len(cols), cols)
+
+
+def select_rows(m, indices):
+    """The submatrix of m on the given rows, renumbered in that order."""
+    idx = list(indices)
+    remap = {i: k for k, i in enumerate(idx)}
+    cols = []
+    for c in m.cols:
+        cols.append({remap[i]: v for i, v in c.items() if i in remap})
+    return ExactMatrix(m.field, len(idx), m.ncols, cols)
+
+
 def _outside(fc, n, p):
     inside = set(fc.level_indices(n, p))
     return [i for i in range(fc.complex.dims[n]) if i not in inside]
@@ -27,7 +43,7 @@ def z_space(fc, p, n, r):
     homology = c.direction == HOMOLOGY
     tgt_degree = n - 1 if homology else n + 1
     rows = _outside(fc, tgt_degree, p - r if homology else p + r)
-    combos = og.select_columns(src).select_rows(rows).kernel_basis()
+    combos = select_rows(select_columns(og, src), rows).kernel_basis()
     return [{src[i]: v for i, v in col.items()} for col in combos.cols]
 
 
@@ -41,11 +57,11 @@ def boundary_image(fc, p_source, p_target, n):
     src = fc.level_indices(src_degree, p_source)
     if not src:
         return []
-    image = inc.select_columns(src).column_space_basis()
+    image = select_columns(inc, src).column_space_basis()
     rows = _outside(fc, n, p_target)
     if not rows:
         return [dict(col) for col in image.cols]
-    combos = image.select_rows(rows).kernel_basis()
+    combos = select_rows(image, rows).kernel_basis()
     basis = [v for v in (image.apply(col) for col in combos.cols) if v]
     return ExactMatrix.from_columns(c.field, c.dims[n], basis).column_space_basis().cols
 

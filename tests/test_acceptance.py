@@ -12,9 +12,7 @@ import pytest
 from hopfcross.algebras import AlgebraData, verify_algebra
 from hopfcross.bar import (
     hochschild_chain_complex,
-    hochschild_chain_filtered,
     hochschild_cochain_complex,
-    hochschild_cochain_filtered,
 )
 from hopfcross.comparison import (
     BarCalculus,
@@ -37,6 +35,8 @@ from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.problems import BUILTIN_NAMES, builtin
 from hopfcross.reduced_complexes import ReducedComplexes
 from hopfcross.resolution import build_resolution_closed, build_resolution_recursive
+from conftest import untwist_degree_matrices
+from filtered_bar import hochschild_chain_filtered, hochschild_cochain_filtered
 from insertion_reference import signed_shuffle
 
 Q = FieldSpec.rationals()
@@ -244,7 +244,7 @@ def test_criterion_06_untwisting_isomorphism(shared):
         cp, m = shared.cp(name), shared.m(name)
         cp.require_inverse()
         rc = shared.rc(name)
-        untwists = rc.untwist_degree_matrices()
+        untwists = untwist_degree_matrices(rc)
         reduced = rc.reduced_chain_complex()
         over = rc.untwisted_chain_complex()
         for n in range(5):
@@ -410,7 +410,7 @@ def test_criterion_11_shuffle_cross_check(shared):
                 for f_tuple, cf in fvals.items():
                     for word, sgn in signed_shuffle(f_tuple, tuple(avs)).items():
                         out_key = (0, 0) + tuple(hs[: s - l]) + word + (0, prod_idx)
-                        coef = field.mul(sign, field.mul(cf, field.from_int(sgn)))
+                        coef = field.mul(sign, field.mul(cf, field.scalar(sgn)))
                         w = field.add(expected_keyed.get(out_key, field.zero), coef)
                         if field.is_zero(w):
                             expected_keyed.pop(out_key, None)

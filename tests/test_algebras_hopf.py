@@ -20,6 +20,8 @@ from hopfcross.hopf import (
 )
 from hopfcross.tensors import expand_leg
 
+from conftest import to_rows
+
 Q = FieldSpec.rationals()
 
 
@@ -67,7 +69,7 @@ def test_normalized_quotient_dims():
     assert split.complement_indices == [1, 2, 3]
     # projection o section = identity on the complement
     prod = split.projection @ split.section
-    assert prod.to_rows() == [[Q.one if i == j else Q.zero for j in range(3)] for i in range(3)]
+    assert to_rows(prod) == [[Q.one if i == j else Q.zero for j in range(3)] for i in range(3)]
 
 
 def test_normalized_quotient_rejects_bad_unit():

@@ -11,9 +11,7 @@ from hopfcross.bar import (
     h_module_cohomology_complex,
     h_module_homology_complex,
     hochschild_chain_complex,
-    hochschild_chain_filtered,
     hochschild_cochain_complex,
-    hochschild_cochain_filtered,
     trivial_left_module,
 )
 from hopfcross.complexes import (
@@ -30,6 +28,7 @@ from hopfcross.linalg import ExactMatrix
 from hopfcross.problems import BUILTIN_NAMES
 from bar_reference import chain_complex_reference, cochain_complex_reference
 from conftest import BUILTIN_BUILDERS, z_n_hopf
+from filtered_bar import hochschild_chain_filtered, hochschild_cochain_filtered
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)

@@ -15,8 +15,8 @@ from hopfcross.problems import BUILTIN_NAMES, builtin
 from hopfcross.reduced_complexes import (
     ReducedComplexes,
     dual_transpose,
-    untwist_cochain_block,
-    untwist_cochain_inverse_block,
+    untwist_block,
+    untwist_inverse_block,
 )
 
 
@@ -72,6 +72,7 @@ def test_derived_cochain_blocks_match_displayed_formulas(name, cp, m):
                 block = rc.reduced_cochain_block(l, r, s)
                 assert block == rc.literal.reduced_cochain_block(l, r, s), key
                 if untwisted:
-                    derived = (untwist_cochain_inverse_block(cp, m, r, s) @ block
-                               @ untwist_cochain_block(cp, m, r + l - 1, s - l))
+                    dual = dual_bimodule(m)
+                    derived = (dual_transpose(untwist_inverse_block(cp, dual, r, s), m.dim) @ block
+                               @ dual_transpose(untwist_block(cp, dual, r + l - 1, s - l), m.dim))
                     assert derived == rc.literal.untwisted_cochain_block(l, r, s), key

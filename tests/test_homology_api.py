@@ -108,8 +108,8 @@ def test_first_page_is_twisted_coefficient_homology():
     # coefficient bimodules, computed by the bar complex of A
     from hopfcross.bar import hochschild_chain_complex, hochschild_cochain_complex
     from hopfcross.complexes import homology_dims, spectral_page
-    from hopfcross.reduced_complexes import (
-        ReducedComplexes,
+    from hopfcross.reduced_complexes import ReducedComplexes
+    from coefficient_reference import (
         reduced_coefficient_bimodule,
         reduced_coefficient_hom_bimodule,
     )

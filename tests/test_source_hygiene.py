@@ -21,6 +21,16 @@
   no src/ module names insertion_matrix, and the reference imports nothing
   from hopfcross.twisting or hopfcross.resolution, so it checks the on-demand
   columns without sharing their code.
+* The other test references stay off the code they check:
+  tests/coefficient_reference.py imports nothing from
+  hopfcross.reduced_complexes, tests/comparison_reference.py (with
+  check_bar_contraction) nothing from hopfcross.comparison, and
+  tests/bar_reference.py nothing from hopfcross.bar.
+* Every top-level function and non-dunder method in src/ is reached: it is in
+  __all__, or named (as a name or an attribute) by module-level code of src/,
+  by a demo, or by the body of another reached function.  The closure is
+  taken from those roots, so code that only unreached code names is
+  unreached too.  Test-only helpers belong in tests/.
 """
 
 import ast
@@ -28,9 +38,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hopfcross"
-INSERTION_REFERENCE = Path(__file__).resolve().parent / "insertion_reference.py"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hopfcross"
+TESTS = Path(__file__).resolve().parent
+INSERTION_REFERENCE = TESTS / "insertion_reference.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 ACCUMULATORS = {"keyed_add_into", "vec_add_into"}
 LINALG_INTERNALS = {"_echelon", "_reduce_against", "registry"}
 RATIONAL_MODULES = {"fractions", "gmpy2"}
@@ -42,6 +55,16 @@ LITERAL_FORBIDDEN = {
 OUTER_MULTS = {"left_mult", "right_mult"}
 OUTER_MULT_CALLERS = {"extend_by_outer_mult", "check_bimodule_extension", "degree_outer_mult"}
 REFERENCE_FORBIDDEN_MODULES = {"hopfcross.twisting", "hopfcross.resolution"}
+OTHER_REFERENCES = {
+    "coefficient_reference.py": {"hopfcross.reduced_complexes"},
+    "comparison_reference.py": {"hopfcross.comparison"},
+    "bar_reference.py": {"hopfcross.bar"},
+}
+REACHABILITY_EXEMPT = {
+    # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
+    # reduced.blocks layer, and perfbench/ changes only in a benchmark change
+    "reduced_complexes.reduced_cochain_block_from_resolution",
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -182,6 +205,56 @@ def _mentions(tree: ast.Module, name: str) -> list[str]:
     return found
 
 
+def _named(node: ast.AST) -> set[str]:
+    """Every name and attribute used inside node."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _unreached(modules: dict, roots: list) -> set[str]:
+    """module.function and module.Class.method labels that nothing reached names.
+
+    modules maps a module name to its tree.  Top-level functions and
+    non-dunder methods are the candidates; every other statement of a module
+    (dunder methods included), the roots and the names in __all__ are
+    reached from the start.  A candidate is reached when a reached body names
+    it, and then its own body is reached in turn.
+    """
+    candidates, live = [], set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                candidates.append((f"{module}.{node.name}", node))
+                continue
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                live.update(ast.literal_eval(node.value))
+            if not isinstance(node, ast.ClassDef):
+                live |= _named(node)
+                continue
+            live |= set().union(*map(_named, node.bases + node.decorator_list))
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    candidates.append((f"{module}.{node.name}.{sub.name}", sub))
+                else:
+                    live |= _named(sub)
+    for root in roots:
+        live |= _named(root)
+    while True:
+        reached = [(label, fn) for label, fn in candidates if fn.name in live]
+        if not reached:
+            return {label for label, _ in candidates}
+        for item in reached:
+            candidates.remove(item)
+            live |= _named(item[1])
+
+
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "tensors.py", "linalg.py"}
 
@@ -301,3 +374,49 @@ def test_insertion_guards_are_detected():
     assert _imported_modules(ast.parse(
         "from hopfcross.linalg import ExactMatrix\nimport hopfcross.tensors"
     ), REFERENCE_FORBIDDEN_MODULES) == []
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_REFERENCES))
+def test_reference_is_independent(name):
+    assert _imported_modules(_tree(TESTS / name), OTHER_REFERENCES[name]) == []
+
+
+def test_reference_imports_are_detected():
+    for source, module in (
+        ("from hopfcross.reduced_complexes import _mid_key", "coefficient_reference.py"),
+        ("from hopfcross import reduced_complexes", "coefficient_reference.py"),
+        ("import hopfcross.comparison", "comparison_reference.py"),
+        ("def f(bar):\n    from hopfcross.comparison import BarCalculus", "comparison_reference.py"),
+        ("from hopfcross.bar import hochschild_chain_complex", "bar_reference.py"),
+    ):
+        assert _imported_modules(ast.parse(source), OTHER_REFERENCES[module]), source
+
+
+def test_every_function_is_reached():
+    unreached = _unreached({p.stem: _tree(p) for p in MODULES}, [_tree(p) for p in DEMOS])
+    # equality, not inclusion: an exemption that is no longer needed fails too
+    assert unreached == REACHABILITY_EXEMPT
+
+
+def test_unreached_code_is_detected():
+    source = (
+        "__all__ = ['exported']\n"
+        "LIMIT = from_module_level()\n"
+        "def exported():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def from_module_level():\n    return 2\n"
+        "def from_demo():\n    return 3\n"
+        "def only_from_dead():\n    return 4\n"
+        "def dead():\n    return only_from_dead()\n"
+        "def ping():\n    return pong()\n"
+        "def pong():\n    return ping()\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class K:\n"
+        "    def __init__(self):\n        self.x = self.used()\n"
+        "    def used(self):\n        return 5\n"
+        "    def unused(self):\n        return self.unused()\n"
+    )
+    demo = ast.parse("import mod\nmod.from_demo()")
+    assert _unreached({"mod": ast.parse(source)}, [demo]) == {
+        "mod.only_from_dead", "mod.dead", "mod.ping", "mod.pong", "mod.recursive", "mod.K.unused",
+    }

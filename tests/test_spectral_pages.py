@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcross.bar import hochschild_chain_filtered, hochschild_cochain_filtered
 from hopfcross.complexes import (
     COHOMOLOGY,
     HOMOLOGY,
@@ -21,7 +20,8 @@ from hopfcross.fields import FieldSpec
 from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.problems import BUILTIN_NAMES
 from hopfcross.reduced_complexes import ReducedComplexes
-from spectral_reference import reference_page
+from filtered_bar import hochschild_chain_filtered, hochschild_cochain_filtered
+from spectral_reference import reference_page, select_columns
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -32,11 +32,11 @@ def _killed_column(draw, field, next_map, allowed):
     if next_map is None:
         basis = [{i: field.one} for i in allowed]
     else:
-        kernel = next_map.select_columns(allowed).kernel_basis()
+        kernel = select_columns(next_map, allowed).kernel_basis()
         basis = [{allowed[i]: v for i, v in k.items()} for k in kernel.cols]
     col: dict = {}
     for b in basis:
-        vec_add_into(col, b, field.from_int(draw(st.integers(-2, 2))), field)
+        vec_add_into(col, b, field.scalar(draw(st.integers(-2, 2))), field)
     return col
 
 
