@@ -126,6 +126,14 @@ class RowSpace:
     def flatten(self, keyed: dict) -> dict:
         return flatten(keyed, self.legs, self.cp.field)
 
+    def key(self, flat: int) -> tuple:
+        """Full-index key of a flat basis vector (the inverse of flatten)."""
+        out = []
+        for d, norm in reversed(self.legs):
+            flat, i = divmod(flat, d - 1 if norm else d)
+            out.append(i + 1 if norm else i)
+        return tuple(reversed(out))
+
 
 class ESpace:
     def __init__(self, cp: CrossedProductData):
@@ -148,6 +156,26 @@ def _make_matrix(field, tgt_dim, src_space, columns_fn) -> ExactMatrix:
     return ExactMatrix(field, tgt_dim, reduced.size, cols)
 
 
+def _apply_columns(field, vec: dict, column) -> dict:
+    """sum c * column(j) over the entries (j, c) of vec: a matrix applied from its column rule."""
+    out: dict = {}
+    for j, c in vec.items():
+        vec_add_into(out, column(j), c, field)
+    return out
+
+
+def _bimodule_image(src: FreeBimoduleSpace, tgt: FreeBimoduleSpace, gen_cols: list, flat: int):
+    """Image of the basis vector eL . gen . eR of src, by E^e-linearity from the
+    generator columns; a generator's own column is returned uncopied."""
+    e_left, mid, e_right = src.split(flat)
+    img = gen_cols[mid]
+    if e_left:
+        img = tgt.left_mult(img, e_left)
+    if e_right:
+        img = tgt.right_mult(img, e_right)
+    return img
+
+
 # the resolution --------------------------------------------------------------
 
 class CrossedResolution:
@@ -163,10 +191,10 @@ class CrossedResolution:
     over block (r + l - 1, s - l).  That is all the reduced complexes read.
     The certificate layer -- the E^e-extended blocks, the row maps mu,
     partial, sigma0_x, sigma0_y, sigma_minus1, mu_tilde, the augmentation and
-    the assembled d -- is built on first access.  The closed method extends
-    its own generator columns; the recursive method needs full blocks for its
-    recursion, so it builds them at once and reads its generator columns off
-    them.
+    the assembled d -- is built on first access, for both methods from the
+    generator columns.  The recursion applies its lower blocks E^e-linearly
+    from its own generator table and the row maps from their column rules, so
+    it builds no certificate-layer matrix either.
     """
 
     def __init__(self, cp: CrossedProductData, cap: int, method: str = "closed"):
@@ -191,12 +219,7 @@ class CrossedResolution:
         if method == "closed":
             self.generator_columns = self._closed_generator_columns()
         else:
-            self.generator_columns = {}
-            for (l, r, s), block in self.blocks.items():
-                xs = self.block_spaces[(r, s)]
-                self.generator_columns[(l, r, s)] = [
-                    block.cols[xs.combine(0, m, 0)] for m in xs.generators()
-                ]
+            self.generator_columns = self._recursive_generator_columns()
 
     def _sweedler(self, hs: tuple, count: int) -> dict:
         """Each leg of hs comultiplied into `count` legs, keyed by the
@@ -206,100 +229,103 @@ class CrossedResolution:
             hit = self._sweedler_memo[(hs, count)] = sweedler_legs(self.cp.h, hs, count)
         return hit
 
-    # elementary maps (certificate layer) --------------------------------------
+    # elementary maps: one column rule each, read by the certificate-layer
+    # matrices and by the recursion ---------------------------------------------
+    def _mu_column(self, s, key) -> dict:
+        """mu_s on the basis tensor key of block (0, s):
+        a0 a1^(h_0..h_s firsts) (x) seconds (x) h_last."""
+        cp = self.cp
+        field = self.field
+        a0, hs, aR, hR = key[0], key[1 : s + 2], key[-2], key[-1]
+        out: dict = {}
+        for comps, c in self._sweedler(hs, 2).items():
+            firsts = comps[0::2]
+            seconds = comps[1::2]
+            acted = self.calc.iter_act(firsts, aR)
+            left = cp.a.mult_elems({a0: field.one}, acted)
+            for a2, c2 in left.items():
+                keyed_add_into(out, (a2,) + seconds + (hR,), field.mul(c, c2), field)
+        return self.row_spaces[s].flatten(out)
+
+    def _partial_column(self, s, key) -> dict:
+        """partial_s on the basis tensor key of row target s."""
+        cp = self.cp
+        field = self.field
+        a = key[0]
+        hs = key[1:]  # h_0 .. h_{s+1}
+        out: dict = {}
+        for i in range(s + 1):
+            sign = field.neg(field.one) if i % 2 == 0 else field.one
+            for comps, c in self._sweedler(hs[: i + 2], 2).items():
+                firsts = comps[0::2]
+                seconds = comps[1::2]
+                fv = cp.cocycle.f[firsts[i]][firsts[i + 1]]
+                fv = self.calc.iter_act_vec(firsts[:i], fv)
+                left = cp.a.mult_elems({a: field.one}, fv)
+                if not left:
+                    continue
+                merged = cp.h.algebra.mult[seconds[i]][seconds[i + 1]]
+                for a2, c2 in left.items():
+                    for hm, cm in merged.items():
+                        nk = (a2,) + seconds[:i] + (hm,) + hs[i + 2 :]
+                        coef = field.mul(field.mul(c, sign), field.mul(c2, cm))
+                        keyed_add_into(out, nk, coef, field)
+        return self.row_spaces[s - 1].flatten(out)
+
+    def _sigma0_x_column(self, r, s, flat) -> dict:
+        """sigma^0 on basis vector flat of block (r, s): the A part of e_right
+        becomes a new last Abar leg and e_right becomes (1, h); a unit A part dies."""
+        field = self.field
+        e_left, mid, e_right = self.block_spaces[(r, s)].split(flat)
+        a, h = divmod(e_right, self.cp.h.dim)
+        if not a:
+            return {}
+        sign = field.one if r % 2 else field.neg(field.one)
+        tgt = self.block_spaces[(r + 1, s)]
+        return {tgt.combine(e_left, mid * (self.cp.a.dim - 1) + a - 1, h): sign}
+
+    def _sigma0_y_column(self, flat) -> dict:
+        """sigma^0 on basis vector flat of a row target s: h_last becomes the
+        right slot (1, h_last) of block (0, s)."""
+        head, h = divmod(flat, self.cp.h.dim)
+        return {head * self.cp.e.dim + h: self.field.one}
+
     @cached_property
     def mu(self) -> dict:
         """mu_s : block (0, s) -> row target s."""
-        cp = self.cp
-        field = self.field
-        calc = self.calc
-        out_maps: dict = {}
-        for s in range(self.cap + 1):
-            ys = self.row_spaces[s]
-
-            def mu_col(key, s=s):
-                # a0 a1^(h_0..h_s firsts) (x) seconds (x) h_last
-                a0, hs, aR, hR = key[0], key[1 : s + 2], key[-2], key[-1]
-                out: dict = {}
-                for comps, c in self._sweedler(hs, 2).items():
-                    firsts = comps[0::2]
-                    seconds = comps[1::2]
-                    acted = calc.iter_act(firsts, aR)
-                    left = cp.a.mult_elems({a0: field.one}, acted)
-                    for a2, c2 in left.items():
-                        keyed_add_into(out, (a2,) + seconds + (hR,), field.mul(c, c2), field)
-                return ys.flatten(out)
-
-            out_maps[s] = _make_matrix(field, ys.dim, self.block_spaces[(0, s)], mu_col)
-        return out_maps
+        return {
+            s: _make_matrix(self.field, self.row_spaces[s].dim, self.block_spaces[(0, s)],
+                            lambda key, s=s: self._mu_column(s, key))
+            for s in range(self.cap + 1)
+        }
 
     @cached_property
     def partial(self) -> dict:
         """Row target s -> row target s - 1."""
-        cp = self.cp
-        field = self.field
-        calc = self.calc
-        out_maps: dict = {}
-        for s in range(1, self.cap + 1):
-            ys = self.row_spaces[s]
-            ytgt = self.row_spaces[s - 1]
-
-            def partial_col(key, s=s):
-                a = key[0]
-                hs = key[1:]  # h_0 .. h_{s+1}
-                out: dict = {}
-                for i in range(s + 1):
-                    sign = field.neg(field.one) if i % 2 == 0 else field.one
-                    for comps, c in self._sweedler(hs[: i + 2], 2).items():
-                        firsts = comps[0::2]
-                        seconds = comps[1::2]
-                        fv = cp.cocycle.f[firsts[i]][firsts[i + 1]]
-                        fv = calc.iter_act_vec(firsts[:i], fv)
-                        left = cp.a.mult_elems({a: field.one}, fv)
-                        if not left:
-                            continue
-                        merged = cp.h.algebra.mult[seconds[i]][seconds[i + 1]]
-                        for a2, c2 in left.items():
-                            for hm, cm in merged.items():
-                                nk = (a2,) + seconds[:i] + (hm,) + hs[i + 2 :]
-                                coef = field.mul(field.mul(c, sign), field.mul(c2, cm))
-                                keyed_add_into(out, nk, coef, field)
-                return ytgt.flatten(out)
-
-            out_maps[s] = _make_matrix(field, ytgt.dim, ys, partial_col)
-        return out_maps
+        return {
+            s: _make_matrix(self.field, self.row_spaces[s - 1].dim, self.row_spaces[s],
+                            lambda key, s=s: self._partial_column(s, key))
+            for s in range(1, self.cap + 1)
+        }
 
     @cached_property
     def sigma0_x(self) -> dict:
         """sigma^0 on blocks: (r, s) -> (r + 1, s)."""
-        field = self.field
-        out_maps: dict = {}
-        for (r, s), xs in self.block_spaces.items():
-            if (r + 1, s) in self.block_spaces:
-                tgt = self.block_spaces[(r + 1, s)]
-
-                def sigma0_col(key, r=r, tgt=tgt):
-                    sign = field.one if (r + 1) % 2 == 0 else field.neg(field.one)
-                    aR, hR = key[-2], key[-1]
-                    nk = key[:-2] + (aR, 0, hR)  # aR becomes a new Abar leg
-                    return tgt.flatten({nk: sign})
-
-                out_maps[(r, s)] = _make_matrix(field, tgt.dim, xs, sigma0_col)
-        return out_maps
+        return {
+            (r, s): ExactMatrix(self.field, self.block_spaces[(r + 1, s)].dim, xs.dim,
+                                [self._sigma0_x_column(r, s, j) for j in range(xs.dim)])
+            for (r, s), xs in self.block_spaces.items()
+            if (r + 1, s) in self.block_spaces
+        }
 
     @cached_property
     def sigma0_y(self) -> dict:
         """sigma^0 on rows: row target s -> block (0, s)."""
-        field = self.field
-        out_maps: dict = {}
-        for s in range(self.cap + 1):
-            xs = self.block_spaces[(0, s)]
-
-            def sigma0y_col(key, xs=xs):
-                return xs.flatten({key[:-1] + (0, key[-1]): field.one})
-
-            out_maps[s] = _make_matrix(field, xs.dim, self.row_spaces[s], sigma0y_col)
-        return out_maps
+        return {
+            s: ExactMatrix(self.field, self.block_spaces[(0, s)].dim, ys.dim,
+                           [self._sigma0_y_column(j) for j in range(ys.dim)])
+            for s, ys in self.row_spaces.items()
+        }
 
     @cached_property
     def sigma_minus1(self) -> dict:
@@ -457,6 +483,51 @@ class CrossedResolution:
                 ]
         return cols
 
+    def _recursive_generator_columns(self) -> dict:
+        """The recursion: l ascending, then r ascending, from d^0 and the row maps.
+
+        Each lower d^j acts E^e-linearly from the generator table built so
+        far, and mu, partial and sigma^0 act through their column rules, so no
+        full block or row-map matrix is built."""
+        field = self.field
+        gens: dict = {}
+        for (r, s) in self.block_spaces:
+            if r >= 1:
+                gens[(0, r, s)] = self._d0_generator_columns(r, s)
+        partial_memo: dict = {}
+
+        def partial_column(s, j):
+            hit = partial_memo.get((s, j))
+            if hit is None:
+                hit = partial_memo[(s, j)] = self._partial_column(s, self.row_spaces[s].key(j))
+            return hit
+
+        def apply(key, vec):
+            l, r, s = key
+            src, tgt = self.block_spaces[(r, s)], self.block_spaces[(r + l - 1, s - l)]
+            return _apply_columns(field, vec, lambda f: _bimodule_image(src, tgt, gens[key], f))
+
+        for l in range(1, self.cap + 1):
+            for r, s in sorted((p for p in self.block_spaces if l <= p[1]), key=lambda p: p[0]):
+                xs = self.block_spaces[(r, s)]
+                cols = []
+                for m in xs.generators():
+                    if r == 0 and l == 1:
+                        vec = self._mu_column(s, (0, 0) + xs.mid_key(m) + (0, 0))
+                        vec = _apply_columns(field, vec, lambda j: partial_column(s, j))
+                        vec = _apply_columns(field, vec, self._sigma0_y_column)
+                    else:
+                        vec = {}
+                        for j in range(1 if r == 0 else 0, l):
+                            step = apply((l - j, r + j - 1, s - j), gens[(j, r, s)][m])
+                            vec_add_into(vec, step, field.one, field)
+                        vec = _apply_columns(
+                            field, vec, lambda f: self._sigma0_x_column(r + l - 2, s - l, f)
+                        )
+                    cols.append({k: field.neg(v) for k, v in vec.items()})
+                gens[(l, r, s)] = cols
+        return gens
+
     # blocks (certificate layer) -------------------------------------------------
     def _extend_bimodule(self, l, r, s, gen_cols: list) -> ExactMatrix:
         """Full matrix of block (l, r, s) from generator columns via x -> eL . x . eR.
@@ -464,62 +535,16 @@ class CrossedResolution:
         The generator columns themselves are kept, not copied."""
         src = self.block_spaces[(r, s)]
         tgt = self.block_spaces[(r + l - 1, s - l)]
-        cols = []
-        for flat in range(src.dim):
-            e_left, mid, e_right = src.split(flat)
-            img = gen_cols[mid]
-            if e_left:
-                img = tgt.left_mult(img, e_left)
-            if e_right:
-                img = tgt.right_mult(img, e_right)
-            cols.append(img)
+        cols = [_bimodule_image(src, tgt, gen_cols, flat) for flat in range(src.dim)]
         return ExactMatrix(self.field, tgt.dim, src.dim, cols)
 
     @cached_property
     def blocks(self) -> dict:
-        """(l, r, s) -> matrix, l >= 0 (l = 0 needs r >= 1)."""
-        if self.method == "recursive":
-            return self._recursive_blocks()
+        """(l, r, s) -> matrix, l >= 0 (l = 0 needs r >= 1), for either method."""
         return {
             (l, r, s): self._extend_bimodule(l, r, s, gens)
             for (l, r, s), gens in self.generator_columns.items()
         }
-
-    def _recursive_blocks(self) -> dict:
-        """The recursion: l ascending, then r ascending, from d^0 and the row maps."""
-        field = self.field
-        blocks: dict = {}
-        for (r, s) in self.block_spaces:
-            if r >= 1:
-                blocks[(0, r, s)] = self._extend_bimodule(0, r, s, self._d0_generator_columns(r, s))
-        for l in range(1, self.cap + 1):
-            pairs = sorted(
-                [(r, s) for (r, s) in self.block_spaces if l <= s], key=lambda p: p[0]
-            )
-            for r, s in pairs:
-                xs = self.block_spaces[(r, s)]
-                gens = []
-                for m in xs.generators():
-                    base = {xs.combine(0, m, 0): field.one}
-                    if r == 0 and l == 1:
-                        vec = self.mu[s].apply(base)
-                        vec = self.partial[s].apply(vec)
-                        vec = self.sigma0_y[s - 1].apply(vec)
-                    else:
-                        vec: dict = {}
-                        lo = 1 if r == 0 else 0
-                        for j in range(lo, l):
-                            if j == 0:
-                                step = blocks[(0, r, s)].apply(base)
-                                step = blocks[(l, r - 1, s)].apply(step)
-                            else:
-                                step = blocks[(j, r, s)].apply(base)
-                                step = blocks[(l - j, r + j - 1, s - j)].apply(step)
-                            step = self.sigma0_x[(r + l - 1 - 1, s - l)].apply(step)
-                            vec_add_into(vec, step, field.one, field)
-                    gens.append({k: field.neg(v) for k, v in vec.items()})
-                blocks[(l, r, s)] = self._extend_bimodule(l, r, s, gens)
-        return blocks
 
     # assembly ----------------------------------------------------------------
     def degree_blocks(self, n: int):
@@ -647,16 +672,15 @@ class CrossedResolution:
         for n in range(0, self.cap):
             tgt_blocks = self.degree_blocks(n + 1)
             tgt_offset = {(r, s): off for r, s, off, _ in tgt_blocks}
-            total = ExactMatrix.zeros(field, self.dims[n + 1], self.dims[n])
+            cols: list[dict] = [{} for _ in range(self.dims[n])]
 
             def place(mat, tgt_rs, src_off):
-                nonlocal total
-                cols = [dict() for _ in range(self.dims[n])]
+                # blocks may land on the same target entries, so entries add
                 toff = tgt_offset[tgt_rs]
-                for j in range(mat.ncols):
-                    for i, v in mat.cols[j].items():
-                        cols[src_off + j][i + toff] = v
-                total = total + ExactMatrix(field, self.dims[n + 1], self.dims[n], cols)
+                for j, col in enumerate(mat.cols):
+                    dst = cols[src_off + j]
+                    for i, v in col.items():
+                        keyed_add_into(dst, i + toff, v, field)
 
             # -(sum over l) sigma^l_{l, n-l+1} o sigma^{-1}_{n+1} o mu'_n
             route = self.sigma_minus1[n] @ self.mu_prime(n)
@@ -673,7 +697,7 @@ class CrossedResolution:
                     if s_l is None:
                         continue
                     place(s_l, (r + l + 1, s - l), off)
-            out[n + 1] = total
+            out[n + 1] = ExactMatrix(field, self.dims[n + 1], self.dims[n], cols)
         return out
 
 
@@ -686,12 +710,15 @@ def build_resolution_recursive(cp: CrossedProductData, cap: int) -> CrossedResol
 
 
 def assert_constructions_agree(closed: CrossedResolution, recursive: CrossedResolution) -> None:
-    """Raise RecursionMismatch on the first differing boundary block."""
-    if set(closed.blocks) != set(recursive.blocks):
-        missing = set(closed.blocks) ^ set(recursive.blocks)
-        raise RecursionMismatch(sorted(missing)[0])
-    for key in sorted(closed.blocks):
-        if closed.blocks[key] != recursive.blocks[key]:
+    """Raise RecursionMismatch on the first differing boundary block.
+
+    Both methods' blocks are the same E^e-extension of their generator
+    columns, so comparing generator columns compares blocks."""
+    gens, rec = closed.generator_columns, recursive.generator_columns
+    if set(gens) != set(rec):
+        raise RecursionMismatch(sorted(set(gens) ^ set(rec))[0])
+    for key in sorted(gens):
+        if gens[key] != rec[key]:
             raise RecursionMismatch(key)
 
 

@@ -211,16 +211,18 @@ def test_mismatch_and_homotopy_exceptions(resolutions):
     assert_constructions_agree(res, rec)
     sigma = assert_contracting_homotopy(res)
 
-    # corrupting one block triggers the mismatch with the right key
+    # corrupting one generator column triggers the mismatch with the right key
     key = (2, 0, 2)
-    saved = rec.blocks[key]
+    gens = rec.generator_columns[key]
+    saved = gens[0]
+    assert saved
     try:
-        rec.blocks[key] = -saved
+        gens[0] = {i: res.field.neg(v) for i, v in saved.items()}
         with pytest.raises(RecursionMismatch) as err:
             assert_constructions_agree(res, rec)
         assert err.value.block == key
     finally:
-        rec.blocks[key] = saved
+        gens[0] = saved
 
     # a wrong homotopy is rejected with the failing degree
     bad = dict(sigma)
@@ -330,6 +332,29 @@ def test_recursive_method_reads_no_closed_formula(monkeypatch):
     assert rec.blocks == closed.blocks
     for key, gens in rec.generator_columns.items():
         assert not any(a is b for a, b in zip(gens, closed.generator_columns[key])), key
+
+
+def test_recursion_builds_no_certificate_layer():
+    from hopfcross.resolution import assert_constructions_agree
+
+    cp = BUILTIN_BUILDERS["s3_as_action_extension"](Q)
+    rec = build_resolution_recursive(cp, 3)
+    assert_constructions_agree(build_resolution_closed(cp, 3), rec)
+    built = {"blocks", "mu", "partial", "sigma0_x", "sigma0_y", "d"} & set(vars(rec))
+    assert not built, built
+
+
+@pytest.mark.parametrize("p", (5, 2))
+def test_closed_equals_recursive_over_prime_fields(p):
+    from hopfcross.problems import BUILTIN_NAMES
+
+    field = FieldSpec.prime(p)
+    for name in BUILTIN_NAMES:
+        cp = BUILTIN_BUILDERS[name](field)
+        cap = 3 if name == "sweedler_smash" else 4
+        closed = build_resolution_closed(cp, cap)
+        rec = build_resolution_recursive(cp, cap)
+        assert rec.generator_columns == closed.generator_columns, (p, name)
 
 
 def _free_spaces():
