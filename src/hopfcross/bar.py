@@ -48,6 +48,7 @@ def hochschild_chain_complex(
     index value * dim(Ebar^n) + t.
     """
     field = e.field
+    settle = field.settle
     dim_ebar = e.dim - 1
     dims = [m.dim * dim_ebar**n for n in range(cap + 1)]
     maps: list = [None]
@@ -57,13 +58,17 @@ def hochschild_chain_complex(
         for t, (legs, tail, merges, head, sign) in enumerate(_faces(e, n)):
             for mi in range(m.dim):
                 col: dict = {}
+                get = col.get
                 for mj, c in m.right[mi][legs[0]].items():
-                    keyed_add_into(col, mj * prev + tail, c, field)
+                    k = mj * prev + tail
+                    col[k] = get(k, 0) + c
                 for idx, c in merges:
-                    keyed_add_into(col, mi * prev + idx, c, field)
+                    k = mi * prev + idx
+                    col[k] = get(k, 0) + c
                 for mj, c in m.left[legs[-1]][mi].items():
-                    keyed_add_into(col, mj * prev + head, field.mul(sign, c), field)
-                cols[mi * size + t] = col
+                    k = mj * prev + head
+                    col[k] = get(k, 0) + sign * c
+                cols[mi * size + t] = settle(col)
         maps.append(ExactMatrix(field, dims[n - 1], dims[n], cols))
     return ChainComplex(field, dims, maps, HOMOLOGY)
 
@@ -82,25 +87,27 @@ def hochschild_cochain_complex(
     maps: list = [None]
     for n in range(1, cap + 1):
         cols: list[dict] = [{} for _ in range(dims[n - 1])]
-
-        def add(col_idx, row_idx, coef):
-            keyed_add_into(cols[col_idx], row_idx, coef, field)
-
         for t, (legs, tail, merges, head, sign) in enumerate(_faces(e, n)):
             row_base = t * m.dim
             # term 0: x1 . phi(x2..xn)
             for mi in range(m.dim):
+                col = cols[tail * m.dim + mi]
                 for mj, c in m.left[legs[0]][mi].items():
-                    add(tail * m.dim + mi, row_base + mj, c)
+                    k = row_base + mj
+                    col[k] = col.get(k, 0) + c
             # middle merges
             for idx, c in merges:
                 for mi in range(m.dim):
-                    add(idx * m.dim + mi, row_base + mi, c)
+                    col = cols[idx * m.dim + mi]
+                    k = row_base + mi
+                    col[k] = col.get(k, 0) + c
             # last term: phi(x1..x_{n-1}) . xn
             for mi in range(m.dim):
+                col = cols[head * m.dim + mi]
                 for mj, c in m.right[mi][legs[-1]].items():
-                    add(head * m.dim + mi, row_base + mj, field.mul(sign, c))
-        maps.append(ExactMatrix(field, dims[n], dims[n - 1], cols))
+                    k = row_base + mj
+                    col[k] = col.get(k, 0) + sign * c
+        maps.append(ExactMatrix(field, dims[n], dims[n - 1], [field.settle(col) for col in cols]))
     return ChainComplex(field, dims, maps, COHOMOLOGY)
 
 

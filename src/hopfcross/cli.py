@@ -44,7 +44,7 @@ from .problems import (
     builtin,
     parse_problem,
 )
-from .reduced_complexes import ReducedComplexes
+from .reduced_complexes import FormulaMismatch, ReducedComplexes
 from .resolution import (
     CrossedResolution,
     HomotopyIdentityFailure,
@@ -354,6 +354,13 @@ def main(argv=None) -> int:
         # the problem parsed but fails an axiom: report the witnesses, exit 1
         doc = _doc(args.command, pf)
         doc["sections"]["axioms"] = exc.report.as_dict()
+        doc["pass"] = False
+    except FormulaMismatch as exc:
+        # a displayed formula disagrees with the derived block: report the block, exit 1
+        doc = _doc(args.command, pf)
+        doc["sections"]["displayed_formula"] = {
+            "pass": False, "which": exc.which, "block": list(exc.block),
+        }
         doc["pass"] = False
     return _emit(doc, args)
 

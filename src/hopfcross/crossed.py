@@ -405,6 +405,8 @@ class BimoduleData:
 
     left[e][m] and right[m][e] are sparse M-vectors; verify() checks unitality,
     both associativities, and that the actions commute, on all basis tuples.
+    sandwich(x, y) tabulates x . e_mi . y over the basis of M, per pair of E
+    basis indices, filled on first use.
     """
 
     def __init__(self, field: FieldSpec, dim: int, dim_e: int, left, right):
@@ -429,6 +431,19 @@ class BimoduleData:
             ]
             for row in right
         ]
+        self._sandwiches: dict = {}
+
+    def sandwich(self, x: int, y: int) -> list[dict]:
+        """[x . e_mi . y for every basis index mi of M], for E basis indices x
+        and y; built once per pair, shared, read only."""
+        key = (x, y)
+        hit = self._sandwiches.get(key)
+        if hit is None:
+            one = self.field.one
+            hit = self._sandwiches[key] = [
+                self.left_act(x, self.right_act({mi: one}, y)) for mi in range(self.dim)
+            ]
+        return hit
 
     def left_act(self, e_idx: int, mvec: dict) -> dict:
         out: dict = {}

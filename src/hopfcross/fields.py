@@ -10,7 +10,8 @@ documents.  Prime-field scalars are plain ints in 0..p-1.
 Elimination (linalg.py) does not call these methods per entry: it runs one
 kernel per field on plain ints (inline `% p` over F_p, fraction-free integer
 columns over Q) and divides through FieldSpec only to hand back a kernel
-vector or a solution.
+vector or a solution.  Block builders sum products of scalars raw into a
+column dict and finish it once with FieldSpec.settle.
 """
 
 from __future__ import annotations
@@ -126,6 +127,21 @@ class FieldSpec:
 
     def is_zero(self, a) -> bool:
         return a == 0 if self.kind == "Q" else a % self.p == 0
+
+    def settle(self, acc: dict) -> dict:
+        """A raw sum finished: canonical scalars over Q, `% p` over F_p, zeros dropped.
+
+        acc holds plain sums of products of field scalars, keyed by anything;
+        the result keeps its key order.  Over Q, acc itself is returned when
+        every value is already a nonzero int.
+        """
+        if self.kind == "Q":
+            for v in acc.values():
+                if not v or v.__class__ is not int:
+                    return {k: _canonical(v) for k, v in acc.items() if v}
+            return acc
+        p = self.p
+        return {k: t for k, v in acc.items() if (t := v % p)}
 
     # serialization ------------------------------------------------------
     def fmt(self, a) -> str | int:

@@ -1,14 +1,17 @@
 """Hopf algebras by structure constants: comultiplication, counit, antipode.
 
 Comultiplication rows are keyed dicts over index pairs, which plugs straight
-into the tensor leg machinery.  verify_hopf checks every axiom on every basis
-element; nothing downstream runs on unverified data.
+into the tensor leg machinery.  Each iterated comultiplication of a basis
+element is expanded once per HopfData (comult_power); sweedler_legs and the
+insertion coefficients read that one table.  verify_hopf checks every axiom on
+every basis element; nothing downstream runs on unverified data.
 """
 
 from __future__ import annotations
 
 from .algebras import AlgebraData, Report, verify_algebra
 from .fields import FieldSpec
+from .linalg import vec_add_into
 from .tensors import expand_leg, keyed_add_into
 
 
@@ -31,9 +34,21 @@ class HopfData:
             {k: field.scalar(v) for k, v in row.items() if not field.is_zero(field.scalar(v))}
             for row in antipode
         ]
+        self._powers: dict = {}
 
     def comult_row(self, i: int) -> dict:
         return self.comult[i]
+
+    def comult_power(self, i: int, n: int) -> dict:
+        """Delta^(n)(e_i) keyed over n-tuples (left iteration), expanded once
+        per (i, n); the returned dict is shared, read only."""
+        key = (i, n)
+        hit = self._powers.get(key)
+        if hit is None:
+            hit = self._powers[key] = expand_leg(
+                {(i,): self.field.one}, 0, self.comult_row, n, self.field
+            )
+        return hit
 
     def __repr__(self):
         return f"HopfData(dim={self.dim}, field={self.field.spec_string()})"
@@ -47,20 +62,27 @@ def sweedler_expand(h: HopfData, n: int, v: dict) -> dict:
     """
     if n < 1:
         raise ValueError("sweedler_expand needs n >= 1")
-    elem = {(i,): c for i, c in v.items()}
-    return expand_leg(elem, 0, h.comult_row, n, h.field)
+    out: dict = {}
+    for i, c in v.items():
+        vec_add_into(out, h.comult_power(i, n), c, h.field)
+    return out
 
 
 def sweedler_legs(h: HopfData, hs: tuple, count: int) -> dict:
     """Each leg of the basis tuple hs comultiplied into `count` legs.
 
     Keys concatenate the components leg by leg: (h_1^(1), ..., h_1^(count),
-    h_2^(1), ...).  count >= 1; an empty hs gives {(): 1}.
+    h_2^(1), ...).  count >= 1; an empty hs gives {(): 1}.  The product of the
+    legs' comult_power tables: distinct components give distinct keys, and a
+    product of nonzero scalars is nonzero, so no entry is summed or dropped.
+    The result is a new dict.
     """
-    elem = {tuple(hs): h.field.one}
-    for t in range(len(hs) - 1, -1, -1):
-        elem = expand_leg(elem, t, h.comult_row, count, h.field)
-    return elem
+    mul = h.field.mul
+    out = {(): h.field.one}
+    for i in hs:
+        power = h.comult_power(i, count)
+        out = {key + comps: mul(c, cc) for key, c in out.items() for comps, cc in power.items()}
+    return out
 
 
 def _tensor_mult(h: HopfData, left: dict, right: dict) -> dict:

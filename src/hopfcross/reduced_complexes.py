@@ -8,7 +8,9 @@ evaluated independently and compared block by block.  Any disagreement raises
 FormulaMismatch, never a silent fallback.  Each displayed formula is written
 once, as the terms c (x (x) v' (x) y) of d^l on a generator v with x, y in E,
 and placed on M both ways: m (x) v -> c y.m.x (x) v' for chains and
-phi -> (v -> c x.phi(v').y) for cochains (_Literal).
+phi -> (v -> c x.phi(v').y) for cochains (_Literal).  The derived blocks
+read each term's action on M from the bimodule's sandwich table
+(BimoduleData.sandwich), which the displayed formulas never use.
 
 Cohomology by duality: for finite-dimensional M, Hom_{E^e}(X, M) is the dual
 of M^v (x)_{E^e} X, where M^v is the dual bimodule (crossed.dual_bimodule).
@@ -42,7 +44,7 @@ from .bar import hochschild_chain_complex, hochschild_cochain_complex
 from .hopf import sweedler_expand, sweedler_legs
 from .linalg import ExactMatrix
 from .resolution import CrossedResolution
-from .tensors import TensorSpace, keyed_add_into, tensor_vectors
+from .tensors import TensorSpace, tensor_vectors
 from .twisting import TwistingCalculus
 
 
@@ -67,13 +69,23 @@ def _untwisted_mid_space(cp, r, s):
 
 
 def _mid_key(space: TensorSpace, mid: int) -> tuple:
-    return tuple(i + 1 for i in space.unrank(mid))
+    """The full-index key of basis vector mid: every leg shifted off the unit."""
+    key = []
+    for d in reversed(space.dims):
+        mid, i = divmod(mid, d)
+        key.append(i + 1)
+    key.reverse()
+    return tuple(key)
 
 
 def _mid_rank(space: TensorSpace, key: tuple) -> int | None:
-    if any(i == 0 for i in key):
-        return None
-    return space.index(tuple(i - 1 for i in key))
+    """The flat index of a full-index key (legs in range), None when a leg is the unit."""
+    flat = 0
+    for i, d in zip(key, space.dims):
+        if i == 0:
+            return None
+        flat = flat * d + i - 1
+    return flat
 
 
 def _swap_legs(dim_m: int, sizes) -> list[int]:
@@ -115,24 +127,26 @@ def _decode_block_generators(res: CrossedResolution, l, r, s):
 
 
 def reduced_block_from_resolution(res: CrossedResolution, m: BimoduleData, l, r, s) -> ExactMatrix:
-    """M (x)_{E^e} d^l_{rs}: sends m (x) v to sum e_right . m . e_left (x) v'."""
+    """M (x)_{E^e} d^l_{rs}: sends m (x) v to sum e_right . m . e_left (x) v'.
+
+    Each generator term reads e_right . e_mi . e_left for every mi at once
+    from the bimodule's sandwich table.
+    """
     cp = res.cp
     field = res.field
-    src_mid = _reduced_mid_space(cp, r, s)
-    tgt_mid = _reduced_mid_space(cp, r + l - 1, s - l)
-    gens = _decode_block_generators(res, l, r, s)
-    cols: list[dict] = []
-    for mi in range(m.dim):
-        base = {mi: field.one}
-        for mid in range(src_mid.size):
-            col: dict = {}
-            for e_left, mid_t, e_right, c in gens[mid]:
-                mvec = m.left_act(e_right, m.right_act(base, e_left))
-                for mj, cm in mvec.items():
-                    keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(c, cm), field)
-            cols.append(col)
-    # columns were produced m-major already: (m, mid) has flat m * size + mid
-    return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
+    src_size = _reduced_mid_space(cp, r, s).size
+    tgt_size = _reduced_mid_space(cp, r + l - 1, s - l).size
+    sandwich = m.sandwich
+    # columns are m-major: (m, mid) has flat m * size + mid
+    cols: list[dict] = [{} for _ in range(m.dim * src_size)]
+    for mid, terms in enumerate(_decode_block_generators(res, l, r, s)):
+        for e_left, mid_t, e_right, c in terms:
+            for mi, img in enumerate(sandwich(e_right, e_left)):
+                col = cols[mi * src_size + mid]
+                for mj, cm in img.items():
+                    k = mj * tgt_size + mid_t
+                    col[k] = col.get(k, 0) + c * cm
+    return ExactMatrix(field, m.dim * tgt_size, m.dim * src_size, [field.settle(col) for col in cols])
 
 
 def reduced_cochain_block_from_resolution(res, m: BimoduleData, l, r, s) -> ExactMatrix:
@@ -159,6 +173,9 @@ class _Literal:
         self.field = cp.field
         self.one = {cp.e.unit_index: cp.field.one}
         self._uinv = None
+        # (cochain, x, y) -> the images of the basis of M; shared by the blocks
+        # of one assembled complex, cleared by ReducedComplexes._filtered
+        self.images: dict = {}
 
     def uinv(self, h_idx: int) -> dict:
         if self._uinv is None:
@@ -187,19 +204,19 @@ class _Literal:
         """The block of d^l on M: chains laid out (m, mid), cochains (arg, m).
 
         The images y.e_mi.x (chains) or x.e_mi.y (cochains) of the basis of M
-        are computed once per distinct (x, y) of the block."""
+        are computed once per distinct (x, y), in self.images."""
         field, m = self.field, self.m
         src = mid_space(self.cp, r, s)
         tgt = mid_space(self.cp, r + l - 1, s - l)
         row_space, col_space = (src, tgt) if cochain else (tgt, src)
         cols: list[dict] = [{} for _ in range(m.dim * col_space.size)]
-        images: dict = {}
+        images = self.images
         for mid in range(src.size):
             for x, key, y, c in terms(_mid_key(src, mid), l, r, s):
                 mid_t = _mid_rank(tgt, key)
                 if mid_t is None:
                     continue
-                xy = (tuple(x.items()), tuple(y.items()))
+                xy = (cochain, tuple(x.items()), tuple(y.items()))
                 per_m = images.get(xy)
                 if per_m is None:
                     per_m = images[xy] = [
@@ -214,9 +231,12 @@ class _Literal:
                     col_at, col_step, row_at, row_step = mid, src.size, mid_t, tgt.size
                 for mi, img in enumerate(per_m):
                     col = cols[col_at + mi * col_step]
+                    get = col.get
                     for mj, cm in img.items():
-                        keyed_add_into(col, row_at + mj * row_step, field.mul(c, cm), field)
-        return ExactMatrix(field, m.dim * row_space.size, m.dim * col_space.size, cols)
+                        k = row_at + mj * row_step
+                        col[k] = get(k, 0) + c * cm
+        return ExactMatrix(field, m.dim * row_space.size, m.dim * col_space.size,
+                           [field.settle(col) for col in cols])
 
     def reduced_terms(self, key: tuple, l, r, s):
         """Terms of d^l on h_1 .. h_s (x) a_1 .. a_r in the reduced complex."""
@@ -320,58 +340,74 @@ def _inner_faces(cp: CrossedProductData, avs: tuple):
 
 # untwisting maps --------------------------------------------------------------
 
-def untwist_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> ExactMatrix:
-    """M (x) Hbar^s (x) Abar^r -> M (x) Abar^r (x) Hbar^s,
-    m (x) h (x) a -> m (1#h_1^(1)) ... (1#h_s^(1)) (x) a (x) h^(2)."""
+def _right_images(m: BimoduleData, factors) -> list[dict]:
+    """[e_mi . x_1 . x_2 ... for every basis index mi of M], x_t sparse E-vectors,
+    each basis factor read from the sandwich table (unit on the left)."""
+    field = m.field
+    vecs = [{mi: field.one} for mi in range(m.dim)]
+    for x in factors:
+        tables = [(m.sandwich(0, e), ce) for e, ce in x.items()]
+        nxt = []
+        for vec in vecs:
+            acc: dict = {}
+            get = acc.get
+            for table, ce in tables:
+                for mj, cv in vec.items():
+                    cv *= ce
+                    for mk, cm in table[mj].items():
+                        acc[mk] = get(mk, 0) + cv * cm
+            nxt.append(field.settle(acc))
+        vecs = nxt
+    return vecs
+
+
+def _untwisting(cp: CrossedProductData, m: BimoduleData, r: int, s: int, h_first: bool,
+               factors) -> ExactMatrix:
+    """sum over the Sweedler terms of each generator of c m . x (x) v', with the
+    H legs moved to the other side of the A legs and x = factors(first legs).
+
+    h_first: the source is the reduced layout (H legs first), else the
+    untwisted one.  The images of the basis of M are built once per tuple of
+    first legs."""
     field = cp.field
-    src_mid = _reduced_mid_space(cp, r, s)
-    tgt_mid = _untwisted_mid_space(cp, r, s)
+    src_mid, tgt_mid = _reduced_mid_space(cp, r, s), _untwisted_mid_space(cp, r, s)
+    if not h_first:
+        src_mid, tgt_mid = tgt_mid, src_mid
+    images: dict = {}
     cols: list[dict] = [{} for _ in range(m.dim * src_mid.size)]
     for mid in range(src_mid.size):
         key = _mid_key(src_mid, mid)
-        hs, avs = key[:s], key[s:]
-        # the Sweedler legs of the generator, expanded once for every m
-        terms = []
+        hs, avs = (key[:s], key[s:]) if h_first else (key[r:], key[:r])
         for comps, c in sweedler_legs(cp.h, hs, 2).items():
-            mid_t = _mid_rank(tgt_mid, tuple(avs) + comps[1::2])
-            if mid_t is not None:
-                terms.append((comps[0::2], mid_t, c))
-        for mi in range(m.dim):
-            col = cols[mi * src_mid.size + mid]
-            for firsts, mid_t, c in terms:
-                mvec = {mi: field.one}
-                for h in firsts:
-                    mvec = m.right_act(mvec, cp.include_h(h))
-                for mj, cm in mvec.items():
-                    keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(c, cm), field)
-    return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
+            seconds = comps[1::2]
+            mid_t = _mid_rank(tgt_mid, avs + seconds if h_first else seconds + avs)
+            if mid_t is None:
+                continue
+            firsts = comps[0::2]
+            per_m = images.get(firsts)
+            if per_m is None:
+                per_m = images[firsts] = _right_images(m, factors(firsts))
+            for mi, img in enumerate(per_m):
+                col = cols[mi * src_mid.size + mid]
+                for mj, cm in img.items():
+                    k = mj * tgt_mid.size + mid_t
+                    col[k] = col.get(k, 0) + c * cm
+    return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size,
+                       [field.settle(col) for col in cols])
+
+
+def untwist_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> ExactMatrix:
+    """M (x) Hbar^s (x) Abar^r -> M (x) Abar^r (x) Hbar^s,
+    m (x) h (x) a -> m (1#h_1^(1)) ... (1#h_s^(1)) (x) a (x) h^(2)."""
+    one = cp.field.one
+    return _untwisting(cp, m, r, s, True,
+                       lambda firsts: [{cp.include_h(h): one} for h in firsts])
 
 
 def untwist_inverse_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> ExactMatrix:
     """m (x) a (x) h -> m (1#h_s^(1))^{-1} ... (1#h_1^(1))^{-1} (x) h^(2) (x) a."""
-    field = cp.field
     uinv = unit_section_inverse_map(cp)
-    src_mid = _untwisted_mid_space(cp, r, s)
-    tgt_mid = _reduced_mid_space(cp, r, s)
-    cols: list[dict] = [{} for _ in range(m.dim * src_mid.size)]
-    for mid in range(src_mid.size):
-        key = _mid_key(src_mid, mid)
-        avs, hs = key[:r], key[r:]
-        # the Sweedler legs of the generator, expanded once for every m
-        terms = []
-        for comps, c in sweedler_legs(cp.h, hs, 2).items():
-            mid_t = _mid_rank(tgt_mid, comps[1::2] + tuple(avs))
-            if mid_t is not None:
-                terms.append((comps[0::2], mid_t, c))
-        for mi in range(m.dim):
-            col = cols[mi * src_mid.size + mid]
-            for firsts, mid_t, c in terms:
-                mvec = {mi: field.one}
-                for h in reversed(firsts):
-                    mvec = m.right_elem(mvec, uinv[h])
-                for mj, cm in mvec.items():
-                    keyed_add_into(col, mj * tgt_mid.size + mid_t, field.mul(c, cm), field)
-    return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size, cols)
+    return _untwisting(cp, m, r, s, False, lambda firsts: [uinv[h] for h in reversed(firsts)])
 
 
 # complex assembly --------------------------------------------------------------
@@ -490,6 +526,7 @@ class ReducedComplexes:
         dims, maps, filtration, sizes = _assemble_chain(
             self.field, self.cp, self.m, self.cap, block_fn, mid_space_fn
         )
+        self.literal.images.clear()
         if cochain:
             for n in range(1, self.cap + 1):
                 maps[n] = dual_transpose(maps[n], self.m.dim, sizes[n - 1], sizes[n])
@@ -555,14 +592,15 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
     # the middle leg of each Sweedler term, expanded once for every m and a
     middles = [sweedler_legs(cp.h, (h2,), r) if r > 0 else {(): cp.h.counit[h2]}
                for (_, h2, _), _ in triple]
+    keys = [_mid_key(mid, t) for t in range(mid.size)]
     cols: list[dict] = []
     for mi in range(m.dim):
         # (1#h^(3)) e_mi (1#h^(1))^{-1}, once for every a
         mvecs = [m.left_elem({cp.include_h(h3): field.one}, m.right_elem({mi: field.one}, uinv[h1]))
                  for (h1, _, h3), _ in triple]
-        for t in range(mid.size):
-            avs = _mid_key(mid, t)
+        for avs in keys:
             col: dict = {}
+            get = col.get
             for (_, c), mvec, expanded in zip(triple, mvecs, middles):
                 if not mvec:
                     continue
@@ -575,8 +613,9 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
                         if tt is None:
                             continue
                         for mj, cm in mvec.items():
-                            keyed_add_into(col, mj * mid.size + tt, field.mul(coef, cm), field)
-            cols.append(col)
+                            k = mj * mid.size + tt
+                            col[k] = get(k, 0) + coef * cm
+            cols.append(field.settle(col))
     return ExactMatrix(field, dim, dim, cols)
 
 

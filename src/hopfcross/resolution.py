@@ -88,26 +88,31 @@ class FreeBimoduleSpace:
     def left_mult(self, vec: dict, e_idx: int) -> dict:
         if e_idx == 0:
             return dict(vec)
-        field = self.cp.field
         row = self.cp.e.mult[e_idx]
+        rest = self.mid_size * self.ne  # flat = e_left * rest + (mid, e_right)
         out: dict = {}
+        get = out.get
         for flat, c in vec.items():
-            e_left, mid, e_right = self.split(flat)
+            e_left, tail = divmod(flat, rest)
             for e2, c2 in row[e_left].items():
-                keyed_add_into(out, self.combine(e2, mid, e_right), field.mul(c, c2), field)
-        return out
+                k = e2 * rest + tail
+                out[k] = get(k, 0) + c * c2
+        return self.cp.field.settle(out)
 
     def right_mult(self, vec: dict, e_idx: int) -> dict:
         if e_idx == 0:
             return dict(vec)
-        field = self.cp.field
         mult = self.cp.e.mult
+        ne = self.ne  # flat = (e_left, mid) * ne + e_right
         out: dict = {}
+        get = out.get
         for flat, c in vec.items():
-            e_left, mid, e_right = self.split(flat)
+            e_right = flat % ne
+            head = flat - e_right
             for e2, c2 in mult[e_right][e_idx].items():
-                keyed_add_into(out, self.combine(e_left, mid, e2), field.mul(c, c2), field)
-        return out
+                k = head + e2
+                out[k] = get(k, 0) + c * c2
+        return self.cp.field.settle(out)
 
     def flatten(self, keyed: dict) -> dict:
         return flatten(keyed, self.legs, self.cp.field)

@@ -10,7 +10,8 @@ one lookup.
 
 Everything is memoized per crossed product: the calculus only depends on the
 action, the cocycle, and the comultiplication.  Each iterated
-comultiplication Delta^(n)(h) is expanded once, and each column is built once.
+comultiplication Delta^(n)(h) is read from the Hopf algebra's one table
+(HopfData.comult_power), and each column is built once.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 from itertools import product
 
 from .crossed import CrossedProductData
-from .hopf import sweedler_expand
 from .linalg import vec_add_into
-from .tensors import keyed_add_into
 
 
 def _flat_tensor(vecs, coef, dim: int, field) -> dict:
@@ -85,12 +84,12 @@ class TwistingCalculus:
 
     def _comult_groups(self, h_idx: int, n: int) -> list:
         """Delta^(n)(h) grouped by the last component:
-        [(h^(n), [(h^(1) .. h^(n), coefficient), ...]), ...]; expanded once, read only."""
+        [(h^(n), [(h^(1) .. h^(n), coefficient), ...]), ...]; grouped once, read only."""
         key = (h_idx, n)
         hit = self._comult_cache.get(key)
         if hit is None:
             groups: dict = {}
-            for comps, c in sweedler_expand(self.cp.h, n, {h_idx: self.field.one}).items():
+            for comps, c in self.cp.h.comult_power(h_idx, n).items():
                 groups.setdefault(comps[-1], []).append((comps, c))
             hit = self._comult_cache[key] = list(groups.items())
         return hit
@@ -164,5 +163,6 @@ class TwistingCalculus:
                         for pflat, c in _flat_tensor(prefix + [fv], coef, na, field).items():
                             base = pflat * stride
                             for rid, cr in rec.items():
-                                keyed_add_into(out, base + rid, field.mul(c, cr), field)
-        return out
+                                k = base + rid
+                                out[k] = out.get(k, 0) + c * cr
+        return field.settle(out)

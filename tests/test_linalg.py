@@ -58,6 +58,17 @@ def test_integral_rationals_are_ints():
     assert not any(isinstance(v, float) for v in integral + rational + prime)
 
 
+def test_settle_finishes_raw_sums():
+    half = Q.scalar("1/2")
+    raw = {3: half + half, "z": 2 - 2, (1, 2): half + 1, 0: Fraction(0), 9: -4}
+    got = Q.settle(raw)
+    assert got == {3: 1, (1, 2): Q.scalar("3/2"), 9: -4}
+    assert list(got) == [3, (1, 2), 9] and type(got[3]) is int
+    assert Q.settle({5: 2, 1: -3}) == {5: 2, 1: -3}
+    assert F5.settle({1: 4 * 4 + 3, 2: 5 * 3, 7: -1, 8: 0}) == {1: 4, 7: 4}
+    assert F2.settle({}) == {}
+
+
 def test_fmt_ignores_the_scalar_type():
     assert Q.fmt(2) == Q.fmt(Fraction(2)) == Q.fmt(Q.scalar("4/2")) == "2"
     assert Q.fmt(Q.mul(-1, Q.inv(2))) == "-1/2"

@@ -247,6 +247,39 @@ def test_cli_axiom_failure_reports_witnesses(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_formula_mismatch_reports_block(tmp_path, monkeypatch, capsys):
+    # the displayed formulas placed with x and y exchanged (y.m.x -> x.m.y):
+    # the certificate fails, and the document names the block, with no traceback
+    from hopfcross.reduced_complexes import FormulaMismatch, ReducedComplexes, _Literal
+
+    placed = _Literal._placed
+
+    def swapped(self, terms, mid_space, l, r, s, cochain):
+        def terms_swapped(key, l, r, s):
+            for x, out_key, y, c in terms(key, l, r, s):
+                yield y, out_key, x, c
+        return placed(self, terms_swapped, mid_space, l, r, s, cochain)
+
+    monkeypatch.setattr(_Literal, "_placed", swapped)
+    pf = builtin("s3_as_action_extension")
+    cp = pf.crossed_product()
+    for command, which in (("homology", "chain"), ("cohomology", "cochain")):
+        rc = ReducedComplexes(cp, pf.bimodule_or_regular(cp), 2)
+        with pytest.raises(FormulaMismatch) as err:
+            rc.reduced_cochain_complex() if which == "cochain" else rc.reduced_chain_complex()
+        out_path = tmp_path / f"{command}.json"
+        code = main([command, "s3_as_action_extension", "--cap", "2", "--output", str(out_path)])
+        assert code == 1, command
+        report = json.loads(out_path.read_text())
+        assert report["command"] == command and report["pass"] is False
+        assert report["sections"]["displayed_formula"] == {
+            "pass": False, "which": which, "block": list(err.value.block),
+        }
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "overall: FAIL" in captured.out
+
+
 def test_cli_resolution_check_builds_sigma_once(monkeypatch, capsys):
     # the comparison maps and the homotopy certificate share one sigma
     from hopfcross.resolution import CrossedResolution

@@ -5,6 +5,10 @@
 * The add-and-drop-zero accumulation (w = field.add(...); if field.is_zero(w):
   pop, else set) is written out only in tensors.keyed_add_into and
   linalg.vec_add_into; everything else calls one of them.
+* A raw sum into a dict (d[k] = d.get(k, 0) + ..., or through a bound get)
+  holds unreduced scalars and kept zeros, so every function that makes one
+  also calls FieldSpec.settle, which finishes it.  complexes._composites_vanish
+  is exempt: it only tests its sums for zero.
 * No module but linalg.py reaches into the elimination internals
   (_echelon, _reduce_against, a solver's .registry); the rest use the public
   ExactMatrix / SpanSolver methods.
@@ -13,7 +17,8 @@
   rationals as ints.
 * The displayed-formula evaluator (reduced_complexes._Literal, with the
   module functions it calls) names no resolution, duality or untwisting code,
-  so the formula check shares no code with the blocks it checks.
+  and not the bimodule's sandwich table, so the formula check shares no code
+  with the blocks it checks.
 * In comparison.py only the one extension loop (extend_by_outer_mult), the
   bimodule-extension certificate and degree_outer_mult call left_mult /
   right_mult, so no second hand-written extension escapes the certificate.
@@ -24,8 +29,10 @@
 * The other test references stay off the code they check:
   tests/coefficient_reference.py imports nothing from
   hopfcross.reduced_complexes, tests/comparison_reference.py (with
-  check_bar_contraction) nothing from hopfcross.comparison, and
-  tests/bar_reference.py nothing from hopfcross.bar.
+  check_bar_contraction) nothing from hopfcross.comparison,
+  tests/bar_reference.py nothing from hopfcross.bar,
+  tests/placement_reference.py nothing from hopfcross.reduced_complexes, and
+  tests/sweedler_reference.py nothing from hopfcross.hopf.
 * Every top-level function and non-dunder method in src/ is reached: it is in
   __all__, or named (as a name or an attribute) by module-level code of src/,
   by a demo, or by the body of another reached function.  The closure is
@@ -50,8 +57,9 @@ RATIONAL_MODULES = {"fractions", "gmpy2"}
 RATIONAL_NAMES = {"Fraction", "mpq", "_ratio"}
 LITERAL_FORBIDDEN = {
     "dual_transpose", "dual_bimodule", "reduced_block_from_resolution", "generator_columns",
-    "CrossedResolution", "untwist_block", "untwist_inverse_block",
+    "CrossedResolution", "untwist_block", "untwist_inverse_block", "sandwich",
 }
+RAW_SUM_EXEMPT = {"_composites_vanish"}  # it only tests its sums for zero
 OUTER_MULTS = {"left_mult", "right_mult"}
 OUTER_MULT_CALLERS = {"extend_by_outer_mult", "check_bimodule_extension", "degree_outer_mult"}
 REFERENCE_FORBIDDEN_MODULES = {"hopfcross.twisting", "hopfcross.resolution"}
@@ -59,6 +67,8 @@ OTHER_REFERENCES = {
     "coefficient_reference.py": {"hopfcross.reduced_complexes"},
     "comparison_reference.py": {"hopfcross.comparison"},
     "bar_reference.py": {"hopfcross.bar"},
+    "placement_reference.py": {"hopfcross.reduced_complexes"},
+    "sweedler_reference.py": {"hopfcross.hopf"},
 }
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
@@ -110,6 +120,49 @@ def _inline_accumulations(tree: ast.Module) -> list[str]:
                 and (node.args[0].id in sums or node.args[0].id == "w")
             ):
                 found.append(f"{fn.name} (line {node.lineno})")
+    return found
+
+
+def _is_raw_sum(node: ast.AST) -> bool:
+    """d[k] = <...>get(k, 0) + ...: a dict entry summed with no reduction."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Subscript)
+            and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Add)):
+        return False
+    call = node.value.left
+    if not isinstance(call, ast.Call) or len(call.args) != 2:
+        return False
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    default = call.args[1]
+    return name == "get" and isinstance(default, ast.Constant) and default.value == 0
+
+
+def _own_nodes(fn: ast.AST) -> list[ast.AST]:
+    """The nodes of fn's body, without the bodies of functions defined in it."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    out, todo = [], [node for node in fn.body if not isinstance(node, scopes)]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        todo.extend(child for child in ast.iter_child_nodes(node) if not isinstance(child, scopes))
+    return out
+
+
+def _unsettled_raw_sums(tree: ast.Module) -> list[str]:
+    """Functions that make a raw sum but never call settle themselves."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name in RAW_SUM_EXEMPT:
+            continue
+        nodes = _own_nodes(fn)
+        settles = any(
+            isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+            and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "settle"
+            for node in nodes
+        )
+        if not settles:
+            found.extend(f"{fn.name} (line {node.lineno})" for node in nodes if _is_raw_sum(node))
     return found
 
 
@@ -279,6 +332,37 @@ def test_accumulators_are_detected():
         assert _inline_accumulations(ast.Module(body=[fn], type_ignores=[])), name
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_raw_sums_end_in_settle(path):
+    assert _unsettled_raw_sums(_tree(path)) == []
+
+
+def test_unsettled_raw_sums_are_detected():
+    for source in (
+        "def f(col, k, c):\n    col[k] = col.get(k, 0) + c\n    return col",
+        "def f(col, k, c):\n    get = col.get\n    col[k] = get(k, 0) + c * c\n    return col",
+        # the settle of a nested function does not settle its parent's sums
+        "def f(cols, k, c):\n    for col in cols:\n        col[k] = col.get(k, 0) + c\n"
+        "    def g(field, d):\n        return field.settle(d)\n    return cols",
+        # nor does the parent's settle finish a nested function's sums
+        "def f(col, c, field):\n    def add(k):\n        col[k] = col.get(k, 0) + c\n"
+        "    add(1)\n    return field.settle(col)",
+    ):
+        assert _unsettled_raw_sums(ast.parse(source)), source
+    for source in (
+        "def f(col, k, c, field):\n    col[k] = col.get(k, 0) + c\n    return field.settle(col)",
+        "def f(dst, src, field):\n    for k, v in src.items():\n"
+        "        t = dst.get(k, 0) + v\n        if t:\n            dst[k] = t",
+        "def _composites_vanish(col, k, c):\n    col[k] = col.get(k, 0) + c\n    return not any(col.values())",
+    ):
+        assert _unsettled_raw_sums(ast.parse(source)) == [], source
+    # the exempt function does make a raw sum
+    tree = _tree(PACKAGE / "complexes.py")
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_composites_vanish"]
+    fn.name = "renamed"
+    assert _unsettled_raw_sums(ast.Module(body=[fn], type_ignores=[]))
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
                          ids=lambda p: p.name)
 def test_linalg_internals_stay_in_linalg(path):
@@ -321,6 +405,7 @@ def test_checked_code_in_the_formulas_is_detected():
         "class _Literal:\n    def f(self):\n        return self.res.generator_columns",
         "class _Literal:\n    def f(self, cp):\n        return CrossedResolution(cp, 2)",
         "class _Literal:\n    def f(self, mod, cp, m):\n        return mod.untwist_block(cp, m, 1, 1)",
+        "class _Literal:\n    def f(self):\n        return self.m.sandwich(0, 1)",
         # reached through a module helper
         "def helper(mat, d):\n    return dual_transpose(mat, d)\n"
         "class _Literal:\n    def f(self, mat):\n        return helper(mat, 1)",
@@ -388,6 +473,9 @@ def test_reference_imports_are_detected():
         ("import hopfcross.comparison", "comparison_reference.py"),
         ("def f(bar):\n    from hopfcross.comparison import BarCalculus", "comparison_reference.py"),
         ("from hopfcross.bar import hochschild_chain_complex", "bar_reference.py"),
+        ("from hopfcross.reduced_complexes import untwist_block", "placement_reference.py"),
+        ("from hopfcross.hopf import sweedler_legs", "sweedler_reference.py"),
+        ("import hopfcross.hopf as hopf", "sweedler_reference.py"),
     ):
         assert _imported_modules(ast.parse(source), OTHER_REFERENCES[module]), source
 
