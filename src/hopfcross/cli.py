@@ -51,6 +51,7 @@ from .resolution import (
     RecursionMismatch,
     assert_constructions_agree,
     assert_contracting_homotopy,
+    boundaries_vanish,
     build_resolution_closed,
     build_resolution_recursive,
 )
@@ -76,8 +77,9 @@ def _load_problem(args) -> ProblemFile:
                          f"({', '.join(BUILTIN_NAMES)})")
 
 
-def _effective_cap(pf: ProblemFile, args) -> int:
-    cap = args.cap if args.cap is not None else pf.cap
+def _effective_cap(pf: ProblemFile, args, cap: int | None = None) -> int:
+    if cap is None:
+        cap = args.cap if args.cap is not None else pf.cap
     if cap < 1:
         raise ParseError(f"cap must be at least 1, got {cap}")
     if cap > 6:
@@ -92,11 +94,11 @@ def _effective_cap(pf: ProblemFile, args) -> int:
     return cap
 
 
-def _max_degree(args) -> int:
+def _max_degree(pf: ProblemFile, args) -> tuple[int, int]:
     max_degree = args.max_degree if args.max_degree is not None else 3
     if max_degree < 0:
         raise ParseError(f"max degree must be at least 0, got {max_degree}")
-    return max_degree
+    return max_degree, _effective_cap(pf, args, max_degree + 1)
 
 
 def _emit(doc: dict, args) -> int:
@@ -222,8 +224,7 @@ def cmd_e2_check(pf: ProblemFile, args) -> dict:
 
 
 def cmd_oracle_compare(pf: ProblemFile, args) -> dict:
-    max_degree = _max_degree(args)
-    cap = max_degree + 1
+    max_degree, cap = _max_degree(pf, args)
     cp = pf.crossed_product(with_inverse=False)
     m = pf.bimodule_or_regular(cp)
     res = CrossedResolution(cp, cap)
@@ -237,8 +238,7 @@ def cmd_oracle_compare(pf: ProblemFile, args) -> dict:
 
 
 def cmd_resolution_check(pf: ProblemFile, args) -> dict:
-    max_degree = _max_degree(args)
-    cap = max_degree + 1
+    max_degree, cap = _max_degree(pf, args)
     cp = pf.crossed_product(with_inverse=False)
     doc = _doc("resolution-check", pf, cap)
     sections = doc["sections"]
@@ -250,8 +250,7 @@ def cmd_resolution_check(pf: ProblemFile, args) -> dict:
     except RecursionMismatch:
         blocks_equal = False
     sections["closed_equals_recursive"] = {"match": blocks_equal}
-    square = all((closed.d[n] @ closed.d[n + 1]).is_zero() for n in range(1, cap))
-    aug = (closed.augmentation @ closed.d[1]).is_zero()
+    square, aug = boundaries_vanish(closed)
     sections["square_zero"] = {"match": square}
     sections["augmentation_d1_zero"] = {"match": aug}
     bar = BarCalculus(cp, cap + 1)
@@ -303,7 +302,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="problem file path or builtin name")
         p.add_argument("--field", help="field override for builtins: q or fp:P")
         p.add_argument("--cap", type=int, default=None, help="degree cap (default 4)")
-        p.add_argument("--force", action="store_true", help="allow cap > 6")
+        p.add_argument("--force", action="store_true", help="allow cap > 6 (max degree > 5)")
         p.add_argument("--output", help="write the JSON document to this path")
         p.add_argument("--oracle", action="store_true",
                        help="also run the bar-complex oracle where applicable")

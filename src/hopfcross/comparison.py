@@ -122,7 +122,8 @@ class ComparisonMaps:
             parts.setdefault(off, (space, {}))[1][local] = c
         out: dict = {}
         for off, (space, part) in parts.items():
-            img = space.right_mult(space.left_mult(part, e_left), e_right)
+            img = space.left_mult(part, e_left) if e_left else part
+            img = space.right_mult(img, e_right) if e_right else img
             out.update((idx + off, v) for idx, v in img.items())
         return out
 
@@ -197,17 +198,13 @@ def extend_by_outer_mult(split, image, tgt: FreeBimoduleSpace, vec: dict) -> dic
         e_left, key, e_right = split(flat)
         img = image(key)
         if img:
-            vec_add_into(out, tgt.right_mult(tgt.left_mult(img, e_left), e_right), c, tgt.cp.field)
+            img = tgt.left_mult(img, e_left) if e_left else img
+            vec_add_into(out, tgt.right_mult(img, e_right) if e_right else img, c, tgt.cp.field)
     return out
 
 
 def build_comparison(res: CrossedResolution, bar: BarCalculus, upto: int) -> ComparisonMaps:
     return ComparisonMaps(res, bar, upto)
-
-
-def _small_generators(cmp: ComparisonMaps, n: int) -> list:
-    return [off + space.combine(0, mid, 0)
-            for _, _, off, space in cmp.res.degree_blocks(n) for mid in space.generators()]
 
 
 def _bar_generators(cmp: ComparisonMaps, n: int) -> list:
@@ -229,17 +226,19 @@ def check_bimodule_extension(cmp: ComparisonMaps) -> Report:
     for name, space in spaces:
         for mid in space.generators()[:1]:
             g = {space.combine(0, mid, 0): field.one}
+            lefts = [space.left_mult(g, a) for a in range(e.dim)]
+            rights = [space.right_mult(g, a) for a in range(e.dim)]
             for a, b in product(range(e.dim), repeat=2):
-                ag, ga = space.left_mult(g, a), space.right_mult(g, a)
+                ag, ga = lefts[a], rights[a]
                 ba_g, g_ab = {}, {}
                 for k, c in e.mult[b][a].items():
-                    vec_add_into(ba_g, space.left_mult(g, k), c, field)
+                    vec_add_into(ba_g, lefts[k], c, field)
                 for k, c in e.mult[a][b].items():
-                    vec_add_into(g_ab, space.right_mult(g, k), c, field)
+                    vec_add_into(g_ab, rights[k], c, field)
                 witness = (name, a, b)
                 report.record(space.left_mult(ag, b) == ba_g, "left-action", witness)
                 report.record(space.right_mult(ga, b) == g_ab, "right-action", witness)
-                report.record(space.right_mult(ag, b) == space.left_mult(space.right_mult(g, b), a),
+                report.record(space.right_mult(ag, b) == space.left_mult(rights[b], a),
                               "actions-commute", witness)
     return report
 
@@ -255,7 +254,7 @@ def check_comparison_identities(cmp: ComparisonMaps) -> Report:
     res, bar, field = cmp.res, cmp.bar, cmp.field
 
     for n in range(1, cmp.upto + 1):
-        for idx in _small_generators(cmp, n):
+        for idx in cmp.res.generator_indices(n):
             gen = {idx: field.one}
             lhs = bar.bprime(n, cmp.phi_apply(n, gen))
             rhs = cmp.phi_apply(n - 1, res.d[n].apply(gen))
@@ -267,7 +266,7 @@ def check_comparison_identities(cmp: ComparisonMaps) -> Report:
             report.record(lhs == rhs, "psi-chain-map", (n, idx))
 
     for n in range(cmp.upto + 1):
-        for idx in _small_generators(cmp, n):
+        for idx in cmp.res.generator_indices(n):
             gen = {idx: field.one}
             back = cmp.psi_apply(n, cmp.phi_apply(n, gen))
             report.record(back == gen, "psi-phi-identity", (n, idx))
@@ -294,7 +293,7 @@ def check_filtration_preservation(cmp: ComparisonMaps) -> Report:
     bar, field = cmp.bar, cmp.field
 
     for n in range(cmp.upto + 1):
-        for idx in _small_generators(cmp, n):
+        for idx in cmp.res.generator_indices(n):
             level = cmp.degree_level(n, idx)
             img = cmp.phi_apply(n, {idx: field.one})
             ok = all(bar.level(n, j) <= level for j in img)

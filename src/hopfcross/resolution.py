@@ -181,6 +181,17 @@ def _bimodule_image(src: FreeBimoduleSpace, tgt: FreeBimoduleSpace, gen_cols: li
     return img
 
 
+class _OnDemand(dict):
+    """A dict that builds a missing entry as build(key) on first read."""
+
+    def __init__(self, build):
+        self._build = build
+
+    def __missing__(self, key):
+        self[key] = self._build(key)
+        return self[key]
+
+
 # the resolution --------------------------------------------------------------
 
 class CrossedResolution:
@@ -194,12 +205,12 @@ class CrossedResolution:
     layer: generator_columns[(l, r, s)] lists, per free generator
     1 (x) h (x) a (x) 1 of block (r, s), its image under d^l as a flat column
     over block (r + l - 1, s - l).  That is all the reduced complexes read.
-    The certificate layer -- the E^e-extended blocks, the row maps mu,
-    partial, sigma0_x, sigma0_y, sigma_minus1, mu_tilde, the augmentation and
-    the assembled d -- is built on first access, for both methods from the
-    generator columns.  The recursion applies its lower blocks E^e-linearly
-    from its own generator table and the row maps from their column rules, so
-    it builds no certificate-layer matrix either.
+    The certificate layer -- the E^e-extended blocks, the row maps mu (each
+    mu_s on its own first read), partial, sigma0_x, sigma0_y, sigma_minus1,
+    mu_tilde, the augmentation and the assembled d -- is built on first
+    access from the generator columns; boundaries_vanish checks d o d on
+    generators.  The recursion applies its lower blocks E^e-linearly from its
+    own generator table and the row maps from their column rules.
     """
 
     def __init__(self, cp: CrossedProductData, cap: int, method: str = "closed"):
@@ -297,12 +308,10 @@ class CrossedResolution:
 
     @cached_property
     def mu(self) -> dict:
-        """mu_s : block (0, s) -> row target s."""
-        return {
-            s: _make_matrix(self.field, self.row_spaces[s].dim, self.block_spaces[(0, s)],
-                            lambda key, s=s: self._mu_column(s, key))
-            for s in range(self.cap + 1)
-        }
+        """mu_s : block (0, s) -> row target s, each built on first read."""
+        return _OnDemand(lambda s: _make_matrix(self.field, self.row_spaces[s].dim,
+                                                self.block_spaces[(0, s)],
+                                                lambda key: self._mu_column(s, key)))
 
     @cached_property
     def partial(self) -> dict:
@@ -535,12 +544,12 @@ class CrossedResolution:
 
     # blocks (certificate layer) -------------------------------------------------
     def _extend_bimodule(self, l, r, s, gen_cols: list) -> ExactMatrix:
-        """Full matrix of block (l, r, s) from generator columns via x -> eL . x . eR.
-
-        The generator columns themselves are kept, not copied."""
+        """Full matrix of block (l, r, s) from generator columns via x -> eL . x . eR,
+        each eL . x formed once.  The generator columns themselves are kept, not copied."""
         src = self.block_spaces[(r, s)]
         tgt = self.block_spaces[(r + l - 1, s - l)]
-        cols = [_bimodule_image(src, tgt, gen_cols, flat) for flat in range(src.dim)]
+        lefts = (tgt.left_mult(g, e) if e else g for e in range(src.ne) for g in gen_cols)
+        cols = [tgt.right_mult(x, e) if e else x for x in lefts for e in range(src.ne)]
         return ExactMatrix(self.field, tgt.dim, src.dim, cols)
 
     @cached_property
@@ -565,6 +574,11 @@ class CrossedResolution:
 
     def degree_dim(self, n: int) -> int:
         return sum(sp.dim for _, _, _, sp in self.degree_blocks(n))
+
+    def generator_indices(self, n: int) -> list:
+        """Degree-n indices of the free generators 1 (x) h (x) a (x) 1."""
+        return [off + space.combine(0, mid, 0)
+                for _, _, off, space in self.degree_blocks(n) for mid in space.generators()]
 
     @cached_property
     def d(self) -> list:
@@ -725,6 +739,14 @@ def assert_constructions_agree(closed: CrossedResolution, recursive: CrossedReso
     for key in sorted(gens):
         if gens[key] != rec[key]:
             raise RecursionMismatch(key)
+
+
+def boundaries_vanish(res: CrossedResolution) -> tuple[bool, bool]:
+    """(d_n d_{n+1} = 0 for 1 <= n < cap, augmentation d_1 = 0), checked on the
+    generator columns of d_{n+1} and d_1: both composites are E^e-linear."""
+    def vanishes(first, n):
+        return all(not first.apply(res.d[n].cols[j]) for j in res.generator_indices(n))
+    return all(vanishes(res.d[n], n + 1) for n in range(1, res.cap)), vanishes(res.augmentation, 1)
 
 
 def assert_contracting_homotopy(res: CrossedResolution, sigma: dict | None = None) -> dict:

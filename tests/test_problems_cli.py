@@ -229,6 +229,60 @@ def test_cli_resolution_check_reports_every_identity(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_resolution_check_reads_mu_below_the_cap(monkeypatch, capsys):
+    # each mu_s is built on first read; the checks read mu_0 .. mu_{cap-1}
+    from hopfcross import cli
+
+    built = []
+    closed = cli.build_resolution_closed
+    monkeypatch.setattr(cli, "build_resolution_closed",
+                        lambda cp, cap: built.append(closed(cp, cap)) or built[-1])
+    assert main(["resolution-check", "s3_as_action_extension", "--max-degree", "3"]) == 0
+    (res,) = built
+    assert set(res.mu) == set(range(res.cap)) and res.cap == 4
+    capsys.readouterr()
+
+
+def test_cli_resolution_check_reports_a_broken_d1(tmp_path, monkeypatch, capsys):
+    # one generator column of d^1 negated before the blocks are read: the
+    # generator-only d o d check sees it, and the document says so
+    from hopfcross import cli
+
+    closed = cli.build_resolution_closed
+
+    def broken(cp, cap):
+        res = closed(cp, cap)
+        cols = res.generator_columns[(1, 0, 1)]
+        assert cols[0]
+        cols[0] = {k: res.field.neg(v) for k, v in cols[0].items()}
+        return res
+
+    monkeypatch.setattr(cli, "build_resolution_closed", broken)
+    out_path = tmp_path / "res.json"
+    assert main(["resolution-check", "s3_as_action_extension", "--max-degree", "2",
+                 "--output", str(out_path)]) == 1
+    doc = json.loads(out_path.read_text())
+    assert doc["sections"]["square_zero"] == {"match": False} and doc["pass"] is False
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle-compare", "resolution-check"])
+def test_cli_max_degree_above_five_needs_force(command, monkeypatch, capsys):
+    # cap = max degree + 1 follows the --cap rule: refused before anything is built
+    from hopfcross import resolution
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a resolution was built")
+
+    monkeypatch.setattr(resolution.CrossedResolution, "__init__", forbidden)
+    assert main([command, "klein_four", "--max-degree", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("warning: cap 7 ") and "error: cap > 6 requires --force" in err
+    with pytest.raises(AssertionError, match="a resolution was built"):
+        main([command, "klein_four", "--max-degree", "6", "--force"])
+    capsys.readouterr()
+
+
 def test_cli_axiom_failure_reports_witnesses(tmp_path, capsys):
     # a non-normal cocycle parses but fails the crossed-product axioms
     doc = emit_problem(builtin("klein_four"))

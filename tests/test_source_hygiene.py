@@ -31,8 +31,9 @@
   hopfcross.reduced_complexes, tests/comparison_reference.py (with
   check_bar_contraction) nothing from hopfcross.comparison,
   tests/bar_reference.py nothing from hopfcross.bar,
-  tests/placement_reference.py nothing from hopfcross.reduced_complexes, and
-  tests/sweedler_reference.py nothing from hopfcross.hopf.
+  tests/placement_reference.py nothing from hopfcross.reduced_complexes,
+  tests/sweedler_reference.py nothing from hopfcross.hopf, and
+  tests/extension_reference.py nothing from hopfcross.resolution.
 * Every top-level function and non-dunder method in src/ is reached: it is in
   __all__, or named (as a name or an attribute) by module-level code of src/,
   by a demo, or by the body of another reached function.  The closure is
@@ -69,6 +70,7 @@ OTHER_REFERENCES = {
     "bar_reference.py": {"hopfcross.bar"},
     "placement_reference.py": {"hopfcross.reduced_complexes"},
     "sweedler_reference.py": {"hopfcross.hopf"},
+    "extension_reference.py": {"hopfcross.resolution"},
 }
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
@@ -476,6 +478,7 @@ def test_reference_imports_are_detected():
         ("from hopfcross.reduced_complexes import untwist_block", "placement_reference.py"),
         ("from hopfcross.hopf import sweedler_legs", "sweedler_reference.py"),
         ("import hopfcross.hopf as hopf", "sweedler_reference.py"),
+        ("from hopfcross.resolution import FreeBimoduleSpace", "extension_reference.py"),
     ):
         assert _imported_modules(ast.parse(source), OTHER_REFERENCES[module]), source
 
