@@ -94,7 +94,9 @@ class ComparisonMaps:
 
     phi and psi are built through degree `upto`; omega through upto + 1.
     Generator tables map bimodule generators to flat image vectors; psi_apply
-    extends them by degree_outer_mult, the others by extend_by_outer_mult.
+    extends them by the resolution's degree_outer_mult, the others by
+    extend_by_outer_mult.  sigma is the resolution's contracting homotopy, a
+    table on left generators.
     """
 
     def __init__(self, res: CrossedResolution, bar: BarCalculus, upto: int):
@@ -107,28 +109,8 @@ class ComparisonMaps:
         self.sigma = res.contracting_homotopy()
         self._build()
 
-    # degree-space helpers -------------------------------------------------
-    def _degree_split(self, n: int, flat: int):
-        for r, s, off, space in self.res.degree_blocks(n):
-            if flat < off + space.dim:
-                return r, s, off, space, flat - off
-        raise IndexError(flat)
-
-    def degree_outer_mult(self, n: int, vec: dict, e_left: int, e_right: int) -> dict:
-        """e_left . vec . e_right on the degree-n space, block by block."""
-        parts: dict = {}
-        for flat, c in vec.items():
-            _, _, off, space, local = self._degree_split(n, flat)
-            parts.setdefault(off, (space, {}))[1][local] = c
-        out: dict = {}
-        for off, (space, part) in parts.items():
-            img = space.left_mult(part, e_left) if e_left else part
-            img = space.right_mult(img, e_right) if e_right else img
-            out.update((idx + off, v) for idx, v in img.items())
-        return out
-
     def degree_level(self, n: int, flat: int) -> int:
-        _, s, _, _, _ = self._degree_split(n, flat)
+        _, s, _, _, _ = self.res.degree_split(n, flat)
         return s
 
     # construction ----------------------------------------------------------
@@ -149,7 +131,7 @@ class ComparisonMaps:
             for mid in range(bspace.mid_size):
                 gen = {bspace.combine(0, mid, 0): field.one}
                 img = self.psi_apply(n - 1, bar.bprime(n, gen))
-                table[mid] = self.sigma[n].apply(img)
+                table[mid] = res.homotopy_apply(self.sigma, n, img)
             self.psi.append(table)
         # omega_n : B_{n-1} -> B_n for n = 1 .. upto + 1
         self.omega: list[dict] = [{}, {mid: {} for mid in range(bar.spaces[0].mid_size)}]
@@ -167,7 +149,7 @@ class ComparisonMaps:
 
     # extension applies -------------------------------------------------------
     def _small_split(self, n: int, flat: int):
-        r, s, _, space, local = self._degree_split(n, flat)
+        r, s, _, space, local = self.res.degree_split(n, flat)
         e_left, mid, e_right = space.split(local)
         return e_left, (r, s, mid), e_right
 
@@ -179,7 +161,7 @@ class ComparisonMaps:
         out: dict = {}
         for flat, c in bvec.items():
             e_left, mid, e_right = self.bar.spaces[n].split(flat)
-            vec_add_into(out, self.degree_outer_mult(n, self.psi[n][mid], e_left, e_right),
+            vec_add_into(out, self.res.degree_outer_mult(n, self.psi[n][mid], e_left, e_right),
                          c, self.field)
         return out
 

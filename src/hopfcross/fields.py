@@ -106,9 +106,6 @@ class FieldSpec:
     def add(self, a, b):
         return _canonical(a + b) if self.kind == "Q" else (a + b) % self.p
 
-    def sub(self, a, b):
-        return _canonical(a - b) if self.kind == "Q" else (a - b) % self.p
-
     def mul(self, a, b):
         return _canonical(a * b) if self.kind == "Q" else (a * b) % self.p
 

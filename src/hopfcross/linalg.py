@@ -67,13 +67,6 @@ def vec_add_into(dst: dict, src: dict, scale, field: FieldSpec) -> None:
                 dst[i] = w
 
 
-def vec_scale(vec: dict, scale, field: FieldSpec) -> dict:
-    if field.is_zero(scale):
-        return {}
-    mul = field.mul
-    return {i: mul(scale, v) for i, v in vec.items()}
-
-
 def _axpy(dst: dict, src: dict, c: int) -> None:
     """dst += c * src over the integers, dropping zeros."""
     get = dst.get
@@ -310,37 +303,6 @@ class ExactMatrix:
             )
         cols = [self.apply(c) for c in other.cols]
         return ExactMatrix(self.field, self.nrows, other.ncols, cols)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in add")
-        field = self.field
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            c = dict(a)
-            vec_add_into(c, b, field.one, field)
-            cols.append(c)
-        return ExactMatrix(field, self.nrows, self.ncols, cols)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "ExactMatrix":
-        neg = self.field.neg
-        return ExactMatrix(
-            self.field,
-            self.nrows,
-            self.ncols,
-            [{i: neg(v) for i, v in c.items()} for c in self.cols],
-        )
-
-    def scale(self, scalar) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field,
-            self.nrows,
-            self.ncols,
-            [vec_scale(c, scalar, self.field) for c in self.cols],
-        )
 
     def transpose(self) -> "ExactMatrix":
         cols: list[dict] = [{} for _ in range(self.nrows)]

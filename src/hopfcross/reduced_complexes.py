@@ -44,7 +44,7 @@ from .bar import hochschild_chain_complex, hochschild_cochain_complex
 from .hopf import sweedler_expand, sweedler_legs
 from .linalg import ExactMatrix
 from .resolution import CrossedResolution
-from .tensors import TensorSpace, tensor_vectors
+from .tensors import TensorSpace, mid_key, mid_rank, tensor_vectors
 from .twisting import TwistingCalculus
 
 
@@ -66,26 +66,6 @@ def _reduced_mid_space(cp, r, s):
 
 def _untwisted_mid_space(cp, r, s):
     return TensorSpace((cp.a.dim - 1,) * r + (cp.h.dim - 1,) * s)
-
-
-def _mid_key(space: TensorSpace, mid: int) -> tuple:
-    """The full-index key of basis vector mid: every leg shifted off the unit."""
-    key = []
-    for d in reversed(space.dims):
-        mid, i = divmod(mid, d)
-        key.append(i + 1)
-    key.reverse()
-    return tuple(key)
-
-
-def _mid_rank(space: TensorSpace, key: tuple) -> int | None:
-    """The flat index of a full-index key (legs in range), None when a leg is the unit."""
-    flat = 0
-    for i, d in zip(key, space.dims):
-        if i == 0:
-            return None
-        flat = flat * d + i - 1
-    return flat
 
 
 def _swap_legs(dim_m: int, sizes) -> list[int]:
@@ -212,8 +192,8 @@ class _Literal:
         cols: list[dict] = [{} for _ in range(m.dim * col_space.size)]
         images = self.images
         for mid in range(src.size):
-            for x, key, y, c in terms(_mid_key(src, mid), l, r, s):
-                mid_t = _mid_rank(tgt, key)
+            for x, key, y, c in terms(mid_key(src.dims, mid), l, r, s):
+                mid_t = mid_rank(tgt.dims, key)
                 if mid_t is None:
                     continue
                 xy = (cochain, tuple(x.items()), tuple(y.items()))
@@ -376,11 +356,11 @@ def _untwisting(cp: CrossedProductData, m: BimoduleData, r: int, s: int, h_first
     images: dict = {}
     cols: list[dict] = [{} for _ in range(m.dim * src_mid.size)]
     for mid in range(src_mid.size):
-        key = _mid_key(src_mid, mid)
+        key = mid_key(src_mid.dims, mid)
         hs, avs = (key[:s], key[s:]) if h_first else (key[r:], key[:r])
         for comps, c in sweedler_legs(cp.h, hs, 2).items():
             seconds = comps[1::2]
-            mid_t = _mid_rank(tgt_mid, avs + seconds if h_first else seconds + avs)
+            mid_t = mid_rank(tgt_mid.dims, avs + seconds if h_first else seconds + avs)
             if mid_t is None:
                 continue
             firsts = comps[0::2]
@@ -592,7 +572,7 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
     # the middle leg of each Sweedler term, expanded once for every m and a
     middles = [sweedler_legs(cp.h, (h2,), r) if r > 0 else {(): cp.h.counit[h2]}
                for (_, h2, _), _ in triple]
-    keys = [_mid_key(mid, t) for t in range(mid.size)]
+    keys = [mid_key(mid.dims, t) for t in range(mid.size)]
     cols: list[dict] = []
     for mi in range(m.dim):
         # (1#h^(3)) e_mi (1#h^(1))^{-1}, once for every a
@@ -609,7 +589,7 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
                         continue
                     legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
                     for alegs, coef in tensor_vectors(legs, field.mul(c, c2), field).items():
-                        tt = _mid_rank(mid, alegs)
+                        tt = mid_rank(mid.dims, alegs)
                         if tt is None:
                             continue
                         for mj, cm in mvec.items():

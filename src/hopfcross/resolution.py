@@ -8,6 +8,10 @@ the outer multiplications), not a typed constraint.  The boundary blocks
 exist in two independent constructions: closed formulas driven by the
 insertion coefficients, and the recursion through the row contractions; they
 must agree block for block, which assert_constructions_agree certifies.
+
+The contracting homotopy is a table on left generators 1 (x) v (x) e, filled
+by the recursion's own vector step and extended by left multiplication;
+assert_contracting_homotopy checks its identities on left generators.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from math import prod
 from .crossed import CrossedProductData
 from .hopf import sweedler_legs
 from .linalg import ExactMatrix, vec_add_into
-from .tensors import TensorSpace, flatten, keyed_add_into, tensor_vectors
+from .tensors import TensorSpace, flatten, keyed_add_into, mid_key, mid_rank, tensor_vectors
 from .twisting import TwistingCalculus
 
 
@@ -66,21 +70,11 @@ class FreeBimoduleSpace:
 
     def mid_key(self, mid: int) -> tuple:
         """Full-index section of a generator: all middle legs shifted off the unit."""
-        legs = []
-        for base in reversed(self._radices):
-            mid, i = divmod(mid, base)
-            legs.append(i + 1)
-        legs.reverse()
-        return tuple(legs)
+        return mid_key(self._radices, mid)
 
     def mid_rank(self, legs: tuple) -> int | None:
         """legs are full indices; returns None when a leg is the unit."""
-        out = 0
-        for x, base in zip(legs, self._radices):
-            if x == 0:
-                return None
-            out = out * base + (x - 1)
-        return out
+        return mid_rank(self._radices, legs)
 
     def generators(self):
         return range(self.mid_size)
@@ -206,11 +200,13 @@ class CrossedResolution:
     1 (x) h (x) a (x) 1 of block (r, s), its image under d^l as a flat column
     over block (r + l - 1, s - l).  That is all the reduced complexes read.
     The certificate layer -- the E^e-extended blocks, the row maps mu (each
-    mu_s on its own first read), partial, sigma0_x, sigma0_y, sigma_minus1,
-    mu_tilde, the augmentation and the assembled d -- is built on first
-    access from the generator columns; boundaries_vanish checks d o d on
-    generators.  The recursion applies its lower blocks E^e-linearly from its
-    own generator table and the row maps from their column rules.
+    mu_s on its own first read), mu_tilde, the augmentation and the assembled
+    d -- is built on first access from the generator columns;
+    boundaries_vanish checks d o d on generators.  The recursion applies its
+    lower blocks E^e-linearly from its own generator table and the row maps
+    from their column rules.  contracting_homotopy builds the homotopy's
+    left-generator table on each call, by the same step and column rules,
+    and reads no certificate-layer matrix.
     """
 
     def __init__(self, cp: CrossedProductData, cap: int, method: str = "closed"):
@@ -306,59 +302,23 @@ class CrossedResolution:
         head, h = divmod(flat, self.cp.h.dim)
         return {head * self.cp.e.dim + h: self.field.one}
 
+    def _sigma_minus1_column(self, s, flat) -> dict:
+        """sigma^{-1} on basis vector flat of row target s, or of E when s = -1,
+        with sign (-1)^s: the last H leg becomes a new last Hbar leg (h_0 when
+        the source is E) and the new h_last is 1; a unit in an Hbar leg dies."""
+        nh = self.cp.h.dim
+        sign = self.field.one if s % 2 == 0 else self.field.neg(self.field.one)
+        if s < 0:
+            return {flat * nh: sign}
+        head, h = divmod(flat, nh)
+        return {(head * (nh - 1) + h - 1) * nh: sign} if h else {}
+
     @cached_property
     def mu(self) -> dict:
         """mu_s : block (0, s) -> row target s, each built on first read."""
         return _OnDemand(lambda s: _make_matrix(self.field, self.row_spaces[s].dim,
                                                 self.block_spaces[(0, s)],
                                                 lambda key: self._mu_column(s, key)))
-
-    @cached_property
-    def partial(self) -> dict:
-        """Row target s -> row target s - 1."""
-        return {
-            s: _make_matrix(self.field, self.row_spaces[s - 1].dim, self.row_spaces[s],
-                            lambda key, s=s: self._partial_column(s, key))
-            for s in range(1, self.cap + 1)
-        }
-
-    @cached_property
-    def sigma0_x(self) -> dict:
-        """sigma^0 on blocks: (r, s) -> (r + 1, s)."""
-        return {
-            (r, s): ExactMatrix(self.field, self.block_spaces[(r + 1, s)].dim, xs.dim,
-                                [self._sigma0_x_column(r, s, j) for j in range(xs.dim)])
-            for (r, s), xs in self.block_spaces.items()
-            if (r + 1, s) in self.block_spaces
-        }
-
-    @cached_property
-    def sigma0_y(self) -> dict:
-        """sigma^0 on rows: row target s -> block (0, s)."""
-        return {
-            s: ExactMatrix(self.field, self.block_spaces[(0, s)].dim, ys.dim,
-                           [self._sigma0_y_column(j) for j in range(ys.dim)])
-            for s, ys in self.row_spaces.items()
-        }
-
-    @cached_property
-    def sigma_minus1(self) -> dict:
-        """sigma^{-1}: E into row target 0 (key -1), then each row target up one."""
-        field = self.field
-        y0 = self.row_spaces[0]
-        out_maps = {
-            -1: _make_matrix(field, y0.dim, self.e_space,
-                             lambda key: y0.flatten({key + (0,): field.neg(field.one)}))
-        }
-        for s in range(self.cap):
-            ytgt = self.row_spaces[s + 1]
-
-            def sminus_col(key, s=s, ytgt=ytgt):
-                sign = field.one if s % 2 == 0 else field.neg(field.one)
-                return ytgt.flatten({key + (0,): sign})
-
-            out_maps[s] = _make_matrix(field, ytgt.dim, self.row_spaces[s], sminus_col)
-        return out_maps
 
     @cached_property
     def mu_tilde(self) -> ExactMatrix:
@@ -500,9 +460,10 @@ class CrossedResolution:
     def _recursive_generator_columns(self) -> dict:
         """The recursion: l ascending, then r ascending, from d^0 and the row maps.
 
-        Each lower d^j acts E^e-linearly from the generator table built so
-        far, and mu, partial and sigma^0 act through their column rules, so no
-        full block or row-map matrix is built."""
+        d^l on a generator is _contract_step of its lower images d^j, each
+        lower d^j acting E^e-linearly from the generator table built so far;
+        mu, partial and sigma^0 act through their column rules, so no full
+        block or row-map matrix is built."""
         field = self.field
         gens: dict = {}
         for (r, s) in self.block_spaces:
@@ -516,11 +477,6 @@ class CrossedResolution:
                 hit = partial_memo[(s, j)] = self._partial_column(s, self.row_spaces[s].key(j))
             return hit
 
-        def apply(key, vec):
-            l, r, s = key
-            src, tgt = self.block_spaces[(r, s)], self.block_spaces[(r + l - 1, s - l)]
-            return _apply_columns(field, vec, lambda f: _bimodule_image(src, tgt, gens[key], f))
-
         for l in range(1, self.cap + 1):
             for r, s in sorted((p for p in self.block_spaces if l <= p[1]), key=lambda p: p[0]):
                 xs = self.block_spaces[(r, s)]
@@ -530,17 +486,30 @@ class CrossedResolution:
                         vec = self._mu_column(s, (0, 0) + xs.mid_key(m) + (0, 0))
                         vec = _apply_columns(field, vec, lambda j: partial_column(s, j))
                         vec = _apply_columns(field, vec, self._sigma0_y_column)
+                        cols.append({k: field.neg(v) for k, v in vec.items()})
                     else:
-                        vec = {}
-                        for j in range(1 if r == 0 else 0, l):
-                            step = apply((l - j, r + j - 1, s - j), gens[(j, r, s)][m])
-                            vec_add_into(vec, step, field.one, field)
-                        vec = _apply_columns(
-                            field, vec, lambda f: self._sigma0_x_column(r + l - 2, s - l, f)
-                        )
-                    cols.append({k: field.neg(v) for k, v in vec.items()})
+                        lower = [(j, gens[(j, r, s)][m]) for j in range(1 if r == 0 else 0, l)]
+                        cols.append(self._contract_step(gens, lower, l, r - 1, s))
                 gens[(l, r, s)] = cols
         return gens
+
+    def _contract_step(self, gens: dict, lower, l, r, s) -> dict:
+        """-sigma^0_x (sum of d^{l-j} v_j) over the pairs (j, v_j) of lower,
+        each v_j in block (r + j, s - j) and each d^{l-j} applied E^e-linearly
+        from the generator table gens; the result lies in block (r + l, s - l).
+
+        With v_j = d^j of a generator of block (r + 1, s) it is d^l of that
+        generator (the recursion); with v_j = sigma^j of a vector it is
+        sigma^l of that vector (the contracting homotopy)."""
+        field = self.field
+        tgt = self.block_spaces[(r + l - 1, s - l)]
+        total: dict = {}
+        for j, vec in lower:
+            src, table = self.block_spaces[(r + j, s - j)], gens[(l - j, r + j, s - j)]
+            for flat, c in vec.items():
+                vec_add_into(total, _bimodule_image(src, tgt, table, flat), c, field)
+        total = _apply_columns(field, total, lambda f: self._sigma0_x_column(r + l - 1, s - l, f))
+        return {k: field.neg(v) for k, v in total.items()}
 
     # blocks (certificate layer) -------------------------------------------------
     def _extend_bimodule(self, l, r, s, gen_cols: list) -> ExactMatrix:
@@ -570,6 +539,26 @@ class CrossedResolution:
             space = self.block_spaces[(r, s)]
             out.append((r, s, offset, space))
             offset += space.dim
+        return out
+
+    def degree_split(self, n: int, flat: int):
+        """(r, s, offset, space, local index) of the degree-n basis vector flat."""
+        for r, s, off, space in self.degree_blocks(n):
+            if flat < off + space.dim:
+                return r, s, off, space, flat - off
+        raise IndexError(flat)
+
+    def degree_outer_mult(self, n: int, vec: dict, e_left: int, e_right: int) -> dict:
+        """e_left . vec . e_right on the degree-n space, block by block."""
+        parts: dict = {}
+        for flat, c in vec.items():
+            _, _, off, space, local = self.degree_split(n, flat)
+            parts.setdefault(off, (space, {}))[1][local] = c
+        out: dict = {}
+        for off, (space, part) in parts.items():
+            img = space.left_mult(part, e_left) if e_left else part
+            img = space.right_mult(img, e_right) if e_right else img
+            out.update((idx + off, v) for idx, v in img.items())
         return out
 
     def degree_dim(self, n: int) -> int:
@@ -604,19 +593,6 @@ class CrossedResolution:
             d.append(ExactMatrix(field, self.dims[n - 1], self.dims[n], cols))
         return d
 
-    def mu_prime(self, n: int) -> ExactMatrix:
-        """Degree n into row target n: mu_n on the (0, n) block, zero elsewhere."""
-        field = self.field
-        ys = self.row_spaces[n]
-        cols: list[dict] = []
-        for r, s, off, space in self.degree_blocks(n):
-            if r == 0:
-                mu = self.mu[s]
-                cols.extend(dict(c) for c in mu.cols)
-            else:
-                cols.extend({} for _ in range(space.dim))
-        return ExactMatrix(field, ys.dim, self.dims[n], cols)
-
     def filtration(self):
         """Coordinate filtration levels F^i = blocks with s <= i, per degree."""
         out = []
@@ -633,90 +609,65 @@ class CrossedResolution:
         return out
 
     # contracting homotopy ----------------------------------------------------
-    def sigma_l(self):
-        """All sigma^l maps: keyed by (l, 'x', r, s) on blocks and (l, 'y', s) on row targets."""
-        field = self.field
-        sig: dict = {}
-        for (r, s) in self.block_spaces:
-            if (r, s) in self.sigma0_x:
-                sig[(0, "x", r, s)] = self.sigma0_x[(r, s)]
-        for s in range(self.cap + 1):
-            sig[(0, "y", s)] = self.sigma0_y[s]
-        for l in range(1, self.cap + 1):
-            # source is a row target (the r = -1 case)
-            for s in range(l, self.cap + 1):
-                if (l, s - l) not in self.block_spaces or (l - 1, s - l) not in self.block_spaces:
-                    continue
-                acc = None
-                for i in range(l):
-                    inner = sig.get((i, "y", s))
-                    if inner is None:
-                        continue
-                    mid = self.blocks.get((l - i, i, s - i))
-                    if mid is None:
-                        continue
-                    outer = self.sigma0_x.get((l - 1, s - l))
-                    if outer is None:
-                        continue
-                    term = outer @ (mid @ inner)
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    sig[(l, "y", s)] = -acc
-            # source is a block
-            for (r, s) in self.block_spaces:
-                if l > s or (r + l + 1, s - l) not in self.block_spaces:
-                    continue
-                acc = None
-                for i in range(l):
-                    inner = sig.get((i, "x", r, s))
-                    if inner is None:
-                        continue
-                    mid = self.blocks.get((l - i, r + i + 1, s - i))
-                    if mid is None:
-                        continue
-                    outer = self.sigma0_x.get((r + l, s - l))
-                    if outer is None:
-                        continue
-                    term = outer @ (mid @ inner)
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    sig[(l, "x", r, s)] = -acc
-        return sig
+    def contracting_homotopy(self) -> dict:
+        """sigma as a table on left generators: sigma[n + 1] maps the degree-n
+        index g of each left generator 1 (x) v (x) e to sigma(g) in degree
+        n + 1 (n < cap), and sigma[0] = {0: sigma(1)} holds the image of the
+        unit of E.  homotopy_apply extends the table by left multiplication.
 
-    def contracting_homotopy(self):
-        """The assembled degree +1 contraction, from E and from each degree."""
-        field = self.field
-        sig = self.sigma_l()
-        out = {0: self.sigma0_y[0] @ self.sigma_minus1[-1]}
-        for n in range(0, self.cap):
-            tgt_blocks = self.degree_blocks(n + 1)
-            tgt_offset = {(r, s): off for r, s, off, _ in tgt_blocks}
-            cols: list[dict] = [{} for _ in range(self.dims[n])]
+        On a vector x of block (r, s), sigma(x) is the sum of the sigma^l of
+        sigma^0_x(x), minus (when r = 0) the sum of the sigma^l of
+        sigma^0_y sigma^{-1} mu_s(x), where sigma^l = -sigma^0_x sum_{i<l}
+        d^{l-i} sigma^i is the recursion's _contract_step."""
+        field, gens, ne, nh = self.field, self.generator_columns, self.cp.e.dim, self.cp.h.dim
+        one = field.one
+        unit = _apply_columns(field, self._sigma_minus1_column(-1, 0), self._sigma0_y_column)
+        sigma: dict = {0: {0: unit}}
+        for n in range(self.cap):
+            offsets = {(r, s): off for r, s, off, _ in self.degree_blocks(n + 1)}
+            table: dict = {}
 
-            def place(mat, tgt_rs, src_off):
-                # blocks may land on the same target entries, so entries add
-                toff = tgt_offset[tgt_rs]
-                for j, col in enumerate(mat.cols):
-                    dst = cols[src_off + j]
-                    for i, v in col.items():
-                        keyed_add_into(dst, i + toff, v, field)
+            def add_legs(out, vec, r, s, coef):
+                # out += coef * (sum over l of sigma^l), from sigma^0 = vec in
+                # block (r, s); sigma^l lies in block (r + l, s - l)
+                legs = [vec]
+                for l in range(1, s + 1):
+                    legs.append(self._contract_step(gens, enumerate(legs), l, r, s))
+                for l, leg in enumerate(legs):
+                    off = offsets[(r + l, s - l)]
+                    vec_add_into(out, {i + off: v for i, v in leg.items()}, coef, field)
 
-            # -(sum over l) sigma^l_{l, n-l+1} o sigma^{-1}_{n+1} o mu'_n
-            route = self.sigma_minus1[n] @ self.mu_prime(n)
-            for l in range(0, n + 2):
-                s_l = sig.get((l, "y", n + 1))
-                if s_l is None:
-                    continue
-                mat = -(s_l @ route)
-                place(mat, (l, n + 1 - l), 0)
-            # + sigma^l on each block
             for r, s, off, space in self.degree_blocks(n):
-                for l in range(0, s + 1):
-                    s_l = sig.get((l, "x", r, s))
-                    if s_l is None:
-                        continue
-                    place(s_l, (r + l + 1, s - l), off)
-            out[n + 1] = ExactMatrix(field, self.dims[n + 1], self.dims[n], cols)
+                for local in range(space.mid_size * ne):  # the left generators
+                    out: dict = {}
+                    add_legs(out, self._sigma0_x_column(r, s, local), r + 1, s, one)
+                    if r == 0:
+                        mid, e_right = divmod(local, ne)
+                        row = self._mu_column(s, (0, 0) + space.mid_key(mid) + divmod(e_right, nh))
+                        row = _apply_columns(field, row, lambda j: self._sigma_minus1_column(s, j))
+                        row = _apply_columns(field, row, self._sigma0_y_column)
+                        add_legs(out, row, 0, s + 1, field.neg(one))
+                    table[off + local] = out
+            sigma[n + 1] = table
+        return sigma
+
+    def homotopy_apply(self, sigma: dict, n: int, vec: dict) -> dict:
+        """sigma_n, the table of contracting_homotopy, on a vector of degree
+        n - 1 (of E when n = 0): e_left . g goes to e_left . sigma[n][g] for
+        each left generator g."""
+        field = self.field
+        parts: dict = {}
+        for flat, c in vec.items():
+            if n:
+                _, _, off, space, local = self.degree_split(n - 1, flat)
+                e_left, tail = divmod(local, space.mid_size * space.ne)
+                flat = off + tail
+            else:
+                e_left, flat = flat, 0
+            vec_add_into(parts.setdefault(e_left, {}), sigma[n][flat], c, field)
+        out: dict = {}
+        for e_left, part in parts.items():
+            vec_add_into(out, self.degree_outer_mult(n, part, e_left, 0), field.one, field)
         return out
 
 
@@ -750,7 +701,16 @@ def boundaries_vanish(res: CrossedResolution) -> tuple[bool, bool]:
 
 
 def assert_contracting_homotopy(res: CrossedResolution, sigma: dict | None = None) -> dict:
-    """Check d sigma + sigma d = id through degree cap - 1; returns sigma.
+    """Check aug sigma_0 = id on E and d sigma + sigma d = id through degree
+    cap - 1, on left generators only; returns sigma.
+
+    That proves both identities on every basis vector.  sigma is the left
+    extension of its table by construction (homotopy_apply), d is the
+    E^e-extension of its generator columns and the augmentation is minus the
+    product of E, so both sides of each identity are left E-module maps once
+    left_mult is a left action on every block of degree <= cap.
+    comparison.check_bimodule_extension certifies that when upto = cap - 1,
+    as in resolution-check.
 
     Raises HomotopyIdentityFailure with the first failing degree (-1 stands
     for the augmentation identity on E).
@@ -758,13 +718,13 @@ def assert_contracting_homotopy(res: CrossedResolution, sigma: dict | None = Non
     if sigma is None:
         sigma = res.contracting_homotopy()
     field = res.field
-    if res.augmentation @ sigma[0] != ExactMatrix.identity(field, res.cp.e.dim):
+    if res.augmentation.apply(sigma[0][0]) != {0: field.one}:
         raise HomotopyIdentityFailure(-1)
-    lhs = res.d[1] @ sigma[1] + sigma[0] @ res.augmentation
-    if lhs != ExactMatrix.identity(field, res.dims[0]):
-        raise HomotopyIdentityFailure(0)
-    for n in range(1, res.cap):
-        lhs = res.d[n + 1] @ sigma[n + 1] + sigma[n] @ res.d[n]
-        if lhs != ExactMatrix.identity(field, res.dims[n]):
-            raise HomotopyIdentityFailure(n)
+    for n in range(res.cap):
+        down = res.augmentation if n == 0 else res.d[n]
+        for g, img in sigma[n + 1].items():
+            lhs = res.d[n + 1].apply(img)
+            vec_add_into(lhs, res.homotopy_apply(sigma, n, down.cols[g]), field.one, field)
+            if lhs != {g: field.one}:
+                raise HomotopyIdentityFailure(n)
     return sigma

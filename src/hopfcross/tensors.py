@@ -72,6 +72,27 @@ class TensorSpace:
         return f"TensorSpace{self.dims}"
 
 
+def mid_key(radices, mid: int) -> tuple:
+    """The full-index key of index mid of the unit-free legs with these radices
+    (row-major): every leg shifted off the unit."""
+    key = []
+    for base in reversed(radices):
+        mid, i = divmod(mid, base)
+        key.append(i + 1)
+    key.reverse()
+    return tuple(key)
+
+
+def mid_rank(radices, key: tuple) -> int | None:
+    """The index of a full-index key (legs in range), None when a leg is the unit."""
+    out = 0
+    for i, base in zip(key, radices):
+        if i == 0:
+            return None
+        out = out * base + i - 1
+    return out
+
+
 # keyed-element helpers ----------------------------------------------------
 
 def keyed_add_into(dst: dict, key, coef, field: FieldSpec) -> None:

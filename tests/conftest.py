@@ -2,7 +2,7 @@ import pytest
 
 from hopfcross.fields import FieldSpec
 from hopfcross.crossed import convolution_inverse, regular_bimodule
-from hopfcross.linalg import ExactMatrix
+from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.reduced_complexes import untwist_block, untwist_inverse_block
 from hopfcross.problems import (
     BUILTIN_NAMES,
@@ -37,6 +37,43 @@ def to_rows(m: ExactMatrix) -> list[list]:
     for i, j, v in m.iter_entries():
         rows[i][j] = v
     return rows
+
+
+def mat_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a + b, entrywise."""
+    assert (a.nrows, a.ncols) == (b.nrows, b.ncols), "shape mismatch in add"
+    cols = [dict(x) for x in a.cols]
+    for col, y in zip(cols, b.cols):
+        vec_add_into(col, y, a.field.one, a.field)
+    return ExactMatrix(a.field, a.nrows, a.ncols, cols)
+
+
+def mat_scale(m: ExactMatrix, c) -> ExactMatrix:
+    """c * m, entrywise."""
+    field = m.field
+    if field.is_zero(c):
+        return ExactMatrix.zeros(field, m.nrows, m.ncols)
+    return ExactMatrix(field, m.nrows, m.ncols,
+                       [{i: field.mul(c, v) for i, v in col.items()} for col in m.cols])
+
+
+def mat_neg(m: ExactMatrix) -> ExactMatrix:
+    """-m."""
+    return mat_scale(m, m.field.neg(m.field.one))
+
+
+def homotopy_matrices(res, sigma=None) -> dict:
+    """The contracting homotopy's left-generator table extended over the full
+    basis: sigma[n] as a matrix from degree n - 1 (from E when n = 0)."""
+    if sigma is None:
+        sigma = res.contracting_homotopy()
+    one = res.field.one
+    out = {}
+    for n in sigma:
+        ncols = res.cp.e.dim if n == 0 else res.dims[n - 1]
+        cols = [res.homotopy_apply(sigma, n, {j: one}) for j in range(ncols)]
+        out[n] = ExactMatrix(res.field, res.dims[n], ncols, cols)
+    return out
 
 
 def block_diag(field, mats) -> ExactMatrix:

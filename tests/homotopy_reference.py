@@ -1,0 +1,160 @@
+"""The contracting homotopy of the small resolution as full-basis matrices.
+
+The resolution's contracting_homotopy is a table on left generators, built
+by one vector recursion.  This reference forms the same sigma on every column
+as ExactMatrix products: sigma^l = -sigma^0_x (sum over i < l of
+d^{l-i} sigma^i), separately from blocks and from row targets, assembled per
+degree with the route through mu'_n and sigma^{-1}.  It has its own column
+rules for sigma^0_x, sigma^0_y and sigma^{-1}, reads the resolution only
+through its spaces, blocks, mu and the partial column rule, and imports
+nothing from hopfcross.resolution.
+"""
+
+from __future__ import annotations
+
+from hopfcross.linalg import ExactMatrix
+from hopfcross.tensors import TensorSpace, keyed_add_into
+from conftest import mat_add, mat_neg
+
+
+def make_matrix(field, nrows: int, legs, column) -> ExactMatrix:
+    """column(key) -> flat target dict, evaluated on every basis key of a space
+    with these (full dim, normalized) legs."""
+    reduced = TensorSpace(tuple(d - 1 if norm else d for d, norm in legs))
+    cols = []
+    for multi in reduced:
+        key = tuple(i + 1 if norm else i for (d, norm), i in zip(legs, multi))
+        cols.append(column(key))
+    return ExactMatrix(field, nrows, reduced.size, cols)
+
+
+def partial(res) -> dict:
+    """partial_s : row target s -> row target s - 1, for 1 <= s <= cap."""
+    return {
+        s: make_matrix(res.field, res.row_spaces[s - 1].dim, res.row_spaces[s].legs,
+                       lambda key, s=s: res._partial_column(s, key))
+        for s in range(1, res.cap + 1)
+    }
+
+
+def sigma0_x(res) -> dict:
+    """sigma^0 on blocks, (r, s) -> (r + 1, s): the A part of e_right becomes a
+    new last Abar leg with sign -(-1)^r, and e_right becomes 1 # h."""
+    field, nh = res.field, res.cp.h.dim
+    out = {}
+    for (r, s), src in res.block_spaces.items():
+        tgt = res.block_spaces.get((r + 1, s))
+        if tgt is None:
+            continue
+        sign = field.one if r % 2 else field.neg(field.one)
+        cols = []
+        for flat in range(src.dim):
+            e_left, mid, e_right = src.split(flat)
+            a, h = divmod(e_right, nh)
+            if a == 0:
+                cols.append({})
+                continue
+            new_mid = tgt.mid_rank(src.mid_key(mid) + (a,))
+            cols.append({tgt.combine(e_left, new_mid, h): sign})
+        out[(r, s)] = ExactMatrix(field, tgt.dim, src.dim, cols)
+    return out
+
+
+def sigma0_y(res) -> dict:
+    """sigma^0 on rows, row target s -> block (0, s): (a, h_0, h, h_last) goes
+    to (a # h_0) (x) h (x) (1 # h_last)."""
+    field, nh = res.field, res.cp.h.dim
+    out = {}
+    for s, ys in res.row_spaces.items():
+        tgt = res.block_spaces[(0, s)]
+        cols = []
+        for flat in range(ys.dim):
+            key = ys.key(flat)
+            a, h0, hs, h_last = key[0], key[1], key[2:-1], key[-1]
+            cols.append({tgt.combine(a * nh + h0, tgt.mid_rank(hs), h_last): field.one})
+        out[s] = ExactMatrix(field, tgt.dim, ys.dim, cols)
+    return out
+
+
+def sigma_minus1(res) -> dict:
+    """sigma^{-1}: E into row target 0 (key -1), then each row target s up one."""
+    field = res.field
+    y0 = res.row_spaces[0]
+    out = {
+        -1: make_matrix(field, y0.dim, res.e_space.legs,
+                        lambda key: y0.flatten({key + (0,): field.neg(field.one)}))
+    }
+    for s in range(res.cap):
+        ytgt = res.row_spaces[s + 1]
+        sign = field.one if s % 2 == 0 else field.neg(field.one)
+        out[s] = make_matrix(field, ytgt.dim, res.row_spaces[s].legs,
+                             lambda key, ytgt=ytgt, sign=sign: ytgt.flatten({key + (0,): sign}))
+    return out
+
+
+def mu_prime(res, n: int) -> ExactMatrix:
+    """Degree n into row target n: mu_n on the (0, n) block, zero elsewhere."""
+    cols: list[dict] = []
+    for r, s, off, space in res.degree_blocks(n):
+        if r == 0:
+            cols.extend(dict(c) for c in res.mu[s].cols)
+        else:
+            cols.extend({} for _ in range(space.dim))
+    return ExactMatrix(res.field, res.row_spaces[n].dim, res.dims[n], cols)
+
+
+def sigma_l(res) -> dict:
+    """All sigma^l maps: keyed by (l, 'x', r, s) on blocks and (l, 'y', s) on row targets."""
+    sx, sy = sigma0_x(res), sigma0_y(res)
+    sig: dict = {(0, "x", r, s): m for (r, s), m in sx.items()}
+    sig.update({(0, "y", s): m for s, m in sy.items()})
+    for l in range(1, res.cap + 1):
+        # source is a row target (the r = -1 case)
+        for s in range(l, res.cap + 1):
+            terms = [sx[(l - 1, s - l)] @ (res.blocks[(l - i, i, s - i)] @ sig[(i, "y", s)])
+                     for i in range(l)]
+            acc = terms[0]
+            for term in terms[1:]:
+                acc = mat_add(acc, term)
+            sig[(l, "y", s)] = mat_neg(acc)
+        # source is a block
+        for (r, s) in res.block_spaces:
+            if l > s or (r + l + 1, s - l) not in res.block_spaces:
+                continue
+            terms = [sx[(r + l, s - l)] @ (res.blocks[(l - i, r + i + 1, s - i)] @ sig[(i, "x", r, s)])
+                     for i in range(l)]
+            acc = terms[0]
+            for term in terms[1:]:
+                acc = mat_add(acc, term)
+            sig[(l, "x", r, s)] = mat_neg(acc)
+    return sig
+
+
+def contracting_homotopy(res) -> dict:
+    """The assembled degree +1 contraction as matrices: sigma[0] from E, and
+    sigma[n + 1] from degree n for n < cap."""
+    field = res.field
+    sig = sigma_l(res)
+    sm1 = sigma_minus1(res)
+    out = {0: sig[(0, "y", 0)] @ sm1[-1]}
+    for n in range(res.cap):
+        tgt_offset = {(r, s): off for r, s, off, _ in res.degree_blocks(n + 1)}
+        cols: list[dict] = [{} for _ in range(res.dims[n])]
+
+        def place(mat, tgt_rs, src_off):
+            # blocks may land on the same target entries, so entries add
+            toff = tgt_offset[tgt_rs]
+            for j, col in enumerate(mat.cols):
+                for i, v in col.items():
+                    keyed_add_into(cols[src_off + j], i + toff, v, field)
+
+        # -(sum over l) sigma^l_{l, n-l+1} o sigma^{-1}_{n+1} o mu'_n
+        route = sm1[n] @ mu_prime(res, n)
+        for l in range(n + 2):
+            place(mat_neg(sig[(l, "y", n + 1)] @ route), (l, n + 1 - l), 0)
+        # + sigma^l on each block
+        for r, s, off, space in res.degree_blocks(n):
+            for l in range(s + 1):
+                place(sig[(l, "x", r, s)], (r + l + 1, s - l), off)
+        out[n + 1] = ExactMatrix(field, res.dims[n + 1], res.dims[n], cols)
+    return out

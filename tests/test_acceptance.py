@@ -35,7 +35,8 @@ from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.problems import BUILTIN_NAMES, builtin
 from hopfcross.reduced_complexes import ReducedComplexes
 from hopfcross.resolution import build_resolution_closed, build_resolution_recursive
-from conftest import untwist_degree_matrices
+from conftest import homotopy_matrices, mat_add, mat_neg, untwist_degree_matrices
+import homotopy_reference
 from filtered_bar import hochschild_chain_filtered, hochschild_cochain_filtered
 from insertion_reference import signed_shuffle
 
@@ -188,12 +189,13 @@ def test_criterion_04_resolution_identities(shared):
         res = shared.res(name)
         field = res.field
         assert (res.augmentation @ res.d[1]).is_zero(), name
-        sigma = res.contracting_homotopy()
+        # the left-generator table extended over the full basis: every column
+        sigma = homotopy_matrices(res)
         assert res.augmentation @ sigma[0] == ExactMatrix.identity(field, res.cp.e.dim)
-        lhs = res.d[1] @ sigma[1] + sigma[0] @ res.augmentation
+        lhs = mat_add(res.d[1] @ sigma[1], sigma[0] @ res.augmentation)
         assert lhs == ExactMatrix.identity(field, res.dims[0]), name
         for n in range(1, 4):
-            lhs = res.d[n + 1] @ sigma[n + 1] + sigma[n] @ res.d[n]
+            lhs = mat_add(res.d[n + 1] @ sigma[n + 1], sigma[n] @ res.d[n])
             assert lhs == ExactMatrix.identity(field, res.dims[n]), (name, n)
         report = check_comparison_identities(shared.comparison(name))
         assert report.passed, (name, report.failures[:3])
@@ -232,9 +234,10 @@ def test_criterion_05_closed_equals_recursive(shared):
                     vec_add_into(rhs, step, field.one, field)
                 rhs = {k: field.neg(v) for k, v in rhs.items()}
                 assert lhs == rhs, (name, l, r, s, mid)
+        partial = homotopy_reference.partial(closed)
         for s in range(1, 5):
             lhs = closed.mu[s - 1] @ closed.blocks[(1, 0, s)]
-            rhs = -(closed.partial[s] @ closed.mu[s])
+            rhs = mat_neg(partial[s] @ closed.mu[s])
             assert lhs == rhs, (name, s)
     announce(5, True, "closed and recursive blocks equal for r+s <= 4; sum identities hold")
 

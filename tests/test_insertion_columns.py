@@ -11,9 +11,9 @@ from hopfcross.cli import main
 from hopfcross.crossed import regular_bimodule
 from hopfcross.fields import FieldSpec
 from hopfcross.problems import BUILTIN_NAMES, builtin
-from hopfcross.reduced_complexes import _Literal, _reduced_mid_space, _untwisted_mid_space, _mid_key
+from hopfcross.reduced_complexes import _Literal, _reduced_mid_space, _untwisted_mid_space
 from hopfcross.resolution import CrossedResolution
-from hopfcross.tensors import TensorSpace
+from hopfcross.tensors import TensorSpace, mid_key
 from insertion_reference import ReferenceInsertion
 
 Q = FieldSpec.rationals()
@@ -37,7 +37,7 @@ def _reach_all_columns(cp, cap):
                                      (literal.untwisted_terms, _untwisted_mid_space)):
                     mids = space(cp, r, s)
                     for mid in range(mids.size):
-                        for _ in terms(_mid_key(mids, mid), l, r, s):
+                        for _ in terms(mid_key(mids.dims, mid), l, r, s):
                             pass
     return res.calc
 

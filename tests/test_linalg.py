@@ -35,7 +35,7 @@ def test_integral_rationals_are_ints():
     half, third = Q.scalar("1/2"), Q.scalar("1/3")
     integral = [
         Q.add(third, Q.scalar("2/3")), Q.add(2, 3),
-        Q.sub(Q.scalar("5/2"), half), Q.sub(2, 7),
+        Q.add(Q.scalar("5/2"), Q.neg(half)), Q.add(2, Q.neg(7)),
         Q.mul(Q.scalar("3/2"), 2), Q.mul(-2, 3),
         Q.neg(Q.scalar("4/2")), Q.neg(5),
         Q.inv(half), Q.inv(-1),
@@ -45,7 +45,7 @@ def test_integral_rationals_are_ints():
     ]
     assert [type(v) for v in integral] == [int] * len(integral)
     rational = [
-        Q.add(third, 1), Q.sub(1, third), Q.mul(third, 2), Q.neg(third),
+        Q.add(third, 1), Q.add(1, Q.neg(third)), Q.mul(third, 2), Q.neg(third),
         Q.inv(2), Q.inv(Q.scalar("3/2")), Q.mul(third, Q.inv(2)), Q.scalar("-1/6"),
     ]
     assert all(

@@ -27,7 +27,9 @@ from hopfcross.reduced_complexes import (
     untwist_inverse_block,
 )
 from hopfcross.twisting import TwistingCalculus
-from conftest import BUILTIN_BUILDERS, untwist_degree_matrices, z_n_algebra
+from conftest import (
+    BUILTIN_BUILDERS, mat_add, mat_neg, mat_scale, untwist_degree_matrices, z_n_algebra,
+)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -63,7 +65,7 @@ def check_module_law(act) -> Report:
             for li in range(act.cp.h.dim):
                 prod_mat = ExactMatrix.zeros(field, k, k)
                 for kk, c in halg.mult[hi][li].items():
-                    prod_mat = prod_mat + act.induced[r][kk].scale(c)
+                    prod_mat = mat_add(prod_mat, mat_scale(act.induced[r][kk], c))
                 if act.cochain:
                     got = act.induced[r][li] @ act.induced[r][hi]
                 else:
@@ -285,7 +287,7 @@ def test_formula_mismatch_surfaces(cps):
 
     def corrupted(l, r, s):
         mat = orig(l, r, s)
-        return -mat if (l, r, s) == (0, 1, 0) else mat
+        return mat_neg(mat) if (l, r, s) == (0, 1, 0) else mat
 
     assert not orig(0, 1, 0).is_zero()  # the corruption is visible
     rc.literal.reduced_block = corrupted

@@ -9,7 +9,8 @@ from hopfcross.resolution import (
     build_resolution_closed,
     build_resolution_recursive,
 )
-from conftest import BUILTIN_BUILDERS
+from conftest import BUILTIN_BUILDERS, homotopy_matrices, mat_add, mat_neg
+import homotopy_reference as ref
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -26,41 +27,43 @@ def test_row_contractions(resolutions):
     # mu_s sigma0_y = id on row targets; sigma0_y mu_s + d0 sigma0_x = id on
     # the (0, s) blocks; sigma0 d0 + d0 sigma0 = id on the other blocks
     for name, res in resolutions.items():
+        sigma0_x, sigma0_y = ref.sigma0_x(res), ref.sigma0_y(res)
         for s in range(res.cap + 1):
             ys = res.row_spaces[s]
             ident = ExactMatrix.identity(Q, ys.dim)
-            assert res.mu[s] @ res.sigma0_y[s] == ident, (name, s)
+            assert res.mu[s] @ sigma0_y[s] == ident, (name, s)
             # the correction block d0_{1s} lives one degree up, so the (0, s)
             # identity is only checkable below the cap
             if (1, s) in res.block_spaces:
                 xs = res.block_spaces[(0, s)]
-                lhs = res.sigma0_y[s] @ res.mu[s]
-                lhs = lhs + res.blocks[(0, 1, s)] @ res.sigma0_x[(0, s)]
+                lhs = sigma0_y[s] @ res.mu[s]
+                lhs = mat_add(lhs, res.blocks[(0, 1, s)] @ sigma0_x[(0, s)])
                 assert lhs == ExactMatrix.identity(Q, xs.dim), (name, s)
         for (r, s), xs in res.block_spaces.items():
             if r < 1 or (r + 1, s) not in res.block_spaces:
                 continue
-            lhs = res.sigma0_x[(r - 1, s)] @ res.blocks[(0, r, s)]
-            lhs = lhs + res.blocks[(0, r + 1, s)] @ res.sigma0_x[(r, s)]
+            lhs = sigma0_x[(r - 1, s)] @ res.blocks[(0, r, s)]
+            lhs = mat_add(lhs, res.blocks[(0, r + 1, s)] @ sigma0_x[(r, s)])
             assert lhs == ExactMatrix.identity(Q, xs.dim), (name, r, s)
 
 
 def test_y_complex_contraction(resolutions):
     for name, res in resolutions.items():
+        partial, sigma_minus1 = ref.partial(res), ref.sigma_minus1(res)
         # partial o partial = 0
         for s in range(2, res.cap + 1):
-            assert (res.partial[s - 1] @ res.partial[s]).is_zero(), (name, s)
+            assert (partial[s - 1] @ partial[s]).is_zero(), (name, s)
         # mu_tilde o partial_1 = 0
-        assert (res.mu_tilde @ res.partial[1]).is_zero(), name
+        assert (res.mu_tilde @ partial[1]).is_zero(), name
         # contraction identities
         e_dim = res.cp.e.dim
-        assert res.mu_tilde @ res.sigma_minus1[-1] == ExactMatrix.identity(Q, e_dim), name
-        lhs = res.partial[1] @ res.sigma_minus1[0]
-        lhs = lhs + res.sigma_minus1[-1] @ res.mu_tilde
+        assert res.mu_tilde @ sigma_minus1[-1] == ExactMatrix.identity(Q, e_dim), name
+        lhs = partial[1] @ sigma_minus1[0]
+        lhs = mat_add(lhs, sigma_minus1[-1] @ res.mu_tilde)
         assert lhs == ExactMatrix.identity(Q, res.row_spaces[0].dim), name
         for s in range(1, res.cap):
-            lhs = res.partial[s + 1] @ res.sigma_minus1[s]
-            lhs = lhs + res.sigma_minus1[s - 1] @ res.partial[s]
+            lhs = partial[s + 1] @ sigma_minus1[s]
+            lhs = mat_add(lhs, sigma_minus1[s - 1] @ partial[s])
             assert lhs == ExactMatrix.identity(Q, res.row_spaces[s].dim), (name, s)
 
 
@@ -82,17 +85,18 @@ def test_augmentation_is_negative_multiplication(resolutions):
 
 
 def test_contracting_homotopy(resolutions):
+    # the identities on every column, with sigma extended over the full basis
     for name, res in resolutions.items():
-        sigma = res.contracting_homotopy()
+        sigma = homotopy_matrices(res)
         e_dim = res.cp.e.dim
         # aug o sigma_0 = id_E
         assert res.augmentation @ sigma[0] == ExactMatrix.identity(Q, e_dim), name
         # d_1 sigma_1 + sigma_0 aug = id at degree 0
-        lhs = res.d[1] @ sigma[1] + sigma[0] @ res.augmentation
+        lhs = mat_add(res.d[1] @ sigma[1], sigma[0] @ res.augmentation)
         assert lhs == ExactMatrix.identity(Q, res.dims[0]), name
         # d_{n+1} sigma_{n+1} + sigma_n d_n = id at degree n
         for n in range(1, res.cap):
-            lhs = res.d[n + 1] @ sigma[n + 1] + sigma[n] @ res.d[n]
+            lhs = mat_add(res.d[n + 1] @ sigma[n + 1], sigma[n] @ res.d[n])
             assert lhs == ExactMatrix.identity(Q, res.dims[n]), (name, n)
 
 
@@ -100,11 +104,73 @@ def test_homotopy_vanishes_on_generators(resolutions):
     for name, res in resolutions.items():
         sigma = res.contracting_homotopy()
         for n in range(2, res.cap + 1):
-            mat = sigma[n]
-            for r, s, off, space in res.degree_blocks(n - 1):
-                for mid in space.generators():
-                    col = mat.cols[off + space.combine(0, mid, 0)]
-                    assert not col, (name, n, r, s, mid)
+            # the table holds every left generator of degree n - 1
+            left = [off + space.combine(0, mid, e) for _, _, off, space in res.degree_blocks(n - 1)
+                    for mid in space.generators() for e in range(space.ne)]
+            assert sorted(sigma[n]) == left, (name, n)
+            for g in res.generator_indices(n - 1):
+                assert not sigma[n][g], (name, n, g)
+
+
+@pytest.mark.parametrize("field", (Q, FieldSpec.prime(5)), ids=("Q", "F5"))
+def test_homotopy_equals_the_full_basis_reference(field):
+    # the left extension of the table equals the matrix-product sigma on
+    # every column
+    from hopfcross.problems import BUILTIN_NAMES
+
+    for name in BUILTIN_NAMES:
+        cap = 3 if name == "sweedler_smash" else 4
+        res = build_resolution_closed(BUILTIN_BUILDERS[name](field), cap)
+        expect = ref.contracting_homotopy(res)
+        got = homotopy_matrices(res)
+        assert sorted(got) == sorted(expect) == list(range(cap + 1)), name
+        for n in expect:
+            assert got[n] == expect[n], (name, n)
+
+
+@pytest.mark.parametrize(
+    "name", ("s3_as_action_extension", "sweedler_smash", "z4_as_cocycle_extension"))
+def test_changed_sigma0_x_value_is_caught(name, monkeypatch, tmp_path, capsys):
+    # sigma^0_x scaled on one left generator with a nonzero value: the
+    # left-generator check raises, and resolution-check exits 1 with the
+    # homotopy marked false
+    import json
+
+    from hopfcross.cli import main
+    from hopfcross.resolution import HomotopyIdentityFailure, assert_contracting_homotopy
+
+    original = CrossedResolution._sigma0_x_column
+    cp = BUILTIN_BUILDERS[name](Q)
+    res = build_resolution_closed(cp, 3)
+    assert_contracting_homotopy(res)
+    targets = []
+    for (r, s), space in res.block_spaces.items():
+        if r + s < res.cap:
+            local = next((j for j in range(space.mid_size * space.ne)
+                          if original(res, r, s, j)), None)
+            if local is not None:
+                targets.append((r, s, local))
+    assert len(targets) >= 3, targets
+
+    for target in targets:
+        def mutated(self, r, s, flat, target=target):
+            col = original(self, r, s, flat)
+            if (r, s, flat) == target:
+                col = {i: self.field.mul(2, v) for i, v in col.items()}
+            return col
+
+        monkeypatch.setattr(CrossedResolution, "_sigma0_x_column", mutated)
+        with pytest.raises(HomotopyIdentityFailure):
+            assert_contracting_homotopy(build_resolution_closed(cp, 3))
+        if target[:2] == (0, 1):
+            out = tmp_path / "res.json"
+            assert main(["resolution-check", name, "--max-degree", "2",
+                         "--output", str(out)]) == 1
+            doc = json.loads(out.read_text())
+            assert doc["sections"]["contracting_homotopy"] == {"match": False}
+            assert not doc["pass"]
+        monkeypatch.setattr(CrossedResolution, "_sigma0_x_column", original)
+    capsys.readouterr()
 
 
 def test_closed_equals_recursive_small():
@@ -121,9 +187,10 @@ def test_block_sum_identities(resolutions):
     # mu_{s-1} d^1_{0s} = -partial_s mu_s and the d0 d^l sum identities on
     # generators
     for name, res in resolutions.items():
+        partial = ref.partial(res)
         for s in range(1, res.cap + 1):
             lhs = res.mu[s - 1] @ res.blocks[(1, 0, s)]
-            rhs = -(res.partial[s] @ res.mu[s])
+            rhs = mat_neg(partial[s] @ res.mu[s])
             assert lhs == rhs, (name, s)
         for (l, r, s), block in res.blocks.items():
             if l < 1 or r + l - 1 < 1:
@@ -226,9 +293,11 @@ def test_mismatch_and_homotopy_exceptions(resolutions):
 
     # a wrong homotopy is rejected with the failing degree
     bad = dict(sigma)
-    bad[2] = bad[2].scale(res.field.scalar(3))
-    with pytest.raises(HomotopyIdentityFailure):
+    three = res.field.scalar(3)
+    bad[2] = {g: {i: res.field.mul(three, v) for i, v in img.items()} for g, img in sigma[2].items()}
+    with pytest.raises(HomotopyIdentityFailure) as err:
         assert_contracting_homotopy(res, bad)
+    assert err.value.degree == 1
 
 
 def test_comparison_identity_exception():
@@ -267,10 +336,7 @@ def test_trivial_hopf_collapses_to_bar_resolution():
             assert res.d[n].cols[j] == bar.bprime(n, {j: Q.one}), (n, j)
 
 
-CERTIFICATE_LAYER = (
-    "blocks", "d", "mu", "partial", "sigma0_x", "sigma0_y", "sigma_minus1",
-    "mu_tilde", "augmentation",
-)
+CERTIFICATE_LAYER = ("blocks", "d", "mu", "mu_tilde", "augmentation")
 
 
 def test_generator_columns_are_those_of_the_blocks():
@@ -310,9 +376,13 @@ def test_d0_extension_matches_the_total_formula():
             assert block == full, (name, r, s)
 
 
-def test_reports_leave_certificate_layer_unbuilt():
+def test_reports_leave_certificate_layer_unbuilt(monkeypatch):
     from hopfcross.homology import hochschild_cohomology, hochschild_homology
 
+    def forbidden(self):
+        raise AssertionError("a report built the contracting homotopy")
+
+    monkeypatch.setattr(CrossedResolution, "contracting_homotopy", forbidden)
     cp = BUILTIN_BUILDERS["sweedler_smash"](Q)
     res = CrossedResolution(cp, 4)
     hochschild_homology(cp, cap=4, res=res)
@@ -340,7 +410,7 @@ def test_recursion_builds_no_certificate_layer():
     cp = BUILTIN_BUILDERS["s3_as_action_extension"](Q)
     rec = build_resolution_recursive(cp, 3)
     assert_constructions_agree(build_resolution_closed(cp, 3), rec)
-    built = {"blocks", "mu", "partial", "sigma0_x", "sigma0_y", "d"} & set(vars(rec))
+    built = set(CERTIFICATE_LAYER) & set(vars(rec))
     assert not built, built
 
 
@@ -366,15 +436,29 @@ def _free_spaces():
 
 
 def test_free_bimodule_space_mid_key_round_trip():
+    # one mixed-radix index serves the free bimodule spaces and the mid
+    # spaces of the reduced and untwisted complexes
+    from hopfcross.reduced_complexes import _reduced_mid_space, _untwisted_mid_space
+    from hopfcross.tensors import mid_key, mid_rank
+
     cp, spaces = _free_spaces()
-    for kind, space in spaces.items():
-        keys = [space.mid_key(m) for m in space.generators()]
-        assert all(0 not in key for key in keys), kind
-        assert [space.mid_rank(key) for key in keys] == list(space.generators()), kind
+    indexings = {kind: ([d - 1 for d, norm in space.legs if norm], space.mid_key,
+                        space.mid_rank, space.generators())
+                 for kind, space in spaces.items()}
+    for kind, mid_space in (("reduced", _reduced_mid_space), ("untwisted", _untwisted_mid_space)):
+        tensor_space = mid_space(cp, 2, 1)
+        radices = tensor_space.dims
+        indexings[kind] = (list(radices), lambda m, radices=radices: mid_key(radices, m),
+                           lambda key, radices=radices: mid_rank(radices, key),
+                           range(tensor_space.size))
+    for kind, (radices, key_of, rank_of, indices) in indexings.items():
+        keys = [key_of(m) for m in indices]
+        assert keys and all(0 not in key for key in keys), kind
+        assert [rank_of(key) for key in keys] == list(indices), kind
         # section keys enumerate the normalized legs row-major
-        radices = [d - 1 for d, norm in space.legs if norm]
         assert keys == [tuple(i + 1 for i in multi) for multi in product(*map(range, radices))]
-        assert space.mid_rank((0,) + keys[-1][1:]) is None, kind
+        assert rank_of((0,) + keys[-1][1:]) is None, kind
+    for kind, space in spaces.items():
         assert space.dim == cp.e.dim ** 2 * space.mid_size, kind
 
 

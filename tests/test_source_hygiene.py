@@ -19,9 +19,12 @@
   module functions it calls) names no resolution, duality or untwisting code,
   and not the bimodule's sandwich table, so the formula check shares no code
   with the blocks it checks.
-* In comparison.py only the one extension loop (extend_by_outer_mult), the
-  bimodule-extension certificate and degree_outer_mult call left_mult /
-  right_mult, so no second hand-written extension escapes the certificate.
+* In comparison.py only the one extension loop (extend_by_outer_mult) and
+  the bimodule-extension certificate call left_mult / right_mult; in
+  resolution.py only the generator-table extensions (_bimodule_image and
+  _extend_bimodule) and degree_outer_mult, the one degree-level outer
+  multiplication, which psi_apply and the contracting homotopy share.  So no
+  second hand-written extension escapes the certificate.
 * The full-basis insertion matrices live only in tests/insertion_reference.py:
   no src/ module names insertion_matrix, and the reference imports nothing
   from hopfcross.twisting or hopfcross.resolution, so it checks the on-demand
@@ -33,10 +36,13 @@
   tests/bar_reference.py nothing from hopfcross.bar,
   tests/placement_reference.py nothing from hopfcross.reduced_complexes,
   tests/sweedler_reference.py nothing from hopfcross.hopf, and
-  tests/extension_reference.py nothing from hopfcross.resolution.
+  tests/extension_reference.py and tests/homotopy_reference.py nothing from
+  hopfcross.resolution.
 * Every top-level function and non-dunder method in src/ is reached: it is in
-  __all__, or named (as a name or an attribute) by module-level code of src/,
-  by a demo, or by the body of another reached function.  The closure is
+  __all__, or named by module-level code of src/, by a demo, or by the body
+  of another reached function.  A function may be named as a name or as an
+  attribute; a method only as an attribute (x.method), so that a parameter or
+  a local of the same name does not hide an unreached method.  The closure is
   taken from those roots, so code that only unreached code names is
   unreached too.  Test-only helpers belong in tests/.
 """
@@ -62,7 +68,10 @@ LITERAL_FORBIDDEN = {
 }
 RAW_SUM_EXEMPT = {"_composites_vanish"}  # it only tests its sums for zero
 OUTER_MULTS = {"left_mult", "right_mult"}
-OUTER_MULT_CALLERS = {"extend_by_outer_mult", "check_bimodule_extension", "degree_outer_mult"}
+OUTER_MULT_CALLERS = {
+    "comparison.py": {"extend_by_outer_mult", "check_bimodule_extension"},
+    "resolution.py": {"_bimodule_image", "_extend_bimodule", "degree_outer_mult"},
+}
 REFERENCE_FORBIDDEN_MODULES = {"hopfcross.twisting", "hopfcross.resolution"}
 OTHER_REFERENCES = {
     "coefficient_reference.py": {"hopfcross.reduced_complexes"},
@@ -71,6 +80,7 @@ OTHER_REFERENCES = {
     "placement_reference.py": {"hopfcross.reduced_complexes"},
     "sweedler_reference.py": {"hopfcross.hopf"},
     "extension_reference.py": {"hopfcross.resolution"},
+    "homotopy_reference.py": {"hopfcross.resolution"},
 }
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
@@ -260,13 +270,15 @@ def _mentions(tree: ast.Module, name: str) -> list[str]:
     return found
 
 
-def _named(node: ast.AST) -> set[str]:
-    """Every name and attribute used inside node."""
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    }
+def _named(node: ast.AST) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names used inside node."""
+    names, attrs = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            attrs.add(n.attr)
+    return names, attrs
 
 
 def _unreached(modules: dict, roots: list) -> set[str]:
@@ -275,39 +287,50 @@ def _unreached(modules: dict, roots: list) -> set[str]:
     modules maps a module name to its tree.  Top-level functions and
     non-dunder methods are the candidates; every other statement of a module
     (dunder methods included), the roots and the names in __all__ are
-    reached from the start.  A candidate is reached when a reached body names
-    it, and then its own body is reached in turn.
+    reached from the start.  A function is reached when a reached body names
+    it, as a name or as an attribute (module.function); a method only when a
+    reached body names it as an attribute (x.method), so a local variable or
+    an imported function of the same name does not reach it.  A reached
+    candidate's own body is reached in turn.
     """
-    candidates, live = [], set()
+    candidates, names, attrs = [], set(), set()
+
+    def mark(node):
+        found_names, found_attrs = _named(node)
+        names.update(found_names)
+        attrs.update(found_attrs)
+
     for module, tree in modules.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                candidates.append((f"{module}.{node.name}", node))
+                candidates.append((f"{module}.{node.name}", node, False))
                 continue
             if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
-                live.update(ast.literal_eval(node.value))
+                names.update(ast.literal_eval(node.value))
             if not isinstance(node, ast.ClassDef):
-                live |= _named(node)
+                mark(node)
                 continue
-            live |= set().union(*map(_named, node.bases + node.decorator_list))
+            for part in node.bases + node.decorator_list:
+                mark(part)
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not (
                     sub.name.startswith("__") and sub.name.endswith("__")
                 ):
-                    candidates.append((f"{module}.{node.name}.{sub.name}", sub))
+                    candidates.append((f"{module}.{node.name}.{sub.name}", sub, True))
                 else:
-                    live |= _named(sub)
+                    mark(sub)
     for root in roots:
-        live |= _named(root)
+        mark(root)
     while True:
-        reached = [(label, fn) for label, fn in candidates if fn.name in live]
+        reached = [item for item in candidates
+                   if item[1].name in attrs or (not item[2] and item[1].name in names)]
         if not reached:
-            return {label for label, _ in candidates}
+            return {label for label, _, _ in candidates}
         for item in reached:
             candidates.remove(item)
-            live |= _named(item[1])
+            mark(item[1])
 
 
 def test_package_modules_found():
@@ -420,7 +443,13 @@ def test_checked_code_in_the_formulas_is_detected():
 
 
 def test_comparison_extends_in_one_loop():
-    assert _outer_mult_callers(_tree(PACKAGE / "comparison.py")) == OUTER_MULT_CALLERS
+    module = "comparison.py"
+    assert _outer_mult_callers(_tree(PACKAGE / module)) == OUTER_MULT_CALLERS[module]
+
+
+def test_resolution_extends_in_known_places():
+    module = "resolution.py"
+    assert _outer_mult_callers(_tree(PACKAGE / module)) == OUTER_MULT_CALLERS[module]
 
 
 def test_second_extension_is_detected():
@@ -479,6 +508,7 @@ def test_reference_imports_are_detected():
         ("from hopfcross.hopf import sweedler_legs", "sweedler_reference.py"),
         ("import hopfcross.hopf as hopf", "sweedler_reference.py"),
         ("from hopfcross.resolution import FreeBimoduleSpace", "extension_reference.py"),
+        ("from hopfcross.resolution import CrossedResolution", "homotopy_reference.py"),
     ):
         assert _imported_modules(ast.parse(source), OTHER_REFERENCES[module]), source
 
@@ -506,8 +536,15 @@ def test_unreached_code_is_detected():
         "    def __init__(self):\n        self.x = self.used()\n"
         "    def used(self):\n        return 5\n"
         "    def unused(self):\n        return self.unused()\n"
+        # a bare name that collides with a method does not reach it
+        "    def scale(self):\n        return 6\n"
+        "    def sub(self):\n        return 7\n"
+        "def uses_collisions(scale, parser):\n"
+        "    sub = parser.add_subparsers()\n    return scale, sub\n"
+        "LATER = uses_collisions(1, None)\n"
     )
     demo = ast.parse("import mod\nmod.from_demo()")
     assert _unreached({"mod": ast.parse(source)}, [demo]) == {
         "mod.only_from_dead", "mod.dead", "mod.ping", "mod.pong", "mod.recursive", "mod.K.unused",
+        "mod.K.scale", "mod.K.sub",
     }

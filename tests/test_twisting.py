@@ -99,8 +99,8 @@ def _f03_displayed(cp):
                 for fa, ca in first.items():
                     for fb, cb in second.items():
                         idx = tgt.index((fa, fb))
-                        w = field.sub(col.get(idx, field.zero),
-                                      field.mul(field.mul(c, cm), field.mul(ca, cb)))
+                        w = field.add(col.get(idx, field.zero),
+                                      field.neg(field.mul(field.mul(c, cm), field.mul(ca, cb))))
                         if field.is_zero(w):
                             col.pop(idx, None)
                         else:
