@@ -5,13 +5,23 @@ no other module builds a rational.  Over Q an integral value is always a
 Python int, and only a non-integral value is a rational object: a gmpy2.mpq
 when gmpy2 is installed (it is optional), else a fractions.Fraction.  Both
 backends therefore give the same scalars for integral values and the same
-documents.  Prime-field scalars are plain ints in 0..p-1.
+documents.  A prime-field scalar is a plain int, the symmetric residue in
+[-((p - 1) // 2), p // 2] ({0, 1} when p = 2), so that -1 is -1 and the
+small values of the structure constants stay small ints in every product;
+fmt still writes the residue in 0..p-1.  Reduction modulo p is written only
+here, in the elimination kernel of linalg.py and in the d o d check of
+complexes.py.
 
 Elimination (linalg.py) does not call these methods per entry: it runs one
-kernel per field on plain ints (inline `% p` over F_p, fraction-free integer
-columns over Q) and divides through FieldSpec only to hand back a kernel
-vector or a solution.  Block builders sum products of scalars raw into a
-column dict and finish it once with FieldSpec.settle.
+kernel per field on plain ints (symmetric residues over F_p, reduced only
+when a sum leaves their range; fraction-free integer columns over Q) and
+divides through FieldSpec only to hand back a kernel vector or a solution.
+Block builders sum products of scalars raw into a column dict and finish it
+once with FieldSpec.settle.
+
+A modulus is tested for primality by deterministic Miller-Rabin on the prime
+bases 2..41, which is exact below MAX_MODULUS (Sorenson and Webster 2015); a
+larger modulus is refused.
 """
 
 from __future__ import annotations
@@ -29,17 +39,39 @@ def _canonical(r):
     return int(r.numerator) if r.denominator == 1 else r
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _PRIME_BASES
+MAX_MODULUS = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact for n < MAX_MODULUS: Miller-Rabin on each base of _PRIME_BASES."""
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def residue(t: int, p: int) -> int:
+    """The canonical F_p scalar of the int t: t mod p in [-((p - 1) // 2), p // 2]."""
+    t %= p
+    return t - p if t > p >> 1 else t
 
 
 class FieldSpec:
@@ -52,6 +84,8 @@ class FieldSpec:
             if p is not None:
                 raise ValueError("rationals take no modulus")
         elif kind == "Fp":
+            if p is not None and p >= MAX_MODULUS:
+                raise ValueError(f"a prime modulus must be below {MAX_MODULUS}, got {p}")
             if p is None or not _is_prime(p):
                 raise ValueError(f"PrimeField needs a prime modulus, got {p!r}")
         else:
@@ -100,33 +134,32 @@ class FieldSpec:
             value = int(value)
         if not isinstance(value, int):
             raise TypeError(f"prime-field scalar must be an integer, got {value!r}")
-        return value % self.p
+        return residue(value, self.p)
 
     # arithmetic ---------------------------------------------------------
     def add(self, a, b):
-        return _canonical(a + b) if self.kind == "Q" else (a + b) % self.p
+        return _canonical(a + b) if self.kind == "Q" else residue(a + b, self.p)
 
     def mul(self, a, b):
-        return _canonical(a * b) if self.kind == "Q" else (a * b) % self.p
+        return _canonical(a * b) if self.kind == "Q" else residue(a * b, self.p)
 
     def neg(self, a):
-        return -a if self.kind == "Q" else (-a) % self.p
+        return -a if self.kind == "Q" else residue(-a, self.p)
 
     def inv(self, a):
         if self.kind == "Q":
             if a == 0:
                 raise ZeroDivisionError("division by zero")
             return _canonical(1 / _ratio(a))
-        a %= self.p
-        if a == 0:
+        if a % self.p == 0:
             raise ZeroDivisionError("division by zero")
-        return pow(a, self.p - 2, self.p)
+        return residue(pow(a, -1, self.p), self.p)
 
     def is_zero(self, a) -> bool:
         return a == 0 if self.kind == "Q" else a % self.p == 0
 
     def settle(self, acc: dict) -> dict:
-        """A raw sum finished: canonical scalars over Q, `% p` over F_p, zeros dropped.
+        """A raw sum finished: canonical scalars, zeros dropped.
 
         acc holds plain sums of products of field scalars, keyed by anything;
         the result keeps its key order.  Over Q, acc itself is returned when
@@ -138,11 +171,14 @@ class FieldSpec:
                     return {k: _canonical(v) for k, v in acc.items() if v}
             return acc
         p = self.p
-        return {k: t for k, v in acc.items() if (t := v % p)}
+        hi = p >> 1
+        lo = hi + 1 - p
+        return {k: t for k, v in acc.items() if (t := v if lo <= v <= hi else residue(v, p))}
 
     # serialization ------------------------------------------------------
     def fmt(self, a) -> str | int:
-        """Bit-exact serialization: 'p/q' strings over Q, ints 0..p-1 over F_p."""
+        """Bit-exact serialization: 'p/q' strings over Q, ints 0..p-1 over F_p
+        (not the symmetric residue that is held)."""
         if self.kind == "Q":
             return str(a)
         return int(a % self.p)

@@ -11,11 +11,16 @@ from __future__ import annotations
 from .bar import (
     h_module_cohomology_complex,
     h_module_homology_complex,
-    hochschild_chain_complex,
     hochschild_cochain_complex,
 )
 from .complexes import check_convergence, homology_dims, spectral_page
-from .crossed import BimoduleData, CrossedProductData, regular_bimodule, tensor_bimodule
+from .crossed import (
+    BimoduleData,
+    CrossedProductData,
+    dual_bimodule,
+    regular_bimodule,
+    tensor_bimodule,
+)
 from .reduced_complexes import HActionOnHomology, ReducedComplexes
 
 
@@ -32,9 +37,23 @@ def _dims_report(dims, cap, oracle_dims=None):
     return report
 
 
+def _bar_oracle_dims(e, m, cap, cochain: bool) -> list[int]:
+    """dim H^n(E, M), or dim H_n(E, M) = dim H^n(E, M^v), from the normalized
+    bar cochains: for finite-dimensional M over a field the bar chains of M
+    are the dual of the bar cochains of M^v, so both give the same dims."""
+    return homology_dims(hochschild_cochain_complex(e, m if cochain else dual_bimodule(m), cap))
+
+
 def _hochschild(cp, m, cap, oracle, res, compare, cochain: bool) -> dict:
     """dim H_n(E, M) or dim H^n(E, M) for n < cap through the reduced
-    complex; oracle=True recomputes through the normalized bar complex."""
+    complex; oracle=True recomputes through the normalized bar complex.
+
+    The oracle stays independent of the reduced side: in each comparison
+    exactly one side goes through dual_bimodule, so a wrong dual shows up as
+    a mismatch and cannot cancel out.  For homology the reduced chains take
+    M as it is and the oracle takes the bar cochains of M^v; for cohomology
+    the reduced cochains are the dual-transposed M^v chains and the oracle
+    takes the bar cochains of M itself."""
     if m is None:
         m = regular_bimodule(cp.e)
     rc = ReducedComplexes(cp, m, cap, res=res, compare=compare)
@@ -43,8 +62,7 @@ def _hochschild(cp, m, cap, oracle, res, compare, cochain: bool) -> dict:
     dims = homology_dims(reduced.complex)
     oracle_dims = None
     if oracle:
-        bar = hochschild_cochain_complex if cochain else hochschild_chain_complex
-        oracle_dims = homology_dims(bar(cp.e, m, cap))
+        oracle_dims = _bar_oracle_dims(cp.e, m, cap, cochain)
     return _dims_report(dims, cap, oracle_dims)
 
 
@@ -147,7 +165,7 @@ def tor_spectral_report(cp: CrossedProductData, right_module, left_module,
         raise ValueError("supplied modules do not form a bimodule: " + report.summary())
     rc = ReducedComplexes(cp, bimod, cap, res=res)
     dims = homology_dims(rc.reduced_chain_complex().complex)
-    oracle_dims = homology_dims(hochschild_chain_complex(cp.e, bimod, cap))
+    oracle_dims = _bar_oracle_dims(cp.e, bimod, cap, cochain=False)
     out = _dims_report(dims, cap, oracle_dims)
     out["tor_dims"] = dims
     if cp.conv_inverse is not None:

@@ -15,8 +15,10 @@ of one reduction give the rank of every lower-left block of the matrix
 The reduction runs on plain ints, by one reduction kernel per field, chosen
 once per matrix (_PrimeReduction, _RationalReduction):
 
-* F_p: entries in 0..p-1, each registered pivot column scaled so its pivot
-  is 1, and every update an inline `% p`.
+* F_p: entries are the symmetric residues of fields.py, in
+  [h + 1 - p, h] with h = p // 2.  Each registered pivot column is scaled
+  so its pivot is 1 (a pivot of -1 is its own inverse), and an update
+  reduces a sum inline only when it leaves that range.
 * Q: fraction-free primitive column reduction (Bareiss 1968).  Each column is
   scaled to an integer vector; a step forms a*v - b*pivot with a, b the pivot
   entries over their gcd, then divides by the content gcd.
@@ -39,7 +41,7 @@ from .fields import FieldSpec
 def vec_add_into(dst: dict, src: dict, scale, field: FieldSpec) -> None:
     """dst += scale * src, dropping zeros. The one mutating helper (dst is local).
 
-    The loop is chosen once per call: inline `% p` over F_p, int arithmetic
+    The loop is chosen once per call: symmetric residues over F_p, int arithmetic
     over Q for an int scale (only a sum that is not an int, from a rational
     entry, is coerced back to a canonical scalar), else the FieldSpec ops.
     """
@@ -79,10 +81,17 @@ def _axpy(dst: dict, src: dict, c: int) -> None:
 
 
 def _axpy_mod(dst: dict, src: dict, c: int, p: int) -> None:
-    """dst += c * src mod p, dropping zeros."""
+    """dst += c * src mod p, dropping zeros; a sum is reduced only when it
+    leaves the symmetric range [h + 1 - p, h], h = p // 2."""
+    hi = p >> 1
+    lo = hi + 1 - p
     get = dst.get
     for i, v in src.items():
-        t = (get(i, 0) + c * v) % p
+        t = get(i, 0) + c * v
+        if not lo <= t <= hi:
+            t %= p
+            if t > hi:
+                t -= p
         if t:
             dst[i] = t
         else:
@@ -95,8 +104,15 @@ def _scale_into(vec: dict, a: int) -> None:
 
 
 def _scale_mod_into(vec: dict, a: int, p: int) -> None:
+    hi = p >> 1
+    lo = hi + 1 - p
     for i, v in vec.items():
-        vec[i] = v * a % p
+        t = v * a
+        if not lo <= t <= hi:
+            t %= p
+            if t > hi:
+                t -= p
+        vec[i] = t
 
 
 def _divide_by_content(vec: dict, combo: dict | None, sign: int = 1) -> None:
@@ -110,7 +126,7 @@ def _divide_by_content(vec: dict, combo: dict | None, sign: int = 1) -> None:
 
 
 class _PrimeReduction:
-    """Reduction over F_p on ints 0..p-1; registered pivots are 1."""
+    """Reduction over F_p on symmetric residues; registered pivots are 1."""
 
     __slots__ = ("p",)
 
@@ -130,7 +146,7 @@ class _PrimeReduction:
             if hit is None:
                 return low
             pvec, pcombo = hit
-            c = p - vec[low]
+            c = -vec[low]
             _axpy_mod(vec, pvec, c, p)
             if combo is not None:
                 _axpy_mod(combo, pcombo, c, p)
@@ -138,7 +154,9 @@ class _PrimeReduction:
 
     def register(self, vec: dict, combo: dict | None, low: int):
         p = self.p
-        inv = pow(vec[low], p - 2, p)
+        inv = vec[low]
+        if inv != 1 and inv != -1:  # a pivot of -1 is its own inverse
+            inv = pow(inv, -1, p)
         if inv != 1:
             _scale_mod_into(vec, inv, p)
             if combo is not None:

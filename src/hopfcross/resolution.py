@@ -16,6 +16,7 @@ assert_contracting_homotopy checks its identities on left generators.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from math import prod
 
@@ -226,6 +227,17 @@ class CrossedResolution:
                 self.block_spaces[(n - s, s)] = FreeBimoduleSpace(cp, (nh,) * s + (na,) * (n - s))
         for s in range(cap + 1):
             self.row_spaces[s] = RowSpace(cp, s)
+        # per degree: its blocks in filtration order with offsets, and their ends
+        self._degree_blocks: list = []
+        self._degree_ends: list = []
+        for n in range(cap + 1):
+            blocks, offset = [], 0
+            for s in range(n + 1):
+                space = self.block_spaces[(n - s, s)]
+                blocks.append((n - s, s, offset, space))
+                offset += space.dim
+            self._degree_blocks.append(blocks)
+            self._degree_ends.append([off + space.dim for _, _, off, space in blocks])
         self.dims = [self.degree_dim(n) for n in range(cap + 1)]
         self._sweedler_memo: dict = {}
         if method == "closed":
@@ -530,23 +542,19 @@ class CrossedResolution:
         }
 
     # assembly ----------------------------------------------------------------
-    def degree_blocks(self, n: int):
-        """Blocks of degree n in filtration order (s ascending) with offsets."""
-        out = []
-        offset = 0
-        for s in range(n + 1):
-            r = n - s
-            space = self.block_spaces[(r, s)]
-            out.append((r, s, offset, space))
-            offset += space.dim
-        return out
+    def degree_blocks(self, n: int) -> list:
+        """Blocks (r, s, offset, space) of degree n in filtration order (s
+        ascending); the list is shared, not copied."""
+        return self._degree_blocks[n]
 
     def degree_split(self, n: int, flat: int):
-        """(r, s, offset, space, local index) of the degree-n basis vector flat."""
-        for r, s, off, space in self.degree_blocks(n):
-            if flat < off + space.dim:
-                return r, s, off, space, flat - off
-        raise IndexError(flat)
+        """(r, s, offset, space, local index) of the degree-n basis vector flat:
+        the first block that ends after flat, so empty blocks are skipped."""
+        i = bisect_right(self._degree_ends[n], flat)
+        if i == len(self._degree_ends[n]):
+            raise IndexError(flat)
+        r, s, off, space = self._degree_blocks[n][i]
+        return r, s, off, space, flat - off
 
     def degree_outer_mult(self, n: int, vec: dict, e_left: int, e_right: int) -> dict:
         """e_left . vec . e_right on the degree-n space, block by block."""
@@ -562,7 +570,7 @@ class CrossedResolution:
         return out
 
     def degree_dim(self, n: int) -> int:
-        return sum(sp.dim for _, _, _, sp in self.degree_blocks(n))
+        return self._degree_ends[n][-1]
 
     def generator_indices(self, n: int) -> list:
         """Degree-n indices of the free generators 1 (x) h (x) a (x) 1."""

@@ -3,13 +3,17 @@
 Hom_{E^e}(X, M) is the dual of M^v (x)_{E^e} X for finite-dimensional M, so
 every cochain matrix is the relabelled transpose of a chain matrix with dual
 coefficients.  The bar cochain oracle and the displayed cochain formulas are
-built without the dual, so they witness the identity independently.
+built without the dual, so they witness the identity independently.  The
+homology oracle reads dim H_n(E, M) from the bar cochains of M^v, which
+the bar chains of M witness.
 """
 
 import pytest
 
 from hopfcross.bar import hochschild_chain_complex, hochschild_cochain_complex
+from hopfcross.complexes import homology_dims
 from hopfcross.crossed import dual_bimodule, regular_bimodule, tensor_bimodule
+from hopfcross.fields import FieldSpec
 from hopfcross.homology import regular_left_module
 from hopfcross.problems import BUILTIN_NAMES, builtin
 from hopfcross.reduced_complexes import (
@@ -20,13 +24,13 @@ from hopfcross.reduced_complexes import (
 )
 
 
-def _cases():
+def _cases(field=None):
     """The six built-ins with M = E, plus two bimodules that are not E."""
     out = []
     for name in BUILTIN_NAMES:
-        cp = builtin(name).crossed_product()
+        cp = builtin(name, field=field).crossed_product()
         out.append((name, cp, regular_bimodule(cp.e)))
-    pf = builtin("s3_as_action_extension")
+    pf = builtin("s3_as_action_extension", field=field)
     cp = pf.crossed_product()
     right, left = pf.tor_modules
     # the Tor bimodule k (x) k, and E (x) k, whose two sides act differently
@@ -76,3 +80,14 @@ def test_derived_cochain_blocks_match_displayed_formulas(name, cp, m):
                     derived = (dual_transpose(untwist_inverse_block(cp, dual, r, s), m.dim) @ block
                                @ dual_transpose(untwist_block(cp, dual, r + l - 1, s - l), m.dim))
                     assert derived == rc.literal.untwisted_cochain_block(l, r, s), key
+
+
+ORACLE_FIELDS = [FieldSpec.rationals(), FieldSpec.prime(5), FieldSpec.prime(2147483629)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec_string())
+def test_homology_oracle_reads_dual_bar_cochains(field):
+    for name, cp, m in _cases(field):
+        cap = 4 if name.startswith("s3") else 3
+        chains = homology_dims(hochschild_chain_complex(cp.e, m, cap))
+        assert homology_dims(hochschild_cochain_complex(cp.e, dual_bimodule(m), cap)) == chains, name

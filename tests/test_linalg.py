@@ -28,7 +28,10 @@ def test_field_parse_roundtrip():
 def test_scalar_formatting():
     assert Q.fmt(Q.scalar("3/4")) == "3/4"
     assert F5.fmt(F5.scalar(7)) == 2
-    assert Q.scalar(-2) == -2 and F5.scalar(-2) == 3
+    # F_p scalars are held as symmetric residues, and written as 0..p-1
+    assert Q.scalar(-2) == -2 and F5.scalar(-2) == -2 and F5.scalar(3) == -2
+    assert F5.fmt(F5.scalar(-2)) == 3 and F5.fmt(-1) == 4 and F5.fmt(F5.scalar(2)) == 2
+    assert F2.scalar(-1) == 1 and F2.fmt(F2.scalar(-1)) == 1
 
 
 def test_integral_rationals_are_ints():
@@ -54,7 +57,8 @@ def test_integral_rationals_are_ints():
     )
     assert Q.inv(2) == half and Q.mul(third, Q.inv(2)) == Q.scalar("1/6")
     prime = [F5.add(3, 4), F5.mul(3, 4), F5.neg(2), F5.inv(2), F5.mul(4, F5.inv(3)), F5.scalar("7")]
-    assert prime == [2, 2, 3, 3, 3, 2]
+    assert prime == [2, 2, -2, -2, -2, 2]
+    assert [F5.fmt(v) for v in prime] == [2, 2, 3, 3, 3, 2]
     assert not any(isinstance(v, float) for v in integral + rational + prime)
 
 
@@ -65,7 +69,9 @@ def test_settle_finishes_raw_sums():
     assert got == {3: 1, (1, 2): Q.scalar("3/2"), 9: -4}
     assert list(got) == [3, (1, 2), 9] and type(got[3]) is int
     assert Q.settle({5: 2, 1: -3}) == {5: 2, 1: -3}
-    assert F5.settle({1: 4 * 4 + 3, 2: 5 * 3, 7: -1, 8: 0}) == {1: 4, 7: 4}
+    assert F5.settle({1: 4 * 4 + 3, 2: 5 * 3, 7: -1, 8: 0}) == {1: -1, 7: -1}
+    assert F5.settle({1: 3, 2: -3, 3: 2, 4: -2}) == {1: -2, 2: 2, 3: 2, 4: -2}
+    assert F2.settle({1: -1, 2: 2, 3: 3}) == {1: 1, 3: 1}
     assert F2.settle({}) == {}
 
 
@@ -116,7 +122,8 @@ def test_solve_no_solution():
 
 def test_solve_mod5():
     m = from_rows(F5, [[2]])
-    assert m.solve([1]) == [3]
+    assert m.solve([1]) == [-2]
+    assert [F5.fmt(v) for v in m.solve([1])] == [3]
 
 
 def test_matmul_and_transpose():

@@ -492,3 +492,27 @@ def test_bar_contraction_on_builtins():
     for name in BUILTIN_NAMES:
         report = check_bar_contraction(BarCalculus(BUILTIN_BUILDERS[name](Q), 3), 2)
         assert report.passed and report.checks_run > 0, (name, report.summary())
+
+
+def _linear_split(res, n, flat):
+    """degree_split by a scan of the degree's blocks, as a reference."""
+    offset = 0
+    for s in range(n + 1):
+        space = res.block_spaces[(n - s, s)]
+        if flat < offset + space.dim:
+            return n - s, s, offset, space, flat - offset
+        offset += space.dim
+    raise IndexError(flat)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_BUILDERS))
+def test_degree_split_matches_a_linear_scan(name):
+    # z2_trivial has Abar = 0: in each degree its empty blocks (r > 0) come
+    # before the one nonempty block, so equal offsets must be skipped
+    res = CrossedResolution(BUILTIN_BUILDERS[name](Q), 4)
+    for n in range(res.cap + 1):
+        assert res.degree_dim(n) == res.dims[n]
+        for flat in range(res.dims[n]):
+            assert res.degree_split(n, flat) == _linear_split(res, n, flat), (name, n, flat)
+        with pytest.raises(IndexError):
+            res.degree_split(n, res.dims[n])

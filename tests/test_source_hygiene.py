@@ -15,6 +15,10 @@
 * No module but fields.py imports fractions or gmpy2 or names Fraction, mpq
   or _ratio: every scalar is made through FieldSpec, which keeps integral
   rationals as ints.
+* Reduction modulo the field's p (x % p, x %= p, pow(x, y, p), with p the
+  name p or any attribute .p) is written only in fields.py, linalg.py and
+  complexes._composites_vanish, so the F_p representation (symmetric
+  residues) lives in one place.
 * The displayed-formula evaluator (reduced_complexes._Literal, with the
   module functions it calls) names no resolution, duality or untwisting code,
   and not the bimodule's sandwich table, so the formula check shares no code
@@ -62,6 +66,8 @@ ACCUMULATORS = {"keyed_add_into", "vec_add_into"}
 LINALG_INTERNALS = {"_echelon", "_reduce_against", "registry"}
 RATIONAL_MODULES = {"fractions", "gmpy2"}
 RATIONAL_NAMES = {"Fraction", "mpq", "_ratio"}
+# module -> the functions allowed to reduce modulo p (None: all of them)
+MOD_P_ALLOWED = {"fields.py": None, "linalg.py": None, "complexes.py": {"_composites_vanish"}}
 LITERAL_FORBIDDEN = {
     "dual_transpose", "dual_bimodule", "reduced_block_from_resolution", "generator_columns",
     "CrossedResolution", "untwist_block", "untwist_inverse_block", "sandwich",
@@ -204,6 +210,37 @@ def _rational_constructors(tree: ast.Module) -> list[str]:
             continue
         found.extend(f"{name} (line {node.lineno})" for name in names)
     return sorted(found)
+
+
+def _is_mod_p(node: ast.AST) -> bool:
+    """x % p, x %= p or pow(x, y, p), with p the name p or an attribute .p."""
+    def is_p(n):
+        return (isinstance(n, ast.Name) and n.id == "p") or (
+            isinstance(n, ast.Attribute) and n.attr == "p")
+
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        return is_p(node.right)
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+        return is_p(node.value)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow" and len(node.args) == 3 and is_p(node.args[2]))
+
+
+def _mod_p_owners(tree: ast.Module) -> set[str]:
+    """The innermost functions (or "<module>") that reduce modulo p."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if _is_mod_p(child):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
 
 
 def _literal_forbidden_names(tree: ast.Module, cls: str = "_Literal") -> list[str]:
@@ -418,6 +455,29 @@ def test_rational_constructors_are_detected():
     ):
         assert _rational_constructors(ast.parse(source)), source
     assert _rational_constructors(ast.parse("from .fields import FieldSpec\nx = q.denominator")) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if MOD_P_ALLOWED.get(p.name, ()) is not None],
+                         ids=lambda p: p.name)
+def test_reduction_mod_p_only_in_the_scalar_modules(path):
+    assert _mod_p_owners(_tree(path)) == set(MOD_P_ALLOWED.get(path.name, ()))
+
+
+def test_reduction_mod_p_is_detected():
+    assert _mod_p_owners(_tree(PACKAGE / "fields.py"))
+    assert _mod_p_owners(_tree(PACKAGE / "linalg.py"))
+    for source in (
+        "def f(t, field):\n    return t % field.p",
+        "def f(t, p):\n    t %= p\n    return t",
+        "def f(a, self):\n    return pow(a, self.p - 2, self.p)",
+        "x = [v % p for v in vals]",
+        # a nested helper is its own owner
+        "def g(vals, p):\n    def f(v):\n        return v % p\n    return f",
+    ):
+        assert _mod_p_owners(ast.parse(source)), source
+    assert _mod_p_owners(ast.parse("def g(vals, p):\n    def f(v):\n        return v % p")) == {"f"}
+    for source in ("def f(n, d):\n    return n % d", "x = t % 2", "y = pow(a, b)", "z = a % q.dim"):
+        assert _mod_p_owners(ast.parse(source)) == set(), source
 
 
 def test_displayed_formulas_call_no_checked_code():
