@@ -67,7 +67,7 @@ class BarCalculus:
         field = self.field
         src = self.spaces[n - 1]
         tgt = self.spaces[n]
-        sign = field.one if n % 2 == 0 else field.neg(field.one)
+        sign = field.sign(n)
         out: dict = {}
         for flat, c in vec.items():
             e_left, mid, e_right = src.split(flat)
@@ -124,7 +124,7 @@ class ComparisonMaps:
             for r, s, off, space in res.degree_blocks(n):
                 for mid in space.generators():
                     gen = {off + space.combine(0, mid, 0): field.one}
-                    table[(r, s, mid)] = bar.xi(n, self.phi_apply(n - 1, res.d[n].apply(gen)))
+                    table[(r, s, mid)] = bar.xi(n, self.phi_apply(n - 1, res.boundary(n, gen)))
             self.phi.append(table)
             table = {}
             bspace = bar.spaces[n]
@@ -239,12 +239,12 @@ def check_comparison_identities(cmp: ComparisonMaps) -> Report:
         for idx in cmp.res.generator_indices(n):
             gen = {idx: field.one}
             lhs = bar.bprime(n, cmp.phi_apply(n, gen))
-            rhs = cmp.phi_apply(n - 1, res.d[n].apply(gen))
+            rhs = cmp.phi_apply(n - 1, res.boundary(n, gen))
             report.record(lhs == rhs, "phi-chain-map", (n, idx))
         for idx in _bar_generators(cmp, n):
             gen = {idx: field.one}
             lhs = cmp.psi_apply(n - 1, bar.bprime(n, gen))
-            rhs = res.d[n].apply(cmp.psi_apply(n, gen))
+            rhs = res.boundary(n, cmp.psi_apply(n, gen))
             report.record(lhs == rhs, "psi-chain-map", (n, idx))
 
     for n in range(cmp.upto + 1):

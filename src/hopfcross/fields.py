@@ -146,6 +146,10 @@ class FieldSpec:
     def neg(self, a):
         return -a if self.kind == "Q" else residue(-a, self.p)
 
+    def sign(self, k: int):
+        """(-1)^k."""
+        return self.neg(self.one) if k % 2 else self.one
+
     def inv(self, a):
         if self.kind == "Q":
             if a == 0:

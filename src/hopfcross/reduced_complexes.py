@@ -228,19 +228,19 @@ class _Literal:
                 yield self.include_a(acted), comps[1::2] + avs[1:], one, c
             for merged, c in _inner_faces(cp, avs):
                 yield one, hs + merged, one, c
-            sign = field.one if r % 2 == 0 else field.neg(field.one)
+            sign = field.sign(r)
             yield one, hs + avs[:-1], self.include_a({avs[-1]: field.one}), sign
         elif l == 1:
-            sign = field.one if r % 2 == 0 else field.neg(field.one)
+            sign = field.sign(r)
             yield self.include_h(hs[0]), hs[1:] + avs, one, sign
-            sign = field.one if (r + s) % 2 == 0 else field.neg(field.one)
+            sign = field.sign(r + s)
             for comps, c in sweedler_legs(cp.h, hs[-1:], r + 1).items():
                 legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
                 y = self.include_h(comps[r])
                 for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
                     yield one, hs[:-1] + alegs, y, coef
             for i in range(1, s):
-                tsign = field.one if (r + i) % 2 == 0 else field.neg(field.one)
+                tsign = field.sign(r + i)
                 for comps, c in sweedler_legs(cp.h, hs[: i + 1], 2).items():
                     firsts, seconds = comps[0::2], comps[1::2]
                     fv = calc.iter_act_vec(firsts[: i - 1], cp.cocycle.f[firsts[i - 1]][firsts[i]])
@@ -251,7 +251,7 @@ class _Literal:
                         out_key = seconds[: i - 1] + (hm,) + hs[i + 1 :] + avs
                         yield x, out_key, one, field.mul(field.mul(c, tsign), cm)
         else:
-            sign = field.one if (l * (r + s)) % 2 == 0 else field.neg(field.one)
+            sign = field.sign(l * (r + s))
             f_tgt = TensorSpace((cp.a.dim,) * (r + l - 1))
             for comps, c in sweedler_legs(cp.h, hs[s - l :], 2).items():
                 fvec = calc.insertion_column(l, r, comps[0::2], avs)
@@ -271,25 +271,25 @@ class _Literal:
             yield self.include_a({avs[0]: field.one}), avs[1:] + hs, one, field.one
             for merged, c in _inner_faces(cp, avs):
                 yield one, merged + hs, one, c
-            sign = field.one if r % 2 == 0 else field.neg(field.one)
+            sign = field.sign(r)
             yield one, avs[:-1] + hs, self.include_a({avs[-1]: field.one}), sign
         elif l == 1:
-            sign = field.one if r % 2 == 0 else field.neg(field.one)
+            sign = field.sign(r)
             eps = cp.h.counit[hs[0]]
             if not field.is_zero(eps):
                 yield one, avs + hs[1:], one, field.mul(sign, eps)
-            sign = field.one if (r + s) % 2 == 0 else field.neg(field.one)
+            sign = field.sign(r + s)
             for comps, c in sweedler_legs(cp.h, hs[-1:], r + 2).items():
                 x, y = self.uinv(comps[0]), self.include_h(comps[r + 1])
                 legs = [cp.action.act[comps[1 + k]][avs[k]] for k in range(r)]
                 for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
                     yield x, alegs + hs[:-1], y, coef
             for i in range(1, s):
-                tsign = field.one if (r + i) % 2 == 0 else field.neg(field.one)
+                tsign = field.sign(r + i)
                 for hm, cm in cp.h.algebra.mult[hs[i - 1]][hs[i]].items():
                     yield one, avs + hs[: i - 1] + (hm,) + hs[i + 1 :], one, field.mul(tsign, cm)
         else:
-            sign = field.one if (l * (r + s)) % 2 == 0 else field.neg(field.one)
+            sign = field.sign(l * (r + s))
             f_tgt = TensorSpace((cp.a.dim,) * (r + l - 1))
             for comps, c in sweedler_legs(cp.h, hs[s - l :], 3).items():
                 firsts = comps[0::3]

@@ -2,12 +2,13 @@
 homotopy.
 
 Blocks E (x) Hbar^s (x) Abar^r (x) E are realized as plain vector spaces on
-explicit tensor bases, and every map is a k-linear matrix; bimodule linearity
-is a property of the construction (columns are built from generator images by
-the outer multiplications), not a typed constraint.  The boundary blocks
-exist in two independent constructions: closed formulas driven by the
-insertion coefficients, and the recursion through the row contractions; they
-must agree block for block, which assert_constructions_agree certifies.
+explicit tensor bases.  The boundary d is stored only as its images on the
+free generators 1 (x) h (x) a (x) 1, and applied to a vector from them by the
+outer multiplications (_block_apply), so d is an E^e-extension by
+construction, not a typed constraint.  The generator images exist in two
+independent constructions: closed formulas driven by the insertion
+coefficients, and the recursion through the row contractions; they must
+agree, which assert_constructions_agree certifies.
 
 The contracting homotopy is a table on left generators 1 (x) v (x) e, filled
 by the recursion's own vector step and extended by left multiplication;
@@ -17,7 +18,7 @@ assert_contracting_homotopy checks its identities on left generators.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, partial
 from math import prod
 
 from .crossed import CrossedProductData
@@ -164,18 +165,6 @@ def _apply_columns(field, vec: dict, column) -> dict:
     return out
 
 
-def _bimodule_image(src: FreeBimoduleSpace, tgt: FreeBimoduleSpace, gen_cols: list, flat: int):
-    """Image of the basis vector eL . gen . eR of src, by E^e-linearity from the
-    generator columns; a generator's own column is returned uncopied."""
-    e_left, mid, e_right = src.split(flat)
-    img = gen_cols[mid]
-    if e_left:
-        img = tgt.left_mult(img, e_left)
-    if e_right:
-        img = tgt.right_mult(img, e_right)
-    return img
-
-
 class _OnDemand(dict):
     """A dict that builds a missing entry as build(key) on first read."""
 
@@ -190,24 +179,23 @@ class _OnDemand(dict):
 # the resolution --------------------------------------------------------------
 
 class CrossedResolution:
-    """Blocks, assembled boundaries, filtration and contracting homotopy of the
-    resolution of E by degreewise sums of the (r, s) blocks.
+    """Boundary and contracting homotopy of the resolution of E by degreewise
+    sums of the (r, s) blocks.
 
     method is "closed" (insertion-coefficient formulas) or "recursive"
-    (the contraction-driven recursion); both yield identical blocks.
+    (the contraction-driven recursion); both yield identical generator
+    columns.
 
-    The resolution is built in two layers.  Construction builds the generator
-    layer: generator_columns[(l, r, s)] lists, per free generator
+    Construction builds generator_columns[(l, r, s)]: per free generator
     1 (x) h (x) a (x) 1 of block (r, s), its image under d^l as a flat column
     over block (r + l - 1, s - l).  That is all the reduced complexes read.
-    The certificate layer -- the E^e-extended blocks, the row maps mu (each
-    mu_s on its own first read), mu_tilde, the augmentation and the assembled
-    d -- is built on first access from the generator columns;
-    boundaries_vanish checks d o d on generators.  The recursion applies its
-    lower blocks E^e-linearly from its own generator table and the row maps
-    from their column rules.  contracting_homotopy builds the homotopy's
-    left-generator table on each call, by the same step and column rules,
-    and reads no certificate-layer matrix.
+    Every other reader applies d to a vector, by boundary (or _block_apply
+    for one d^l), from those columns; no boundary matrix is assembled.  The
+    row maps mu (each mu_s on its own first read), mu_tilde and the
+    augmentation are matrices built on first access.  The recursion applies
+    its lower d^j from its own generator table and the row maps from their
+    column rules.  contracting_homotopy builds the homotopy's left-generator
+    table on each call, by the same step and column rules.
     """
 
     def __init__(self, cp: CrossedProductData, cap: int, method: str = "closed"):
@@ -227,14 +215,17 @@ class CrossedResolution:
                 self.block_spaces[(n - s, s)] = FreeBimoduleSpace(cp, (nh,) * s + (na,) * (n - s))
         for s in range(cap + 1):
             self.row_spaces[s] = RowSpace(cp, s)
-        # per degree: its blocks in filtration order with offsets, and their ends
+        # per degree: its blocks in filtration order with offsets, and their
+        # ends; block_offsets[(r, s)] is the offset of (r, s) in degree r + s
         self._degree_blocks: list = []
         self._degree_ends: list = []
+        self.block_offsets: dict = {}
         for n in range(cap + 1):
             blocks, offset = [], 0
             for s in range(n + 1):
                 space = self.block_spaces[(n - s, s)]
                 blocks.append((n - s, s, offset, space))
+                self.block_offsets[(n - s, s)] = offset
                 offset += space.dim
             self._degree_blocks.append(blocks)
             self._degree_ends.append([off + space.dim for _, _, off, space in blocks])
@@ -253,8 +244,8 @@ class CrossedResolution:
             hit = self._sweedler_memo[(hs, count)] = sweedler_legs(self.cp.h, hs, count)
         return hit
 
-    # elementary maps: one column rule each, read by the certificate-layer
-    # matrices and by the recursion ---------------------------------------------
+    # elementary maps: one column rule each, read by the row-map matrices,
+    # the recursion and the contracting homotopy --------------------------------
     def _mu_column(self, s, key) -> dict:
         """mu_s on the basis tensor key of block (0, s):
         a0 a1^(h_0..h_s firsts) (x) seconds (x) h_last."""
@@ -279,7 +270,7 @@ class CrossedResolution:
         hs = key[1:]  # h_0 .. h_{s+1}
         out: dict = {}
         for i in range(s + 1):
-            sign = field.neg(field.one) if i % 2 == 0 else field.one
+            sign = field.sign(i + 1)
             for comps, c in self._sweedler(hs[: i + 2], 2).items():
                 firsts = comps[0::2]
                 seconds = comps[1::2]
@@ -304,7 +295,7 @@ class CrossedResolution:
         a, h = divmod(e_right, self.cp.h.dim)
         if not a:
             return {}
-        sign = field.one if r % 2 else field.neg(field.one)
+        sign = field.sign(r + 1)
         tgt = self.block_spaces[(r + 1, s)]
         return {tgt.combine(e_left, mid * (self.cp.a.dim - 1) + a - 1, h): sign}
 
@@ -319,7 +310,7 @@ class CrossedResolution:
         with sign (-1)^s: the last H leg becomes a new last Hbar leg (h_0 when
         the source is E) and the new h_last is 1; a unit in an Hbar leg dies."""
         nh = self.cp.h.dim
-        sign = self.field.one if s % 2 == 0 else self.field.neg(self.field.one)
+        sign = self.field.sign(s)
         if s < 0:
             return {flat * nh: sign}
         head, h = divmod(flat, nh)
@@ -406,7 +397,7 @@ class CrossedResolution:
         avs = tuple(mid_key[s:])
         out: dict = {}
         for i in range(s):
-            sign = field.one if (i + r) % 2 == 0 else field.neg(field.one)
+            sign = field.sign(i + r)
             for comps, c in self._sweedler(hs[: i + 2], 2).items():
                 firsts = comps[0::2]
                 seconds = comps[1::2]
@@ -421,7 +412,7 @@ class CrossedResolution:
                         coef = field.mul(field.mul(c, sign), field.mul(c2, cm))
                         keyed_add_into(out, nk, coef, field)
         # last term: vector action of h_s and its residual into the right slot
-        sign = field.one if (r + s) % 2 == 0 else field.neg(field.one)
+        sign = field.sign(r + s)
         for comps, c in self._sweedler((hs[s],), r + 1).items():
             legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
             for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
@@ -436,7 +427,7 @@ class CrossedResolution:
         tgt = self.block_spaces[(r + l - 1, s - l)]
         hs = tuple(mid_key[:s])
         avs = tuple(mid_key[s:])
-        sign = field.one if (l * (r + s)) % 2 == 0 else field.neg(field.one)
+        sign = field.sign(l * (r + s))
         na = cp.a.dim
         f_tgt = TensorSpace((na,) * (r + l - 1))
         out: dict = {}
@@ -514,32 +505,60 @@ class CrossedResolution:
         generator (the recursion); with v_j = sigma^j of a vector it is
         sigma^l of that vector (the contracting homotopy)."""
         field = self.field
-        tgt = self.block_spaces[(r + l - 1, s - l)]
         total: dict = {}
         for j, vec in lower:
-            src, table = self.block_spaces[(r + j, s - j)], gens[(l - j, r + j, s - j)]
-            for flat, c in vec.items():
-                vec_add_into(total, _bimodule_image(src, tgt, table, flat), c, field)
+            vec_add_into(total, self._block_apply(gens, l - j, r + j, s - j, vec), field.one, field)
         total = _apply_columns(field, total, lambda f: self._sigma0_x_column(r + l - 1, s - l, f))
         return {k: field.neg(v) for k, v in total.items()}
 
-    # blocks (certificate layer) -------------------------------------------------
-    def _extend_bimodule(self, l, r, s, gen_cols: list) -> ExactMatrix:
-        """Full matrix of block (l, r, s) from generator columns via x -> eL . x . eR,
-        each eL . x formed once.  The generator columns themselves are kept, not copied."""
-        src = self.block_spaces[(r, s)]
-        tgt = self.block_spaces[(r + l - 1, s - l)]
-        lefts = (tgt.left_mult(g, e) if e else g for e in range(src.ne) for g in gen_cols)
-        cols = [tgt.right_mult(x, e) if e else x for x in lefts for e in range(src.ne)]
-        return ExactMatrix(self.field, tgt.dim, src.dim, cols)
+    def _block_apply(self, gens: dict, l, r, s, vec: dict) -> dict:
+        """d^l on a vector of block (r, s), landing in block (r + l - 1, s - l):
+        the basis vector eL . g . eR goes to eL . gens[(l, r, s)][g] . eR.  d is
+        E^e-linear by construction, since it is applied only here."""
+        field = self.field
+        src, tgt = self.block_spaces[(r, s)], self.block_spaces[(r + l - 1, s - l)]
+        table = gens[(l, r, s)]
+        out: dict = {}
+        for flat, c in vec.items():
+            e_left, mid, e_right = src.split(flat)
+            img = table[mid]
+            if e_left:
+                img = tgt.left_mult(img, e_left)
+            if e_right:
+                img = tgt.right_mult(img, e_right)
+            vec_add_into(out, img, c, field)
+        return out
+
+    def boundary(self, n: int, vec: dict) -> dict:
+        """d_n on a vector of degree n >= 1: each d^l applied to its source
+        block's part.  Parts from two source blocks can land in one target
+        block, so they are summed."""
+        field = self.field
+        parts: dict = {}
+        for flat, c in vec.items():
+            r, s, _, _, local = self.degree_split(n, flat)
+            parts.setdefault((r, s), {})[local] = c
+        out: dict = {}
+        for (r, s), part in parts.items():
+            for l in range(0 if r else 1, s + 1):
+                img = self._block_apply(self.generator_columns, l, r, s, part)
+                off = self.block_offsets[(r + l - 1, s - l)]
+                vec_add_into(out, {i + off: v for i, v in img.items()}, field.one, field)
+        return out
 
     @cached_property
     def blocks(self) -> dict:
-        """(l, r, s) -> matrix, l >= 0 (l = 0 needs r >= 1), for either method."""
-        return {
-            (l, r, s): self._extend_bimodule(l, r, s, gens)
-            for (l, r, s), gens in self.generator_columns.items()
-        }
+        """(l, r, s) -> matrix of d^l on block (r, s), l >= 0 (l = 0 needs
+        r >= 1), every column applied from the generator columns.  Nothing in
+        the package reads it: perfbench/spans.py counts its columns."""
+        one = self.field.one
+        out = {}
+        for l, r, s in self.generator_columns:
+            src, tgt = self.block_spaces[(r, s)], self.block_spaces[(r + l - 1, s - l)]
+            cols = [self._block_apply(self.generator_columns, l, r, s, {j: one})
+                    for j in range(src.dim)]
+            out[(l, r, s)] = ExactMatrix(self.field, tgt.dim, src.dim, cols)
+        return out
 
     # assembly ----------------------------------------------------------------
     def degree_blocks(self, n: int) -> list:
@@ -577,45 +596,6 @@ class CrossedResolution:
         return [off + space.combine(0, mid, 0)
                 for _, _, off, space in self.degree_blocks(n) for mid in space.generators()]
 
-    @cached_property
-    def d(self) -> list:
-        """Assembled boundaries d[n] : degree n -> degree n - 1 (d[0] is None)."""
-        field = self.field
-        d: list = [None]
-        for n in range(1, self.cap + 1):
-            src_blocks = self.degree_blocks(n)
-            tgt_blocks = self.degree_blocks(n - 1)
-            tgt_offset = {(r, s): off for r, s, off, _ in tgt_blocks}
-            cols: list[dict] = []
-            for r, s, off, space in src_blocks:
-                for local in range(space.dim):
-                    col: dict = {}
-                    for l in range(0, s + 1):
-                        if r + l == 0 or (l, r, s) not in self.blocks:
-                            continue
-                        # each l lands in its own target block (r + l - 1, s - l)
-                        block = self.blocks[(l, r, s)]
-                        toff = tgt_offset[(r + l - 1, s - l)]
-                        col.update((i + toff, v) for i, v in block.cols[local].items())
-                    cols.append(col)
-            d.append(ExactMatrix(field, self.dims[n - 1], self.dims[n], cols))
-        return d
-
-    def filtration(self):
-        """Coordinate filtration levels F^i = blocks with s <= i, per degree."""
-        out = []
-        for n in range(self.cap + 1):
-            blocks = self.degree_blocks(n)
-            levels = []
-            for i in range(n + 1):
-                idxs = []
-                for r, s, off, space in blocks:
-                    if s <= i:
-                        idxs.extend(range(off, off + space.dim))
-                levels.append(tuple(idxs))
-            out.append(levels)
-        return out
-
     # contracting homotopy ----------------------------------------------------
     def contracting_homotopy(self) -> dict:
         """sigma as a table on left generators: sigma[n + 1] maps the degree-n
@@ -632,7 +612,6 @@ class CrossedResolution:
         unit = _apply_columns(field, self._sigma_minus1_column(-1, 0), self._sigma0_y_column)
         sigma: dict = {0: {0: unit}}
         for n in range(self.cap):
-            offsets = {(r, s): off for r, s, off, _ in self.degree_blocks(n + 1)}
             table: dict = {}
 
             def add_legs(out, vec, r, s, coef):
@@ -642,7 +621,7 @@ class CrossedResolution:
                 for l in range(1, s + 1):
                     legs.append(self._contract_step(gens, enumerate(legs), l, r, s))
                 for l, leg in enumerate(legs):
-                    off = offsets[(r + l, s - l)]
+                    off = self.block_offsets[(r + l, s - l)]
                     vec_add_into(out, {i + off: v for i, v in leg.items()}, coef, field)
 
             for r, s, off, space in self.degree_blocks(n):
@@ -703,9 +682,12 @@ def assert_constructions_agree(closed: CrossedResolution, recursive: CrossedReso
 def boundaries_vanish(res: CrossedResolution) -> tuple[bool, bool]:
     """(d_n d_{n+1} = 0 for 1 <= n < cap, augmentation d_1 = 0), checked on the
     generator columns of d_{n+1} and d_1: both composites are E^e-linear."""
+    one = res.field.one
+
     def vanishes(first, n):
-        return all(not first.apply(res.d[n].cols[j]) for j in res.generator_indices(n))
-    return all(vanishes(res.d[n], n + 1) for n in range(1, res.cap)), vanishes(res.augmentation, 1)
+        return all(not first(res.boundary(n, {j: one})) for j in res.generator_indices(n))
+    square = all(vanishes(partial(res.boundary, n), n + 1) for n in range(1, res.cap))
+    return square, vanishes(res.augmentation.apply, 1)
 
 
 def assert_contracting_homotopy(res: CrossedResolution, sigma: dict | None = None) -> dict:
@@ -714,8 +696,9 @@ def assert_contracting_homotopy(res: CrossedResolution, sigma: dict | None = Non
 
     That proves both identities on every basis vector.  sigma is the left
     extension of its table by construction (homotopy_apply), d is the
-    E^e-extension of its generator columns and the augmentation is minus the
-    product of E, so both sides of each identity are left E-module maps once
+    E^e-extension of its generator columns by construction (boundary applies
+    it only through _block_apply) and the augmentation is minus the product
+    of E, so both sides of each identity are left E-module maps once
     left_mult is a left action on every block of degree <= cap.
     comparison.check_bimodule_extension certifies that when upto = cap - 1,
     as in resolution-check.
@@ -729,10 +712,10 @@ def assert_contracting_homotopy(res: CrossedResolution, sigma: dict | None = Non
     if res.augmentation.apply(sigma[0][0]) != {0: field.one}:
         raise HomotopyIdentityFailure(-1)
     for n in range(res.cap):
-        down = res.augmentation if n == 0 else res.d[n]
         for g, img in sigma[n + 1].items():
-            lhs = res.d[n + 1].apply(img)
-            vec_add_into(lhs, res.homotopy_apply(sigma, n, down.cols[g]), field.one, field)
+            lhs = res.boundary(n + 1, img)
+            down = res.augmentation.cols[g] if n == 0 else res.boundary(n, {g: field.one})
+            vec_add_into(lhs, res.homotopy_apply(sigma, n, down), field.one, field)
             if lhs != {g: field.one}:
                 raise HomotopyIdentityFailure(n)
     return sigma

@@ -127,7 +127,7 @@ class TwistingCalculus:
         mult = cp.h.algebra.mult
         for j in range(1, l):  # 1-based position of the merged pair
             for i in range(r + 1):
-                sign = field.one if (i * lm1 + j) % 2 == 0 else field.neg(field.one)
+                sign = field.sign(i * lm1 + j)
                 rest = a_tuple[i:]
                 stride = na ** (r - i + l - 2)  # size of A^(r-i+l-2), the recursive target
                 # legs 1..j+1 split into i+2 components, the others into i+1

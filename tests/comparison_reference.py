@@ -17,6 +17,7 @@ imports hopfcross.comparison.
 from hopfcross.algebras import Report
 from hopfcross.linalg import vec_add_into
 from hopfcross.tensors import keyed_add_into
+from conftest import boundary_matrices
 
 
 def bprime_reference(bar, n: int, vec: dict) -> dict:
@@ -59,16 +60,17 @@ def comparison_identities_reference(cmp) -> Report:
     report = Report("comparison identities")
     res, bar, field = cmp.res, cmp.bar, cmp.field
     upto = cmp.upto
+    d = boundary_matrices(res)
     for n in range(1, upto + 1):
         for idx in _small_basis(cmp, n):
             gen = {idx: field.one}
             lhs = bprime_reference(bar, n, cmp.phi_apply(n, gen))
-            rhs = cmp.phi_apply(n - 1, res.d[n].apply(gen))
+            rhs = cmp.phi_apply(n - 1, d[n].apply(gen))
             report.record(lhs == rhs, "phi-chain-map", (n, idx))
         for idx in _bar_basis(cmp, n):
             gen = {idx: field.one}
             lhs = cmp.psi_apply(n - 1, bprime_reference(bar, n, gen))
-            rhs = res.d[n].apply(cmp.psi_apply(n, gen))
+            rhs = d[n].apply(cmp.psi_apply(n, gen))
             report.record(lhs == rhs, "psi-chain-map", (n, idx))
     for n in range(upto + 1):
         for idx in _small_basis(cmp, n):

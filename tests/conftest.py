@@ -76,6 +76,17 @@ def homotopy_matrices(res, sigma=None) -> dict:
     return out
 
 
+def boundary_matrices(res) -> list:
+    """The resolution's boundary as matrices: d[n] from degree n to degree
+    n - 1, column j = res.boundary(n, {j: 1}) (d[0] is None)."""
+    one = res.field.one
+    return [None] + [
+        ExactMatrix(res.field, res.dims[n - 1], res.dims[n],
+                    [res.boundary(n, {j: one}) for j in range(res.dims[n])])
+        for n in range(1, res.cap + 1)
+    ]
+
+
 def block_diag(field, mats) -> ExactMatrix:
     """The block-diagonal matrix with the given blocks, in order."""
     rows = sum(m.nrows for m in mats)

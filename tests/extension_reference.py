@@ -1,5 +1,5 @@
 """The E^e-extension of a block's generator columns, one basis vector at a
-time, as a test reference for CrossedResolution._extend_bimodule.
+time, as a test reference for CrossedResolution.boundary and .blocks.
 
 The source basis vector flat = (e_left, mid, e_right) maps to
 e_left . gen_cols[mid] . e_right: split, then left_mult, then right_mult, in

@@ -80,6 +80,23 @@ def test_square_zero_check_in_each_field(field, row, vanishes):
         assert not c.square_zero
 
 
+@pytest.mark.parametrize("p,row,col", [
+    (5, (2, 1), (2, 1)),          # 2*2 + 1*1 = 5
+    (2, (1, 1), (1, 1)),          # 1 + 1 = 2
+    (3, (1, 1, 1), (1, 1, 1)),    # 1 + 1 + 1 = 3
+])
+def test_square_zero_sums_that_are_nonzero_multiples_of_p(p, row, col):
+    # the integer sum of the composite is p itself, not 0: it still vanishes
+    field = FieldSpec.prime(p)
+    assert [field.scalar(v) for v in row + col] == list(row + col)
+    assert sum(a * b for a, b in zip(row, col)) == p
+    d1 = ExactMatrix.from_columns(field, 1, [{0: v} for v in row])
+    d2 = ExactMatrix.from_columns(field, len(row), [dict(enumerate(col))])
+    c = ChainComplex(field, [1, len(row), 1], [None, d1, d2], HOMOLOGY)
+    c.check_square_zero()
+    assert c.square_zero
+
+
 def _random_invertible(field, n, rng):
     # product of elementary operations applied to the identity
     m = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]

@@ -1,18 +1,22 @@
-"""The certificate layer against full-basis computations.
+"""The boundary applied from generator columns against full-basis computations.
 
-CrossedResolution._extend_bimodule forms each left image eL . x once and
-reuses it for every right factor; tests/extension_reference.py keeps the
-per-basis-vector body it replaced.  boundaries_vanish checks d o d and the
-augmentation on generator columns only; it must agree with the full matrix
-products, on the built-ins and on resolutions with a broken generator column.
+CrossedResolution.boundary applies d_n to a vector from the generator
+columns; tests/extension_reference.py extends each block one basis vector at
+a time, and the assembly here sums the blocks.  boundaries_vanish checks
+d o d and the augmentation on generator columns only; it must agree with the
+full matrix products, on the built-ins and on resolutions with a broken
+generator column.
 """
 
 import pytest
 
+from hopfcross.cli import main
 from hopfcross.fields import FieldSpec
+from hopfcross.linalg import vec_add_into
 from hopfcross.problems import BUILTIN_NAMES, builtin
 from hopfcross.resolution import CrossedResolution, boundaries_vanish
 
+from conftest import boundary_matrices
 from extension_reference import extend_bimodule_reference
 
 FIELDS = [FieldSpec.rationals(), FieldSpec.prime(5), FieldSpec.prime(2)]
@@ -29,8 +33,27 @@ def _resolution(name, field, method="closed", cap=None):
 
 
 def _full_products(res):
-    square = all((res.d[n] @ res.d[n + 1]).is_zero() for n in range(1, res.cap))
-    return square, (res.augmentation @ res.d[1]).is_zero()
+    d = boundary_matrices(res)
+    square = all((d[n] @ d[n + 1]).is_zero() for n in range(1, res.cap))
+    return square, (res.augmentation @ d[1]).is_zero()
+
+
+def _reference_boundary(res, n: int) -> list:
+    """The columns of d_n, each the sum over l of the column of the reference
+    block (l, r, s), shifted to the offset of its target block."""
+    field = res.field
+    tgt_offset = {(r, s): off for r, s, off, _ in res.degree_blocks(n - 1)}
+    cols = []
+    for r, s, _, space in res.degree_blocks(n):
+        blocks = [(extend_bimodule_reference(res, l, r, s, res.generator_columns[(l, r, s)]),
+                   tgt_offset[(r + l - 1, s - l)]) for l in range(0 if r else 1, s + 1)]
+        for local in range(space.dim):
+            col: dict = {}
+            for block, off in blocks:
+                vec_add_into(col, {i + off: v for i, v in block.cols[local].items()},
+                             field.one, field)
+            cols.append(col)
+    return cols
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -41,6 +64,46 @@ def test_blocks_match_extension_reference(name, field):
         for (l, r, s), gens in sorted(res.generator_columns.items()):
             expect = extend_bimodule_reference(res, l, r, s, gens)
             assert res.blocks[(l, r, s)] == expect, (method, l, r, s)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_boundary_matches_extension_reference(name, field):
+    for method in ("closed", "recursive"):
+        res = _resolution(name, field, method, cap=3)
+        one = res.field.one
+        for n in range(1, res.cap + 1):
+            expect = _reference_boundary(res, n)
+            for j in range(res.dims[n]):
+                assert res.boundary(n, {j: one}) == expect[j], (method, n, j)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", ["klein_four", "s3_as_action_extension", "sweedler_smash"])
+def test_boundary_sums_two_source_blocks_in_one_target_block(name, field):
+    # d^1 out of block (1, 1) and d^0 out of block (2, 0) both land in block
+    # (1, 0): a vector with a part in each must get the sum of both images
+    res = _resolution(name, field, cap=3)
+    one = res.field.one
+    expect = _reference_boundary(res, 2)
+    offsets = {(r, s): (off, space.dim) for r, s, off, space in res.degree_blocks(2)}
+    (off_a, dim_a), (off_b, dim_b) = offsets[(1, 1)], offsets[(2, 0)]
+    pair = next((a, b) for a in range(off_a, off_a + dim_a) for b in range(off_b, off_b + dim_b)
+                if set(expect[a]) & set(expect[b]))
+    want = dict(expect[pair[0]])
+    vec_add_into(want, expect[pair[1]], one, res.field)
+    assert res.boundary(2, {pair[0]: one, pair[1]: one}) == want
+
+
+@pytest.mark.parametrize("name", ["klein_four", "s3_as_action_extension", "sweedler_smash"])
+def test_resolution_check_builds_no_blocks(name, monkeypatch, capsys):
+    # every check applies d from the generator columns: no E^e-extended block
+    def forbidden(self):
+        raise AssertionError("resolution-check built the extended blocks")
+
+    monkeypatch.setattr(CrossedResolution, "blocks", property(forbidden))
+    assert main(["resolution-check", name, "--max-degree", "2"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -111,3 +111,12 @@ def test_settle_returns_canonical_residues(field, data):
     got = field.settle(raw)
     assert list(got) == [k for k in raw if raw[k] % p]
     assert all(in_range(v, p) and (v - raw[k]) % p == 0 for k, v in got.items())
+
+
+def test_sign_is_a_power_of_minus_one():
+    for field in [FieldSpec.rationals(), FieldSpec.prime(2), FieldSpec.prime(5),
+                  FieldSpec.prime(2147483629)]:
+        minus_one = field.neg(field.one)
+        for k in range(7):
+            assert field.sign(k) == minus_one ** k, (field, k)
+            assert type(field.sign(k)) is int, (field, k)

@@ -204,14 +204,14 @@ def test_cli_non_integer_file_cap_exits_2(tmp_path, capsys):
 ])
 def test_cli_reports_build_no_resolution_matrix(argv, monkeypatch, capsys):
     # the reduced complexes read generator columns only: no E^e-extended
-    # block, row map or assembled boundary may be built
+    # block or row map may be built
     from hopfcross import resolution
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a resolution matrix was built")
 
     monkeypatch.setattr(resolution, "_make_matrix", forbidden)
-    monkeypatch.setattr(resolution.CrossedResolution, "_extend_bimodule", forbidden)
+    monkeypatch.setattr(resolution.CrossedResolution, "blocks", property(forbidden))
     assert main(argv) == 0
     capsys.readouterr()
 

@@ -25,10 +25,11 @@
   with the blocks it checks.
 * In comparison.py only the one extension loop (extend_by_outer_mult) and
   the bimodule-extension certificate call left_mult / right_mult; in
-  resolution.py only the generator-table extensions (_bimodule_image and
-  _extend_bimodule) and degree_outer_mult, the one degree-level outer
-  multiplication, which psi_apply and the contracting homotopy share.  So no
-  second hand-written extension escapes the certificate.
+  resolution.py only _block_apply, the one application of d from its
+  generator table (the recursion, the contracting homotopy, boundary and
+  blocks all go through it), and degree_outer_mult, the one degree-level
+  outer multiplication, which psi_apply and the contracting homotopy share.
+  So no second hand-written extension escapes the certificate.
 * The full-basis insertion matrices live only in tests/insertion_reference.py:
   no src/ module names insertion_matrix, and the reference imports nothing
   from hopfcross.twisting or hopfcross.resolution, so it checks the on-demand
@@ -48,7 +49,9 @@
   attribute; a method only as an attribute (x.method), so that a parameter or
   a local of the same name does not hide an unreached method.  The closure is
   taken from those roots, so code that only unreached code names is
-  unreached too.  Test-only helpers belong in tests/.
+  unreached too.  Test-only helpers belong in tests/.  The exemptions are
+  compared for equality, so CrossedResolution.blocks, which only perfbench
+  reads, fails the check once a src/ reader of .blocks comes back.
 """
 
 import ast
@@ -76,7 +79,7 @@ RAW_SUM_EXEMPT = {"_composites_vanish"}  # it only tests its sums for zero
 OUTER_MULTS = {"left_mult", "right_mult"}
 OUTER_MULT_CALLERS = {
     "comparison.py": {"extend_by_outer_mult", "check_bimodule_extension"},
-    "resolution.py": {"_bimodule_image", "_extend_bimodule", "degree_outer_mult"},
+    "resolution.py": {"_block_apply", "degree_outer_mult"},
 }
 REFERENCE_FORBIDDEN_MODULES = {"hopfcross.twisting", "hopfcross.resolution"}
 OTHER_REFERENCES = {
@@ -92,6 +95,10 @@ REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
     # reduced.blocks layer, and perfbench/ changes only in a benchmark change
     "reduced_complexes.reduced_cochain_block_from_resolution",
+    # every reader in src/ applies d from the generator columns; only
+    # perfbench/spans.py reads the extended blocks, to count their columns,
+    # and perfbench/ changes only in a benchmark change
+    "resolution.CrossedResolution.blocks",
 }
 
 
