@@ -11,10 +11,8 @@ from .linalg import ExactMatrix
 from .tensors import TensorSpace
 from .algebras import (
     AlgebraData,
-    NormalizedSplitting,
     Report,
     group_algebra,
-    normalized_quotient,
     truncated_polynomial_algebra,
     verify_algebra,
 )
@@ -32,7 +30,6 @@ from .crossed import (
     tensor_bimodule,
     trivial_action,
     trivial_cocycle,
-    unit_section_inverse,
     verify_crossed_axioms,
 )
 from .complexes import (
@@ -58,10 +55,8 @@ __all__ = [
     "ExactMatrix",
     "TensorSpace",
     "AlgebraData",
-    "NormalizedSplitting",
     "Report",
     "group_algebra",
-    "normalized_quotient",
     "truncated_polynomial_algebra",
     "verify_algebra",
     "HopfData",
@@ -82,7 +77,6 @@ __all__ = [
     "tensor_bimodule",
     "trivial_action",
     "trivial_cocycle",
-    "unit_section_inverse",
     "verify_crossed_axioms",
     "BoundaryNotSquareZero",
     "ChainComplex",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
-from .linalg import ExactMatrix, vec_add_into
+from .linalg import vec_add_into
 
 
 @dataclass
@@ -129,35 +129,6 @@ def verify_algebra(a: AlgebraData) -> Report:
                     f"(e_{i}e_{j})e_{k} != e_{i}(e_{j}e_{k})",
                 )
     return report
-
-
-class NormalizedSplitting:
-    """The splitting B = k + B/k determined by the unit-at-0 convention.
-
-    projection: dim-1 x dim matrix (class map onto the complement span);
-    section: dim x dim-1 (inclusion of the complement).
-    """
-
-    def __init__(self, parent: AlgebraData):
-        field = parent.field
-        self.parent = parent
-        self.complement_indices = list(range(1, parent.dim))
-        proj = {}
-        sect = {}
-        for k, i in enumerate(self.complement_indices):
-            proj[(k, i)] = field.one
-            sect[(i, k)] = field.one
-        self.projection = ExactMatrix.from_entries(field, parent.dim - 1, parent.dim, proj)
-        self.section = ExactMatrix.from_entries(field, parent.dim, parent.dim - 1, sect)
-
-
-def normalized_quotient(a: AlgebraData) -> NormalizedSplitting:
-    """Realize B = k + B/k, requiring the basis vector at index 0 to be the unit."""
-    field = a.field
-    for j in range(a.dim):
-        if a.mult[0][j] != {j: field.one} or a.mult[j][0] != {j: field.one}:
-            raise ValueError("basis vector 0 is not a two-sided unit")
-    return NormalizedSplitting(a)
 
 
 def group_algebra(field: FieldSpec, elements, compose, labels=None) -> AlgebraData:

@@ -25,7 +25,7 @@ from .comparison import (
     check_filtration_preservation,
 )
 from .complexes import check_convergence, spectral_page
-from .crossed import AxiomViolation, NotInvertibleError, verify_crossed_axioms
+from .crossed import AxiomViolation, NotInvertibleError, regular_bimodule, verify_crossed_axioms
 from .fields import FieldSpec
 from .homology import (
     e2_identification,
@@ -162,7 +162,7 @@ def cmd_verify(pf: ProblemFile, args) -> dict:
         r_e = verify_algebra(cp.e)
         sections["crossed_product_algebra"] = r_e.as_dict()
         ok = ok and r_e.passed
-        m = pf.bimodule_or_regular(cp)
+        m = pf.bimodule if pf.bimodule is not None else regular_bimodule(cp.e)
         r_m = m.verify(cp.e)
         sections["bimodule"] = r_m.as_dict()
         ok = ok and r_m.passed

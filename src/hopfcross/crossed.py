@@ -1,8 +1,9 @@
 """Weak actions, cocycles, crossed products E = A #_f H, convolution inverses.
 
-A crossed product is assembled from verified pieces only: the axiom checks
-are exactly the conditions making the twisted multiplication associative with
-unit 1#1, so build_crossed_product re-verifies the assembled table as well.
+build_crossed_product (with check=True, the default) verifies every piece
+before it is used: A as an algebra, H as a Hopf algebra, then the crossed
+axioms, which are exactly the conditions making the twisted multiplication
+associative with unit 1#1; it re-verifies the assembled table as well.
 The E basis is a_i # h_j at flat index i*dim(H) + j, which keeps the unit at
 index 0.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from .algebras import AlgebraData, Report, verify_algebra
 from .fields import FieldSpec
-from .hopf import HopfData, sweedler_expand
+from .hopf import HopfData, sweedler_expand, verify_hopf
 from .linalg import vec_add_into
 from .tensors import TensorSpace, keyed_add_into
 
@@ -256,8 +257,12 @@ def build_crossed_product(
     cocycle: CocycleData,
     check: bool = True,
 ) -> CrossedProductData:
-    """Assemble E = A #_f H; raises AxiomViolation if any condition fails."""
+    """Assemble E = A #_f H; raises AxiomViolation with the first failed
+    report: A's algebra axioms, H's Hopf axioms, the crossed axioms, E's table."""
     if check:
+        for report in (verify_algebra(a), verify_hopf(h)):
+            if not report.passed:
+                raise AxiomViolation(report)
         report = verify_crossed_axioms(a, h, action, cocycle)
         if not report.passed:
             raise AxiomViolation(report)
@@ -295,19 +300,6 @@ def _convolution_product(cp: CrossedProductData, u, v):
     return out
 
 
-def _convolution_unit(cp: CrossedProductData):
-    field = cp.field
-    h = cp.h
-    out = []
-    for hi in range(h.dim):
-        row = []
-        for li in range(h.dim):
-            c = field.mul(h.counit[hi], h.counit[li])
-            row.append({0: c} if not field.is_zero(c) else {})
-        out.append(row)
-    return out
-
-
 def convolution_inverse(cp: CrossedProductData):
     """Two-sided convolution inverse of the cocycle, or None.
 
@@ -322,7 +314,7 @@ def convolution_inverse(cp: CrossedProductData):
     n = h.dim * h.dim * a.dim
     space = TensorSpace((h.dim, h.dim, a.dim))
 
-    unit = _convolution_unit(cp)
+    unit = trivial_cocycle(field, h, a).f
     rhs = {}
     for hi in range(h.dim):
         for li in range(h.dim):
@@ -385,16 +377,6 @@ def unit_section_inverse_map(cp: CrossedProductData):
                     for s1, c1 in h.antipode[h1].items():
                         keyed_add_into(vec, cp.e_index(ai, s1), field.mul(coef, c1), field)
         out.append(vec)
-    return out
-
-
-def unit_section_inverse(cp: CrossedProductData, hvec: dict) -> dict:
-    """(1#h)^{-1} for an H element given as a sparse dict; returns an E element."""
-    umap = unit_section_inverse_map(cp)
-    field = cp.field
-    out: dict = {}
-    for hi, c in hvec.items():
-        vec_add_into(out, umap[hi], c, field)
     return out
 
 

@@ -15,6 +15,7 @@ from .bar import (
 )
 from .complexes import check_convergence, homology_dims, spectral_page
 from .crossed import (
+    AxiomViolation,
     BimoduleData,
     CrossedProductData,
     dual_bimodule,
@@ -162,7 +163,8 @@ def tor_spectral_report(cp: CrossedProductData, right_module, left_module,
     bimod = tensor_bimodule(cp.e, left_module, right_module)
     report = bimod.verify(cp.e)
     if not report.passed:
-        raise ValueError("supplied modules do not form a bimodule: " + report.summary())
+        report.title = "tor modules: " + report.title
+        raise AxiomViolation(report)
     rc = ReducedComplexes(cp, bimod, cap, res=res)
     dims = homology_dims(rc.reduced_chain_complex().complex)
     oracle_dims = _bar_oracle_dims(cp.e, bimod, cap, cochain=False)

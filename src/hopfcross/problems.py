@@ -12,6 +12,7 @@ import json
 
 from .algebras import AlgebraData, group_algebra, truncated_polynomial_algebra
 from .crossed import (
+    AxiomViolation,
     BimoduleData,
     CocycleData,
     CrossedProductData,
@@ -71,7 +72,14 @@ class ProblemFile:
         return cp
 
     def bimodule_or_regular(self, cp) -> BimoduleData:
-        return self.bimodule if self.bimodule is not None else regular_bimodule(cp.e)
+        """The file's bimodule, verified over cp.e (AxiomViolation if it
+        fails), or the regular bimodule E."""
+        if self.bimodule is None:
+            return regular_bimodule(cp.e)
+        report = self.bimodule.verify(cp.e)
+        if not report.passed:
+            raise AxiomViolation(report)
+        return self.bimodule
 
 
 # parsing ----------------------------------------------------------------------

@@ -136,44 +136,12 @@ class RowSpace:
         return tuple(reversed(out))
 
 
-class ESpace:
-    def __init__(self, cp: CrossedProductData):
-        na, nh = cp.a.dim, cp.h.dim
-        self.cp = cp
-        self.legs = [(na, False), (nh, False)]
-        self.dim = na * nh
-
-    def flatten(self, keyed: dict) -> dict:
-        return flatten(keyed, self.legs, self.cp.field)
-
-
-def _make_matrix(field, tgt_dim, src_space, columns_fn) -> ExactMatrix:
-    """columns_fn(key) -> flat target dict, evaluated on every source basis key."""
-    reduced = TensorSpace(tuple(d - 1 if nm else d for d, nm in src_space.legs))
-    cols = []
-    for multi in reduced:
-        key = tuple(i + 1 if nm else i for (d, nm), i in zip(src_space.legs, multi))
-        cols.append(columns_fn(key))
-    return ExactMatrix(field, tgt_dim, reduced.size, cols)
-
-
 def _apply_columns(field, vec: dict, column) -> dict:
     """sum c * column(j) over the entries (j, c) of vec: a matrix applied from its column rule."""
     out: dict = {}
     for j, c in vec.items():
         vec_add_into(out, column(j), c, field)
     return out
-
-
-class _OnDemand(dict):
-    """A dict that builds a missing entry as build(key) on first read."""
-
-    def __init__(self, build):
-        self._build = build
-
-    def __missing__(self, key):
-        self[key] = self._build(key)
-        return self[key]
 
 
 # the resolution --------------------------------------------------------------
@@ -191,11 +159,11 @@ class CrossedResolution:
     over block (r + l - 1, s - l).  That is all the reduced complexes read.
     Every other reader applies d to a vector, by boundary (or _block_apply
     for one d^l), from those columns; no boundary matrix is assembled.  The
-    row maps mu (each mu_s on its own first read), mu_tilde and the
-    augmentation are matrices built on first access.  The recursion applies
-    its lower d^j from its own generator table and the row maps from their
-    column rules.  contracting_homotopy builds the homotopy's left-generator
-    table on each call, by the same step and column rules.
+    row maps and sigma pieces are column rules only, applied by the
+    recursion and by contracting_homotopy (a table built on each call).  The
+    augmentation, minus the product of E, is built on first read; the test
+    identity mu_tilde mu_0 = augmentation ties it to the row maps, so the
+    certificates check X against the standard augmentation.
     """
 
     def __init__(self, cp: CrossedProductData, cap: int, method: str = "closed"):
@@ -208,7 +176,6 @@ class CrossedResolution:
         self.calc = TwistingCalculus(cp)
         self.block_spaces: dict = {}
         self.row_spaces: dict = {}
-        self.e_space = ESpace(cp)
         na, nh = cp.a.dim, cp.h.dim
         for n in range(cap + 1):
             for s in range(n + 1):
@@ -244,8 +211,8 @@ class CrossedResolution:
             hit = self._sweedler_memo[(hs, count)] = sweedler_legs(self.cp.h, hs, count)
         return hit
 
-    # elementary maps: one column rule each, read by the row-map matrices,
-    # the recursion and the contracting homotopy --------------------------------
+    # elementary maps: one column rule each, read by the recursion and the
+    # contracting homotopy ------------------------------------------------------
     def _mu_column(self, s, key) -> dict:
         """mu_s on the basis tensor key of block (0, s):
         a0 a1^(h_0..h_s firsts) (x) seconds (x) h_last."""
@@ -317,35 +284,13 @@ class CrossedResolution:
         return {(head * (nh - 1) + h - 1) * nh: sign} if h else {}
 
     @cached_property
-    def mu(self) -> dict:
-        """mu_s : block (0, s) -> row target s, each built on first read."""
-        return _OnDemand(lambda s: _make_matrix(self.field, self.row_spaces[s].dim,
-                                                self.block_spaces[(0, s)],
-                                                lambda key: self._mu_column(s, key)))
-
-    @cached_property
-    def mu_tilde(self) -> ExactMatrix:
-        """mu_tilde : row target 0 -> E."""
-        cp = self.cp
-        field = self.field
-
-        def mu_tilde_col(key):
-            a, h0, h1 = key
-            out: dict = {}
-            for (c00, c01, c10, c11), c in self._sweedler((h0, h1), 2).items():
-                fv = cp.a.mult_elems({a: field.one}, cp.cocycle.f[c00][c10])
-                merged = cp.h.algebra.mult[c01][c11]
-                for a2, c2 in fv.items():
-                    for hm, cm in merged.items():
-                        coef = field.neg(field.mul(c, field.mul(c2, cm)))
-                        keyed_add_into(out, (a2, hm), coef, field)
-            return self.e_space.flatten(out)
-
-        return _make_matrix(field, cp.e.dim, self.row_spaces[0], mu_tilde_col)
-
-    @cached_property
     def augmentation(self) -> ExactMatrix:
-        return self.mu_tilde @ self.mu[0]
+        """X_0 = E (x) E -> E, minus the product of E: column
+        e_left * dim E + e_right of block (0, 0) is -(e_left e_right)."""
+        field, e = self.field, self.cp.e
+        cols = [{k: field.neg(v) for k, v in e.mult[x][y].items()}
+                for x in range(e.dim) for y in range(e.dim)]
+        return ExactMatrix(field, e.dim, e.dim * e.dim, cols)
 
     # d on generators (generator layer) -----------------------------------------
     def _d0_column(self, key, r, s):
@@ -698,7 +643,8 @@ def assert_contracting_homotopy(res: CrossedResolution, sigma: dict | None = Non
     extension of its table by construction (homotopy_apply), d is the
     E^e-extension of its generator columns by construction (boundary applies
     it only through _block_apply) and the augmentation is minus the product
-    of E, so both sides of each identity are left E-module maps once
+    of E by construction (read from E's multiplication table), so both sides
+    of each identity are left E-module maps once
     left_mult is a left action on every block of degree <= cap.
     comparison.check_bimodule_extension certifies that when upto = cap - 1,
     as in resolution-check.

@@ -4,6 +4,7 @@ from hopfcross.fields import FieldSpec
 from hopfcross.crossed import convolution_inverse, regular_bimodule
 from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.reduced_complexes import untwist_block, untwist_inverse_block
+from hopfcross.tensors import TensorSpace
 from hopfcross.problems import (
     BUILTIN_NAMES,
     builtin,
@@ -60,6 +61,29 @@ def mat_scale(m: ExactMatrix, c) -> ExactMatrix:
 def mat_neg(m: ExactMatrix) -> ExactMatrix:
     """-m."""
     return mat_scale(m, m.field.neg(m.field.one))
+
+
+def make_matrix(field, nrows: int, legs, column) -> ExactMatrix:
+    """column(key) -> flat target dict, evaluated on every basis key of a space
+    with these (full dim, normalized) legs."""
+    reduced = TensorSpace(tuple(d - 1 if norm else d for d, norm in legs))
+    cols = []
+    for multi in reduced:
+        key = tuple(i + 1 if norm else i for (d, norm), i in zip(legs, multi))
+        cols.append(column(key))
+    return ExactMatrix(field, nrows, reduced.size, cols)
+
+
+def mu_matrix(res, s: int) -> ExactMatrix:
+    """mu_s : block (0, s) -> row target s, from the column rule _mu_column
+    on every basis key."""
+    return make_matrix(res.field, res.row_spaces[s].dim, res.block_spaces[(0, s)].legs,
+                       lambda key: res._mu_column(s, key))
+
+
+def mu_matrices(res) -> dict:
+    """mu_s for 0 <= s <= cap."""
+    return {s: mu_matrix(res, s) for s in range(res.cap + 1)}
 
 
 def homotopy_matrices(res, sigma=None) -> dict:

@@ -5,27 +5,16 @@ by one vector recursion.  This reference forms the same sigma on every column
 as ExactMatrix products: sigma^l = -sigma^0_x (sum over i < l of
 d^{l-i} sigma^i), separately from blocks and from row targets, assembled per
 degree with the route through mu'_n and sigma^{-1}.  It has its own column
-rules for sigma^0_x, sigma^0_y and sigma^{-1}, reads the resolution only
-through its spaces, blocks, mu and the partial column rule, and imports
-nothing from hopfcross.resolution.
+rules for sigma^0_x, sigma^0_y, sigma^{-1} and mu_tilde, reads the resolution
+only through its spaces, blocks and the mu and partial column rules, and
+imports nothing from hopfcross.resolution.
 """
 
 from __future__ import annotations
 
 from hopfcross.linalg import ExactMatrix
-from hopfcross.tensors import TensorSpace, keyed_add_into
-from conftest import mat_add, mat_neg
-
-
-def make_matrix(field, nrows: int, legs, column) -> ExactMatrix:
-    """column(key) -> flat target dict, evaluated on every basis key of a space
-    with these (full dim, normalized) legs."""
-    reduced = TensorSpace(tuple(d - 1 if norm else d for d, norm in legs))
-    cols = []
-    for multi in reduced:
-        key = tuple(i + 1 if norm else i for (d, norm), i in zip(legs, multi))
-        cols.append(column(key))
-    return ExactMatrix(field, nrows, reduced.size, cols)
+from hopfcross.tensors import keyed_add_into
+from conftest import make_matrix, mat_add, mat_neg, mu_matrix
 
 
 def partial(res) -> dict:
@@ -35,6 +24,26 @@ def partial(res) -> dict:
                        lambda key, s=s: res._partial_column(s, key))
         for s in range(1, res.cap + 1)
     }
+
+
+def mu_tilde(res) -> ExactMatrix:
+    """mu_tilde : row target 0 -> E, (a, h_0, h_1) to
+    -a f(h_0^(1), h_1^(1)) # h_0^(2) h_1^(2)."""
+    cp, field = res.cp, res.field
+
+    def column(key):
+        a, h0, h1 = key
+        out: dict = {}
+        for (c00, c01), c0 in cp.h.comult[h0].items():
+            for (c10, c11), c1 in cp.h.comult[h1].items():
+                fv = cp.a.mult_elems({a: field.one}, cp.cocycle.f[c00][c10])
+                for a2, c2 in fv.items():
+                    for hm, cm in cp.h.algebra.mult[c01][c11].items():
+                        coef = field.mul(field.mul(c0, c1), field.mul(c2, cm))
+                        keyed_add_into(out, cp.e_index(a2, hm), field.neg(coef), field)
+        return out
+
+    return make_matrix(field, cp.e.dim, res.row_spaces[0].legs, column)
 
 
 def sigma0_x(res) -> dict:
@@ -81,7 +90,7 @@ def sigma_minus1(res) -> dict:
     field = res.field
     y0 = res.row_spaces[0]
     out = {
-        -1: make_matrix(field, y0.dim, res.e_space.legs,
+        -1: make_matrix(field, y0.dim, [(res.cp.a.dim, False), (res.cp.h.dim, False)],
                         lambda key: y0.flatten({key + (0,): field.neg(field.one)}))
     }
     for s in range(res.cap):
@@ -97,7 +106,7 @@ def mu_prime(res, n: int) -> ExactMatrix:
     cols: list[dict] = []
     for r, s, off, space in res.degree_blocks(n):
         if r == 0:
-            cols.extend(dict(c) for c in res.mu[s].cols)
+            cols.extend(dict(c) for c in mu_matrix(res, s).cols)
         else:
             cols.extend({} for _ in range(space.dim))
     return ExactMatrix(res.field, res.row_spaces[n].dim, res.dims[n], cols)

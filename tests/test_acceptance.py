@@ -35,7 +35,14 @@ from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.problems import BUILTIN_NAMES, builtin
 from hopfcross.reduced_complexes import ReducedComplexes
 from hopfcross.resolution import build_resolution_closed, build_resolution_recursive
-from conftest import boundary_matrices, homotopy_matrices, mat_add, mat_neg, untwist_degree_matrices
+from conftest import (
+    boundary_matrices,
+    homotopy_matrices,
+    mat_add,
+    mat_neg,
+    mu_matrices,
+    untwist_degree_matrices,
+)
 import homotopy_reference
 from filtered_bar import hochschild_chain_filtered, hochschild_cochain_filtered
 from insertion_reference import signed_shuffle
@@ -235,10 +242,10 @@ def test_criterion_05_closed_equals_recursive(shared):
                     vec_add_into(rhs, step, field.one, field)
                 rhs = {k: field.neg(v) for k, v in rhs.items()}
                 assert lhs == rhs, (name, l, r, s, mid)
-        partial = homotopy_reference.partial(closed)
+        partial, mu = homotopy_reference.partial(closed), mu_matrices(closed)
         for s in range(1, 5):
-            lhs = closed.mu[s - 1] @ closed.blocks[(1, 0, s)]
-            rhs = mat_neg(partial[s] @ closed.mu[s])
+            lhs = mu[s - 1] @ closed.blocks[(1, 0, s)]
+            rhs = mat_neg(partial[s] @ mu[s])
             assert lhs == rhs, (name, s)
     announce(5, True, "closed and recursive blocks equal for r+s <= 4; sum identities hold")
 

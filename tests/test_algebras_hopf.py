@@ -1,12 +1,9 @@
 import itertools
 
-import pytest
-
 from hopfcross.fields import FieldSpec
 from hopfcross.algebras import (
     AlgebraData,
     group_algebra,
-    normalized_quotient,
     truncated_polynomial_algebra,
     verify_algebra,
 )
@@ -20,7 +17,6 @@ from hopfcross.hopf import (
 )
 from hopfcross.tensors import expand_leg
 
-from conftest import to_rows
 
 Q = FieldSpec.rationals()
 
@@ -57,27 +53,6 @@ def test_corrupted_table_fails_at_111():
     assert not report.passed
     witnesses = {f.witness for f in report.failures if f.check == "associativity"}
     assert (1, 1, 1) in witnesses
-
-
-def test_normalized_quotient_dims():
-    k = group_algebra(Q, [0], lambda x, y: 0, labels=["1"])
-    assert normalized_quotient(k).complement_indices == []
-    z2 = group_algebra(Q, [0, 1], lambda x, y: (x + y) % 2)
-    assert normalized_quotient(z2).complement_indices == [1]
-    h4 = sweedler_hopf(Q).algebra
-    split = normalized_quotient(h4)
-    assert split.complement_indices == [1, 2, 3]
-    # projection o section = identity on the complement
-    prod = split.projection @ split.section
-    assert to_rows(prod) == [[Q.one if i == j else Q.zero for j in range(3)] for i in range(3)]
-
-
-def test_normalized_quotient_rejects_bad_unit():
-    mult = [[{0: Q.one}, {1: Q.one}], [{1: Q.one}, {1: Q.one}]]
-    bad = AlgebraData(Q, 2, ["1", "p"], mult)
-    bad.mult[0][1] = {0: Q.one}
-    with pytest.raises(ValueError):
-        normalized_quotient(bad)
 
 
 def test_group_hopf_passes():

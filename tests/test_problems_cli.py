@@ -204,13 +204,13 @@ def test_cli_non_integer_file_cap_exits_2(tmp_path, capsys):
 ])
 def test_cli_reports_build_no_resolution_matrix(argv, monkeypatch, capsys):
     # the reduced complexes read generator columns only: no E^e-extended
-    # block or row map may be built
+    # block or augmentation, the only matrices resolution.py builds, may be built
     from hopfcross import resolution
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a resolution matrix was built")
 
-    monkeypatch.setattr(resolution, "_make_matrix", forbidden)
+    monkeypatch.setattr(resolution, "ExactMatrix", forbidden)
     monkeypatch.setattr(resolution.CrossedResolution, "blocks", property(forbidden))
     assert main(argv) == 0
     capsys.readouterr()
@@ -226,21 +226,6 @@ def test_cli_resolution_check_reports_every_identity(tmp_path, capsys):
         assert sections[key]["match"], key
     for key in ("comparison_identities", "filtration_preservation", "bar_square_zero"):
         assert sections[key]["passed"] and sections[key]["checks_run"] > 0, key
-    capsys.readouterr()
-
-
-def test_cli_resolution_check_reads_mu_below_the_cap(monkeypatch, capsys):
-    # each mu_s is built on first read; only the augmentation reads one,
-    # mu_0, since the homotopy reads mu_s on left generators by its column rule
-    from hopfcross import cli
-
-    built = []
-    closed = cli.build_resolution_closed
-    monkeypatch.setattr(cli, "build_resolution_closed",
-                        lambda cp, cap: built.append(closed(cp, cap)) or built[-1])
-    assert main(["resolution-check", "s3_as_action_extension", "--max-degree", "3"]) == 0
-    (res,) = built
-    assert set(res.mu) == {0} and res.cap == 4
     capsys.readouterr()
 
 
@@ -300,6 +285,71 @@ def test_cli_axiom_failure_reports_witnesses(tmp_path, capsys):
         assert not axioms["passed"]
         assert {"check": "cocycle-normality-left", "detail": "", "witness": [1]} in axioms["failures"]
     capsys.readouterr()
+
+
+def _axiom_documents(tmp_path, capsys, doc, commands):
+    """Run each command on the problem doc: every one must exit 1 with an
+    axioms document and no traceback; returns the axioms sections."""
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    sections = []
+    for command in commands:
+        out_path = tmp_path / f"{command}.json"
+        argv = [command, str(path), "--output", str(out_path)]
+        if command in ("oracle-compare", "resolution-check"):
+            argv += ["--max-degree", "1"]
+        elif command != "verify":
+            argv += ["--cap", "2"]
+        assert main(argv) == 1, command
+        report = json.loads(out_path.read_text())
+        assert report["command"] == command and report["pass"] is False
+        axioms = report["sections"]["axioms"]
+        assert not axioms["passed"] and axioms["failures"], command
+        sections.append(axioms)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "overall: FAIL" in captured.out
+    return sections
+
+
+def test_cli_unverified_hopf_structure_exits_with_axioms(tmp_path, capsys):
+    # S(x) = +gx in place of -gx: every subcommand that builds E names the
+    # Hopf failure, not a later symptom
+    doc = emit_problem(builtin("sweedler_smash"))
+    doc["hopf"]["antipode"][2] = ["0", "0", "0", "1"]
+    for axioms in _axiom_documents(
+            tmp_path, capsys, doc, ("homology", "cohomology", "spectral", "e2-check",
+                                    "oracle-compare", "resolution-check", "tor")):
+        assert axioms["title"] == "hopf axioms"
+        assert {f["check"] for f in axioms["failures"]} <= {"antipode-left", "antipode-right"}
+
+
+def test_cli_unverified_file_bimodule_exits_with_axioms(tmp_path, capsys):
+    # the regular bimodule of s3 with m_0 . e_1 = m_0: every subcommand that
+    # reads the bimodule names it, and verify keeps its own bimodule section
+    from hopfcross.crossed import regular_bimodule
+
+    pf = builtin("s3_as_action_extension")
+    pf.bimodule = regular_bimodule(pf.crossed_product().e)
+    doc = emit_problem(pf)
+    doc["bimodule"]["right"][0][1] = [1] + [0] * (pf.bimodule.dim - 1)
+    for axioms in _axiom_documents(
+            tmp_path, capsys, doc, ("homology", "cohomology", "spectral", "e2-check",
+                                    "oracle-compare")):
+        assert axioms["title"] == "bimodule axioms"
+    out_path = tmp_path / "verify.json"
+    assert main(["verify", str(tmp_path / "broken.json"), "--output", str(out_path)]) == 1
+    sections = json.loads(out_path.read_text())["sections"]
+    assert "axioms" not in sections and not sections["bimodule"]["passed"]
+    capsys.readouterr()
+
+
+def test_cli_unverified_tor_modules_exit_with_axioms(tmp_path, capsys):
+    # the trivial right module of klein_four with m . g = 0
+    doc = emit_problem(builtin("klein_four"))
+    doc["tor_modules"]["right"][0][1] = [0]
+    (axioms,) = _axiom_documents(tmp_path, capsys, doc, ("tor",))
+    assert axioms["title"] == "tor modules: bimodule axioms"
 
 
 def test_cli_formula_mismatch_reports_block(tmp_path, monkeypatch, capsys):

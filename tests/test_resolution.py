@@ -6,10 +6,19 @@ from hopfcross.fields import FieldSpec
 from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.resolution import (
     CrossedResolution,
+    boundaries_vanish,
     build_resolution_closed,
     build_resolution_recursive,
 )
-from conftest import BUILTIN_BUILDERS, boundary_matrices, homotopy_matrices, mat_add, mat_neg
+from conftest import (
+    BUILTIN_BUILDERS,
+    boundary_matrices,
+    homotopy_matrices,
+    make_matrix,
+    mat_add,
+    mat_neg,
+    mu_matrices,
+)
 import homotopy_reference as ref
 
 Q = FieldSpec.rationals()
@@ -27,16 +36,16 @@ def test_row_contractions(resolutions):
     # mu_s sigma0_y = id on row targets; sigma0_y mu_s + d0 sigma0_x = id on
     # the (0, s) blocks; sigma0 d0 + d0 sigma0 = id on the other blocks
     for name, res in resolutions.items():
-        sigma0_x, sigma0_y = ref.sigma0_x(res), ref.sigma0_y(res)
+        sigma0_x, sigma0_y, mu = ref.sigma0_x(res), ref.sigma0_y(res), mu_matrices(res)
         for s in range(res.cap + 1):
             ys = res.row_spaces[s]
             ident = ExactMatrix.identity(Q, ys.dim)
-            assert res.mu[s] @ sigma0_y[s] == ident, (name, s)
+            assert mu[s] @ sigma0_y[s] == ident, (name, s)
             # the correction block d0_{1s} lives one degree up, so the (0, s)
             # identity is only checkable below the cap
             if (1, s) in res.block_spaces:
                 xs = res.block_spaces[(0, s)]
-                lhs = sigma0_y[s] @ res.mu[s]
+                lhs = sigma0_y[s] @ mu[s]
                 lhs = mat_add(lhs, res.blocks[(0, 1, s)] @ sigma0_x[(0, s)])
                 assert lhs == ExactMatrix.identity(Q, xs.dim), (name, s)
         for (r, s), xs in res.block_spaces.items():
@@ -50,16 +59,17 @@ def test_row_contractions(resolutions):
 def test_y_complex_contraction(resolutions):
     for name, res in resolutions.items():
         partial, sigma_minus1 = ref.partial(res), ref.sigma_minus1(res)
+        mu_tilde = ref.mu_tilde(res)
         # partial o partial = 0
         for s in range(2, res.cap + 1):
             assert (partial[s - 1] @ partial[s]).is_zero(), (name, s)
         # mu_tilde o partial_1 = 0
-        assert (res.mu_tilde @ partial[1]).is_zero(), name
+        assert (mu_tilde @ partial[1]).is_zero(), name
         # contraction identities
         e_dim = res.cp.e.dim
-        assert res.mu_tilde @ sigma_minus1[-1] == ExactMatrix.identity(Q, e_dim), name
+        assert mu_tilde @ sigma_minus1[-1] == ExactMatrix.identity(Q, e_dim), name
         lhs = partial[1] @ sigma_minus1[0]
-        lhs = mat_add(lhs, sigma_minus1[-1] @ res.mu_tilde)
+        lhs = mat_add(lhs, sigma_minus1[-1] @ mu_tilde)
         assert lhs == ExactMatrix.identity(Q, res.row_spaces[0].dim), name
         for s in range(1, res.cap):
             lhs = partial[s + 1] @ sigma_minus1[s]
@@ -83,6 +93,30 @@ def test_augmentation_is_negative_multiplication(resolutions):
             e_left, _, e_right = x00.split(flat)
             expect = {k: Q.neg(v) for k, v in cp.e.mult[e_left][e_right].items()}
             assert res.augmentation.cols[flat] == expect, (name, flat)
+
+
+@pytest.mark.parametrize("field", (Q, FieldSpec.prime(5), F2), ids=("Q", "F5", "F2"))
+@pytest.mark.parametrize("method", ("closed", "recursive"))
+def test_augmentation_factors_through_the_row_maps(field, method):
+    # the augmentation, read from E's product, is mu_tilde o mu_0 of the
+    # row-map column rules
+    from hopfcross.problems import BUILTIN_NAMES
+
+    for name in BUILTIN_NAMES:
+        res = CrossedResolution(BUILTIN_BUILDERS[name](field), 1, method)
+        assert ref.mu_tilde(res) @ mu_matrices(res)[0] == res.augmentation, name
+
+
+def test_augmentation_reads_no_row_map(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the augmentation read a mu_s column")
+
+    for method in ("closed", "recursive"):
+        res = CrossedResolution(BUILTIN_BUILDERS["sweedler_smash"](Q), 2, method)
+        monkeypatch.setattr(CrossedResolution, "_mu_column", forbidden)
+        assert res.augmentation.nrows == res.cp.e.dim
+        assert boundaries_vanish(res) == (True, True)
+        monkeypatch.undo()
 
 
 def test_contracting_homotopy(resolutions):
@@ -188,10 +222,10 @@ def test_block_sum_identities(resolutions):
     # mu_{s-1} d^1_{0s} = -partial_s mu_s and the d0 d^l sum identities on
     # generators
     for name, res in resolutions.items():
-        partial = ref.partial(res)
+        partial, mu = ref.partial(res), mu_matrices(res)
         for s in range(1, res.cap + 1):
-            lhs = res.mu[s - 1] @ res.blocks[(1, 0, s)]
-            rhs = mat_neg(partial[s] @ res.mu[s])
+            lhs = mu[s - 1] @ res.blocks[(1, 0, s)]
+            rhs = mat_neg(partial[s] @ mu[s])
             assert lhs == rhs, (name, s)
         for (l, r, s), block in res.blocks.items():
             if l < 1 or r + l - 1 < 1:
@@ -338,7 +372,7 @@ def test_trivial_hopf_collapses_to_bar_resolution():
             assert d[n].cols[j] == bar.bprime(n, {j: Q.one}), (n, j)
 
 
-CERTIFICATE_LAYER = ("blocks", "mu", "mu_tilde", "augmentation")
+CERTIFICATE_LAYER = ("blocks", "augmentation")
 
 
 def test_generator_columns_are_those_of_the_blocks():
@@ -360,15 +394,13 @@ def test_generator_columns_are_those_of_the_blocks():
 def test_d0_extension_matches_the_total_formula():
     # l = 0 blocks are extended from generators; d^0 is E^e-linear, so they
     # equal the displayed d^0 evaluated on every basis tensor
-    from hopfcross.resolution import _make_matrix
-
     for name in ("s3_as_action_extension", "sweedler_smash"):
         res = build_resolution_closed(BUILTIN_BUILDERS[name](Q), 3)
         for (l, r, s), block in res.blocks.items():
             if l:
                 continue
-            full = _make_matrix(
-                Q, block.nrows, res.block_spaces[(r, s)],
+            full = make_matrix(
+                Q, block.nrows, res.block_spaces[(r, s)].legs,
                 lambda key: res._d0_column(key, r, s),
             )
             assert block == full, (name, r, s)

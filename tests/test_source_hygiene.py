@@ -30,6 +30,9 @@
   blocks all go through it), and degree_outer_mult, the one degree-level
   outer multiplication, which psi_apply and the contracting homotopy share.
   So no second hand-written extension escapes the certificate.
+* In resolution.py only blocks and augmentation build an ExactMatrix: the
+  row maps and sigma pieces stay column rules, and their full-basis matrices
+  (mu_s, mu_tilde) live in tests/conftest.py and tests/homotopy_reference.py.
 * The full-basis insertion matrices live only in tests/insertion_reference.py:
   no src/ module names insertion_matrix, and the reference imports nothing
   from hopfcross.twisting or hopfcross.resolution, so it checks the on-demand
@@ -81,6 +84,8 @@ OUTER_MULT_CALLERS = {
     "comparison.py": {"extend_by_outer_mult", "check_bimodule_extension"},
     "resolution.py": {"_block_apply", "degree_outer_mult"},
 }
+# module -> the functions and methods allowed to build an ExactMatrix
+MATRIX_BUILDERS = {"resolution.py": {"blocks", "augmentation"}}
 REFERENCE_FORBIDDEN_MODULES = {"hopfcross.twisting", "hopfcross.resolution"}
 OTHER_REFERENCES = {
     "coefficient_reference.py": {"hopfcross.reduced_complexes"},
@@ -277,6 +282,25 @@ def _outer_mult_callers(tree: ast.Module) -> set[str]:
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in OUTER_MULTS
+    }
+
+
+def _matrix_builders(tree: ast.Module) -> set[str]:
+    """Functions and methods that call ExactMatrix(...) or one of its
+    constructors (ExactMatrix.zeros(...), ...)."""
+    def names_matrix(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name == "ExactMatrix"
+
+    def builds(func):
+        return names_matrix(func) or (isinstance(func, ast.Attribute) and names_matrix(func.value))
+
+    return {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and builds(node.func)
     }
 
 
@@ -526,6 +550,25 @@ def test_second_extension_is_detected():
         "        return space.right_mult(space.left_mult(img, e_left), e_right)"
     )
     assert _outer_mult_callers(ast.parse(source)) == {"phi_apply"}
+
+
+@pytest.mark.parametrize("module", sorted(MATRIX_BUILDERS))
+def test_matrices_are_built_in_known_places(module):
+    assert _matrix_builders(_tree(PACKAGE / module)) == MATRIX_BUILDERS[module]
+
+
+def test_row_map_matrix_is_detected():
+    for source in (
+        "class CrossedResolution:\n"
+        "    def mu(self, s):\n        return ExactMatrix(self.field, 1, 1, [{}])",
+        "def _make_matrix(field, n, cols):\n    return ExactMatrix(field, n, len(cols), cols)",
+        "def mu_tilde(res):\n    return linalg.ExactMatrix.from_columns(res.field, 1, [])",
+        "class R:\n    def mu_tilde(self):\n        return ExactMatrix.zeros(self.field, 1, 1)",
+    ):
+        assert _matrix_builders(ast.parse(source)), source
+    assert _matrix_builders(ast.parse(
+        "def apply(m, v):\n    return m.apply(v)\nx = ExactMatrix(f, 0, 0, [])"
+    )) == set()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
