@@ -4,6 +4,10 @@ The package builds crossed products E = A #_f H from structure-constant data,
 computes Hochschild homology and cohomology of E through small normalized
 complexes, certifies the underlying resolution and comparison maps, and checks
 every computation against a brute-force bar-complex oracle.
+
+The package root exports the input layer only: fields, algebras, Hopf
+algebras, crossed products and problem files.  Reports and complexes are
+imported from hopfcross.homology and hopfcross.complexes.
 """
 
 from .fields import FieldSpec
@@ -31,22 +35,6 @@ from .crossed import (
     trivial_action,
     trivial_cocycle,
     verify_crossed_axioms,
-)
-from .complexes import (
-    BoundaryNotSquareZero,
-    ChainComplex,
-    FilteredComplex,
-    SpectralPage,
-    check_convergence,
-    homology_dims,
-    infinity_page,
-    spectral_page,
-)
-from .homology import (
-    e2_identification,
-    hochschild_cohomology,
-    hochschild_homology,
-    tor_spectral_report,
 )
 from .problems import ProblemFile, builtin, emit_problem, parse_problem
 
@@ -78,18 +66,6 @@ __all__ = [
     "trivial_action",
     "trivial_cocycle",
     "verify_crossed_axioms",
-    "BoundaryNotSquareZero",
-    "ChainComplex",
-    "FilteredComplex",
-    "SpectralPage",
-    "check_convergence",
-    "homology_dims",
-    "infinity_page",
-    "spectral_page",
-    "e2_identification",
-    "hochschild_cohomology",
-    "hochschild_homology",
-    "tor_spectral_report",
     "ProblemFile",
     "builtin",
     "emit_problem",

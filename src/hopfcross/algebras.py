@@ -8,29 +8,30 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .fields import FieldSpec
 from .linalg import vec_add_into
 
 
-@dataclass
 class Failure:
-    check: str
-    witness: tuple
-    detail: str = ""
+    def __init__(self, check: str, witness: tuple, detail: str = ""):
+        self.check = check
+        self.witness = witness
+        self.detail = detail
+
+    def __repr__(self):
+        return f"Failure({self.check!r}, {self.witness!r}, {self.detail!r})"
 
     def as_dict(self):
         return {"check": self.check, "witness": list(self.witness), "detail": self.detail}
 
 
-@dataclass
 class Report:
     """Outcome of an axiom verification: empty failure list means pass."""
 
-    title: str
-    failures: list = dc_field(default_factory=list)
-    checks_run: int = 0
+    def __init__(self, title: str, failures: list | None = None, checks_run: int = 0):
+        self.title = title
+        self.failures = [] if failures is None else failures
+        self.checks_run = checks_run
 
     @property
     def passed(self) -> bool:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from hopfcross.algebras import verify_algebra
 from hopfcross.cli import main
+from hopfcross.crossed import verify_crossed_axioms
 from hopfcross.fields import FieldSpec
+from hopfcross.hopf import verify_hopf
 from hopfcross.problems import (
     BUILTIN_NAMES,
     DimensionMismatch,
@@ -64,6 +67,16 @@ def test_bad_scalar_for_prime_field():
     doc["algebra"]["mult"] = [[["1/2"]]]
     with pytest.raises(ParseError):
         parse_problem_dict(doc)
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2", "fp:3", "fp:5"])
+def test_gallery_verifies(field):
+    """builtin verifies nothing, so the gallery data is checked here."""
+    for name in BUILTIN_NAMES:
+        pf = builtin(name, field=FieldSpec.parse(field))
+        for report in (verify_algebra(pf.algebra), verify_hopf(pf.hopf),
+                       verify_crossed_axioms(pf.algebra, pf.hopf, pf.action, pf.cocycle)):
+            assert report.passed, (name, report.summary())
 
 
 def test_gallery_roundtrip(tmp_path):
