@@ -77,13 +77,7 @@ class AlgebraData:
         self.field = field
         self.dim = dim
         self.basis_labels = list(basis_labels)
-        self.mult = [
-            [
-                {k: field.scalar(v) for k, v in cell.items() if not field.is_zero(field.scalar(v))}
-                for cell in row
-            ]
-            for row in mult
-        ]
+        self.mult = [[field.sparse(cell) for cell in row] for row in mult]
         self.unit_index = 0
 
     # element helpers ------------------------------------------------------

@@ -5,12 +5,13 @@ Bar spaces grow as dim(E)^2 (dim(E)-1)^n, so the bar boundary b' (faces
 evaluated once per generator), the comparison maps phi (small -> bar), psi
 (bar -> small) and the homotopy omega are generator tables extended by the
 outer multiplications, x = e_left . g . e_right -> e_left . image(g) . e_right,
-as the small boundary d is.  The identity and filtration checks therefore run
-on bimodule generators only.  check_bimodule_extension certifies that
-left_mult and right_mult are an E-bimodule action on every space involved,
-and verify_algebra certified E associative when the crossed product was
-built.  Every map is an extension of its table, so these checks plus the
-generator identities determine the identities on every basis vector.
+in resolution.extend_by_outer_mult, the loop that extends the small boundary
+d.  The identity and filtration checks therefore run on bimodule generators
+only.  check_bimodule_extension certifies that left_mult and right_mult are
+an E-bimodule action on every space involved, and verify_algebra certified E
+associative when the crossed product was built.  Every map is an extension
+of its table, so these checks plus the generator identities determine the
+identities on every basis vector.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from itertools import product
 
 from .algebras import Report
 from .crossed import CrossedProductData
-from .linalg import vec_add_into
-from .resolution import CrossedResolution, FreeBimoduleSpace
+from .linalg import apply_columns, vec_add_into
+from .resolution import CrossedResolution, FreeBimoduleSpace, extend_by_outer_mult
 from .tensors import keyed_add_into
 
 
@@ -38,7 +39,7 @@ class BarCalculus:
     def bprime(self, n: int, vec: dict) -> dict:
         """b'_n applied to a sparse vector of B_n, landing in B_{n-1}."""
         return extend_by_outer_mult(self.spaces[n].split, partial(self._bprime_generator, n),
-                                    self.spaces[n - 1], vec)
+                                    self.spaces[n - 1].outer_mult, vec, self.field)
 
     def _bprime_generator(self, n: int, mid: int) -> dict:
         """b'_n(1 (x) e_1..e_n (x) 1), its three face kinds, memoised per (n, mid)."""
@@ -93,10 +94,11 @@ class ComparisonMaps:
     """phi: X -> bar, psi: bar -> X, omega: homotopy from phi psi to id.
 
     phi and psi are built through degree `upto`; omega through upto + 1.
-    Generator tables map bimodule generators to flat image vectors; psi_apply
-    extends them by the resolution's degree_outer_mult, the others by
-    extend_by_outer_mult.  sigma is the resolution's contracting homotopy, a
-    table on left generators.
+    Generator tables map bimodule generators to flat image vectors, each
+    applied by extend_by_outer_mult: phi and omega land in a bar space
+    (FreeBimoduleSpace.outer_mult), psi in a degree of the small resolution
+    (CrossedResolution.degree_outer_mult).  sigma is the resolution's
+    contracting homotopy, a table on left generators.
     """
 
     def __init__(self, res: CrossedResolution, bar: BarCalculus, upto: int):
@@ -155,34 +157,16 @@ class ComparisonMaps:
 
     def phi_apply(self, n: int, xvec: dict) -> dict:
         return extend_by_outer_mult(partial(self._small_split, n), self.phi[n].__getitem__,
-                                    self.bar.spaces[n], xvec)
+                                    self.bar.spaces[n].outer_mult, xvec, self.field)
 
     def psi_apply(self, n: int, bvec: dict) -> dict:
-        out: dict = {}
-        for flat, c in bvec.items():
-            e_left, mid, e_right = self.bar.spaces[n].split(flat)
-            vec_add_into(out, self.res.degree_outer_mult(n, self.psi[n][mid], e_left, e_right),
-                         c, self.field)
-        return out
+        return extend_by_outer_mult(self.bar.spaces[n].split, self.psi[n].__getitem__,
+                                    partial(self.res.degree_outer_mult, n), bvec, self.field)
 
     def omega_apply(self, n: int, bvec: dict) -> dict:
         """omega_n applied to a vector of B_{n-1}."""
         return extend_by_outer_mult(self.bar.spaces[n - 1].split, self.omega[n].__getitem__,
-                                    self.bar.spaces[n], bvec)
-
-
-def extend_by_outer_mult(split, image, tgt: FreeBimoduleSpace, vec: dict) -> dict:
-    """The bimodule map with generator table `image` on vec: a source basis
-    vector with split(flat) = (e_left, key, e_right) maps to
-    e_left . image(key) . e_right in tgt.  b', phi and omega extend here."""
-    out: dict = {}
-    for flat, c in vec.items():
-        e_left, key, e_right = split(flat)
-        img = image(key)
-        if img:
-            img = tgt.left_mult(img, e_left) if e_left else img
-            vec_add_into(out, tgt.right_mult(img, e_right) if e_right else img, c, tgt.cp.field)
-    return out
+                                    self.bar.spaces[n].outer_mult, bvec, self.field)
 
 
 def build_comparison(res: CrossedResolution, bar: BarCalculus, upto: int) -> ComparisonMaps:
@@ -212,11 +196,8 @@ def check_bimodule_extension(cmp: ComparisonMaps) -> Report:
             rights = [space.right_mult(g, a) for a in range(e.dim)]
             for a, b in product(range(e.dim), repeat=2):
                 ag, ga = lefts[a], rights[a]
-                ba_g, g_ab = {}, {}
-                for k, c in e.mult[b][a].items():
-                    vec_add_into(ba_g, lefts[k], c, field)
-                for k, c in e.mult[a][b].items():
-                    vec_add_into(g_ab, rights[k], c, field)
+                ba_g = apply_columns(e.mult[b][a], lefts, field)
+                g_ab = apply_columns(e.mult[a][b], rights, field)
                 witness = (name, a, b)
                 report.record(space.left_mult(ag, b) == ba_g, "left-action", witness)
                 report.record(space.right_mult(ga, b) == g_ab, "right-action", witness)

@@ -10,10 +10,12 @@ index 0.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .algebras import AlgebraData, Report, verify_algebra
 from .fields import FieldSpec
 from .hopf import HopfData, sweedler_expand, verify_hopf
-from .linalg import vec_add_into
+from .linalg import apply_columns, vec_add_into
 from .tensors import TensorSpace, keyed_add_into
 
 
@@ -36,13 +38,7 @@ class WeakActionData:
         self.field = field
         self.dim_h = dim_h
         self.dim_a = dim_a
-        self.act = [
-            [
-                {k: field.scalar(v) for k, v in cell.items() if not field.is_zero(field.scalar(v))}
-                for cell in row
-            ]
-            for row in act
-        ]
+        self.act = [[field.sparse(cell) for cell in row] for row in act]
 
 
 class CocycleData:
@@ -54,13 +50,7 @@ class CocycleData:
         self.field = field
         self.dim_h = dim_h
         self.dim_a = dim_a
-        self.f = [
-            [
-                {k: field.scalar(v) for k, v in cell.items() if not field.is_zero(field.scalar(v))}
-                for cell in row
-            ]
-            for row in f
-        ]
+        self.f = [[field.sparse(cell) for cell in row] for row in f]
 
 
 def trivial_action(field: FieldSpec, h: HopfData, a: AlgebraData) -> WeakActionData:
@@ -145,19 +135,14 @@ def verify_crossed_axioms(
                             acted = _act_elem(
                                 action, field, {h1: field.one}, cocycle.f[l1][m1]
                             )
-                            lm = h.algebra.mult[l2][m2]
-                            second: dict = {}
-                            for k, c in lm.items():
-                                vec_add_into(second, cocycle.f[h2][k], c, field)
+                            second = apply_columns(h.algebra.mult[l2][m2], cocycle.f[h2], field)
                             vec_add_into(lhs, a.mult_elems(acted, second), coef, field)
                 rhs: dict = {}
                 for (h1, h2), ch in dh.items():
                     for (l1, l2), cl in dl.items():
                         coef = mul(ch, cl)
-                        hl = h.algebra.mult[h2][l2]
-                        second = {}
-                        for k, c in hl.items():
-                            vec_add_into(second, cocycle.f[k][mi], c, field)
+                        second = apply_columns(h.algebra.mult[h2][l2],
+                                               lambda k: cocycle.f[k][mi], field)
                         vec_add_into(rhs, a.mult_elems(cocycle.f[h1][l1], second), coef, field)
                 report.record(lhs == rhs, "cocycle-condition", (hi, li, mi))
 
@@ -178,10 +163,8 @@ def verify_crossed_axioms(
                 for (h1, h2), ch in dh.items():
                     for (l1, l2), cl in dl.items():
                         coef = mul(ch, cl)
-                        hl = h.algebra.mult[h2][l2]
-                        acted: dict = {}
-                        for k, c in hl.items():
-                            vec_add_into(acted, action.act[k][ai], c, field)
+                        acted = apply_columns(h.algebra.mult[h2][l2],
+                                              lambda k: action.act[k][ai], field)
                         vec_add_into(rhs, a.mult_elems(cocycle.f[h1][l1], acted), coef, field)
                 report.record(lhs == rhs, "twisted-module-condition", (hi, li, ai))
     return report
@@ -399,20 +382,8 @@ class BimoduleData:
         self.field = field
         self.dim = dim
         self.dim_e = dim_e
-        self.left = [
-            [
-                {k: field.scalar(v) for k, v in cell.items() if not field.is_zero(field.scalar(v))}
-                for cell in row
-            ]
-            for row in left
-        ]
-        self.right = [
-            [
-                {k: field.scalar(v) for k, v in cell.items() if not field.is_zero(field.scalar(v))}
-                for cell in row
-            ]
-            for row in right
-        ]
+        self.left = [[field.sparse(cell) for cell in row] for row in left]
+        self.right = [[field.sparse(cell) for cell in row] for row in right]
         self._sandwiches: dict = {}
 
     def sandwich(self, x: int, y: int) -> list[dict]:
@@ -428,28 +399,16 @@ class BimoduleData:
         return hit
 
     def left_act(self, e_idx: int, mvec: dict) -> dict:
-        out: dict = {}
-        for mi, c in mvec.items():
-            vec_add_into(out, self.left[e_idx][mi], c, self.field)
-        return out
+        return apply_columns(mvec, self.left[e_idx], self.field)
 
     def right_act(self, mvec: dict, e_idx: int) -> dict:
-        out: dict = {}
-        for mi, c in mvec.items():
-            vec_add_into(out, self.right[mi][e_idx], c, self.field)
-        return out
+        return apply_columns(mvec, lambda mi: self.right[mi][e_idx], self.field)
 
     def left_elem(self, evec: dict, mvec: dict) -> dict:
-        out: dict = {}
-        for ei, c in evec.items():
-            vec_add_into(out, self.left_act(ei, mvec), c, self.field)
-        return out
+        return apply_columns(evec, lambda ei: self.left_act(ei, mvec), self.field)
 
     def right_elem(self, mvec: dict, evec: dict) -> dict:
-        out: dict = {}
-        for ei, c in evec.items():
-            vec_add_into(out, self.right_act(mvec, ei), c, self.field)
-        return out
+        return apply_columns(evec, partial(self.right_act, mvec), self.field)
 
     def verify(self, e: AlgebraData) -> Report:
         report = Report("bimodule axioms")

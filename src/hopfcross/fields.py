@@ -179,6 +179,11 @@ class FieldSpec:
         lo = hi + 1 - p
         return {k: t for k, v in acc.items() if (t := v if lo <= v <= hi else residue(v, p))}
 
+    def sparse(self, cell: dict) -> dict:
+        """cell's values coerced by scalar, each once, zeros dropped: a
+        structure-constant cell as stored."""
+        return {k: s for k, v in cell.items() if (s := self.scalar(v))}
+
     # serialization ------------------------------------------------------
     def fmt(self, a) -> str | int:
         """Bit-exact serialization: 'p/q' strings over Q, ints 0..p-1 over F_p

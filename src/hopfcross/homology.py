@@ -45,7 +45,7 @@ def _bar_oracle_dims(e, m, cap, cochain: bool) -> list[int]:
     return homology_dims(hochschild_cochain_complex(e, m if cochain else dual_bimodule(m), cap))
 
 
-def _hochschild(cp, m, cap, oracle, res, compare, cochain: bool) -> dict:
+def _hochschild(cp, m, cap, oracle, res, cochain: bool) -> dict:
     """dim H_n(E, M) or dim H^n(E, M) for n < cap through the reduced
     complex; oracle=True recomputes through the normalized bar complex.
 
@@ -57,7 +57,7 @@ def _hochschild(cp, m, cap, oracle, res, compare, cochain: bool) -> dict:
     takes the bar cochains of M itself."""
     if m is None:
         m = regular_bimodule(cp.e)
-    rc = ReducedComplexes(cp, m, cap, res=res, compare=compare)
+    rc = ReducedComplexes(cp, m, cap, res=res)
     # the reduced complexes are checked for d o d = 0 when they are assembled
     reduced = rc.reduced_cochain_complex() if cochain else rc.reduced_chain_complex()
     dims = homology_dims(reduced.complex)
@@ -68,18 +68,16 @@ def _hochschild(cp, m, cap, oracle, res, compare, cochain: bool) -> dict:
 
 
 def hochschild_homology(cp: CrossedProductData, m: BimoduleData | None = None,
-                        cap: int = 4, oracle: bool = False, res=None,
-                        compare: bool = True) -> dict:
+                        cap: int = 4, oracle: bool = False, res=None) -> dict:
     """dim H_n(E, M) for n < cap through the reduced complex; oracle=True
     recomputes through the normalized bar complex and compares."""
-    return _hochschild(cp, m, cap, oracle, res, compare, cochain=False)
+    return _hochschild(cp, m, cap, oracle, res, cochain=False)
 
 
 def hochschild_cohomology(cp: CrossedProductData, m: BimoduleData | None = None,
-                          cap: int = 4, oracle: bool = False, res=None,
-                          compare: bool = True) -> dict:
+                          cap: int = 4, oracle: bool = False, res=None) -> dict:
     """dim H^n(E, M) for n < cap through the reduced cochain complex."""
-    return _hochschild(cp, m, cap, oracle, res, compare, cochain=True)
+    return _hochschild(cp, m, cap, oracle, res, cochain=True)
 
 
 def _table_to_json(table):

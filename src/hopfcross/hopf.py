@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebras import AlgebraData, Report, verify_algebra
 from .fields import FieldSpec
-from .linalg import vec_add_into
+from .linalg import apply_columns
 from .tensors import expand_leg, keyed_add_into
 
 
@@ -25,15 +25,9 @@ class HopfData:
         self.algebra = algebra
         self.field = field
         self.dim = dim
-        self.comult = [
-            {k: field.scalar(v) for k, v in row.items() if not field.is_zero(field.scalar(v))}
-            for row in comult
-        ]
+        self.comult = [field.sparse(row) for row in comult]
         self.counit = [field.scalar(v) for v in counit]
-        self.antipode = [
-            {k: field.scalar(v) for k, v in row.items() if not field.is_zero(field.scalar(v))}
-            for row in antipode
-        ]
+        self.antipode = [field.sparse(row) for row in antipode]
         self._powers: dict = {}
 
     def comult_row(self, i: int) -> dict:
@@ -62,10 +56,7 @@ def sweedler_expand(h: HopfData, n: int, v: dict) -> dict:
     """
     if n < 1:
         raise ValueError("sweedler_expand needs n >= 1")
-    out: dict = {}
-    for i, c in v.items():
-        vec_add_into(out, h.comult_power(i, n), c, h.field)
-    return out
+    return apply_columns(v, lambda i: h.comult_power(i, n), h.field)
 
 
 def sweedler_legs(h: HopfData, hs: tuple, count: int) -> dict:

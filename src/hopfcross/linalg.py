@@ -69,6 +69,19 @@ def vec_add_into(dst: dict, src: dict, scale, field: FieldSpec) -> None:
                 dst[i] = w
 
 
+def apply_columns(vec: dict, column, field: FieldSpec) -> dict:
+    """sum c * column(j) over the entries (j, c) of vec, skipping empty columns:
+    a linear map applied from its column rule.  column is a function of j, or
+    a list of columns read as column[j], so a table costs no call per entry."""
+    table = column.__class__ is list
+    out: dict = {}
+    for j, c in vec.items():
+        col = column[j] if table else column(j)
+        if col:
+            vec_add_into(out, col, c, field)
+    return out
+
+
 def _axpy(dst: dict, src: dict, c: int) -> None:
     """dst += c * src over the integers, dropping zeros."""
     get = dst.get
@@ -306,20 +319,14 @@ class ExactMatrix:
     # algebra ------------------------------------------------------------
     def apply(self, vec: dict) -> dict:
         """Matrix times sparse column vector (dict row->scalar)."""
-        field = self.field
-        out: dict = {}
-        for j, v in vec.items():
-            col = self.cols[j]
-            if col:
-                vec_add_into(out, col, v, field)
-        return out
+        return apply_columns(vec, self.cols, self.field)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        cols = [self.apply(c) for c in other.cols]
+        cols = [apply_columns(c, self.cols, self.field) for c in other.cols]
         return ExactMatrix(self.field, self.nrows, other.ncols, cols)
 
     def transpose(self) -> "ExactMatrix":

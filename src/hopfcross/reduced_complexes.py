@@ -437,23 +437,18 @@ def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
 class ReducedComplexes:
     """Builder and cache for all four small complexes attached to (cp, M).
 
-    The resolution route is authoritative; with compare=True every block is
-    checked against the displayed formula and FormulaMismatch is raised on
-    disagreement.  The cochain complexes are the relabelled transposes of the
+    The resolution route is authoritative; every block is checked against
+    the displayed formula and FormulaMismatch is raised on disagreement.  The cochain complexes are the relabelled transposes of the
     chain complexes with coefficients M^v (see the module docstring); their
     blocks are checked against the displayed formulas placed as cochains on M,
     the same terms that check the chain blocks.
     """
 
     def __init__(self, cp: CrossedProductData, m: BimoduleData, cap: int,
-                 res: CrossedResolution | None = None, compare: bool = True,
-                 allow_large_cap: bool = False):
-        if cap > 6 and not allow_large_cap:
-            raise ValueError("cap > 6 needs allow_large_cap=True (tensor sizes explode)")
+                 res: CrossedResolution | None = None):
         self.cp = cp
         self.m = m
         self.cap = cap
-        self.compare = compare
         self.field = cp.field
         if res is not None and (res.cp is not cp or res.cap < cap):
             raise ValueError("supplied resolution does not cover this product and cap")
@@ -472,8 +467,6 @@ class ReducedComplexes:
     def _check(self, which: str, literal, derived: ExactMatrix, cochain: bool, l, r, s) -> None:
         """FormulaMismatch unless the displayed formula on M gives the derived
         block (a chain block with M^v coefficients is dualized first)."""
-        if not self.compare:
-            return
         if cochain:
             derived = dual_transpose(derived, self.m.dim)
         if literal(l, r, s) != derived:

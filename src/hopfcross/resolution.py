@@ -3,16 +3,19 @@ homotopy.
 
 Blocks E (x) Hbar^s (x) Abar^r (x) E are realized as plain vector spaces on
 explicit tensor bases.  The boundary d is stored only as its images on the
-free generators 1 (x) h (x) a (x) 1, and applied to a vector from them by the
-outer multiplications (_block_apply), so d is an E^e-extension by
-construction, not a typed constraint.  The generator images exist in two
-independent constructions: closed formulas driven by the insertion
-coefficients, and the recursion through the row contractions; they must
-agree, which assert_constructions_agree certifies.
+free generators 1 (x) h (x) a (x) 1, and applied to a vector from them by
+extend_by_outer_mult, so d is an E^e-extension by construction, not a typed
+constraint.  That loop extends every generator table of the package (d and
+sigma here, b', phi, psi and omega in comparison.py) through
+FreeBimoduleSpace.outer_mult, or degree_outer_mult block by block.  The
+generator images exist in two independent constructions: closed formulas
+driven by the insertion coefficients, and the recursion through the row
+contractions; they must agree, which assert_constructions_agree certifies.
 
 The contracting homotopy is a table on left generators 1 (x) v (x) e, filled
 by the recursion's own vector step and extended by left multiplication;
-assert_contracting_homotopy checks its identities on left generators.
+assert_contracting_homotopy checks its identities on left generators.  The
+row maps and sigma pieces are column rules, applied by linalg.apply_columns.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import prod
 
 from .crossed import CrossedProductData
 from .hopf import sweedler_legs
-from .linalg import ExactMatrix, vec_add_into
+from .linalg import ExactMatrix, apply_columns, vec_add_into
 from .tensors import TensorSpace, flatten, keyed_add_into, mid_key, mid_rank, tensor_vectors
 from .twisting import TwistingCalculus
 
@@ -81,9 +84,14 @@ class FreeBimoduleSpace:
     def generators(self):
         return range(self.mid_size)
 
+    def outer_mult(self, vec: dict, e_left: int, e_right: int) -> dict:
+        """e_left . vec . e_right; the unit index 0 is skipped, so vec itself
+        comes back when both are 0."""
+        if e_left:
+            vec = self.left_mult(vec, e_left)
+        return self.right_mult(vec, e_right) if e_right else vec
+
     def left_mult(self, vec: dict, e_idx: int) -> dict:
-        if e_idx == 0:
-            return dict(vec)
         row = self.cp.e.mult[e_idx]
         rest = self.mid_size * self.ne  # flat = e_left * rest + (mid, e_right)
         out: dict = {}
@@ -96,8 +104,6 @@ class FreeBimoduleSpace:
         return self.cp.field.settle(out)
 
     def right_mult(self, vec: dict, e_idx: int) -> dict:
-        if e_idx == 0:
-            return dict(vec)
         mult = self.cp.e.mult
         ne = self.ne  # flat = (e_left, mid) * ne + e_right
         out: dict = {}
@@ -136,11 +142,19 @@ class RowSpace:
         return tuple(reversed(out))
 
 
-def _apply_columns(field, vec: dict, column) -> dict:
-    """sum c * column(j) over the entries (j, c) of vec: a matrix applied from its column rule."""
+def extend_by_outer_mult(split, image, outer, vec: dict, field) -> dict:
+    """The E^e-linear map with generator table `image` on vec: a source basis
+    vector with split(flat) = (e_left, key, e_right) maps to
+    outer(image(key), e_left, e_right), that is e_left . image(key) . e_right.
+    d, sigma, b', phi, psi and omega are all extended here."""
     out: dict = {}
-    for j, c in vec.items():
-        vec_add_into(out, column(j), c, field)
+    for flat, c in vec.items():
+        e_left, key, e_right = split(flat)
+        img = image(key)
+        if img:
+            if e_left or e_right:
+                img = outer(img, e_left, e_right)
+            vec_add_into(out, img, c, field)
     return out
 
 
@@ -432,8 +446,8 @@ class CrossedResolution:
                 for m in xs.generators():
                     if r == 0 and l == 1:
                         vec = self._mu_column(s, (0, 0) + xs.mid_key(m) + (0, 0))
-                        vec = _apply_columns(field, vec, lambda j: partial_column(s, j))
-                        vec = _apply_columns(field, vec, self._sigma0_y_column)
+                        vec = apply_columns(vec, partial(partial_column, s), field)
+                        vec = apply_columns(vec, self._sigma0_y_column, field)
                         cols.append({k: field.neg(v) for k, v in vec.items()})
                     else:
                         lower = [(j, gens[(j, r, s)][m]) for j in range(1 if r == 0 else 0, l)]
@@ -453,26 +467,15 @@ class CrossedResolution:
         total: dict = {}
         for j, vec in lower:
             vec_add_into(total, self._block_apply(gens, l - j, r + j, s - j, vec), field.one, field)
-        total = _apply_columns(field, total, lambda f: self._sigma0_x_column(r + l - 1, s - l, f))
+        total = apply_columns(total, partial(self._sigma0_x_column, r + l - 1, s - l), field)
         return {k: field.neg(v) for k, v in total.items()}
 
     def _block_apply(self, gens: dict, l, r, s, vec: dict) -> dict:
         """d^l on a vector of block (r, s), landing in block (r + l - 1, s - l):
         the basis vector eL . g . eR goes to eL . gens[(l, r, s)][g] . eR.  d is
         E^e-linear by construction, since it is applied only here."""
-        field = self.field
-        src, tgt = self.block_spaces[(r, s)], self.block_spaces[(r + l - 1, s - l)]
-        table = gens[(l, r, s)]
-        out: dict = {}
-        for flat, c in vec.items():
-            e_left, mid, e_right = src.split(flat)
-            img = table[mid]
-            if e_left:
-                img = tgt.left_mult(img, e_left)
-            if e_right:
-                img = tgt.right_mult(img, e_right)
-            vec_add_into(out, img, c, field)
-        return out
+        return extend_by_outer_mult(self.block_spaces[(r, s)].split, gens[(l, r, s)].__getitem__,
+                                    self.block_spaces[(r + l - 1, s - l)].outer_mult, vec, self.field)
 
     def boundary(self, n: int, vec: dict) -> dict:
         """d_n on a vector of degree n >= 1: each d^l applied to its source
@@ -528,9 +531,7 @@ class CrossedResolution:
             parts.setdefault(off, (space, {}))[1][local] = c
         out: dict = {}
         for off, (space, part) in parts.items():
-            img = space.left_mult(part, e_left) if e_left else part
-            img = space.right_mult(img, e_right) if e_right else img
-            out.update((idx + off, v) for idx, v in img.items())
+            out.update((idx + off, v) for idx, v in space.outer_mult(part, e_left, e_right).items())
         return out
 
     def degree_dim(self, n: int) -> int:
@@ -554,7 +555,7 @@ class CrossedResolution:
         d^{l-i} sigma^i is the recursion's _contract_step."""
         field, gens, ne, nh = self.field, self.generator_columns, self.cp.e.dim, self.cp.h.dim
         one = field.one
-        unit = _apply_columns(field, self._sigma_minus1_column(-1, 0), self._sigma0_y_column)
+        unit = apply_columns(self._sigma_minus1_column(-1, 0), self._sigma0_y_column, field)
         sigma: dict = {0: {0: unit}}
         for n in range(self.cap):
             table: dict = {}
@@ -576,8 +577,8 @@ class CrossedResolution:
                     if r == 0:
                         mid, e_right = divmod(local, ne)
                         row = self._mu_column(s, (0, 0) + space.mid_key(mid) + divmod(e_right, nh))
-                        row = _apply_columns(field, row, lambda j: self._sigma_minus1_column(s, j))
-                        row = _apply_columns(field, row, self._sigma0_y_column)
+                        row = apply_columns(row, partial(self._sigma_minus1_column, s), field)
+                        row = apply_columns(row, self._sigma0_y_column, field)
                         add_legs(out, row, 0, s + 1, field.neg(one))
                     table[off + local] = out
             sigma[n + 1] = table
@@ -586,21 +587,17 @@ class CrossedResolution:
     def homotopy_apply(self, sigma: dict, n: int, vec: dict) -> dict:
         """sigma_n, the table of contracting_homotopy, on a vector of degree
         n - 1 (of E when n = 0): e_left . g goes to e_left . sigma[n][g] for
-        each left generator g."""
-        field = self.field
-        parts: dict = {}
-        for flat, c in vec.items():
-            if n:
-                _, _, off, space, local = self.degree_split(n - 1, flat)
-                e_left, tail = divmod(local, space.mid_size * space.ne)
-                flat = off + tail
-            else:
-                e_left, flat = flat, 0
-            vec_add_into(parts.setdefault(e_left, {}), sigma[n][flat], c, field)
-        out: dict = {}
-        for e_left, part in parts.items():
-            vec_add_into(out, self.degree_outer_mult(n, part, e_left, 0), field.one, field)
-        return out
+        each left generator g (for n = 0, g is the unit of E)."""
+        split = partial(self._left_split, n - 1) if n else lambda e_left: (e_left, 0, 0)
+        return extend_by_outer_mult(split, sigma[n].__getitem__, partial(self.degree_outer_mult, n),
+                                    vec, self.field)
+
+    def _left_split(self, n: int, flat: int):
+        """(e_left, degree-n index of the left generator g, 0) for the
+        degree-n basis vector flat = e_left . g."""
+        _, _, off, space, local = self.degree_split(n, flat)
+        e_left, tail = divmod(local, space.mid_size * space.ne)
+        return e_left, off + tail, 0
 
 
 def build_resolution_closed(cp: CrossedProductData, cap: int) -> CrossedResolution:

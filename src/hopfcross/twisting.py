@@ -16,10 +16,11 @@ comultiplication Delta^(n)(h) is read from the Hopf algebra's one table
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .crossed import CrossedProductData
-from .linalg import vec_add_into
+from .linalg import apply_columns, vec_add_into
 
 
 def _flat_tensor(vecs, coef, dim: int, field) -> dict:
@@ -46,11 +47,7 @@ class TwistingCalculus:
 
     # iterated weak action ------------------------------------------------
     def act_vec(self, h_idx: int, avec: dict) -> dict:
-        field = self.field
-        out: dict = {}
-        for a, c in avec.items():
-            vec_add_into(out, self.cp.action.act[h_idx][a], c, field)
-        return out
+        return apply_columns(avec, self.cp.action.act[h_idx], self.field)
 
     def iter_act(self, hs: tuple, a_idx: int) -> dict:
         """a^(h_1, ..., h_k) applied right to left: h_k acts first, h_1 last."""
@@ -65,21 +62,17 @@ class TwistingCalculus:
         return hit
 
     def iter_act_vec(self, hs: tuple, avec: dict) -> dict:
-        field = self.field
-        out: dict = {}
-        for a, c in avec.items():
-            vec_add_into(out, self.iter_act(hs, a), c, field)
-        return out
+        """avec^(h_1, ..., h_k); avec itself, read only, when hs is empty or avec is 0."""
+        if not (hs and avec):
+            return avec
+        return apply_columns(avec, partial(self.iter_act, hs), self.field)
 
     def h_product(self, hs: tuple) -> dict:
         """Product h_1 ... h_k in H as a sparse vector."""
-        field = self.field
+        field, mult = self.field, self.cp.h.algebra.mult
         out = {0: field.one} if not hs else {hs[0]: field.one}
         for h in hs[1:]:
-            nxt: dict = {}
-            for u, c in out.items():
-                vec_add_into(nxt, self.cp.h.algebra.mult[u][h], c, field)
-            out = nxt
+            out = apply_columns(out, lambda u: mult[u][h], field)
         return out
 
     def _comult_groups(self, h_idx: int, n: int) -> list:
@@ -137,12 +130,12 @@ class TwistingCalculus:
                 for groups in product(*leg_groups):
                     # the recursive argument reads only the last component of each leg
                     lasts = tuple(last for last, _ in groups)
-                    rec: dict = {}
-                    for hm, cm in mult[lasts[j - 1]][lasts[j]].items():
-                        col = self.insertion_column(
-                            lm1, r - i, lasts[: j - 1] + (hm,) + lasts[j + 1 :], rest
-                        )
-                        vec_add_into(rec, col, cm, field)
+                    # F^(l-1) on the last components, legs j and j + 1 multiplied in H
+                    rec = apply_columns(
+                        mult[lasts[j - 1]][lasts[j]],
+                        lambda hm: self.insertion_column(
+                            lm1, r - i, lasts[: j - 1] + (hm,) + lasts[j + 1 :], rest),
+                        field)
                     if not rec:
                         continue
                     for choice in product(*(terms for _, terms in groups)):

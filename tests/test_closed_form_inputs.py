@@ -1,0 +1,88 @@
+"""The gauged action groupoid k^{Z3} #_f kZ3 (tests/closed_form_inputs.py):
+E = M_3(k), so every route must give HH = [1, 0, 0, ...].  Unlike the
+gallery, it has nonzero reduced blocks d^3 and d^4 and non-central section
+inverses, so a wrong sign of d^3 or a wrong order of the section inverses in
+the untwisted formula is caught on it."""
+
+import pytest
+
+from closed_form_inputs import gauged_action_groupoid
+from hopfcross.algebras import AlgebraData
+from hopfcross.crossed import regular_bimodule
+from hopfcross.fields import FieldSpec
+from hopfcross.homology import hochschild_cohomology, hochschild_homology
+from hopfcross.reduced_complexes import FormulaMismatch, ReducedComplexes
+from hopfcross.resolution import (
+    CrossedResolution,
+    RecursionMismatch,
+    assert_constructions_agree,
+    build_resolution_closed,
+    build_resolution_recursive,
+)
+
+FIELDS = [FieldSpec.rationals(), FieldSpec.prime(5)]
+IDS = ["q", "fp5"]
+CAP = 4
+
+
+@pytest.fixture(scope="module", params=FIELDS, ids=IDS)
+def cp(request):
+    return gauged_action_groupoid(request.param)
+
+
+def test_gauge_must_take_unit_values():
+    with pytest.raises(ValueError, match="not a unit"):
+        gauged_action_groupoid(FieldSpec.prime(3), {1: (2, -3, 1), 2: (1, 1, 1)})
+    with pytest.raises(ValueError, match="not a unit"):
+        gauged_action_groupoid(FieldSpec.rationals(), {1: (1, 1, 1), 2: (1, 0, 1)})
+
+
+def test_dims_are_those_of_a_matrix_algebra(cp):
+    for fn in (hochschild_homology, hochschild_cohomology):
+        report = fn(cp, cap=CAP, oracle=True)
+        assert report["dims"] == [1, 0, 0, 0], fn.__name__
+        assert report["oracle_match"] is True, fn.__name__
+
+
+def test_closed_equals_recursive(cp):
+    assert_constructions_agree(build_resolution_closed(cp, CAP), build_resolution_recursive(cp, CAP))
+
+
+def test_blocks_above_l_one_do_not_vanish(cp):
+    rc = ReducedComplexes(cp, regular_bimodule(cp.e), CAP)
+    nonzero = [(l, r, s) for s in range(CAP + 1) for r in range(CAP + 1 - s)
+               for l in range(2, s + 1) if not rc.reduced_block(l, r, s).is_zero()]
+    assert len(nonzero) == 10 and {(3, 0, 3), (3, 1, 3), (3, 0, 4), (4, 0, 4)} <= set(nonzero)
+
+
+def test_sign_of_d3_is_checked(cp, monkeypatch):
+    # d^3 with the opposite sign: the recursion and the displayed formula disagree
+    original = CrossedResolution._dl_generator_column
+
+    def flipped(self, mid_key, l, r, s):
+        col = original(self, mid_key, l, r, s)
+        return {k: self.field.neg(v) for k, v in col.items()} if l == 3 else col
+
+    monkeypatch.setattr(CrossedResolution, "_dl_generator_column", flipped)
+    with pytest.raises(RecursionMismatch) as err:
+        assert_constructions_agree(build_resolution_closed(cp, CAP), build_resolution_recursive(cp, CAP))
+    assert err.value.block == (3, 0, 3)
+    with pytest.raises(FormulaMismatch) as err:
+        hochschild_homology(cp, cap=CAP)
+    assert err.value.block == (3, 0, 3)
+
+
+@pytest.mark.parametrize("cochain", [False, True], ids=["chain", "cochain"])
+def test_order_of_section_inverses_is_checked(cp, cochain, monkeypatch):
+    # the displayed untwisted formula is the only reader of E.mult_elems; with
+    # its factors swapped, the section inverses are multiplied in forward order
+    def untwisted():
+        rc = ReducedComplexes(cp, regular_bimodule(cp.e), CAP)
+        return rc.untwisted_cochain_complex() if cochain else rc.untwisted_chain_complex()
+
+    assert untwisted().complex.dims
+    monkeypatch.setattr(cp.e, "mult_elems", lambda u, v: AlgebraData.mult_elems(cp.e, v, u))
+    with pytest.raises(FormulaMismatch) as err:
+        untwisted()
+    assert err.value.block == (2, 0, 2)
+    assert err.value.which == ("untwisted-cochain" if cochain else "untwisted-chain")

@@ -65,7 +65,7 @@ def test_bar_cochains_are_dual_bar_chains(name, cp, m):
 @pytest.mark.parametrize("name, cp, m", CASES, ids=IDS)
 def test_derived_cochain_blocks_match_displayed_formulas(name, cp, m):
     cap = 3
-    rc = ReducedComplexes(cp, m, cap, compare=False)
+    rc = ReducedComplexes(cp, m, cap)
     untwisted = cp.conv_inverse is not None
     for s in range(cap + 1):
         for r in range(cap + 1 - s):

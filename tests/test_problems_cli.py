@@ -282,6 +282,19 @@ def test_cli_max_degree_above_five_needs_force(command, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "--cap", "7"], ["cohomology", "--cap", "7"], ["spectral", "--cap", "7"],
+    ["e2-check", "--cap", "7"], ["tor", "--cap", "7"], ["oracle-compare", "--max-degree", "6"],
+], ids=lambda argv: argv[0])
+def test_cli_force_runs_above_cap_six(argv, tmp_path, capsys):
+    # the CLI's warning is the one size policy: with --force nothing below it refuses
+    out_path = tmp_path / "doc.json"
+    assert main([argv[0], "trivial", *argv[1:], "--force", "--output", str(out_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: cap 7 ") and "Traceback" not in err
+    assert json.loads(out_path.read_text())["pass"] is True
+
+
 def test_cli_axiom_failure_reports_witnesses(tmp_path, capsys):
     # a non-normal cocycle parses but fails the crossed-product axioms
     doc = emit_problem(builtin("klein_four"))

@@ -114,7 +114,7 @@ def test_trivial_hopf_reduces_to_hochschild_complex():
 def test_untwisting_is_iso_and_chain_map(cps):
     for name, cp in cps.items():
         m = regular_bimodule(cp.e)
-        rc = ReducedComplexes(cp, m, 3, compare=False)
+        rc = ReducedComplexes(cp, m, 3)
         untwists = untwist_degree_matrices(rc)
         reduced = rc.reduced_chain_complex()
         over = rc.untwisted_chain_complex()
@@ -261,7 +261,7 @@ def test_untwisted_requires_inverse(cps):
     try:
         cp.conv_inverse = None
         m = regular_bimodule(cp.e)
-        rc = ReducedComplexes(cp, m, 2, compare=False)
+        rc = ReducedComplexes(cp, m, 2)
         with pytest.raises(NotInvertibleError):
             rc.untwisted_chain_complex()
     finally:

@@ -23,13 +23,20 @@
   module functions it calls) names no resolution, duality or untwisting code,
   and not the bimodule's sandwich table, so the formula check shares no code
   with the blocks it checks.
-* In comparison.py only the one extension loop (extend_by_outer_mult) and
-  the bimodule-extension certificate call left_mult / right_mult; in
-  resolution.py only _block_apply, the one application of d from its
-  generator table (the recursion, the contracting homotopy, boundary and
-  blocks all go through it), and degree_outer_mult, the one degree-level
-  outer multiplication, which psi_apply and the contracting homotopy share.
-  So no second hand-written extension escapes the certificate.
+* The column-rule loop (for j, c in vec.items(): vec_add_into(out,
+  column(j), c, field), into a fresh dict) is written only in
+  linalg.apply_columns; every other linear map applied from its columns
+  calls it.  The bilinear products (AlgebraData.mult_elems,
+  crossed._act_elem) scale by a product of two entries and are not this
+  loop.
+* The outer multiplications are called in two places only: in
+  resolution.py by FreeBimoduleSpace.outer_mult (left_mult, right_mult)
+  and CrossedResolution.degree_outer_mult (outer_mult, block by block), and
+  in comparison.py by check_bimodule_extension, the certificate for
+  left_mult / right_mult.  Every generator table (d, sigma, b', phi, psi,
+  omega) is extended by resolution.extend_by_outer_mult, which receives the
+  outer multiplication as an argument.  So no second hand-written extension
+  escapes the certificate.
 * In resolution.py only blocks and augmentation build an ExactMatrix: the
   row maps and sigma pieces stay column rules, and their full-basis matrices
   (mu_s, mu_tilde) live in tests/conftest.py and tests/homotopy_reference.py.
@@ -79,17 +86,18 @@ LITERAL_FORBIDDEN = {
     "CrossedResolution", "untwist_block", "untwist_inverse_block", "sandwich",
 }
 RAW_SUM_EXEMPT = {"_composites_vanish"}  # it only tests its sums for zero
-OUTER_MULTS = {"left_mult", "right_mult"}
+OUTER_MULTS = {"left_mult", "right_mult", "outer_mult", "degree_outer_mult"}
+# module -> the functions and methods allowed to call an outer multiplication
 OUTER_MULT_CALLERS = {
-    "comparison.py": {"extend_by_outer_mult", "check_bimodule_extension"},
-    "resolution.py": {"_block_apply", "degree_outer_mult"},
+    "comparison.py": {"check_bimodule_extension"},
+    "resolution.py": {"outer_mult", "degree_outer_mult"},
 }
 # module -> the functions and methods allowed to build an ExactMatrix
 MATRIX_BUILDERS = {"resolution.py": {"blocks", "augmentation"}}
 REFERENCE_FORBIDDEN_MODULES = {"hopfcross.twisting", "hopfcross.resolution"}
 OTHER_REFERENCES = {
     "coefficient_reference.py": {"hopfcross.reduced_complexes"},
-    "comparison_reference.py": {"hopfcross.comparison"},
+    "comparison_reference.py": {"hopfcross.comparison", "hopfcross.resolution"},
     "bar_reference.py": {"hopfcross.bar"},
     "placement_reference.py": {"hopfcross.reduced_complexes"},
     "sweedler_reference.py": {"hopfcross.hopf"},
@@ -272,8 +280,65 @@ def _literal_forbidden_names(tree: ast.Module, cls: str = "_Literal") -> list[st
     return sorted(found)
 
 
+def _fresh_dicts(fn: ast.AST) -> set[str]:
+    """Names that fn binds to a new empty dict ({}, dict(), or a, b = {}, {})."""
+    def fresh(v):
+        return (isinstance(v, ast.Dict) and not v.keys) or (
+            isinstance(v, ast.Call) and isinstance(v.func, ast.Name) and v.func.id == "dict"
+            and not v.args)
+
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.AnnAssign) and node.value is not None:
+            pairs = [(node.target, node.value)]
+        elif isinstance(node, ast.Assign):
+            pairs = []
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs.extend(zip(target.elts, node.value.elts))
+                else:
+                    pairs.append((target, node.value))
+        else:
+            continue
+        names.update(t.id for t, v in pairs if isinstance(t, ast.Name) and fresh(v))
+    return names
+
+
+def _column_rule_loops(tree: ast.Module) -> list[str]:
+    """Functions with a loop for j, c in <vec>.items() that calls
+    vec_add_into(out, col, c, ...) on a fresh dict out, with col an
+    expression in j or a name the loop binds to one."""
+    def mentions(expr, name):
+        return any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(expr))
+
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        fresh = _fresh_dicts(fn)
+        for loop in ast.walk(fn):
+            if not (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                    and getattr(loop.iter.func, "attr", None) == "items"
+                    and isinstance(loop.target, ast.Tuple) and len(loop.target.elts) == 2
+                    and all(isinstance(e, ast.Name) for e in loop.target.elts)):
+                continue
+            j, c = (e.id for e in loop.target.elts)
+            columns = {t.id for node in ast.walk(loop) if isinstance(node, ast.Assign)
+                       and mentions(node.value, j) for t in node.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(loop):
+                if not (isinstance(node, ast.Call) and len(node.args) >= 3
+                        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "vec_add_into"):
+                    continue
+                out, col, scale = node.args[:3]
+                if (isinstance(out, ast.Name) and out.id in fresh
+                        and isinstance(scale, ast.Name) and scale.id == c
+                        and (mentions(col, j) or (isinstance(col, ast.Name) and col.id in columns))):
+                    found.append(f"{fn.name} (line {node.lineno})")
+    return found
+
+
 def _outer_mult_callers(tree: ast.Module) -> set[str]:
-    """Functions and methods that call left_mult or right_mult."""
+    """Functions and methods that call an outer multiplication as x.name(...)."""
     return {
         fn.name
         for fn in ast.walk(tree)
@@ -534,6 +599,8 @@ def test_checked_code_in_the_formulas_is_detected():
 
 
 def test_comparison_extends_in_one_loop():
+    # only the certificate multiplies by hand: b', phi, psi and omega extend in
+    # resolution.extend_by_outer_mult
     module = "comparison.py"
     assert _outer_mult_callers(_tree(PACKAGE / module)) == OUTER_MULT_CALLERS[module]
 
@@ -543,13 +610,70 @@ def test_resolution_extends_in_known_places():
     assert _outer_mult_callers(_tree(PACKAGE / module)) == OUTER_MULT_CALLERS[module]
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in OUTER_MULT_CALLERS],
+                         ids=lambda p: p.name)
+def test_no_other_module_calls_an_outer_multiplication(path):
+    assert _outer_mult_callers(_tree(path)) == set()
+
+
 def test_second_extension_is_detected():
-    source = (
-        "class ComparisonMaps:\n"
-        "    def phi_apply(self, space, img, e_left, e_right):\n"
-        "        return space.right_mult(space.left_mult(img, e_left), e_right)"
-    )
-    assert _outer_mult_callers(ast.parse(source)) == {"phi_apply"}
+    for source, caller in (
+        ("class ComparisonMaps:\n"
+         "    def phi_apply(self, space, img, e_left, e_right):\n"
+         "        return space.right_mult(space.left_mult(img, e_left), e_right)", "phi_apply"),
+        ("class CrossedResolution:\n"
+         "    def _block_apply(self, tgt, img, e_left, e_right):\n"
+         "        return tgt.outer_mult(img, e_left, e_right)", "_block_apply"),
+        ("def psi_apply(cmp, n, img, e_left, e_right):\n"
+         "    return cmp.res.degree_outer_mult(n, img, e_left, e_right)", "psi_apply"),
+    ):
+        assert _outer_mult_callers(ast.parse(source)) == {caller}, source
+    # passing an outer multiplication to the extension loop is not a call
+    assert _outer_mult_callers(ast.parse(
+        "def bprime(bar, n, vec):\n"
+        "    return extend_by_outer_mult(bar.split, bar.gen, bar.spaces[n].outer_mult, vec, bar.field)"
+    )) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_column_rule_loop_only_in_apply_columns(path):
+    expected = ["apply_columns"] if path.name == "linalg.py" else []
+    assert [hit.split(" ")[0] for hit in _column_rule_loops(_tree(path))] == expected
+
+
+def test_column_rule_loop_is_detected():
+    tree = _tree(PACKAGE / "linalg.py")
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "apply_columns"]
+    fn.name = "renamed"
+    assert _column_rule_loops(ast.Module(body=[fn], type_ignores=[]))
+    for source in (
+        # BimoduleData.left_act and right_act before apply_columns
+        "def left_act(self, e_idx, mvec):\n    out: dict = {}\n    for mi, c in mvec.items():\n"
+        "        vec_add_into(out, self.left[e_idx][mi], c, self.field)\n    return out",
+        "def right_act(self, mvec, e_idx):\n    out = {}\n    for mi, c in mvec.items():\n"
+        "        vec_add_into(out, self.right[mi][e_idx], c, self.field)\n    return out",
+        # a column named first, and two sums started in one assignment
+        "def apply(vec, rule, field):\n    out = dict()\n    for j, v in vec.items():\n"
+        "        col = rule(j)\n        if col:\n            vec_add_into(out, col, v, field)\n    return out",
+        "def f(e, lefts, rights, a, b, field):\n    ba_g, g_ab = {}, {}\n"
+        "    for k, c in e.mult[b][a].items():\n        vec_add_into(ba_g, lefts[k], c, field)\n"
+        "    return ba_g",
+    ):
+        assert _column_rule_loops(ast.parse(source)), source
+    for source in (
+        # bilinear: the scale is a product of two entries
+        "def mult_elems(self, u, v, field):\n    out = {}\n    for i, a in u.items():\n"
+        "        for j, b in v.items():\n"
+        "            vec_add_into(out, self.mult[i][j], field.mul(a, b), field)\n    return out",
+        # into a sum the caller passed in, not a fresh one
+        "def add_all(total, vec, rule, field):\n    for j, c in vec.items():\n"
+        "        vec_add_into(total, rule(j), c, field)",
+    ):
+        assert _column_rule_loops(ast.parse(source)) == [], source
+    # the generator-table extension reads its image through split(flat), not a column of flat
+    tree = _tree(PACKAGE / "resolution.py")
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "extend_by_outer_mult"]
+    assert _column_rule_loops(ast.Module(body=[fn], type_ignores=[])) == []
 
 
 @pytest.mark.parametrize("module", sorted(MATRIX_BUILDERS))
