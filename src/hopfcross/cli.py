@@ -25,7 +25,13 @@ from .comparison import (
     check_filtration_preservation,
 )
 from .complexes import check_convergence, spectral_page
-from .crossed import AxiomViolation, NotInvertibleError, regular_bimodule, verify_crossed_axioms
+from .crossed import (
+    AxiomViolation,
+    NotInvertibleError,
+    convolution_inverse,
+    regular_bimodule,
+    verify_crossed_axioms,
+)
 from .fields import FieldSpec
 from .homology import (
     e2_identification,
@@ -166,8 +172,6 @@ def cmd_verify(pf: ProblemFile, args) -> dict:
         r_m = m.verify(cp.e)
         sections["bimodule"] = r_m.as_dict()
         ok = ok and r_m.passed
-        from .crossed import convolution_inverse
-
         finv = convolution_inverse(cp)
         sections["cocycle_invertible"] = finv is not None
     doc["pass"] = ok

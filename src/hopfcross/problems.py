@@ -84,18 +84,17 @@ class ProblemFile:
 
 # parsing ----------------------------------------------------------------------
 
+def _scalar(field, v, where):
+    try:
+        return field.scalar(v)
+    except Exception as exc:
+        raise ParseError(f"bad scalar {v!r}: {exc}", where) from None
+
+
 def _vector(field, raw, length, where):
     if not isinstance(raw, list) or len(raw) != length:
         raise DimensionMismatch(f"expected a coefficient vector of length {length}", where)
-    out = {}
-    for i, v in enumerate(raw):
-        try:
-            s = field.scalar(v)
-        except Exception as exc:
-            raise ParseError(f"bad scalar {v!r}: {exc}", where) from None
-        if not field.is_zero(s):
-            out[i] = s
-    return out
+    return {i: s for i, v in enumerate(raw) if (s := _scalar(field, v, where))}
 
 
 def _tensor2(field, raw, d1, d2, vec_len, where):
@@ -110,65 +109,71 @@ def _tensor2(field, raw, d1, d2, vec_len, where):
     return out
 
 
-def _parse_algebra(field, raw, where="algebra") -> AlgebraData:
+def _object(raw, where) -> dict:
     if not isinstance(raw, dict):
-        raise ParseError("algebra section must be an object", where)
+        raise ParseError(f"{where} section must be an object", where)
+    return raw
+
+
+def _guarded(where, parse, *args):
+    """parse(*args), with a node of the wrong JSON type or value (an int for
+    a list, "x" for a dim, dim 0) reported as a ParseError at where."""
     try:
-        dim = int(raw["dim"])
-        labels = list(raw["basis_labels"])
-        mult_raw = raw["mult"]
+        return parse(*args)
     except KeyError as exc:
         raise ParseError(f"missing field {exc}", where) from None
+    except (TypeError, ValueError, LookupError, AttributeError, ArithmeticError) as exc:
+        raise ParseError(f"bad value: {exc}", where) from None
+
+
+def _parse_algebra(field, raw, where="algebra") -> AlgebraData:
+    raw = _object(raw, where)
+    dim = int(raw["dim"])
+    labels = list(raw["basis_labels"])
     if len(labels) != dim:
         raise DimensionMismatch("basis_labels length != dim", where)
-    mult = _tensor2(field, mult_raw, dim, dim, dim, f"{where}.mult")
+    mult = _tensor2(field, raw["mult"], dim, dim, dim, f"{where}.mult")
     return AlgebraData(field, dim, labels, mult)
 
 
 def _parse_hopf(field, raw, where="hopf") -> HopfData:
     alg = _parse_algebra(field, raw, where)
     dim = alg.dim
-    comult_raw = raw.get("comult")
-    counit_raw = raw.get("counit")
-    antipode_raw = raw.get("antipode")
-    if comult_raw is None or counit_raw is None or antipode_raw is None:
-        raise ParseError("hopf section needs comult, counit, antipode", where)
-    if len(comult_raw) != dim:
-        raise DimensionMismatch("comult needs one matrix per basis element", f"{where}.comult")
-    comult = []
-    for i, mat in enumerate(comult_raw):
-        if not isinstance(mat, list) or len(mat) != dim:
-            raise DimensionMismatch(f"comult[{i}] must be a {dim}x{dim} matrix", f"{where}.comult")
-        row = {}
-        for j, line in enumerate(mat):
-            if not isinstance(line, list) or len(line) != dim:
-                raise DimensionMismatch(f"comult[{i}][{j}] must have {dim} entries", f"{where}.comult")
-            for k, v in enumerate(line):
-                s = field.scalar(v)
-                if not field.is_zero(s):
-                    row[(j, k)] = s
-        comult.append(row)
-    if len(counit_raw) != dim:
-        raise DimensionMismatch("counit needs one scalar per basis element", f"{where}.counit")
-    counit = [field.scalar(v) for v in counit_raw]
-    if len(antipode_raw) != dim:
-        raise DimensionMismatch("antipode needs one vector per basis element", f"{where}.antipode")
+    comult = [{(j, k): s for j, row in enumerate(rows) for k, s in row.items()}
+              for rows in _tensor2(field, raw.get("comult"), dim, dim, dim, f"{where}.comult")]
+    for key in ("counit", "antipode"):
+        if not isinstance(raw.get(key), list) or len(raw[key]) != dim:
+            raise DimensionMismatch(f"{key} needs one entry per basis element", f"{where}.{key}")
+    counit = [_scalar(field, v, f"{where}.counit") for v in raw["counit"]]
     antipode = [_vector(field, v, dim, f"{where}.antipode[{i}]")
-                for i, v in enumerate(antipode_raw)]
+                for i, v in enumerate(raw["antipode"])]
     return HopfData(alg, comult, counit, antipode)
 
 
+def _parse_bimodule(field, raw, ne) -> BimoduleData:
+    dim = int(_object(raw, "bimodule")["dim"])
+    left = _tensor2(field, raw.get("left"), ne, dim, dim, "bimodule.left")
+    right = _tensor2(field, raw.get("right"), dim, ne, dim, "bimodule.right")
+    return BimoduleData(field, dim, ne, left, right)
+
+
+def _parse_tor_modules(field, raw, ne) -> tuple:
+    raw = _object(raw, "tor_modules")
+    dim_r, dim_l = int(raw["dim_right"]), int(raw["dim_left"])
+    right = _tensor2(field, raw.get("right"), dim_r, ne, dim_r, "tor_modules.right")
+    left = _tensor2(field, raw.get("left"), ne, dim_l, dim_l, "tor_modules.left")
+    return (dim_r, right), (dim_l, left)
+
+
 def parse_problem_dict(doc: dict, name="problem") -> ProblemFile:
+    """The problem in doc; any malformed node raises ParseError."""
     if not isinstance(doc, dict):
         raise ParseError("problem document must be a JSON object")
-    try:
-        field = FieldSpec.parse(doc["field"])
-    except KeyError:
-        raise ParseError("missing field spec", "field") from None
-    except ValueError as exc:
-        raise ParseError(str(exc), "field") from None
-    algebra = _parse_algebra(field, doc.get("algebra"), "algebra")
-    hopf = _parse_hopf(field, doc.get("hopf"), "hopf")
+    if "field" not in doc:
+        raise ParseError("missing field spec", "field")
+    field = _guarded("field", FieldSpec.parse, doc["field"])
+    algebra = _guarded("algebra", _parse_algebra, field, doc.get("algebra"), "algebra")
+    hopf = _guarded("hopf", _parse_hopf, field, doc.get("hopf"), "hopf")
     na, nh = algebra.dim, hopf.dim
     action = WeakActionData(
         field, nh, na, _tensor2(field, doc.get("action"), nh, na, na, "action")
@@ -176,29 +181,11 @@ def parse_problem_dict(doc: dict, name="problem") -> ProblemFile:
     cocycle = CocycleData(
         field, nh, na, _tensor2(field, doc.get("cocycle"), nh, nh, na, "cocycle")
     )
-    bimodule = None
+    bimodule = tor_modules = None
     if doc.get("bimodule") is not None:
-        raw = doc["bimodule"]
-        try:
-            dim = int(raw["dim"])
-        except KeyError:
-            raise ParseError("bimodule needs a dim", "bimodule") from None
-        ne = na * nh
-        left = _tensor2(field, raw.get("left"), ne, dim, dim, "bimodule.left")
-        right = _tensor2(field, raw.get("right"), dim, ne, dim, "bimodule.right")
-        bimodule = BimoduleData(field, dim, ne, left, right)
-    tor_modules = None
+        bimodule = _guarded("bimodule", _parse_bimodule, field, doc["bimodule"], na * nh)
     if doc.get("tor_modules") is not None:
-        raw = doc["tor_modules"]
-        ne = na * nh
-        try:
-            dim_r = int(raw["dim_right"])
-            dim_l = int(raw["dim_left"])
-        except KeyError as exc:
-            raise ParseError(f"tor_modules missing {exc}", "tor_modules") from None
-        right = _tensor2(field, raw.get("right"), dim_r, ne, dim_r, "tor_modules.right")
-        left = _tensor2(field, raw.get("left"), ne, dim_l, dim_l, "tor_modules.left")
-        tor_modules = ((dim_r, right), (dim_l, left))
+        tor_modules = _guarded("tor_modules", _parse_tor_modules, field, doc["tor_modules"], na * nh)
     options = doc.get("options") or {}
     if not isinstance(options, dict):
         raise ParseError("options must be an object", "options")

@@ -15,7 +15,9 @@ contractions; they must agree, which assert_constructions_agree certifies.
 The contracting homotopy is a table on left generators 1 (x) v (x) e, filled
 by the recursion's own vector step and extended by left multiplication;
 assert_contracting_homotopy checks its identities on left generators.  The
-row maps and sigma pieces are column rules, applied by linalg.apply_columns.
+row maps and sigma pieces are column rules on flat block indices, applied by
+linalg.apply_columns: each contracting row E (x) Hbar^s (x) H is the
+sub-bimodule E (x) Hbar^s (x) (1 # H) of block (0, s).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import prod
 from .crossed import CrossedProductData
 from .hopf import sweedler_legs
 from .linalg import ExactMatrix, apply_columns, vec_add_into
-from .tensors import TensorSpace, flatten, keyed_add_into, mid_key, mid_rank, tensor_vectors
+from .tensors import TensorSpace, mid_key, mid_rank, tensor_vectors
 from .twisting import TwistingCalculus
 
 
@@ -48,7 +50,7 @@ class HomotopyIdentityFailure(Exception):
 class FreeBimoduleSpace:
     """The free E-bimodule E (x) V_1bar (x) ... (x) V_kbar (x) E on the flat
     basis (e_left, mid, e_right); mid ranks the normalized middle legs
-    row-major, and the outer E slots split as (a, h) in `legs`.
+    row-major, with radices (dim V_i - 1).
 
     mid_dims lists the full dimension of each middle leg: the block
     E (x) Hbar^s (x) Abar^r (x) E of the small resolution takes
@@ -57,10 +59,8 @@ class FreeBimoduleSpace:
 
     def __init__(self, cp: CrossedProductData, mid_dims: tuple):
         self.cp = cp
-        self._radices = tuple(d - 1 for d in mid_dims)
-        outer = [(cp.a.dim, False), (cp.h.dim, False)]
-        self.legs = outer + [(d, True) for d in mid_dims] + outer
-        self.mid_size = prod(self._radices)
+        self.radices = tuple(d - 1 for d in mid_dims)
+        self.mid_size = prod(self.radices)
         self.ne = cp.e.dim
         self.dim = self.ne * self.mid_size * self.ne
 
@@ -75,11 +75,11 @@ class FreeBimoduleSpace:
 
     def mid_key(self, mid: int) -> tuple:
         """Full-index section of a generator: all middle legs shifted off the unit."""
-        return mid_key(self._radices, mid)
+        return mid_key(self.radices, mid)
 
     def mid_rank(self, legs: tuple) -> int | None:
         """legs are full indices; returns None when a leg is the unit."""
-        return mid_rank(self._radices, legs)
+        return mid_rank(self.radices, legs)
 
     def generators(self):
         return range(self.mid_size)
@@ -116,31 +116,6 @@ class FreeBimoduleSpace:
                 out[k] = get(k, 0) + c * c2
         return self.cp.field.settle(out)
 
-    def flatten(self, keyed: dict) -> dict:
-        return flatten(keyed, self.legs, self.cp.field)
-
-
-class RowSpace:
-    """The row target E (x) Hbar^s (x) H on the flat basis (a, h_0, h_1..h_s, h_last)."""
-
-    def __init__(self, cp: CrossedProductData, s: int):
-        na, nh = cp.a.dim, cp.h.dim
-        self.cp = cp
-        self.s = s
-        self.legs = [(na, False), (nh, False)] + [(nh, True)] * s + [(nh, False)]
-        self.dim = na * nh * (nh - 1) ** s * nh
-
-    def flatten(self, keyed: dict) -> dict:
-        return flatten(keyed, self.legs, self.cp.field)
-
-    def key(self, flat: int) -> tuple:
-        """Full-index key of a flat basis vector (the inverse of flatten)."""
-        out = []
-        for d, norm in reversed(self.legs):
-            flat, i = divmod(flat, d - 1 if norm else d)
-            out.append(i + 1 if norm else i)
-        return tuple(reversed(out))
-
 
 def extend_by_outer_mult(split, image, outer, vec: dict, field) -> dict:
     """The E^e-linear map with generator table `image` on vec: a source basis
@@ -174,7 +149,10 @@ class CrossedResolution:
     Every other reader applies d to a vector, by boundary (or _block_apply
     for one d^l), from those columns; no boundary matrix is assembled.  The
     row maps and sigma pieces are column rules only, applied by the
-    recursion and by contracting_homotopy (a table built on each call).  The
+    recursion and by contracting_homotopy (a table built on each call); each
+    sums its flat column in place over combine(e_left, mid_rank(legs),
+    e_right) and settles it once.  A row target is a block (0, s) index whose
+    right slot 1 # h has E-index h, so sigma^0 on rows is the identity.  The
     augmentation, minus the product of E, is built on first read; the test
     identity mu_tilde mu_0 = augmentation ties it to the row maps, so the
     certificates check X against the standard augmentation.
@@ -189,13 +167,10 @@ class CrossedResolution:
         self.field = cp.field
         self.calc = TwistingCalculus(cp)
         self.block_spaces: dict = {}
-        self.row_spaces: dict = {}
         na, nh = cp.a.dim, cp.h.dim
         for n in range(cap + 1):
             for s in range(n + 1):
                 self.block_spaces[(n - s, s)] = FreeBimoduleSpace(cp, (nh,) * s + (na,) * (n - s))
-        for s in range(cap + 1):
-            self.row_spaces[s] = RowSpace(cp, s)
         # per degree: its blocks in filtration order with offsets, and their
         # ends; block_offsets[(r, s)] is the offset of (r, s) in degree r + s
         self._degree_blocks: list = []
@@ -227,46 +202,58 @@ class CrossedResolution:
 
     # elementary maps: one column rule each, read by the recursion and the
     # contracting homotopy ------------------------------------------------------
-    def _mu_column(self, s, key) -> dict:
-        """mu_s on the basis tensor key of block (0, s):
-        a0 a1^(h_0..h_s firsts) (x) seconds (x) h_last."""
+    def _mu_column(self, s, flat) -> dict:
+        """mu_s on basis vector flat = a0 # h_0 (x) h (x) aR # hR of block (0, s):
+        a0 aR^(h_0..h_s firsts) # h_0^(2) (x) h^(2) (x) 1 # hR, a row target."""
         cp = self.cp
-        field = self.field
-        a0, hs, aR, hR = key[0], key[1 : s + 2], key[-2], key[-1]
+        nh = cp.h.dim
+        space = self.block_spaces[(0, s)]
+        e_left, mid, e_right = space.split(flat)
+        a0, h0 = divmod(e_left, nh)
+        aR, hR = divmod(e_right, nh)
         out: dict = {}
-        for comps, c in self._sweedler(hs, 2).items():
-            firsts = comps[0::2]
+        get = out.get
+        for comps, c in self._sweedler((h0,) + space.mid_key(mid), 2).items():
             seconds = comps[1::2]
-            acted = self.calc.iter_act(firsts, aR)
-            left = cp.a.mult_elems({a0: field.one}, acted)
-            for a2, c2 in left.items():
-                keyed_add_into(out, (a2,) + seconds + (hR,), field.mul(c, c2), field)
-        return self.row_spaces[s].flatten(out)
+            m = space.mid_rank(seconds[1:])
+            if m is None:
+                continue
+            acted = self.calc.iter_act(comps[0::2], aR)
+            for a2, c2 in cp.a.mult_elems({a0: self.field.one}, acted).items():
+                k = space.combine(a2 * nh + seconds[0], m, hR)
+                out[k] = get(k, 0) + c * c2
+        return self.field.settle(out)
 
-    def _partial_column(self, s, key) -> dict:
-        """partial_s on the basis tensor key of row target s."""
+    def _partial_column(self, s, flat) -> dict:
+        """partial_s on the row target flat = a # h_0 (x) h (x) 1 # h_{s+1} of
+        block (0, s), landing on row targets of block (0, s - 1)."""
         cp = self.cp
         field = self.field
-        a = key[0]
-        hs = key[1:]  # h_0 .. h_{s+1}
+        nh = cp.h.dim
+        src, tgt = self.block_spaces[(0, s)], self.block_spaces[(0, s - 1)]
+        e_left, mid, h_last = src.split(flat)
+        a, h0 = divmod(e_left, nh)
+        hs = (h0,) + src.mid_key(mid) + (h_last,)  # h_0 .. h_{s+1}
         out: dict = {}
+        get = out.get
         for i in range(s + 1):
             sign = field.sign(i + 1)
             for comps, c in self._sweedler(hs[: i + 2], 2).items():
                 firsts = comps[0::2]
                 seconds = comps[1::2]
-                fv = cp.cocycle.f[firsts[i]][firsts[i + 1]]
-                fv = self.calc.iter_act_vec(firsts[:i], fv)
+                fv = self.calc.iter_act_vec(firsts[:i], cp.cocycle.f[firsts[i]][firsts[i + 1]])
                 left = cp.a.mult_elems({a: field.one}, fv)
                 if not left:
                     continue
                 merged = cp.h.algebra.mult[seconds[i]][seconds[i + 1]]
                 for a2, c2 in left.items():
                     for hm, cm in merged.items():
-                        nk = (a2,) + seconds[:i] + (hm,) + hs[i + 2 :]
-                        coef = field.mul(field.mul(c, sign), field.mul(c2, cm))
-                        keyed_add_into(out, nk, coef, field)
-        return self.row_spaces[s - 1].flatten(out)
+                        nhs = seconds[:i] + (hm,) + hs[i + 2 :]  # h_0 .. h_s of the target
+                        m = tgt.mid_rank(nhs[1:-1])
+                        if m is not None:
+                            k = tgt.combine(a2 * nh + nhs[0], m, nhs[-1])
+                            out[k] = get(k, 0) + c * sign * c2 * cm
+        return field.settle(out)
 
     def _sigma0_x_column(self, r, s, flat) -> dict:
         """sigma^0 on basis vector flat of block (r, s): the A part of e_right
@@ -280,22 +267,18 @@ class CrossedResolution:
         tgt = self.block_spaces[(r + 1, s)]
         return {tgt.combine(e_left, mid * (self.cp.a.dim - 1) + a - 1, h): sign}
 
-    def _sigma0_y_column(self, flat) -> dict:
-        """sigma^0 on basis vector flat of a row target s: h_last becomes the
-        right slot (1, h_last) of block (0, s)."""
-        head, h = divmod(flat, self.cp.h.dim)
-        return {head * self.cp.e.dim + h: self.field.one}
-
     def _sigma_minus1_column(self, s, flat) -> dict:
-        """sigma^{-1} on basis vector flat of row target s, or of E when s = -1,
-        with sign (-1)^s: the last H leg becomes a new last Hbar leg (h_0 when
-        the source is E) and the new h_last is 1; a unit in an Hbar leg dies."""
-        nh = self.cp.h.dim
+        """sigma^{-1} on the row target flat of block (0, s), or on basis
+        vector flat of E when s = -1, with sign (-1)^s: the right slot 1 # h
+        becomes a new last Hbar leg (h_0 when the source is E) and the new
+        right slot is 1; a unit h dies.  The image is a row target of block
+        (0, s + 1)."""
+        ne = self.cp.e.dim
         sign = self.field.sign(s)
         if s < 0:
-            return {flat * nh: sign}
-        head, h = divmod(flat, nh)
-        return {(head * (nh - 1) + h - 1) * nh: sign} if h else {}
+            return {flat * ne: sign}
+        head, h = divmod(flat, ne)
+        return {(head * (self.cp.h.dim - 1) + h - 1) * ne: sign} if h else {}
 
     @cached_property
     def augmentation(self) -> ExactMatrix:
@@ -307,76 +290,88 @@ class CrossedResolution:
         return ExactMatrix(field, e.dim, e.dim * e.dim, cols)
 
     # d on generators (generator layer) -----------------------------------------
-    def _d0_column(self, key, r, s):
+    def _d0_column(self, r, s, flat) -> dict:
+        """d^0 on basis vector flat of block (r, s): a_1 absorbed into the left
+        slot through the iterated action, the middle merges, and a_r absorbed
+        into the right slot."""
         cp = self.cp
         field = self.field
-        calc = self.calc
-        tgt = self.block_spaces[(r - 1, s)]
-        a0 = key[0]
-        hs = key[1 : s + 2]  # h_0..h_s
-        avs = key[s + 2 : s + 2 + r]
-        aR, hR = key[-2], key[-1]
+        nh = cp.h.dim
+        src, tgt = self.block_spaces[(r, s)], self.block_spaces[(r - 1, s)]
+        e_left, mid, e_right = src.split(flat)
+        a0, h0 = divmod(e_left, nh)
+        aR, hR = divmod(e_right, nh)
+        legs = src.mid_key(mid)
+        avs = legs[s:]
         out: dict = {}
+        get = out.get
         # absorb a_1 into the left slot through the iterated action
-        for comps, c in self._sweedler(hs, 2).items():
-            firsts = comps[0::2]
+        for comps, c in self._sweedler((h0,) + legs[:s], 2).items():
             seconds = comps[1::2]
-            acted = calc.iter_act(firsts, avs[0])
-            left = cp.a.mult_elems({a0: field.one}, acted)
-            for a2, c2 in left.items():
-                nk = (a2,) + seconds + avs[1:] + (aR, hR)
-                keyed_add_into(out, nk, field.mul(c, c2), field)
+            m = tgt.mid_rank(seconds[1:] + avs[1:])
+            if m is None:
+                continue
+            acted = self.calc.iter_act(comps[0::2], avs[0])
+            for a2, c2 in cp.a.mult_elems({a0: field.one}, acted).items():
+                k = tgt.combine(a2 * nh + seconds[0], m, e_right)
+                out[k] = get(k, 0) + c * c2
         # middle merges
         sign = field.one
         for i in range(1, r):
             sign = field.neg(sign)
-            prod = cp.a.mult[avs[i - 1]][avs[i]]
-            for am, cm in prod.items():
-                nk = key[: s + 2] + avs[: i - 1] + (am,) + avs[i + 1 :] + (aR, hR)
-                keyed_add_into(out, nk, field.mul(sign, cm), field)
+            for am, cm in cp.a.mult[avs[i - 1]][avs[i]].items():
+                m = tgt.mid_rank(legs[: s + i - 1] + (am,) + avs[i + 1 :])
+                if m is not None:
+                    k = tgt.combine(e_left, m, e_right)
+                    out[k] = get(k, 0) + sign * cm
         # absorb a_r into the right slot
         sign = field.neg(sign)
-        prod = cp.a.mult_elems({avs[-1]: field.one}, {aR: field.one})
-        for am, cm in prod.items():
-            nk = key[: s + 2] + avs[:-1] + (am, hR)
-            keyed_add_into(out, nk, field.mul(sign, cm), field)
-        return tgt.flatten(out)
+        m = tgt.mid_rank(legs[:-1])
+        for am, cm in cp.a.mult[avs[-1]][aR].items():
+            k = tgt.combine(e_left, m, am * nh + hR)
+            out[k] = get(k, 0) + sign * cm
+        return field.settle(out)
 
     def _d0_generator_columns(self, r, s) -> list:
         xs = self.block_spaces[(r, s)]
-        return [self._d0_column((0, 0) + xs.mid_key(m) + (0, 0), r, s) for m in xs.generators()]
+        return [self._d0_column(r, s, xs.combine(0, m, 0)) for m in xs.generators()]
 
     def _d1_generator_column(self, mid_key, r, s):
         """Closed-form d^1 on a generator (left and right slots = 1)."""
         cp = self.cp
         field = self.field
-        calc = self.calc
+        nh = cp.h.dim
         tgt = self.block_spaces[(r, s - 1)]
         hs = (0,) + tuple(mid_key[:s])  # h_0 = 1 on generators
         avs = tuple(mid_key[s:])
         out: dict = {}
+        get = out.get
         for i in range(s):
             sign = field.sign(i + r)
             for comps, c in self._sweedler(hs[: i + 2], 2).items():
                 firsts = comps[0::2]
                 seconds = comps[1::2]
-                fv = cp.cocycle.f[firsts[i]][firsts[i + 1]]
-                fv = calc.iter_act_vec(firsts[:i], fv)
+                fv = self.calc.iter_act_vec(firsts[:i], cp.cocycle.f[firsts[i]][firsts[i + 1]])
                 if not fv:
                     continue
                 merged = cp.h.algebra.mult[seconds[i]][seconds[i + 1]]
                 for a2, c2 in fv.items():
                     for hm, cm in merged.items():
-                        nk = (a2,) + seconds[:i] + (hm,) + hs[i + 2 :] + avs + (0, 0)
-                        coef = field.mul(field.mul(c, sign), field.mul(c2, cm))
-                        keyed_add_into(out, nk, coef, field)
+                        nhs = seconds[:i] + (hm,) + hs[i + 2 :]  # h_0 .. h_{s-1} of the target
+                        m = tgt.mid_rank(nhs[1:] + avs)
+                        if m is not None:
+                            k = tgt.combine(a2 * nh + nhs[0], m, 0)
+                            out[k] = get(k, 0) + c * sign * c2 * cm
         # last term: vector action of h_s and its residual into the right slot
         sign = field.sign(r + s)
         for comps, c in self._sweedler((hs[s],), r + 1).items():
             legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
             for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
-                keyed_add_into(out, (0, hs[0]) + hs[1:s] + alegs + (0, comps[r]), coef, field)
-        return tgt.flatten(out)
+                m = tgt.mid_rank(hs[1:s] + alegs)
+                if m is not None:
+                    k = tgt.combine(0, m, comps[r])
+                    out[k] = get(k, 0) + coef
+        return field.settle(out)
 
     def _dl_generator_column(self, mid_key, l, r, s):
         """Closed-form d^l (l >= 2) on a generator."""
@@ -387,9 +382,9 @@ class CrossedResolution:
         hs = tuple(mid_key[:s])
         avs = tuple(mid_key[s:])
         sign = field.sign(l * (r + s))
-        na = cp.a.dim
-        f_tgt = TensorSpace((na,) * (r + l - 1))
+        f_tgt = TensorSpace((cp.a.dim,) * (r + l - 1))
         out: dict = {}
+        get = out.get
         for comps, c in self._sweedler(hs[s - l :], 2).items():
             firsts = comps[0::2]
             seconds = comps[1::2]
@@ -398,12 +393,13 @@ class CrossedResolution:
                 continue
             hprod = calc.h_product(seconds)
             for fid, cf in fvec.items():
-                alegs = f_tgt.unrank(fid)
+                m = tgt.mid_rank(hs[: s - l] + f_tgt.unrank(fid))
+                if m is None:
+                    continue
                 for hm, cm in hprod.items():
-                    nk = (0, 0) + hs[: s - l] + alegs + (0, hm)
-                    coef = field.mul(field.mul(c, sign), field.mul(cf, cm))
-                    keyed_add_into(out, nk, coef, field)
-        return tgt.flatten(out)
+                    k = tgt.combine(0, m, hm)
+                    out[k] = get(k, 0) + c * sign * cf * cm
+        return field.settle(out)
 
     def _closed_generator_columns(self) -> dict:
         cols: dict = {}
@@ -424,8 +420,9 @@ class CrossedResolution:
 
         d^l on a generator is _contract_step of its lower images d^j, each
         lower d^j acting E^e-linearly from the generator table built so far;
-        mu, partial and sigma^0 act through their column rules, so no full
-        block or row-map matrix is built."""
+        mu, partial and sigma^0_x act through their column rules, so no full
+        block or row-map matrix is built.  d^1 on a generator of block (0, s)
+        is -partial_s mu_s of it, already in block (0, s - 1)."""
         field = self.field
         gens: dict = {}
         for (r, s) in self.block_spaces:
@@ -436,7 +433,7 @@ class CrossedResolution:
         def partial_column(s, j):
             hit = partial_memo.get((s, j))
             if hit is None:
-                hit = partial_memo[(s, j)] = self._partial_column(s, self.row_spaces[s].key(j))
+                hit = partial_memo[(s, j)] = self._partial_column(s, j)
             return hit
 
         for l in range(1, self.cap + 1):
@@ -445,9 +442,8 @@ class CrossedResolution:
                 cols = []
                 for m in xs.generators():
                     if r == 0 and l == 1:
-                        vec = self._mu_column(s, (0, 0) + xs.mid_key(m) + (0, 0))
+                        vec = self._mu_column(s, xs.combine(0, m, 0))
                         vec = apply_columns(vec, partial(partial_column, s), field)
-                        vec = apply_columns(vec, self._sigma0_y_column, field)
                         cols.append({k: field.neg(v) for k, v in vec.items()})
                     else:
                         lower = [(j, gens[(j, r, s)][m]) for j in range(1 if r == 0 else 0, l)]
@@ -551,12 +547,12 @@ class CrossedResolution:
 
         On a vector x of block (r, s), sigma(x) is the sum of the sigma^l of
         sigma^0_x(x), minus (when r = 0) the sum of the sigma^l of
-        sigma^0_y sigma^{-1} mu_s(x), where sigma^l = -sigma^0_x sum_{i<l}
-        d^{l-i} sigma^i is the recursion's _contract_step."""
-        field, gens, ne, nh = self.field, self.generator_columns, self.cp.e.dim, self.cp.h.dim
+        sigma^{-1} mu_s(x), a row target of block (0, s + 1), where
+        sigma^l = -sigma^0_x sum_{i<l} d^{l-i} sigma^i is the recursion's
+        _contract_step."""
+        field, gens, ne = self.field, self.generator_columns, self.cp.e.dim
         one = field.one
-        unit = apply_columns(self._sigma_minus1_column(-1, 0), self._sigma0_y_column, field)
-        sigma: dict = {0: {0: unit}}
+        sigma: dict = {0: {0: self._sigma_minus1_column(-1, 0)}}
         for n in range(self.cap):
             table: dict = {}
 
@@ -575,10 +571,8 @@ class CrossedResolution:
                     out: dict = {}
                     add_legs(out, self._sigma0_x_column(r, s, local), r + 1, s, one)
                     if r == 0:
-                        mid, e_right = divmod(local, ne)
-                        row = self._mu_column(s, (0, 0) + space.mid_key(mid) + divmod(e_right, nh))
+                        row = self._mu_column(s, local)
                         row = apply_columns(row, partial(self._sigma_minus1_column, s), field)
-                        row = apply_columns(row, self._sigma0_y_column, field)
                         add_legs(out, row, 0, s + 1, field.neg(one))
                     table[off + local] = out
             sigma[n + 1] = table

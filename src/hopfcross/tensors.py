@@ -1,14 +1,17 @@
 """Tensor-space indexing and the sparse keyed-tensor helpers.
 
-Two representations of tensors are used throughout:
+Two representations of tensors are used:
 
-* flat: dict[int, scalar] over a TensorSpace with lexicographic indexing;
-* keyed: dict[tuple[int, ...], scalar], one slot per tensor leg, which is what
-  the iterated comultiplication (expand_leg) operates on.
+* flat: dict[int, scalar] over a TensorSpace with lexicographic indexing, or
+  over a free bimodule's (e_left, mid, e_right) basis, which every column
+  and generator table of the package writes;
+* keyed: dict[tuple[int, ...], scalar], one slot per tensor leg, which remain
+  only where comultiplication expands legs (expand_leg, the Sweedler legs of
+  hopf.py, tensor_vectors).
 
-Keyed elements always carry full-basis indices; normalized legs (classes in
-B/k) are converted at the flat boundary, where basis index 0 is the unit and
-the class map sends it to zero.
+Keyed elements always carry full-basis indices.  A reader places a keyed
+term into a flat basis through mid_rank, which returns None for a unit in a
+normalized leg (the class map B -> B/k sends it to zero).
 """
 
 from __future__ import annotations
@@ -134,35 +137,4 @@ def expand_leg(
                 nk = key[:pos] + (u, v) + key[pos + 1 :]
                 keyed_add_into(nxt, nk, field.mul(coef, c), field)
         out = nxt
-    return out
-
-
-# flat <-> keyed conversion ------------------------------------------------
-
-def flatten(
-    elem: dict, legs: list[tuple[int, bool]], field: FieldSpec
-) -> dict:
-    """Keyed element -> flat dict.
-
-    legs lists (full_dim, normalized) per position.  Normalized legs apply the
-    class map B -> B/k: index 0 dies, index i>0 maps to i-1 in a leg of
-    dimension full_dim-1.
-    """
-    dims = [d - 1 if norm else d for d, norm in legs]
-    space = TensorSpace(dims)
-    out: dict = {}
-    for key, coef in elem.items():
-        shifted = []
-        dead = False
-        for (d, norm), i in zip(legs, key):
-            if norm:
-                if i == 0:
-                    dead = True
-                    break
-                shifted.append(i - 1)
-            else:
-                shifted.append(i)
-        if dead:
-            continue
-        keyed_add_into(out, space.index(shifted), coef, field)
     return out

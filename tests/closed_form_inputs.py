@@ -8,11 +8,24 @@ gauge, and HH_*(E) = HH^*(E, E) = [1, 0, 0, ...].  Its cocycle is not valued
 in k.1, so the reduced blocks d^l with l >= 2 do not vanish, and its sections
 1#h are not central, so the order of their inverses is seen.
 
+dual_numbers_tensor_quaternions builds k[y]/(y^2) (x) (-1, -1)_k: the Klein
+four-group acts trivially on the dual numbers, and its cocycle is a sign,
+valued in k.1.  The quaternion algebra (-1, -1)_k is central simple when
+char k != 2, so HH_*(E) = HH^*(E, E) = HH(k[y]/(y^2)) = [2, 1, 1, ...], and
+every generator column of d^l with l >= 2 vanishes although its target
+blocks are not empty (they would be for A = k).
+
 Only the data classes and builders of the package are used.
 """
 
-from hopfcross.algebras import AlgebraData, group_algebra
-from hopfcross.crossed import CocycleData, WeakActionData, build_crossed_product, convolution_inverse
+from hopfcross.algebras import AlgebraData, group_algebra, truncated_polynomial_algebra
+from hopfcross.crossed import (
+    CocycleData,
+    WeakActionData,
+    build_crossed_product,
+    convolution_inverse,
+    trivial_action,
+)
 from hopfcross.hopf import group_hopf
 
 # u(1) and u(2) as values at the points 0, 1, 2; u(0) = 1
@@ -52,5 +65,18 @@ def gauged_action_groupoid(field, gauge=GAUGE):
                                for x in range(3)])
           for k in range(3)] for g in range(3)]
     cp = build_crossed_product(a, h, WeakActionData(field, 3, 3, act), CocycleData(field, 3, 3, f))
+    convolution_inverse(cp)
+    return cp
+
+
+def dual_numbers_tensor_quaternions(field):
+    """k[y]/(y^2) #_f k[Z2 x Z2] with its convolution inverse: the group acts
+    trivially and f(g, h) = (-1)^(g0 h0 + g1 h1 + g0 h1) . 1, where g0 and g1
+    are the two bits of the index g."""
+    a = truncated_polynomial_algebra(field, 2)
+    h = group_hopf(group_algebra(field, [0, 1, 2, 3], lambda x, y: x ^ y), lambda g: g)
+    f = [[{0: field.sign((g & 1) * (k & 1) + (g >> 1) * (k >> 1) + (g & 1) * (k >> 1))}
+          for k in range(4)] for g in range(4)]
+    cp = build_crossed_product(a, h, trivial_action(field, h, a), CocycleData(field, 4, 2, f))
     convolution_inverse(cp)
     return cp

@@ -4,7 +4,6 @@ from hopfcross.fields import FieldSpec
 from hopfcross.crossed import convolution_inverse, regular_bimodule
 from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.reduced_complexes import untwist_block, untwist_inverse_block
-from hopfcross.tensors import TensorSpace
 from hopfcross.problems import (
     BUILTIN_NAMES,
     builtin,
@@ -63,22 +62,16 @@ def mat_neg(m: ExactMatrix) -> ExactMatrix:
     return mat_scale(m, m.field.neg(m.field.one))
 
 
-def make_matrix(field, nrows: int, legs, column) -> ExactMatrix:
-    """column(key) -> flat target dict, evaluated on every basis key of a space
-    with these (full dim, normalized) legs."""
-    reduced = TensorSpace(tuple(d - 1 if norm else d for d, norm in legs))
-    cols = []
-    for multi in reduced:
-        key = tuple(i + 1 if norm else i for (d, norm), i in zip(legs, multi))
-        cols.append(column(key))
-    return ExactMatrix(field, nrows, reduced.size, cols)
+def make_matrix(field, nrows: int, ncols: int, column) -> ExactMatrix:
+    """The matrix whose column j is the flat target dict column(j)."""
+    return ExactMatrix(field, nrows, ncols, [column(j) for j in range(ncols)])
 
 
 def mu_matrix(res, s: int) -> ExactMatrix:
-    """mu_s : block (0, s) -> row target s, from the column rule _mu_column
-    on every basis key."""
-    return make_matrix(res.field, res.row_spaces[s].dim, res.block_spaces[(0, s)].legs,
-                       lambda key: res._mu_column(s, key))
+    """mu_s : block (0, s) -> its row targets, from the column rule _mu_column
+    on every basis index."""
+    dim = res.block_spaces[(0, s)].dim
+    return make_matrix(res.field, dim, dim, lambda j: res._mu_column(s, j))
 
 
 def mu_matrices(res) -> dict:

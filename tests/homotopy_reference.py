@@ -4,10 +4,14 @@ The resolution's contracting_homotopy is a table on left generators, built
 by one vector recursion.  This reference forms the same sigma on every column
 as ExactMatrix products: sigma^l = -sigma^0_x (sum over i < l of
 d^{l-i} sigma^i), separately from blocks and from row targets, assembled per
-degree with the route through mu'_n and sigma^{-1}.  It has its own column
-rules for sigma^0_x, sigma^0_y, sigma^{-1} and mu_tilde, reads the resolution
-only through its spaces, blocks and the mu and partial column rules, and
-imports nothing from hopfcross.resolution.
+degree with the route through mu'_n and sigma^{-1}.  A row target
+E (x) Hbar^s (x) H is the sub-bimodule E (x) Hbar^s (x) (1 # H) of block
+(0, s), the indices whose right slot h < dim H; every map on row targets is a
+matrix on all of block (0, s) that vanishes off them, so sigma^0 on rows is
+the projection onto them.  The reference has its own column rules for
+sigma^0_x, sigma^{-1} and mu_tilde, reads the resolution only through its
+spaces, blocks and the mu and partial column rules, and imports nothing
+from hopfcross.resolution.
 """
 
 from __future__ import annotations
@@ -17,22 +21,37 @@ from hopfcross.tensors import keyed_add_into
 from conftest import make_matrix, mat_add, mat_neg, mu_matrix
 
 
+def _on_row_targets(res, column):
+    """A column rule on a block (0, s) restricted to its row targets: {} off them."""
+    nh = res.cp.h.dim
+    return lambda j: column(j) if j % res.cp.e.dim < nh else {}
+
+
+def row_projection(res, s: int) -> ExactMatrix:
+    """The projection of block (0, s) onto its row targets."""
+    dim = res.block_spaces[(0, s)].dim
+    return make_matrix(res.field, dim, dim, _on_row_targets(res, lambda j: {j: res.field.one}))
+
+
 def partial(res) -> dict:
-    """partial_s : row target s -> row target s - 1, for 1 <= s <= cap."""
+    """partial_s : row targets of block (0, s) -> those of block (0, s - 1),
+    for 1 <= s <= cap."""
     return {
-        s: make_matrix(res.field, res.row_spaces[s - 1].dim, res.row_spaces[s].legs,
-                       lambda key, s=s: res._partial_column(s, key))
+        s: make_matrix(res.field, res.block_spaces[(0, s - 1)].dim, res.block_spaces[(0, s)].dim,
+                       _on_row_targets(res, lambda j, s=s: res._partial_column(s, j)))
         for s in range(1, res.cap + 1)
     }
 
 
 def mu_tilde(res) -> ExactMatrix:
-    """mu_tilde : row target 0 -> E, (a, h_0, h_1) to
+    """mu_tilde : row targets of block (0, 0) -> E, a # h_0 (x) 1 # h_1 to
     -a f(h_0^(1), h_1^(1)) # h_0^(2) h_1^(2)."""
     cp, field = res.cp, res.field
+    x00 = res.block_spaces[(0, 0)]
 
-    def column(key):
-        a, h0, h1 = key
+    def column(j):
+        e_left, _, h1 = x00.split(j)
+        a, h0 = cp.e_unrank(e_left)
         out: dict = {}
         for (c00, c01), c0 in cp.h.comult[h0].items():
             for (c10, c11), c1 in cp.h.comult[h1].items():
@@ -43,7 +62,7 @@ def mu_tilde(res) -> ExactMatrix:
                         keyed_add_into(out, cp.e_index(a2, hm), field.neg(coef), field)
         return out
 
-    return make_matrix(field, cp.e.dim, res.row_spaces[0].legs, column)
+    return make_matrix(field, cp.e.dim, x00.dim, _on_row_targets(res, column))
 
 
 def sigma0_x(res) -> dict:
@@ -69,54 +88,44 @@ def sigma0_x(res) -> dict:
     return out
 
 
-def sigma0_y(res) -> dict:
-    """sigma^0 on rows, row target s -> block (0, s): (a, h_0, h, h_last) goes
-    to (a # h_0) (x) h (x) (1 # h_last)."""
-    field, nh = res.field, res.cp.h.dim
-    out = {}
-    for s, ys in res.row_spaces.items():
-        tgt = res.block_spaces[(0, s)]
-        cols = []
-        for flat in range(ys.dim):
-            key = ys.key(flat)
-            a, h0, hs, h_last = key[0], key[1], key[2:-1], key[-1]
-            cols.append({tgt.combine(a * nh + h0, tgt.mid_rank(hs), h_last): field.one})
-        out[s] = ExactMatrix(field, tgt.dim, ys.dim, cols)
-    return out
-
-
 def sigma_minus1(res) -> dict:
-    """sigma^{-1}: E into row target 0 (key -1), then each row target s up one."""
+    """sigma^{-1}: E into the row targets of block (0, 0) (key -1), then the
+    row targets of each block (0, s) into those of block (0, s + 1): the right
+    slot 1 # h becomes a new last Hbar leg, and a unit h dies."""
     field = res.field
-    y0 = res.row_spaces[0]
-    out = {
-        -1: make_matrix(field, y0.dim, [(res.cp.a.dim, False), (res.cp.h.dim, False)],
-                        lambda key: y0.flatten({key + (0,): field.neg(field.one)}))
-    }
+    out = {-1: make_matrix(field, res.block_spaces[(0, 0)].dim, res.cp.e.dim,
+                           lambda e: {res.block_spaces[(0, 0)].combine(e, 0, 0): field.neg(field.one)})}
     for s in range(res.cap):
-        ytgt = res.row_spaces[s + 1]
+        src, tgt = res.block_spaces[(0, s)], res.block_spaces[(0, s + 1)]
         sign = field.one if s % 2 == 0 else field.neg(field.one)
-        out[s] = make_matrix(field, ytgt.dim, res.row_spaces[s].legs,
-                             lambda key, ytgt=ytgt, sign=sign: ytgt.flatten({key + (0,): sign}))
+
+        def column(j, src=src, tgt=tgt, sign=sign):
+            e_left, mid, h = src.split(j)
+            if not h:
+                return {}
+            return {tgt.combine(e_left, tgt.mid_rank(src.mid_key(mid) + (h,)), 0): sign}
+
+        out[s] = make_matrix(field, tgt.dim, src.dim, _on_row_targets(res, column))
     return out
 
 
 def mu_prime(res, n: int) -> ExactMatrix:
-    """Degree n into row target n: mu_n on the (0, n) block, zero elsewhere."""
+    """Degree n into the row targets of block (0, n): mu_n on the (0, n)
+    block, zero elsewhere."""
     cols: list[dict] = []
     for r, s, off, space in res.degree_blocks(n):
         if r == 0:
             cols.extend(dict(c) for c in mu_matrix(res, s).cols)
         else:
             cols.extend({} for _ in range(space.dim))
-    return ExactMatrix(res.field, res.row_spaces[n].dim, res.dims[n], cols)
+    return ExactMatrix(res.field, res.block_spaces[(0, n)].dim, res.dims[n], cols)
 
 
 def sigma_l(res) -> dict:
     """All sigma^l maps: keyed by (l, 'x', r, s) on blocks and (l, 'y', s) on row targets."""
-    sx, sy = sigma0_x(res), sigma0_y(res)
+    sx = sigma0_x(res)
     sig: dict = {(0, "x", r, s): m for (r, s), m in sx.items()}
-    sig.update({(0, "y", s): m for s, m in sy.items()})
+    sig.update({(0, "y", s): row_projection(res, s) for s in range(res.cap + 1)})
     for l in range(1, res.cap + 1):
         # source is a row target (the r = -1 case)
         for s in range(l, res.cap + 1):

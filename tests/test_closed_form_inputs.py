@@ -1,12 +1,16 @@
-"""The gauged action groupoid k^{Z3} #_f kZ3 (tests/closed_form_inputs.py):
-E = M_3(k), so every route must give HH = [1, 0, 0, ...].  Unlike the
-gallery, it has nonzero reduced blocks d^3 and d^4 and non-central section
-inverses, so a wrong sign of d^3 or a wrong order of the section inverses in
-the untwisted formula is caught on it."""
+"""Closed-form inputs outside the gallery (tests/closed_form_inputs.py).
+
+The gauged action groupoid k^{Z3} #_f kZ3: E = M_3(k), so every route must
+give HH = [1, 0, 0, ...].  Unlike the gallery, it has nonzero reduced blocks
+d^3 and d^4 and non-central section inverses, so a wrong sign of d^3 or a
+wrong order of the section inverses in the untwisted formula is caught on it.
+
+The dual numbers tensor the quaternions: a nontrivial cocycle valued in k.1,
+so HH = [2, 1, 1, ...] and every d^l with l >= 2 vanishes on generators."""
 
 import pytest
 
-from closed_form_inputs import gauged_action_groupoid
+from closed_form_inputs import dual_numbers_tensor_quaternions, gauged_action_groupoid
 from hopfcross.algebras import AlgebraData
 from hopfcross.crossed import regular_bimodule
 from hopfcross.fields import FieldSpec
@@ -86,3 +90,29 @@ def test_order_of_section_inverses_is_checked(cp, cochain, monkeypatch):
         untwisted()
     assert err.value.block == (2, 0, 2)
     assert err.value.which == ("untwisted-cochain" if cochain else "untwisted-chain")
+
+
+@pytest.fixture(scope="module", params=[FieldSpec.rationals(), FieldSpec.prime(3), FieldSpec.prime(5)],
+                ids=["q", "fp3", "fp5"])
+def dual_quaternions(request):
+    return dual_numbers_tensor_quaternions(request.param)
+
+
+def test_scalar_cocycle_dims_are_those_of_the_dual_numbers(dual_quaternions):
+    for fn in (hochschild_homology, hochschild_cohomology):
+        report = fn(dual_quaternions, cap=CAP, oracle=True)
+        assert report["dims"] == [2, 1, 1, 1], fn.__name__
+        assert report["oracle_match"] is True, fn.__name__
+
+
+def test_scalar_cocycle_closed_equals_recursive(dual_quaternions):
+    assert_constructions_agree(build_resolution_closed(dual_quaternions, CAP),
+                               build_resolution_recursive(dual_quaternions, CAP))
+
+
+def test_scalar_cocycle_kills_every_column_above_l_one(dual_quaternions):
+    res = build_resolution_closed(dual_quaternions, CAP)
+    above = [(key, col) for key, cols in res.generator_columns.items() if key[0] >= 2 for col in cols]
+    assert len(above) == 378
+    assert all(res.block_spaces[(r + l - 1, s - l)].dim for (l, r, s), _ in above)
+    assert not any(col for _, col in above)

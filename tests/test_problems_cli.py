@@ -1,10 +1,12 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcross.algebras import verify_algebra
 from hopfcross.cli import main
-from hopfcross.crossed import verify_crossed_axioms
+from hopfcross.crossed import regular_bimodule, verify_crossed_axioms
 from hopfcross.fields import FieldSpec
 from hopfcross.hopf import verify_hopf
 from hopfcross.problems import (
@@ -422,3 +424,79 @@ def test_cli_resolution_check_builds_sigma_once(monkeypatch, capsys):
     assert main(["resolution-check", "klein_four", "--max-degree", "2"]) == 0
     assert len(calls) == 1
     capsys.readouterr()
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with the node at path replaced by value (deleted when
+    value is None and the node is a dict entry)."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    if value is None and isinstance(node, dict):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+MALFORMED = [
+    (("hopf", "comult"), 1),
+    (("hopf", "counit"), 1),
+    (("hopf", "antipode"), 1),
+    (("hopf", "counit", 0), "x"),
+    (("hopf", "comult", 0, 0, 0), "x"),
+    (("algebra", "dim"), "x"),
+    (("tor_modules", "dim_right"), "a"),
+    (("bimodule",), [1]),
+    (("algebra", "basis_labels"), 3),
+    (("algebra",), {"dim": 0, "basis_labels": [], "mult": []}),
+    (("hopf",), None),
+]
+
+
+@pytest.mark.parametrize("path, value", MALFORMED, ids=[".".join(map(str, p)) for p, _ in MALFORMED])
+def test_cli_malformed_problem_exits_2(path, value, tmp_path, capsys):
+    doc = _replaced(emit_problem(builtin("s3_as_action_extension")), path, value)
+    problem = tmp_path / "malformed.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["homology", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+    assert f"(at {path[0]}" in err, err
+    if path == ("hopf",):
+        assert "hopf section must be an object" in err
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _emitted_with_every_section():
+    pf = builtin("s3_as_action_extension")
+    pf.bimodule = regular_bimodule(pf.crossed_product(with_inverse=False).e)
+    return emit_problem(pf)
+
+
+EMITTED = _emitted_with_every_section()
+EMITTED_PATHS = list(_node_paths(EMITTED))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(EMITTED_PATHS), value=JSON_VALUES)
+def test_one_malformed_node_parses_or_raises_parse_error(path, value):
+    try:
+        parse_problem_dict(_replaced(EMITTED, path, value))
+    except ParseError:
+        pass

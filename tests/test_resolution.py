@@ -33,20 +33,22 @@ def resolutions():
 
 
 def test_row_contractions(resolutions):
-    # mu_s sigma0_y = id on row targets; sigma0_y mu_s + d0 sigma0_x = id on
-    # the (0, s) blocks; sigma0 d0 + d0 sigma0 = id on the other blocks
+    # the row targets are the indices of block (0, s) whose right slot lies in
+    # 1 # H, and sigma0_y is their inclusion: mu_s is the identity on them;
+    # mu_s + d0 sigma0_x = id on the (0, s) blocks; sigma0 d0 + d0 sigma0 = id
+    # on the other blocks
     for name, res in resolutions.items():
-        sigma0_x, sigma0_y, mu = ref.sigma0_x(res), ref.sigma0_y(res), mu_matrices(res)
+        sigma0_x, mu = ref.sigma0_x(res), mu_matrices(res)
         for s in range(res.cap + 1):
-            ys = res.row_spaces[s]
-            ident = ExactMatrix.identity(Q, ys.dim)
-            assert mu[s] @ sigma0_y[s] == ident, (name, s)
+            rows = ref.row_projection(res, s)
+            assert rows.rank() == res.cp.e.dim * (res.cp.h.dim - 1) ** s * res.cp.h.dim, (name, s)
+            assert mu[s] @ rows == rows, (name, s)
+            assert rows @ mu[s] == mu[s], (name, s)
             # the correction block d0_{1s} lives one degree up, so the (0, s)
             # identity is only checkable below the cap
             if (1, s) in res.block_spaces:
                 xs = res.block_spaces[(0, s)]
-                lhs = sigma0_y[s] @ mu[s]
-                lhs = mat_add(lhs, res.blocks[(0, 1, s)] @ sigma0_x[(0, s)])
+                lhs = mat_add(mu[s], res.blocks[(0, 1, s)] @ sigma0_x[(0, s)])
                 assert lhs == ExactMatrix.identity(Q, xs.dim), (name, s)
         for (r, s), xs in res.block_spaces.items():
             if r < 1 or (r + 1, s) not in res.block_spaces:
@@ -70,11 +72,11 @@ def test_y_complex_contraction(resolutions):
         assert mu_tilde @ sigma_minus1[-1] == ExactMatrix.identity(Q, e_dim), name
         lhs = partial[1] @ sigma_minus1[0]
         lhs = mat_add(lhs, sigma_minus1[-1] @ mu_tilde)
-        assert lhs == ExactMatrix.identity(Q, res.row_spaces[0].dim), name
+        assert lhs == ref.row_projection(res, 0), name
         for s in range(1, res.cap):
             lhs = partial[s + 1] @ sigma_minus1[s]
             lhs = mat_add(lhs, sigma_minus1[s - 1] @ partial[s])
-            assert lhs == ExactMatrix.identity(Q, res.row_spaces[s].dim), (name, s)
+            assert lhs == ref.row_projection(res, s), (name, s)
 
 
 def test_square_zero_and_augmentation(resolutions):
@@ -399,10 +401,7 @@ def test_d0_extension_matches_the_total_formula():
         for (l, r, s), block in res.blocks.items():
             if l:
                 continue
-            full = make_matrix(
-                Q, block.nrows, res.block_spaces[(r, s)].legs,
-                lambda key: res._d0_column(key, r, s),
-            )
+            full = make_matrix(Q, block.nrows, block.ncols, lambda j: res._d0_column(r, s, j))
             assert block == full, (name, r, s)
 
 
@@ -472,7 +471,7 @@ def test_free_bimodule_space_mid_key_round_trip():
     from hopfcross.tensors import mid_key, mid_rank
 
     cp, spaces = _free_spaces()
-    indexings = {kind: ([d - 1 for d, norm in space.legs if norm], space.mid_key,
+    indexings = {kind: (list(space.radices), space.mid_key,
                         space.mid_rank, space.generators())
                  for kind, space in spaces.items()}
     for kind, mid_space in (("reduced", _reduced_mid_space), ("untwisted", _untwisted_mid_space)):

@@ -62,6 +62,10 @@
   unreached too.  Test-only helpers belong in tests/.  The exemptions are
   compared for equality, so CrossedResolution.blocks, which only perfbench
   reads, fails the check once a src/ reader of .blocks comes back.
+* Every CrossedResolution column rule (a method named *_column) builds its
+  flat column in place: none calls keyed_add_into or a flatten (keyed terms
+  converted to flat indices afterwards), and no src/ module defines a
+  flatten.
 """
 
 import ast
@@ -104,6 +108,10 @@ OTHER_REFERENCES = {
     "extension_reference.py": {"hopfcross.resolution"},
     "homotopy_reference.py": {"hopfcross.resolution"},
 }
+# the column rules of CrossedResolution, and the calls none of them makes
+COLUMN_RULES = {"_mu_column", "_partial_column", "_sigma0_x_column", "_sigma_minus1_column",
+                "_d0_column", "_d1_generator_column", "_dl_generator_column"}
+KEYED_CONVERSIONS = {"keyed_add_into", "flatten"}
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
     # reduced.blocks layer, and perfbench/ changes only in a benchmark change
@@ -335,6 +343,22 @@ def _column_rule_loops(tree: ast.Module) -> list[str]:
                         and (mentions(col, j) or (isinstance(col, ast.Name) and col.id in columns))):
                     found.append(f"{fn.name} (line {node.lineno})")
     return found
+
+
+def _column_rules(tree: ast.Module) -> dict:
+    """CrossedResolution's methods named *_column -> the keyed conversions
+    (keyed_add_into, flatten) each calls, as a name or an attribute."""
+    return {
+        fn.name: sorted({getattr(node.func, "id", getattr(node.func, "attr", None))
+                         for node in ast.walk(fn) if isinstance(node, ast.Call)} & KEYED_CONVERSIONS)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "CrossedResolution"
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name.endswith("_column")
+    }
+
+
+def _flatten_definitions(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "flatten"]
 
 
 def _outer_mult_callers(tree: ast.Module) -> set[str]:
@@ -674,6 +698,34 @@ def test_column_rule_loop_is_detected():
     tree = _tree(PACKAGE / "resolution.py")
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "extend_by_outer_mult"]
     assert _column_rule_loops(ast.Module(body=[fn], type_ignores=[])) == []
+
+
+def test_column_rules_build_flat_columns_in_place():
+    assert _column_rules(_tree(PACKAGE / "resolution.py")) == {name: [] for name in COLUMN_RULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_defines_flatten(path):
+    assert _flatten_definitions(_tree(path)) == []
+
+
+def test_keyed_column_rule_is_detected():
+    # the column rules before they built flat columns in place
+    source = (
+        "class CrossedResolution:\n"
+        "    def _mu_column(self, s, key):\n        out = {}\n"
+        "        keyed_add_into(out, key, 1, self.field)\n        return self.row_spaces[s].flatten(out)\n"
+        "    def _d0_column(self, key, r, s):\n        return flatten({key: 1}, self.legs, self.field)\n"
+        "    def _sigma0_x_column(self, r, s, flat):\n        return {flat: 1}\n"
+        "    def flatten(self, keyed):\n        return keyed\n"
+    )
+    tree = ast.parse(source)
+    assert _column_rules(tree) == {"_mu_column": ["flatten", "keyed_add_into"],
+                                   "_d0_column": ["flatten"], "_sigma0_x_column": []}
+    assert _flatten_definitions(tree) == [10]
+    assert _flatten_definitions(ast.parse("def flatten(elem, legs, field):\n    return elem")) == [1]
+    # a class of another name is not the resolution
+    assert _column_rules(ast.parse(source.replace("CrossedResolution", "BarCalculus"))) == {}
 
 
 @pytest.mark.parametrize("module", sorted(MATRIX_BUILDERS))

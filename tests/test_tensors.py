@@ -6,7 +6,6 @@ from hopfcross.fields import FieldSpec
 from hopfcross.tensors import (
     TensorSpace,
     expand_leg,
-    flatten,
     tensor_vectors,
 )
 
@@ -48,14 +47,6 @@ def test_expand_leg_grouplike():
     elem = {(1,): one}
     out = expand_leg(elem, 0, lambda i: {(i, i): one}, 3, Q)
     assert out == {(1, 1, 1): one}
-
-
-def test_flatten_normalized_kills_unit_leg():
-    one = Q.one
-    elem = {(0, 1): one, (2, 1): one}
-    flat = flatten(elem, [(3, True), (3, False)], Q)
-    # first term dies (unit at a normalized leg); second maps to (1, 1) in dims (2, 3)
-    assert flat == {TensorSpace((2, 3)).index((1, 1)): one}
 
 
 def test_tensor_vectors_matches_itertools_product():
