@@ -153,19 +153,6 @@ def h_module_homology_complex(h, module, cap: int) -> ChainComplex:
     return ChainComplex(field, dims, maps, HOMOLOGY)
 
 
-def h_module_cohomology_complex(h, module, cap: int) -> ChainComplex:
-    """Complex Hom(Hbar^s, N) computing the cohomology of H with right-module
-    coefficients; module = (dim_n, rho) with rho[h_index] the right action.
-
-    It is the transpose of the homology complex of the dual left module
-    (rho[h] transposed); both lay out (argument tensor, N index) row-major.
-    """
-    dim_n, rho = module
-    cx = h_module_homology_complex(h, (dim_n, [mat.transpose() for mat in rho]), cap)
-    maps = [None] + [d.transpose() for d in cx.maps[1:]]
-    return ChainComplex(h.field, cx.dims, maps, COHOMOLOGY)
-
-
 def trivial_left_module(h) -> tuple[int, list]:
     """k with h acting by the counit."""
     field = h.field

@@ -3,10 +3,9 @@
 Complexes are truncated at a degree cap; homology at the cap degree is never
 reported because the incoming boundary there is unknown.
 
-Filtration levels are stored as cumulative tuples of coordinate indices: every
-filtration in this package is spanned by basis vectors.  Page dimensions need
-no subspace bases.  With Z(p, r) the chains in F_p whose boundary lies r
-levels lower,
+Every filtration in this package is spanned by basis vectors, so it is stored
+as one level per coordinate.  Page dimensions need no subspace bases.  With
+Z(p, r) the chains in F_p whose boundary lies r levels lower,
 
     dim E_r^p = dim Z(p, r) - dim Z(p-1, r-1)
                 - dim(d F_{p+r-1} cap F_p) + dim(d F_{p+r-1} cap F_{p-1})
@@ -204,87 +203,68 @@ class HomologyLift:
 
 
 class FilteredComplex:
-    """A complex plus nested coordinate filtrations.
+    """A complex plus a filtration spanned by basis vectors.
 
-    filtration[n] lists cumulative index tuples per level.  For homology the
-    levels increase (F^0 included in F^1 ...), for cohomology they decrease
-    (F_0 contains F_1 ...); either way filtration[n][i] is the span of level i
-    and the chain at each degree ends (homology) or starts (cohomology) with
-    the full space.
+    levels[n][j] >= 0 is the level of coordinate j in degree n.  For homology
+    F_p = {level <= p} increases with p, for cohomology F^p = {level >= p}
+    decreases; either way the levels are nested and reach the full space.
     """
 
-    def __init__(self, complex: ChainComplex, filtration: list):
+    def __init__(self, complex: ChainComplex, levels: list):
+        if len(levels) != complex.cap + 1:
+            raise ValueError("need a level list per degree")
         self.complex = complex
-        self.filtration = [
-            [tuple(sorted(level)) for level in per_degree] for per_degree in filtration
-        ]
-        if len(self.filtration) != complex.cap + 1:
-            raise ValueError("need a filtration per degree")
-        for n, levels in enumerate(self.filtration):
-            full = tuple(range(complex.dims[n]))
-            if complex.direction == HOMOLOGY:
-                if levels[-1] != full:
-                    raise ValueError(f"top filtration level at degree {n} is not the full space")
-                for a, b in zip(levels, levels[1:]):
-                    if not set(a) <= set(b):
-                        raise ValueError("filtration is not nested")
-            else:
-                if levels[0] != full:
-                    raise ValueError(f"level 0 at degree {n} is not the full space")
-                for a, b in zip(levels, levels[1:]):
-                    if not set(b) <= set(a):
-                        raise ValueError("filtration is not nested (decreasing)")
+        self.levels = levels
+        # counts[n][p]: the number of degree-n coordinates at level p
+        self._counts = []
+        for n, per_degree in enumerate(self.levels):
+            if len(per_degree) != complex.dims[n]:
+                raise ValueError(f"need one level per coordinate at degree {n}")
+            if any(lv < 0 for lv in per_degree):
+                raise ValueError(f"negative filtration level at degree {n}")
+            counts = [0] * (max(per_degree, default=0) + 1)
+            for lv in per_degree:
+                counts[lv] += 1
+            self._counts.append(counts)
         # d lowers the filtration index (homology) or raises it (cohomology)
         self._down = 1 if complex.direction == HOMOLOGY else -1
         self._pairs: dict = {}
 
-    # level access ---------------------------------------------------------
-    def level_indices(self, n: int, p: int) -> tuple:
-        levels = self.filtration[n]
-        if self.complex.direction == HOMOLOGY:
-            if p < 0:
-                return ()
-            return levels[min(p, len(levels) - 1)]
-        if p < 0:
-            return levels[0]
-        if p >= len(levels):
-            return ()
-        return levels[p]
-
     def top_level(self, n: int) -> int:
-        return len(self.filtration[n]) - 1
+        """The largest level present at degree n; pages are constant past it."""
+        return len(self._counts[n]) - 1
 
     def verify(self) -> Report:
-        """Exact check that every differential respects every filtration level."""
+        """Exact check that every differential respects the filtration: each
+        entry of d leaves a coordinate for one at no higher level (homology),
+        no lower level (cohomology)."""
         report = Report("filtration compatibility")
         c = self.complex
         for n in range(c.cap + 1):
             og = c.outgoing(n)
             if og is None:
                 continue
-            tgt = n - self._down
-            for p in range(len(self.filtration[n])):
-                src = self.level_indices(n, p)
-                allowed = set(self.level_indices(tgt, p))
-                for j in src:
-                    ok = set(og.cols[j]) <= allowed
-                    report.record(ok, "boundary-preserves-filtration", (n, p, j))
+            src, tgt = self.levels[n], self.levels[n - self._down]
+            for j, col in enumerate(og.cols):
+                for i in col:
+                    ok = self._down * (src[j] - tgt[i]) >= 0
+                    report.record(ok, "boundary-preserves-filtration", (n, j, i))
         return report
 
     # page arithmetic --------------------------------------------------------
     def _size(self, n: int, p: int) -> int:
         """|F_p| at degree n (0 outside the degree range)."""
-        return len(self.level_indices(n, p)) if 0 <= n <= self.complex.cap else 0
+        if not 0 <= n <= self.complex.cap:
+            return 0
+        counts = self._counts[n]
+        if self._down == 1:
+            return sum(counts[:max(p + 1, 0)])
+        return sum(counts[max(p, 0):])
 
     def _level_order(self, n: int) -> list[int]:
         """Degree-n coordinates stably sorted so that every level is a prefix."""
-        levels = self.filtration[n]
-        # a coordinate's level: the first level holding it (chains), the last (cochains)
-        level = [0] * self.complex.dims[n]
-        for p in range(len(levels))[:: -self._down]:
-            for j in levels[p]:
-                level[j] = p
-        return sorted(range(len(level)), key=lambda j: self._down * level[j])
+        levels = self.levels[n]
+        return sorted(range(len(levels)), key=levels.__getitem__, reverse=self._down == -1)
 
     def _rank(self, n: int, a: int, b: int) -> int:
         """rank of the map leaving degree n on [rows >= a, cols < b], in level order.

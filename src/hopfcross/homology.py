@@ -8,11 +8,7 @@ at the cap degree has an unknown incoming boundary and is never reported.
 
 from __future__ import annotations
 
-from .bar import (
-    h_module_cohomology_complex,
-    h_module_homology_complex,
-    hochschild_cochain_complex,
-)
+from .bar import h_module_homology_complex, hochschild_cochain_complex
 from .complexes import check_convergence, homology_dims, spectral_page
 from .crossed import (
     AxiomViolation,
@@ -96,7 +92,13 @@ def e2_identification(cp: CrossedProductData, m: BimoduleData | None = None,
     if m is None:
         m = regular_bimodule(cp.e)
     cp.require_inverse()
-    rc = ReducedComplexes(cp, m, cap, res=res)
+    return _e2_identification(ReducedComplexes(cp, m, cap, res=res))
+
+
+def _e2_identification(rc: ReducedComplexes) -> dict:
+    """e2_identification on the untwisted complexes of rc, reusing the blocks
+    rc has already built."""
+    cp, m, cap = rc.cp, rc.m, rc.cap
     window = cap - 1
     nhbar = cp.h.dim - 1
     out = {"window": window}
@@ -111,12 +113,12 @@ def e2_identification(cp: CrossedProductData, m: BimoduleData | None = None,
         e2_expected = {}
         for r in range(window + 1):
             h_cap = window - r + 1
-            module = act.as_h_module(r)
+            dim_n, rho = act.as_h_module(r)
             if cochain:
-                hcx = h_module_cohomology_complex(cp.h, module, h_cap)
-            else:
-                hcx = h_module_homology_complex(cp.h, module, h_cap)
-            h_dims = homology_dims(hcx)
+                # H-cohomology with right-module coefficients has the dims of the
+                # homology of the transposed (left) module: its maps are the transposes
+                rho = [mat.transpose() for mat in rho]
+            h_dims = homology_dims(h_module_homology_complex(cp.h, (dim_n, rho), h_cap))
             for s in range(window - r + 1):
                 e1 = base_dims[r] * nhbar**s
                 if e1:
@@ -169,7 +171,7 @@ def tor_spectral_report(cp: CrossedProductData, right_module, left_module,
     out = _dims_report(dims, cap, oracle_dims)
     out["tor_dims"] = dims
     if cp.conv_inverse is not None:
-        out["e2"] = e2_identification(cp, bimod, cap, res=rc.res)
+        out["e2"] = _e2_identification(rc)
     return out
 
 

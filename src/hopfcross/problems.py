@@ -62,7 +62,7 @@ class ProblemFile:
 
     @property
     def oracle(self) -> bool:
-        return bool(self.options.get("oracle", False))
+        return self.options.get("oracle", False)
 
     def crossed_product(self, check=True, with_inverse=True) -> CrossedProductData:
         cp = build_crossed_product(self.algebra, self.hopf, self.action,
@@ -126,10 +126,20 @@ def _guarded(where, parse, *args):
         raise ParseError(f"bad value: {exc}", where) from None
 
 
+def _integer(value, where) -> int:
+    """value if it is a JSON integer (not a bool), else ParseError at where."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{where.rpartition('.')[2]} must be an integer, got {value!r}", where)
+    return value
+
+
 def _parse_algebra(field, raw, where="algebra") -> AlgebraData:
     raw = _object(raw, where)
-    dim = int(raw["dim"])
-    labels = list(raw["basis_labels"])
+    dim = _integer(raw["dim"], f"{where}.dim")
+    labels = raw["basis_labels"]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ParseError(f"basis_labels must be a list of strings, got {labels!r}",
+                         f"{where}.basis_labels")
     if len(labels) != dim:
         raise DimensionMismatch("basis_labels length != dim", where)
     mult = _tensor2(field, raw["mult"], dim, dim, dim, f"{where}.mult")
@@ -151,7 +161,7 @@ def _parse_hopf(field, raw, where="hopf") -> HopfData:
 
 
 def _parse_bimodule(field, raw, ne) -> BimoduleData:
-    dim = int(_object(raw, "bimodule")["dim"])
+    dim = _integer(_object(raw, "bimodule")["dim"], "bimodule.dim")
     left = _tensor2(field, raw.get("left"), ne, dim, dim, "bimodule.left")
     right = _tensor2(field, raw.get("right"), dim, ne, dim, "bimodule.right")
     return BimoduleData(field, dim, ne, left, right)
@@ -159,7 +169,8 @@ def _parse_bimodule(field, raw, ne) -> BimoduleData:
 
 def _parse_tor_modules(field, raw, ne) -> tuple:
     raw = _object(raw, "tor_modules")
-    dim_r, dim_l = int(raw["dim_right"]), int(raw["dim_left"])
+    dim_r = _integer(raw["dim_right"], "tor_modules.dim_right")
+    dim_l = _integer(raw["dim_left"], "tor_modules.dim_left")
     right = _tensor2(field, raw.get("right"), dim_r, ne, dim_r, "tor_modules.right")
     left = _tensor2(field, raw.get("left"), ne, dim_l, dim_l, "tor_modules.left")
     return (dim_r, right), (dim_l, left)
@@ -189,9 +200,10 @@ def parse_problem_dict(doc: dict, name="problem") -> ProblemFile:
     options = doc.get("options") or {}
     if not isinstance(options, dict):
         raise ParseError("options must be an object", "options")
-    cap = options.get("cap", 4)
-    if not isinstance(cap, int) or isinstance(cap, bool):
-        raise ParseError(f"cap must be an integer, got {cap!r}", "options.cap")
+    _integer(options.get("cap", 4), "options.cap")
+    oracle = options.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise ParseError(f"oracle must be true or false, got {oracle!r}", "options.oracle")
     return ProblemFile(field, algebra, hopf, action, cocycle, bimodule,
                        tor_modules, options, name=name)
 

@@ -17,15 +17,16 @@ of M^v (x)_{E^e} X, where M^v is the dual bimodule (crossed.dual_bimodule).
 Every cochain matrix here is therefore a chain matrix with M^v coefficients,
 transposed and relabelled by dual_transpose.  The displayed cochain formulas
 are placed on M directly, without the dual, so they stay the independent
-check.  The decreasing cochain filtration is the annihilator of the
-increasing chain filtration.
+check.  Both orientations are filtered by the number s of H legs, one level
+per coordinate: chains by F_p = {s <= p}, cochains by F^p = {s >= p}, the
+annihilator of F_{p-1}.  dual_transpose only permutes coordinates inside a
+block, so the cochains reuse the chain level list.
 
 Space layouts (flat, row-major):
   chain blocks     M (x) Hbar^s (x) Abar^r   ->  (m, h_1..h_s, a_1..a_r)
   untwisted chain  M (x) Abar^r (x) Hbar^s   ->  (m, a_1..a_r, h_1..h_s)
   cochain blocks   Hom(args, M)              ->  arg_index * dim(M) + m
-Degree spaces stack the blocks with r + s = n in increasing s, so the
-filtration by the number of H legs is a span of leading coordinates.
+Degree spaces stack the blocks with r + s = n in increasing s.
 """
 
 from __future__ import annotations
@@ -393,7 +394,8 @@ def untwist_inverse_block(cp: CrossedProductData, m: BimoduleData, r: int, s: in
 # complex assembly --------------------------------------------------------------
 
 def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
-    """Stack blocks (r+s = n, s ascending) into degree matrices and filtration.
+    """Stack blocks (r+s = n, s ascending) into degree matrices and filtration
+    levels (each coordinate's number of H legs).
 
     Also returns, per degree, the argument-space size of each stacked block.
     """
@@ -426,12 +428,10 @@ def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
                 cols.append(col)
         maps.append(ExactMatrix(field, dims[n - 1], dims[n], cols))
 
-    # level i: the blocks with at most i H legs, a prefix of the degree space
-    filtration = [
-        [tuple(range(offsets[n][i] + m.dim * sizes[n][i])) for i in range(n + 1)]
-        for n in range(cap + 1)
-    ]
-    return dims, maps, filtration, sizes
+    # each coordinate's level: the number s of H legs in its block
+    levels = [[s for s, size in enumerate(per_degree) for _ in range(m.dim * size)]
+              for per_degree in sizes]
+    return dims, maps, levels, sizes
 
 
 class ReducedComplexes:
@@ -496,22 +496,16 @@ class ReducedComplexes:
 
     def _filtered(self, block_fn, mid_space_fn, cochain: bool) -> FilteredComplex:
         """Assembled complex; for cochains, the relabelled transpose of the M^v chains."""
-        dims, maps, filtration, sizes = _assemble_chain(
+        dims, maps, levels, sizes = _assemble_chain(
             self.field, self.cp, self.m, self.cap, block_fn, mid_space_fn
         )
         self.literal.images.clear()
         if cochain:
             for n in range(1, self.cap + 1):
                 maps[n] = dual_transpose(maps[n], self.m.dim, sizes[n - 1], sizes[n])
-            # the annihilator: cochain level i is the complement of chain level
-            # i - 1, which is a prefix, so the complement is the matching suffix
-            filtration = [
-                [tuple(range(len(prev), dims[n])) for prev in [(), *levels]]
-                for n, levels in enumerate(filtration)
-            ]
         cx = ChainComplex(self.field, dims, maps, COHOMOLOGY if cochain else HOMOLOGY)
         cx.check_square_zero()
-        return FilteredComplex(cx, filtration)
+        return FilteredComplex(cx, levels)
 
     def reduced_chain_complex(self) -> FilteredComplex:
         return self._filtered(self.reduced_block, _reduced_mid_space, False)

@@ -1,9 +1,10 @@
 """The bar-complex oracles of hopfcross.bar, filtered by legs outside A#1.
 
 For a crossed product E = A #_f H, a basis tensor of Ebar^n has some number
-of legs whose H-index is not the unit.  The chain oracle is filtered
-increasingly by that count (F^i: at most i such legs) and the cochain oracle
-decreasingly (F_i: maps vanishing when fewer than i legs lie outside A#1).
+of legs whose H-index is not the unit; that count is the coordinate's level.
+The chain oracle is filtered increasingly by it (F^i: at most i such legs)
+and the cochain oracle decreasingly (F_i: maps vanishing when fewer than i
+legs lie outside A#1).
 The spectral tests compare these filtered oracles with the reduced complexes.
 """
 
@@ -32,15 +33,11 @@ def hochschild_chain_filtered(
     """The chain oracle with F^i = span of tensors having at most i legs outside A#1."""
     cx = hochschild_chain_complex(cp.e, m, cap)
     dim_ebar = cp.e.dim - 1
-    filtration = []
-    for n in range(cap + 1):
-        space = _chain_space(m.dim, dim_ebar, n)
-        level_of = [_legs_outside_a(cp, key[1:]) for key in space]
-        levels = []
-        for i in range(n + 1):
-            levels.append(tuple(j for j, lv in enumerate(level_of) if lv <= i))
-        filtration.append(levels)
-    return FilteredComplex(cx, filtration)
+    levels = [
+        [_legs_outside_a(cp, key[1:]) for key in _chain_space(m.dim, dim_ebar, n)]
+        for n in range(cap + 1)
+    ]
+    return FilteredComplex(cx, levels)
 
 
 def hochschild_cochain_filtered(
@@ -50,15 +47,9 @@ def hochschild_cochain_filtered(
     whenever fewer than i legs lie outside A#1."""
     cx = hochschild_cochain_complex(cp.e, m, cap)
     dim_ebar = cp.e.dim - 1
-    filtration = []
-    for n in range(cap + 1):
-        arg_space = TensorSpace((dim_ebar,) * n)
-        level_of = []
-        for t in arg_space:
-            lv = _legs_outside_a(cp, t)
-            level_of.extend([lv] * m.dim)
-        levels = []
-        for i in range(n + 2):
-            levels.append(tuple(j for j, lv in enumerate(level_of) if lv >= i))
-        filtration.append(levels)
-    return FilteredComplex(cx, filtration)
+    # cochains are laid out (argument, m): each argument's level repeats dim M times
+    levels = [
+        [_legs_outside_a(cp, t) for t in TensorSpace((dim_ebar,) * n) for _ in range(m.dim)]
+        for n in range(cap + 1)
+    ]
+    return FilteredComplex(cx, levels)

@@ -5,7 +5,7 @@ Z(p, r) = {x in F_p : dx in F_{p-r}} (shifts flipped for cochains).  Every
 space is an explicit basis built by kernels and column spaces of submatrices
 of d, and each cell ranks its stacked denominator.  It shares nothing with the
 pivot-pair counting of `FilteredComplex` but `ExactMatrix` elimination and the
-level lists.
+level lists, which it reads into index sets itself.
 """
 
 from hopfcross.complexes import HOMOLOGY
@@ -28,15 +28,22 @@ def select_rows(m, indices):
     return ExactMatrix(m.field, len(idx), m.ncols, cols)
 
 
+def level_indices(fc, n, p):
+    """F_p at degree n: the coordinates at level <= p (chains), >= p (cochains)."""
+    if fc.complex.direction == HOMOLOGY:
+        return [j for j, lv in enumerate(fc.levels[n]) if lv <= p]
+    return [j for j, lv in enumerate(fc.levels[n]) if lv >= p]
+
+
 def _outside(fc, n, p):
-    inside = set(fc.level_indices(n, p))
+    inside = set(level_indices(fc, n, p))
     return [i for i in range(fc.complex.dims[n]) if i not in inside]
 
 
 def z_space(fc, p, n, r):
     """Basis of {x in F_p(n) : d(x) in F_{p -/+ r}}."""
     c = fc.complex
-    src = fc.level_indices(n, p)
+    src = level_indices(fc, n, p)
     og = c.outgoing(n)
     if og is None or not src:
         return [{j: c.field.one} for j in src]
@@ -54,7 +61,7 @@ def boundary_image(fc, p_source, p_target, n):
     if inc is None:
         return []
     src_degree = n + 1 if c.direction == HOMOLOGY else n - 1
-    src = fc.level_indices(src_degree, p_source)
+    src = level_indices(fc, src_degree, p_source)
     if not src:
         return []
     image = select_columns(inc, src).column_space_basis()
@@ -73,7 +80,7 @@ def reference_cell(fc, r, p, q):
         return 0
     step = 1 if c.direction == HOMOLOGY else -1
     if r == 0:
-        return len(fc.level_indices(n, p)) - len(fc.level_indices(n, p - step))
+        return len(level_indices(fc, n, p)) - len(level_indices(fc, n, p - step))
     z = z_space(fc, p, n, r)
     if not z:
         return 0
@@ -89,7 +96,7 @@ def reference_page(fc, r, window=None):
         window = fc.complex.cap - 1
     table = {}
     for n in range(window + 1):
-        for p in range(fc.top_level(n) + 1):
+        for p in range(max(fc.levels[n], default=0) + 1):
             d = reference_cell(fc, r, p, n - p)
             if d:
                 table[(p, n - p)] = d

@@ -8,7 +8,6 @@ import pytest
 from hopfcross.fields import FieldSpec
 from hopfcross.algebras import truncated_polynomial_algebra
 from hopfcross.bar import (
-    h_module_cohomology_complex,
     h_module_homology_complex,
     hochschild_chain_complex,
     hochschild_cochain_complex,
@@ -97,13 +96,20 @@ def test_h_module_homology_z2():
     assert homology_dims(c_q) == [1, 0, 0, 0]
 
 
+def _transposed(module):
+    """The left module whose homology complex is the transpose of the
+    cohomology complex with right-module coefficients module."""
+    dim_n, rho = module
+    return dim_n, [mat.transpose() for mat in rho]
+
+
 def test_h_module_cohomology_z2():
     h = z_n_hopf(F2, 2)
     mod = trivial_left_module(h)  # trivial module works on either side
-    c = h_module_cohomology_complex(h, mod, 4)
+    c = h_module_homology_complex(h, _transposed(mod), 4)
     assert homology_dims(c) == [1, 1, 1, 1]
     h_q = z_n_hopf(Q, 2)
-    c_q = h_module_cohomology_complex(h_q, trivial_left_module(h_q), 4)
+    c_q = h_module_homology_complex(h_q, _transposed(trivial_left_module(h_q)), 4)
     assert homology_dims(c_q) == [1, 0, 0, 0]
 
 

@@ -142,8 +142,7 @@ def test_trivial_filtration_page1_is_homology():
 
     m = regular_bimodule(cp.e)
     c = hochschild_chain_complex(cp.e, m, 4)
-    filtration = [[tuple(range(c.dims[n]))] for n in range(c.cap + 1)]
-    fc = FilteredComplex(c, filtration)
+    fc = FilteredComplex(c, [[0] * c.dims[n] for n in range(c.cap + 1)])
     page = spectral_page(fc, 1)
     dims = homology_dims(c)
     for n in range(4):
@@ -155,12 +154,7 @@ def test_two_level_filtration_bookkeeping():
     # 0 -> C_1 -> C_0 -> 0 with d = [[1,0],[0,0]] and level-0 = first coordinate
     d = from_rows(Q, [[1, 0], [0, 0]])
     c = ChainComplex(Q, [2, 2, 0], [None, d, ExactMatrix.zeros(Q, 2, 0)], HOMOLOGY)
-    filtration = [
-        [(0,), (0, 1)],
-        [(0,), (0, 1)],
-        [(), ()],
-    ]
-    fc = FilteredComplex(c, filtration)
+    fc = FilteredComplex(c, [[0, 1], [0, 1], []])
     assert fc.verify().passed
     assert check_convergence(fc).passed
     einf = infinity_page(fc)
@@ -168,14 +162,23 @@ def test_two_level_filtration_bookkeeping():
     assert einf.antidiagonal_sum(1) == homology_dims(c)[1]
 
 
+@pytest.mark.parametrize("levels", [
+    [[0, 1]],  # one degree missing
+    [[0, 1], [0]],  # one coordinate missing
+    [[0, 1], [0, 1, 1]],  # one coordinate too many
+    [[0, -1], [0, 1]],  # a negative level
+])
+def test_malformed_level_list_rejected(levels):
+    c = ChainComplex(Q, [2, 2], [None, from_rows(Q, [[1, 0], [0, 0]])], HOMOLOGY)
+    with pytest.raises(ValueError):
+        FilteredComplex(c, levels)
+
+
 def test_corrupted_filtration_reported():
     d = from_rows(Q, [[0, 1], [0, 0]])
     c = ChainComplex(Q, [2, 2], [None, d], HOMOLOGY)
-    filtration = [
-        [(1,), (0, 1)],  # d(e_1) = e_0 escapes the claimed level-0 span
-        [(1,), (0, 1)],
-    ]
-    fc = FilteredComplex(c, filtration)
+    # d(e_1) = e_0 escapes the claimed level-0 span {e_1}
+    fc = FilteredComplex(c, [[1, 0], [1, 0]])
     report = fc.verify()
     assert not report.passed
     assert any(f.check == "boundary-preserves-filtration" for f in report.failures)
@@ -195,11 +198,7 @@ def test_cohomological_two_level():
     # 0 -> C^0 -> C^1 -> 0, d = [[1],[0]] with decreasing filtration on C^1
     d = from_rows(Q, [[1], [0]])
     c = ChainComplex(Q, [1, 2], [None, d], COHOMOLOGY)
-    filtration = [
-        [(0,)],
-        [(0, 1), (1,)],
-    ]
-    fc = FilteredComplex(c, filtration)
+    fc = FilteredComplex(c, [[0], [0, 1]])
     assert fc.verify().passed
     assert check_convergence(fc).passed
 

@@ -103,6 +103,31 @@ def test_tor_free_module():
     assert all(d == 0 for d in rep["tor_dims"][1:])
 
 
+def test_tor_builds_and_checks_each_block_once(monkeypatch):
+    from hopfcross import reduced_complexes
+
+    cp = BUILTIN_BUILDERS["s3_as_action_extension"](Q)
+    convolution_inverse(cp)
+    built, checked = [], []
+    build = reduced_complexes.reduced_block_from_resolution
+    check = reduced_complexes.ReducedComplexes._check
+
+    def counted_build(res, m, l, r, s):
+        built.append((id(m), l, r, s))
+        return build(res, m, l, r, s)
+
+    def counted_check(self, which, literal, derived, cochain, l, r, s):
+        checked.append((which, l, r, s))
+        return check(self, which, literal, derived, cochain, l, r, s)
+
+    monkeypatch.setattr(reduced_complexes, "reduced_block_from_resolution", counted_build)
+    monkeypatch.setattr(reduced_complexes.ReducedComplexes, "_check", counted_check)
+    rep = tor_spectral_report(cp, regular_right_module(cp), regular_left_module(cp), cap=3)
+    assert rep["e2"]["pass"]
+    assert built and len(built) == len(set(built))
+    assert checked and len(checked) == len(set(checked))
+
+
 def test_first_page_is_twisted_coefficient_homology():
     # first page of the reduced filtration against H(A, -) with the twisted
     # coefficient bimodules, computed by the bar complex of A

@@ -485,6 +485,45 @@ def _emitted_with_every_section():
 
 EMITTED = _emitted_with_every_section()
 EMITTED_PATHS = list(_node_paths(EMITTED))
+
+
+# nodes of the wrong JSON type that a coercion would once have accepted
+MISTYPED = [
+    (("algebra", "dim"), 3.9),
+    (("algebra", "dim"), "3"),
+    (("algebra", "dim"), True),
+    (("hopf", "dim"), 2.0),
+    (("hopf", "basis_labels"), "ab"),
+    (("algebra", "basis_labels"), ["1", 2, 3]),
+    (("bimodule", "dim"), 6.0),
+    (("tor_modules", "dim_right"), 1.5),
+    (("tor_modules", "dim_left"), "1"),
+    (("options", "oracle"), "no"),
+    (("options", "oracle"), 1),
+]
+
+
+@pytest.mark.parametrize("path, value", MISTYPED,
+                         ids=[f"{'.'.join(p)}={v!r}" for p, v in MISTYPED])
+def test_cli_mistyped_node_exits_2_at_the_node(path, value, tmp_path, capsys):
+    doc = _replaced(EMITTED, path, value)
+    with pytest.raises(ParseError):
+        parse_problem_dict(doc)
+    problem = tmp_path / "mistyped.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["homology", str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+    assert f"(at {'.'.join(path)})" in err, err
+
+
+def test_file_oracle_option_is_a_json_bool():
+    doc = _replaced(EMITTED, ("options", "oracle"), False)
+    assert parse_problem_dict(doc).oracle is False
+    doc = _replaced(EMITTED, ("options", "oracle"), True)
+    assert parse_problem_dict(doc).oracle is True
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4),

@@ -1,6 +1,8 @@
 """Spectral pages from pivot pairs against the brute-force subquotient reference."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,14 +53,6 @@ def filtered_complexes(draw):
     for d in dims:
         top = draw(st.integers(0, 3))
         level_of.append(draw(st.lists(st.integers(0, top), min_size=d, max_size=d)))
-    tops = [max(lv, default=0) for lv in level_of]
-    # homology: F_p = {level <= p}; cohomology: F_p = {level >= p}
-    if homology:
-        filtration = [[tuple(j for j, lv in enumerate(lvs) if lv <= p) for p in range(t + 1)]
-                      for lvs, t in zip(level_of, tops)]
-    else:
-        filtration = [[tuple(j for j, lv in enumerate(lvs) if lv >= p) for p in range(t + 1)]
-                      for lvs, t in zip(level_of, tops)]
     maps = [None] * (cap + 1)
     # build each map after the one leaving its target degree, so d o d = 0 holds
     order = range(1, cap + 1) if homology else range(cap, 0, -1)
@@ -76,7 +70,7 @@ def filtered_complexes(draw):
             cols.append(_killed_column(draw, field, nxt, allowed))
         maps[n] = ExactMatrix(field, dims[tgt], dims[src], cols)
     cx = ChainComplex(field, dims, maps, HOMOLOGY if homology else COHOMOLOGY)
-    return FilteredComplex(cx, filtration)
+    return FilteredComplex(cx, level_of)
 
 
 def _assert_pages_match(fc, pages):
@@ -134,3 +128,36 @@ def test_page_sweep_reduces_each_map_once(monkeypatch, crossed_products):
         infinity_page(fc)
         # a reduction is of some map with its coordinates in level order
         assert Counter(shapes) <= Counter((d.nrows, d.ncols) for d in c.maps[1:])
+
+
+@pytest.mark.parametrize("name", ["trivial", "z2_trivial"])
+def test_stable_page_reads_the_largest_level_present(name, crossed_products):
+    # empty top blocks put the largest level present below the full range:
+    # every H-leg block of `trivial` is empty, and so is level n + 1 of the
+    # bar cochain oracle in degree n; the infinity page is still the page
+    # past the full range
+    cap = 4
+    cp = crossed_products[name]
+    m = regular_bimodule(cp.e)
+    rc = ReducedComplexes(cp, m, cap)
+    fcs = [rc.reduced_chain_complex(), rc.reduced_cochain_complex(),
+           rc.untwisted_chain_complex(), rc.untwisted_cochain_complex(),
+           hochschild_chain_filtered(cp, m, cap), hochschild_cochain_filtered(cp, m, cap)]
+    # one past the full level range: levels 0..n in degree n (0..n+1 for the bar cochains)
+    past_full = [cap + 1] * 5 + [cap + 2]
+    assert any(stable_page_number(fc) < r for fc, r in zip(fcs, past_full))
+    for fc, r in zip(fcs, past_full):
+        einf = infinity_page(fc)
+        assert einf.table == spectral_page(fc, r).table == reference_page(fc, r)
+        assert check_convergence(fc).passed
+
+
+def test_spectral_reference_reads_the_level_lists_itself():
+    tree = ast.parse(Path(__file__).with_name("spectral_reference.py").read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported == {("hopfcross.complexes", "HOMOLOGY"), ("hopfcross.linalg", "ExactMatrix")}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "fc"}
+    assert read == {"complex", "levels"}
