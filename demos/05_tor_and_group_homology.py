@@ -3,12 +3,16 @@ coefficients.
 
 Tor over E of one-sided modules is the Hochschild homology of E with
 coefficients in their tensor product, so the whole engine applies; for group
-algebras with trivial modules this recovers group homology.
+algebras with trivial modules this recovers group homology.  The same trick
+gives the homology of a Hopf algebra H with coefficients in a left module N:
+it is the Hochschild homology of H with coefficients in N (x) k_eps, the
+bimodule N with the counit as its right action.
 """
 
 from hopfcross import FieldSpec
-from hopfcross.bar import h_module_homology_complex, trivial_left_module
+from hopfcross.bar import hochschild_chain_complex
 from hopfcross.complexes import homology_dims
+from hopfcross.crossed import tensor_bimodule
 from hopfcross.homology import tor_spectral_report
 from hopfcross.problems import builtin, cyclic_group_hopf
 
@@ -29,7 +33,10 @@ print()
 print("== homology of a Hopf algebra with trivial coefficients, directly ==")
 for field, label in ((F2, "F_2"), (Q, "Q")):
     h = cyclic_group_hopf(field, 2)
-    cx = h_module_homology_complex(h, trivial_left_module(h), 4)
+    # k with h acting by the counit, as a left module N (act[h][n]) and as k_eps (act[n][h])
+    trivial = (1, [[{0: c}] for c in h.counit])
+    k_eps = (1, [[{0: c} for c in h.counit]])
+    cx = hochschild_chain_complex(h.algebra, tensor_bimodule(h.algebra, trivial, k_eps), 4)
     print(f"  H_*(k[Z/2], k) over {label}: {homology_dims(cx)}")
 
 print()

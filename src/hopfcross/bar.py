@@ -2,9 +2,14 @@
 
 These complexes are the independent reference route for everything else in
 the package: normalized Hochschild chains M (x) Ebar^n and cochains
-Hom(Ebar^n, M) for any algebra, and the canonical complexes computing the
-(co)homology of a Hopf algebra with module coefficients.  Nothing here touches the reduced
-complexes or the resolution.
+Hom(Ebar^n, M) for any algebra.  Nothing here touches the reduced complexes
+or the resolution.
+
+The same chains compute the homology of a Hopf algebra H with coefficients
+in a left H-module N: the standard complex Hbar^s (x) N of H_*(H, N) is the
+normalized Hochschild chain complex of H with coefficients in N_eps, the
+bimodule N with the counit as its right action (Cartan-Eilenberg 1956), and
+N_eps is crossed.tensor_bimodule(H, N, k_eps) with k_eps the counit module.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from .algebras import AlgebraData
 from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex
 from .crossed import BimoduleData
 from .linalg import ExactMatrix
-from .tensors import TensorSpace, keyed_add_into
+from .tensors import TensorSpace
 
 
 def _faces(e: AlgebraData, n: int):
@@ -109,55 +114,3 @@ def hochschild_cochain_complex(
                     col[k] = col.get(k, 0) + sign * c
         maps.append(ExactMatrix(field, dims[n], dims[n - 1], [field.settle(col) for col in cols]))
     return ChainComplex(field, dims, maps, COHOMOLOGY)
-
-
-# Hopf-algebra (co)homology with module coefficients -------------------------
-
-def h_module_homology_complex(h, module, cap: int) -> ChainComplex:
-    """Complex Hbar^s (x) N computing the homology of H with left-module coefficients.
-
-    module = (dim_n, rho) with rho[h_index] an ExactMatrix acting on N for
-    every full H-basis index (rho[0] the identity).
-    """
-    field = h.field
-    dim_n, rho = module
-    dim_hbar = h.dim - 1
-    dims = [dim_hbar**s * dim_n for s in range(cap + 1)]
-    maps: list = [None]
-    for s in range(1, cap + 1):
-        src = TensorSpace((dim_hbar,) * s + (dim_n,))
-        tgt = TensorSpace((dim_hbar,) * (s - 1) + (dim_n,))
-        cols: list[dict] = []
-        for key in src:
-            legs = [x + 1 for x in key[:-1]]
-            ni = key[-1]
-            col: dict = {}
-
-            def put(tail, nvec, coef):
-                for nj, c in nvec.items():
-                    idx = tgt.index(tuple(t - 1 for t in tail) + (nj,))
-                    keyed_add_into(col, idx, field.mul(coef, c), field)
-
-            put(legs[1:], {ni: field.one}, h.counit[legs[0]])
-            sign = field.one
-            for i in range(1, s):
-                sign = field.neg(sign)
-                for k, c in h.algebra.mult[legs[i - 1]][legs[i]].items():
-                    if k == 0:
-                        continue
-                    put(legs[: i - 1] + [k] + legs[i + 1 :], {ni: field.one}, field.mul(sign, c))
-            sign = field.neg(sign)
-            put(legs[:-1], rho[legs[-1]].column(ni), sign)
-            cols.append(col)
-        maps.append(ExactMatrix(field, dims[s - 1], dims[s], cols))
-    return ChainComplex(field, dims, maps, HOMOLOGY)
-
-
-def trivial_left_module(h) -> tuple[int, list]:
-    """k with h acting by the counit."""
-    field = h.field
-    rho = []
-    for i in range(h.dim):
-        c = h.counit[i]
-        rho.append(ExactMatrix.from_entries(field, 1, 1, {(0, 0): c}))
-    return 1, rho

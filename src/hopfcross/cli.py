@@ -302,27 +302,31 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each subcommand takes only the flags it reads, so argparse refuses the rest
+    def common(name, summary, degree="--cap", force=True, oracle=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("problem", help="problem file path or builtin name")
         p.add_argument("--field", help="field override for builtins: q or fp:P")
-        p.add_argument("--cap", type=int, default=None, help="degree cap (default 4)")
-        p.add_argument("--force", action="store_true", help="allow cap > 6 (max degree > 5)")
+        if degree is not None:
+            p.add_argument(degree, type=int, default=None, help=(
+                "degree cap (default 4)" if degree == "--cap" else "largest degree (default 3)"))
+        if force:
+            p.add_argument("--force", action="store_true", help="allow cap > 6 (max degree > 5)")
         p.add_argument("--output", help="write the JSON document to this path")
-        p.add_argument("--oracle", action="store_true",
-                       help="also run the bar-complex oracle where applicable")
+        if oracle:
+            p.add_argument("--oracle", action="store_true",
+                           help="also run the bar-complex oracle and compare")
         return p
 
-    common(sub.add_parser("verify", help="axiom certification"))
-    common(sub.add_parser("homology", help="Hochschild homology dims"))
-    common(sub.add_parser("cohomology", help="Hochschild cohomology dims"))
-    p = common(sub.add_parser("spectral", help="spectral page and convergence"))
-    p.add_argument("--page", type=int, default=2)
-    common(sub.add_parser("e2-check", help="second-page identification"))
-    p = common(sub.add_parser("oracle-compare", help="reduced vs bar-complex dims"))
-    p.add_argument("--max-degree", type=int, default=None)
-    p = common(sub.add_parser("resolution-check", help="resolution and comparison identities"))
-    p.add_argument("--max-degree", type=int, default=None)
-    common(sub.add_parser("tor", help="Tor dimensions via the bimodule trick"))
+    common("verify", "axiom certification", degree=None, force=False)
+    common("homology", "Hochschild homology dims", oracle=True)
+    common("cohomology", "Hochschild cohomology dims", oracle=True)
+    common("spectral", "spectral page and convergence").add_argument(
+        "--page", type=int, default=2)
+    common("e2-check", "second-page identification")
+    common("oracle-compare", "reduced vs bar-complex dims", degree="--max-degree")
+    common("resolution-check", "resolution and comparison identities", degree="--max-degree")
+    common("tor", "Tor dimensions via the bimodule trick")
     return parser
 
 

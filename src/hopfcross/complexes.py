@@ -140,45 +140,28 @@ def homology_dims(c: ChainComplex) -> list[int]:
     return [c.dims[n] - ranks[n] - ranks[n + 1] for n in range(c.cap)]
 
 
-def homology_representatives(c: ChainComplex, n: int):
-    """(reps, boundary_basis): cycle representatives of a homology basis at degree n.
-
-    Deterministic: boundary columns are registered first, then kernel-basis
-    columns that stay independent become representatives, in order.
-    """
-    field = c.field
-    og = c.outgoing(n)
-    if og is not None:
-        cycle_basis = og.kernel_basis()
-    else:
-        cycle_basis = ExactMatrix.identity(field, c.dims[n])
-    inc = c.incoming(n)
-    if inc is not None:
-        boundary_basis = inc.column_space_basis()
-    else:
-        boundary_basis = ExactMatrix.zeros(field, c.dims[n], 0)
-    solver = SpanSolver(boundary_basis)
-    reps = []
-    for col in cycle_basis.cols:
-        # each chosen rep joins the solver, so later columns are reduced mod it too
-        if solver.insert(col):
-            reps.append(dict(col))
-    return ExactMatrix.from_columns(field, c.dims[n], reps), boundary_basis
-
-
 class HomologyLift:
-    """Cached representatives and solver for inducing maps on H_n."""
+    """Representatives of a basis of H_n, and the solver that lifts maps to H_n.
+
+    Deterministic: the representatives are the cycle-basis columns that stay
+    pivots in one reduction of [boundary basis | cycle basis].  A column is a
+    pivot exactly when it is outside the span of the columns before it, so
+    they are independent modulo boundaries and span the cycles with them.
+    """
 
     def __init__(self, c: ChainComplex, n: int):
         self.complex = c
         self.n = n
-        self.reps, self.boundaries = homology_representatives(c, n)
+        field, dim = c.field, c.dims[n]
+        og, inc = c.outgoing(n), c.incoming(n)
+        cycles = og.kernel_basis() if og is not None else ExactMatrix.identity(field, dim)
+        bounds = inc.column_space_basis() if inc is not None else ExactMatrix.zeros(field, dim, 0)
+        nb = bounds.ncols
+        pairs = ExactMatrix.hstack([bounds, cycles]).pivot_pairs()
+        self.reps = ExactMatrix.from_columns(
+            field, dim, [cycles.cols[j - nb] for _, j in pairs if j >= nb])
         self.rank = self.reps.ncols
-        if self.rank or self.boundaries.ncols:
-            stacked = ExactMatrix.hstack([self.reps, self.boundaries])
-        else:
-            stacked = ExactMatrix.zeros(c.field, c.dims[n], 0)
-        self._solver = SpanSolver(stacked, track_combos=True)
+        self._solver = SpanSolver(ExactMatrix.hstack([self.reps, bounds]))
 
     def induced(self, chain_map: ExactMatrix) -> ExactMatrix:
         """Matrix induced on H_n by a chain map given at degree n.

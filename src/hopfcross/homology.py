@@ -8,7 +8,7 @@ at the cap degree has an unknown incoming boundary and is never reported.
 
 from __future__ import annotations
 
-from .bar import h_module_homology_complex, hochschild_cochain_complex
+from .bar import hochschild_chain_complex, hochschild_cochain_complex
 from .complexes import check_convergence, homology_dims, spectral_page
 from .crossed import (
     AxiomViolation,
@@ -101,6 +101,10 @@ def _e2_identification(rc: ReducedComplexes) -> dict:
     cp, m, cap = rc.cp, rc.m, rc.cap
     window = cap - 1
     nhbar = cp.h.dim - 1
+    hk = cp.h.algebra
+    # k with H acting by the counit: N (x) k_eps is N_eps, whose Hochschild
+    # chains are the standard complex Hbar^s (x) N of H_*(H, N)
+    k_eps = (1, [[{0: c} for c in cp.h.counit]])
     out = {"window": window}
 
     for cochain in (False, True):
@@ -118,7 +122,8 @@ def _e2_identification(rc: ReducedComplexes) -> dict:
                 # H-cohomology with right-module coefficients has the dims of the
                 # homology of the transposed (left) module: its maps are the transposes
                 rho = [mat.transpose() for mat in rho]
-            h_dims = homology_dims(h_module_homology_complex(cp.h, (dim_n, rho), h_cap))
+            n_eps = tensor_bimodule(hk, (dim_n, [mat.cols for mat in rho]), k_eps)
+            h_dims = homology_dims(hochschild_chain_complex(hk, n_eps, h_cap))
             for s in range(window - r + 1):
                 e1 = base_dims[r] * nhbar**s
                 if e1:

@@ -279,20 +279,7 @@ class ExactMatrix:
         cols = [dict(c) for c in columns]
         return cls(field, nrows, len(cols), cols)
 
-    @classmethod
-    def from_entries(
-        cls, field: FieldSpec, nrows: int, ncols: int, entries: dict
-    ) -> "ExactMatrix":
-        cols: list[dict] = [{} for _ in range(ncols)]
-        for (i, j), v in entries.items():
-            if not field.is_zero(v):
-                cols[j][i] = v
-        return cls(field, nrows, ncols, cols)
-
     # inspection ---------------------------------------------------------
-    def column(self, j: int) -> dict:
-        return dict(self.cols[j])
-
     def iter_entries(self) -> Iterator[tuple[int, int, object]]:
         for j, col in enumerate(self.cols):
             for i, v in col.items():
@@ -410,39 +397,20 @@ class ExactMatrix:
                 raise ValueError("rhs length mismatch")
             scalars = map(field.scalar, rhs)
             vec = {i: v for i, v in enumerate(scalars) if not field.is_zero(v)}
-        return SpanSolver(self, track_combos=True).coordinates(vec)
+        return SpanSolver(self).coordinates(vec)
 
 
 class SpanSolver:
-    """Reusable membership/coordinate solver for a fixed matrix.
+    """Reusable coordinate solver for a fixed matrix.
 
-    Builds the elimination registry once; subsequent queries only reduce the
-    query vector.  Used for repeated membership tests against one span.
+    Builds the elimination registry, with combos, once; subsequent queries
+    only reduce the query vector.  Used for repeated solves against one span.
     """
 
-    def __init__(self, matrix: ExactMatrix, track_combos: bool = False):
+    def __init__(self, matrix: ExactMatrix):
         self.matrix = matrix
         self.reduction = _reduction(matrix.field)
-        self.track_combos = track_combos
-        self.registry, _, _ = matrix._echelon(track_combos=track_combos)
-
-    @property
-    def rank(self) -> int:
-        return len(self.registry)
-
-    def insert(self, vec: dict) -> bool:
-        """Register vec when it is independent of the span so far; True if it was.
-
-        Later queries reduce modulo it too.  It carries no coordinates, so
-        the solver answers no coordinates afterwards.
-        """
-        v, _ = self.reduction.start(vec)
-        low = self.reduction.reduce(self.registry, v, None)
-        if low is None:
-            return False
-        self.registry[low] = self.reduction.register(v, None, low)
-        self.track_combos = False
-        return True
+        self.registry, _, _ = matrix._echelon(track_combos=True)
 
     def coordinates(self, vec: dict) -> list | None:
         """x with matrix @ x = vec, supported on the pivot columns; None outside the span.
@@ -450,8 +418,6 @@ class SpanSolver:
         vec is reduced as one more column, its combo keyed by _QUERY: when it
         reaches zero, the combo normalised to 1 at _QUERY is (1, -x).
         """
-        if not self.track_combos:
-            raise ValueError("SpanSolver built without combo tracking")
         v, d = self.reduction.start(vec)
         combo = {_QUERY: d}
         if self.reduction.reduce(self.registry, v, combo) is not None:

@@ -589,8 +589,9 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
 class HActionOnHomology:
     """Induced matrices of the conjugation action on H_*(A, M) per H basis element.
 
-    Cycle selection is deterministic (kernel columns reduced against image
-    spans), and the H-module law holds on homology.
+    Cycle selection is deterministic (the kernel columns that stay pivots
+    after the image span, complexes.HomologyLift), and the H-module law
+    holds on homology.
     """
 
     def __init__(self, cp: CrossedProductData, m: BimoduleData, cap: int,

@@ -4,6 +4,12 @@ reference.
 Every face of every basis tensor is written out as a multi-index and looked up
 with `TensorSpace.index`; the package builders in hopfcross.bar compute the
 same indices by flat arithmetic, once per argument tensor.
+
+`h_module_homology_complex_reference` is the standard complex Hbar^s (x) N of
+the homology of a Hopf algebra with left-module coefficients, written out face
+by face with the counit in the first face.  The package computes the same
+homology as the Hochschild chains of H with coefficients in N_eps; the two
+complexes agree map for map once each basis tensor (t, n) is relabelled (n, t).
 """
 
 from hopfcross.complexes import COHOMOLOGY, HOMOLOGY, ChainComplex
@@ -84,3 +90,43 @@ def cochain_complex_reference(e, m, cap: int) -> ChainComplex:
                     add(cidx + mi, row_base + mj, field.mul(sign, c))
         maps.append(ExactMatrix(field, dims[n], dims[n - 1], cols))
     return ChainComplex(field, dims, maps, COHOMOLOGY)
+
+
+def h_module_homology_complex_reference(h, module, cap: int) -> ChainComplex:
+    """Hbar^s (x) N, degrees 0..cap, basis tensors laid out (t, n).
+
+    module = (dim_n, rho) with rho[h_index] an ExactMatrix acting on N for
+    every full H-basis index (rho[0] the identity).
+    """
+    field = h.field
+    dim_n, rho = module
+    dim_hbar = h.dim - 1
+    dims = [dim_hbar**s * dim_n for s in range(cap + 1)]
+    maps: list = [None]
+    for s in range(1, cap + 1):
+        src = TensorSpace((dim_hbar,) * s + (dim_n,))
+        tgt = TensorSpace((dim_hbar,) * (s - 1) + (dim_n,))
+        cols: list[dict] = []
+        for key in src:
+            legs = [x + 1 for x in key[:-1]]
+            ni = key[-1]
+            col: dict = {}
+
+            def put(tail, nvec, coef):
+                for nj, c in nvec.items():
+                    idx = tgt.index(tuple(t - 1 for t in tail) + (nj,))
+                    keyed_add_into(col, idx, field.mul(coef, c), field)
+
+            put(legs[1:], {ni: field.one}, h.counit[legs[0]])
+            sign = field.one
+            for i in range(1, s):
+                sign = field.neg(sign)
+                for k, c in h.algebra.mult[legs[i - 1]][legs[i]].items():
+                    if k == 0:
+                        continue
+                    put(legs[: i - 1] + [k] + legs[i + 1 :], {ni: field.one}, field.mul(sign, c))
+            sign = field.neg(sign)
+            put(legs[:-1], rho[legs[-1]].cols[ni], sign)
+            cols.append(col)
+        maps.append(ExactMatrix(field, dims[s - 1], dims[s], cols))
+    return ChainComplex(field, dims, maps, HOMOLOGY)

@@ -164,8 +164,7 @@ def check_insertion_image(calc, l: int, r: int) -> bool:
             cols.append({tgt.index(key): c for key, c in elem.items()})
     span = ExactMatrix.from_columns(field, tgt.size, cols)
     solver = SpanSolver(span.column_space_basis())
-    # insert answers False exactly on members, and adds nothing then
-    return not any(solver.insert(col) for col in on_demand_matrix(calc, l, r).cols)
+    return all(solver.coordinates(col) is not None for col in on_demand_matrix(calc, l, r).cols)
 
 
 def signed_shuffle(first: tuple, second: tuple) -> dict:

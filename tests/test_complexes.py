@@ -122,7 +122,7 @@ def test_homology_invariant_under_basis_change():
     inv = []
     for p in ps:
         # one elimination per matrix; each column of p^-1 solves p x = e_j
-        solver = SpanSolver(p, track_combos=True)
+        solver = SpanSolver(p)
         cols = []
         n = p.nrows
         for j in range(n):

@@ -198,6 +198,21 @@ def test_cli_bad_ranges_exit_2(argv, capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("verify", ["--cap", "3"]), ("oracle-compare", ["--cap", "3"]),
+    ("resolution-check", ["--cap", "3"]),
+    ("verify", ["--oracle"]), ("spectral", ["--oracle"]), ("e2-check", ["--oracle"]),
+    ("oracle-compare", ["--oracle"]), ("resolution-check", ["--oracle"]), ("tor", ["--oracle"]),
+    ("verify", ["--force"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_cli_refuses_flags_a_subcommand_never_reads(command, flag, capsys):
+    # a flag the subcommand would ignore is refused by argparse, before anything runs
+    with pytest.raises(SystemExit) as exc:
+        main([command, "klein_four", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
+
 def test_cli_non_integer_file_cap_exits_2(tmp_path, capsys):
     doc = minimal_problem_doc()
     doc["options"]["cap"] = "x"

@@ -27,6 +27,7 @@ from hopfcross.reduced_complexes import (
     untwist_inverse_block,
 )
 from hopfcross.twisting import TwistingCalculus
+from lift_reference import homology_representatives, induced_reference
 from conftest import (
     BUILTIN_BUILDERS, mat_add, mat_neg, mat_scale, untwist_degree_matrices, z_n_algebra,
 )
@@ -226,6 +227,21 @@ def test_h_action_cochain_law(cps):
         act = HActionOnHomology(cp, m, 3, cochain=True)
         assert check_chain_maps(act).passed, name
         assert check_module_law(act).passed, name
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("name", BUILTIN_BUILDERS)
+def test_h_action_matches_span_growth_reference(name, field):
+    # the pivot-pair representatives are the columns span growth keeps, and
+    # both lifts induce the same matrices, chain and cochain
+    cp = builtin(name, field=field).crossed_product()
+    for cochain in (False, True):
+        act = HActionOnHomology(cp, regular_bimodule(cp.e), 4, cochain=cochain)
+        for r in range(4):
+            reps, _ = homology_representatives(act.complex, r)
+            assert act.lifts[r].reps.cols == reps, (cochain, r)
+            for h_idx, mat in enumerate(act.chain_mats[r]):
+                assert act.induced[r][h_idx] == induced_reference(act.complex, r, mat), (cochain, r, h_idx)
 
 
 def test_homology_well_defined_on_classes(cps):

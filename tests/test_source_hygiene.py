@@ -12,6 +12,8 @@
 * No module but linalg.py reaches into the elimination internals
   (_echelon, _reduce_against, a solver's .registry); the rest use the public
   ExactMatrix / SpanSolver methods.
+* No method of ExactMatrix or SpanSolver but __init__ assigns to self.x or
+  to self.x[...]: a matrix or a solver is never changed after it is built.
 * No module but fields.py imports fractions or gmpy2 or names Fraction, mpq
   or _ratio: every scalar is made through FieldSpec, which keeps integral
   rationals as ints.
@@ -49,6 +51,7 @@
   hopfcross.reduced_complexes, tests/comparison_reference.py (with
   check_bar_contraction) nothing from hopfcross.comparison,
   tests/bar_reference.py nothing from hopfcross.bar,
+  tests/lift_reference.py nothing from hopfcross.complexes,
   tests/placement_reference.py nothing from hopfcross.reduced_complexes,
   tests/sweedler_reference.py nothing from hopfcross.hopf, and
   tests/extension_reference.py and tests/homotopy_reference.py nothing from
@@ -81,6 +84,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 ACCUMULATORS = {"keyed_add_into", "vec_add_into"}
 LINALG_INTERNALS = {"_echelon", "_reduce_against", "registry"}
+IMMUTABLE_CLASSES = {"ExactMatrix", "SpanSolver"}
 RATIONAL_MODULES = {"fractions", "gmpy2"}
 RATIONAL_NAMES = {"Fraction", "mpq", "_ratio"}
 # module -> the functions allowed to reduce modulo p (None: all of them)
@@ -103,6 +107,7 @@ OTHER_REFERENCES = {
     "coefficient_reference.py": {"hopfcross.reduced_complexes"},
     "comparison_reference.py": {"hopfcross.comparison", "hopfcross.resolution"},
     "bar_reference.py": {"hopfcross.bar"},
+    "lift_reference.py": {"hopfcross.complexes"},
     "placement_reference.py": {"hopfcross.reduced_complexes"},
     "sweedler_reference.py": {"hopfcross.hopf"},
     "extension_reference.py": {"hopfcross.resolution"},
@@ -218,6 +223,38 @@ def _linalg_internals(tree: ast.Module) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in LINALG_INTERNALS
     )
+
+
+def _self_assignments(tree: ast.Module) -> list[str]:
+    """Assignments to self.x or self.x[...] in the methods of IMMUTABLE_CLASSES
+    other than __init__."""
+    def on_self(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(on_self(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return on_self(target.value)
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        return (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                and target.value.id == "self")
+
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name in IMMUTABLE_CLASSES):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(on_self(t) for t in targets):
+                    found.append(f"{cls.name}.{fn.name} (line {node.lineno})")
+    return found
 
 
 def _rational_constructors(tree: ast.Module) -> list[str]:
@@ -555,6 +592,39 @@ def test_linalg_internals_are_detected():
     assert _linalg_internals(_tree(PACKAGE / "linalg.py"))
 
 
+def test_matrices_and_solvers_are_not_mutated():
+    assert _self_assignments(_tree(PACKAGE / "linalg.py")) == []
+
+
+def test_mutating_methods_are_detected():
+    # SpanSolver.insert as it was: it grew the registry of a built solver
+    insert = (
+        "class SpanSolver:\n"
+        "    def __init__(self, matrix):\n        self.registry = {}\n"
+        "    def insert(self, vec):\n"
+        "        v, _ = self.reduction.start(vec)\n"
+        "        low = self.reduction.reduce(self.registry, v, None)\n"
+        "        if low is None:\n            return False\n"
+        "        self.registry[low] = self.reduction.register(v, None, low)\n"
+        "        self.track_combos = False\n        return True\n"
+    )
+    assert _self_assignments(ast.parse(insert)) == [
+        "SpanSolver.insert (line 9)", "SpanSolver.insert (line 10)"]
+    for source in (
+        "class ExactMatrix:\n    def scale(self, c):\n        self.cols[0][1] = c",
+        "class ExactMatrix:\n    def grow(self):\n        self.ncols += 1",
+        "class ExactMatrix:\n    def swap(self):\n        self.nrows, self.ncols = self.ncols, self.nrows",
+    ):
+        assert _self_assignments(ast.parse(source)), source
+    for source in (
+        # __init__ builds, a local is not self, and another class is not checked
+        "class ExactMatrix:\n    def __init__(self, cols):\n        self.cols = cols",
+        "class SpanSolver:\n    def coordinates(self, vec):\n        v = dict(vec)\n        v[0] = 1",
+        "class FilteredComplex:\n    def page(self):\n        self._pages = {}",
+    ):
+        assert _self_assignments(ast.parse(source)) == [], source
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"],
                          ids=lambda p: p.name)
 def test_rationals_are_made_only_in_fields(path):
@@ -790,6 +860,7 @@ def test_reference_imports_are_detected():
         ("import hopfcross.comparison", "comparison_reference.py"),
         ("def f(bar):\n    from hopfcross.comparison import BarCalculus", "comparison_reference.py"),
         ("from hopfcross.bar import hochschild_chain_complex", "bar_reference.py"),
+        ("from hopfcross.complexes import HomologyLift", "lift_reference.py"),
         ("from hopfcross.reduced_complexes import untwist_block", "placement_reference.py"),
         ("from hopfcross.hopf import sweedler_legs", "sweedler_reference.py"),
         ("import hopfcross.hopf as hopf", "sweedler_reference.py"),

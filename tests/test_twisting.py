@@ -36,14 +36,14 @@ def test_f21_is_vector_action(sweedler_cp):
     src = TensorSpace((4, 2))
     for h in range(4):
         for a in range(2):
-            assert mat.column(src.index((h, a))) == cp.action.act[h][a]
+            assert mat.cols[src.index((h, a))] == cp.action.act[h][a]
 
 
 def test_f10_is_counit(sweedler_cp):
     calc = TwistingCalculus(sweedler_cp)
     mat = on_demand_matrix(calc, 1, 0)
     for h in range(4):
-        col = mat.column(h)
+        col = mat.cols[h]
         expect = {} if Q.is_zero(sweedler_cp.h.counit[h]) else {0: sweedler_cp.h.counit[h]}
         assert col == expect
 
@@ -57,7 +57,7 @@ def test_f02_is_minus_cocycle():
         src = TensorSpace((nh, nh))
         for h in range(nh):
             for l in range(nh):
-                got = mat.column(src.index((h, l)))
+                got = mat.cols[src.index((h, l))]
                 expect = {k: Q.neg(v) for k, v in cp.cocycle.f[h][l].items()}
                 assert got == expect, (name, h, l)
 
