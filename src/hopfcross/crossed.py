@@ -42,7 +42,10 @@ class WeakActionData:
 
 
 class CocycleData:
-    """f[h][l] is the sparse A-vector f(h, l) for basis elements."""
+    """f[h][l] is the sparse A-vector f(h, l) for basis elements.
+
+    scalar_valued: every value lies in k.1 (A's unit has index 0), the case
+    in which the insertion terms above l = 1 vanish (twisting.py)."""
 
     def __init__(self, field: FieldSpec, dim_h: int, dim_a: int, f):
         if len(f) != dim_h or any(len(row) != dim_h for row in f):
@@ -51,6 +54,7 @@ class CocycleData:
         self.dim_h = dim_h
         self.dim_a = dim_a
         self.f = [[field.sparse(cell) for cell in row] for row in f]
+        self.scalar_valued = all(cell.keys() <= {0} for row in self.f for cell in row)
 
 
 def trivial_action(field: FieldSpec, h: HopfData, a: AlgebraData) -> WeakActionData:

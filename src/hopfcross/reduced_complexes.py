@@ -157,11 +157,20 @@ class _Literal:
         # (cochain, x, y) -> the images of the basis of M; shared by the blocks
         # of one assembled complex, cleared by ReducedComplexes._filtered
         self.images: dict = {}
+        self._legs: dict = {}
 
     def uinv(self, h_idx: int) -> dict:
         if self._uinv is None:
             self._uinv = unit_section_inverse_map(self.cp)
         return self._uinv[h_idx]
+
+    def sweedler(self, hs: tuple, count: int) -> dict:
+        """sweedler_legs(H, hs, count), memoised per (hs, count) for this
+        evaluator only; shared, read only."""
+        hit = self._legs.get((hs, count))
+        if hit is None:
+            hit = self._legs[(hs, count)] = sweedler_legs(self.cp.h, hs, count)
+        return hit
 
     def include_a(self, avec: dict) -> dict:
         return {self.cp.include_a(ai): c for ai, c in avec.items()}
@@ -224,7 +233,7 @@ class _Literal:
         cp, field, calc, one = self.cp, self.field, self.calc, self.one
         hs, avs = key[:s], key[s:]
         if l == 0:
-            for comps, c in sweedler_legs(cp.h, hs, 2).items():
+            for comps, c in self.sweedler(hs, 2).items():
                 acted = calc.iter_act(comps[0::2], avs[0])
                 yield self.include_a(acted), comps[1::2] + avs[1:], one, c
             for merged, c in _inner_faces(cp, avs):
@@ -235,14 +244,14 @@ class _Literal:
             sign = field.sign(r)
             yield self.include_h(hs[0]), hs[1:] + avs, one, sign
             sign = field.sign(r + s)
-            for comps, c in sweedler_legs(cp.h, hs[-1:], r + 1).items():
+            for comps, c in self.sweedler(hs[-1:], r + 1).items():
                 legs = [cp.action.act[comps[k]][avs[k]] for k in range(r)]
                 y = self.include_h(comps[r])
                 for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
                     yield one, hs[:-1] + alegs, y, coef
             for i in range(1, s):
                 tsign = field.sign(r + i)
-                for comps, c in sweedler_legs(cp.h, hs[: i + 1], 2).items():
+                for comps, c in self.sweedler(hs[: i + 1], 2).items():
                     firsts, seconds = comps[0::2], comps[1::2]
                     fv = calc.iter_act_vec(firsts[: i - 1], cp.cocycle.f[firsts[i - 1]][firsts[i]])
                     if not fv:
@@ -254,8 +263,8 @@ class _Literal:
         else:
             sign = field.sign(l * (r + s))
             f_tgt = TensorSpace((cp.a.dim,) * (r + l - 1))
-            for comps, c in sweedler_legs(cp.h, hs[s - l :], 2).items():
-                fvec = calc.insertion_column(l, r, comps[0::2], avs)
+            for comps, c in self.sweedler(hs[s - l :], 2).items():
+                fvec = calc.normalized_column(l, r, comps[0::2], avs)
                 if not fvec:
                     continue
                 for hm, cm in calc.h_product(comps[1::2]).items():
@@ -280,7 +289,7 @@ class _Literal:
             if not field.is_zero(eps):
                 yield one, avs + hs[1:], one, field.mul(sign, eps)
             sign = field.sign(r + s)
-            for comps, c in sweedler_legs(cp.h, hs[-1:], r + 2).items():
+            for comps, c in self.sweedler(hs[-1:], r + 2).items():
                 x, y = self.uinv(comps[0]), self.include_h(comps[r + 1])
                 legs = [cp.action.act[comps[1 + k]][avs[k]] for k in range(r)]
                 for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
@@ -292,9 +301,9 @@ class _Literal:
         else:
             sign = field.sign(l * (r + s))
             f_tgt = TensorSpace((cp.a.dim,) * (r + l - 1))
-            for comps, c in sweedler_legs(cp.h, hs[s - l :], 3).items():
+            for comps, c in self.sweedler(hs[s - l :], 3).items():
                 firsts = comps[0::3]
-                fvec = calc.insertion_column(l, r, comps[1::3], avs)
+                fvec = calc.normalized_column(l, r, comps[1::3], avs)
                 if not fvec:
                     continue
                 # the inverse of the ordered product (1#h_{s-l+1}^(1)) ... (1#h_s^(1)):

@@ -11,6 +11,13 @@ FreeBimoduleSpace.outer_mult, or degree_outer_mult block by block.  The
 generator images exist in two independent constructions: closed formulas
 driven by the insertion coefficients, and the recursion through the row
 contractions; they must agree, which assert_constructions_agree certifies.
+When the cocycle takes values in k.1, the closed d^l is zero above l = 1
+(every insertion term has a unit A-leg, see twisting.py) and no insertion
+column is built for it; the recursion reads no insertion column, so closed =
+recursive certifies that vanishing on every resolution-check run.  The other
+commands rely on the shortcut unchecked: their displayed-against-derived
+comparison of the l >= 2 blocks reads normalized_column on both sides, so it
+cannot catch a wrong shortcut.
 
 The contracting homotopy is a table on left generators 1 (x) v (x) e, filled
 by the recursion's own vector step and extended by left multiplication;
@@ -388,7 +395,7 @@ class CrossedResolution:
         for comps, c in self._sweedler(hs[s - l :], 2).items():
             firsts = comps[0::2]
             seconds = comps[1::2]
-            fvec = calc.insertion_column(l, r, firsts, avs)
+            fvec = calc.normalized_column(l, r, firsts, avs)
             if not fvec:
                 continue
             hprod = calc.h_product(seconds)

@@ -12,6 +12,21 @@ Everything is memoized per crossed product: the calculus only depends on the
 action, the cocycle, and the comultiplication.  Each iterated
 comultiplication Delta^(n)(h) is read from the Hopf algebra's one table
 (HopfData.comult_power), and each column is built once.
+
+The readers (the closed d^l of the resolution and the displayed formulas of
+the small complexes) use normalized_column, which knows the paper's
+double-complex case K = k.1.  Every term of F^(l)_r with l >= 2 carries the
+acted cocycle value iter_act(h.., f(..)) as one A-leg.  When f takes its
+values in k.1 (CocycleData.scalar_valued), h -> 1 = eps(h) 1 (the
+weak-action-unit axiom that verify_crossed_axioms checks) keeps that leg in
+k.1.  Every reader drops a tensor with a unit leg (mid_rank is None), so
+for such f the columns they read above l = 1 are zero and none is built:
+the small complex has only d^0 and d^1.  insertion_column stays the full
+F^(l)_r.  The recursive resolution reads no insertion column, so its
+agreement with the closed one certifies the vanishing independently, on every
+resolution-check run.  The displayed-against-derived comparison of the other
+commands reads normalized_column on both sides and cannot catch a wrong
+shortcut.
 """
 
 from __future__ import annotations
@@ -44,6 +59,7 @@ class TwistingCalculus:
         self._act_cache: dict = {}
         self._comult_cache: dict = {}
         self._columns: dict = {}
+        self._scalar = cp.cocycle.scalar_valued
 
     # iterated weak action ------------------------------------------------
     def act_vec(self, h_idx: int, avec: dict) -> dict:
@@ -88,6 +104,14 @@ class TwistingCalculus:
         return hit
 
     # insertion coefficients ----------------------------------------------
+    def normalized_column(self, l: int, r: int, h_tuple: tuple, a_tuple: tuple) -> dict:
+        """The column of F^(l)_r as its readers see it, modulo unit A-legs:
+        {} for l >= 2 when f takes values in k.1 (see the module docstring),
+        else insertion_column.  Shared, read only."""
+        if l >= 2 and self._scalar:
+            return {}
+        return self.insertion_column(l, r, h_tuple, a_tuple)
+
     def insertion_column(self, l: int, r: int, h_tuple: tuple, a_tuple: tuple) -> dict:
         """The column of F^(l)_r at h_tuple (x) a_tuple, flat over A^(r+l-1).
 

@@ -8,11 +8,9 @@ import pytest
 import hopfcross.hopf as hopf
 import hopfcross.twisting as twisting
 from hopfcross.cli import main
-from hopfcross.crossed import regular_bimodule
 from hopfcross.fields import FieldSpec
 from hopfcross.problems import BUILTIN_NAMES, builtin
-from hopfcross.reduced_complexes import _Literal, _reduced_mid_space, _untwisted_mid_space
-from hopfcross.resolution import CrossedResolution
+from hopfcross.reduced_complexes import _reduced_mid_space
 from hopfcross.tensors import TensorSpace, mid_key
 from insertion_reference import ReferenceInsertion
 
@@ -25,21 +23,22 @@ CASES = [(name, 4, "q") for name in BUILTIN_NAMES] + [(name, 4, "fp:5") for name
 
 
 def _reach_all_columns(cp, cap):
-    """Build the closed resolution and run every l >= 2 displayed term, so every
-    caller of TwistingCalculus.insertion_column reaches its columns."""
-    res = CrossedResolution(cp, cap)
-    literal = _Literal(cp, regular_bimodule(cp.e), res.calc)
+    """Call TwistingCalculus.insertion_column on every tuple its readers pass for
+    l >= 2 (the closed d^l and both displayed formulas), so the full columns are
+    built even where the readers skip them because f takes values in k.1."""
+    calc = twisting.TwistingCalculus(cp)
     for n in range(cap + 1):
         for s in range(2, n + 1):
             r = n - s
-            for l in range(2, s + 1):
-                for terms, space in ((literal.reduced_terms, _reduced_mid_space),
-                                     (literal.untwisted_terms, _untwisted_mid_space)):
-                    mids = space(cp, r, s)
-                    for mid in range(mids.size):
-                        for _ in terms(mid_key(mids.dims, mid), l, r, s):
-                            pass
-    return res.calc
+            mids = _reduced_mid_space(cp, r, s)
+            for mid in range(mids.size):
+                key = mid_key(mids.dims, mid)
+                hs, avs = key[:s], key[s:]
+                for l in range(2, s + 1):
+                    for count, start in ((2, 0), (3, 1)):
+                        for comps in hopf.sweedler_legs(cp.h, hs[s - l :], count):
+                            calc.insertion_column(l, r, comps[start::count], avs)
+    return calc
 
 
 @pytest.mark.parametrize("name,cap,field", CASES, ids=[f"{n}-cap{c}-{f}" for n, c, f in CASES])
@@ -75,12 +74,29 @@ def test_columns_are_built_on_demand(monkeypatch, tmp_path):
             expansions[(count, tuple(elem.items()))] += 1
         return expand(elem, pos, comult, count, field)
 
-    cp = builtin("s3_as_action_extension", field=Q).crossed_product()
+    cp = builtin("z4_as_cocycle_extension", field=Q).crossed_product()
     monkeypatch.setattr(twisting.TwistingCalculus, "_insertion_column", counting_column)
     monkeypatch.setattr(hopf, "expand_leg", counting_expand)
     out = tmp_path / "doc.json"
-    assert main(["homology", "s3_as_action_extension", "--cap", "4", "--output", str(out)]) == 0
+    assert main(["homology", "z4_as_cocycle_extension", "--cap", "4", "--output", str(out)]) == 0
     full = sum(cp.h.dim ** l * cp.a.dim ** r for l, r in set(built))
     assert any(l >= 2 for l, _ in built)
     assert 0 < len(built) < full, (len(built), full)
     assert expansions and set(expansions.values()) == {1}, expansions
+
+
+@pytest.mark.parametrize("name,built", [("sweedler_smash", 0), ("z4_as_cocycle_extension", 19)])
+def test_scalar_cocycle_builds_no_column(name, built, monkeypatch, tmp_path):
+    """homology at cap 4 builds no insertion column when f takes values in k.1
+    (sweedler_smash: 444 without the shortcut), and the same ones otherwise."""
+    calls = []
+    column = twisting.TwistingCalculus._insertion_column
+
+    def counting_column(self, *args):
+        calls.append(args)
+        return column(self, *args)
+
+    monkeypatch.setattr(twisting.TwistingCalculus, "_insertion_column", counting_column)
+    out = tmp_path / "doc.json"
+    assert main(["homology", name, "--cap", "4", "--output", str(out)]) == 0
+    assert len(calls) == built

@@ -69,6 +69,10 @@
   flat column in place: none calls keyed_add_into or a flatten (keyed terms
   converted to flat indices afterwards), and no src/ module defines a
   flatten.
+* The double-complex case (f valued in k.1, no insertion term above l = 1)
+  is decided in twisting.py alone: no other src/ module reads
+  CocycleData.scalar_valued or calls TwistingCalculus.insertion_column; the
+  readers go through TwistingCalculus.normalized_column.
 """
 
 import ast
@@ -117,6 +121,8 @@ OTHER_REFERENCES = {
 COLUMN_RULES = {"_mu_column", "_partial_column", "_sigma0_x_column", "_sigma_minus1_column",
                 "_d0_column", "_d1_generator_column", "_dl_generator_column"}
 KEYED_CONVERSIONS = {"keyed_add_into", "flatten"}
+# read only in twisting.py; every other module reads normalized_column
+TWISTING_ONLY = {"scalar_valued", "insertion_column"}
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
     # reduced.blocks layer, and perfbench/ changes only in a benchmark change
@@ -461,6 +467,18 @@ def _mentions(tree: ast.Module, name: str) -> list[str]:
             continue
         if hit == name:
             found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def _reads(tree: ast.Module, names: set) -> list[str]:
+    """Every read of one of names, as an attribute or a bare name; definitions
+    and assignments are not reads."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(node.ctx, ast.Load):
+            hit = node.attr if isinstance(node, ast.Attribute) else node.id
+            if hit in names:
+                found.append(f"{hit} (line {node.lineno})")
     return found
 
 
@@ -846,6 +864,29 @@ def test_insertion_guards_are_detected():
     assert _imported_modules(ast.parse(
         "from hopfcross.linalg import ExactMatrix\nimport hopfcross.tensors"
     ), REFERENCE_FORBIDDEN_MODULES) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "twisting.py"], ids=lambda p: p.name)
+def test_double_complex_case_is_decided_in_twisting(path):
+    assert _reads(_tree(path), TWISTING_ONLY) == []
+
+
+def test_twisting_only_reads_are_detected():
+    assert _reads(_tree(PACKAGE / "twisting.py"), TWISTING_ONLY)
+    for source in (
+        "x = cp.cocycle.scalar_valued",
+        "if self.cp.cocycle.scalar_valued and l >= 2:\n    pass",
+        "col = calc.insertion_column(2, 1, (1, 1), ())",
+        "column = self.calc.insertion_column",
+        "from .twisting import insertion_column\ncol = insertion_column(2, 1, (1, 1), ())",
+    ):
+        assert _reads(ast.parse(source), TWISTING_ONLY), source
+    for source in (
+        "self.scalar_valued = all(cell.keys() <= {0} for row in f for cell in row)",
+        "col = calc.normalized_column(2, 1, (1, 1), ())",
+        "def insertion_column(self, l, r, hs, avs):\n    pass",
+    ):
+        assert _reads(ast.parse(source), TWISTING_ONLY) == [], source
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_REFERENCES))
