@@ -60,6 +60,7 @@ from .resolution import (
     boundaries_vanish,
     build_resolution_closed,
     build_resolution_recursive,
+    double_complex_report,
 )
 
 
@@ -133,7 +134,11 @@ def _render_human(doc: dict) -> None:
                 print(f"    ({cell}) -> {v}")
         elif isinstance(section, dict) and "passed" in section:
             status = "pass" if section["passed"] else "FAIL"
-            print(f"  {key}: {status} [{section.get('checks_run', '?')} checks]")
+            if "checks_run" in section:
+                detail = f"{section['checks_run']} checks"
+            else:
+                detail = ", ".join(f"{k} {v}" for k, v in section.items() if k != "passed")
+            print(f"  {key}: {status} [{detail}]")
             for f in section.get("failures", [])[:10]:
                 print(f"    {f['check']} witness {tuple(f['witness'])}")
         elif isinstance(section, dict) and "match" in section:
@@ -254,6 +259,7 @@ def cmd_resolution_check(pf: ProblemFile, args) -> dict:
     except RecursionMismatch:
         blocks_equal = False
     sections["closed_equals_recursive"] = {"match": blocks_equal}
+    sections["double_complex"] = double_complex_report(recursive)
     square, aug = boundaries_vanish(closed)
     sections["square_zero"] = {"match": square}
     sections["augmentation_d1_zero"] = {"match": aug}
@@ -273,8 +279,8 @@ def cmd_resolution_check(pf: ProblemFile, args) -> dict:
     sections["comparison_identities"] = r_ident.as_dict()
     sections["filtration_preservation"] = r_filt.as_dict()
     sections["bar_square_zero"] = r_bar.as_dict()
-    doc["pass"] = all([blocks_equal, square, aug, hom_ok, r_ext.passed, r_ident.passed,
-                       r_filt.passed, r_bar.passed])
+    doc["pass"] = all([blocks_equal, sections["double_complex"]["passed"], square, aug, hom_ok,
+                       r_ext.passed, r_ident.passed, r_filt.passed, r_bar.passed])
     return doc
 
 

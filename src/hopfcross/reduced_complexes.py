@@ -12,6 +12,20 @@ phi -> (v -> c x.phi(v').y) for cochains (_Literal).  The derived blocks
 read each term's action on M from the bimodule's sandwich table
 (BimoduleData.sandwich), which the displayed formulas never use.
 
+The double complex: when f is k.1-valued, d^l vanishes on generators above
+l = 1 (twisting.py), and TwistingCalculus.inserts(l) says so once per block.
+The assembled complexes then stack d^0 and d^1 only: no l >= 2 block is
+derived, displayed, untwisted or compared, on the reduced or the untwisted
+side, since both sides of that comparison would be zero by the same
+decision.  A direct call of ReducedComplexes.reduced_block still derives and
+compares any block.  What certifies the vanishing is outside these
+complexes: closed = recursive and the double_complex section on
+resolution-check runs; for homology, cohomology, spectral, e2-check,
+oracle-compare and tor, tests/test_closed_form_inputs.py, which assembles the
+reduced chains and cochains and the untwisted chains with every l from the
+recursive resolution and compares (oracle-compare also checks the dims
+against the bar complex).
+
 Cohomology by duality: for finite-dimensional M, Hom_{E^e}(X, M) is the dual
 of M^v (x)_{E^e} X, where M^v is the dual bimodule (crossed.dual_bimodule).
 Every cochain matrix here is therefore a chain matrix with M^v coefficients,
@@ -260,11 +274,11 @@ class _Literal:
                     for hm, cm in cp.h.algebra.mult[seconds[i - 1]][seconds[i]].items():
                         out_key = seconds[: i - 1] + (hm,) + hs[i + 1 :] + avs
                         yield x, out_key, one, field.mul(field.mul(c, tsign), cm)
-        else:
+        elif calc.inserts(l):
             sign = field.sign(l * (r + s))
-            f_tgt = TensorSpace((cp.a.dim,) * (r + l - 1))
+            f_tgt = calc.target_space(l, r)
             for comps, c in self.sweedler(hs[s - l :], 2).items():
-                fvec = calc.normalized_column(l, r, comps[0::2], avs)
+                fvec = calc.insertion_column(l, r, comps[0::2], avs)
                 if not fvec:
                     continue
                 for hm, cm in calc.h_product(comps[1::2]).items():
@@ -298,12 +312,12 @@ class _Literal:
                 tsign = field.sign(r + i)
                 for hm, cm in cp.h.algebra.mult[hs[i - 1]][hs[i]].items():
                     yield one, avs + hs[: i - 1] + (hm,) + hs[i + 1 :], one, field.mul(tsign, cm)
-        else:
+        elif calc.inserts(l):
             sign = field.sign(l * (r + s))
-            f_tgt = TensorSpace((cp.a.dim,) * (r + l - 1))
+            f_tgt = calc.target_space(l, r)
             for comps, c in self.sweedler(hs[s - l :], 3).items():
                 firsts = comps[0::3]
-                fvec = calc.normalized_column(l, r, comps[1::3], avs)
+                fvec = calc.insertion_column(l, r, comps[1::3], avs)
                 if not fvec:
                     continue
                 # the inverse of the ordered product (1#h_{s-l+1}^(1)) ... (1#h_s^(1)):
@@ -402,9 +416,10 @@ def untwist_inverse_block(cp: CrossedProductData, m: BimoduleData, r: int, s: in
 
 # complex assembly --------------------------------------------------------------
 
-def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
+def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn, inserts):
     """Stack blocks (r+s = n, s ascending) into degree matrices and filtration
-    levels (each coordinate's number of H legs).
+    levels (each coordinate's number of H legs).  block_fn is called only for
+    the l with inserts(l) (TwistingCalculus.inserts): the other d^l are zero.
 
     Also returns, per degree, the argument-space size of each stacked block.
     """
@@ -424,10 +439,9 @@ def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
         for s in range(n + 1):
             r = n - s
             block_mats = {}
-            for l in range(0, s + 1):
-                if r + l == 0:
-                    continue
-                block_mats[l] = block_fn(l, r, s)
+            for l in range(0 if r else 1, s + 1):
+                if inserts(l):
+                    block_mats[l] = block_fn(l, r, s)
             for local in range(m.dim * sizes[n][s]):
                 col: dict = {}
                 for l, mat in block_mats.items():
@@ -446,11 +460,13 @@ def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn):
 class ReducedComplexes:
     """Builder and cache for all four small complexes attached to (cp, M).
 
-    The resolution route is authoritative; every block is checked against
-    the displayed formula and FormulaMismatch is raised on disagreement.  The cochain complexes are the relabelled transposes of the
-    chain complexes with coefficients M^v (see the module docstring); their
-    blocks are checked against the displayed formulas placed as cochains on M,
-    the same terms that check the chain blocks.
+    The resolution route is authoritative; every block it assembles is
+    checked against the displayed formula and FormulaMismatch is raised on
+    disagreement.  A block d^l with TwistingCalculus.inserts(l) false (l >= 2,
+    f valued in k.1) is zero and not assembled (see the module docstring).  The cochain complexes are the relabelled transposes of the
+    chain complexes with coefficients M^v; their blocks are checked against
+    the displayed formulas placed as cochains on M, the same terms that check
+    the chain blocks.
     """
 
     def __init__(self, cp: CrossedProductData, m: BimoduleData, cap: int,
@@ -506,7 +522,7 @@ class ReducedComplexes:
     def _filtered(self, block_fn, mid_space_fn, cochain: bool) -> FilteredComplex:
         """Assembled complex; for cochains, the relabelled transpose of the M^v chains."""
         dims, maps, levels, sizes = _assemble_chain(
-            self.field, self.cp, self.m, self.cap, block_fn, mid_space_fn
+            self.field, self.cp, self.m, self.cap, block_fn, mid_space_fn, self.calc.inserts
         )
         self.literal.images.clear()
         if cochain:

@@ -13,20 +13,27 @@ action, the cocycle, and the comultiplication.  Each iterated
 comultiplication Delta^(n)(h) is read from the Hopf algebra's one table
 (HopfData.comult_power), and each column is built once.
 
-The readers (the closed d^l of the resolution and the displayed formulas of
-the small complexes) use normalized_column, which knows the paper's
-double-complex case K = k.1.  Every term of F^(l)_r with l >= 2 carries the
-acted cocycle value iter_act(h.., f(..)) as one A-leg.  When f takes its
-values in k.1 (CocycleData.scalar_valued), h -> 1 = eps(h) 1 (the
-weak-action-unit axiom that verify_crossed_axioms checks) keeps that leg in
-k.1.  Every reader drops a tensor with a unit leg (mid_rank is None), so
-for such f the columns they read above l = 1 are zero and none is built:
-the small complex has only d^0 and d^1.  insertion_column stays the full
-F^(l)_r.  The recursive resolution reads no insertion column, so its
-agreement with the closed one certifies the vanishing independently, on every
-resolution-check run.  The displayed-against-derived comparison of the other
-commands reads normalized_column on both sides and cannot catch a wrong
-shortcut.
+The paper's double-complex case K = k.1 is decided here, once per block:
+inserts(l) is false for l >= 2 when f takes its values in k.1
+(CocycleData.scalar_valued, read nowhere else).  Every term of F^(l)_r with
+l >= 2 carries the acted cocycle value iter_act(h.., f(..)) as one A-leg.
+When f is k.1-valued, h -> 1 = eps(h) 1 (the weak-action-unit axiom that
+verify_crossed_axioms checks) keeps that leg in k.1, and every reader drops a
+tensor with a unit leg (mid_rank is None).  So d^l is zero on generators above
+l = 1 and the small complex has only d^0 and d^1.  The readers test
+inserts(l) before they read any column of a block: the closed resolution
+gives such a block zero columns, and the small complexes neither derive,
+display nor compare it (reduced_complexes.py).  insertion_column stays the
+full F^(l)_r whatever f is.
+
+What certifies the vanishing: the recursive resolution reads no insertion
+column and never asks inserts.  On resolution-check runs, closed = recursive
+and the double_complex section (the recursive l >= 2 generator columns, all
+zero when f is k.1-valued) check the decision.  For homology, cohomology,
+spectral, e2-check, oracle-compare and tor, tests/test_closed_form_inputs.py
+checks it on the gallery and on k[y]/(y^2) (x) (-1, -1): the recursive
+columns vanish, and the complexes assembled with every l from them equal the
+ones assembled here.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from itertools import product
 
 from .crossed import CrossedProductData
 from .linalg import apply_columns, vec_add_into
+from .tensors import TensorSpace
 
 
 def _flat_tensor(vecs, coef, dim: int, field) -> dict:
@@ -59,6 +67,7 @@ class TwistingCalculus:
         self._act_cache: dict = {}
         self._comult_cache: dict = {}
         self._columns: dict = {}
+        self._targets: dict = {}
         self._scalar = cp.cocycle.scalar_valued
 
     # iterated weak action ------------------------------------------------
@@ -104,13 +113,19 @@ class TwistingCalculus:
         return hit
 
     # insertion coefficients ----------------------------------------------
-    def normalized_column(self, l: int, r: int, h_tuple: tuple, a_tuple: tuple) -> dict:
-        """The column of F^(l)_r as its readers see it, modulo unit A-legs:
-        {} for l >= 2 when f takes values in k.1 (see the module docstring),
-        else insertion_column.  Shared, read only."""
-        if l >= 2 and self._scalar:
-            return {}
-        return self.insertion_column(l, r, h_tuple, a_tuple)
+    def inserts(self, l: int) -> bool:
+        """Whether d^l reads insertion terms: l < 2, or f not valued in k.1.
+        When false every term has a unit A-leg (see the module docstring), so
+        a reader skips the whole block."""
+        return l < 2 or not self._scalar
+
+    def target_space(self, l: int, r: int) -> TensorSpace:
+        """A^(r+l-1), the flat layout of a column of F^(l)_r; built once per size."""
+        n = r + l - 1
+        hit = self._targets.get(n)
+        if hit is None:
+            hit = self._targets[n] = TensorSpace((self.cp.a.dim,) * n)
+        return hit
 
     def insertion_column(self, l: int, r: int, h_tuple: tuple, a_tuple: tuple) -> dict:
         """The column of F^(l)_r at h_tuple (x) a_tuple, flat over A^(r+l-1).

@@ -9,26 +9,43 @@ The dual numbers tensor the quaternions: a nontrivial cocycle valued in k.1,
 so HH = [2, 1, 1, ...] and every d^l with l >= 2 vanishes on generators.
 
 The closed resolution builds no d^l above l = 1 for a k.1-valued cocycle
-(hopfcross.twisting), so the vanishing is certified on the recursive one,
-which reads no insertion column, on these inputs and on the gallery's
-k.1-valued cocycles; the cocycles outside k.1 keep their columns."""
+(TwistingCalculus.inserts), and the assembled small complexes stack d^0 and
+d^1 only.  So the vanishing is certified on the recursive resolution, which
+reads no insertion column and never asks inserts, on these inputs and on the
+gallery's k.1-valued cocycles: its l >= 2 columns are zero (the
+double_complex section of resolution-check reports them), and the complexes
+assembled with every l from it equal the shortcut's.  The cocycles outside
+k.1 keep their columns, and a decision forced the wrong way is caught on
+them."""
+
+import json
 
 import pytest
 
 from closed_form_inputs import dual_numbers_tensor_quaternions, gauged_action_groupoid
+from conftest import untwist_degree_matrices
 from hopfcross.algebras import AlgebraData
-from hopfcross.crossed import regular_bimodule
+from hopfcross.cli import main
+from hopfcross.crossed import CocycleData, regular_bimodule
 from hopfcross.fields import FieldSpec
 from hopfcross.homology import hochschild_cohomology, hochschild_homology
+from hopfcross.linalg import ExactMatrix
 from hopfcross.problems import builtin
-from hopfcross.reduced_complexes import FormulaMismatch, ReducedComplexes
+from hopfcross.reduced_complexes import (
+    FormulaMismatch,
+    ReducedComplexes,
+    reduced_block_from_resolution,
+    reduced_cochain_block_from_resolution,
+)
 from hopfcross.resolution import (
     CrossedResolution,
     RecursionMismatch,
     assert_constructions_agree,
     build_resolution_closed,
     build_resolution_recursive,
+    double_complex_report,
 )
+from hopfcross.twisting import TwistingCalculus
 
 FIELDS = [FieldSpec.rationals(), FieldSpec.prime(5)]
 IDS = ["q", "fp5"]
@@ -157,3 +174,151 @@ def test_cocycle_outside_k1_keeps_columns_above_l_one(make):
     assert not cp.cocycle.scalar_valued
     for build in (build_resolution_closed, build_resolution_recursive):
         assert any(col for _, col in _columns_above_l_one(build(cp, CAP))), build.__name__
+
+
+SCALAR_BUILTINS = ["trivial", "z2_trivial", "s3_as_action_extension", "klein_four", "sweedler_smash"]
+CERTIFICATE_FIELDS = [FieldSpec.rationals(), FieldSpec.prime(3)]
+
+
+def _builtin_cp(name, field):
+    return builtin(name, field=field).crossed_product()
+
+
+def _outside_k1():
+    return [pytest.param(lambda: _builtin_cp("z4_as_cocycle_extension", None), id="z4"),
+            pytest.param(lambda: gauged_action_groupoid(FieldSpec.rationals()), id="gauged")]
+
+
+@pytest.mark.parametrize("field", CERTIFICATE_FIELDS, ids=["q", "fp3"])
+@pytest.mark.parametrize("name", SCALAR_BUILTINS + ["dual_quaternions"])
+def test_double_complex_certificate_on_scalar_cocycles(name, field):
+    if name == "dual_quaternions":
+        cp = dual_numbers_tensor_quaternions(field)
+    else:
+        cp = _builtin_cp(name, field)
+    recursive = build_resolution_recursive(cp, CAP)
+    report = double_complex_report(recursive)
+    above = _columns_above_l_one(recursive)
+    assert report == {"scalar_valued": True, "columns_above_l1": len(above),
+                      "nonzero_columns": 0, "passed": True}
+    if name == "dual_quaternions":
+        assert len(above) == 378
+    # H = k has no normalized H leg, so no generator of d^l with l >= 2
+    assert (len(above) == 0) == (name == "trivial")
+
+
+@pytest.mark.parametrize("make", _outside_k1())
+def test_double_complex_certificate_outside_k1(make):
+    report = double_complex_report(build_resolution_recursive(make(), CAP))
+    assert report["scalar_valued"] is False and report["passed"] is True
+    assert 0 < report["nonzero_columns"] <= report["columns_above_l1"]
+
+
+def test_double_complex_certificate_reads_the_recursive_resolution():
+    with pytest.raises(ValueError, match="recursive"):
+        double_complex_report(build_resolution_closed(_builtin_cp("klein_four", None), 3))
+
+
+def _resolution_check(argv, tmp_path):
+    out = tmp_path / "doc.json"
+    code = main(["resolution-check", *argv, "--max-degree", "2", "--output", str(out)])
+    return code, json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("field", ["q", "fp:3"])
+@pytest.mark.parametrize("name", SCALAR_BUILTINS + ["z4_as_cocycle_extension"])
+def test_resolution_check_reports_the_certificate(name, field, tmp_path, capsys):
+    code, doc = _resolution_check([name, "--field", field], tmp_path)
+    section = doc["sections"]["double_complex"]
+    cp = _builtin_cp(name, FieldSpec.parse(field))
+    assert section == double_complex_report(build_resolution_recursive(cp, 3))
+    assert section["scalar_valued"] is (name != "z4_as_cocycle_extension")
+    assert code == 0 and doc["pass"] is True
+    assert "double_complex: pass [scalar_valued" in capsys.readouterr().out
+
+
+# mutations: a decision forced the wrong way is caught where f is outside k.1
+
+@pytest.mark.parametrize("make", _outside_k1())
+def test_forced_scalar_valued_fails_the_certificate(make, monkeypatch):
+    cp = make()
+    monkeypatch.setattr(cp.cocycle, "scalar_valued", True)
+    report = double_complex_report(build_resolution_recursive(cp, CAP))
+    assert report["scalar_valued"] is True and report["nonzero_columns"] > 0
+    assert report["passed"] is False
+
+
+def test_forced_scalar_valued_fails_resolution_check(monkeypatch, tmp_path, capsys):
+    original = CocycleData.__init__
+
+    def forced(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.scalar_valued = True
+
+    monkeypatch.setattr(CocycleData, "__init__", forced)
+    code, doc = _resolution_check(["z4_as_cocycle_extension"], tmp_path)
+    assert doc["sections"]["double_complex"]["passed"] is False
+    assert code == 1 and doc["pass"] is False
+    assert "double_complex: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("make", _outside_k1())
+def test_skipping_every_l_above_one_breaks_closed_equals_recursive(make, monkeypatch):
+    cp = make()
+    monkeypatch.setattr(TwistingCalculus, "inserts", lambda self, l: l < 2)
+    with pytest.raises(RecursionMismatch) as err:
+        assert_constructions_agree(build_resolution_closed(cp, CAP), build_resolution_recursive(cp, CAP))
+    assert err.value.block[0] >= 2
+
+
+# the shortcut against every l --------------------------------------------------
+
+def _every_l_degree_matrices(cp, m, res, cochain: bool) -> list:
+    """The reduced (co)chain degree matrices with every block d^l, each block
+    from reduced_(cochain_)block_from_resolution on res and placed at the
+    offsets of its source and target blocks (s ascending in each degree)."""
+    field = cp.field
+    size = {(n - s, s): m.dim * (cp.h.dim - 1) ** s * (cp.a.dim - 1) ** (n - s)
+            for n in range(CAP + 1) for s in range(n + 1)}
+    offset, dims = {}, []
+    for n in range(CAP + 1):
+        at = 0
+        for s in range(n + 1):
+            offset[(n - s, s)] = at
+            at += size[(n - s, s)]
+        dims.append(at)
+    block_fn = reduced_cochain_block_from_resolution if cochain else reduced_block_from_resolution
+    mats = [None]
+    for n in range(1, CAP + 1):
+        nrows, ncols = (dims[n], dims[n - 1]) if cochain else (dims[n - 1], dims[n])
+        cols: list[dict] = [{} for _ in range(ncols)]
+        for s in range(n + 1):
+            r = n - s
+            for l in range(0 if r else 1, s + 1):
+                src, tgt = offset[(r, s)], offset[(r + l - 1, s - l)]
+                row_off, col_off = (src, tgt) if cochain else (tgt, src)
+                for j, col in enumerate(block_fn(res, m, l, r, s).cols):
+                    for i, v in col.items():
+                        cols[col_off + j][row_off + i] = v
+        mats.append(ExactMatrix(field, nrows, ncols, cols))
+    return mats
+
+
+@pytest.mark.parametrize("field", [FieldSpec.rationals(), FieldSpec.prime(3)], ids=["q", "fp3"])
+@pytest.mark.parametrize("name", SCALAR_BUILTINS)
+def test_double_complex_equals_every_l_assembly(name, field):
+    cp = _builtin_cp(name, field)
+    m = regular_bimodule(cp.e)
+    rc = ReducedComplexes(cp, m, CAP)
+    recursive = build_resolution_recursive(cp, CAP)
+    for cochain in (False, True):
+        fc = rc.reduced_cochain_complex() if cochain else rc.reduced_chain_complex()
+        every_l = _every_l_degree_matrices(cp, m, recursive, cochain)
+        for n in range(1, CAP + 1):
+            assert fc.complex.maps[n] == every_l[n], (cochain, n)
+    # the untwisted chains are the reduced ones conjugated by the untwisting maps
+    chains = _every_l_degree_matrices(cp, m, recursive, False)
+    untwist = untwist_degree_matrices(rc)
+    untwisted = rc.untwisted_chain_complex().complex
+    for n in range(1, CAP + 1):
+        assert untwisted.maps[n] == untwist[n - 1][0] @ chains[n] @ untwist[n][1], n

@@ -71,8 +71,8 @@
   flatten.
 * The double-complex case (f valued in k.1, no insertion term above l = 1)
   is decided in twisting.py alone: no other src/ module reads
-  CocycleData.scalar_valued or calls TwistingCalculus.insertion_column; the
-  readers go through TwistingCalculus.normalized_column.
+  CocycleData.scalar_valued; the readers ask TwistingCalculus.inserts once
+  per block, and the resolution-check certificate reports its answer.
 """
 
 import ast
@@ -121,8 +121,8 @@ OTHER_REFERENCES = {
 COLUMN_RULES = {"_mu_column", "_partial_column", "_sigma0_x_column", "_sigma_minus1_column",
                 "_d0_column", "_d1_generator_column", "_dl_generator_column"}
 KEYED_CONVERSIONS = {"keyed_add_into", "flatten"}
-# read only in twisting.py; every other module reads normalized_column
-TWISTING_ONLY = {"scalar_valued", "insertion_column"}
+# read only in twisting.py; every other module asks TwistingCalculus.inserts
+TWISTING_ONLY = {"scalar_valued"}
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
     # reduced.blocks layer, and perfbench/ changes only in a benchmark change
@@ -876,15 +876,14 @@ def test_twisting_only_reads_are_detected():
     for source in (
         "x = cp.cocycle.scalar_valued",
         "if self.cp.cocycle.scalar_valued and l >= 2:\n    pass",
-        "col = calc.insertion_column(2, 1, (1, 1), ())",
-        "column = self.calc.insertion_column",
-        "from .twisting import insertion_column\ncol = insertion_column(2, 1, (1, 1), ())",
+        "scalar = any(c.scalar_valued for c in cocycles)",
+        "from .crossed import scalar_valued\nx = scalar_valued",
     ):
         assert _reads(ast.parse(source), TWISTING_ONLY), source
     for source in (
         "self.scalar_valued = all(cell.keys() <= {0} for row in f for cell in row)",
-        "col = calc.normalized_column(2, 1, (1, 1), ())",
-        "def insertion_column(self, l, r, hs, avs):\n    pass",
+        "if calc.inserts(l):\n    col = calc.insertion_column(2, 1, (1, 1), ())",
+        "def scalar_valued(self):\n    pass",
     ):
         assert _reads(ast.parse(source), TWISTING_ONLY) == [], source
 
