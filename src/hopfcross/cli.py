@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .algebras import verify_algebra
 from .comparison import (
@@ -301,6 +302,7 @@ def cmd_tor(pf: ProblemFile, args) -> dict:
     return doc
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfcross",

@@ -96,8 +96,8 @@ def e2_identification(cp: CrossedProductData, m: BimoduleData | None = None,
 
 
 def _e2_identification(rc: ReducedComplexes) -> dict:
-    """e2_identification on the untwisted complexes of rc, reusing the blocks
-    rc has already built."""
+    """e2_identification on the untwisted complexes of rc, whose chains and
+    cochains share its twisted-generator tables."""
     cp, m, cap = rc.cp, rc.m, rc.cap
     window = cap - 1
     nhbar = cp.h.dim - 1

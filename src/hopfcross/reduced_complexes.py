@@ -9,15 +9,17 @@ FormulaMismatch, never a silent fallback.  Each displayed formula is written
 once, as the terms c (x (x) v' (x) y) of d^l on a generator v with x, y in E,
 and placed on M both ways: m (x) v -> c y.m.x (x) v' for chains and
 phi -> (v -> c x.phi(v').y) for cochains (_Literal).  The derived blocks
-read each term's action on M from the bimodule's sandwich table
-(BimoduleData.sandwich), which the displayed formulas never use.
+place a generator table on M, reading each term's action on M from the
+bimodule's sandwich table (BimoduleData.sandwich), which the displayed
+formulas never use: the generator columns of d^l for a reduced block, d^l on
+twisted generators (TwistedBasis) for an untwisted one.
 
 The double complex: when f is k.1-valued, d^l vanishes on generators above
 l = 1 (twisting.py), and TwistingCalculus.inserts(l) says so once per block.
 The assembled complexes then stack d^0 and d^1 only: no l >= 2 block is
-derived, displayed, untwisted or compared, on the reduced or the untwisted
-side, since both sides of that comparison would be zero by the same
-decision.  A direct call of ReducedComplexes.reduced_block still derives and
+derived, displayed or compared, on the reduced or the untwisted side, since
+both sides of that comparison would be zero by the same decision.  A direct
+call of ReducedComplexes.reduced_block or untwisted_block still derives and
 compares any block.  What certifies the vanishing is outside these
 complexes: closed = recursive and the double_complex section on
 resolution-check runs; for homology, cohomology, spectral, e2-check,
@@ -40,12 +42,13 @@ Space layouts (flat, row-major):
   chain blocks     M (x) Hbar^s (x) Abar^r   ->  (m, h_1..h_s, a_1..a_r)
   untwisted chain  M (x) Abar^r (x) Hbar^s   ->  (m, a_1..a_r, h_1..h_s)
   cochain blocks   Hom(args, M)              ->  arg_index * dim(M) + m
+  twisted X block  E (x) t(a, h) (x) E       ->  (e_left, a.., h.., e_right)
 Degree spaces stack the blocks with r + s = n in increasing s.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex, FilteredComplex, HomologyLift
 from .crossed import (
@@ -57,8 +60,8 @@ from .crossed import (
 )
 from .bar import hochschild_chain_complex, hochschild_cochain_complex
 from .hopf import sweedler_expand, sweedler_legs
-from .linalg import ExactMatrix
-from .resolution import CrossedResolution
+from .linalg import ExactMatrix, apply_columns
+from .resolution import CrossedResolution, extend_by_outer_mult
 from .tensors import TensorSpace, mid_key, mid_rank, tensor_vectors
 from .twisting import TwistingCalculus
 
@@ -112,30 +115,18 @@ def dual_transpose(mat: ExactMatrix, dim_m: int, row_sizes=None, col_sizes=None)
 
 # resolution-derived boundaries ----------------------------------------------
 
-def _decode_block_generators(res: CrossedResolution, l, r, s):
-    """Per generator: list of (e_left, mid_target, e_right, coefficient)."""
-    tgt = res.block_spaces[(r + l - 1, s - l)]
-    return [
-        [(*tgt.split(flat), c) for flat, c in col.items()]
-        for col in res.generator_columns[(l, r, s)]
-    ]
+def _placed_table(m: BimoduleData, tgt, table) -> ExactMatrix:
+    """M (x)_{E^e} of a generator table: m (x) v -> sum c e_right . m . e_left (x) v'
+    over the terms of each generator v, flat over the block space tgt.
 
-
-def reduced_block_from_resolution(res: CrossedResolution, m: BimoduleData, l, r, s) -> ExactMatrix:
-    """M (x)_{E^e} d^l_{rs}: sends m (x) v to sum e_right . m . e_left (x) v'.
-
-    Each generator term reads e_right . e_mi . e_left for every mi at once
-    from the bimodule's sandwich table.
-    """
-    cp = res.cp
-    field = res.field
-    src_size = _reduced_mid_space(cp, r, s).size
-    tgt_size = _reduced_mid_space(cp, r + l - 1, s - l).size
-    sandwich = m.sandwich
+    Each term reads e_right . e_mi . e_left for every mi at once from the
+    bimodule's sandwich table."""
+    field, sandwich, src_size, tgt_size = m.field, m.sandwich, len(table), tgt.mid_size
     # columns are m-major: (m, mid) has flat m * size + mid
     cols: list[dict] = [{} for _ in range(m.dim * src_size)]
-    for mid, terms in enumerate(_decode_block_generators(res, l, r, s)):
-        for e_left, mid_t, e_right, c in terms:
+    for mid, terms in enumerate(table):
+        for flat, c in terms.items():
+            e_left, mid_t, e_right = tgt.split(flat)
             for mi, img in enumerate(sandwich(e_right, e_left)):
                 col = cols[mi * src_size + mid]
                 for mj, cm in img.items():
@@ -144,9 +135,92 @@ def reduced_block_from_resolution(res: CrossedResolution, m: BimoduleData, l, r,
     return ExactMatrix(field, m.dim * tgt_size, m.dim * src_size, [field.settle(col) for col in cols])
 
 
+def reduced_block_from_resolution(res: CrossedResolution, m: BimoduleData, l, r, s) -> ExactMatrix:
+    """M (x)_{E^e} d^l_{rs}: sends m (x) v to sum e_right . m . e_left (x) v',
+    placed from the generator columns."""
+    return _placed_table(m, res.block_spaces[(r + l - 1, s - l)], res.generator_columns[(l, r, s)])
+
+
 def reduced_cochain_block_from_resolution(res, m: BimoduleData, l, r, s) -> ExactMatrix:
     """Hom_{E^e}(d^l_{rs}, M): phi -> (v -> sum e_left . phi(v') . e_right)."""
     return dual_transpose(reduced_block_from_resolution(res, dual_bimodule(m), l, r, s), m.dim)
+
+
+class TwistedBasis:
+    """d^l on the twisted generators t(a, h) = sum x(h^(1)) . g(h^(2), a) of X,
+    where g(h, a) = 1 (x) h (x) a (x) 1 and x(h) = (1#h_s)^{-1} ... (1#h_1)^{-1}
+    (leg-by-leg Sweedler components); back, g(h, a) = sum y(h^(1)) . t(a, h^(2))
+    with y(h) = (1#h_1) ... (1#h_s).  In M (x)_{E^e} X, m (x) t(a, h) is the
+    untwisted coordinate m (x) a (x) h, so an untwisted block is a table on
+    twisted generators placed on M (on M^v for the cochain mirror).  E products
+    come from E's multiplication rows and the Sweedler legs from a memo of its
+    own: the displayed formulas (_Literal) share neither."""
+
+    def __init__(self, res: CrossedResolution):
+        self.res, self.cp, self.field = res, res.cp, res.field
+        self._uinv = unit_section_inverse_map(res.cp)
+        self._legs, self._products, self._changes = {}, {}, {}
+
+    def _sweedler(self, hs: tuple) -> dict:
+        """sweedler_legs(H, hs, 2), memoised for this basis only; shared, read only."""
+        hit = self._legs.get(hs)
+        if hit is None:
+            hit = self._legs[hs] = sweedler_legs(self.cp.h, hs, 2)
+        return hit
+
+    def _product(self, inverse: bool, hs: tuple) -> dict:
+        """x(hs) when inverse, else y(hs), one leg at a time; memoised per leg tuple."""
+        key = (inverse, hs)
+        hit = self._products.get(key)
+        if hit is None:
+            cp, field = self.cp, self.field
+            hit = {cp.e.unit_index: field.one}
+            if hs:
+                rest = self._product(inverse, hs[:-1])
+                left, right = ((self._uinv[hs[-1]], rest) if inverse
+                               else (rest, {cp.include_h(hs[-1]): field.one}))
+                hit = apply_columns(left, lambda i: apply_columns(right, cp.e.mult[i], field), field)
+            self._products[key] = hit
+        return hit
+
+    def _change(self, to_twisted: bool, r: int, s: int) -> list:
+        """Each generator of block (r, s) in the other basis, flat over the block:
+        g(h, a) -> sum y(h^(1)) (x) t(a, h^(2)) (x) 1 when to_twisted (g ranked H
+        legs first), else t(a, h) -> sum x(h^(1)) (x) g(h^(2), a) (x) 1."""
+        key = (to_twisted, r, s)
+        hit = self._changes.get(key)
+        if hit is None:
+            space = self.res.block_spaces[(r, s)]
+            h_first = space.radices
+            a_first = h_first[s:] + h_first[:s]
+            hit = self._changes[key] = []
+            for mid in space.generators():
+                legs = mid_key(h_first if to_twisted else a_first, mid)
+                hs, avs = (legs[:s], legs[s:]) if to_twisted else (legs[r:], legs[:r])
+                out: dict = {}
+                for comps, c in self._sweedler(hs).items():
+                    seconds = comps[1::2]
+                    mid_t = (mid_rank(a_first, avs + seconds) if to_twisted
+                             else mid_rank(h_first, seconds + avs))
+                    if mid_t is not None:
+                        for e, ce in self._product(not to_twisted, comps[0::2]).items():
+                            k = space.combine(e, mid_t, 0)
+                            out[k] = out.get(k, 0) + c * ce
+                hit.append(self.field.settle(out))
+        return hit
+
+    def generator_table(self, l, r, s) -> list:
+        """Per twisted generator t of block (r, s), in the untwisted order:
+        d^l(t) in the twisted basis of block (r + l - 1, s - l), flat over that
+        block.  d^l and the rebasing are E^e-extensions."""
+        res, field = self.res, self.field
+        src, tgt = res.block_spaces[(r, s)], res.block_spaces[(r + l - 1, s - l)]
+        d, rebase = res.generator_columns[(l, r, s)], self._change(True, r + l - 1, s - l)
+        cols = []
+        for t in self._change(False, r, s):
+            image = extend_by_outer_mult(src.split, d.__getitem__, tgt.outer_mult, t, field)
+            cols.append(extend_by_outer_mult(tgt.split, rebase.__getitem__, tgt.outer_mult, image, field))
+        return cols
 
 
 # displayed formulas -----------------------------------------------------------
@@ -342,78 +416,6 @@ def _inner_faces(cp: CrossedProductData, avs: tuple):
             yield avs[: i - 1] + (am,) + avs[i + 1 :], field.mul(sign, cm)
 
 
-# untwisting maps --------------------------------------------------------------
-
-def _right_images(m: BimoduleData, factors) -> list[dict]:
-    """[e_mi . x_1 . x_2 ... for every basis index mi of M], x_t sparse E-vectors,
-    each basis factor read from the sandwich table (unit on the left)."""
-    field = m.field
-    vecs = [{mi: field.one} for mi in range(m.dim)]
-    for x in factors:
-        tables = [(m.sandwich(0, e), ce) for e, ce in x.items()]
-        nxt = []
-        for vec in vecs:
-            acc: dict = {}
-            get = acc.get
-            for table, ce in tables:
-                for mj, cv in vec.items():
-                    cv *= ce
-                    for mk, cm in table[mj].items():
-                        acc[mk] = get(mk, 0) + cv * cm
-            nxt.append(field.settle(acc))
-        vecs = nxt
-    return vecs
-
-
-def _untwisting(cp: CrossedProductData, m: BimoduleData, r: int, s: int, h_first: bool,
-               factors) -> ExactMatrix:
-    """sum over the Sweedler terms of each generator of c m . x (x) v', with the
-    H legs moved to the other side of the A legs and x = factors(first legs).
-
-    h_first: the source is the reduced layout (H legs first), else the
-    untwisted one.  The images of the basis of M are built once per tuple of
-    first legs."""
-    field = cp.field
-    src_mid, tgt_mid = _reduced_mid_space(cp, r, s), _untwisted_mid_space(cp, r, s)
-    if not h_first:
-        src_mid, tgt_mid = tgt_mid, src_mid
-    images: dict = {}
-    cols: list[dict] = [{} for _ in range(m.dim * src_mid.size)]
-    for mid in range(src_mid.size):
-        key = mid_key(src_mid.dims, mid)
-        hs, avs = (key[:s], key[s:]) if h_first else (key[r:], key[:r])
-        for comps, c in sweedler_legs(cp.h, hs, 2).items():
-            seconds = comps[1::2]
-            mid_t = mid_rank(tgt_mid.dims, avs + seconds if h_first else seconds + avs)
-            if mid_t is None:
-                continue
-            firsts = comps[0::2]
-            per_m = images.get(firsts)
-            if per_m is None:
-                per_m = images[firsts] = _right_images(m, factors(firsts))
-            for mi, img in enumerate(per_m):
-                col = cols[mi * src_mid.size + mid]
-                for mj, cm in img.items():
-                    k = mj * tgt_mid.size + mid_t
-                    col[k] = col.get(k, 0) + c * cm
-    return ExactMatrix(field, m.dim * tgt_mid.size, m.dim * src_mid.size,
-                       [field.settle(col) for col in cols])
-
-
-def untwist_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> ExactMatrix:
-    """M (x) Hbar^s (x) Abar^r -> M (x) Abar^r (x) Hbar^s,
-    m (x) h (x) a -> m (1#h_1^(1)) ... (1#h_s^(1)) (x) a (x) h^(2)."""
-    one = cp.field.one
-    return _untwisting(cp, m, r, s, True,
-                       lambda firsts: [{cp.include_h(h): one} for h in firsts])
-
-
-def untwist_inverse_block(cp: CrossedProductData, m: BimoduleData, r: int, s: int) -> ExactMatrix:
-    """m (x) a (x) h -> m (1#h_s^(1))^{-1} ... (1#h_1^(1))^{-1} (x) h^(2) (x) a."""
-    uinv = unit_section_inverse_map(cp)
-    return _untwisting(cp, m, r, s, False, lambda firsts: [uinv[h] for h in reversed(firsts)])
-
-
 # complex assembly --------------------------------------------------------------
 
 def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn, inserts):
@@ -463,10 +465,12 @@ class ReducedComplexes:
     The resolution route is authoritative; every block it assembles is
     checked against the displayed formula and FormulaMismatch is raised on
     disagreement.  A block d^l with TwistingCalculus.inserts(l) false (l >= 2,
-    f valued in k.1) is zero and not assembled (see the module docstring).  The cochain complexes are the relabelled transposes of the
-    chain complexes with coefficients M^v; their blocks are checked against
-    the displayed formulas placed as cochains on M, the same terms that check
-    the chain blocks.
+    f valued in k.1) is zero and not assembled (see the module docstring).
+    The cochain complexes are the relabelled transposes of the chain
+    complexes with coefficients M^v; their blocks are checked against the
+    displayed formulas placed as cochains on M, the same terms that check
+    the chain blocks.  One twisted-generator table per (l, r, s) serves the
+    untwisted blocks on M and on M^v.
     """
 
     def __init__(self, cp: CrossedProductData, m: BimoduleData, cap: int,
@@ -481,8 +485,7 @@ class ReducedComplexes:
         self.calc = self.res.calc
         self.literal = _Literal(cp, m, self.calc)
         self._reduced_blocks: dict = {}
-        self._dual_blocks: dict = {}
-        self._untwist_maps: dict = {}
+        self._untwisted_tables: dict = {}
 
     @cached_property
     def dual(self) -> BimoduleData:
@@ -497,27 +500,21 @@ class ReducedComplexes:
         if literal(l, r, s) != derived:
             raise FormulaMismatch(which, l, r, s)
 
-    def reduced_block(self, l, r, s) -> ExactMatrix:
-        key = (l, r, s)
+    def reduced_block(self, l, r, s, cochain: bool = False) -> ExactMatrix:
+        """The reduced chain block of d^l on M, or with cochain its chain
+        mirror on M^v (dualized, the cochain block on M); built once."""
+        key = (cochain, l, r, s)
         hit = self._reduced_blocks.get(key)
         if hit is None:
-            hit = reduced_block_from_resolution(self.res, self.m, l, r, s)
-            self._check("chain", self.literal.reduced_block, hit, False, l, r, s)
+            hit = reduced_block_from_resolution(self.res, self.dual if cochain else self.m, l, r, s)
+            which, literal = (("cochain", self.literal.reduced_cochain_block) if cochain
+                              else ("chain", self.literal.reduced_block))
+            self._check(which, literal, hit, cochain, l, r, s)
             self._reduced_blocks[key] = hit
         return hit
 
-    def _dual_block(self, l, r, s) -> ExactMatrix:
-        """The chain block with M^v coefficients; dualized, the cochain block on M."""
-        key = (l, r, s)
-        hit = self._dual_blocks.get(key)
-        if hit is None:
-            hit = reduced_block_from_resolution(self.res, self.dual, l, r, s)
-            self._check("cochain", self.literal.reduced_cochain_block, hit, True, l, r, s)
-            self._dual_blocks[key] = hit
-        return hit
-
     def reduced_cochain_block(self, l, r, s) -> ExactMatrix:
-        return dual_transpose(self._dual_block(l, r, s), self.m.dim)
+        return dual_transpose(self.reduced_block(l, r, s, cochain=True), self.m.dim)
 
     def _filtered(self, block_fn, mid_space_fn, cochain: bool) -> FilteredComplex:
         """Assembled complex; for cochains, the relabelled transpose of the M^v chains."""
@@ -536,33 +533,31 @@ class ReducedComplexes:
         return self._filtered(self.reduced_block, _reduced_mid_space, False)
 
     def reduced_cochain_complex(self) -> FilteredComplex:
-        return self._filtered(self._dual_block, _reduced_mid_space, True)
+        return self._filtered(partial(self.reduced_block, cochain=True), _reduced_mid_space, True)
 
-    def _untwist(self, fn, coeff: BimoduleData, r: int, s: int) -> ExactMatrix:
-        """fn (untwist_block or untwist_inverse_block) on coeff (M or M^v), built once."""
-        key = (fn, id(coeff), r, s)
-        hit = self._untwist_maps.get(key)
-        if hit is None:
-            hit = self._untwist_maps[key] = fn(self.cp, coeff, r, s)
-        return hit
+    @cached_property
+    def twisted(self) -> TwistedBasis:
+        """The twisted generators of the resolution; built on first use, needs the inverse."""
+        return TwistedBasis(self.res)
+
+    def untwisted_block(self, l, r, s, cochain: bool = False) -> ExactMatrix:
+        """The untwisted chain block of d^l on M, or with cochain its chain
+        mirror on M^v (dualized, the untwisted cochain block on M), placed from
+        the twisted-generator table, which is built once for both."""
+        table = self._untwisted_tables.get((l, r, s))
+        if table is None:
+            table = self._untwisted_tables[(l, r, s)] = self.twisted.generator_table(l, r, s)
+        derived = _placed_table(self.dual if cochain else self.m,
+                                self.res.block_spaces[(r + l - 1, s - l)], table)
+        which, literal = (("untwisted-cochain", self.literal.untwisted_cochain_block) if cochain
+                          else ("untwisted-chain", self.literal.untwisted_block))
+        self._check(which, literal, derived, cochain, l, r, s)
+        return derived
 
     def _untwisted(self, cochain: bool) -> FilteredComplex:
         self.cp.require_inverse()
-        if cochain:
-            coeff, inner = self.dual, self._dual_block
-            which, literal = "untwisted-cochain", self.literal.untwisted_cochain_block
-        else:
-            coeff, inner = self.m, self.reduced_block
-            which, literal = "untwisted-chain", self.literal.untwisted_block
-
-        def block(l, r, s):
-            left = self._untwist(untwist_block, coeff, r + l - 1, s - l)
-            right = self._untwist(untwist_inverse_block, coeff, r, s)
-            derived = left @ inner(l, r, s) @ right
-            self._check(which, literal, derived, cochain, l, r, s)
-            return derived
-
-        return self._filtered(block, _untwisted_mid_space, cochain)
+        return self._filtered(partial(self.untwisted_block, cochain=cochain), _untwisted_mid_space,
+                              cochain)
 
     def untwisted_chain_complex(self) -> FilteredComplex:
         """The conjugate complex on M (x) Abar^r (x) Hbar^s; needs the inverse."""

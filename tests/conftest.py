@@ -3,13 +3,13 @@ import pytest
 from hopfcross.fields import FieldSpec
 from hopfcross.crossed import convolution_inverse, regular_bimodule
 from hopfcross.linalg import ExactMatrix, vec_add_into
-from hopfcross.reduced_complexes import untwist_block, untwist_inverse_block
 from hopfcross.problems import (
     BUILTIN_NAMES,
     builtin,
     cyclic_group_algebra,
     cyclic_group_hopf,
 )
+from placement_reference import untwist_block_reference, untwist_inverse_block_reference
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -119,12 +119,13 @@ def block_diag(field, mats) -> ExactMatrix:
 
 def untwist_degree_matrices(rc):
     """Blockwise untwisting map and its displayed inverse per degree, as matrices on
-    the assembled spaces (block order s ascending on both sides)."""
+    the assembled spaces (block order s ascending on both sides), from the
+    per-term references of tests/placement_reference.py."""
     out = []
     for n in range(rc.cap + 1):
         blocks = [(n - s, s) for s in range(n + 1)]
-        mats = [rc._untwist(untwist_block, rc.m, r, s) for r, s in blocks]
-        invs = [rc._untwist(untwist_inverse_block, rc.m, r, s) for r, s in blocks]
+        mats = [untwist_block_reference(rc.cp, rc.m, r, s) for r, s in blocks]
+        invs = [untwist_inverse_block_reference(rc.cp, rc.m, r, s) for r, s in blocks]
         out.append((block_diag(rc.field, mats), block_diag(rc.field, invs)))
     return out
 

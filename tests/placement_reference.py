@@ -1,12 +1,15 @@
 """The derived-side block builders with per-term bimodule actions, as a test
 reference.
 
-These are the bodies of reduced_block_from_resolution, untwist_block and
-untwist_inverse_block before each term read e_R . e_mi . e_L from the
-bimodule's sandwich table: every term acts on every basis vector of M through
-left_act / right_act / right_elem and adds each entry with keyed_add_into.
-Nothing is imported from hopfcross.reduced_complexes; the block layouts are
-rebuilt here from TensorSpace.
+reduced_block_reference is the body of reduced_block_from_resolution before
+each term read e_R . e_mi . e_L from the bimodule's sandwich table.  The two
+untwisting maps were the package's route to the untwisted blocks (the reduced
+block conjugated by them) until those blocks were placed from d^l on twisted
+generators; here they conjugate the derived reduced blocks for the tests.
+Every term acts on every basis vector of M through left_act / right_act /
+right_elem and adds each entry with keyed_add_into.  Nothing is imported from
+hopfcross.reduced_complexes; the block layouts are rebuilt here from
+TensorSpace.
 """
 
 from hopfcross.crossed import unit_section_inverse_map

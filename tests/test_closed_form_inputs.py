@@ -8,6 +8,11 @@ wrong order of the section inverses in the untwisted formula is caught on it.
 The dual numbers tensor the quaternions: a nontrivial cocycle valued in k.1,
 so HH = [2, 1, 1, ...] and every d^l with l >= 2 vanishes on generators.
 
+The gauge twist of sweedler_smash: isomorphic to the base, so its dims are
+sweedler_smash's, but its cocycle is outside k.1 and H4's coproduct has
+several terms, so the several-choice loop of the insertion columns reaches
+the closed resolution, and a mutation of it is caught by closed = recursive.
+
 The closed resolution builds no d^l above l = 1 for a k.1-valued cocycle
 (TwistingCalculus.inserts), and the assembled small complexes stack d^0 and
 d^1 only.  So the vanishing is certified on the recursive resolution, which
@@ -22,13 +27,19 @@ import json
 
 import pytest
 
-from closed_form_inputs import dual_numbers_tensor_quaternions, gauged_action_groupoid
+from closed_form_inputs import (
+    SWEEDLER_GAUGE,
+    dual_numbers_tensor_quaternions,
+    gauge_twist,
+    gauge_twisted_sweedler_smash,
+    gauged_action_groupoid,
+)
 from conftest import untwist_degree_matrices
 from hopfcross.algebras import AlgebraData
 from hopfcross.cli import main
-from hopfcross.crossed import CocycleData, regular_bimodule
+from hopfcross.crossed import CocycleData, regular_bimodule, verify_crossed_axioms
 from hopfcross.fields import FieldSpec
-from hopfcross.homology import hochschild_cohomology, hochschild_homology
+from hopfcross.homology import e2_identification, hochschild_cohomology, hochschild_homology
 from hopfcross.linalg import ExactMatrix
 from hopfcross.problems import builtin
 from hopfcross.reduced_complexes import (
@@ -131,6 +142,64 @@ def test_scalar_cocycle_dims_are_those_of_the_dual_numbers(dual_quaternions):
 def test_scalar_cocycle_closed_equals_recursive(dual_quaternions):
     assert_constructions_agree(build_resolution_closed(dual_quaternions, CAP),
                                build_resolution_recursive(dual_quaternions, CAP))
+
+
+@pytest.fixture(scope="module", params=[FieldSpec.rationals(), FieldSpec.prime(3), FieldSpec.prime(5)],
+                ids=["q", "fp3", "fp5"])
+def gauge_twisted(request):
+    return gauge_twisted_sweedler_smash(request.param)
+
+
+def test_gauge_twist_checks_its_gauge():
+    field = FieldSpec.rationals()
+    with pytest.raises(ValueError, match="not 1"):
+        gauge_twisted_sweedler_smash(field, {**SWEEDLER_GAUGE, 0: (1, 1)})
+    with pytest.raises(ValueError, match="not a unit"):
+        gauge_twisted_sweedler_smash(FieldSpec.prime(3), {**SWEEDLER_GAUGE, 1: (3, 1)})
+    base = builtin("sweedler_smash", field=field)
+    u = [{0: 1}, {0: 2, 1: 1}, {0: 1, 1: 3}, {0: -1, 1: 2}]
+    # u^{-1}(x) and u^{-1}(gx) left out: no convolution inverse on either side
+    wrong = [{0: 1}, {0: field.scalar("1/2"), 1: field.scalar("-1/4")}, {}, {}]
+    with pytest.raises(ValueError, match="two-sided"):
+        gauge_twist(field, base.algebra, base.hopf, base.action, base.cocycle, u, wrong)
+
+
+def test_gauge_twist_is_a_crossed_product_outside_k1(gauge_twisted):
+    cp = gauge_twisted
+    assert verify_crossed_axioms(cp.a, cp.h, cp.action, cp.cocycle).passed
+    assert not cp.cocycle.scalar_valued
+
+
+def test_gauge_twist_dims_are_those_of_the_base(gauge_twisted):
+    base = builtin("sweedler_smash", field=gauge_twisted.field).crossed_product()
+    for fn in (hochschild_homology, hochschild_cohomology):
+        dims = fn(gauge_twisted, cap=CAP)["dims"]
+        assert dims == fn(base, cap=CAP)["dims"] == [3, 4, 6, 8], fn.__name__
+
+
+def test_gauge_twist_closed_equals_recursive(gauge_twisted):
+    assert_constructions_agree(build_resolution_closed(gauge_twisted, CAP),
+                               build_resolution_recursive(gauge_twisted, CAP))
+
+
+def test_gauge_twist_second_page(gauge_twisted):
+    assert e2_identification(gauge_twisted, cap=CAP)["pass"] is True
+
+
+def test_first_sweedler_choice_only_breaks_closed_equals_recursive(monkeypatch):
+    # the several-choice loop of TwistingCalculus._insertion_column cut to the
+    # first choice of each leg group: only an input whose cocycle is outside
+    # k.1 and whose coproduct has several terms sees it
+    cp = gauge_twisted_sweedler_smash(FieldSpec.rationals())
+    original = TwistingCalculus._comult_groups
+
+    def first_only(self, h_idx, n):
+        return [(last, terms[:1]) for last, terms in original(self, h_idx, n)]
+
+    monkeypatch.setattr(TwistingCalculus, "_comult_groups", first_only)
+    with pytest.raises(RecursionMismatch) as err:
+        assert_constructions_agree(build_resolution_closed(cp, CAP), build_resolution_recursive(cp, CAP))
+    assert err.value.block == (2, 1, 2)
 
 
 def _columns_above_l_one(res):

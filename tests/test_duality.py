@@ -16,12 +16,9 @@ from hopfcross.crossed import dual_bimodule, regular_bimodule, tensor_bimodule
 from hopfcross.fields import FieldSpec
 from hopfcross.homology import regular_left_module
 from hopfcross.problems import BUILTIN_NAMES, builtin
-from hopfcross.reduced_complexes import (
-    ReducedComplexes,
-    dual_transpose,
-    untwist_block,
-    untwist_inverse_block,
-)
+from hopfcross.reduced_complexes import ReducedComplexes, dual_transpose
+
+from placement_reference import untwist_block_reference, untwist_inverse_block_reference
 
 
 def _cases(field=None):
@@ -77,9 +74,12 @@ def test_derived_cochain_blocks_match_displayed_formulas(name, cp, m):
                 assert block == rc.literal.reduced_cochain_block(l, r, s), key
                 if untwisted:
                     dual = dual_bimodule(m)
-                    derived = (dual_transpose(untwist_inverse_block(cp, dual, r, s), m.dim) @ block
-                               @ dual_transpose(untwist_block(cp, dual, r + l - 1, s - l), m.dim))
-                    assert derived == rc.literal.untwisted_cochain_block(l, r, s), key
+                    conjugated = (
+                        dual_transpose(untwist_inverse_block_reference(cp, dual, r, s), m.dim) @ block
+                        @ dual_transpose(untwist_block_reference(cp, dual, r + l - 1, s - l), m.dim))
+                    assert conjugated == rc.literal.untwisted_cochain_block(l, r, s), key
+                    derived = rc.untwisted_block(l, r, s, cochain=True)
+                    assert dual_transpose(derived, m.dim) == conjugated, key
 
 
 ORACLE_FIELDS = [FieldSpec.rationals(), FieldSpec.prime(5), FieldSpec.prime(2147483629)]

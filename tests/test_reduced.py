@@ -23,13 +23,12 @@ from hopfcross.reduced_complexes import (
     ReducedComplexes,
     HActionOnHomology,
     dual_transpose,
-    untwist_block,
-    untwist_inverse_block,
 )
 from hopfcross.resolution import build_resolution_recursive
 from hopfcross.twisting import TwistingCalculus
 from closed_form_inputs import dual_numbers_tensor_quaternions
 from lift_reference import homology_representatives, induced_reference
+from placement_reference import untwist_block_reference, untwist_inverse_block_reference
 from conftest import (
     BUILTIN_BUILDERS, mat_add, mat_neg, mat_scale, untwist_degree_matrices, z_n_algebra,
 )
@@ -132,23 +131,30 @@ def test_untwisting_is_iso_and_chain_map(cps):
             assert th_t @ reduced.complex.maps[n] == over.complex.maps[n] @ th_s, (name, n)
 
 
-def test_untwisting_maps_built_once_per_argument(cps, monkeypatch):
+def test_untwisted_tables_built_once_and_shared(cps, monkeypatch):
+    # one twisted-generator table per (l, r, s), read by the chains on M and
+    # by the cochain mirror on M^v
     import hopfcross.reduced_complexes as rcmod
 
-    cp = cps["klein_four"]
+    original = rcmod.TwistedBasis.generator_table
     calls = []
-    for fn in (untwist_block, untwist_inverse_block):
-        def counted(cp_, coeff, r, s, fn=fn):
-            calls.append((fn.__name__, id(coeff), r, s))
-            return fn(cp_, coeff, r, s)
 
-        monkeypatch.setattr(rcmod, fn.__name__, counted)
-    rc = ReducedComplexes(cp, regular_bimodule(cp.e), 4)
-    # the blocks d^l of one (r, s) share untwist_inverse_block(coeff, r, s)
-    # across l, so without the memo a key would be built more than once
-    rc.untwisted_chain_complex()
-    rc.untwisted_cochain_complex()
-    assert calls and len(calls) == len(set(calls))
+    def counted(self, l, r, s):
+        calls.append((l, r, s))
+        return original(self, l, r, s)
+
+    monkeypatch.setattr(rcmod.TwistedBasis, "generator_table", counted)
+    for name in ("klein_four", "z4_as_cocycle_extension"):
+        cp = cps[name]
+        rc = ReducedComplexes(cp, regular_bimodule(cp.e), 4)
+        rc.untwisted_chain_complex()
+        chain_calls = list(calls)
+        rc.untwisted_cochain_complex()
+        assert chain_calls and calls == chain_calls, name
+        assert len(calls) == len(set(calls)), name
+        # the blocks the assembly skips (TwistingCalculus.inserts) get no table
+        assert {l for l, _, _ in calls} == ({0, 1, 2, 3, 4} if name.startswith("z4") else {0, 1}), name
+        calls.clear()
 
 
 def test_untwisting_cochain_is_iso(cps):
@@ -156,8 +162,8 @@ def test_untwisting_cochain_is_iso(cps):
         cp = cps[name]
         m = regular_bimodule(cp.e)
         for (r, s) in [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2)]:
-            t = dual_transpose(untwist_block(cp, dual_bimodule(m), r, s), m.dim)
-            tinv = dual_transpose(untwist_inverse_block(cp, dual_bimodule(m), r, s), m.dim)
+            t = dual_transpose(untwist_block_reference(cp, dual_bimodule(m), r, s), m.dim)
+            tinv = dual_transpose(untwist_inverse_block_reference(cp, dual_bimodule(m), r, s), m.dim)
             assert t @ tinv == ExactMatrix.identity(cp.field, t.nrows), (name, r, s)
             assert tinv @ t == ExactMatrix.identity(cp.field, t.nrows), (name, r, s)
 
@@ -202,9 +208,10 @@ def test_untwisted_is_double_complex_for_scalar_cocycle(cps):
     for s in range(5):
         for r in range(5 - s):
             for l in range(2, s + 1):
+                assert rc.untwisted_block(l, r, s).is_zero(), (l, r, s)
                 reduced = rc.reduced_block(l, r, s)
-                left = untwist_block(cp, m, r + l - 1, s - l)
-                right = untwist_inverse_block(cp, m, r, s)
+                left = untwist_block_reference(cp, m, r + l - 1, s - l)
+                right = untwist_inverse_block_reference(cp, m, r, s)
                 assert (left @ reduced @ right).is_zero(), (l, r, s)
 
 

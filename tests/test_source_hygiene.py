@@ -22,9 +22,9 @@
   complexes._composites_vanish, so the F_p representation (symmetric
   residues) lives in one place.
 * The displayed-formula evaluator (reduced_complexes._Literal, with the
-  module functions it calls) names no resolution, duality or untwisting code,
-  and not the bimodule's sandwich table, so the formula check shares no code
-  with the blocks it checks.
+  module functions it calls) names no resolution, duality or twisted-basis
+  code, and not the bimodule's sandwich table, so the formula check shares no
+  code with the blocks it checks.
 * The column-rule loop (for j, c in vec.items(): vec_add_into(out,
   column(j), c, field), into a fresh dict) is written only in
   linalg.apply_columns; every other linear map applied from its columns
@@ -95,7 +95,7 @@ RATIONAL_NAMES = {"Fraction", "mpq", "_ratio"}
 MOD_P_ALLOWED = {"fields.py": None, "linalg.py": None, "complexes.py": {"_composites_vanish"}}
 LITERAL_FORBIDDEN = {
     "dual_transpose", "dual_bimodule", "reduced_block_from_resolution", "generator_columns",
-    "CrossedResolution", "untwist_block", "untwist_inverse_block", "sandwich",
+    "CrossedResolution", "TwistedBasis", "generator_table", "_placed_table", "sandwich",
 }
 RAW_SUM_EXEMPT = {"_composites_vanish"}  # it only tests its sums for zero
 OUTER_MULTS = {"left_mult", "right_mult", "outer_mult", "degree_outer_mult"}
@@ -697,7 +697,9 @@ def test_checked_code_in_the_formulas_is_detected():
         "class _Literal:\n    def f(self, m):\n        return dual_bimodule(m)",
         "class _Literal:\n    def f(self):\n        return self.res.generator_columns",
         "class _Literal:\n    def f(self, cp):\n        return CrossedResolution(cp, 2)",
-        "class _Literal:\n    def f(self, mod, cp, m):\n        return mod.untwist_block(cp, m, 1, 1)",
+        "class _Literal:\n    def f(self, mod, res):\n        return mod.TwistedBasis(res).generator_table(1, 1, 1)",
+        "class _Literal:\n    def f(self, rc):\n        return rc.twisted.generator_table(1, 0, 1)",
+        "class _Literal:\n    def f(self, mod, m, table):\n        return mod._placed_table(m, table, 1, 1)",
         "class _Literal:\n    def f(self):\n        return self.m.sandwich(0, 1)",
         # reached through a module helper
         "def helper(mat, d):\n    return dual_transpose(mat, d)\n"
@@ -901,7 +903,7 @@ def test_reference_imports_are_detected():
         ("def f(bar):\n    from hopfcross.comparison import BarCalculus", "comparison_reference.py"),
         ("from hopfcross.bar import hochschild_chain_complex", "bar_reference.py"),
         ("from hopfcross.complexes import HomologyLift", "lift_reference.py"),
-        ("from hopfcross.reduced_complexes import untwist_block", "placement_reference.py"),
+        ("from hopfcross.reduced_complexes import TwistedBasis", "placement_reference.py"),
         ("from hopfcross.hopf import sweedler_legs", "sweedler_reference.py"),
         ("import hopfcross.hopf as hopf", "sweedler_reference.py"),
         ("from hopfcross.resolution import FreeBimoduleSpace", "extension_reference.py"),
