@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 
 from .algebras import verify_algebra
 from .comparison import (
@@ -340,6 +340,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 _DISPATCH = {
     "verify": cmd_verify,
+    "homology": partial(cmd_homology, cochain=False),
+    "cohomology": partial(cmd_homology, cochain=True),
     "spectral": cmd_spectral,
     "e2-check": cmd_e2_check,
     "oracle-compare": cmd_oracle_compare,
@@ -353,12 +355,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         pf = _load_problem(args)
-        if args.command == "homology":
-            doc = cmd_homology(pf, args, cochain=False)
-        elif args.command == "cohomology":
-            doc = cmd_homology(pf, args, cochain=True)
-        else:
-            doc = _DISPATCH[args.command](pf, args)
+        doc = _DISPATCH[args.command](pf, args)
     except (ParseError, UnknownBuiltin) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -107,6 +107,10 @@ def _e2_identification(rc: ReducedComplexes) -> dict:
     k_eps = (1, [[{0: c} for c in cp.h.counit]])
     out = {"window": window}
 
+    def matches(page, expected) -> bool:
+        return all(page.cell(s, r) == expected.get((s, r), 0)
+                   for s in range(window + 1) for r in range(window + 1 - s))
+
     for cochain in (False, True):
         fc = rc.untwisted_cochain_complex() if cochain else rc.untwisted_chain_complex()
         act = HActionOnHomology(cp, m, cap, cochain=cochain)
@@ -130,16 +134,7 @@ def _e2_identification(rc: ReducedComplexes) -> dict:
                     e1_expected[(s, r)] = e1
                 if h_dims[s]:
                     e2_expected[(s, r)] = h_dims[s]
-        e1_ok = all(
-            page1.cell(s, r) == e1_expected.get((s, r), 0)
-            for s in range(window + 1)
-            for r in range(window + 1 - s)
-        )
-        e2_ok = all(
-            page2.cell(s, r) == e2_expected.get((s, r), 0)
-            for s in range(window + 1)
-            for r in range(window + 1 - s)
-        )
+        e1_ok, e2_ok = matches(page1, e1_expected), matches(page2, e2_expected)
         total = homology_dims(fc.complex)
         conv = check_convergence(fc, total, window)
         out["cochain" if cochain else "chain"] = {

@@ -5,14 +5,17 @@ of A.
 Boundaries are derived from the resolution (coefficients tensored in), which
 is the provably correct construction; the displayed closed formulas are
 evaluated independently and compared block by block.  Any disagreement raises
-FormulaMismatch, never a silent fallback.  Each displayed formula is written
-once, as the terms c (x (x) v' (x) y) of d^l on a generator v with x, y in E,
-and placed on M both ways: m (x) v -> c y.m.x (x) v' for chains and
-phi -> (v -> c x.phi(v').y) for cochains (_Literal).  The derived blocks
-place a generator table on M, reading each term's action on M from the
-bimodule's sandwich table (BimoduleData.sandwich), which the displayed
-formulas never use: the generator columns of d^l for a reduced block, d^l on
-twisted generators (TwistedBasis) for an untwisted one.
+FormulaMismatch, never a silent fallback.  All four complexes (reduced or
+untwisted, chains or cochains) come from one construction chosen by a family
+flag.  The derived block places the family's generator table on M, or on M^v
+for the cochain mirror, reading each term's action from the bimodule's
+sandwich table (BimoduleData.sandwich), which the displayed formulas never
+use: the generator columns of d^l for a reduced block, d^l on twisted
+generators (TwistedBasis) for an untwisted one.  The check is one displayed
+entry, _Literal.block: each family's formula is written once, as the terms
+c (x (x) v' (x) y) of d^l on a generator v with x, y in E, and placed on M
+both ways: m (x) v -> c y.m.x (x) v' for chains and
+phi -> (v -> c x.phi(v').y) for cochains.
 
 The double complex: when f is k.1-valued, d^l vanishes on generators above
 l = 1 (twisting.py), and TwistingCalculus.inserts(l) says so once per block.
@@ -230,9 +233,10 @@ class _Literal:
 
     Every displayed term of d^l on a generator v is c (x (x) v' (x) y) with x
     and y in E.  reduced_terms and untwisted_terms yield these terms once, as
-    (x, key of v', y, c) with x, y sparse E-vectors; _placed puts them on M,
-    m (x) v -> c y.m.x (x) v' for chains and phi -> (v -> c x.phi(v').y) for
-    cochains.  Both act on M directly; no resolution or dual code is used.
+    (x, key of v', y, c) with x, y sparse E-vectors; block puts a family's
+    terms on M, m (x) v -> c y.m.x (x) v' for chains and
+    phi -> (v -> c x.phi(v').y) for cochains.  Both act on M directly; no
+    resolution or dual code is used.
     """
 
     def __init__(self, cp: CrossedProductData, m: BimoduleData, calc: TwistingCalculus):
@@ -266,24 +270,15 @@ class _Literal:
     def include_h(self, h_idx: int) -> dict:
         return {self.cp.include_h(h_idx): self.field.one}
 
-    def reduced_block(self, l, r, s) -> ExactMatrix:
-        return self._placed(self.reduced_terms, _reduced_mid_space, l, r, s, False)
-
-    def reduced_cochain_block(self, l, r, s) -> ExactMatrix:
-        return self._placed(self.reduced_terms, _reduced_mid_space, l, r, s, True)
-
-    def untwisted_block(self, l, r, s) -> ExactMatrix:
-        return self._placed(self.untwisted_terms, _untwisted_mid_space, l, r, s, False)
-
-    def untwisted_cochain_block(self, l, r, s) -> ExactMatrix:
-        return self._placed(self.untwisted_terms, _untwisted_mid_space, l, r, s, True)
-
-    def _placed(self, terms, mid_space, l, r, s, cochain: bool) -> ExactMatrix:
-        """The block of d^l on M: chains laid out (m, mid), cochains (arg, m).
+    def block(self, untwisted: bool, l, r, s, cochain: bool) -> ExactMatrix:
+        """The displayed block of d^l on M, reduced or untwisted: chains laid
+        out (m, mid), cochains (arg, m).
 
         The images y.e_mi.x (chains) or x.e_mi.y (cochains) of the basis of M
         are computed once per distinct (x, y), in self.images."""
         field, m = self.field, self.m
+        terms, mid_space = ((self.untwisted_terms, _untwisted_mid_space) if untwisted
+                            else (self.reduced_terms, _reduced_mid_space))
         src = mid_space(self.cp, r, s)
         tgt = mid_space(self.cp, r + l - 1, s - l)
         row_space, col_space = (src, tgt) if cochain else (tgt, src)
@@ -418,14 +413,16 @@ def _inner_faces(cp: CrossedProductData, avs: tuple):
 
 # complex assembly --------------------------------------------------------------
 
-def _assemble_chain(field, cp, m, cap, block_fn, mid_space_fn, inserts):
+def _assemble_chain(field, cp, m, cap, block_fn, inserts):
     """Stack blocks (r+s = n, s ascending) into degree matrices and filtration
     levels (each coordinate's number of H legs).  block_fn is called only for
     the l with inserts(l) (TwistingCalculus.inserts): the other d^l are zero.
 
-    Also returns, per degree, the argument-space size of each stacked block.
+    Also returns, per degree, the argument-space size (dim H - 1)^s (dim A - 1)^r
+    of each stacked block, the same in the reduced and the untwisted layout.
     """
-    sizes = [[mid_space_fn(cp, n - s, s).size for s in range(n + 1)] for n in range(cap + 1)]
+    sizes = [[(cp.h.dim - 1) ** s * (cp.a.dim - 1) ** (n - s) for s in range(n + 1)]
+             for n in range(cap + 1)]
     dims = []
     offsets = []  # offsets[n][s]: first index of block (n - s, s)
     for per_degree in sizes:
@@ -470,7 +467,8 @@ class ReducedComplexes:
     complexes with coefficients M^v; their blocks are checked against the
     displayed formulas placed as cochains on M, the same terms that check
     the chain blocks.  One twisted-generator table per (l, r, s) serves the
-    untwisted blocks on M and on M^v.
+    untwisted blocks on M and on M^v.  reduced_block and untwisted_block are
+    the two families of the one construction, _block.
     """
 
     def __init__(self, cp: CrossedProductData, m: BimoduleData, cap: int,
@@ -492,34 +490,55 @@ class ReducedComplexes:
         """M^v, the coefficients of the chain mirrors of the cochain complexes."""
         return dual_bimodule(self.m)
 
-    def _check(self, which: str, literal, derived: ExactMatrix, cochain: bool, l, r, s) -> None:
-        """FormulaMismatch unless the displayed formula on M gives the derived
-        block (a chain block with M^v coefficients is dualized first)."""
-        if cochain:
-            derived = dual_transpose(derived, self.m.dim)
-        if literal(l, r, s) != derived:
+    @cached_property
+    def twisted(self) -> TwistedBasis:
+        """The twisted generators of the resolution; built on first use, needs the inverse."""
+        return TwistedBasis(self.res)
+
+    def _block(self, untwisted: bool, l, r, s, cochain: bool) -> ExactMatrix:
+        """The family's generator table placed on M, or with cochain on M^v;
+        FormulaMismatch unless the displayed formula on M gives it (dualized
+        first for cochains).  A reduced block is kept per (cochain, l, r, s),
+        an untwisted table per (l, r, s) for both placements."""
+        coeff = self.dual if cochain else self.m
+        if untwisted:
+            table = self._untwisted_tables.get((l, r, s))
+            if table is None:
+                table = self._untwisted_tables[(l, r, s)] = self.twisted.generator_table(l, r, s)
+            derived = _placed_table(coeff, self.res.block_spaces[(r + l - 1, s - l)], table)
+        else:
+            derived = self._reduced_blocks.get((cochain, l, r, s))
+            if derived is not None:
+                return derived
+            derived = reduced_block_from_resolution(self.res, coeff, l, r, s)
+        placed = dual_transpose(derived, self.m.dim) if cochain else derived
+        if self.literal.block(untwisted, l, r, s, cochain) != placed:
+            which = ("untwisted-" if untwisted else "") + ("cochain" if cochain else "chain")
             raise FormulaMismatch(which, l, r, s)
+        if not untwisted:
+            self._reduced_blocks[(cochain, l, r, s)] = derived
+        return derived
 
     def reduced_block(self, l, r, s, cochain: bool = False) -> ExactMatrix:
         """The reduced chain block of d^l on M, or with cochain its chain
         mirror on M^v (dualized, the cochain block on M); built once."""
-        key = (cochain, l, r, s)
-        hit = self._reduced_blocks.get(key)
-        if hit is None:
-            hit = reduced_block_from_resolution(self.res, self.dual if cochain else self.m, l, r, s)
-            which, literal = (("cochain", self.literal.reduced_cochain_block) if cochain
-                              else ("chain", self.literal.reduced_block))
-            self._check(which, literal, hit, cochain, l, r, s)
-            self._reduced_blocks[key] = hit
-        return hit
+        return self._block(False, l, r, s, cochain)
 
     def reduced_cochain_block(self, l, r, s) -> ExactMatrix:
         return dual_transpose(self.reduced_block(l, r, s, cochain=True), self.m.dim)
 
-    def _filtered(self, block_fn, mid_space_fn, cochain: bool) -> FilteredComplex:
+    def untwisted_block(self, l, r, s, cochain: bool = False) -> ExactMatrix:
+        """The untwisted chain block of d^l on M, or with cochain its chain
+        mirror on M^v (dualized, the untwisted cochain block on M)."""
+        return self._block(True, l, r, s, cochain)
+
+    def _filtered(self, untwisted: bool, cochain: bool) -> FilteredComplex:
         """Assembled complex; for cochains, the relabelled transpose of the M^v chains."""
+        if untwisted:
+            self.cp.require_inverse()
+        block_fn = partial(self.untwisted_block if untwisted else self.reduced_block, cochain=cochain)
         dims, maps, levels, sizes = _assemble_chain(
-            self.field, self.cp, self.m, self.cap, block_fn, mid_space_fn, self.calc.inserts
+            self.field, self.cp, self.m, self.cap, block_fn, self.calc.inserts
         )
         self.literal.images.clear()
         if cochain:
@@ -530,41 +549,18 @@ class ReducedComplexes:
         return FilteredComplex(cx, levels)
 
     def reduced_chain_complex(self) -> FilteredComplex:
-        return self._filtered(self.reduced_block, _reduced_mid_space, False)
+        return self._filtered(False, False)
 
     def reduced_cochain_complex(self) -> FilteredComplex:
-        return self._filtered(partial(self.reduced_block, cochain=True), _reduced_mid_space, True)
-
-    @cached_property
-    def twisted(self) -> TwistedBasis:
-        """The twisted generators of the resolution; built on first use, needs the inverse."""
-        return TwistedBasis(self.res)
-
-    def untwisted_block(self, l, r, s, cochain: bool = False) -> ExactMatrix:
-        """The untwisted chain block of d^l on M, or with cochain its chain
-        mirror on M^v (dualized, the untwisted cochain block on M), placed from
-        the twisted-generator table, which is built once for both."""
-        table = self._untwisted_tables.get((l, r, s))
-        if table is None:
-            table = self._untwisted_tables[(l, r, s)] = self.twisted.generator_table(l, r, s)
-        derived = _placed_table(self.dual if cochain else self.m,
-                                self.res.block_spaces[(r + l - 1, s - l)], table)
-        which, literal = (("untwisted-cochain", self.literal.untwisted_cochain_block) if cochain
-                          else ("untwisted-chain", self.literal.untwisted_block))
-        self._check(which, literal, derived, cochain, l, r, s)
-        return derived
-
-    def _untwisted(self, cochain: bool) -> FilteredComplex:
-        self.cp.require_inverse()
-        return self._filtered(partial(self.untwisted_block, cochain=cochain), _untwisted_mid_space,
-                              cochain)
+        return self._filtered(False, True)
 
     def untwisted_chain_complex(self) -> FilteredComplex:
         """The conjugate complex on M (x) Abar^r (x) Hbar^s; needs the inverse."""
-        return self._untwisted(False)
+        return self._filtered(True, False)
 
     def untwisted_cochain_complex(self) -> FilteredComplex:
-        return self._untwisted(True)
+        return self._filtered(True, True)
+
 
 # the H-action on the homology of A --------------------------------------------
 

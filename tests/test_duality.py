@@ -71,13 +71,13 @@ def test_derived_cochain_blocks_match_displayed_formulas(name, cp, m):
                     continue
                 key = (name, l, r, s)
                 block = rc.reduced_cochain_block(l, r, s)
-                assert block == rc.literal.reduced_cochain_block(l, r, s), key
+                assert block == rc.literal.block(False, l, r, s, cochain=True), key
                 if untwisted:
                     dual = dual_bimodule(m)
                     conjugated = (
                         dual_transpose(untwist_inverse_block_reference(cp, dual, r, s), m.dim) @ block
                         @ dual_transpose(untwist_block_reference(cp, dual, r + l - 1, s - l), m.dim))
-                    assert conjugated == rc.literal.untwisted_cochain_block(l, r, s), key
+                    assert conjugated == rc.literal.block(True, l, r, s, cochain=True), key
                     derived = rc.untwisted_block(l, r, s, cochain=True)
                     assert dual_transpose(derived, m.dim) == conjugated, key
 

@@ -110,18 +110,18 @@ def test_tor_builds_and_checks_each_block_once(monkeypatch):
     convolution_inverse(cp)
     built, checked = [], []
     build = reduced_complexes.reduced_block_from_resolution
-    check = reduced_complexes.ReducedComplexes._check
+    check = reduced_complexes._Literal.block
 
     def counted_build(res, m, l, r, s):
         built.append((id(m), l, r, s))
         return build(res, m, l, r, s)
 
-    def counted_check(self, which, literal, derived, cochain, l, r, s):
-        checked.append((which, l, r, s))
-        return check(self, which, literal, derived, cochain, l, r, s)
+    def counted_check(self, untwisted, l, r, s, cochain):
+        checked.append((untwisted, cochain, l, r, s))
+        return check(self, untwisted, l, r, s, cochain)
 
     monkeypatch.setattr(reduced_complexes, "reduced_block_from_resolution", counted_build)
-    monkeypatch.setattr(reduced_complexes.ReducedComplexes, "_check", counted_check)
+    monkeypatch.setattr(reduced_complexes._Literal, "block", counted_check)
     rep = tor_spectral_report(cp, regular_right_module(cp), regular_left_module(cp), cap=3)
     assert rep["e2"]["pass"]
     assert built and len(built) == len(set(built))

@@ -400,15 +400,19 @@ def test_cli_formula_mismatch_reports_block(tmp_path, monkeypatch, capsys):
     # the certificate fails, and the document names the block, with no traceback
     from hopfcross.reduced_complexes import FormulaMismatch, ReducedComplexes, _Literal
 
-    placed = _Literal._placed
+    block = _Literal.block
 
-    def swapped(self, terms, mid_space, l, r, s, cochain):
+    def swapped(self, untwisted, l, r, s, cochain):
+        name = "untwisted_terms" if untwisted else "reduced_terms"
+        terms = getattr(_Literal, name)
+
         def terms_swapped(key, l, r, s):
-            for x, out_key, y, c in terms(key, l, r, s):
+            for x, out_key, y, c in terms(self, key, l, r, s):
                 yield y, out_key, x, c
-        return placed(self, terms_swapped, mid_space, l, r, s, cochain)
+        setattr(self, name, terms_swapped)
+        return block(self, untwisted, l, r, s, cochain)
 
-    monkeypatch.setattr(_Literal, "_placed", swapped)
+    monkeypatch.setattr(_Literal, "block", swapped)
     pf = builtin("s3_as_action_extension")
     cp = pf.crossed_product()
     for command, which in (("homology", "chain"), ("cohomology", "cochain")):

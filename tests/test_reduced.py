@@ -309,22 +309,29 @@ def test_resolution_cap_guard(cps):
         ReducedComplexes(cp, m, 4, res=small)
 
 
-def test_formula_mismatch_surfaces(cps):
-    # a corrupted closed-formula evaluation must be reported, never resolved
+FAMILIES = [(False, False, "chain"), (False, True, "cochain"),
+            (True, False, "untwisted-chain"), (True, True, "untwisted-cochain")]
+
+
+@pytest.mark.parametrize("untwisted, cochain, which", FAMILIES, ids=[f[2] for f in FAMILIES])
+def test_formula_mismatch_surfaces(cps, untwisted, cochain, which):
+    # a corrupted closed-formula evaluation must be reported, never resolved,
+    # in each of the four families
     cp = cps["sweedler_smash"]
     m = regular_bimodule(cp.e)
     rc = ReducedComplexes(cp, m, 2)
-    orig = rc.literal.reduced_block
+    orig = rc.literal.block
 
-    def corrupted(l, r, s):
-        mat = orig(l, r, s)
-        return mat_neg(mat) if (l, r, s) == (0, 1, 0) else mat
+    def corrupted(*args):
+        mat = orig(*args)
+        return mat_neg(mat) if args == (untwisted, 0, 1, 0, cochain) else mat
 
-    assert not orig(0, 1, 0).is_zero()  # the corruption is visible
-    rc.literal.reduced_block = corrupted
+    assert not orig(untwisted, 0, 1, 0, cochain).is_zero()  # the corruption is visible
+    rc.literal.block = corrupted
+    block = rc.untwisted_block if untwisted else rc.reduced_block
     with pytest.raises(FormulaMismatch) as err:
-        rc.reduced_block(0, 1, 0)
-    assert err.value.block == (0, 1, 0)
+        block(0, 1, 0, cochain=cochain)
+    assert (err.value.which, err.value.block) == (which, (0, 1, 0))
 
 
 def _side_cases():
@@ -362,12 +369,13 @@ def test_swapped_cochain_placement_surfaces(name, cp, m, monkeypatch):
     # the cochain placement puts y.phi(v').x instead of x.phi(v').y: only the
     # cochain check fails
     rc = ReducedComplexes(cp, m, 2)
-    placed = rc.literal._placed
+    block, terms = rc.literal.block, rc.literal.reduced_terms
 
-    def mutated(terms, mid_space, l, r, s, cochain):
-        return placed(_swap_sides(terms) if cochain else terms, mid_space, l, r, s, cochain)
+    def mutated(untwisted, l, r, s, cochain):
+        rc.literal.reduced_terms = _swap_sides(terms) if cochain else terms
+        return block(untwisted, l, r, s, cochain)
 
-    monkeypatch.setattr(rc.literal, "_placed", mutated)
+    monkeypatch.setattr(rc.literal, "block", mutated)
     rc.reduced_block(1, 0, 1)
     with pytest.raises(FormulaMismatch) as err:
         rc.reduced_cochain_block(1, 0, 1)
