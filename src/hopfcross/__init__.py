@@ -5,9 +5,10 @@ computes Hochschild homology and cohomology of E through small normalized
 complexes, certifies the underlying resolution and comparison maps, and checks
 every computation against a brute-force bar-complex oracle.
 
-The package root exports the input layer only: fields, algebras, Hopf
-algebras, crossed products and problem files.  Reports and complexes are
-imported from hopfcross.homology and hopfcross.complexes.
+The package root exports the input layer (fields, algebras, Hopf algebras,
+crossed products and problem files) and two general data types,
+ExactMatrix and TensorSpace.  Reports and complexes are imported from
+hopfcross.homology and hopfcross.complexes.
 """
 
 from .fields import FieldSpec

@@ -16,7 +16,7 @@ identities on every basis vector.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 from .algebras import Report
@@ -34,7 +34,7 @@ class BarCalculus:
         self.cap = cap
         self.field = cp.field
         self.spaces = [FreeBimoduleSpace(cp, (cp.e.dim,) * n) for n in range(cap + 1)]
-        self.bprime_table: dict = {}
+        self._bprime_generator = cache(self._bprime_generator)
 
     def bprime(self, n: int, vec: dict) -> dict:
         """b'_n applied to a sparse vector of B_n, landing in B_{n-1}."""
@@ -42,10 +42,8 @@ class BarCalculus:
                                     self.spaces[n - 1].outer_mult, vec, self.field)
 
     def _bprime_generator(self, n: int, mid: int) -> dict:
-        """b'_n(1 (x) e_1..e_n (x) 1), its three face kinds, memoised per (n, mid)."""
-        hit = self.bprime_table.get((n, mid))
-        if hit is not None:
-            return hit
+        """b'_n(1 (x) e_1..e_n (x) 1), its three face kinds; built once per
+        (n, mid), shared, read only."""
         field = self.field
         mult = self.cp.e.mult
         tgt = self.spaces[n - 1]
@@ -60,7 +58,6 @@ class BarCalculus:
                     nm = tgt.mid_rank(legs[: i - 1] + (k,) + legs[i + 1 :])
                     keyed_add_into(out, tgt.combine(0, nm, 0), field.mul(sign, c), field)
         out[tgt.combine(0, tgt.mid_rank(legs[:-1]), legs[-1])] = field.neg(sign)
-        self.bprime_table[(n, mid)] = out
         return out
 
     def xi(self, n: int, vec: dict) -> dict:

@@ -26,6 +26,8 @@ clearing of Chen and Kerber ("Persistent homology computation with a twist",
 
 from __future__ import annotations
 
+from functools import cache
+
 from .algebras import Report
 from .linalg import ExactMatrix, SpanSolver
 
@@ -211,7 +213,7 @@ class FilteredComplex:
             self._counts.append(counts)
         # d lowers the filtration index (homology) or raises it (cohomology)
         self._down = 1 if complex.direction == HOMOLOGY else -1
-        self._pairs: dict = {}
+        self._pairs = cache(self._pivot_pairs)
 
     def top_level(self, n: int) -> int:
         """The largest level present at degree n; pages are constant past it."""
@@ -249,23 +251,24 @@ class FilteredComplex:
         levels = self.levels[n]
         return sorted(range(len(levels)), key=levels.__getitem__, reverse=self._down == -1)
 
+    def _pivot_pairs(self, n: int) -> list:
+        """The pivot pairs of the map leaving degree n, in level order; read
+        through _pairs, which finds them once per n and keeps them (the
+        reduced columns are not kept)."""
+        og = self.complex.outgoing(n) if 0 <= n <= self.complex.cap else None
+        if og is None:
+            return []
+        row_of = {i: k for k, i in enumerate(self._level_order(n - self._down))}
+        cols = [{row_of[i]: v for i, v in og.cols[j].items()} for j in self._level_order(n)]
+        return ExactMatrix(og.field, og.nrows, og.ncols, cols).pivot_pairs()
+
     def _rank(self, n: int, a: int, b: int) -> int:
         """rank of the map leaving degree n on [rows >= a, cols < b], in level order.
 
         By the pairing lemma, the number of pivot pairs in that lower-left
-        block; the pairs of each map are found once and kept, its reduced
-        columns are not.
+        block.
         """
-        pairs = self._pairs.get(n)
-        if pairs is None:
-            og = self.complex.outgoing(n) if 0 <= n <= self.complex.cap else None
-            pairs = []
-            if og is not None:
-                row_of = {i: k for k, i in enumerate(self._level_order(n - self._down))}
-                cols = [{row_of[i]: v for i, v in og.cols[j].items()} for j in self._level_order(n)]
-                pairs = ExactMatrix(og.field, og.nrows, og.ncols, cols).pivot_pairs()
-            self._pairs[n] = pairs
-        return sum(1 for low, j in pairs if low >= a and j < b)
+        return sum(1 for low, j in self._pairs(n) if low >= a and j < b)
 
     def page_cell_dim(self, r: int, p: int, q: int) -> int:
         """dim of the page-r cell at filtration index p, complementary index q."""

@@ -10,7 +10,7 @@ index 0.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 
 from .algebras import AlgebraData, Report, verify_algebra
 from .fields import FieldSpec
@@ -388,19 +388,13 @@ class BimoduleData:
         self.dim_e = dim_e
         self.left = [[field.sparse(cell) for cell in row] for row in left]
         self.right = [[field.sparse(cell) for cell in row] for row in right]
-        self._sandwiches: dict = {}
+        self.sandwich = cache(self.sandwich)
 
     def sandwich(self, x: int, y: int) -> list[dict]:
         """[x . e_mi . y for every basis index mi of M], for E basis indices x
         and y; built once per pair, shared, read only."""
-        key = (x, y)
-        hit = self._sandwiches.get(key)
-        if hit is None:
-            one = self.field.one
-            hit = self._sandwiches[key] = [
-                self.left_act(x, self.right_act({mi: one}, y)) for mi in range(self.dim)
-            ]
-        return hit
+        one = self.field.one
+        return [self.left_act(x, self.right_act({mi: one}, y)) for mi in range(self.dim)]
 
     def left_act(self, e_idx: int, mvec: dict) -> dict:
         return apply_columns(mvec, self.left[e_idx], self.field)

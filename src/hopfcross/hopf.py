@@ -9,6 +9,8 @@ every basis element; nothing downstream runs on unverified data.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .algebras import AlgebraData, Report, verify_algebra
 from .fields import FieldSpec
 from .linalg import apply_columns
@@ -28,7 +30,7 @@ class HopfData:
         self.comult = [field.sparse(row) for row in comult]
         self.counit = [field.scalar(v) for v in counit]
         self.antipode = [field.sparse(row) for row in antipode]
-        self._powers: dict = {}
+        self.comult_power = cache(self.comult_power)
 
     def comult_row(self, i: int) -> dict:
         return self.comult[i]
@@ -36,13 +38,7 @@ class HopfData:
     def comult_power(self, i: int, n: int) -> dict:
         """Delta^(n)(e_i) keyed over n-tuples (left iteration), expanded once
         per (i, n); the returned dict is shared, read only."""
-        key = (i, n)
-        hit = self._powers.get(key)
-        if hit is None:
-            hit = self._powers[key] = expand_leg(
-                {(i,): self.field.one}, 0, self.comult_row, n, self.field
-            )
-        return hit
+        return expand_leg({(i,): self.field.one}, 0, self.comult_row, n, self.field)
 
     def __repr__(self):
         return f"HopfData(dim={self.dim}, field={self.field.spec_string()})"

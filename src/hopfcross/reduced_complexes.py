@@ -41,6 +41,30 @@ per coordinate: chains by F_p = {s <= p}, cochains by F^p = {s >= p}, the
 annihilator of F_{p-1}.  dual_transpose only permutes coordinates inside a
 block, so the cochains reuse the chain level list.
 
+Tables that both sides of the displayed-vs-derived check read, each cached
+once per instance of its owner:
+  HopfData.comult_power   input: H's comultiplication rows, expanded (the
+                          rows pass verify_hopf).
+  the Sweedler legs       input: comult_power leg by leg (hopf.sweedler_legs);
+                          the resolution, TwistedBasis and _Literal each
+                          cache their own.
+  TwistingCalculus.iter_act
+                          input: the action rows applied leg by leg (the
+                          rows pass verify_crossed_axioms).
+  TwistingCalculus.h_product
+                          input: H's multiplication rows; not cached.
+  unit_section_inverse_map
+                          input: the paper's formula on the cocycle's
+                          convolution inverse, read by the untwisted family
+                          only and built once per side (TwistedBasis,
+                          _Literal.uinv); the tests check it against 1#h.
+  TwistingCalculus.insertion_column
+                          part of what is checked, and the known shared
+                          table: the closed d^l and the displayed d^l read
+                          the same cache (self.calc is res.calc), so a wrong
+                          column cannot show here; closed = recursive and
+                          tests/insertion_reference.py check it.
+
 Space layouts (flat, row-major):
   chain blocks     M (x) Hbar^s (x) Abar^r   ->  (m, h_1..h_s, a_1..a_r)
   untwisted chain  M (x) Abar^r (x) Hbar^s   ->  (m, a_1..a_r, h_1..h_s)
@@ -51,7 +75,7 @@ Degree spaces stack the blocks with r + s = n in increasing s.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex, FilteredComplex, HomologyLift
 from .crossed import (
@@ -162,60 +186,53 @@ class TwistedBasis:
     def __init__(self, res: CrossedResolution):
         self.res, self.cp, self.field = res, res.cp, res.field
         self._uinv = unit_section_inverse_map(res.cp)
-        self._legs, self._products, self._changes = {}, {}, {}
+        self._sweedler = cache(self._sweedler)
+        self._product = cache(self._product)
+        self._change = cache(self._change)
+        self.generator_table = cache(self.generator_table)
 
     def _sweedler(self, hs: tuple) -> dict:
-        """sweedler_legs(H, hs, 2), memoised for this basis only; shared, read only."""
-        hit = self._legs.get(hs)
-        if hit is None:
-            hit = self._legs[hs] = sweedler_legs(self.cp.h, hs, 2)
-        return hit
+        """sweedler_legs(H, hs, 2), for this basis only; shared, read only."""
+        return sweedler_legs(self.cp.h, hs, 2)
 
     def _product(self, inverse: bool, hs: tuple) -> dict:
-        """x(hs) when inverse, else y(hs), one leg at a time; memoised per leg tuple."""
-        key = (inverse, hs)
-        hit = self._products.get(key)
-        if hit is None:
-            cp, field = self.cp, self.field
-            hit = {cp.e.unit_index: field.one}
-            if hs:
-                rest = self._product(inverse, hs[:-1])
-                left, right = ((self._uinv[hs[-1]], rest) if inverse
-                               else (rest, {cp.include_h(hs[-1]): field.one}))
-                hit = apply_columns(left, lambda i: apply_columns(right, cp.e.mult[i], field), field)
-            self._products[key] = hit
-        return hit
+        """x(hs) when inverse, else y(hs), one leg at a time; shared, read only."""
+        cp, field = self.cp, self.field
+        if not hs:
+            return {cp.e.unit_index: field.one}
+        rest = self._product(inverse, hs[:-1])
+        left, right = ((self._uinv[hs[-1]], rest) if inverse
+                       else (rest, {cp.include_h(hs[-1]): field.one}))
+        return apply_columns(left, lambda i: apply_columns(right, cp.e.mult[i], field), field)
 
     def _change(self, to_twisted: bool, r: int, s: int) -> list:
         """Each generator of block (r, s) in the other basis, flat over the block:
         g(h, a) -> sum y(h^(1)) (x) t(a, h^(2)) (x) 1 when to_twisted (g ranked H
         legs first), else t(a, h) -> sum x(h^(1)) (x) g(h^(2), a) (x) 1."""
-        key = (to_twisted, r, s)
-        hit = self._changes.get(key)
-        if hit is None:
-            space = self.res.block_spaces[(r, s)]
-            h_first = space.radices
-            a_first = h_first[s:] + h_first[:s]
-            hit = self._changes[key] = []
-            for mid in space.generators():
-                legs = mid_key(h_first if to_twisted else a_first, mid)
-                hs, avs = (legs[:s], legs[s:]) if to_twisted else (legs[r:], legs[:r])
-                out: dict = {}
-                for comps, c in self._sweedler(hs).items():
-                    seconds = comps[1::2]
-                    mid_t = (mid_rank(a_first, avs + seconds) if to_twisted
-                             else mid_rank(h_first, seconds + avs))
-                    if mid_t is not None:
-                        for e, ce in self._product(not to_twisted, comps[0::2]).items():
-                            k = space.combine(e, mid_t, 0)
-                            out[k] = out.get(k, 0) + c * ce
-                hit.append(self.field.settle(out))
-        return hit
+        space = self.res.block_spaces[(r, s)]
+        h_first = space.radices
+        a_first = h_first[s:] + h_first[:s]
+        table = []
+        for mid in space.generators():
+            legs = mid_key(h_first if to_twisted else a_first, mid)
+            hs, avs = (legs[:s], legs[s:]) if to_twisted else (legs[r:], legs[:r])
+            out: dict = {}
+            for comps, c in self._sweedler(hs).items():
+                seconds = comps[1::2]
+                mid_t = (mid_rank(a_first, avs + seconds) if to_twisted
+                         else mid_rank(h_first, seconds + avs))
+                if mid_t is not None:
+                    for e, ce in self._product(not to_twisted, comps[0::2]).items():
+                        k = space.combine(e, mid_t, 0)
+                        out[k] = out.get(k, 0) + c * ce
+            table.append(self.field.settle(out))
+        return table
 
     def generator_table(self, l, r, s) -> list:
         """Per twisted generator t of block (r, s), in the untwisted order:
         d^l(t) in the twisted basis of block (r + l - 1, s - l), flat over that
-        block.  d^l and the rebasing are E^e-extensions."""
+        block.  d^l and the rebasing are E^e-extensions.  Built once per
+        (l, r, s), for the chains on M and the cochain mirror on M^v."""
         res, field = self.res, self.field
         src, tgt = res.block_spaces[(r, s)], res.block_spaces[(r + l - 1, s - l)]
         d, rebase = res.generator_columns[(l, r, s)], self._change(True, r + l - 1, s - l)
@@ -245,24 +262,16 @@ class _Literal:
         self.calc = calc
         self.field = cp.field
         self.one = {cp.e.unit_index: cp.field.one}
-        self._uinv = None
         # (cochain, x, y) -> the images of the basis of M; shared by the blocks
         # of one assembled complex, cleared by ReducedComplexes._filtered
         self.images: dict = {}
-        self._legs: dict = {}
+        # sweedler_legs(H, hs, count) for this evaluator only; shared, read only
+        self.sweedler = cache(partial(sweedler_legs, cp.h))
 
-    def uinv(self, h_idx: int) -> dict:
-        if self._uinv is None:
-            self._uinv = unit_section_inverse_map(self.cp)
-        return self._uinv[h_idx]
-
-    def sweedler(self, hs: tuple, count: int) -> dict:
-        """sweedler_legs(H, hs, count), memoised per (hs, count) for this
-        evaluator only; shared, read only."""
-        hit = self._legs.get((hs, count))
-        if hit is None:
-            hit = self._legs[(hs, count)] = sweedler_legs(self.cp.h, hs, count)
-        return hit
+    @cached_property
+    def uinv(self) -> list:
+        """The section inverses (1#h)^{-1}, per H basis index; built on first use."""
+        return unit_section_inverse_map(self.cp)
 
     def include_a(self, avec: dict) -> dict:
         return {self.cp.include_a(ai): c for ai, c in avec.items()}
@@ -373,7 +382,7 @@ class _Literal:
                 yield one, avs + hs[1:], one, field.mul(sign, eps)
             sign = field.sign(r + s)
             for comps, c in self.sweedler(hs[-1:], r + 2).items():
-                x, y = self.uinv(comps[0]), self.include_h(comps[r + 1])
+                x, y = self.uinv[comps[0]], self.include_h(comps[r + 1])
                 legs = [cp.action.act[comps[1 + k]][avs[k]] for k in range(r)]
                 for alegs, coef in tensor_vectors(legs, field.mul(c, sign), field).items():
                     yield x, alegs + hs[:-1], y, coef
@@ -391,9 +400,9 @@ class _Literal:
                     continue
                 # the inverse of the ordered product (1#h_{s-l+1}^(1)) ... (1#h_s^(1)):
                 # the section inverses multiplied in reverse order
-                x = self.uinv(firsts[-1])
+                x = self.uinv[firsts[-1]]
                 for t in range(l - 2, -1, -1):
-                    x = cp.e.mult_elems(x, self.uinv(firsts[t]))
+                    x = cp.e.mult_elems(x, self.uinv[firsts[t]])
                 for hm, cm in calc.h_product(comps[2::3]).items():
                     y = self.include_h(hm)
                     for fid, cf in fvec.items():
@@ -457,7 +466,7 @@ def _assemble_chain(field, cp, m, cap, block_fn, inserts):
 
 
 class ReducedComplexes:
-    """Builder and cache for all four small complexes attached to (cp, M).
+    """Builder for all four small complexes attached to (cp, M).
 
     The resolution route is authoritative; every block it assembles is
     checked against the displayed formula and FormulaMismatch is raised on
@@ -482,8 +491,6 @@ class ReducedComplexes:
         self.res = res if res is not None else CrossedResolution(cp, cap)
         self.calc = self.res.calc
         self.literal = _Literal(cp, m, self.calc)
-        self._reduced_blocks: dict = {}
-        self._untwisted_tables: dict = {}
 
     @cached_property
     def dual(self) -> BimoduleData:
@@ -498,30 +505,22 @@ class ReducedComplexes:
     def _block(self, untwisted: bool, l, r, s, cochain: bool) -> ExactMatrix:
         """The family's generator table placed on M, or with cochain on M^v;
         FormulaMismatch unless the displayed formula on M gives it (dualized
-        first for cochains).  A reduced block is kept per (cochain, l, r, s),
-        an untwisted table per (l, r, s) for both placements."""
+        first for cochains)."""
         coeff = self.dual if cochain else self.m
         if untwisted:
-            table = self._untwisted_tables.get((l, r, s))
-            if table is None:
-                table = self._untwisted_tables[(l, r, s)] = self.twisted.generator_table(l, r, s)
+            table = self.twisted.generator_table(l, r, s)
             derived = _placed_table(coeff, self.res.block_spaces[(r + l - 1, s - l)], table)
         else:
-            derived = self._reduced_blocks.get((cochain, l, r, s))
-            if derived is not None:
-                return derived
             derived = reduced_block_from_resolution(self.res, coeff, l, r, s)
         placed = dual_transpose(derived, self.m.dim) if cochain else derived
         if self.literal.block(untwisted, l, r, s, cochain) != placed:
             which = ("untwisted-" if untwisted else "") + ("cochain" if cochain else "chain")
             raise FormulaMismatch(which, l, r, s)
-        if not untwisted:
-            self._reduced_blocks[(cochain, l, r, s)] = derived
         return derived
 
     def reduced_block(self, l, r, s, cochain: bool = False) -> ExactMatrix:
         """The reduced chain block of d^l on M, or with cochain its chain
-        mirror on M^v (dualized, the cochain block on M); built once."""
+        mirror on M^v (dualized, the cochain block on M)."""
         return self._block(False, l, r, s, cochain)
 
     def reduced_cochain_block(self, l, r, s) -> ExactMatrix:

@@ -30,7 +30,7 @@ sub-bimodule E (x) Hbar^s (x) (1 # H) of block (0, s).
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import prod
 
 from .crossed import CrossedProductData
@@ -193,19 +193,13 @@ class CrossedResolution:
             self._degree_blocks.append(blocks)
             self._degree_ends.append([off + space.dim for _, _, off, space in blocks])
         self.dims = [self.degree_dim(n) for n in range(cap + 1)]
-        self._sweedler_memo: dict = {}
+        # each leg of hs comultiplied into `count` legs, keyed by the
+        # concatenated components: _sweedler(hs, count), shared, read only
+        self._sweedler = cache(partial(sweedler_legs, cp.h))
         if method == "closed":
             self.generator_columns = self._closed_generator_columns()
         else:
             self.generator_columns = self._recursive_generator_columns()
-
-    def _sweedler(self, hs: tuple, count: int) -> dict:
-        """Each leg of hs comultiplied into `count` legs, keyed by the
-        concatenated components; memoised per (hs, count)."""
-        hit = self._sweedler_memo.get((hs, count))
-        if hit is None:
-            hit = self._sweedler_memo[(hs, count)] = sweedler_legs(self.cp.h, hs, count)
-        return hit
 
     # elementary maps: one column rule each, read by the recursion and the
     # contracting homotopy ------------------------------------------------------
@@ -438,14 +432,7 @@ class CrossedResolution:
         for (r, s) in self.block_spaces:
             if r >= 1:
                 gens[(0, r, s)] = self._d0_generator_columns(r, s)
-        partial_memo: dict = {}
-
-        def partial_column(s, j):
-            hit = partial_memo.get((s, j))
-            if hit is None:
-                hit = partial_memo[(s, j)] = self._partial_column(s, j)
-            return hit
-
+        partial_column = cache(self._partial_column)
         for l in range(1, self.cap + 1):
             for r, s in sorted((p for p in self.block_spaces if l <= p[1]), key=lambda p: p[0]):
                 xs = self.block_spaces[(r, s)]

@@ -8,10 +8,11 @@ their recursion reaches).  A column of F^(l-1) is looked up before the rest of
 a recursive term is formed, so a term whose recursive column vanishes costs
 one lookup.
 
-Everything is memoized per crossed product: the calculus only depends on the
-action, the cocycle, and the comultiplication.  Each iterated
-comultiplication Delta^(n)(h) is read from the Hopf algebra's one table
-(HopfData.comult_power), and each column is built once.
+Every table is a functools.cache on the calculus, one per crossed product:
+the calculus only depends on the action, the cocycle, and the
+comultiplication.  Each iterated comultiplication Delta^(n)(h) is read from
+the Hopf algebra's one table (HopfData.comult_power), and each column is
+built once.
 
 The paper's double-complex case K = k.1 is decided here, once per block:
 inserts(l) is false for l >= 2 when f takes its values in k.1
@@ -38,7 +39,7 @@ ones assembled here.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 from .crossed import CrossedProductData
@@ -64,11 +65,11 @@ class TwistingCalculus:
     def __init__(self, cp: CrossedProductData):
         self.cp = cp
         self.field = cp.field
-        self._act_cache: dict = {}
-        self._comult_cache: dict = {}
-        self._columns: dict = {}
-        self._targets: dict = {}
         self._scalar = cp.cocycle.scalar_valued
+        self.iter_act = cache(self.iter_act)
+        self._comult_groups = cache(self._comult_groups)
+        self.target_space = cache(self.target_space)
+        self.insertion_column = cache(self._insertion_column)
 
     # iterated weak action ------------------------------------------------
     def act_vec(self, h_idx: int, avec: dict) -> dict:
@@ -78,13 +79,7 @@ class TwistingCalculus:
         """a^(h_1, ..., h_k) applied right to left: h_k acts first, h_1 last."""
         if not hs:
             return {a_idx: self.field.one}
-        key = (hs, a_idx)
-        hit = self._act_cache.get(key)
-        if hit is None:
-            inner = self.iter_act(hs[1:], a_idx)
-            hit = self.act_vec(hs[0], inner)
-            self._act_cache[key] = hit
-        return hit
+        return self.act_vec(hs[0], self.iter_act(hs[1:], a_idx))
 
     def iter_act_vec(self, hs: tuple, avec: dict) -> dict:
         """avec^(h_1, ..., h_k); avec itself, read only, when hs is empty or avec is 0."""
@@ -103,14 +98,10 @@ class TwistingCalculus:
     def _comult_groups(self, h_idx: int, n: int) -> list:
         """Delta^(n)(h) grouped by the last component:
         [(h^(n), [(h^(1) .. h^(n), coefficient), ...]), ...]; grouped once, read only."""
-        key = (h_idx, n)
-        hit = self._comult_cache.get(key)
-        if hit is None:
-            groups: dict = {}
-            for comps, c in self.cp.h.comult_power(h_idx, n).items():
-                groups.setdefault(comps[-1], []).append((comps, c))
-            hit = self._comult_cache[key] = list(groups.items())
-        return hit
+        groups: dict = {}
+        for comps, c in self.cp.h.comult_power(h_idx, n).items():
+            groups.setdefault(comps[-1], []).append((comps, c))
+        return list(groups.items())
 
     # insertion coefficients ----------------------------------------------
     def inserts(self, l: int) -> bool:
@@ -120,25 +111,15 @@ class TwistingCalculus:
         return l < 2 or not self._scalar
 
     def target_space(self, l: int, r: int) -> TensorSpace:
-        """A^(r+l-1), the flat layout of a column of F^(l)_r; built once per size."""
-        n = r + l - 1
-        hit = self._targets.get(n)
-        if hit is None:
-            hit = self._targets[n] = TensorSpace((self.cp.a.dim,) * n)
-        return hit
+        """A^(r+l-1), the flat layout of a column of F^(l)_r; built once per (l, r)."""
+        return TensorSpace((self.cp.a.dim,) * (r + l - 1))
 
-    def insertion_column(self, l: int, r: int, h_tuple: tuple, a_tuple: tuple) -> dict:
+    def _insertion_column(self, l: int, r: int, h_tuple: tuple, a_tuple: tuple) -> dict:
         """The column of F^(l)_r at h_tuple (x) a_tuple, flat over A^(r+l-1).
 
-        Built on first use and memoized; the returned dict is shared, read only.
+        Read through insertion_column, which builds it on first use; the
+        returned dict is shared, read only.
         """
-        key = (h_tuple, a_tuple)
-        hit = self._columns.get(key)
-        if hit is None:
-            hit = self._columns[key] = self._insertion_column(l, r, h_tuple, a_tuple)
-        return hit
-
-    def _insertion_column(self, l, r, h_tuple, a_tuple) -> dict:
         field = self.field
         cp = self.cp
         na = cp.a.dim

@@ -26,6 +26,7 @@ them."""
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from closed_form_inputs import (
     SWEEDLER_GAUGE,
@@ -184,6 +185,23 @@ def test_gauge_twist_closed_equals_recursive(gauge_twisted):
 
 def test_gauge_twist_second_page(gauge_twisted):
     assert e2_identification(gauge_twisted, cap=CAP)["pass"] is True
+
+
+GAUGE_VALUE = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@settings(max_examples=20, deadline=None)
+@given(ug=GAUGE_VALUE, ux=GAUGE_VALUE, ugx=GAUGE_VALUE)
+def test_random_gauge_twist_keeps_the_base_dims(field, ug, ux, ugx):
+    # u(1) = 1 and u(g) a unit, the rest free: the twist is isomorphic to
+    # sweedler_smash whatever u is
+    assume(not field.is_zero(field.scalar(ug[0])))
+    cp = gauge_twisted_sweedler_smash(field, {0: (1, 0), 1: ug, 2: ux, 3: ugx})
+    assert verify_crossed_axioms(cp.a, cp.h, cp.action, cp.cocycle).passed
+    for fn in (hochschild_homology, hochschild_cohomology):
+        assert fn(cp, cap=3)["dims"] == [3, 4, 6], fn.__name__
+    assert_constructions_agree(build_resolution_closed(cp, 3), build_resolution_recursive(cp, 3))
 
 
 def test_first_sweedler_choice_only_breaks_closed_equals_recursive(monkeypatch):

@@ -42,15 +42,25 @@ def _reach_all_columns(cp, cap):
 
 
 @pytest.mark.parametrize("name,cap,field", CASES, ids=[f"{n}-cap{c}-{f}" for n, c, f in CASES])
-def test_every_reached_column_matches_the_reference(name, cap, field):
+def test_every_reached_column_matches_the_reference(name, cap, field, monkeypatch):
     cp = builtin(name, field=FieldSpec.parse(field)).crossed_product()
+    built = {}
+    column = twisting.TwistingCalculus._insertion_column
+
+    def recorded(self, l, r, h_tuple, a_tuple):
+        built[(h_tuple, a_tuple)] = col = column(self, l, r, h_tuple, a_tuple)
+        return col
+
+    monkeypatch.setattr(twisting.TwistingCalculus, "_insertion_column", recorded)
     calc = _reach_all_columns(cp, cap)
+    # every column is built once, the recursive ones included
+    assert calc.insertion_column.cache_info().currsize == len(built)
     ref = ReferenceInsertion(cp)
     nh, na = cp.h.dim, cp.a.dim
-    levels = Counter(len(h_tuple) for h_tuple, _ in calc._columns)
+    levels = Counter(len(h_tuple) for h_tuple, _ in built)
     # with H = k there is no normalized H leg, so no d^l with l >= 2
     assert (levels[1] and levels[2]) or cp.h.dim == 1, levels
-    for (h_tuple, a_tuple), col in calc._columns.items():
+    for (h_tuple, a_tuple), col in built.items():
         l, r = len(h_tuple), len(a_tuple)
         flat = TensorSpace((nh,) * l + (na,) * r).index(h_tuple + a_tuple)
         assert col == ref.insertion_matrix(l, r).cols[flat], (h_tuple, a_tuple)

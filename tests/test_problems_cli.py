@@ -522,10 +522,18 @@ MISTYPED = [
 ]
 
 
-@pytest.mark.parametrize("path, value", MISTYPED,
-                         ids=[f"{'.'.join(p)}={v!r}" for p, v in MISTYPED])
-def test_cli_mistyped_node_exits_2_at_the_node(path, value, tmp_path, capsys):
-    doc = _replaced(EMITTED, path, value)
+# scalars of the wrong JSON type: over Q, 0.1 would read as the exact value
+# of the binary float, and over both fields true would read as 1
+SCALAR_DOCS = {"q": EMITTED, "fp:3": emit_problem(builtin("klein_four", field=FieldSpec.prime(3)))}
+MISTYPED_SCALARS = [
+    ("q", ("algebra", "mult", 0, 0, 0), 0.1, "algebra.mult[0][0]"),
+    ("q", ("hopf", "counit", 0), 0.1, "hopf.counit"),
+    ("fp:3", ("algebra", "mult", 0, 0, 0), True, "algebra.mult[0][0]"),
+    ("fp:3", ("hopf", "counit", 0), True, "hopf.counit"),
+]
+
+
+def _exits_2_at(doc, where, tmp_path, capsys):
     with pytest.raises(ParseError):
         parse_problem_dict(doc)
     problem = tmp_path / "mistyped.json"
@@ -533,7 +541,19 @@ def test_cli_mistyped_node_exits_2_at_the_node(path, value, tmp_path, capsys):
     assert main(["homology", str(problem)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err, err
-    assert f"(at {'.'.join(path)})" in err, err
+    assert f"(at {where})" in err, err
+
+
+@pytest.mark.parametrize("path, value", MISTYPED,
+                         ids=[f"{'.'.join(p)}={v!r}" for p, v in MISTYPED])
+def test_cli_mistyped_node_exits_2_at_the_node(path, value, tmp_path, capsys):
+    _exits_2_at(_replaced(EMITTED, path, value), ".".join(path), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("field, path, value, where", MISTYPED_SCALARS,
+                         ids=[f"{f}-{w}={v!r}" for f, _, v, w in MISTYPED_SCALARS])
+def test_cli_mistyped_scalar_exits_2_at_the_node(field, path, value, where, tmp_path, capsys):
+    _exits_2_at(_replaced(SCALAR_DOCS[field], path, value), where, tmp_path, capsys)
 
 
 def test_file_oracle_option_is_a_json_bool():

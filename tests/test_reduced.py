@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from hopfcross.comparison import BarCalculus
 from hopfcross.fields import FieldSpec
 from hopfcross.algebras import Report, group_algebra
 from hopfcross.bar import hochschild_chain_complex
@@ -155,6 +159,25 @@ def test_untwisted_tables_built_once_and_shared(cps, monkeypatch):
         # the blocks the assembly skips (TwistingCalculus.inserts) get no table
         assert {l for l, _, _ in calls} == ({0, 1, 2, 3, 4} if name.startswith("z4") else {0, 1}), name
         calls.clear()
+
+
+def test_caches_are_per_instance_and_collectable(cps):
+    # each lookup table is a functools.cache on one instance: a second
+    # calculus on the same crossed product starts empty, and the reference
+    # cycles through the bound builders are freed by the collector
+    cp = cps["z4_as_cocycle_extension"]
+    rc = ReducedComplexes(cp, regular_bimodule(cp.e), 3)
+    rc.reduced_chain_complex()
+    rc.untwisted_cochain_complex()
+    assert rc.calc.insertion_column.cache_info().currsize > 0
+    assert TwistingCalculus(cp).insertion_column.cache_info().currsize == 0
+    bar = BarCalculus(cp, 3)
+    bar.bprime(2, {0: Q.one})
+    assert bar._bprime_generator.cache_info().currsize > 0
+    refs = [weakref.ref(obj) for obj in (rc, rc.res, rc.calc, rc.twisted, rc.literal, rc.dual, bar)]
+    del rc, bar
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_untwisting_cochain_is_iso(cps):

@@ -73,6 +73,15 @@
   is decided in twisting.py alone: no other src/ module reads
   CocycleData.scalar_valued; the readers ask TwistingCalculus.inserts once
   per block, and the resolution-check certificate reports its answer.
+* Every lookup table is a per-instance functools.cache, set by one line in
+  __init__ (self.f = cache(self._build_f)).  No function but _Literal.block
+  (whose images are cleared for each complex) writes a memo by hand:
+  x = d.get(key), a test of x against None, and a store into d.  The
+  elimination registry (registry.get(low) in linalg.py) never stores on a
+  miss and is not one.  No method is decorated with functools.cache or
+  lru_cache: that cache is keyed by self, shared by every instance, and
+  keeps each instance alive.  Module-level functions (cli.make_parser) may
+  be.
 """
 
 import ast
@@ -123,6 +132,9 @@ COLUMN_RULES = {"_mu_column", "_partial_column", "_sigma0_x_column", "_sigma_min
 KEYED_CONVERSIONS = {"keyed_add_into", "flatten"}
 # read only in twisting.py; every other module asks TwistingCalculus.inserts
 TWISTING_ONLY = {"scalar_valued"}
+# Class.method (or function) -> allowed to write a memo by hand
+MEMO_EXEMPT = {"_Literal.block"}  # its images are cleared for each assembled complex
+CACHE_DECORATORS = {"cache", "lru_cache"}
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
     # reduced.blocks layer, and perfbench/ changes only in a benchmark change
@@ -494,6 +506,61 @@ def _named(node: ast.AST) -> tuple[set[str], set[str]]:
         elif isinstance(n, ast.Attribute):
             attrs.add(n.attr)
     return names, attrs
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) of every function and method, nested ones included."""
+    todo = [("", node) for node in tree.body]
+    while todo:
+        prefix, node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            todo.extend((name + ".", child) for child in node.body)
+
+
+def _hand_written_memos(tree: ast.Module) -> list[str]:
+    """Functions that read x = d.get(...), test x against None and store into
+    d (d[...] = ...), d being the same name or attribute chain throughout."""
+    found = []
+    for name, fn in _functions(tree):
+        if name in MEMO_EXEMPT:
+            continue
+        nodes = _own_nodes(fn)
+        lookups = {}  # x -> the dump of d, for x = d.get(...)
+        for node in nodes:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Attribute) and node.value.func.attr == "get"):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        lookups[target.id] = ast.dump(node.value.func.value)
+        tested = {
+            node.left.id for node in nodes
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value is None
+        }
+        stored = {
+            ast.dump(target.value) for node in nodes if isinstance(node, (ast.Assign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Subscript)
+        }
+        found.extend(f"{name} ({x})" for x, d in sorted(lookups.items()) if x in tested and d in stored)
+    return found
+
+
+def _cached_methods(tree: ast.Module) -> list[str]:
+    """Methods decorated with cache or lru_cache, bare, called or as functools.x."""
+    def is_cache(dec):
+        if isinstance(dec, ast.Call):
+            dec = dec.func
+        return (dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)) in CACHE_DECORATORS
+
+    return [f"{cls.name}.{fn.name} (line {fn.lineno})"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if any(is_cache(dec) for dec in fn.decorator_list)]
 
 
 def _unreached(modules: dict, roots: list) -> set[str]:
@@ -950,3 +1017,70 @@ def test_unreached_code_is_detected():
         "mod.only_from_dead", "mod.dead", "mod.ping", "mod.pong", "mod.recursive", "mod.K.unused",
         "mod.K.scale", "mod.K.sub",
     }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lookup_tables_are_per_instance_caches(path):
+    assert _hand_written_memos(_tree(path)) == []
+    assert _cached_methods(_tree(path)) == []
+
+
+def test_hand_written_memos_are_detected():
+    # the exempt images memo of _Literal.block is one
+    tree = _tree(PACKAGE / "reduced_complexes.py")
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Literal"]
+    (fn,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "block"]
+    assert _hand_written_memos(ast.Module(body=[fn], type_ignores=[])) == ["block (per_m)"]
+    for source in (
+        # HopfData.comult_power as it was
+        "class HopfData:\n    def comult_power(self, i, n):\n        key = (i, n)\n"
+        "        hit = self._powers.get(key)\n        if hit is None:\n"
+        "            hit = self._powers[key] = expand_leg({(i,): 1}, 0, self.comult_row, n)\n"
+        "        return hit",
+        # BarCalculus._bprime_generator as it was: an early return, the store at the end
+        "class BarCalculus:\n    def _bprime_generator(self, n, mid):\n"
+        "        hit = self.bprime_table.get((n, mid))\n        if hit is not None:\n"
+        "            return hit\n        out = {0: 1}\n        self.bprime_table[(n, mid)] = out\n"
+        "        return out",
+        # the local memo of _recursive_generator_columns, in a nested function
+        "def columns(self):\n    partial_memo = {}\n    def partial_column(s, j):\n"
+        "        hit = partial_memo.get((s, j))\n        if hit is None:\n"
+        "            hit = partial_memo[(s, j)] = self._partial_column(s, j)\n        return hit\n"
+        "    return partial_column",
+        # a store on its own line after the test
+        "class FilteredComplex:\n    def _rank(self, n):\n        pairs = self._pairs.get(n)\n"
+        "        if pairs is None:\n            pairs = self.find(n)\n"
+        "            self._pairs[n] = pairs\n        return len(pairs)",
+    ):
+        assert _hand_written_memos(ast.parse(source)), source
+    for source in (
+        # the elimination registry: a miss returns, nothing is stored
+        "def reduce(self, registry, vec):\n    while vec:\n        low = max(vec)\n"
+        "        hit = registry.get(low)\n        if hit is None:\n            return low\n"
+        "        vec.pop(low)",
+        # a store into another dict than the one read
+        "def f(seen, out, key):\n    hit = seen.get(key)\n    if hit is None:\n"
+        "        out[key] = 1\n    return out",
+        # a default lookup, never tested against None
+        "def f(d, k):\n    x = d.get(k, 0)\n    d[k] = x + 1",
+        "class TwistingCalculus:\n    def __init__(self):\n"
+        "        self.insertion_column = cache(self._insertion_column)",
+    ):
+        assert _hand_written_memos(ast.parse(source)) == [], source
+
+
+def test_cached_methods_are_detected():
+    for source in (
+        "class A:\n    @cache\n    def f(self, n):\n        return n",
+        "class A:\n    @functools.cache\n    def f(self, n):\n        return n",
+        "class A:\n    @lru_cache(maxsize=None)\n    def f(self, n):\n        return n",
+        "class A:\n    @staticmethod\n    @functools.lru_cache()\n    def f(n):\n        return n",
+    ):
+        assert _cached_methods(ast.parse(source)), source
+    for source in (
+        # a module-level function, a per-instance cache and a cached_property
+        "@cache\ndef make_parser():\n    return 1",
+        "class A:\n    def __init__(self):\n        self.f = cache(self._f)",
+        "class A:\n    @cached_property\n    def table(self):\n        return {}",
+    ):
+        assert _cached_methods(ast.parse(source)) == [], source
