@@ -145,10 +145,11 @@ def homology_dims(c: ChainComplex) -> list[int]:
 class HomologyLift:
     """Representatives of a basis of H_n, and the solver that lifts maps to H_n.
 
-    Deterministic: the representatives are the cycle-basis columns that stay
-    pivots in one reduction of [boundary basis | cycle basis].  A column is a
-    pivot exactly when it is outside the span of the columns before it, so
-    they are independent modulo boundaries and span the cycles with them.
+    One reduction of [boundary basis | cycle basis] does both.  Deterministic:
+    the representatives are the cycle-basis columns among its pivot columns
+    (SpanSolver.pairs).  A column is a pivot exactly when it is outside the
+    span of the columns before it, so they are independent modulo boundaries
+    and span the cycles with them.
     """
 
     def __init__(self, c: ChainComplex, n: int):
@@ -159,17 +160,17 @@ class HomologyLift:
         cycles = og.kernel_basis() if og is not None else ExactMatrix.identity(field, dim)
         bounds = inc.column_space_basis() if inc is not None else ExactMatrix.zeros(field, dim, 0)
         nb = bounds.ncols
-        pairs = ExactMatrix.hstack([bounds, cycles]).pivot_pairs()
-        self.reps = ExactMatrix.from_columns(
-            field, dim, [cycles.cols[j - nb] for _, j in pairs if j >= nb])
+        self._solver = SpanSolver(ExactMatrix.hstack([bounds, cycles]))
+        self._kept = [j for _, j in self._solver.pairs if j >= nb]
+        self.reps = ExactMatrix.from_columns(field, dim, [cycles.cols[j - nb] for j in self._kept])
         self.rank = self.reps.ncols
-        self._solver = SpanSolver(ExactMatrix.hstack([self.reps, bounds]))
 
     def induced(self, chain_map: ExactMatrix) -> ExactMatrix:
         """Matrix induced on H_n by a chain map given at degree n.
 
-        Lifts through the chosen representatives: solve image = reps*x +
-        boundaries*y and keep x.  The solve is consistent exactly because the
+        Lifts through the chosen representatives: solve image =
+        boundaries*y + reps*x on the pivot columns, where the solution is
+        unique, and keep x.  The solve is consistent exactly because the
         input is a chain map and the representatives are cycles.
         """
         field = self.complex.field
@@ -182,7 +183,7 @@ class HomologyLift:
                     f"map does not preserve cycles mod boundaries at degree {self.n}"
                 )
             cols.append(
-                {i: coords[i] for i in range(self.rank) if not field.is_zero(coords[i])}
+                {i: coords[k] for i, k in enumerate(self._kept) if not field.is_zero(coords[k])}
             )
         return ExactMatrix(field, self.rank, self.rank, cols)
 

@@ -15,7 +15,7 @@ from functools import cache, partial
 from .algebras import AlgebraData, Report, verify_algebra
 from .fields import FieldSpec
 from .hopf import HopfData, sweedler_expand, verify_hopf
-from .linalg import apply_columns, vec_add_into
+from .linalg import ExactMatrix, apply_columns, vec_add_into
 from .tensors import TensorSpace, keyed_add_into
 
 
@@ -290,57 +290,42 @@ def _convolution_product(cp: CrossedProductData, u, v):
 def convolution_inverse(cp: CrossedProductData):
     """Two-sided convolution inverse of the cocycle, or None.
 
-    Solved as an exact linear system in Hom(H (x) H, A); left and right
-    inverses are computed independently and compared (they must agree when
-    both exist).  The result is stored on cp and returned.
+    One exact solve of f * u = e in Hom(H (x) H, A), on the matrix of
+    u -> f * u written in one pass over the coproduct pairs: column
+    (h2, l2, a) gets c_h c_l f(h1, l1) e_a at rows (h, l, .).  A right inverse
+    in this finite-dimensional algebra is two-sided, and both f * u = e and
+    u * f = e are certified by _convolution_product, which shares no code
+    with the solve; AssertionError names a side that fails.  The result is
+    stored on cp and returned.
     """
-    from .linalg import ExactMatrix
-
-    a, h = cp.a, cp.h
+    a, h, f = cp.a, cp.h, cp.cocycle.f
     field = cp.field
     n = h.dim * h.dim * a.dim
     space = TensorSpace((h.dim, h.dim, a.dim))
-
     unit = trivial_cocycle(field, h, a).f
-    rhs = {}
+    rhs = {space.index((hi, li, ai)): c
+           for hi in range(h.dim) for li in range(h.dim) for ai, c in unit[hi][li].items()}
+    cols: list[dict] = [{} for _ in range(n)]
     for hi in range(h.dim):
-        for li in range(h.dim):
-            for ai, c in unit[hi][li].items():
-                rhs[space.index((hi, li, ai))] = c
-
-    def op_matrix(left: bool) -> ExactMatrix:
-        # matrix of u -> f * u (left=True) or u -> u * f
-        cols = []
-        for col in range(n):
-            hu, lu, au = space.unrank(col)
-            u = [[{} for _ in range(h.dim)] for _ in range(h.dim)]
-            u[hu][lu] = {au: field.one}
-            prod = (
-                _convolution_product(cp, cp.cocycle.f, u)
-                if left
-                else _convolution_product(cp, u, cp.cocycle.f)
-            )
-            vec = {}
-            for hi in range(h.dim):
-                for li in range(h.dim):
-                    for ai, c in prod[hi][li].items():
-                        vec[space.index((hi, li, ai))] = c
-            cols.append(vec)
-        return ExactMatrix(field, n, n, cols)
-
-    right_inv = op_matrix(left=True).solve(rhs)   # f * u = e
-    left_inv = op_matrix(left=False).solve(rhs)   # u * f = e
-    if right_inv is None or left_inv is None:
+        for (h1, h2), ch in h.comult[hi].items():
+            for li in range(h.dim):
+                for (l1, l2), cl in h.comult[li].items():
+                    for ai in range(a.dim):
+                        col = cols[space.index((h2, l2, ai))]
+                        for bi, v in a.mult_elems(f[h1][l1], {ai: field.one}).items():
+                            k = space.index((hi, li, bi))
+                            col[k] = col.get(k, 0) + ch * cl * v
+    x = ExactMatrix(field, n, n, [field.settle(col) for col in cols]).solve(rhs)
+    if x is None:
         return None
-    if right_inv != left_inv:
-        # one-sided inverses in a finite-dimensional algebra coincide
-        raise AssertionError("one-sided convolution inverses disagree")
     finv = [[{} for _ in range(h.dim)] for _ in range(h.dim)]
-    for idx, c in enumerate(right_inv):
-        if field.is_zero(c):
-            continue
-        hi, li, ai = space.unrank(idx)
-        finv[hi][li][ai] = c
+    for idx, c in enumerate(x):
+        if not field.is_zero(c):
+            hi, li, ai = space.unrank(idx)
+            finv[hi][li][ai] = c
+    for side, u, v in (("f * u", f, finv), ("u * f", finv, f)):
+        if _convolution_product(cp, u, v) != unit:
+            raise AssertionError(f"{side} != e for the solved convolution inverse u")
     cp.conv_inverse = finv
     return finv
 

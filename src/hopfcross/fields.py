@@ -127,7 +127,12 @@ class FieldSpec:
         return 1
 
     def scalar(self, value):
-        """Coerce an int, rational, or 'p/q' string into a field scalar."""
+        """Coerce an int, rational, or 'p/q' string into a field scalar.
+
+        A float or a bool is refused (TypeError), not read as its binary
+        value or as 0/1; every structure constant passes through here."""
+        if isinstance(value, (bool, float)):
+            raise TypeError(f"a scalar is an integer, a rational or a string, got {value!r}")
         if self.kind == "Q":
             return _canonical(_ratio(value))
         if isinstance(value, str):

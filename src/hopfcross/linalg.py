@@ -405,12 +405,14 @@ class SpanSolver:
 
     Builds the elimination registry, with combos, once; subsequent queries
     only reduce the query vector.  Used for repeated solves against one span.
+    pairs are the (pivot row, column) pairs of that one reduction, in column
+    order (ExactMatrix.pivot_pairs): the pivot columns are a basis of the span.
     """
 
     def __init__(self, matrix: ExactMatrix):
         self.matrix = matrix
         self.reduction = _reduction(matrix.field)
-        self.registry, _, _ = matrix._echelon(track_combos=True)
+        self.registry, _, self.pairs = matrix._echelon(track_combos=True)
 
     def coordinates(self, vec: dict) -> list | None:
         """x with matrix @ x = vec, supported on the pivot columns; None outside the span.

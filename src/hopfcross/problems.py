@@ -2,9 +2,8 @@
 
 A problem file is a single JSON document; tensors are nested arrays indexed
 by basis positions, scalars are integers, "p/q" strings over the rationals,
-or plain integers 0..p-1 over a prime field; a JSON float or boolean is
-refused, not read as its binary value or as 0/1.  Dimensions are cross-checked
-before any mathematics runs.
+or plain integers 0..p-1 over a prime field (FieldSpec.scalar refuses a
+float or a boolean).  Dimensions are cross-checked before any mathematics runs.
 """
 
 from __future__ import annotations
@@ -86,8 +85,6 @@ class ProblemFile:
 # parsing ----------------------------------------------------------------------
 
 def _scalar(field, v, where):
-    if isinstance(v, (bool, float)):
-        raise ParseError(f"bad scalar {v!r}: a scalar is a JSON integer or string", where)
     try:
         return field.scalar(v)
     except Exception as exc:

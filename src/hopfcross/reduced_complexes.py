@@ -262,9 +262,9 @@ class _Literal:
         self.calc = calc
         self.field = cp.field
         self.one = {cp.e.unit_index: cp.field.one}
-        # (cochain, x, y) -> the images of the basis of M; shared by the blocks
-        # of one assembled complex, cleared by ReducedComplexes._filtered
-        self.images: dict = {}
+        # shared by the blocks of one assembled complex, cleared by
+        # ReducedComplexes._filtered
+        self.images = cache(self.images)
         # sweedler_legs(H, hs, count) for this evaluator only; shared, read only
         self.sweedler = cache(partial(sweedler_legs, cp.h))
 
@@ -284,7 +284,7 @@ class _Literal:
         out (m, mid), cochains (arg, m).
 
         The images y.e_mi.x (chains) or x.e_mi.y (cochains) of the basis of M
-        are computed once per distinct (x, y), in self.images."""
+        are computed once per distinct (x, y), by self.images."""
         field, m = self.field, self.m
         terms, mid_space = ((self.untwisted_terms, _untwisted_mid_space) if untwisted
                             else (self.reduced_terms, _reduced_mid_space))
@@ -292,20 +292,12 @@ class _Literal:
         tgt = mid_space(self.cp, r + l - 1, s - l)
         row_space, col_space = (src, tgt) if cochain else (tgt, src)
         cols: list[dict] = [{} for _ in range(m.dim * col_space.size)]
-        images = self.images
         for mid in range(src.size):
             for x, key, y, c in terms(mid_key(src.dims, mid), l, r, s):
                 mid_t = mid_rank(tgt.dims, key)
                 if mid_t is None:
                     continue
-                xy = (cochain, tuple(x.items()), tuple(y.items()))
-                per_m = images.get(xy)
-                if per_m is None:
-                    per_m = images[xy] = [
-                        m.right_elem(m.left_elem(x, {mi: field.one}), y) if cochain
-                        else m.left_elem(y, m.right_elem({mi: field.one}, x))
-                        for mi in range(m.dim)
-                    ]
+                per_m = self.images(cochain, tuple(x.items()), tuple(y.items()))
                 if cochain:
                     # the cochain e_mi at v' goes to c x.e_mi.y at v
                     col_at, col_step, row_at, row_step = mid_t * m.dim, 1, mid * m.dim, 1
@@ -319,6 +311,14 @@ class _Literal:
                         col[k] = get(k, 0) + c * cm
         return ExactMatrix(field, m.dim * row_space.size, m.dim * col_space.size,
                            [field.settle(col) for col in cols])
+
+    def images(self, cochain: bool, x_items: tuple, y_items: tuple) -> list:
+        """[x.e_mi.y (cochains) or y.e_mi.x (chains) for every basis index mi
+        of M], for the E-vectors x and y given by their items."""
+        m, one, x, y = self.m, self.field.one, dict(x_items), dict(y_items)
+        if cochain:
+            return [m.right_elem(m.left_elem(x, {mi: one}), y) for mi in range(m.dim)]
+        return [m.left_elem(y, m.right_elem({mi: one}, x)) for mi in range(m.dim)]
 
     def reduced_terms(self, key: tuple, l, r, s):
         """Terms of d^l on h_1 .. h_s (x) a_1 .. a_r in the reduced complex."""
@@ -539,7 +539,7 @@ class ReducedComplexes:
         dims, maps, levels, sizes = _assemble_chain(
             self.field, self.cp, self.m, self.cap, block_fn, self.calc.inserts
         )
-        self.literal.images.clear()
+        self.literal.images.cache_clear()
         if cochain:
             for n in range(1, self.cap + 1):
                 maps[n] = dual_transpose(maps[n], self.m.dim, sizes[n - 1], sizes[n])
@@ -563,11 +563,12 @@ class ReducedComplexes:
 
 # the H-action on the homology of A --------------------------------------------
 
-def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_idx: int) -> ExactMatrix:
+def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_idx: int,
+                             uinv: list) -> ExactMatrix:
     """Conjugation action of h on M (x) Abar^r:
-    m (x) a -> (1#h^(3)) m (1#h^(1))^{-1} (x) a^(h^(2))."""
+    m (x) a -> (1#h^(3)) m (1#h^(1))^{-1} (x) a^(h^(2)), where uinv lists the
+    section inverses (1#h)^{-1} (unit_section_inverse_map)."""
     field = cp.field
-    uinv = unit_section_inverse_map(cp)
     mid = TensorSpace((cp.a.dim - 1,) * r)
     dim = m.dim * mid.size
     triple = list(sweedler_expand(cp.h, 3, {h_idx: field.one}).items())
@@ -626,14 +627,15 @@ class HActionOnHomology:
         # the right action (phi . h)(a) = (1#h^(1))^{-1} phi(a^(h^(2))) (1#h^(3))
         # on Hom(Abar^r, M) is the dual of the conjugation on M^v (x) Abar^r
         self.dual = dual_bimodule(m) if cochain else None
+        uinv = unit_section_inverse_map(cp)
         self.chain_mats: list[list[ExactMatrix]] = []
         for r in range(cap):
             mats = []
             for h_idx in range(cp.h.dim):
                 if cochain:
-                    mats.append(dual_transpose(conjugation_chain_matrix(cp, self.dual, r, h_idx), m.dim))
+                    mats.append(dual_transpose(conjugation_chain_matrix(cp, self.dual, r, h_idx, uinv), m.dim))
                 else:
-                    mats.append(conjugation_chain_matrix(cp, m, r, h_idx))
+                    mats.append(conjugation_chain_matrix(cp, m, r, h_idx, uinv))
             self.chain_mats.append(mats)
         self.induced: list[list[ExactMatrix]] = [
             [self.lifts[r].induced(mat) for mat in self.chain_mats[r]]

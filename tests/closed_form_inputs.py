@@ -23,6 +23,14 @@ product is isomorphic to the base, so its dims are sweedler_smash's.  Its
 cocycle is not valued in k.1 and H4's coproduct has several terms, so the
 l >= 2 blocks do not vanish and several Sweedler choices reach every reader.
 
+nilpotent_cocycle_quartic builds k[y]/(y^2) #_f kZ2 with the trivial action
+and f(g, g) = y, every other value 1.  Then t = 1#g has t^2 = y, so
+E = k[t]/(t^4), and HH_*(E) = HH^*(E, E) = [4, 3, 3, ...], or [4, 4, 4, ...]
+when char k = 2 divides 4.  f(g, g) is nilpotent, so f has no convolution
+inverse: the untwisted complexes and the E^2 identification do not apply,
+and the reduced complexes carry the answer.  f is outside k.1, so the
+l >= 2 blocks are built too.
+
 Only the data classes and builders of the package are used.
 """
 
@@ -187,3 +195,16 @@ def gauge_twisted_sweedler_smash(field, gauge=SWEEDLER_GAUGE):
     minus = {0: field.neg(field.one)}
     uinv = [{0: field.one}, ug_inv, mult(minus, mult(ug_inv, u[2])), mult(minus, mult(u[3], ug_inv))]
     return gauge_twist(field, base.algebra, base.hopf, base.action, base.cocycle, u, uinv)
+
+
+def nilpotent_cocycle_quartic(field):
+    """k[y]/(y^2) #_f kZ2 = k[t]/(t^4), t = 1#g: the trivial action and
+    f(g, g) = y, every other value 1.  convolution_inverse has been run on it
+    and returned None."""
+    a = truncated_polynomial_algebra(field, 2)
+    h = group_hopf(group_algebra(field, [0, 1], lambda x, y: x ^ y), lambda g: g)
+    one = {0: field.one}
+    f = [[one, one], [one, {1: field.one}]]
+    cp = build_crossed_product(a, h, trivial_action(field, h, a), CocycleData(field, 2, 2, f))
+    convolution_inverse(cp)
+    return cp

@@ -13,6 +13,11 @@ sweedler_smash's, but its cocycle is outside k.1 and H4's coproduct has
 several terms, so the several-choice loop of the insertion columns reaches
 the closed resolution, and a mutation of it is caught by closed = recursive.
 
+The dual numbers with the nilpotent cocycle f(g, g) = y: E = k[t]/(t^4), so
+HH = [4, 3, 3, ...], or [4, 4, 4, ...] in characteristic 2.  It is the one
+input whose cocycle has no convolution inverse: the CLI falls back to the
+reduced complex and refuses the E^2 identification.
+
 The closed resolution builds no d^l above l = 1 for a k.1-valued cocycle
 (TwistingCalculus.inserts), and the assembled small complexes stack d^0 and
 d^1 only.  So the vanishing is certified on the recursive resolution, which
@@ -34,15 +39,16 @@ from closed_form_inputs import (
     gauge_twist,
     gauge_twisted_sweedler_smash,
     gauged_action_groupoid,
+    nilpotent_cocycle_quartic,
 )
 from conftest import untwist_degree_matrices
 from hopfcross.algebras import AlgebraData
 from hopfcross.cli import main
-from hopfcross.crossed import CocycleData, regular_bimodule, verify_crossed_axioms
+from hopfcross.crossed import CocycleData, convolution_inverse, regular_bimodule, verify_crossed_axioms
 from hopfcross.fields import FieldSpec
 from hopfcross.homology import e2_identification, hochschild_cohomology, hochschild_homology
 from hopfcross.linalg import ExactMatrix
-from hopfcross.problems import builtin
+from hopfcross.problems import ProblemFile, builtin, emit_problem
 from hopfcross.reduced_complexes import (
     FormulaMismatch,
     ReducedComplexes,
@@ -185,6 +191,52 @@ def test_gauge_twist_closed_equals_recursive(gauge_twisted):
 
 def test_gauge_twist_second_page(gauge_twisted):
     assert e2_identification(gauge_twisted, cap=CAP)["pass"] is True
+
+
+@pytest.fixture(scope="module", params=[FieldSpec.rationals(), FieldSpec.prime(2), FieldSpec.prime(3),
+                                        FieldSpec.prime(5)], ids=["q", "fp2", "fp3", "fp5"])
+def quartic(request):
+    return nilpotent_cocycle_quartic(request.param)
+
+
+def test_nilpotent_cocycle_has_no_convolution_inverse(quartic):
+    assert not quartic.cocycle.scalar_valued
+    assert quartic.conv_inverse is None
+    assert convolution_inverse(quartic) is None and quartic.conv_inverse is None
+
+
+def test_nilpotent_cocycle_dims_are_those_of_k_t_mod_t4(quartic):
+    # HH_n(k[t]/(t^4)) = 3 for n >= 1, 4 when char k divides 4
+    want = [4, 4, 4, 4] if quartic.field.p == 2 else [4, 3, 3, 3]
+    for fn in (hochschild_homology, hochschild_cohomology):
+        report = fn(quartic, cap=CAP, oracle=True)
+        assert report["dims"] == want, fn.__name__
+        assert report["oracle_match"] is True, fn.__name__
+
+
+def test_cli_on_a_cocycle_without_inverse(tmp_path, capsys):
+    cp = nilpotent_cocycle_quartic(FieldSpec.rationals())
+    problem = tmp_path / "quartic.json"
+    pf = ProblemFile(cp.field, cp.a, cp.h, cp.action, cp.cocycle, name="quartic")
+    problem.write_text(json.dumps(emit_problem(pf)), encoding="utf-8")
+
+    def run(*argv):
+        out = tmp_path / "doc.json"
+        code = main([argv[0], str(problem), *argv[1:], "--output", str(out)])
+        doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, doc
+
+    code, doc = run("spectral")
+    assert code == 0 and doc["pass"] is True and doc["sections"]["complex"] == "reduced"
+    code, doc = run("verify")
+    assert code == 0 and doc["sections"]["cocycle_invertible"] is False
+    code, doc = run("tor", "--cap", "3")
+    assert code == 0 and doc["pass"] is True and "e2" not in doc["sections"]["tor"]
+    capsys.readouterr()
+    code, doc = run("e2-check")
+    assert code == 1 and doc is None
+    assert capsys.readouterr().err == "error: cocycle has no convolution inverse\n"
 
 
 GAUGE_VALUE = st.tuples(st.integers(-2, 2), st.integers(-2, 2))

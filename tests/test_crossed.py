@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+import inverse_reference
+from hopfcross import crossed
 from hopfcross.fields import FieldSpec
 from hopfcross.algebras import group_algebra, verify_algebra
 from hopfcross.crossed import (
@@ -18,7 +20,13 @@ from hopfcross.crossed import (
     verify_crossed_axioms,
 )
 from hopfcross.hopf import sweedler_hopf
-from hopfcross.linalg import vec_add_into
+from hopfcross.linalg import ExactMatrix, vec_add_into
+from closed_form_inputs import (
+    dual_numbers_tensor_quaternions,
+    gauge_twisted_sweedler_smash,
+    gauged_action_groupoid,
+    nilpotent_cocycle_quartic,
+)
 from conftest import (
     BUILTIN_BUILDERS,
     build_s3_action,
@@ -230,6 +238,83 @@ def test_convolution_inverse_two_sided_verification():
         unit = trivial_cocycle(Q, cp.h, cp.a).f
         assert _convolution_product(cp, cp.cocycle.f, finv) == unit, name
         assert _convolution_product(cp, finv, cp.cocycle.f) == unit, name
+
+
+# the single solve against the two-solve reference --------------------------------
+
+INVERSE_FIELDS = [Q, FieldSpec.prime(3), FieldSpec.prime(5)]
+INVERSE_INPUTS = {
+    **BUILTIN_BUILDERS,
+    "gauged_action_groupoid": gauged_action_groupoid,
+    "dual_numbers_tensor_quaternions": dual_numbers_tensor_quaternions,
+    "gauge_twisted_sweedler_smash": gauge_twisted_sweedler_smash,
+    "nilpotent_cocycle_quartic": nilpotent_cocycle_quartic,
+}
+
+
+@pytest.mark.parametrize("field", INVERSE_FIELDS, ids=["q", "fp3", "fp5"])
+@pytest.mark.parametrize("name", INVERSE_INPUTS)
+def test_convolution_inverse_matches_two_solve_reference(name, field):
+    cp = INVERSE_INPUTS[name](field)
+    finv = convolution_inverse(cp)
+    assert finv == inverse_reference.convolution_inverse(cp)
+    assert cp.conv_inverse is finv
+    assert (finv is None) == (name == "nilpotent_cocycle_quartic")
+
+
+def _counted(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("name", ["sweedler_smash", "s3_as_action_extension",
+                                  "gauge_twisted_sweedler_smash", "nilpotent_cocycle_quartic"])
+def test_convolution_inverse_solves_once_and_certifies_both_sides(name, monkeypatch):
+    cp = INVERSE_INPUTS[name](Q)
+    calls = []
+    _counted(monkeypatch, ExactMatrix, "solve", calls)
+    _counted(monkeypatch, crossed, "_convolution_product", calls)
+    finv = convolution_inverse(cp)
+    if finv is None:  # no inverse: nothing to certify
+        assert calls == ["solve"]
+    else:
+        assert calls == ["solve", "_convolution_product", "_convolution_product"]
+
+
+def test_perturbed_solution_fails_the_certificate(monkeypatch):
+    # a solve that returns a wrong solution is caught by the convolution products
+    cps = {name: INVERSE_INPUTS[name](Q) for name in ("sweedler_smash", "gauged_action_groupoid")}
+    original = ExactMatrix.solve
+
+    def perturbed(self, rhs):
+        x = original(self, rhs)
+        return [Q.add(x[0], Q.one)] + x[1:]
+
+    monkeypatch.setattr(ExactMatrix, "solve", perturbed)
+    for name, cp in cps.items():
+        before = cp.conv_inverse
+        with pytest.raises(AssertionError, match=r"f \* u != e"):
+            convolution_inverse(cp)
+        assert cp.conv_inverse is before, name
+
+
+def test_left_inverse_side_is_certified(monkeypatch):
+    # a product that is only wrong for u * f names that side
+    original = crossed._convolution_product
+    cp = INVERSE_INPUTS["sweedler_smash"](Q)
+
+    def wrong_on_the_left(cp_, u, v):
+        out = original(cp_, u, v)
+        return out if u is cp_.cocycle.f else [[{0: Q.one}] * len(row) for row in out]
+
+    monkeypatch.setattr(crossed, "_convolution_product", wrong_on_the_left)
+    with pytest.raises(AssertionError, match=r"u \* f != e"):
+        convolution_inverse(cp)
 
 
 def test_unit_section_inverse():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfcross.algebras import AlgebraData
 from hopfcross.fields import FieldSpec
 from hopfcross.linalg import ExactMatrix, SpanSolver
 
@@ -23,6 +24,15 @@ def test_field_parse_roundtrip():
         FieldSpec.parse("fp:6")
     with pytest.raises(ValueError):
         FieldSpec.prime(9)
+
+
+def test_float_and_bool_scalars_are_refused():
+    # not read as the binary value of 0.1 or as 1
+    for field, value in ((Q, 0.1), (F5, True), (Q, False), (F5, 2.0)):
+        with pytest.raises(TypeError, match="scalar"):
+            field.scalar(value)
+    with pytest.raises(TypeError, match="0.1"):
+        AlgebraData(Q, 2, ["1", "y"], [[{0: 1}, {1: 1}], [{1: 1}, {0: 0.1}]])
 
 
 def test_scalar_formatting():

@@ -7,7 +7,8 @@ from hopfcross.comparison import BarCalculus
 from hopfcross.fields import FieldSpec
 from hopfcross.algebras import Report, group_algebra
 from hopfcross.bar import hochschild_chain_complex
-from hopfcross.complexes import homology_dims
+from hopfcross import reduced_complexes
+from hopfcross.complexes import HomologyLift, homology_dims
 from hopfcross.crossed import (
     build_crossed_product,
     dual_bimodule,
@@ -280,6 +281,38 @@ def test_h_action_matches_span_growth_reference(name, field):
             assert act.lifts[r].reps.cols == reps, (cochain, r)
             for h_idx, mat in enumerate(act.chain_mats[r]):
                 assert act.induced[r][h_idx] == induced_reference(act.complex, r, mat), (cochain, r, h_idx)
+
+
+def test_homology_lift_reduces_three_times(monkeypatch):
+    # kernel, boundary basis, and one reduction of [bounds | cycles] that both
+    # picks the representatives and solves against them
+    cp = builtin("sweedler_smash").crossed_product()
+    c = HActionOnHomology(cp, regular_bimodule(cp.e), 4).complex
+    original = ExactMatrix._echelon
+    calls = []
+
+    def counting(self, track_combos):
+        calls.append(track_combos)
+        return original(self, track_combos)
+
+    monkeypatch.setattr(ExactMatrix, "_echelon", counting)
+    for n in range(1, 4):
+        assert c.outgoing(n) is not None and c.incoming(n) is not None
+        calls.clear()
+        HomologyLift(c, n)
+        assert len(calls) == 3, n
+
+
+def test_h_action_builds_the_section_inverses_once(monkeypatch):
+    cp = builtin("sweedler_smash").crossed_product()
+    calls = []
+    original = reduced_complexes.unit_section_inverse_map
+    monkeypatch.setattr(reduced_complexes, "unit_section_inverse_map",
+                        lambda cp_: calls.append(1) or original(cp_))
+    for cochain in (False, True):
+        calls.clear()
+        HActionOnHomology(cp, regular_bimodule(cp.e), 4, cochain=cochain)
+        assert len(calls) == 1, cochain
 
 
 def test_homology_well_defined_on_classes(cps):

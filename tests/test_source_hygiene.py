@@ -53,9 +53,10 @@
   tests/bar_reference.py nothing from hopfcross.bar,
   tests/lift_reference.py nothing from hopfcross.complexes,
   tests/placement_reference.py nothing from hopfcross.reduced_complexes,
-  tests/sweedler_reference.py nothing from hopfcross.hopf, and
+  tests/sweedler_reference.py nothing from hopfcross.hopf,
   tests/extension_reference.py and tests/homotopy_reference.py nothing from
-  hopfcross.resolution.
+  hopfcross.resolution, and tests/inverse_reference.py nothing from
+  hopfcross.crossed.
 * Every top-level function and non-dunder method in src/ is reached: it is in
   __all__, or named by module-level code of src/, by a demo, or by the body
   of another reached function.  A function may be named as a name or as an
@@ -74,9 +75,8 @@
   CocycleData.scalar_valued; the readers ask TwistingCalculus.inserts once
   per block, and the resolution-check certificate reports its answer.
 * Every lookup table is a per-instance functools.cache, set by one line in
-  __init__ (self.f = cache(self._build_f)).  No function but _Literal.block
-  (whose images are cleared for each complex) writes a memo by hand:
-  x = d.get(key), a test of x against None, and a store into d.  The
+  __init__ (self.f = cache(self._build_f)).  No function writes a memo by
+  hand: x = d.get(key), a test of x against None, and a store into d.  The
   elimination registry (registry.get(low) in linalg.py) never stores on a
   miss and is not one.  No method is decorated with functools.cache or
   lru_cache: that cache is keyed by self, shared by every instance, and
@@ -125,6 +125,7 @@ OTHER_REFERENCES = {
     "sweedler_reference.py": {"hopfcross.hopf"},
     "extension_reference.py": {"hopfcross.resolution"},
     "homotopy_reference.py": {"hopfcross.resolution"},
+    "inverse_reference.py": {"hopfcross.crossed"},
 }
 # the column rules of CrossedResolution, and the calls none of them makes
 COLUMN_RULES = {"_mu_column", "_partial_column", "_sigma0_x_column", "_sigma_minus1_column",
@@ -133,7 +134,7 @@ KEYED_CONVERSIONS = {"keyed_add_into", "flatten"}
 # read only in twisting.py; every other module asks TwistingCalculus.inserts
 TWISTING_ONLY = {"scalar_valued"}
 # Class.method (or function) -> allowed to write a memo by hand
-MEMO_EXEMPT = {"_Literal.block"}  # its images are cleared for each assembled complex
+MEMO_EXEMPT: set = set()
 CACHE_DECORATORS = {"cache", "lru_cache"}
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
@@ -978,6 +979,7 @@ def test_reference_imports_are_detected():
         ("import hopfcross.hopf as hopf", "sweedler_reference.py"),
         ("from hopfcross.resolution import FreeBimoduleSpace", "extension_reference.py"),
         ("from hopfcross.resolution import CrossedResolution", "homotopy_reference.py"),
+        ("from hopfcross.crossed import _convolution_product", "inverse_reference.py"),
     ):
         assert _imported_modules(ast.parse(source), OTHER_REFERENCES[module]), source
 
@@ -1026,11 +1028,14 @@ def test_lookup_tables_are_per_instance_caches(path):
 
 
 def test_hand_written_memos_are_detected():
-    # the exempt images memo of _Literal.block is one
-    tree = _tree(PACKAGE / "reduced_complexes.py")
-    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Literal"]
-    (fn,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "block"]
-    assert _hand_written_memos(ast.Module(body=[fn], type_ignores=[])) == ["block (per_m)"]
+    # the images memo of _Literal.block as it was, in a loop
+    block = (
+        "class _Literal:\n    def block(self, terms, m):\n        images = self.images\n"
+        "        for x, y in terms:\n            xy = (tuple(x.items()), tuple(y.items()))\n"
+        "            per_m = images.get(xy)\n            if per_m is None:\n"
+        "                per_m = images[xy] = [m.left_elem(y, e) for e in m.basis]\n"
+    )
+    assert _hand_written_memos(ast.parse(block)) == ["_Literal.block (per_m)"]
     for source in (
         # HopfData.comult_power as it was
         "class HopfData:\n    def comult_power(self, i, n):\n        key = (i, n)\n"
