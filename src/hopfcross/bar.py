@@ -49,31 +49,29 @@ def hochschild_chain_complex(
 ) -> ChainComplex:
     """(M (x) Ebar^*, b): the normalized Hochschild chain complex, degrees 0..cap.
 
-    Basis of M (x) Ebar^n: pairs (value basis index, argument tensor t), flat
-    index value * dim(Ebar^n) + t.
+    Basis of M (x) Ebar^n: pairs (argument tensor t, value basis index), flat
+    index t * dim(M) + value, the layout of the cochains.
     """
     field = e.field
     settle = field.settle
-    dim_ebar = e.dim - 1
-    dims = [m.dim * dim_ebar**n for n in range(cap + 1)]
+    dims = [(e.dim - 1) ** n * m.dim for n in range(cap + 1)]
     maps: list = [None]
     for n in range(1, cap + 1):
-        size, prev = dim_ebar**n, dim_ebar ** (n - 1)
-        cols: list = [None] * dims[n]
-        for t, (legs, tail, merges, head, sign) in enumerate(_faces(e, n)):
+        cols: list = []
+        for legs, tail, merges, head, sign in _faces(e, n):
             for mi in range(m.dim):
                 col: dict = {}
                 get = col.get
                 for mj, c in m.right[mi][legs[0]].items():
-                    k = mj * prev + tail
+                    k = tail * m.dim + mj
                     col[k] = get(k, 0) + c
                 for idx, c in merges:
-                    k = mi * prev + idx
+                    k = idx * m.dim + mi
                     col[k] = get(k, 0) + c
                 for mj, c in m.left[legs[-1]][mi].items():
-                    k = mj * prev + head
+                    k = head * m.dim + mj
                     col[k] = get(k, 0) + sign * c
-                cols[mi * size + t] = settle(col)
+                cols.append(settle(col))
         maps.append(ExactMatrix(field, dims[n - 1], dims[n], cols))
     return ChainComplex(field, dims, maps, HOMOLOGY)
 
@@ -84,7 +82,9 @@ def hochschild_cochain_complex(
     """(Hom(Ebar^*, M), b*): the normalized Hochschild cochain complex.
 
     Basis of Hom(Ebar^n, M): pairs (argument tensor t, value basis index),
-    flat index t * dim(M) + value.
+    flat index t * dim(M) + value, the layout of the chains.  Each map is
+    the transpose of the chain map with coefficients M^v
+    (crossed.dual_bimodule), built here without the dual.
     """
     field = e.field
     dim_ebar = e.dim - 1

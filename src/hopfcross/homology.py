@@ -49,7 +49,7 @@ def _hochschild(cp, m, cap, oracle, res, cochain: bool) -> dict:
     exactly one side goes through dual_bimodule, so a wrong dual shows up as
     a mismatch and cannot cancel out.  For homology the reduced chains take
     M as it is and the oracle takes the bar cochains of M^v; for cohomology
-    the reduced cochains are the dual-transposed M^v chains and the oracle
+    the reduced cochains are the transposed M^v chains and the oracle
     takes the bar cochains of M itself."""
     if m is None:
         m = regular_bimodule(cp.e)

@@ -33,13 +33,12 @@ against the bar complex).
 
 Cohomology by duality: for finite-dimensional M, Hom_{E^e}(X, M) is the dual
 of M^v (x)_{E^e} X, where M^v is the dual bimodule (crossed.dual_bimodule).
-Every cochain matrix here is therefore a chain matrix with M^v coefficients,
-transposed and relabelled by dual_transpose.  The displayed cochain formulas
-are placed on M directly, without the dual, so they stay the independent
-check.  Both orientations are filtered by the number s of H legs, one level
-per coordinate: chains by F_p = {s <= p}, cochains by F^p = {s >= p}, the
-annihilator of F_{p-1}.  dual_transpose only permutes coordinates inside a
-block, so the cochains reuse the chain level list.
+Chains and cochains share one layout, so every cochain matrix here is the
+transpose (ExactMatrix.transpose) of a chain matrix with M^v coefficients.
+The displayed cochain formulas are placed on M directly, without the dual,
+so they stay the independent check.  Both orientations are filtered by the
+number s of H legs, one level per coordinate, the same level list: chains
+by F_p = {s <= p}, cochains by F^p = {s >= p}, the annihilator of F_{p-1}.
 
 Tables that both sides of the displayed-vs-derived check read, each cached
 once per instance of its owner:
@@ -65,9 +64,9 @@ once per instance of its owner:
                           column cannot show here; closed = recursive and
                           tests/insertion_reference.py check it.
 
-Space layouts (flat, row-major):
-  chain blocks     M (x) Hbar^s (x) Abar^r   ->  (m, h_1..h_s, a_1..a_r)
-  untwisted chain  M (x) Abar^r (x) Hbar^s   ->  (m, a_1..a_r, h_1..h_s)
+Space layouts (flat, row-major), argument first on both sides:
+  chain blocks     M (x) Hbar^s (x) Abar^r   ->  (h_1..h_s, a_1..a_r, m)
+  untwisted chain  M (x) Abar^r (x) Hbar^s   ->  (a_1..a_r, h_1..h_s, m)
   cochain blocks   Hom(args, M)              ->  arg_index * dim(M) + m
   twisted X block  E (x) t(a, h) (x) E       ->  (e_left, a.., h.., e_right)
 Degree spaces stack the blocks with r + s = n in increasing s.
@@ -113,53 +112,26 @@ def _untwisted_mid_space(cp, r, s):
     return TensorSpace((cp.a.dim - 1,) * r + (cp.h.dim - 1,) * s)
 
 
-def _swap_legs(dim_m: int, sizes) -> list[int]:
-    """Per stacked block of argument size t: chain index (m, t) -> cochain index (t, m)."""
-    perm: list[int] = []
-    off = 0
-    for size in sizes:
-        perm.extend(off + t * dim_m + mi for mi in range(dim_m) for t in range(size))
-        off += dim_m * size
-    return perm
-
-
-def dual_transpose(mat: ExactMatrix, dim_m: int, row_sizes=None, col_sizes=None) -> ExactMatrix:
-    """The cochain matrix with coefficients M whose chain mirror with M^v is mat.
-
-    mat maps stacked blocks M^v (x) T laid out (m, t); the result is its
-    transpose on the blocks Hom(T, M) laid out (t, m).  row_sizes / col_sizes
-    list dim(T) of each block stacked along that side (default: one block).
-    """
-    rows = _swap_legs(dim_m, row_sizes or [mat.nrows // max(dim_m, 1)])
-    cols = _swap_legs(dim_m, col_sizes or [mat.ncols // max(dim_m, 1)])
-    out: list[dict] = [{} for _ in range(mat.nrows)]
-    for j, col in enumerate(mat.cols):
-        cj = cols[j]
-        for i, v in col.items():
-            out[rows[i]][cj] = v
-    return ExactMatrix(mat.field, mat.ncols, mat.nrows, out)
-
-
 # resolution-derived boundaries ----------------------------------------------
 
 def _placed_table(m: BimoduleData, tgt, table) -> ExactMatrix:
     """M (x)_{E^e} of a generator table: m (x) v -> sum c e_right . m . e_left (x) v'
-    over the terms of each generator v, flat over the block space tgt.
+    over the terms of each generator v, flat over the block space tgt, laid
+    out (v, m) at v * dim(M) + m.
 
     Each term reads e_right . e_mi . e_left for every mi at once from the
     bimodule's sandwich table."""
-    field, sandwich, src_size, tgt_size = m.field, m.sandwich, len(table), tgt.mid_size
-    # columns are m-major: (m, mid) has flat m * size + mid
-    cols: list[dict] = [{} for _ in range(m.dim * src_size)]
+    field, sandwich, dim = m.field, m.sandwich, m.dim
+    cols: list[dict] = [{} for _ in range(len(table) * dim)]
     for mid, terms in enumerate(table):
         for flat, c in terms.items():
             e_left, mid_t, e_right = tgt.split(flat)
             for mi, img in enumerate(sandwich(e_right, e_left)):
-                col = cols[mi * src_size + mid]
+                col = cols[mid * dim + mi]
                 for mj, cm in img.items():
-                    k = mj * tgt_size + mid_t
+                    k = mid_t * dim + mj
                     col[k] = col.get(k, 0) + c * cm
-    return ExactMatrix(field, m.dim * tgt_size, m.dim * src_size, [field.settle(col) for col in cols])
+    return ExactMatrix(field, tgt.mid_size * dim, len(table) * dim, [field.settle(col) for col in cols])
 
 
 def reduced_block_from_resolution(res: CrossedResolution, m: BimoduleData, l, r, s) -> ExactMatrix:
@@ -170,7 +142,7 @@ def reduced_block_from_resolution(res: CrossedResolution, m: BimoduleData, l, r,
 
 def reduced_cochain_block_from_resolution(res, m: BimoduleData, l, r, s) -> ExactMatrix:
     """Hom_{E^e}(d^l_{rs}, M): phi -> (v -> sum e_left . phi(v') . e_right)."""
-    return dual_transpose(reduced_block_from_resolution(res, dual_bimodule(m), l, r, s), m.dim)
+    return reduced_block_from_resolution(res, dual_bimodule(m), l, r, s).transpose()
 
 
 class TwistedBasis:
@@ -280,36 +252,34 @@ class _Literal:
         return {self.cp.include_h(h_idx): self.field.one}
 
     def block(self, untwisted: bool, l, r, s, cochain: bool) -> ExactMatrix:
-        """The displayed block of d^l on M, reduced or untwisted: chains laid
-        out (m, mid), cochains (arg, m).
+        """The displayed block of d^l on M, reduced or untwisted, laid out
+        (arg, m) at arg * dim(M) + m on both sides.
 
         The images y.e_mi.x (chains) or x.e_mi.y (cochains) of the basis of M
         are computed once per distinct (x, y), by self.images."""
-        field, m = self.field, self.m
+        field, dim = self.field, self.m.dim
         terms, mid_space = ((self.untwisted_terms, _untwisted_mid_space) if untwisted
                             else (self.reduced_terms, _reduced_mid_space))
         src = mid_space(self.cp, r, s)
         tgt = mid_space(self.cp, r + l - 1, s - l)
         row_space, col_space = (src, tgt) if cochain else (tgt, src)
-        cols: list[dict] = [{} for _ in range(m.dim * col_space.size)]
+        cols: list[dict] = [{} for _ in range(col_space.size * dim)]
         for mid in range(src.size):
             for x, key, y, c in terms(mid_key(src.dims, mid), l, r, s):
                 mid_t = mid_rank(tgt.dims, key)
                 if mid_t is None:
                     continue
                 per_m = self.images(cochain, tuple(x.items()), tuple(y.items()))
-                if cochain:
-                    # the cochain e_mi at v' goes to c x.e_mi.y at v
-                    col_at, col_step, row_at, row_step = mid_t * m.dim, 1, mid * m.dim, 1
-                else:
-                    col_at, col_step, row_at, row_step = mid, src.size, mid_t, tgt.size
+                # chains: e_mi at v goes to c y.e_mi.x at v';
+                # cochains: e_mi at v' goes to c x.e_mi.y at v
+                col_at, row_at = (mid_t, mid) if cochain else (mid, mid_t)
                 for mi, img in enumerate(per_m):
-                    col = cols[col_at + mi * col_step]
+                    col = cols[col_at * dim + mi]
                     get = col.get
                     for mj, cm in img.items():
-                        k = row_at + mj * row_step
+                        k = row_at * dim + mj
                         col[k] = get(k, 0) + c * cm
-        return ExactMatrix(field, m.dim * row_space.size, m.dim * col_space.size,
+        return ExactMatrix(field, row_space.size * dim, col_space.size * dim,
                            [field.settle(col) for col in cols])
 
     def images(self, cochain: bool, x_items: tuple, y_items: tuple) -> list:
@@ -426,9 +396,6 @@ def _assemble_chain(field, cp, m, cap, block_fn, inserts):
     """Stack blocks (r+s = n, s ascending) into degree matrices and filtration
     levels (each coordinate's number of H legs).  block_fn is called only for
     the l with inserts(l) (TwistingCalculus.inserts): the other d^l are zero.
-
-    Also returns, per degree, the argument-space size (dim H - 1)^s (dim A - 1)^r
-    of each stacked block, the same in the reduced and the untwisted layout.
     """
     sizes = [[(cp.h.dim - 1) ** s * (cp.a.dim - 1) ** (n - s) for s in range(n + 1)]
              for n in range(cap + 1)]
@@ -462,7 +429,7 @@ def _assemble_chain(field, cp, m, cap, block_fn, inserts):
     # each coordinate's level: the number s of H legs in its block
     levels = [[s for s, size in enumerate(per_degree) for _ in range(m.dim * size)]
               for per_degree in sizes]
-    return dims, maps, levels, sizes
+    return dims, maps, levels
 
 
 class ReducedComplexes:
@@ -472,8 +439,8 @@ class ReducedComplexes:
     checked against the displayed formula and FormulaMismatch is raised on
     disagreement.  A block d^l with TwistingCalculus.inserts(l) false (l >= 2,
     f valued in k.1) is zero and not assembled (see the module docstring).
-    The cochain complexes are the relabelled transposes of the chain
-    complexes with coefficients M^v; their blocks are checked against the
+    The cochain complexes are the transposes of the chain complexes with
+    coefficients M^v; their blocks are checked against the
     displayed formulas placed as cochains on M, the same terms that check
     the chain blocks.  One twisted-generator table per (l, r, s) serves the
     untwisted blocks on M and on M^v.  reduced_block and untwisted_block are
@@ -504,7 +471,7 @@ class ReducedComplexes:
 
     def _block(self, untwisted: bool, l, r, s, cochain: bool) -> ExactMatrix:
         """The family's generator table placed on M, or with cochain on M^v;
-        FormulaMismatch unless the displayed formula on M gives it (dualized
+        FormulaMismatch unless the displayed formula on M gives it (transposed
         first for cochains)."""
         coeff = self.dual if cochain else self.m
         if untwisted:
@@ -512,7 +479,7 @@ class ReducedComplexes:
             derived = _placed_table(coeff, self.res.block_spaces[(r + l - 1, s - l)], table)
         else:
             derived = reduced_block_from_resolution(self.res, coeff, l, r, s)
-        placed = dual_transpose(derived, self.m.dim) if cochain else derived
+        placed = derived.transpose() if cochain else derived
         if self.literal.block(untwisted, l, r, s, cochain) != placed:
             which = ("untwisted-" if untwisted else "") + ("cochain" if cochain else "chain")
             raise FormulaMismatch(which, l, r, s)
@@ -520,29 +487,28 @@ class ReducedComplexes:
 
     def reduced_block(self, l, r, s, cochain: bool = False) -> ExactMatrix:
         """The reduced chain block of d^l on M, or with cochain its chain
-        mirror on M^v (dualized, the cochain block on M)."""
+        mirror on M^v (transposed, the cochain block on M)."""
         return self._block(False, l, r, s, cochain)
 
     def reduced_cochain_block(self, l, r, s) -> ExactMatrix:
-        return dual_transpose(self.reduced_block(l, r, s, cochain=True), self.m.dim)
+        return self.reduced_block(l, r, s, cochain=True).transpose()
 
     def untwisted_block(self, l, r, s, cochain: bool = False) -> ExactMatrix:
         """The untwisted chain block of d^l on M, or with cochain its chain
-        mirror on M^v (dualized, the untwisted cochain block on M)."""
+        mirror on M^v (transposed, the untwisted cochain block on M)."""
         return self._block(True, l, r, s, cochain)
 
     def _filtered(self, untwisted: bool, cochain: bool) -> FilteredComplex:
-        """Assembled complex; for cochains, the relabelled transpose of the M^v chains."""
+        """Assembled complex; for cochains, the transpose of the M^v chains."""
         if untwisted:
             self.cp.require_inverse()
         block_fn = partial(self.untwisted_block if untwisted else self.reduced_block, cochain=cochain)
-        dims, maps, levels, sizes = _assemble_chain(
+        dims, maps, levels = _assemble_chain(
             self.field, self.cp, self.m, self.cap, block_fn, self.calc.inserts
         )
         self.literal.images.cache_clear()
         if cochain:
-            for n in range(1, self.cap + 1):
-                maps[n] = dual_transpose(maps[n], self.m.dim, sizes[n - 1], sizes[n])
+            maps = [None] + [d.transpose() for d in maps[1:]]
         cx = ChainComplex(self.field, dims, maps, COHOMOLOGY if cochain else HOMOLOGY)
         cx.check_square_zero()
         return FilteredComplex(cx, levels)
@@ -566,8 +532,9 @@ class ReducedComplexes:
 def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_idx: int,
                              uinv: list) -> ExactMatrix:
     """Conjugation action of h on M (x) Abar^r:
-    m (x) a -> (1#h^(3)) m (1#h^(1))^{-1} (x) a^(h^(2)), where uinv lists the
-    section inverses (1#h)^{-1} (unit_section_inverse_map)."""
+    m (x) a -> (1#h^(3)) m (1#h^(1))^{-1} (x) a^(h^(2)), laid out (a, m) like
+    bar.hochschild_chain_complex, where uinv lists the section inverses
+    (1#h)^{-1} (unit_section_inverse_map)."""
     field = cp.field
     mid = TensorSpace((cp.a.dim - 1,) * r)
     dim = m.dim * mid.size
@@ -576,12 +543,12 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
     middles = [sweedler_legs(cp.h, (h2,), r) if r > 0 else {(): cp.h.counit[h2]}
                for (_, h2, _), _ in triple]
     keys = [mid_key(mid.dims, t) for t in range(mid.size)]
-    cols: list[dict] = []
+    cols: list = [None] * dim
     for mi in range(m.dim):
         # (1#h^(3)) e_mi (1#h^(1))^{-1}, once for every a
         mvecs = [m.left_elem({cp.include_h(h3): field.one}, m.right_elem({mi: field.one}, uinv[h1]))
                  for (h1, _, h3), _ in triple]
-        for avs in keys:
+        for t, avs in enumerate(keys):
             col: dict = {}
             get = col.get
             for (_, c), mvec, expanded in zip(triple, mvecs, middles):
@@ -596,9 +563,9 @@ def conjugation_chain_matrix(cp: CrossedProductData, m: BimoduleData, r: int, h_
                         if tt is None:
                             continue
                         for mj, cm in mvec.items():
-                            k = mj * mid.size + tt
+                            k = tt * m.dim + mj
                             col[k] = get(k, 0) + coef * cm
-            cols.append(field.settle(col))
+            cols[t * m.dim + mi] = field.settle(col)
     return ExactMatrix(field, dim, dim, cols)
 
 
@@ -627,16 +594,11 @@ class HActionOnHomology:
         # the right action (phi . h)(a) = (1#h^(1))^{-1} phi(a^(h^(2))) (1#h^(3))
         # on Hom(Abar^r, M) is the dual of the conjugation on M^v (x) Abar^r
         self.dual = dual_bimodule(m) if cochain else None
-        uinv = unit_section_inverse_map(cp)
+        uinv, coeff = unit_section_inverse_map(cp), self.dual if cochain else m
         self.chain_mats: list[list[ExactMatrix]] = []
         for r in range(cap):
-            mats = []
-            for h_idx in range(cp.h.dim):
-                if cochain:
-                    mats.append(dual_transpose(conjugation_chain_matrix(cp, self.dual, r, h_idx, uinv), m.dim))
-                else:
-                    mats.append(conjugation_chain_matrix(cp, m, r, h_idx, uinv))
-            self.chain_mats.append(mats)
+            mats = [conjugation_chain_matrix(cp, coeff, r, h_idx, uinv) for h_idx in range(cp.h.dim)]
+            self.chain_mats.append([mat.transpose() for mat in mats] if cochain else mats)
         self.induced: list[list[ExactMatrix]] = [
             [self.lifts[r].induced(mat) for mat in self.chain_mats[r]]
             for r in range(cap)

@@ -3,13 +3,16 @@ reference.
 
 Every face of every basis tensor is written out as a multi-index and looked up
 with `TensorSpace.index`; the package builders in hopfcross.bar compute the
-same indices by flat arithmetic, once per argument tensor.
+same indices by flat arithmetic, once per argument tensor.  The chain
+reference lays M (x) Ebar^n out (value, t); the package lays chains out like
+cochains, (t, value), and the tests relabel the reference
+(conftest.argument_major) before comparing.
 
 `h_module_homology_complex_reference` is the standard complex Hbar^s (x) N of
 the homology of a Hopf algebra with left-module coefficients, written out face
 by face with the counit in the first face.  The package computes the same
 homology as the Hochschild chains of H with coefficients in N_eps; the two
-complexes agree map for map once each basis tensor (t, n) is relabelled (n, t).
+complexes, both laid out (t, n), agree map for map.
 """
 
 from hopfcross.complexes import COHOMOLOGY, HOMOLOGY, ChainComplex

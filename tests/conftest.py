@@ -104,6 +104,21 @@ def boundary_matrices(res) -> list:
     ]
 
 
+def argument_major(mat: ExactMatrix, dim_m: int) -> ExactMatrix:
+    """mat with rows and columns relabelled, not transposed: the coordinate
+    (m, t) at m * size + t of the test references moves to (t, m) at
+    t * dim_m + m, the package's layout, on both sides of one block."""
+    def perm(total):
+        size = total // dim_m
+        return [t * dim_m + mi for mi in range(dim_m) for t in range(size)]
+
+    rows, cols = perm(mat.nrows), perm(mat.ncols)
+    out: list = [None] * mat.ncols
+    for j, col in enumerate(mat.cols):
+        out[cols[j]] = {rows[i]: v for i, v in col.items()}
+    return ExactMatrix(mat.field, mat.nrows, mat.ncols, out)
+
+
 def block_diag(field, mats) -> ExactMatrix:
     """The block-diagonal matrix with the given blocks, in order."""
     rows = sum(m.nrows for m in mats)
@@ -120,12 +135,16 @@ def block_diag(field, mats) -> ExactMatrix:
 def untwist_degree_matrices(rc):
     """Blockwise untwisting map and its displayed inverse per degree, as matrices on
     the assembled spaces (block order s ascending on both sides), from the
-    per-term references of tests/placement_reference.py."""
+    per-term references of tests/placement_reference.py, relabelled to the
+    package's layout."""
+    def placed(reference, r, s):
+        return argument_major(reference(rc.cp, rc.m, r, s), rc.m.dim)
+
     out = []
     for n in range(rc.cap + 1):
         blocks = [(n - s, s) for s in range(n + 1)]
-        mats = [untwist_block_reference(rc.cp, rc.m, r, s) for r, s in blocks]
-        invs = [untwist_inverse_block_reference(rc.cp, rc.m, r, s) for r, s in blocks]
+        mats = [placed(untwist_block_reference, r, s) for r, s in blocks]
+        invs = [placed(untwist_inverse_block_reference, r, s) for r, s in blocks]
         out.append((block_diag(rc.field, mats), block_diag(rc.field, invs)))
     return out
 

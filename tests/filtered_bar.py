@@ -14,10 +14,6 @@ from hopfcross.crossed import BimoduleData, CrossedProductData
 from hopfcross.tensors import TensorSpace
 
 
-def _chain_space(dim_m: int, dim_ebar: int, n: int) -> TensorSpace:
-    return TensorSpace((dim_m,) + (dim_ebar,) * n)
-
-
 def _legs_outside_a(cp: CrossedProductData, ebar_tuple) -> int:
     count = 0
     for x in ebar_tuple:
@@ -27,17 +23,21 @@ def _legs_outside_a(cp: CrossedProductData, ebar_tuple) -> int:
     return count
 
 
+def _levels(cp: CrossedProductData, m: BimoduleData, cap: int) -> list:
+    """Each coordinate's level, per degree.  Chains and cochains are both laid
+    out (argument, m), so each argument's level repeats dim M times."""
+    dim_ebar = cp.e.dim - 1
+    return [
+        [_legs_outside_a(cp, t) for t in TensorSpace((dim_ebar,) * n) for _ in range(m.dim)]
+        for n in range(cap + 1)
+    ]
+
+
 def hochschild_chain_filtered(
     cp: CrossedProductData, m: BimoduleData, cap: int
 ) -> FilteredComplex:
     """The chain oracle with F^i = span of tensors having at most i legs outside A#1."""
-    cx = hochschild_chain_complex(cp.e, m, cap)
-    dim_ebar = cp.e.dim - 1
-    levels = [
-        [_legs_outside_a(cp, key[1:]) for key in _chain_space(m.dim, dim_ebar, n)]
-        for n in range(cap + 1)
-    ]
-    return FilteredComplex(cx, levels)
+    return FilteredComplex(hochschild_chain_complex(cp.e, m, cap), _levels(cp, m, cap))
 
 
 def hochschild_cochain_filtered(
@@ -45,11 +45,4 @@ def hochschild_cochain_filtered(
 ) -> FilteredComplex:
     """The cochain oracle with the decreasing filtration F_i = maps vanishing
     whenever fewer than i legs lie outside A#1."""
-    cx = hochschild_cochain_complex(cp.e, m, cap)
-    dim_ebar = cp.e.dim - 1
-    # cochains are laid out (argument, m): each argument's level repeats dim M times
-    levels = [
-        [_legs_outside_a(cp, t) for t in TensorSpace((dim_ebar,) * n) for _ in range(m.dim)]
-        for n in range(cap + 1)
-    ]
-    return FilteredComplex(cx, levels)
+    return FilteredComplex(hochschild_cochain_complex(cp.e, m, cap), _levels(cp, m, cap))

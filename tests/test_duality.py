@@ -1,9 +1,10 @@
 """Cohomology by coefficient duality.
 
-Hom_{E^e}(X, M) is the dual of M^v (x)_{E^e} X for finite-dimensional M, so
-every cochain matrix is the relabelled transpose of a chain matrix with dual
-coefficients.  The bar cochain oracle and the displayed cochain formulas are
-built without the dual, so they witness the identity independently.  The
+Hom_{E^e}(X, M) is the dual of M^v (x)_{E^e} X for finite-dimensional M.
+Chains and cochains share one layout, argument first, so every cochain
+matrix is the plain transpose of a chain matrix with dual coefficients,
+entry for entry.  The bar cochain oracle and the displayed cochain formulas
+are built without the dual, so they witness the identity independently.  The
 homology oracle reads dim H_n(E, M) from the bar cochains of M^v, which
 the bar chains of M witness.
 """
@@ -12,12 +13,17 @@ import pytest
 
 from hopfcross.bar import hochschild_chain_complex, hochschild_cochain_complex
 from hopfcross.complexes import homology_dims
-from hopfcross.crossed import dual_bimodule, regular_bimodule, tensor_bimodule
+from hopfcross.crossed import (
+    dual_bimodule, regular_bimodule, tensor_bimodule, unit_section_inverse_map,
+)
 from hopfcross.fields import FieldSpec
 from hopfcross.homology import regular_left_module
 from hopfcross.problems import BUILTIN_NAMES, builtin
-from hopfcross.reduced_complexes import ReducedComplexes, dual_transpose
+from hopfcross.reduced_complexes import (
+    HActionOnHomology, ReducedComplexes, conjugation_chain_matrix,
+)
 
+from conftest import argument_major
 from placement_reference import untwist_block_reference, untwist_inverse_block_reference
 
 
@@ -38,6 +44,9 @@ def _cases(field=None):
 
 CASES = _cases()
 IDS = [name for name, _, _ in CASES]
+TRANSPOSE_CASES = [pytest.param(cp, m, id=f"{name}-{field.spec_string()}")
+                   for field in (FieldSpec.rationals(), FieldSpec.prime(3))
+                   for name, cp, m in _cases(field)]
 
 
 @pytest.mark.parametrize("name, cp, m", CASES, ids=IDS)
@@ -49,14 +58,36 @@ def test_dual_bimodule_is_a_bimodule_and_an_involution(name, cp, m):
     assert back.left == m.left and back.right == m.right, name
 
 
-@pytest.mark.parametrize("name, cp, m", CASES, ids=IDS)
-def test_bar_cochains_are_dual_bar_chains(name, cp, m):
-    cap = 3
-    cochains = hochschild_cochain_complex(cp.e, m, cap)
-    chains = hochschild_chain_complex(cp.e, dual_bimodule(m), cap)
+def _assert_transposed(cochains, chains, cap):
     assert cochains.dims == chains.dims
     for n in range(1, cap + 1):
-        assert cochains.maps[n] == dual_transpose(chains.maps[n], m.dim), (name, n)
+        assert cochains.maps[n] == chains.maps[n].transpose(), n
+
+
+@pytest.mark.parametrize("cp, m", TRANSPOSE_CASES)
+def test_bar_cochains_are_transposed_dual_bar_chains(cp, m):
+    cap = 3
+    _assert_transposed(hochschild_cochain_complex(cp.e, m, cap),
+                       hochschild_chain_complex(cp.e, dual_bimodule(m), cap), cap)
+
+
+@pytest.mark.parametrize("cp, m", TRANSPOSE_CASES)
+def test_small_cochains_are_transposed_dual_chains(cp, m):
+    # the reduced and untwisted cochains of M against the chains of M^v built
+    # on their own, and the cochain H-action against the conjugation on M^v
+    cap = 3
+    dual = dual_bimodule(m)
+    rc, rc_dual = ReducedComplexes(cp, m, cap), ReducedComplexes(cp, dual, cap)
+    _assert_transposed(rc.reduced_cochain_complex().complex,
+                       rc_dual.reduced_chain_complex().complex, cap)
+    if cp.conv_inverse is None:
+        return
+    _assert_transposed(rc.untwisted_cochain_complex().complex,
+                       rc_dual.untwisted_chain_complex().complex, cap)
+    act, uinv = HActionOnHomology(cp, m, cap, cochain=True), unit_section_inverse_map(cp)
+    for r in range(cap):
+        for h_idx, mat in enumerate(act.chain_mats[r]):
+            assert mat == conjugation_chain_matrix(cp, dual, r, h_idx, uinv).transpose(), (r, h_idx)
 
 
 @pytest.mark.parametrize("name, cp, m", CASES, ids=IDS)
@@ -64,6 +95,12 @@ def test_derived_cochain_blocks_match_displayed_formulas(name, cp, m):
     cap = 3
     rc = ReducedComplexes(cp, m, cap)
     untwisted = cp.conv_inverse is not None
+    dual = dual_bimodule(m)
+
+    def untwist(reference, r, s):
+        """The cochain mirror of a per-term untwisting map on M^v."""
+        return argument_major(reference(cp, dual, r, s), m.dim).transpose()
+
     for s in range(cap + 1):
         for r in range(cap + 1 - s):
             for l in range(s + 1):
@@ -73,13 +110,11 @@ def test_derived_cochain_blocks_match_displayed_formulas(name, cp, m):
                 block = rc.reduced_cochain_block(l, r, s)
                 assert block == rc.literal.block(False, l, r, s, cochain=True), key
                 if untwisted:
-                    dual = dual_bimodule(m)
-                    conjugated = (
-                        dual_transpose(untwist_inverse_block_reference(cp, dual, r, s), m.dim) @ block
-                        @ dual_transpose(untwist_block_reference(cp, dual, r + l - 1, s - l), m.dim))
+                    conjugated = (untwist(untwist_inverse_block_reference, r, s) @ block
+                                  @ untwist(untwist_block_reference, r + l - 1, s - l))
                     assert conjugated == rc.literal.block(True, l, r, s, cochain=True), key
                     derived = rc.untwisted_block(l, r, s, cochain=True)
-                    assert dual_transpose(derived, m.dim) == conjugated, key
+                    assert derived.transpose() == conjugated, key
 
 
 ORACLE_FIELDS = [FieldSpec.rationals(), FieldSpec.prime(5), FieldSpec.prime(2147483629)]

@@ -8,6 +8,8 @@ replaced.  The untwisted blocks are placed from d^l on twisted generators
 per-term untwisting maps of tests/placement_reference.py, which no longer
 exist in the package.  sweedler_legs reads HopfData.comult_power;
 tests/sweedler_reference.py recurses over the comultiplication rows.
+The references lay each block out (m, argument); conftest.argument_major
+relabels them to the package's (argument, m) before they are compared.
 """
 
 import pytest
@@ -29,6 +31,7 @@ from placement_reference import (
     untwist_block_reference,
     untwist_inverse_block_reference,
 )
+from conftest import argument_major
 from closed_form_inputs import (
     dual_numbers_tensor_quaternions,
     gauge_twisted_sweedler_smash,
@@ -49,7 +52,8 @@ def test_derived_blocks_match_reference(name, field):
     for label, m in (("E", e), ("E^v", dual_bimodule(e))):
         for l, r, s in sorted(res.generator_columns):
             got = reduced_block_from_resolution(res, m, l, r, s)
-            assert got == reduced_block_reference(res, m, l, r, s), (label, l, r, s)
+            want = argument_major(reduced_block_reference(res, m, l, r, s), m.dim)
+            assert got == want, (label, l, r, s)
 
 
 Q, F3, F5 = FieldSpec.rationals(), FieldSpec.prime(3), FieldSpec.prime(5)
@@ -74,7 +78,7 @@ def test_untwisted_blocks_are_the_conjugated_reduced_blocks(make):
 
         def untwist(fn, r, s):
             if (fn, r, s) not in maps:
-                maps[(fn, r, s)] = fn(cp, coeff, r, s)
+                maps[(fn, r, s)] = argument_major(fn(cp, coeff, r, s), coeff.dim)
             return maps[(fn, r, s)]
 
         for l, r, s in sorted(res.generator_columns):

@@ -172,6 +172,30 @@ def test_cli_tor_z2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_zero_dimensional_bimodule(tmp_path, capsys):
+    # M = 0 over s3: every chain and cochain space is zero, and each
+    # subcommand passes with all-zero dims
+    pf = builtin("s3_as_action_extension")
+    doc = emit_problem(pf)
+    doc["bimodule"] = {"dim": 0, "left": [[]] * (pf.algebra.dim * pf.hopf.dim), "right": []}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    zeros = [0, 0, 0, 0]
+    for argv in (["homology", "--oracle"], ["cohomology", "--oracle"], ["e2-check"], ["spectral"]):
+        out_path = tmp_path / f"{argv[0]}.json"
+        assert main([argv[0], str(path), *argv[1:], "--output", str(out_path)]) == 0, argv
+        assert "overall: pass" in capsys.readouterr().out, argv
+        sections = json.loads(out_path.read_text())["sections"]
+        if argv[0] == "e2-check":
+            for side in ("chain", "cochain"):
+                got = sections["identification"][side]
+                assert got["total_dims"] == zeros and got["e2"] == got["e1"] == {}, side
+        elif argv[0] == "spectral":
+            assert sections["page_2"]["cells"] == {}
+        else:
+            assert sections["hochschild"]["dims"] == sections["hochschild"]["oracle_dims"] == zeros
+
+
 def test_cli_cap_guard(capsys):
     assert main(["homology", "trivial", "--cap", "7"]) == 2
     capsys.readouterr()

@@ -27,7 +27,6 @@ from hopfcross.reduced_complexes import (
     FormulaMismatch,
     ReducedComplexes,
     HActionOnHomology,
-    dual_transpose,
 )
 from hopfcross.resolution import build_resolution_recursive
 from hopfcross.twisting import TwistingCalculus
@@ -35,7 +34,8 @@ from closed_form_inputs import dual_numbers_tensor_quaternions
 from lift_reference import homology_representatives, induced_reference
 from placement_reference import untwist_block_reference, untwist_inverse_block_reference
 from conftest import (
-    BUILTIN_BUILDERS, mat_add, mat_neg, mat_scale, untwist_degree_matrices, z_n_algebra,
+    BUILTIN_BUILDERS, argument_major, mat_add, mat_neg, mat_scale, untwist_degree_matrices,
+    z_n_algebra,
 )
 
 Q = FieldSpec.rationals()
@@ -185,9 +185,10 @@ def test_untwisting_cochain_is_iso(cps):
     for name in ("z4_as_cocycle_extension", "sweedler_smash"):
         cp = cps[name]
         m = regular_bimodule(cp.e)
+        dual = dual_bimodule(m)
         for (r, s) in [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2)]:
-            t = dual_transpose(untwist_block_reference(cp, dual_bimodule(m), r, s), m.dim)
-            tinv = dual_transpose(untwist_inverse_block_reference(cp, dual_bimodule(m), r, s), m.dim)
+            t = argument_major(untwist_block_reference(cp, dual, r, s), m.dim).transpose()
+            tinv = argument_major(untwist_inverse_block_reference(cp, dual, r, s), m.dim).transpose()
             assert t @ tinv == ExactMatrix.identity(cp.field, t.nrows), (name, r, s)
             assert tinv @ t == ExactMatrix.identity(cp.field, t.nrows), (name, r, s)
 
@@ -234,8 +235,8 @@ def test_untwisted_is_double_complex_for_scalar_cocycle(cps):
             for l in range(2, s + 1):
                 assert rc.untwisted_block(l, r, s).is_zero(), (l, r, s)
                 reduced = rc.reduced_block(l, r, s)
-                left = untwist_block_reference(cp, m, r + l - 1, s - l)
-                right = untwist_inverse_block_reference(cp, m, r, s)
+                left = argument_major(untwist_block_reference(cp, m, r + l - 1, s - l), m.dim)
+                right = argument_major(untwist_inverse_block_reference(cp, m, r, s), m.dim)
                 assert (left @ reduced @ right).is_zero(), (l, r, s)
 
 

@@ -103,7 +103,7 @@ RATIONAL_NAMES = {"Fraction", "mpq", "_ratio"}
 # module -> the functions allowed to reduce modulo p (None: all of them)
 MOD_P_ALLOWED = {"fields.py": None, "linalg.py": None, "complexes.py": {"_composites_vanish"}}
 LITERAL_FORBIDDEN = {
-    "dual_transpose", "dual_bimodule", "reduced_block_from_resolution", "generator_columns",
+    "transpose", "dual_bimodule", "reduced_block_from_resolution", "generator_columns",
     "CrossedResolution", "TwistedBasis", "generator_table", "_placed_table", "sandwich",
 }
 RAW_SUM_EXEMPT = {"_composites_vanish"}  # it only tests its sums for zero
@@ -773,8 +773,8 @@ def test_checked_code_in_the_formulas_is_detected():
         "class _Literal:\n    def f(self, mod, m, table):\n        return mod._placed_table(m, table, 1, 1)",
         "class _Literal:\n    def f(self):\n        return self.m.sandwich(0, 1)",
         # reached through a module helper
-        "def helper(mat, d):\n    return dual_transpose(mat, d)\n"
-        "class _Literal:\n    def f(self, mat):\n        return helper(mat, 1)",
+        "def helper(mat):\n    return mat.transpose()\n"
+        "class _Literal:\n    def f(self, mat):\n        return helper(mat)",
     ):
         assert _literal_forbidden_names(ast.parse(source)), source
     assert _literal_forbidden_names(ast.parse(
