@@ -112,8 +112,12 @@ def _max_degree(pf: ProblemFile, args) -> tuple[int, int]:
 def _emit(doc: dict, args) -> int:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     _render_human(doc)
     return 0 if doc.get("pass", True) else 1
 

@@ -513,6 +513,15 @@ def test_cli_malformed_problem_exits_2(path, value, tmp_path, capsys):
         assert "hopf section must be an object" in err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing"])
+def test_cli_unwritable_output_exits_2(where, tmp_path, capsys):
+    out_path = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    assert main(["verify", "trivial", "--output", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot write --output {out_path}") and "Traceback" not in err, err
+    assert len(err.strip().splitlines()) == 1 and out == "", out
+
+
 def _node_paths(node, path=()):
     yield path
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
