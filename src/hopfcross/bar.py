@@ -5,6 +5,15 @@ the package: normalized Hochschild chains M (x) Ebar^n and cochains
 Hom(Ebar^n, M) for any algebra.  Nothing here touches the reduced complexes
 or the resolution.
 
+Both builders read one table per degree n, made from E's product by index
+arithmetic on flat tensor indices: for each tensor t' of Ebar^(n-1), every
+tensor t of Ebar^n with a middle face x_i x_(i+1) that reaches t', with its
+signed coefficient (_face_table).  The cochain builder makes each column
+(t', m_i) of b* on its own: term 0 at the rows (x, t'), the middle faces of
+t' from the table, and the last term at the rows (t', x).  The chain builder
+reads the same table inverted, per t.  Every column is a raw sum finished
+once by FieldSpec.settle.
+
 The same chains compute the homology of a Hopf algebra H with coefficients
 in a left H-module N: the standard complex Hbar^s (x) N of H_*(H, N) is the
 normalized Hochschild chain complex of H with coefficients in N_eps, the
@@ -18,30 +27,35 @@ from .algebras import AlgebraData
 from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex
 from .crossed import BimoduleData
 from .linalg import ExactMatrix
-from .tensors import TensorSpace
 
 
-def _faces(e: AlgebraData, n: int):
-    """Per argument tensor t of Ebar^n, in flat order: (legs, tail, merges, head, sign).
+def _face_table(e: AlgebraData, n: int) -> list[list]:
+    """Per tensor t' of Ebar^(n-1), in flat order: (t, signed coef) for every
+    middle face of a tensor t of Ebar^n that reaches t'.
 
-    legs are the section reps of t in E; tail and head are the flat indices of
-    t[1:] and t[:-1] in Ebar^(n-1); merges lists (flat index, signed coef)
-    of the middle faces, and sign is the sign (-1)^n of the last face.
+    Face i (1 <= i < n) merges legs i - 1 and i of t with sign (-1)^i; the
+    merged leg is leg i - 1 of t', and the class of the unit dies in Ebar.
     """
     field = e.field
     dim = e.dim - 1
-    for flat, t in enumerate(TensorSpace((dim,) * n)):
-        legs = [x + 1 for x in t]
-        merges = []
-        sign = field.one
-        for i in range(1, n):
-            sign = field.neg(sign)
-            low = dim ** (n - i - 1)  # stride of leg i in t, and of the merged leg
-            prefix = flat // (low * dim * dim)
-            for k, c in e.mult[legs[i - 1]][legs[i]].items():
-                if k:  # the class of the unit dies in Ebar
-                    merges.append(((prefix * dim + k - 1) * low + flat % low, field.mul(sign, c)))
-        yield legs, flat % dim ** (n - 1), merges, flat // dim, field.neg(sign)
+    # split[k]: (a * dim + b, c) for each pair of Ebar legs whose product has c at leg k
+    split: list[list] = [[] for _ in range(dim)]
+    for a in range(dim):
+        for b in range(dim):
+            for k, c in e.mult[a + 1][b + 1].items():
+                if k:
+                    split[k - 1].append((a * dim + b, c))
+    table: list[list] = [[] for _ in range(dim ** (n - 1))]
+    for i in range(1, n):
+        sign = field.sign(i)
+        low = dim ** (n - 1 - i)  # stride of leg i - 1 of t', and of leg i of t
+        signed = [[(ab * low, field.mul(sign, c)) for ab, c in pairs] for pairs in split]
+        for tp, faces in enumerate(table):
+            prefix, rest = divmod(tp, low * dim)
+            k, suffix = divmod(rest, low)
+            base = prefix * dim * dim * low + suffix
+            faces.extend((base + ab, c) for ab, c in signed[k])
+    return table
 
 
 def hochschild_chain_complex(
@@ -54,22 +68,29 @@ def hochschild_chain_complex(
     """
     field = e.field
     settle = field.settle
-    dims = [(e.dim - 1) ** n * m.dim for n in range(cap + 1)]
+    dim, md = e.dim - 1, m.dim
+    dims = [dim**n * md for n in range(cap + 1)]
     maps: list = [None]
     for n in range(1, cap + 1):
+        sign = field.sign(n)
+        low = dim ** (n - 1)
+        merges: list[list] = [[] for _ in range(dim**n)]
+        for tp, faces in enumerate(_face_table(e, n)):
+            for t, c in faces:
+                merges[t].append((tp * md, c))
         cols: list = []
-        for legs, tail, merges, head, sign in _faces(e, n):
-            for mi in range(m.dim):
-                col: dict = {}
+        for t, faces in enumerate(merges):
+            x1, tail = divmod(t, low)  # t = (x_1, tail) = (head, x_n), legs off the unit
+            head, xn = divmod(t, dim)
+            for mi in range(md):
+                # m_i . x_1 at (x_2..x_n, m_j); the middle faces; (-1)^n x_n . m_i at (x_1..x_(n-1), m_j)
+                col = {tail * md + mj: c for mj, c in m.right[mi][x1 + 1].items()}
                 get = col.get
-                for mj, c in m.right[mi][legs[0]].items():
-                    k = tail * m.dim + mj
+                for k, c in faces:
+                    k += mi
                     col[k] = get(k, 0) + c
-                for idx, c in merges:
-                    k = idx * m.dim + mi
-                    col[k] = get(k, 0) + c
-                for mj, c in m.left[legs[-1]][mi].items():
-                    k = head * m.dim + mj
+                for mj, c in m.left[xn + 1][mi].items():
+                    k = head * md + mj
                     col[k] = get(k, 0) + sign * c
                 cols.append(settle(col))
         maps.append(ExactMatrix(field, dims[n - 1], dims[n], cols))
@@ -84,33 +105,35 @@ def hochschild_cochain_complex(
     Basis of Hom(Ebar^n, M): pairs (argument tensor t, value basis index),
     flat index t * dim(M) + value, the layout of the chains.  Each map is
     the transpose of the chain map with coefficients M^v
-    (crossed.dual_bimodule), built here without the dual.
+    (crossed.dual_bimodule), built here column by column without the dual:
+    column (t', m_i) is b* of the cochain that sends t' to m_i.
     """
     field = e.field
-    dim_ebar = e.dim - 1
-    dims = [dim_ebar**n * m.dim for n in range(cap + 1)]
+    settle = field.settle
+    dim, md = e.dim - 1, m.dim
+    dims = [dim**n * md for n in range(cap + 1)]
     maps: list = [None]
     for n in range(1, cap + 1):
-        cols: list[dict] = [{} for _ in range(dims[n - 1])]
-        for t, (legs, tail, merges, head, sign) in enumerate(_faces(e, n)):
-            row_base = t * m.dim
-            # term 0: x1 . phi(x2..xn)
-            for mi in range(m.dim):
-                col = cols[tail * m.dim + mi]
-                for mj, c in m.left[legs[0]][mi].items():
-                    k = row_base + mj
-                    col[k] = col.get(k, 0) + c
-            # middle merges
-            for idx, c in merges:
-                for mi in range(m.dim):
-                    col = cols[idx * m.dim + mi]
-                    k = row_base + mi
-                    col[k] = col.get(k, 0) + c
-            # last term: phi(x1..x_{n-1}) . xn
-            for mi in range(m.dim):
-                col = cols[head * m.dim + mi]
-                for mj, c in m.right[mi][legs[-1]].items():
-                    k = row_base + mj
-                    col[k] = col.get(k, 0) + sign * c
-        maps.append(ExactMatrix(field, dims[n], dims[n - 1], [field.settle(col) for col in cols]))
+        sign = field.sign(n)
+        step = dims[n - 1]  # the row stride of leg 0
+        # per m_i, rows less their t' part: x . m_i at (x, t'), and (-1)^n m_i . x at (t', x)
+        first = [[(x * step + mj, c) for x in range(dim) for mj, c in m.left[x + 1][mi].items()]
+                 for mi in range(md)]
+        last = [[(x * md + mj, sign * c) for x in range(dim) for mj, c in m.right[mi][x + 1].items()]
+                for mi in range(md)]
+        cols: list = []
+        for tp, faces in enumerate(_face_table(e, n)):
+            base, head = tp * md, tp * dim * md
+            faces = [(t * md, c) for t, c in faces]
+            for mi in range(md):
+                col = {base + k: c for k, c in first[mi]}
+                get = col.get
+                for k, c in faces:
+                    k += mi
+                    col[k] = get(k, 0) + c
+                for k, c in last[mi]:
+                    k += head
+                    col[k] = get(k, 0) + c
+                cols.append(settle(col))
+        maps.append(ExactMatrix(field, dims[n], dims[n - 1], cols))
     return ChainComplex(field, dims, maps, COHOMOLOGY)

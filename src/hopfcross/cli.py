@@ -11,6 +11,7 @@ oracle-compare --max-degree N | resolution-check --max-degree N | tor.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -107,6 +108,19 @@ def _max_degree(pf: ProblemFile, args) -> tuple[int, int]:
     if max_degree < 0:
         raise ParseError(f"max degree must be at least 0, got {max_degree}")
     return max_degree, _effective_cap(pf, args, max_degree + 1)
+
+
+def _output_error(path: str) -> str | None:
+    """Why --output path cannot be written, known before any work; None when
+    it may be.  The file is neither created nor truncated here."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        return os.strerror(errno.ENOENT)
+    if not os.access(folder, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
 
 
 def _emit(doc: dict, args) -> int:
@@ -357,6 +371,9 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    if args.output and (reason := _output_error(args.output)):
+        print(f"error: cannot write --output {args.output}: {reason}", file=sys.stderr)
+        return 2
     try:
         pf = _load_problem(args)
         doc = _DISPATCH[args.command](pf, args)

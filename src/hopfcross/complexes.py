@@ -42,17 +42,29 @@ HOMOLOGY = "homology"
 COHOMOLOGY = "cohomology"
 
 
-def _composites_vanish(first_cols: list, then_cols: list, p) -> bool:
-    """then . col == 0 for every col of first_cols (over F_p when p, else over Q)."""
+def _composites_vanish(first_cols: list, then_cols: list, nrows: int, p) -> bool:
+    """then . col == 0 for every col of first_cols (over F_p when p, else over Q).
+
+    Each composite column is summed into one list of nrows zeros, kept across
+    columns.  Only the rows a column touched are tested; a column that passes
+    leaves them 0 again (over F_p they are reset from multiples of p).
+    """
+    acc = [0] * nrows
     for col in first_cols:
-        acc: dict = {}
-        get = acc.get
+        touched: list = []
         for j, v in col.items():
-            for i, w in then_cols[j].items():
-                acc[i] = get(i, 0) + v * w
+            image = then_cols[j]
+            touched.extend(image)
+            for i, w in image.items():
+                acc[i] += v * w
         # most integer sums are exactly 0: test that at C speed before any % p
-        if any(acc.values()) and (p is None or any(t % p for t in acc.values())):
-            return False
+        if any(map(acc.__getitem__, touched)):
+            if p is None:
+                return False
+            for i in touched:
+                if acc[i] % p:
+                    return False
+                acc[i] = 0
     return True
 
 
@@ -84,15 +96,15 @@ class ChainComplex:
 
     def check_square_zero(self) -> None:
         """d o d = 0, one column at a time: no product matrix is built, and the
-        first nonzero image raises.  Each image is summed in one inline loop,
-        chosen once per pair of maps: plain arithmetic over Q (ints, and
-        rationals where an entry is one), ints reduced mod p over F_p."""
+        first nonzero image raises.  Each image is summed raw into one list
+        of then.nrows entries per pair of maps (ints, and rationals where an
+        entry is one); over F_p a touched sum that is not 0 is tested mod p."""
         p = self.field.p if self.field.kind == "Fp" else None
         for n in range(1, self.cap):
             first, then = self.maps[n + 1], self.maps[n]
             if self.direction == COHOMOLOGY:
                 first, then = then, first
-            if not _composites_vanish(first.cols, then.cols, p):
+            if not _composites_vanish(first.cols, then.cols, then.nrows, p):
                 raise BoundaryNotSquareZero(n + 1)
         self.square_zero = True
 

@@ -171,8 +171,9 @@ class FieldSpec:
         """A raw sum finished: canonical scalars, zeros dropped.
 
         acc holds plain sums of products of field scalars, keyed by anything;
-        the result keeps its key order.  Over Q, acc itself is returned when
-        every value is already a nonzero int.
+        the result keeps its key order.  acc itself is returned when every
+        value is already a nonzero canonical scalar: an int over Q, a
+        symmetric residue over F_p.
         """
         if self.kind == "Q":
             for v in acc.values():
@@ -182,7 +183,10 @@ class FieldSpec:
         p = self.p
         hi = p >> 1
         lo = hi + 1 - p
-        return {k: t for k, v in acc.items() if (t := v if lo <= v <= hi else residue(v, p))}
+        for v in acc.values():
+            if not v or not lo <= v <= hi:
+                return {k: t for k, v in acc.items() if (t := v if lo <= v <= hi else residue(v, p))}
+        return acc
 
     def sparse(self, cell: dict) -> dict:
         """cell's values coerced by scalar, each once, zeros dropped: a

@@ -13,6 +13,7 @@ from hopfcross.fields import FieldSpec
 from hopfcross.algebras import truncated_polynomial_algebra
 from hopfcross.bar import hochschild_chain_complex, hochschild_cochain_complex
 from hopfcross.complexes import (
+    BoundaryNotSquareZero,
     ChainComplex,
     HOMOLOGY,
     check_convergence,
@@ -198,8 +199,9 @@ def test_chain_filtration_convergence_z2():
 @pytest.mark.parametrize("field", [Q, FieldSpec.prime(7)], ids=["Q", "F7"])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_flat_face_indices_match_reference(name, field):
-    # every map entry for entry, in the same dict order, as the TensorSpace.index
-    # builders; the chain reference is laid out (m, t) and relabelled (t, m)
+    # every map entry for entry as the TensorSpace.index builders, compared as
+    # dicts: the package builds each column in its own order (see the next
+    # test); the chain reference is laid out (m, t) and relabelled (t, m)
     cp = BUILTIN_BUILDERS[name](field)
     m = regular_bimodule(cp.e)
     for build, reference, relabel in (
@@ -210,4 +212,41 @@ def test_flat_face_indices_match_reference(name, field):
         for d, r in zip(got.maps[1:], want.maps[1:]):
             r = argument_major(r, m.dim) if relabel else r
             assert (d.nrows, d.ncols) == (r.nrows, r.ncols)
-            assert [list(col.items()) for col in d.cols] == [list(col.items()) for col in r.cols]
+            assert d.cols == r.cols
+
+
+def _reversed_columns(c: ChainComplex) -> ChainComplex:
+    """c with every column dict in reversed insertion order."""
+    maps = [None] + [ExactMatrix(d.field, d.nrows, d.ncols, [dict(reversed(col.items())) for col in d.cols])
+                     for d in c.maps[1:]]
+    return ChainComplex(c.field, c.dims, maps, c.direction)
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_column_order_does_not_change_the_reductions(name, field):
+    # no reader depends on the insertion order of a column: the elimination
+    # picks pivots by row index, d o d sums, and transpose indexes
+    cp = BUILTIN_BUILDERS[name](field)
+    m = regular_bimodule(cp.e)
+    for build in (hochschild_chain_complex, hochschild_cochain_complex):
+        c = build(cp.e, m, 4)
+        r = _reversed_columns(c)
+        assert [d.pivot_pairs() for d in r.maps[1:]] == [d.pivot_pairs() for d in c.maps[1:]]
+        assert homology_dims(r) == homology_dims(c)
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(7)], ids=["Q", "F7"])
+def test_one_perturbed_cochain_entry_breaks_square_zero(field):
+    # add 1 to entry (i, 0) of b*_n, for a row i where b*_(n+1) has a nonzero column
+    cp = BUILTIN_BUILDERS["s3_as_action_extension"](field)
+    c = hochschild_cochain_complex(cp.e, regular_bimodule(cp.e), 3)
+    c.check_square_zero()
+    for n in (1, 2):
+        i = next(i for i, col in enumerate(c.maps[n + 1].cols) if col)
+        cols = list(c.maps[n].cols)
+        cols[0] = field.settle({**cols[0], i: cols[0].get(i, 0) + 1})
+        maps = list(c.maps)
+        maps[n] = ExactMatrix(field, c.maps[n].nrows, c.maps[n].ncols, cols)
+        with pytest.raises(BoundaryNotSquareZero):
+            ChainComplex(field, c.dims, maps, c.direction).check_square_zero()

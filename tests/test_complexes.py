@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hopfcross.algebras import Report
 from hopfcross.fields import FieldSpec
 from hopfcross.complexes import (
     BoundaryNotSquareZero,
+    _composites_vanish,
     COHOMOLOGY,
     ChainComplex,
     FilteredComplex,
@@ -95,6 +96,81 @@ def test_square_zero_sums_that_are_nonzero_multiples_of_p(p, row, col):
     c = ChainComplex(field, [1, len(row), 1], [None, d1, d2], HOMOLOGY)
     c.check_square_zero()
     assert c.square_zero
+
+
+def _dense_composites_vanish(first: list, then_rows: list, p) -> bool:
+    """then . x == 0 for every dense column x of first, one dense row product at a time."""
+    for x in first:
+        for row in then_rows:
+            t = sum(a * b for a, b in zip(row, x))
+            if (t % p if p else t):
+                return False
+    return True
+
+
+def _sparse(vec) -> dict:
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+@st.composite
+def composite_cases(draw):
+    """then = [T | T C] with small random integers, and a long run of columns
+    [-C y; y] whose composites cancel exactly, then one last column: another
+    cancelling one, a random one, or a cancelling one plus q * p at a leg
+    where T is nonzero (a composite that is a nonzero multiple of p)."""
+    ints = st.integers(-3, 3)
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    r, m1, m2 = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    t = [[draw(ints) for _ in range(m1)] for _ in range(r)]
+    c = [[draw(ints) for _ in range(m2)] for _ in range(m1)]
+    then_rows = [row + [sum(row[k] * c[k][j] for k in range(m1)) for j in range(m2)] for row in t]
+
+    def cancelling():
+        y = [draw(ints) for _ in range(m2)]
+        return [-sum(c[k][j] * y[j] for j in range(m2)) for k in range(m1)] + y
+
+    first = [cancelling() for _ in range(draw(st.integers(0, 12)))]
+    kind = draw(st.sampled_from(["cancelling", "random", "multiple of p"]))
+    if kind == "cancelling":
+        last = cancelling()
+    elif kind == "random":
+        last = [draw(ints) for _ in range(m1 + m2)]
+    else:
+        last = cancelling()
+        last[draw(st.integers(0, m1 + m2 - 1))] += draw(st.sampled_from([-2, -1, 1, 2])) * p
+    return p, then_rows, first + [last]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=composite_cases())
+def test_composites_vanish_matches_a_dense_product(case):
+    p, then_rows, first = case
+    nrows, ncols = len(then_rows), len(then_rows[0])
+    then_cols = [_sparse(row[j] for row in then_rows) for j in range(ncols)]
+    first_cols = [_sparse(x) for x in first]
+    for q in (None, p):
+        assert _composites_vanish(first_cols, then_cols, nrows, q) == _dense_composites_vanish(first, then_rows, q)
+
+
+@pytest.mark.parametrize("p", [None, 2, 5])
+def test_composites_vanish_reads_the_last_column(p):
+    # 40 columns cancel through nonzero products at every row, then the last one does not
+    then_cols = [{0: 1, 1: 2, 2: -1}, {0: -1, 1: -2, 2: 1}, {1: 1}]
+    first_cols = [{0: k, 1: k} for k in range(1, 41)] + [{0: 1, 1: 1, 2: 1}]
+    assert _composites_vanish(first_cols[:-1], then_cols, 3, p)
+    assert not _composites_vanish(first_cols, then_cols, 3, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_composites_vanish_sums_that_are_multiples_of_p(p):
+    # the composite p * e_1 after a run of exactly cancelling columns: zero
+    # over F_p only, and the run after it still cancels mod p
+    then_cols = [{0: 1, 1: 1}, {0: -1, 1: -1}, {1: 1}]
+    run = [{0: k, 1: k} for k in range(1, 20)]
+    first_cols = run + [{0: 1, 1: 1, 2: p}] + run
+    assert _composites_vanish(first_cols, then_cols, 2, p)
+    assert not _composites_vanish(first_cols, then_cols, 2, None)
+    assert not _composites_vanish(first_cols + [{2: 1}], then_cols, 2, p)
 
 
 def _random_invertible(field, n, rng):

@@ -113,6 +113,34 @@ def test_settle_returns_canonical_residues(field, data):
     assert all(in_range(v, p) and (v - raw[k]) % p == 0 for k, v in got.items())
 
 
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(FIELDS), data=st.data())
+def test_settle_returns_a_canonical_sum_itself(field, data):
+    # a sum whose values are all nonzero residues already comes back as the
+    # same dict; any zero or out-of-range value still makes a settled copy
+    p = field.p
+    canonical = st.integers(-((p - 1) // 2), p // 2).filter(bool)
+    raw = data.draw(st.dictionaries(st.integers(0, 20), st.one_of(canonical, st.integers(-p * p, p * p))))
+    got = field.settle(raw)
+    if all(v and in_range(v, p) for v in raw.values()):
+        assert got is raw
+    else:
+        assert got is not raw
+        assert list(got) == [k for k in raw if raw[k] % p]
+        assert all(in_range(v, p) and (v - raw[k]) % p == 0 for k, v in got.items())
+
+
+def test_settle_copies_only_when_it_must():
+    f5, f2 = FieldSpec.prime(5), FieldSpec.prime(2)
+    for field, acc in ((f5, {4: 2, 1: -2, 9: 1}), (f2, {0: 1, 3: 1}), (f5, {})):
+        assert field.settle(acc) is acc
+    for field, raw, want in ((f5, {4: 2, 1: 3, 9: 1}, {4: 2, 1: -2, 9: 1}),
+                             (f5, {4: 2, 1: 0, 9: 5}, {4: 2}),
+                             (f2, {0: 1, 3: -1, 5: 2}, {0: 1, 3: 1})):
+        got = field.settle(raw)
+        assert got is not raw and got == want and list(got) == list(want)
+
+
 def test_sign_is_a_power_of_minus_one():
     for field in [FieldSpec.rationals(), FieldSpec.prime(2), FieldSpec.prime(5),
                   FieldSpec.prime(2147483629)]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcross.algebras import verify_algebra
+from hopfcross import cli
 from hopfcross.cli import main
 from hopfcross.crossed import regular_bimodule, verify_crossed_axioms
 from hopfcross.fields import FieldSpec
@@ -520,6 +521,35 @@ def test_cli_unwritable_output_exits_2(where, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith(f"error: cannot write --output {out_path}") and "Traceback" not in err, err
     assert len(err.strip().splitlines()) == 1 and out == "", out
+
+
+@pytest.mark.parametrize("where", ["directory", "missing"])
+def test_cli_unwritable_output_exits_before_the_work(where, tmp_path, capsys, monkeypatch):
+    def never(pf, args):
+        raise AssertionError("the subcommand ran although --output cannot be written")
+
+    monkeypatch.setitem(cli._DISPATCH, "oracle-compare", never)
+    out_path = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    argv = ["oracle-compare", "sweedler_smash", "--max-degree", "4", "--output", str(out_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot write --output {out_path}") and out == "", err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_output_is_untouched_until_the_document_is_written(tmp_path, monkeypatch):
+    out_path = tmp_path / "x.json"
+    out_path.write_text("old")
+    seen = []
+
+    def verify(pf, args):
+        seen.append(out_path.read_text())
+        return cli.cmd_verify(pf, args)
+
+    monkeypatch.setitem(cli._DISPATCH, "verify", verify)
+    assert main(["verify", "trivial", "--output", str(out_path)]) == 0
+    assert seen == ["old"]
+    assert json.loads(out_path.read_text())["command"] == "verify"
 
 
 def _node_paths(node, path=()):

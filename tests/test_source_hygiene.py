@@ -417,9 +417,9 @@ RULES = [
                 "def f(x, field):\n    return field.is_zero(field.mul(x, x))")),
     Rule("raw-sums-settle", "A raw sum into a dict (d[k] = d.get(k, 0) + ..., or through a bound get) "
          "holds unreduced scalars and kept zeros, so every function that makes one also calls "
-         "FieldSpec.settle, which finishes it.  complexes._composites_vanish only tests its sums for zero.",
+         "FieldSpec.settle, which finishes it.  No function is excused: complexes._composites_vanish "
+         "sums into a list.",
          tuple(MODULES), functions_where(lambda fn: any(map(_is_raw_sum, fn.own)) and "settle" not in _calls(fn.own)),
-         {"complexes.py": {"_composites_vanish"}},
          bad=("def f(col, k, c):\n    col[k] = col.get(k, 0) + c\n    return col",
               "def f(col, k, c):\n    get = col.get\n    col[k] = get(k, 0) + c * c\n    return col",
               # the settle of a nested function does not settle its parent's sums
@@ -427,12 +427,14 @@ RULES = [
                  "    def g(field, d):\n        return field.settle(d)\n    return cols", {"f"}),
               # nor does the parent's settle finish a nested function's sums
               Ex("def f(col, c, field):\n    def add(k):\n        col[k] = col.get(k, 0) + c\n"
-                 "    add(1)\n    return field.settle(col)", {"f.add"})),
+                 "    add(1)\n    return field.settle(col)", {"f.add"}),
+              # the d o d check has no allowance
+              Ex("def _composites_vanish(col, k, c):\n    col[k] = col.get(k, 0) + c\n"
+                 "    return not any(col.values())", {"_composites_vanish"}, file="complexes.py")),
          clean=("def f(col, k, c, field):\n    col[k] = col.get(k, 0) + c\n    return field.settle(col)",
                 "def f(dst, src, field):\n    for k, v in src.items():\n"
                 "        t = dst.get(k, 0) + v\n        if t:\n            dst[k] = t",
-                Ex("def _composites_vanish(col, k, c):\n    col[k] = col.get(k, 0) + c\n"
-                   "    return not any(col.values())", file="complexes.py"))),
+                "def f(acc, i, v, w):\n    acc[i] += v * w\n    return not any(acc)")),
     Rule("linalg-internals", "No module but linalg.py reaches into the elimination internals (_echelon, "
          "_reduce_against, a solver's .registry); the rest use the public ExactMatrix / SpanSolver "
          "methods.", tuple(MODULES), lambda idx: idx.attrs & LINALG_INTERNALS,
