@@ -30,7 +30,6 @@ from .complexes import check_convergence, spectral_page
 from .crossed import (
     AxiomViolation,
     NotInvertibleError,
-    convolution_inverse,
     regular_bimodule,
     verify_crossed_axioms,
 )
@@ -188,7 +187,7 @@ def cmd_verify(pf: ProblemFile, args) -> dict:
     sections["crossed_axioms"] = r_crossed.as_dict()
     ok = r_alg.passed and r_hopf.passed and r_crossed.passed
     if ok:
-        cp = pf.crossed_product(check=False, with_inverse=False)
+        cp = pf.crossed_product(check=False)
         r_e = verify_algebra(cp.e)
         sections["crossed_product_algebra"] = r_e.as_dict()
         ok = ok and r_e.passed
@@ -196,15 +195,14 @@ def cmd_verify(pf: ProblemFile, args) -> dict:
         r_m = m.verify(cp.e)
         sections["bimodule"] = r_m.as_dict()
         ok = ok and r_m.passed
-        finv = convolution_inverse(cp)
-        sections["cocycle_invertible"] = finv is not None
+        sections["cocycle_invertible"] = cp.conv_inverse is not None
     doc["pass"] = ok
     return doc
 
 
 def cmd_homology(pf: ProblemFile, args, cochain: bool) -> dict:
     cap = _effective_cap(pf, args)
-    cp = pf.crossed_product(with_inverse=False)
+    cp = pf.crossed_product()
     m = pf.bimodule_or_regular(cp)
     oracle = args.oracle or pf.oracle
     fn = hochschild_cohomology if cochain else hochschild_homology
@@ -253,7 +251,7 @@ def cmd_e2_check(pf: ProblemFile, args) -> dict:
 
 def cmd_oracle_compare(pf: ProblemFile, args) -> dict:
     max_degree, cap = _max_degree(pf, args)
-    cp = pf.crossed_product(with_inverse=False)
+    cp = pf.crossed_product()
     m = pf.bimodule_or_regular(cp)
     res = CrossedResolution(cp, cap)
     rep_h = hochschild_homology(cp, m, cap=cap, oracle=True, res=res)
@@ -267,7 +265,7 @@ def cmd_oracle_compare(pf: ProblemFile, args) -> dict:
 
 def cmd_resolution_check(pf: ProblemFile, args) -> dict:
     max_degree, cap = _max_degree(pf, args)
-    cp = pf.crossed_product(with_inverse=False)
+    cp = pf.crossed_product()
     doc = _doc("resolution-check", pf, cap)
     sections = doc["sections"]
     closed = build_resolution_closed(cp, cap)
@@ -285,7 +283,7 @@ def cmd_resolution_check(pf: ProblemFile, args) -> dict:
     bar = BarCalculus(cp, cap + 1)
     cmp_maps = build_comparison(closed, bar, min(max_degree, cap - 1))
     try:
-        assert_contracting_homotopy(closed, cmp_maps.sigma)
+        assert_contracting_homotopy(closed)
         hom_ok = True
     except HomotopyIdentityFailure:
         hom_ok = False

@@ -94,8 +94,8 @@ class ComparisonMaps:
     Generator tables map bimodule generators to flat image vectors, each
     applied by extend_by_outer_mult: phi and omega land in a bar space
     (FreeBimoduleSpace.outer_mult), psi in a degree of the small resolution
-    (CrossedResolution.degree_outer_mult).  sigma is the resolution's
-    contracting homotopy, a table on left generators.
+    (CrossedResolution.degree_outer_mult).  psi reads the resolution's
+    contracting homotopy through res.homotopy_apply.
     """
 
     def __init__(self, res: CrossedResolution, bar: BarCalculus, upto: int):
@@ -105,7 +105,6 @@ class ComparisonMaps:
         self.bar = bar
         self.upto = upto
         self.field = res.field
-        self.sigma = res.contracting_homotopy()
         self._build()
 
     def degree_level(self, n: int, flat: int) -> int:
@@ -130,7 +129,7 @@ class ComparisonMaps:
             for mid in range(bspace.mid_size):
                 gen = {bspace.combine(0, mid, 0): field.one}
                 img = self.psi_apply(n - 1, bar.bprime(n, gen))
-                table[mid] = res.homotopy_apply(self.sigma, n, img)
+                table[mid] = res.homotopy_apply(n, img)
             self.psi.append(table)
         # omega_n : B_{n-1} -> B_n for n = 1 .. upto + 1
         self.omega: list[dict] = [{}, {mid: {} for mid in range(bar.spaces[0].mid_size)}]

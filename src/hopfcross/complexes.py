@@ -73,7 +73,8 @@ class ChainComplex:
 
     direction == "homology":   maps[n] : C_n -> C_{n-1}   (n = 1..cap)
     direction == "cohomology": maps[n] : C_{n-1} -> C_n   (n = 1..cap)
-    maps[0] is always None.  square_zero records a passed check_square_zero.
+    maps[0] is always None.  Construction checks d o d = 0 (check_square_zero),
+    so every complex that exists has passed it.
     """
 
     def __init__(self, field, dims: list[int], maps: list, direction: str = HOMOLOGY):
@@ -86,13 +87,13 @@ class ChainComplex:
         self.maps = list(maps)
         self.direction = direction
         self.cap = len(dims) - 1
-        self.square_zero = False
         for n in range(1, self.cap + 1):
             m = maps[n]
             lo, hi = dims[n - 1], dims[n]
             expect = (lo, hi) if direction == HOMOLOGY else (hi, lo)
             if (m.nrows, m.ncols) != expect:
                 raise ValueError(f"map {n} has shape {(m.nrows, m.ncols)}, expected {expect}")
+        self.check_square_zero()
 
     def check_square_zero(self) -> None:
         """d o d = 0, one column at a time: no product matrix is built, and the
@@ -106,7 +107,6 @@ class ChainComplex:
                 first, then = then, first
             if not _composites_vanish(first.cols, then.cols, then.nrows, p):
                 raise BoundaryNotSquareZero(n + 1)
-        self.square_zero = True
 
     def outgoing(self, n: int) -> ExactMatrix | None:
         """The differential leaving degree n (None when it is the zero edge map)."""
@@ -132,12 +132,10 @@ def homology_dims(c: ChainComplex) -> list[int]:
     column R_j = U_n V_j has its low at i, and U_{n+1} R_j = 0 since
     d o d = 0, so column i of U_{n+1} is a combination of earlier columns;
     by induction on i, the kept columns up to i span what all columns up to
-    i span, and the rank is unchanged.  The check of d o d = 0 runs unless
-    the complex has passed it.  The top map's pivots clear nothing, so it is
-    ranked with ExactMatrix.rank.
+    i span, and the rank is unchanged; c passed the d o d = 0 check when it
+    was made.  The top map's pivots clear nothing, so it is ranked with
+    ExactMatrix.rank.
     """
-    if not c.square_zero:
-        c.check_square_zero()
     ranks = [0] * (c.cap + 2)
     cleared: set = set()
     for n in range(1, c.cap + 1):
@@ -308,7 +306,8 @@ class SpectralPage:
     """One page of a spectral sequence as a table of exact dimensions.
 
     table maps (filtration index, complementary index) to the cell dimension;
-    cells outside the trusted window (total degree <= window) are absent.
+    cells outside the trusted window (total degree <= window = cap - 1) are
+    absent.
     """
 
     def __init__(self, r: int, table: dict, window: int, direction: str):
@@ -343,13 +342,10 @@ class SpectralPage:
         return f"SpectralPage(r={self.r}, window={self.window}, cells={len(self.table)})"
 
 
-def spectral_page(fc: FilteredComplex, r: int, window: int | None = None) -> SpectralPage:
-    """Page r of the filtered complex over total degrees <= window (default cap-1)."""
+def spectral_page(fc: FilteredComplex, r: int) -> SpectralPage:
+    """Page r of the filtered complex over the trusted total degrees <= cap - 1."""
     c = fc.complex
-    if window is None:
-        window = c.cap - 1
-    if window > c.cap - 1:
-        raise ValueError("window exceeds the trusted range (cap - 1)")
+    window = c.cap - 1
     table = {}
     for n in range(window + 1):
         for p in range(fc.top_level(n) + 1):
@@ -372,27 +368,22 @@ def stable_page_number(fc: FilteredComplex) -> int:
     return max_level + 1
 
 
-def infinity_page(fc: FilteredComplex, window: int | None = None) -> SpectralPage:
+def infinity_page(fc: FilteredComplex) -> SpectralPage:
     r = stable_page_number(fc)
-    page = spectral_page(fc, r, window)
-    nxt = spectral_page(fc, r + 1, window)
+    page = spectral_page(fc, r)
+    nxt = spectral_page(fc, r + 1)
     if page.table != nxt.table:
         raise AssertionError("page did not stabilize at the structural bound")
     return page
 
 
-def check_convergence(
-    fc: FilteredComplex, total_homology: list[int] | None = None, window: int | None = None
-) -> Report:
+def check_convergence(fc: FilteredComplex, total_homology: list[int] | None = None) -> Report:
     """E^infinity antidiagonal sums against the homology of the total complex."""
     report = Report("spectral convergence")
-    c = fc.complex
-    if window is None:
-        window = c.cap - 1
     if total_homology is None:
-        total_homology = homology_dims(c)
-    einf = infinity_page(fc, window)
-    for n in range(window + 1):
+        total_homology = homology_dims(fc.complex)
+    einf = infinity_page(fc)
+    for n in range(einf.window + 1):
         got = einf.antidiagonal_sum(n)
         want = total_homology[n]
         report.record(

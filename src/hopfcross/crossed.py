@@ -10,7 +10,7 @@ index 0.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 from .algebras import AlgebraData, Report, verify_algebra
 from .fields import FieldSpec
@@ -177,17 +177,17 @@ def verify_crossed_axioms(
 class CrossedProductData:
     """The assembled crossed product with its ingredients.
 
-    conv_inverse is filled in by convolution_inverse when it exists; parts of
-    the package that need it raise NotInvertibleError otherwise.
+    conv_inverse, the convolution inverse of the cocycle or None when it has
+    none, is solved on first read; parts of the package that need it raise
+    NotInvertibleError when it is None.
     """
 
-    def __init__(self, a, h, action, cocycle, e, conv_inverse=None):
+    def __init__(self, a, h, action, cocycle, e):
         self.a = a
         self.h = h
         self.action = action
         self.cocycle = cocycle
         self.e = e
-        self.conv_inverse = conv_inverse
         self.field = a.field
         self._e_space = TensorSpace((a.dim, h.dim))
 
@@ -203,6 +203,11 @@ class CrossedProductData:
 
     def include_h(self, h_idx: int) -> int:
         return self.e_index(0, h_idx)
+
+    @cached_property
+    def conv_inverse(self):
+        """convolution_inverse(self), kept; a failed certificate keeps nothing."""
+        return convolution_inverse(self)
 
     def require_inverse(self):
         if self.conv_inverse is None:
@@ -295,8 +300,8 @@ def convolution_inverse(cp: CrossedProductData):
     (h2, l2, a) gets c_h c_l f(h1, l1) e_a at rows (h, l, .).  A right inverse
     in this finite-dimensional algebra is two-sided, and both f * u = e and
     u * f = e are certified by _convolution_product, which shares no code
-    with the solve; AssertionError names a side that fails.  The result is
-    stored on cp and returned.
+    with the solve; AssertionError names a side that fails and stores
+    nothing.  The result, None included, is stored on cp and returned.
     """
     a, h, f = cp.a, cp.h, cp.cocycle.f
     field = cp.field
@@ -316,16 +321,16 @@ def convolution_inverse(cp: CrossedProductData):
                             k = space.index((hi, li, bi))
                             col[k] = col.get(k, 0) + ch * cl * v
     x = ExactMatrix(field, n, n, [field.settle(col) for col in cols]).solve(rhs)
-    if x is None:
-        return None
-    finv = [[{} for _ in range(h.dim)] for _ in range(h.dim)]
-    for idx, c in enumerate(x):
-        if not field.is_zero(c):
-            hi, li, ai = space.unrank(idx)
-            finv[hi][li][ai] = c
-    for side, u, v in (("f * u", f, finv), ("u * f", finv, f)):
-        if _convolution_product(cp, u, v) != unit:
-            raise AssertionError(f"{side} != e for the solved convolution inverse u")
+    finv = None
+    if x is not None:
+        finv = [[{} for _ in range(h.dim)] for _ in range(h.dim)]
+        for idx, c in enumerate(x):
+            if not field.is_zero(c):
+                hi, li, ai = space.unrank(idx)
+                finv[hi][li][ai] = c
+        for side, u, v in (("f * u", f, finv), ("u * f", finv, f)):
+            if _convolution_product(cp, u, v) != unit:
+                raise AssertionError(f"{side} != e for the solved convolution inverse u")
     cp.conv_inverse = finv
     return finv
 

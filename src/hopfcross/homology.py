@@ -54,7 +54,7 @@ def _hochschild(cp, m, cap, oracle, res, cochain: bool) -> dict:
     if m is None:
         m = regular_bimodule(cp.e)
     rc = ReducedComplexes(cp, m, cap, res=res)
-    # the reduced complexes are checked for d o d = 0 when they are assembled
+    # every ChainComplex checks d o d = 0 when it is made
     reduced = rc.reduced_cochain_complex() if cochain else rc.reduced_chain_complex()
     dims = homology_dims(reduced.complex)
     oracle_dims = None
@@ -115,8 +115,8 @@ def _e2_identification(rc: ReducedComplexes) -> dict:
         fc = rc.untwisted_cochain_complex() if cochain else rc.untwisted_chain_complex()
         act = HActionOnHomology(cp, m, cap, cochain=cochain)
         base_dims = act.homology_dims()
-        page1 = spectral_page(fc, 1, window)
-        page2 = spectral_page(fc, 2, window)
+        page1 = spectral_page(fc, 1)
+        page2 = spectral_page(fc, 2)
         e1_expected = {}
         e2_expected = {}
         for r in range(window + 1):
@@ -136,7 +136,7 @@ def _e2_identification(rc: ReducedComplexes) -> dict:
                     e2_expected[(s, r)] = h_dims[s]
         e1_ok, e2_ok = matches(page1, e1_expected), matches(page2, e2_expected)
         total = homology_dims(fc.complex)
-        conv = check_convergence(fc, total, window)
+        conv = check_convergence(fc, total)
         out["cochain" if cochain else "chain"] = {
             "e1": _table_to_json(page1.table),
             "e1_expected": _table_to_json(e1_expected),

@@ -41,32 +41,24 @@ from .fields import FieldSpec
 def vec_add_into(dst: dict, src: dict, scale, field: FieldSpec) -> None:
     """dst += scale * src, dropping zeros. The one mutating helper (dst is local).
 
-    The loop is chosen once per call: symmetric residues over F_p, int arithmetic
-    over Q for an int scale (only a sum that is not an int, from a rational
-    entry, is coerced back to a canonical scalar), else the FieldSpec ops.
+    One loop per field: symmetric residues over F_p; over Q plain arithmetic,
+    where only a sum that is not an int (from a rational entry or scale) is
+    coerced back to a canonical scalar.
     """
     if field.is_zero(scale):
         return
     if field.kind == "Fp":
         _axpy_mod(dst, src, scale, field.p)
-    elif scale.__class__ is int:
-        get = dst.get
-        for i, v in src.items():
-            t = get(i, 0) + scale * v
-            if t.__class__ is not int:
-                t = field.scalar(t)
-            if t:
-                dst[i] = t
-            else:
-                dst.pop(i, None)
-    else:
-        mul = field.mul
-        for i, v in src.items():
-            w = field.add(dst.get(i, 0), mul(scale, v))
-            if field.is_zero(w):
-                dst.pop(i, None)
-            else:
-                dst[i] = w
+        return
+    get = dst.get
+    for i, v in src.items():
+        t = get(i, 0) + scale * v
+        if t.__class__ is not int:
+            t = field.scalar(t)
+        if t:
+            dst[i] = t
+        else:
+            dst.pop(i, None)
 
 
 def apply_columns(vec: dict, column, field: FieldSpec) -> dict:

@@ -18,7 +18,6 @@ from .crossed import (
     CrossedProductData,
     WeakActionData,
     build_crossed_product,
-    convolution_inverse,
     regular_bimodule,
     trivial_action,
     trivial_cocycle,
@@ -64,12 +63,9 @@ class ProblemFile:
     def oracle(self) -> bool:
         return self.options.get("oracle", False)
 
-    def crossed_product(self, check=True, with_inverse=True) -> CrossedProductData:
-        cp = build_crossed_product(self.algebra, self.hopf, self.action,
-                                   self.cocycle, check=check)
-        if with_inverse:
-            convolution_inverse(cp)
-        return cp
+    def crossed_product(self, check=True) -> CrossedProductData:
+        return build_crossed_product(self.algebra, self.hopf, self.action,
+                                     self.cocycle, check=check)
 
     def bimodule_or_regular(self, cp) -> BimoduleData:
         """The file's bimodule, verified over cp.e (AxiomViolation if it

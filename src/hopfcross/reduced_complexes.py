@@ -510,7 +510,6 @@ class ReducedComplexes:
         if cochain:
             maps = [None] + [d.transpose() for d in maps[1:]]
         cx = ChainComplex(self.field, dims, maps, COHOMOLOGY if cochain else HOMOLOGY)
-        cx.check_square_zero()
         return FilteredComplex(cx, levels)
 
     def reduced_chain_complex(self) -> FilteredComplex:
@@ -589,7 +588,6 @@ class HActionOnHomology:
             self.complex = hochschild_cochain_complex(cp.a, m_a, cap)
         else:
             self.complex = hochschild_chain_complex(cp.a, m_a, cap)
-        self.complex.check_square_zero()
         self.lifts = [HomologyLift(self.complex, n) for n in range(cap)]
         # the right action (phi . h)(a) = (1#h^(1))^{-1} phi(a^(h^(2))) (1#h^(3))
         # on Hom(Abar^r, M) is the dual of the conjugation on M^v (x) Abar^r

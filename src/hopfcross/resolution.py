@@ -156,7 +156,7 @@ class CrossedResolution:
     Every other reader applies d to a vector, by boundary (or _block_apply
     for one d^l), from those columns; no boundary matrix is assembled.  The
     row maps and sigma pieces are column rules only, applied by the
-    recursion and by contracting_homotopy (a table built on each call); each
+    recursion and by contracting_homotopy (a table built on first call); each
     sums its flat column in place over combine(e_left, mid_rank(legs),
     e_right) and settles it once.  A row target is a block (0, s) index whose
     right slot 1 # h has E-index h, so sigma^0 on rows is the identity.  The
@@ -196,6 +196,7 @@ class CrossedResolution:
         # each leg of hs comultiplied into `count` legs, keyed by the
         # concatenated components: _sweedler(hs, count), shared, read only
         self._sweedler = cache(partial(sweedler_legs, cp.h))
+        self.contracting_homotopy = cache(self.contracting_homotopy)
         if method == "closed":
             self.generator_columns = self._closed_generator_columns()
         else:
@@ -541,6 +542,7 @@ class CrossedResolution:
         index g of each left generator 1 (x) v (x) e to sigma(g) in degree
         n + 1 (n < cap), and sigma[0] = {0: sigma(1)} holds the image of the
         unit of E.  homotopy_apply extends the table by left multiplication.
+        Built on first call and kept: __init__ wraps it in functools.cache.
 
         On a vector x of block (r, s), sigma(x) is the sum of the sigma^l of
         sigma^0_x(x), minus (when r = 0) the sum of the sigma^l of
@@ -575,13 +577,13 @@ class CrossedResolution:
             sigma[n + 1] = table
         return sigma
 
-    def homotopy_apply(self, sigma: dict, n: int, vec: dict) -> dict:
+    def homotopy_apply(self, n: int, vec: dict) -> dict:
         """sigma_n, the table of contracting_homotopy, on a vector of degree
         n - 1 (of E when n = 0): e_left . g goes to e_left . sigma[n][g] for
         each left generator g (for n = 0, g is the unit of E)."""
         split = partial(self._left_split, n - 1) if n else lambda e_left: (e_left, 0, 0)
-        return extend_by_outer_mult(split, sigma[n].__getitem__, partial(self.degree_outer_mult, n),
-                                    vec, self.field)
+        return extend_by_outer_mult(split, self.contracting_homotopy()[n].__getitem__,
+                                    partial(self.degree_outer_mult, n), vec, self.field)
 
     def _left_split(self, n: int, flat: int):
         """(e_left, degree-n index of the left generator g, 0) for the
@@ -639,9 +641,9 @@ def boundaries_vanish(res: CrossedResolution) -> tuple[bool, bool]:
     return square, vanishes(res.augmentation.apply, 1)
 
 
-def assert_contracting_homotopy(res: CrossedResolution, sigma: dict | None = None) -> dict:
+def assert_contracting_homotopy(res: CrossedResolution) -> None:
     """Check aug sigma_0 = id on E and d sigma + sigma d = id through degree
-    cap - 1, on left generators only; returns sigma.
+    cap - 1, on left generators only, for the table res.contracting_homotopy().
 
     That proves both identities on every basis vector.  sigma is the left
     extension of its table by construction (homotopy_apply), d is the
@@ -656,16 +658,13 @@ def assert_contracting_homotopy(res: CrossedResolution, sigma: dict | None = Non
     Raises HomotopyIdentityFailure with the first failing degree (-1 stands
     for the augmentation identity on E).
     """
-    if sigma is None:
-        sigma = res.contracting_homotopy()
-    field = res.field
+    sigma, field = res.contracting_homotopy(), res.field
     if res.augmentation.apply(sigma[0][0]) != {0: field.one}:
         raise HomotopyIdentityFailure(-1)
     for n in range(res.cap):
         for g, img in sigma[n + 1].items():
             lhs = res.boundary(n + 1, img)
             down = res.augmentation.cols[g] if n == 0 else res.boundary(n, {g: field.one})
-            vec_add_into(lhs, res.homotopy_apply(sigma, n, down), field.one, field)
+            vec_add_into(lhs, res.homotopy_apply(n, down), field.one, field)
             if lhs != {g: field.one}:
                 raise HomotopyIdentityFailure(n)
-    return sigma

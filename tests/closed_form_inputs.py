@@ -39,7 +39,6 @@ from hopfcross.crossed import (
     CocycleData,
     WeakActionData,
     build_crossed_product,
-    convolution_inverse,
     trivial_action,
 )
 from hopfcross.hopf import group_hopf
@@ -81,9 +80,7 @@ def gauged_action_groupoid(field, gauge=GAUGE):
     f = [[_coordinates(field, [mul(mul(u[g][x], u[k][(x + g) % 3]), field.inv(u[(g + k) % 3][x]))
                                for x in range(3)])
           for k in range(3)] for g in range(3)]
-    cp = build_crossed_product(a, h, WeakActionData(field, 3, 3, act), CocycleData(field, 3, 3, f))
-    convolution_inverse(cp)
-    return cp
+    return build_crossed_product(a, h, WeakActionData(field, 3, 3, act), CocycleData(field, 3, 3, f))
 
 
 def dual_numbers_tensor_quaternions(field):
@@ -94,9 +91,7 @@ def dual_numbers_tensor_quaternions(field):
     h = group_hopf(group_algebra(field, [0, 1, 2, 3], lambda x, y: x ^ y), lambda g: g)
     f = [[{0: field.sign((g & 1) * (k & 1) + (g >> 1) * (k >> 1) + (g & 1) * (k >> 1))}
           for k in range(4)] for g in range(4)]
-    cp = build_crossed_product(a, h, trivial_action(field, h, a), CocycleData(field, 4, 2, f))
-    convolution_inverse(cp)
-    return cp
+    return build_crossed_product(a, h, trivial_action(field, h, a), CocycleData(field, 4, 2, f))
 
 
 # u on the basis 1, g, x, gx of H4, as coordinates on the basis 1, y of k[y]/(y^2)
@@ -177,10 +172,8 @@ def gauge_twist(field, algebra, hopf, action, cocycle, u, uinv):
                     left = mult(mult(u[h1], act(h2, u[l1])), cocycle.f[h3][l2])
                     term = mult(left, uinv_of(hopf.algebra.mult[h4][l3]))
                     _add_into(f2[h][l], term, field.mul(ch, cl), field)
-    cp = build_crossed_product(algebra, hopf, WeakActionData(field, hopf.dim, algebra.dim, act2),
-                               CocycleData(field, hopf.dim, algebra.dim, f2))
-    convolution_inverse(cp)
-    return cp
+    return build_crossed_product(algebra, hopf, WeakActionData(field, hopf.dim, algebra.dim, act2),
+                                 CocycleData(field, hopf.dim, algebra.dim, f2))
 
 
 def gauge_twisted_sweedler_smash(field, gauge=SWEEDLER_GAUGE):
@@ -199,12 +192,9 @@ def gauge_twisted_sweedler_smash(field, gauge=SWEEDLER_GAUGE):
 
 def nilpotent_cocycle_quartic(field):
     """k[y]/(y^2) #_f kZ2 = k[t]/(t^4), t = 1#g: the trivial action and
-    f(g, g) = y, every other value 1.  convolution_inverse has been run on it
-    and returned None."""
+    f(g, g) = y, every other value 1.  Its conv_inverse reads None."""
     a = truncated_polynomial_algebra(field, 2)
     h = group_hopf(group_algebra(field, [0, 1], lambda x, y: x ^ y), lambda g: g)
     one = {0: field.one}
     f = [[one, one], [one, {1: field.one}]]
-    cp = build_crossed_product(a, h, trivial_action(field, h, a), CocycleData(field, 2, 2, f))
-    convolution_inverse(cp)
-    return cp
+    return build_crossed_product(a, h, trivial_action(field, h, a), CocycleData(field, 2, 2, f))

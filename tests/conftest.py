@@ -1,7 +1,7 @@
 import pytest
 
 from hopfcross.fields import FieldSpec
-from hopfcross.crossed import convolution_inverse, regular_bimodule
+from hopfcross.crossed import regular_bimodule
 from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.problems import (
     BUILTIN_NAMES,
@@ -79,16 +79,14 @@ def mu_matrices(res) -> dict:
     return {s: mu_matrix(res, s) for s in range(res.cap + 1)}
 
 
-def homotopy_matrices(res, sigma=None) -> dict:
+def homotopy_matrices(res) -> dict:
     """The contracting homotopy's left-generator table extended over the full
     basis: sigma[n] as a matrix from degree n - 1 (from E when n = 0)."""
-    if sigma is None:
-        sigma = res.contracting_homotopy()
     one = res.field.one
     out = {}
-    for n in sigma:
+    for n in res.contracting_homotopy():
         ncols = res.cp.e.dim if n == 0 else res.dims[n - 1]
-        cols = [res.homotopy_apply(sigma, n, {j: one}) for j in range(ncols)]
+        cols = [res.homotopy_apply(n, {j: one}) for j in range(ncols)]
         out[n] = ExactMatrix(res.field, res.dims[n], ncols, cols)
     return out
 
@@ -159,7 +157,7 @@ def z_n_hopf(field, n):
 
 def _make_builder(name):
     def build(field):
-        return builtin(name, field=field).crossed_product(with_inverse=False)
+        return builtin(name, field=field).crossed_product()
 
     return build
 
@@ -176,7 +174,8 @@ build_sweedler_smash = BUILTIN_BUILDERS["sweedler_smash"]
 
 @pytest.fixture(scope="session")
 def crossed_products():
-    """All built-ins over their default fields, convolution inverses attached."""
+    """All built-ins over their default fields; each solves its convolution
+    inverse on the first read of conv_inverse."""
     out = {}
     for name in BUILTIN_NAMES:
         pf = builtin(name)

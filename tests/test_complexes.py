@@ -28,12 +28,12 @@ Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 
 
-def page_monotone(fc: FilteredComplex, upto_r: int, window: int | None = None) -> Report:
+def page_monotone(fc: FilteredComplex, upto_r: int) -> Report:
     """Entries weakly decrease from page to page (subquotients only shrink)."""
     report = Report("page monotonicity")
-    prev = spectral_page(fc, 1, window)
+    prev = spectral_page(fc, 1)
     for r in range(2, upto_r + 1):
-        cur = spectral_page(fc, r, window)
+        cur = spectral_page(fc, r)
         for key in set(prev.table) | set(cur.table):
             report.record(
                 cur.cell(*key) <= prev.cell(*key),
@@ -57,9 +57,8 @@ def test_identity_map_complex():
 def test_square_zero_violation_detected():
     d1 = ExactMatrix.identity(Q, 1)
     d2 = ExactMatrix.identity(Q, 1)
-    c = ChainComplex(Q, [1, 1, 1], [None, d1, d2], HOMOLOGY)
     with pytest.raises(BoundaryNotSquareZero):
-        homology_dims(c)
+        ChainComplex(Q, [1, 1, 1], [None, d1, d2], HOMOLOGY)
 
 
 @pytest.mark.parametrize("field,row,vanishes", [
@@ -71,14 +70,12 @@ def test_square_zero_violation_detected():
 def test_square_zero_check_in_each_field(field, row, vanishes):
     d1 = ExactMatrix.from_columns(field, 1, [{0: field.scalar(v)} for v in row])
     d2 = ExactMatrix.from_columns(field, 2, [{0: field.one, 1: field.one}])
-    c = ChainComplex(field, [1, 2, 1], [None, d1, d2], HOMOLOGY)
     if vanishes:
-        c.check_square_zero()
-        assert c.square_zero
+        c = ChainComplex(field, [1, 2, 1], [None, d1, d2], HOMOLOGY)
+        assert homology_dims(c) == [0, 0]
     else:
         with pytest.raises(BoundaryNotSquareZero):
-            c.check_square_zero()
-        assert not c.square_zero
+            ChainComplex(field, [1, 2, 1], [None, d1, d2], HOMOLOGY)
 
 
 @pytest.mark.parametrize("p,row,col", [
@@ -93,9 +90,9 @@ def test_square_zero_sums_that_are_nonzero_multiples_of_p(p, row, col):
     assert sum(a * b for a, b in zip(row, col)) == p
     d1 = ExactMatrix.from_columns(field, 1, [{0: v} for v in row])
     d2 = ExactMatrix.from_columns(field, len(row), [dict(enumerate(col))])
+    # construction runs the check, which would raise BoundaryNotSquareZero
     c = ChainComplex(field, [1, len(row), 1], [None, d1, d2], HOMOLOGY)
-    c.check_square_zero()
-    assert c.square_zero
+    assert homology_dims(c) == [0, len(row) - 2]
 
 
 def _dense_composites_vanish(first: list, then_rows: list, p) -> bool:

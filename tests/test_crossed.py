@@ -287,8 +287,13 @@ def test_convolution_inverse_solves_once_and_certifies_both_sides(name, monkeypa
 
 
 def test_perturbed_solution_fails_the_certificate(monkeypatch):
-    # a solve that returns a wrong solution is caught by the convolution products
-    cps = {name: INVERSE_INPUTS[name](Q) for name in ("sweedler_smash", "gauged_action_groupoid")}
+    # a solve that returns a wrong solution is caught by the convolution
+    # products, on the first read of conv_inverse and on an explicit call;
+    # neither keeps anything
+    names = ("sweedler_smash", "gauged_action_groupoid")
+    fresh = {name: INVERSE_INPUTS[name](Q) for name in names}
+    solved = {name: INVERSE_INPUTS[name](Q) for name in names}
+    kept = {name: cp.conv_inverse for name, cp in solved.items()}
     original = ExactMatrix.solve
 
     def perturbed(self, rhs):
@@ -296,11 +301,16 @@ def test_perturbed_solution_fails_the_certificate(monkeypatch):
         return [Q.add(x[0], Q.one)] + x[1:]
 
     monkeypatch.setattr(ExactMatrix, "solve", perturbed)
-    for name, cp in cps.items():
-        before = cp.conv_inverse
+    for name in names:
         with pytest.raises(AssertionError, match=r"f \* u != e"):
-            convolution_inverse(cp)
-        assert cp.conv_inverse is before, name
+            fresh[name].conv_inverse
+        assert "conv_inverse" not in vars(fresh[name]), name
+        with pytest.raises(AssertionError, match=r"f \* u != e"):
+            convolution_inverse(solved[name])
+        assert solved[name].conv_inverse is kept[name], name
+    monkeypatch.undo()
+    for name in names:  # the next read solves again
+        assert fresh[name].conv_inverse == kept[name], name
 
 
 def test_left_inverse_side_is_certified(monkeypatch):

@@ -26,7 +26,7 @@ BROKEN_NAMES = [name for name in BUILTIN_NAMES if name != "trivial"]
 
 
 def _resolution(name, field, method="closed", cap=None):
-    cp = builtin(name, field=field).crossed_product(with_inverse=False)
+    cp = builtin(name, field=field).crossed_product()
     if cap is None:
         cap = 3 if name == "sweedler_smash" else 4
     return CrossedResolution(cp, cap, method)

@@ -1,7 +1,7 @@
 import pytest
 
 from hopfcross.fields import FieldSpec
-from hopfcross.crossed import convolution_inverse, regular_bimodule
+from hopfcross.crossed import regular_bimodule
 from hopfcross.homology import (
     e2_identification,
     hochschild_cohomology,
@@ -54,7 +54,6 @@ def test_homology_trivial():
 
 def test_e2_identification_z2_f2():
     cp = BUILTIN_BUILDERS["z2_trivial"](F2)
-    convolution_inverse(cp)
     rep = e2_identification(cp, cap=4)
     assert rep["pass"], rep
     # A = k: tables concentrate in r = 0 and every cell is 2-dimensional
@@ -64,7 +63,6 @@ def test_e2_identification_z2_f2():
 def test_e2_identification_others():
     for name in ("z4_as_cocycle_extension", "klein_four", "s3_as_action_extension"):
         cp = BUILTIN_BUILDERS[name](Q)
-        convolution_inverse(cp)
         rep = e2_identification(cp, cap=3)
         assert rep["pass"], (name, rep)
 
@@ -72,14 +70,12 @@ def test_e2_identification_others():
 @pytest.mark.slow
 def test_e2_identification_sweedler():
     cp = BUILTIN_BUILDERS["sweedler_smash"](Q)
-    convolution_inverse(cp)
     rep = e2_identification(cp, cap=3)
     assert rep["pass"], rep
 
 
 def test_tor_trivial_modules():
     cp = BUILTIN_BUILDERS["z2_trivial"](F2)
-    convolution_inverse(cp)
     right, left = _trivial_modules(cp)
     rep = tor_spectral_report(cp, right, left, cap=4)
     assert rep["tor_dims"] == [1, 1, 1, 1]
@@ -87,7 +83,6 @@ def test_tor_trivial_modules():
     assert rep["e2"]["pass"]
 
     cp = BUILTIN_BUILDERS["z2_trivial"](Q)
-    convolution_inverse(cp)
     right, left = _trivial_modules(cp)
     rep = tor_spectral_report(cp, right, left, cap=4)
     assert rep["tor_dims"] == [1, 0, 0, 0]
@@ -96,7 +91,6 @@ def test_tor_trivial_modules():
 
 def test_tor_free_module():
     cp = BUILTIN_BUILDERS["klein_four"](Q)
-    convolution_inverse(cp)
     rep = tor_spectral_report(cp, regular_right_module(cp), regular_left_module(cp), cap=2)
     # M = N = E free: Tor_0 = dim E (as E (x) E over E), higher Tor vanish
     assert rep["tor_dims"][0] == cp.e.dim
@@ -107,7 +101,6 @@ def test_tor_builds_and_checks_each_block_once(monkeypatch):
     from hopfcross import reduced_complexes
 
     cp = BUILTIN_BUILDERS["s3_as_action_extension"](Q)
-    convolution_inverse(cp)
     built, checked = [], []
     build = reduced_complexes.reduced_block_from_resolution
     check = reduced_complexes._Literal.block
@@ -141,18 +134,17 @@ def test_first_page_is_twisted_coefficient_homology():
 
     for name, field in (("z2_trivial", F2), ("z4_as_cocycle_extension", Q)):
         cp = BUILTIN_BUILDERS[name](field)
-        convolution_inverse(cp)
         m = regular_bimodule(cp.e)
         rc = ReducedComplexes(cp, m, 4)
-        window = 3
-        page1 = spectral_page(rc.reduced_chain_complex(), 1, window)
+        window = 3  # cap - 1
+        page1 = spectral_page(rc.reduced_chain_complex(), 1)
         for s in range(window + 1):
             coeff = reduced_coefficient_bimodule(cp, m, s)
             assert coeff.verify(cp.a).passed, (name, s)
             dims = homology_dims(hochschild_chain_complex(cp.a, coeff, window - s + 1))
             for r in range(window + 1 - s):
                 assert page1.cell(s, r) == dims[r], (name, s, r)
-        page1c = spectral_page(rc.reduced_cochain_complex(), 1, window)
+        page1c = spectral_page(rc.reduced_cochain_complex(), 1)
         for s in range(window + 1):
             coeff = reduced_coefficient_hom_bimodule(cp, m, s)
             assert coeff.verify(cp.a).passed, (name, s)
@@ -162,8 +154,8 @@ def test_first_page_is_twisted_coefficient_homology():
 
 
 def test_cohomology_checks_square_zero_once(monkeypatch):
-    # the reduced cochain complex is checked when it is assembled; the
-    # report does not multiply d o d out a second time
+    # the reduced cochain complex is checked when it is made; the report
+    # does not multiply d o d out a second time
     from hopfcross.complexes import ChainComplex
 
     calls = []
@@ -172,3 +164,45 @@ def test_cohomology_checks_square_zero_once(monkeypatch):
                         lambda self: calls.append(self) or check(self))
     hochschild_cohomology(BUILTIN_BUILDERS["klein_four"](Q), cap=3)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,cap", [("s3_as_action_extension", 3), ("sweedler_smash", 2)])
+def test_library_path_solves_the_inverse_on_first_read(name, cap, monkeypatch):
+    # a crossed product straight from build_crossed_product, never primed,
+    # gives what a primed one gives; it solves its convolution inverse once
+    from hopfcross import crossed
+    from hopfcross.problems import builtin
+    from hopfcross.reduced_complexes import ReducedComplexes
+
+    pf = builtin(name)
+    primed = pf.crossed_product()
+    crossed.convolution_inverse(primed)
+    expected = e2_identification(primed, cap=cap)
+    calls = []
+    solve = crossed.convolution_inverse
+    monkeypatch.setattr(crossed, "convolution_inverse", lambda cp: calls.append(cp) or solve(cp))
+    cp = crossed.build_crossed_product(pf.algebra, pf.hopf, pf.action, pf.cocycle)
+    assert e2_identification(cp, cap=cap) == expected
+    rep = tor_spectral_report(cp, regular_right_module(cp), regular_left_module(cp), cap=cap)
+    assert rep["e2"]["pass"]
+    rc = ReducedComplexes(cp, regular_bimodule(cp.e), cap)
+    assert rc.untwisted_chain_complex().verify().passed
+    assert rc.untwisted_cochain_complex().verify().passed
+    assert calls == [cp]
+
+
+def test_library_path_without_an_inverse(monkeypatch):
+    # the quartic k[t]/(t^4) has no convolution inverse: conv_inverse reads
+    # None after one solve, tor leaves out e2, and e2_identification refuses
+    from hopfcross import crossed
+    from closed_form_inputs import nilpotent_cocycle_quartic
+
+    calls = []
+    solve = crossed.convolution_inverse
+    monkeypatch.setattr(crossed, "convolution_inverse", lambda cp: calls.append(cp) or solve(cp))
+    cp = nilpotent_cocycle_quartic(Q)
+    assert cp.conv_inverse is None
+    assert "e2" not in tor_spectral_report(cp, regular_right_module(cp), regular_left_module(cp), cap=2)
+    with pytest.raises(crossed.NotInvertibleError):
+        e2_identification(cp, cap=2)
+    assert calls == [cp]

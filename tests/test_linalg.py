@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcross.algebras import AlgebraData
 from hopfcross.fields import FieldSpec
-from hopfcross.linalg import ExactMatrix, SpanSolver
+from hopfcross.linalg import ExactMatrix, SpanSolver, vec_add_into
 
 from conftest import from_rows, to_rows
 from spectral_reference import select_columns, select_rows
@@ -235,3 +235,31 @@ def test_pivot_pairs_rank_lower_left_blocks(rows):
         for b in range(m.ncols + 1):
             block = select_rows(select_columns(m, range(b)), range(a, m.nrows))
             assert block.rank() == sum(1 for low, j in pairs if low >= a and j < b)
+
+
+_SMALL = st.integers(-4, 4)
+_RATIONAL = st.builds(Fraction, _SMALL, st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([None, 2, 5, 7]))
+def test_vec_add_into_matches_the_per_entry_sum(data, p):
+    # over Q with int and rational scales, and over F_p; some sums cancel to 0
+    field = FieldSpec.rationals() if p is None else FieldSpec.prime(p)
+    values = st.one_of(_SMALL, _RATIONAL) if p is None else _SMALL
+    vec = st.dictionaries(st.integers(0, 5), values.map(field.scalar)).map(field.sparse)
+    dst, src = data.draw(vec), data.draw(vec)
+    scale = field.scalar(data.draw(values))
+    if data.draw(st.booleans()) and src and not field.is_zero(scale):
+        # dst holds -scale * src on some rows, so those sums are 0
+        for i in data.draw(st.lists(st.sampled_from(sorted(src)), unique=True)):
+            dst[i] = field.neg(field.mul(scale, src[i]))
+    want = {}
+    for i in set(dst) | set(src):
+        w = field.add(dst.get(i, 0), field.mul(scale, src.get(i, 0)))
+        if not field.is_zero(w):
+            want[i] = w
+    got = dict(dst)
+    vec_add_into(got, src, scale, field)
+    assert got == want
+    assert all(field.scalar(v) == v and type(v) is type(field.scalar(v)) for v in got.values())

@@ -458,7 +458,8 @@ def test_cli_formula_mismatch_reports_block(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_resolution_check_builds_sigma_once(monkeypatch, capsys):
-    # the comparison maps and the homotopy certificate share one sigma
+    # the resolution keeps the sigma it builds; the comparison maps and the
+    # homotopy certificate both read it
     from hopfcross.resolution import CrossedResolution
 
     calls = []
@@ -561,7 +562,7 @@ def _node_paths(node, path=()):
 
 def _emitted_with_every_section():
     pf = builtin("s3_as_action_extension")
-    pf.bimodule = regular_bimodule(pf.crossed_product(with_inverse=False).e)
+    pf.bimodule = regular_bimodule(pf.crossed_product().e)
     return emit_problem(pf)
 
 

@@ -12,7 +12,6 @@ from hopfcross.complexes import HomologyLift, homology_dims
 from hopfcross.crossed import (
     build_crossed_product,
     dual_bimodule,
-    convolution_inverse,
     regular_bimodule,
     restrict_bimodule_to_a,
     tensor_bimodule,
@@ -83,13 +82,8 @@ def check_module_law(act) -> Report:
 
 @pytest.fixture(scope="module")
 def cps():
-    out = {}
-    for name in BUILTIN_BUILDERS:
-        field = F2 if name == "z2_trivial" else Q
-        cp = BUILTIN_BUILDERS[name](field)
-        convolution_inverse(cp)
-        out[name] = cp
-    return out
+    return {name: build(F2 if name == "z2_trivial" else Q)
+            for name, build in BUILTIN_BUILDERS.items()}
 
 
 def test_iterated_action_element_level(cps):

@@ -301,7 +301,7 @@ def test_formulas_descend_to_quotients():
                     )
 
 
-def test_mismatch_and_homotopy_exceptions(resolutions):
+def test_mismatch_and_homotopy_exceptions(resolutions, monkeypatch):
     from hopfcross.resolution import (
         HomotopyIdentityFailure,
         RecursionMismatch,
@@ -313,7 +313,7 @@ def test_mismatch_and_homotopy_exceptions(resolutions):
     res = resolutions["z4_as_cocycle_extension"]
     rec = build_resolution_recursive(res.cp, 4)
     assert_constructions_agree(res, rec)
-    sigma = assert_contracting_homotopy(res)
+    assert_contracting_homotopy(res)
 
     # corrupting one generator column triggers the mismatch with the right key
     key = (2, 0, 2)
@@ -328,12 +328,14 @@ def test_mismatch_and_homotopy_exceptions(resolutions):
     finally:
         gens[0] = saved
 
-    # a wrong homotopy is rejected with the failing degree
+    # a wrong homotopy table on the resolution is rejected with the failing degree
+    sigma = res.contracting_homotopy()
     bad = dict(sigma)
     three = res.field.scalar(3)
     bad[2] = {g: {i: res.field.mul(three, v) for i, v in img.items()} for g, img in sigma[2].items()}
+    monkeypatch.setattr(res, "contracting_homotopy", lambda: bad)
     with pytest.raises(HomotopyIdentityFailure) as err:
-        assert_contracting_homotopy(res, bad)
+        assert_contracting_homotopy(res)
     assert err.value.degree == 1
 
 

@@ -259,6 +259,18 @@ def _memos(fn):
     return {x for x, d in lookups if x in tested and d in stored}
 
 
+OWNED_STATE_CALLS = {"convolution_inverse", "check_square_zero"}
+OWNED_STATE_PARAMS = {"with_inverse", "sigma"}
+
+
+def _handles_owned_state(fn):
+    """fn calls convolution_inverse or check_square_zero, or takes a
+    with_inverse or sigma parameter."""
+    args = fn.node.args
+    params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+    return bool(_calls(fn.own) & OWNED_STATE_CALLS or params & OWNED_STATE_PARAMS)
+
+
 def _builds_matrix(fn):
     """A call ExactMatrix(...) or ExactMatrix.f(...), ExactMatrix a name or an attribute."""
     return any(isinstance(n, ast.Call) and (_name(n.func) == "ExactMatrix" or (
@@ -404,9 +416,9 @@ RULES = [
          bad=("import os", "from .fields import FieldSpec, residue\nx = FieldSpec"),
          clean=("from __future__ import annotations", "import os.path\nx = os.sep")),
     Rule("add-and-drop", "The add-and-drop-zero accumulation (w = field.add(...); if field.is_zero(w): "
-         "pop, else set) is written out only in the two accumulators; everything else calls one.",
-         tuple(MODULES), defs_where(_adds_and_drops),
-         {"tensors.py": {"keyed_add_into"}, "linalg.py": {"vec_add_into"}},
+         "pop, else set) is written out only in tensors.keyed_add_into; everything else calls an "
+         "accumulator (linalg.vec_add_into has one plain loop per field).",
+         tuple(MODULES), defs_where(_adds_and_drops), {"tensors.py": {"keyed_add_into"}},
          bad=("def f(d, k, c, field):\n    w = field.add(d.get(k, 0), c)\n"
               "    if field.is_zero(w):\n        d.pop(k)\n    else:\n        d[k] = w",
               "def f(d, k, c, field):\n    t = field.add(d[k], c)\n    return field.is_zero(t)",
@@ -659,6 +671,37 @@ RULES = [
          clean=("@cache\ndef make_parser():\n    return 1",
                 "class A:\n    def __init__(self):\n        self.f = cache(self._f)",
                 "class A:\n    @cached_property\n    def table(self):\n        return {}")),
+    Rule("derived-state-owners", "Each object builds its own derived state: CrossedProductData.conv_inverse "
+         "alone calls convolution_inverse (on first read), ChainComplex.__init__ alone calls "
+         "check_square_zero, and no def takes a with_inverse or sigma parameter, so no caller primes, "
+         "passes or flags that state (CrossedResolution keeps its contracting_homotopy).", tuple(MODULES),
+         functions_where(_handles_owned_state),
+         {"crossed.py": {"CrossedProductData.conv_inverse"}, "complexes.py": {"ChainComplex.__init__"}},
+         # ProblemFile.crossed_product, ReducedComplexes._filtered and the homotopy certificate as they were
+         bad=(Ex("class ProblemFile:\n    def crossed_product(self, check=True, with_inverse=True):\n"
+                 "        cp = build_crossed_product(self.algebra, check=check)\n        if with_inverse:\n"
+                 "            convolution_inverse(cp)\n        return cp", {"ProblemFile.crossed_product"},
+                 file="problems.py"),
+              Ex("class ReducedComplexes:\n    def _filtered(self, dims, maps, levels):\n"
+                 "        cx = ChainComplex(self.field, dims, maps)\n        cx.check_square_zero()\n"
+                 "        return FilteredComplex(cx, levels)", {"ReducedComplexes._filtered"},
+                 file="reduced_complexes.py"),
+              Ex("def assert_contracting_homotopy(res, sigma=None):\n    if sigma is None:\n"
+                 "        sigma = res.contracting_homotopy()\n    return sigma",
+                 {"assert_contracting_homotopy"}, file="resolution.py"),
+              Ex("class CrossedResolution:\n    def homotopy_apply(self, sigma, n, vec):\n        return vec",
+                 {"CrossedResolution.homotopy_apply"}, file="resolution.py"),
+              # the owner's module does not excuse another function of it
+              Ex("def build_crossed_product(a):\n    cp = CrossedProductData(a)\n"
+                 "    cp.finv = convolution_inverse(cp)\n    return cp", {"build_crossed_product"},
+                 file="crossed.py")),
+         clean=(Ex("class CrossedProductData:\n    @cached_property\n    def conv_inverse(self):\n"
+                   "        return convolution_inverse(self)", file="crossed.py"),
+                Ex("class ChainComplex:\n    def __init__(self, maps):\n        self.maps = maps\n"
+                   "        self.check_square_zero()", file="complexes.py"),
+                "def cmd_verify(pf):\n    return pf.crossed_product().conv_inverse is not None",
+                "class ComparisonMaps:\n    def build(self, res, n, img):\n"
+                "        return res.homotopy_apply(n, img)")),
     Rule("every-function-reached", "Every top-level function and non-dunder method in src/ is reached: "
          "it is in __all__, or named by module-level code of src/, by a demo, or by the body of another "
          "reached function (see _unreached).  Test-only helpers belong in tests/.  The exemptions are "
