@@ -14,14 +14,19 @@ Z(p, r) the chains in F_p whose boundary lies r levels lower,
 d[rows outside F_t, cols in F_s].  Each degree's coordinates are stably sorted
 by level first (ascending for chains, descending for cochains), so every
 level is a prefix and each such block is a lower-left block of the sorted
-map.  By the pairing lemma its rank is a count of the pivot pairs of one
-reduction of that map (ExactMatrix.pivot_pairs); there are no
-homotopy-theoretic shortcuts.
+map.  By the pairing lemma its rank is a count of the pivot pairs of that
+map's level-order reduction (ExactMatrix.pivot_pairs); there are no
+homotopy-theoretic shortcuts.  The pairs are found by one upward reduction
+per map, cleared by the map below: of the map itself for cochains, of its
+anti-transpose for chains (FilteredComplex._pivot_pairs; the pairing duality
+of de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+(co)homology", 2011).
 
 Total (co)homology (homology_dims) reduces each map once more, independently
-of the pages: upward, as C_{n-1} -> C_n in increasing degree, with the
-clearing of Chen and Kerber ("Persistent homology computation with a twist",
-2011), as in Ripser (Bauer 2021).
+of the pages and in another order: upward, as C_{n-1} -> C_n on unsorted
+coordinates in increasing degree, with its own clearing.  Both sides clear as
+Chen and Kerber do ("Persistent homology computation with a twist", 2011),
+as in Ripser (Bauer 2021), and share no pairs or cleared sets.
 """
 
 from __future__ import annotations
@@ -263,15 +268,50 @@ class FilteredComplex:
         return sorted(range(len(levels)), key=levels.__getitem__, reverse=self._down == -1)
 
     def _pivot_pairs(self, n: int) -> list:
-        """The pivot pairs of the map leaving degree n, in level order; read
-        through _pairs, which finds them once per n and keeps them (the
-        reduced columns are not kept)."""
+        """The pivot pairs (low, j) of the map D leaving degree n, in level
+        order and increasing j: those of the left-to-right reduction of D.
+        Read through _pairs, which finds them once per n and keeps them (the
+        reduced columns are not kept).
+
+        One upward reduction per map, cleared by the map below B (_pairs(n - 1),
+        in level order too).  Clearing lemma, in level order: let (i, j) be a
+        pivot pair of B, with D B = 0.  The reduced column R_j, a combination
+        of B's columns up to j, has its low at i, and D R_j = 0, so column i of
+        D is a combination of its earlier columns: it would reduce to zero and
+        leave no pair, and the pairs are the same without it.  Every
+        ChainComplex passed d o d = 0 when it was made, so the lemma applies.
+
+        Cochains: D itself is reduced, without its columns at the lows of B.
+        Chains: D (m x k) is reduced as its anti-transpose A (k x m, with
+        A[k-1-c, m-1-r] = D[r, c]: the transpose with both level orders
+        reversed).  rank D[rows >= a, cols < b] = rank A[rows >= k - b,
+        cols < m - a] for all a, b, and the pairs are fixed by these ranks, so
+        a pair (i', j') of A is the pair (m-1-j', k-1-i') of D.  Here B D = 0,
+        so A times the anti-transpose of B is 0, and B's pair (i, j) is a pair
+        of that anti-transpose with low m-1-j: it clears A's column m-1-j.
+        """
         og = self.complex.outgoing(n) if 0 <= n <= self.complex.cap else None
         if og is None:
             return []
-        row_of = {i: k for k, i in enumerate(self._level_order(n - self._down))}
-        cols = [{row_of[i]: v for i, v in og.cols[j].items()} for j in self._level_order(n)]
-        return ExactMatrix(og.field, og.nrows, og.ncols, cols).pivot_pairs()
+        below = self._pairs(n - 1)
+        at = {i: k for k, i in enumerate(self._level_order(n - self._down))}
+        src = self._level_order(n)
+        if self._down == -1:
+            cleared = {low for low, _ in below}
+            kept = [c for c in range(len(src)) if c not in cleared]
+            cols = [{at[i]: v for i, v in og.cols[src[c]].items()} for c in kept]
+            pairs = ExactMatrix(og.field, og.nrows, len(kept), cols).pivot_pairs()
+            return [(low, kept[j]) for low, j in pairs]
+        m, k = og.nrows, og.ncols
+        anti = [{} for _ in range(m)]
+        for c, j in enumerate(src):
+            for i, v in og.cols[j].items():
+                anti[m - 1 - at[i]][k - 1 - c] = v
+        cleared = {m - 1 - j for _, j in below}
+        kept = [c for c in range(m) if c not in cleared]
+        pairs = ExactMatrix(og.field, k, len(kept), [anti[c] for c in kept]).pivot_pairs()
+        # A's lows are distinct; descending, they are D's columns ascending
+        return [(m - 1 - kept[j], k - 1 - low) for low, j in sorted(pairs, reverse=True)]
 
     def _rank(self, n: int, a: int, b: int) -> int:
         """rank of the map leaving degree n on [rows >= a, cols < b], in level order.

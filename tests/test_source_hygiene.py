@@ -39,6 +39,8 @@ OUTER_MULTS = {"left_mult", "right_mult", "outer_mult", "degree_outer_mult"}
 KEYED_CONVERSIONS = {"keyed_add_into", "flatten"}
 PAGE_CODE = {"pivot_pairs", "page_cell_dim", "spectral_page", "infinity_page",
              "_pairs", "_pivot_pairs", "_rank", "_size", "_level_order"}
+# homology_dims reduces by ExactMatrix.pivot_pairs too, but by no other page name
+PAGE_REDUCTION = PAGE_CODE - {"pivot_pairs"}
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
     # reduced.blocks layer, and perfbench/ changes only in a benchmark change
@@ -269,6 +271,14 @@ def _handles_owned_state(fn):
     args = fn.node.args
     params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
     return bool(_calls(fn.own) & OWNED_STATE_CALLS or params & OWNED_STATE_PARAMS)
+
+
+def _reads_both_reductions(fn):
+    """fn is or names homology_dims, and is page code (a FilteredComplex
+    method, or one of PAGE_REDUCTION) or names one of PAGE_REDUCTION."""
+    names = {_name(n) for n in fn.nodes} | {fn.node.name}
+    page = fn.qualname.startswith("FilteredComplex.") or names & PAGE_REDUCTION
+    return bool(page) and "homology_dims" in names
 
 
 def _builds_matrix(fn):
@@ -702,6 +712,27 @@ RULES = [
                 "def cmd_verify(pf):\n    return pf.crossed_product().conv_inverse is not None",
                 "class ComparisonMaps:\n    def build(self, res, n, img):\n"
                 "        return res.homotopy_apply(n, img)")),
+    Rule("two-reductions", "The E-infinity check compares two separate reductions: in complexes.py "
+         "homology_dims names no page code but ExactMatrix.pivot_pairs (no _pairs, _pivot_pairs, _level_order, "
+         "_rank, _size, page_cell_dim, spectral_page or infinity_page), and the page code (the FilteredComplex methods, page_cell_dim, spectral_page, infinity_page) "
+         "does not call homology_dims.  check_convergence is the one def that reads both.",
+         (PACKAGE / "complexes.py",), defs_where(_reads_both_reductions),
+         {"complexes.py": {"check_convergence"}},
+         bad=(Ex("def homology_dims(c, fc):\n    return [len(fc._pairs(n)) for n in range(c.cap)]",
+                 {"homology_dims"}),
+              Ex("class FilteredComplex:\n    def verify(self):\n        return homology_dims(self.complex)",
+                 {"FilteredComplex.verify"}),
+              Ex("def spectral_page(fc, r):\n    return homology_dims(fc.complex)", {"spectral_page"}),
+              # a helper on both sides, and the allowance names check_convergence alone
+              Ex("def check_convergence(fc):\n    return homology_dims(fc.complex), infinity_page(fc)\n"
+                 "def _total(fc):\n    return fc._rank(1, 0, 2) + sum(homology_dims(fc.complex))",
+                 {"_total"}, file="complexes.py")),
+         clean=(Ex("def check_convergence(fc, total=None):\n    if total is None:\n"
+                   "        total = homology_dims(fc.complex)\n    return infinity_page(fc), total",
+                   file="complexes.py"),
+                "def homology_dims(c):\n    up = c.maps[1].transpose()\n    return len(up.pivot_pairs())",
+                "class FilteredComplex:\n    def _rank(self, n, a, b):\n"
+                "        return sum(1 for low, j in self._pairs(n) if low >= a and j < b)")),
     Rule("every-function-reached", "Every top-level function and non-dunder method in src/ is reached: "
          "it is in __all__, or named by module-level code of src/, by a demo, or by the body of another "
          "reached function (see _unreached).  Test-only helpers belong in tests/.  The exemptions are "
@@ -768,15 +799,20 @@ RULES = [
               "x = m.pivot_pairs()", "def page_cell_dim(fc, n, p, r):\n    return fc._rank(n)"),
          clean=("from hopfcross.complexes import HOMOLOGY\nfrom hopfcross.linalg import ExactMatrix\n"
                 "og = c.outgoing(n)\nr = ExactMatrix.from_columns(f, 1, []).rank()",)),
+    _reference("page-pairs", {"hopfcross.complexes"},
+               ("from hopfcross.complexes import FilteredComplex", "import hopfcross.complexes as cx",
+                "from hopfcross import complexes"),
+               ("from hopfcross.linalg import ExactMatrix",), file="page_pairs_reference.py"),
     Rule("references-guarded", "Every tests/*_reference.py file, and filtered_bar.py, is in scope of a "
          "reference row, so no reference is added unguarded.", (TESTS,),
          lambda guarded: {p.name for p in REFERENCES} - guarded, read=_guarded,
-         # the table before the elimination, spectral and filtered-bar rows
+         # the table before the elimination, spectral, filtered-bar and page-pairs rows
          bad=(Ex(frozenset({"insertion_reference.py", "coefficient_reference.py", "comparison_reference.py",
                             "bar_reference.py", "lift_reference.py", "placement_reference.py",
                             "sweedler_reference.py", "extension_reference.py", "homotopy_reference.py",
                             "inverse_reference.py"}),
-                 {"elimination_reference.py", "spectral_reference.py", "filtered_bar.py"}),),
+                 {"elimination_reference.py", "spectral_reference.py", "filtered_bar.py",
+                  "page_pairs_reference.py"}),),
          clean=(frozenset(p.name for p in REFERENCES),)),
 ]
 
