@@ -4,23 +4,23 @@ Complexes are truncated at a degree cap; homology at the cap degree is never
 reported because the incoming boundary there is unknown.
 
 Every filtration in this package is spanned by basis vectors, so it is stored
-as one level per coordinate.  Page dimensions need no subspace bases.  With
-Z(p, r) the chains in F_p whose boundary lies r levels lower,
+as one level per coordinate, and its pages are read off a barcode.  Each
+degree's coordinates are stably sorted by level first (ascending for chains,
+descending for cochains), so every level is a prefix, and each map's
+level-order reduction pairs coordinates (ExactMatrix.pivot_pairs; the pairing
+of Edelsbrunner and Harer, "Computational Topology", 2010).  A pair from level
+a to level b has length L = down * (a - b) >= 0 (down = 1 for chains, -1 for
+cochains); d^L kills its two ends together, so
 
-    dim E_r^p = dim Z(p, r) - dim Z(p-1, r-1)
-                - dim(d F_{p+r-1} cap F_p) + dim(d F_{p+r-1} cap F_{p-1})
+    dim E_r^{p, n-p} = #(degree-n coordinates at level p)
+                       - #(pairs with an end at degree n, level p, L < r)
 
-(shifts flipped for cochains), and every term is |F_s| or a rank of a block
-d[rows outside F_t, cols in F_s].  Each degree's coordinates are stably sorted
-by level first (ascending for chains, descending for cochains), so every
-level is a prefix and each such block is a lower-left block of the sorted
-map.  By the pairing lemma its rank is a count of the pivot pairs of that
-map's level-order reduction (ExactMatrix.pivot_pairs); there are no
-homotopy-theoretic shortcuts.  The pairs are found by one upward reduction
-per map, cleared by the map below: of the map itself for cochains, of its
-anti-transpose for chains (FilteredComplex._pivot_pairs; the pairing duality
-of de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
-(co)homology", 2011).
+(Basu and Parida, "Spectral sequences, exact couples and persistent homology
+of filtrations", Expo. Math. 35, 2017).  There are no homotopy-theoretic
+shortcuts.  The pairs are found by one upward reduction per map, cleared by
+the map below: of the map itself for cochains, of its anti-transpose for
+chains (FilteredComplex._pivot_pairs; the pairing duality of de Silva, Morozov
+and Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
 
 Total (co)homology (homology_dims) reduces each map once more, independently
 of the pages and in another order: upward, as C_{n-1} -> C_n on unsorted
@@ -230,6 +230,7 @@ class FilteredComplex:
         # d lowers the filtration index (homology) or raises it (cohomology)
         self._down = 1 if complex.direction == HOMOLOGY else -1
         self._pairs = cache(self._pivot_pairs)
+        self._ends = cache(self._pair_ends)
 
     def top_level(self, n: int) -> int:
         """The largest level present at degree n; pages are constant past it."""
@@ -253,15 +254,6 @@ class FilteredComplex:
         return report
 
     # page arithmetic --------------------------------------------------------
-    def _size(self, n: int, p: int) -> int:
-        """|F_p| at degree n (0 outside the degree range)."""
-        if not 0 <= n <= self.complex.cap:
-            return 0
-        counts = self._counts[n]
-        if self._down == 1:
-            return sum(counts[:max(p + 1, 0)])
-        return sum(counts[max(p, 0):])
-
     def _level_order(self, n: int) -> list[int]:
         """Degree-n coordinates stably sorted so that every level is a prefix."""
         levels = self.levels[n]
@@ -313,33 +305,35 @@ class FilteredComplex:
         # A's lows are distinct; descending, they are D's columns ascending
         return [(m - 1 - kept[j], k - 1 - low) for low, j in sorted(pairs, reverse=True)]
 
-    def _rank(self, n: int, a: int, b: int) -> int:
-        """rank of the map leaving degree n on [rows >= a, cols < b], in level order.
+    def _pair_ends(self, n: int) -> list:
+        """ends[p]: the lengths of the pivot pairs with an end at degree n, level p.
+        Read through _ends, which builds it once per n.
 
-        By the pairing lemma, the number of pivot pairs in that lower-left
-        block.
+        A pair (i, j) of the map leaving degree m joins coordinate j of degree
+        m, at level a, to coordinate i of degree m - down, at level b; both are
+        level-order positions, so a and b are read off the sorted level lists.
+        Its length is down * (a - b) >= 0.  Degree n is the source of the map
+        leaving n and the target of the map leaving n + down.
         """
-        return sum(1 for low, j in self._pairs(n) if low >= a and j < b)
+        down = self._down
+        ends = [[] for _ in self._counts[n]]
+        for m in (n, n + down):
+            pairs = self._pairs(m)
+            if not pairs:
+                continue
+            cols, rows = (sorted(self.levels[k], reverse=down == -1) for k in (m, m - down))
+            for i, j in pairs:
+                a, b = cols[j], rows[i]
+                ends[a if m == n else b].append(down * (a - b))
+        return ends
 
     def page_cell_dim(self, r: int, p: int, q: int) -> int:
-        """dim of the page-r cell at filtration index p, complementary index q."""
+        """dim of the page-r cell at filtration index p, complementary index q:
+        the degree-n coordinates at level p less the pair ends there of length < r."""
         n = p + q
-        if n < 0 or n > self.complex.cap or p < 0:
+        if not (0 <= n <= self.complex.cap and 0 <= p <= self.top_level(n)):
             return 0
-        down, size = self._down, self._size
-        if r == 0:
-            return size(n, p) - size(n, p - down)
-
-        def cycles(p, r):  # dim Z(p, r) = dim {x in F_p : dx in F_{p - down r}}
-            b = size(n, p)
-            return b - self._rank(n, size(n - down, p - down * r), b)
-
-        def boundaries(s, t):  # dim (d F_s(n + down) cap F_t(n))
-            b = size(n + down, s)
-            return self._rank(n + down, 0, b) - self._rank(n + down, size(n, t), b)
-
-        s = p + down * (r - 1)
-        return cycles(p, r) - cycles(p - down, r - 1) - boundaries(s, p) + boundaries(s, p - down)
+        return self._counts[n][p] - sum(1 for length in self._ends(n)[p] if length < r)
 
 
 class SpectralPage:
@@ -369,14 +363,6 @@ class SpectralPage:
             "direction": self.direction,
             "cells": {f"{p},{q}": v for (p, q), v in sorted(self.table.items())},
         }
-
-    def __eq__(self, other):
-        if not isinstance(other, SpectralPage):
-            return NotImplemented
-        keys = set(self.table) | set(other.table)
-        return self.r == other.r and all(self.cell(*k) == other.cell(*k) for k in keys)
-
-    __hash__ = None
 
     def __repr__(self):
         return f"SpectralPage(r={self.r}, window={self.window}, cells={len(self.table)})"

@@ -38,9 +38,11 @@ LITERAL_FORBIDDEN = {
 OUTER_MULTS = {"left_mult", "right_mult", "outer_mult", "degree_outer_mult"}
 KEYED_CONVERSIONS = {"keyed_add_into", "flatten"}
 PAGE_CODE = {"pivot_pairs", "page_cell_dim", "spectral_page", "infinity_page",
-             "_pairs", "_pivot_pairs", "_rank", "_size", "_level_order"}
+             "_pairs", "_pivot_pairs", "_ends", "_pair_ends", "_level_order"}
 # homology_dims reduces by ExactMatrix.pivot_pairs too, but by no other page name
 PAGE_REDUCTION = PAGE_CODE - {"pivot_pairs"}
+# the page code outside FilteredComplex
+PAGE_FUNCTIONS = {"spectral_page", "stable_page_number", "infinity_page"}
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
     # reduced.blocks layer, and perfbench/ changes only in a benchmark change
@@ -279,6 +281,26 @@ def _reads_both_reductions(fn):
     names = {_name(n) for n in fn.nodes} | {fn.node.name}
     page = fn.qualname.startswith("FilteredComplex.") or names & PAGE_REDUCTION
     return bool(page) and "homology_dims" in names
+
+
+@cache
+def _matrix_methods():
+    """The non-dunder methods of linalg.ExactMatrix."""
+    cls = next(n for n in source_index(PACKAGE / "linalg.py").tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "ExactMatrix")
+    return {n.name for n in cls.body if isinstance(n, FUNCTIONS) and not n.name.startswith("__")}
+
+
+def _page_code_reduces(fn):
+    """fn is page code (a FilteredComplex method or one of PAGE_FUNCTIONS) and
+    calls an ExactMatrix method or a rank query (a name with "rank" in it), or
+    names ExactMatrix or pivot_pairs."""
+    if not (fn.qualname.startswith("FilteredComplex.") or fn.qualname.split(".")[0] in PAGE_FUNCTIONS):
+        return False
+    calls = _calls(fn.nodes) - {None}
+    names = {_name(n) for n in fn.nodes}
+    return bool(calls & _matrix_methods() or any("rank" in c for c in calls)
+                or names & {"ExactMatrix", "pivot_pairs"})
 
 
 def _builds_matrix(fn):
@@ -714,7 +736,7 @@ RULES = [
                 "        return res.homotopy_apply(n, img)")),
     Rule("two-reductions", "The E-infinity check compares two separate reductions: in complexes.py "
          "homology_dims names no page code but ExactMatrix.pivot_pairs (no _pairs, _pivot_pairs, _level_order, "
-         "_rank, _size, page_cell_dim, spectral_page or infinity_page), and the page code (the FilteredComplex methods, page_cell_dim, spectral_page, infinity_page) "
+         "_ends, _pair_ends, page_cell_dim, spectral_page or infinity_page), and the page code (the FilteredComplex methods, page_cell_dim, spectral_page, infinity_page) "
          "does not call homology_dims.  check_convergence is the one def that reads both.",
          (PACKAGE / "complexes.py",), defs_where(_reads_both_reductions),
          {"complexes.py": {"check_convergence"}},
@@ -725,14 +747,47 @@ RULES = [
               Ex("def spectral_page(fc, r):\n    return homology_dims(fc.complex)", {"spectral_page"}),
               # a helper on both sides, and the allowance names check_convergence alone
               Ex("def check_convergence(fc):\n    return homology_dims(fc.complex), infinity_page(fc)\n"
-                 "def _total(fc):\n    return fc._rank(1, 0, 2) + sum(homology_dims(fc.complex))",
+                 "def _total(fc):\n    return len(fc._pair_ends(1)[0]) + sum(homology_dims(fc.complex))",
                  {"_total"}, file="complexes.py")),
          clean=(Ex("def check_convergence(fc, total=None):\n    if total is None:\n"
                    "        total = homology_dims(fc.complex)\n    return infinity_page(fc), total",
                    file="complexes.py"),
                 "def homology_dims(c):\n    up = c.maps[1].transpose()\n    return len(up.pivot_pairs())",
-                "class FilteredComplex:\n    def _rank(self, n, a, b):\n"
-                "        return sum(1 for low, j in self._pairs(n) if low >= a and j < b)")),
+                "class FilteredComplex:\n    def page_cell_dim(self, r, p, q):\n"
+                "        return self._counts[p + q][p] - sum(1 for x in self._ends(p + q)[p] if x < r)")),
+    Rule("page-count-reads-pairs", "Page cells are counted from pair lengths: in complexes.py no page code "
+         "(the FilteredComplex methods, spectral_page, stable_page_number, infinity_page) calls an ExactMatrix "
+         "method or a rank query (a name with rank in it), or names ExactMatrix or pivot_pairs, but "
+         "FilteredComplex._pivot_pairs, the one reduction of each map.  page_cell_dim and the pair-end pass "
+         "(_pair_ends) read the pairs through _pairs and _ends.",
+         (PACKAGE / "complexes.py",), defs_where(_page_code_reduces),
+         {"complexes.py": {"FilteredComplex._pivot_pairs"}},
+         # page_cell_dim as it was: four rank queries per cell, from two closures
+         bad=(Ex("class FilteredComplex:\n    def page_cell_dim(self, r, p, q):\n        n = p + q\n"
+                 "        def cycles(p, r):\n            b = self._size(n, p)\n"
+                 "            return b - self._rank(n, self._size(n - 1, p - r), b)\n"
+                 "        def boundaries(s, t):\n            b = self._size(n + 1, s)\n"
+                 "            return self._rank(n + 1, 0, b) - self._rank(n + 1, self._size(n, t), b)\n"
+                 "        return cycles(p, r) - cycles(p - 1, r - 1) - boundaries(p + r - 1, p)",
+                 {"FilteredComplex.page_cell_dim", "FilteredComplex.page_cell_dim.cycles",
+                  "FilteredComplex.page_cell_dim.boundaries"}),
+              Ex("class FilteredComplex:\n    def _pair_ends(self, n):\n"
+                 "        return self.complex.outgoing(n).pivot_pairs()", {"FilteredComplex._pair_ends"}),
+              Ex("class FilteredComplex:\n    def page_cell_dim(self, r, p, q):\n"
+                 "        return self.complex.outgoing(p + q).rank()", {"FilteredComplex.page_cell_dim"}),
+              Ex("def spectral_page(fc, r):\n    m = ExactMatrix(fc.complex.field, 0, 0, [])\n"
+                 "    return m.kernel_basis()", {"spectral_page"}),
+              # the allowance names _pivot_pairs alone
+              Ex("class FilteredComplex:\n    def verify(self):\n        return self.complex.outgoing(1).transpose()",
+                 {"FilteredComplex.verify"}, file="complexes.py")),
+         clean=(Ex("class FilteredComplex:\n    def _pivot_pairs(self, n):\n"
+                   "        return ExactMatrix(self.complex.field, 0, 0, []).pivot_pairs()", file="complexes.py"),
+                "class FilteredComplex:\n    def page_cell_dim(self, r, p, q):\n"
+                "        return self._counts[p + q][p] - sum(1 for x in self._ends(p + q)[p] if x < r)",
+                "class FilteredComplex:\n    def _pair_ends(self, n):\n"
+                "        return [down * (a - b) for a, b in self._pairs(n)]",
+                # the independent side of the E-infinity check reduces on its own
+                "def homology_dims(c):\n    return len(c.maps[1].pivot_pairs()), c.maps[1].rank()")),
     Rule("every-function-reached", "Every top-level function and non-dunder method in src/ is reached: "
          "it is in __all__, or named by module-level code of src/, by a demo, or by the body of another "
          "reached function (see _unreached).  Test-only helpers belong in tests/.  The exemptions are "
@@ -796,7 +851,7 @@ RULES = [
          "outgoing/incoming and HOMOLOGY are shared.", (TESTS / "spectral_reference.py",),
          mentions_of(PAGE_CODE),
          bad=("from hopfcross.complexes import spectral_page", "pairs = fc._pivot_pairs(n)",
-              "x = m.pivot_pairs()", "def page_cell_dim(fc, n, p, r):\n    return fc._rank(n)"),
+              "x = m.pivot_pairs()", "def page_cell_dim(fc, n, p, r):\n    return fc._ends(n)[p]"),
          clean=("from hopfcross.complexes import HOMOLOGY\nfrom hopfcross.linalg import ExactMatrix\n"
                 "og = c.outgoing(n)\nr = ExactMatrix.from_columns(f, 1, []).rank()",)),
     _reference("page-pairs", {"hopfcross.complexes"},

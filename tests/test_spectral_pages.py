@@ -23,7 +23,7 @@ from hopfcross.linalg import ExactMatrix, vec_add_into
 from hopfcross.problems import BUILTIN_NAMES
 from hopfcross.reduced_complexes import ReducedComplexes
 from filtered_bar import hochschild_chain_filtered, hochschild_cochain_filtered
-from spectral_reference import reference_page, select_columns
+from spectral_reference import reference_cell, reference_page, select_columns
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -85,6 +85,20 @@ def test_pages_match_reference_on_random_filtered_complexes(fc):
     assert fc.verify().passed
     _assert_pages_match(fc, range(stable_page_number(fc) + 2))
     assert check_convergence(fc).passed
+
+
+@settings(max_examples=150, deadline=None)
+@given(fc=filtered_complexes())
+def test_cells_outside_the_page_sweep_match_reference(fc):
+    # spectral_page reads 0 <= p <= top_level(n) at n <= cap - 1 only; past the
+    # top level, at the cap, outside the degree range, at p < 0 (q > n), at
+    # p > n (q < 0) and on page 0 each cell is still the reference's
+    cap = fc.complex.cap
+    for n in range(-1, cap + 2):
+        top = fc.top_level(n) if 0 <= n <= cap else 0
+        for p in range(-1, top + 3):
+            for r in range(stable_page_number(fc) + 2):
+                assert fc.page_cell_dim(r, p, n - p) == reference_cell(fc, r, p, n - p), (r, p, n)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
