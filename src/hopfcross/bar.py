@@ -5,14 +5,28 @@ the package: normalized Hochschild chains M (x) Ebar^n and cochains
 Hom(Ebar^n, M) for any algebra.  Nothing here touches the reduced complexes
 or the resolution.
 
-Both builders read one table per degree n, made from E's product by index
-arithmetic on flat tensor indices: for each tensor t' of Ebar^(n-1), every
-tensor t of Ebar^n with a middle face x_i x_(i+1) that reaches t', with its
-signed coefficient (_face_table).  The cochain builder makes each column
-(t', m_i) of b* on its own: term 0 at the rows (x, t'), the middle faces of
-t' from the table, and the last term at the rows (t', x).  The chain builder
-reads the same table inverted, per t.  Every column is a raw sum finished
-once by FieldSpec.settle.
+The cochain builder reads one table per degree n, made from E's product by
+index arithmetic on flat tensor indices: for each tensor t' of Ebar^(n-1),
+every tensor t of Ebar^n with a middle face x_i x_(i+1) that reaches t', with
+its signed coefficient (_face_table).  It makes each column (t', m_i) of b* on
+its own: term 0 at the rows (x, t'), the middle faces of t' from the table,
+and the last term at the rows (t', x).  Every column is a raw sum finished
+once by FieldSpec.settle.  The chains with coefficients M are the transposed
+cochains with coefficients M^v (crossed.dual_bimodule): both are laid out
+argument first, so b on M (x) Ebar^n is, entry for entry, the transpose of
+b* on Hom(Ebar^n, M^v).
+
+Every run-time comparison against these complexes sends exactly one side
+through dual_bimodule, so a wrong dual shows up as a mismatch and cannot
+cancel out:
+
+* homology oracle: the reduced chains on M against the bar cochains of M^v;
+* cohomology oracle: the reduced cochains, built through M^v, against the bar
+  cochains of M;
+* e2-check, chain side: the untwisted chains on M against the H-action on the
+  bar chains of M_A, which go through (M_A)^v;
+* e2-check, cochain side: the untwisted cochains, built through M^v, against
+  the bar cochains of M_A.
 
 The same chains compute the homology of a Hopf algebra H with coefficients
 in a left H-module N: the standard complex Hbar^s (x) N of H_*(H, N) is the
@@ -25,7 +39,7 @@ from __future__ import annotations
 
 from .algebras import AlgebraData
 from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex
-from .crossed import BimoduleData
+from .crossed import BimoduleData, dual_bimodule
 from .linalg import ExactMatrix
 
 
@@ -58,56 +72,31 @@ def _face_table(e: AlgebraData, n: int) -> list[list]:
     return table
 
 
-def hochschild_chain_complex(
-    e: AlgebraData, m: BimoduleData, cap: int
-) -> ChainComplex:
-    """(M (x) Ebar^*, b): the normalized Hochschild chain complex, degrees 0..cap.
-
-    Basis of M (x) Ebar^n: pairs (argument tensor t, value basis index), flat
-    index t * dim(M) + value, the layout of the cochains.
-    """
-    field = e.field
-    settle = field.settle
-    dim, md = e.dim - 1, m.dim
-    dims = [dim**n * md for n in range(cap + 1)]
-    maps: list = [None]
-    for n in range(1, cap + 1):
-        sign = field.sign(n)
-        low = dim ** (n - 1)
-        merges: list[list] = [[] for _ in range(dim**n)]
-        for tp, faces in enumerate(_face_table(e, n)):
-            for t, c in faces:
-                merges[t].append((tp * md, c))
-        cols: list = []
-        for t, faces in enumerate(merges):
-            x1, tail = divmod(t, low)  # t = (x_1, tail) = (head, x_n), legs off the unit
-            head, xn = divmod(t, dim)
-            for mi in range(md):
-                # m_i . x_1 at (x_2..x_n, m_j); the middle faces; (-1)^n x_n . m_i at (x_1..x_(n-1), m_j)
-                col = {tail * md + mj: c for mj, c in m.right[mi][x1 + 1].items()}
-                get = col.get
-                for k, c in faces:
-                    k += mi
-                    col[k] = get(k, 0) + c
-                for mj, c in m.left[xn + 1][mi].items():
-                    k = head * md + mj
-                    col[k] = get(k, 0) + sign * c
-                cols.append(settle(col))
-        maps.append(ExactMatrix(field, dims[n - 1], dims[n], cols))
-    return ChainComplex(field, dims, maps, HOMOLOGY)
-
-
 def hochschild_cochain_complex(
     e: AlgebraData, m: BimoduleData, cap: int
 ) -> ChainComplex:
     """(Hom(Ebar^*, M), b*): the normalized Hochschild cochain complex.
 
     Basis of Hom(Ebar^n, M): pairs (argument tensor t, value basis index),
-    flat index t * dim(M) + value, the layout of the chains.  Each map is
-    the transpose of the chain map with coefficients M^v
-    (crossed.dual_bimodule), built here column by column without the dual:
-    column (t', m_i) is b* of the cochain that sends t' to m_i.
+    flat index t * dim(M) + value, the layout of the chains.
     """
+    return ChainComplex(e.field, *_cochain_maps(e, m, cap), COHOMOLOGY)
+
+
+def hochschild_chain_complex(
+    e: AlgebraData, m: BimoduleData, cap: int
+) -> ChainComplex:
+    """(M (x) Ebar^*, b): the normalized Hochschild chain complex, degrees
+    0..cap, as the transposed cochain complex with coefficients M^v; its basis
+    of M (x) Ebar^n is laid out (t, value) like the cochains."""
+    dims, maps = _cochain_maps(e, dual_bimodule(m), cap)
+    return ChainComplex(e.field, dims, [None] + [d.transpose() for d in maps[1:]], HOMOLOGY)
+
+
+def _cochain_maps(e: AlgebraData, m: BimoduleData, cap: int) -> tuple:
+    """(dims, maps) of hochschild_cochain_complex, built column by column
+    without the dual: column (t', m_i) is b* of the cochain that sends t' to
+    m_i."""
     field = e.field
     settle = field.settle
     dim, md = e.dim - 1, m.dim
@@ -136,4 +125,4 @@ def hochschild_cochain_complex(
                     col[k] = get(k, 0) + c
                 cols.append(settle(col))
         maps.append(ExactMatrix(field, dims[n], dims[n - 1], cols))
-    return ChainComplex(field, dims, maps, COHOMOLOGY)
+    return dims, maps

@@ -221,13 +221,10 @@ def cmd_spectral(pf: ProblemFile, args) -> dict:
     cp = pf.crossed_product()
     m = pf.bimodule_or_regular(cp)
     rc = ReducedComplexes(cp, m, cap)
-    try:
-        cp.require_inverse()
-        fc = rc.untwisted_chain_complex()
-        which = "untwisted"
-    except NotInvertibleError:
-        fc = rc.reduced_chain_complex()
-        which = "reduced"
+    if cp.conv_inverse is not None:
+        fc, which = rc.untwisted_chain_complex(), "untwisted"
+    else:
+        fc, which = rc.reduced_chain_complex(), "reduced"
     page = spectral_page(fc, page_no)
     conv = check_convergence(fc)
     doc = _doc("spectral", pf, cap)

@@ -4,13 +4,18 @@ Complexes are truncated at a degree cap; homology at the cap degree is never
 reported because the incoming boundary there is unknown.
 
 Every filtration in this package is spanned by basis vectors, so it is stored
-as one level per coordinate, and its pages are read off a barcode.  Each
-degree's coordinates are stably sorted by level first (ascending for chains,
-descending for cochains), so every level is a prefix, and each map's
-level-order reduction pairs coordinates (ExactMatrix.pivot_pairs; the pairing
-of Edelsbrunner and Harer, "Computational Topology", 2010).  A pair from level
-a to level b has length L = down * (a - b) >= 0 (down = 1 for chains, -1 for
-cochains); d^L kills its two ends together, so
+as one level per coordinate, and its pages are read off a barcode.  The pages
+read each map upward, as U_n : C_{n-1} -> C_n (ChainComplex.up): maps[n] for
+cochains, its transpose for chains.  Chains are filtered by F_p = {level <= p}
+and cochains by F^p = {level >= p}, so either way every entry of U_n raises a
+level or keeps it, and a chain complex's pages are those of its transposed
+cochain complex with the same levels (the pairing duality of de Silva, Morozov
+and Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).  Each
+degree's coordinates are stably sorted by descending level, so every level is
+a prefix, and the level-order reduction of U_n pairs coordinates
+(ExactMatrix.pivot_pairs; the pairing of Edelsbrunner and Harer,
+"Computational Topology", 2010).  A pair joining a row at level a to a column
+at level b has length L = a - b >= 0; d^L kills its two ends together, so
 
     dim E_r^{p, n-p} = #(degree-n coordinates at level p)
                        - #(pairs with an end at degree n, level p, L < r)
@@ -18,9 +23,7 @@ cochains); d^L kills its two ends together, so
 (Basu and Parida, "Spectral sequences, exact couples and persistent homology
 of filtrations", Expo. Math. 35, 2017).  There are no homotopy-theoretic
 shortcuts.  The pairs are found by one upward reduction per map, cleared by
-the map below: of the map itself for cochains, of its anti-transpose for
-chains (FilteredComplex._pivot_pairs; the pairing duality of de Silva, Morozov
-and Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
+the map below (FilteredComplex._pivot_pairs).
 
 Total (co)homology (homology_dims) reduces each map once more, independently
 of the pages and in another order: upward, as C_{n-1} -> C_n on unsorted
@@ -113,6 +116,13 @@ class ChainComplex:
             if not _composites_vanish(first.cols, then.cols, then.nrows, p):
                 raise BoundaryNotSquareZero(n + 1)
 
+    def up(self, n: int) -> ExactMatrix | None:
+        """U_n : C_{n-1} -> C_n, maps[n] for cochains and its transpose for
+        chains (None outside 1..cap); not cached."""
+        if not 1 <= n <= self.cap:
+            return None
+        return self.maps[n] if self.direction == COHOMOLOGY else self.maps[n].transpose()
+
     def outgoing(self, n: int) -> ExactMatrix | None:
         """The differential leaving degree n (None when it is the zero edge map)."""
         if self.direction == HOMOLOGY:
@@ -131,20 +141,19 @@ def homology_dims(c: ChainComplex) -> list[int]:
 
     maps[n] joins degrees n - 1 and n in either direction, so
     dim H_n = dims[n] - rank maps[n] - rank maps[n + 1].  Each map is reduced
-    once, upward as U_n : C_{n-1} -> C_n (the transpose of a homology map),
-    in increasing n, leaving out the columns that the previous reduction
-    clears.  Clearing lemma: let (i, j) be a pivot pair of U_n.  The reduced
-    column R_j = U_n V_j has its low at i, and U_{n+1} R_j = 0 since
-    d o d = 0, so column i of U_{n+1} is a combination of earlier columns;
-    by induction on i, the kept columns up to i span what all columns up to
-    i span, and the rank is unchanged; c passed the d o d = 0 check when it
-    was made.  The top map's pivots clear nothing, so it is ranked with
-    ExactMatrix.rank.
+    once, upward as U_n : C_{n-1} -> C_n (ChainComplex.up), in increasing
+    n, leaving out the columns that the previous reduction clears.  Clearing
+    lemma: let (i, j) be a pivot pair of U_n.  The reduced column
+    R_j = U_n V_j has its low at i, and U_{n+1} R_j = 0 since d o d = 0, so
+    column i of U_{n+1} is a combination of earlier columns; by induction on
+    i, the kept columns up to i span what all columns up to i span, and the
+    rank is unchanged; c passed the d o d = 0 check when it was made.  The
+    top map's pivots clear nothing, so it is ranked with ExactMatrix.rank.
     """
     ranks = [0] * (c.cap + 2)
     cleared: set = set()
     for n in range(1, c.cap + 1):
-        up = c.maps[n].transpose() if c.direction == HOMOLOGY else c.maps[n]
+        up = c.up(n)
         # the kept columns share their dicts; the reduction copies each one
         kept = [col for i, col in enumerate(up.cols) if i not in cleared]
         up = ExactMatrix(c.field, up.nrows, len(kept), kept)
@@ -227,8 +236,6 @@ class FilteredComplex:
             for lv in per_degree:
                 counts[lv] += 1
             self._counts.append(counts)
-        # d lowers the filtration index (homology) or raises it (cohomology)
-        self._down = 1 if complex.direction == HOMOLOGY else -1
         self._pairs = cache(self._pivot_pairs)
         self._ends = cache(self._pair_ends)
 
@@ -238,93 +245,68 @@ class FilteredComplex:
 
     def verify(self) -> Report:
         """Exact check that every differential respects the filtration: each
-        entry of d leaves a coordinate for one at no higher level (homology),
-        no lower level (cohomology)."""
+        entry of U_n leaves a column for a row at no lower level.  A witness
+        (n, j, i) is column j and row i of U_n."""
         report = Report("filtration compatibility")
         c = self.complex
-        for n in range(c.cap + 1):
-            og = c.outgoing(n)
-            if og is None:
-                continue
-            src, tgt = self.levels[n], self.levels[n - self._down]
-            for j, col in enumerate(og.cols):
+        for n in range(1, c.cap + 1):
+            rows, cols = self.levels[n], self.levels[n - 1]
+            for j, col in enumerate(c.up(n).cols):
                 for i in col:
-                    ok = self._down * (src[j] - tgt[i]) >= 0
-                    report.record(ok, "boundary-preserves-filtration", (n, j, i))
+                    report.record(rows[i] >= cols[j], "boundary-preserves-filtration", (n, j, i))
         return report
 
     # page arithmetic --------------------------------------------------------
     def _level_order(self, n: int) -> list[int]:
-        """Degree-n coordinates stably sorted so that every level is a prefix."""
+        """Degree-n coordinates stably sorted by descending level, so that
+        every level is a prefix."""
         levels = self.levels[n]
-        return sorted(range(len(levels)), key=levels.__getitem__, reverse=self._down == -1)
+        return sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
 
     def _pivot_pairs(self, n: int) -> list:
-        """The pivot pairs (low, j) of the map D leaving degree n, in level
-        order and increasing j: those of the left-to-right reduction of D.
-        Read through _pairs, which finds them once per n and keeps them (the
-        reduced columns are not kept).
+        """The pivot pairs (low, j) of U_n, in level order and increasing j:
+        those of its left-to-right reduction.  Read through _pairs, which
+        finds them once per n and keeps them (the reduced columns are not
+        kept).
 
-        One upward reduction per map, cleared by the map below B (_pairs(n - 1),
-        in level order too).  Clearing lemma, in level order: let (i, j) be a
-        pivot pair of B, with D B = 0.  The reduced column R_j, a combination
-        of B's columns up to j, has its low at i, and D R_j = 0, so column i of
-        D is a combination of its earlier columns: it would reduce to zero and
-        leave no pair, and the pairs are the same without it.  Every
-        ChainComplex passed d o d = 0 when it was made, so the lemma applies.
-
-        Cochains: D itself is reduced, without its columns at the lows of B.
-        Chains: D (m x k) is reduced as its anti-transpose A (k x m, with
-        A[k-1-c, m-1-r] = D[r, c]: the transpose with both level orders
-        reversed).  rank D[rows >= a, cols < b] = rank A[rows >= k - b,
-        cols < m - a] for all a, b, and the pairs are fixed by these ranks, so
-        a pair (i', j') of A is the pair (m-1-j', k-1-i') of D.  Here B D = 0,
-        so A times the anti-transpose of B is 0, and B's pair (i, j) is a pair
-        of that anti-transpose with low m-1-j: it clears A's column m-1-j.
+        One upward reduction per map, without U_n's columns at the lows of
+        U_{n-1} (_pairs(n - 1), in level order too).  Clearing lemma, in level
+        order: let (i, j) be a pivot pair of U_{n-1}, with U_n U_{n-1} = 0.
+        The reduced column R_j, a combination of U_{n-1}'s columns up to j,
+        has its low at i, and U_n R_j = 0, so column i of U_n is a combination
+        of its earlier columns: it would reduce to zero and leave no pair, and
+        the pairs are the same without it.  Every ChainComplex passed
+        d o d = 0 when it was made, so the lemma applies.
         """
-        og = self.complex.outgoing(n) if 0 <= n <= self.complex.cap else None
-        if og is None:
+        up = self.complex.up(n)
+        if up is None:
             return []
-        below = self._pairs(n - 1)
-        at = {i: k for k, i in enumerate(self._level_order(n - self._down))}
-        src = self._level_order(n)
-        if self._down == -1:
-            cleared = {low for low, _ in below}
-            kept = [c for c in range(len(src)) if c not in cleared]
-            cols = [{at[i]: v for i, v in og.cols[src[c]].items()} for c in kept]
-            pairs = ExactMatrix(og.field, og.nrows, len(kept), cols).pivot_pairs()
-            return [(low, kept[j]) for low, j in pairs]
-        m, k = og.nrows, og.ncols
-        anti = [{} for _ in range(m)]
-        for c, j in enumerate(src):
-            for i, v in og.cols[j].items():
-                anti[m - 1 - at[i]][k - 1 - c] = v
-        cleared = {m - 1 - j for _, j in below}
-        kept = [c for c in range(m) if c not in cleared]
-        pairs = ExactMatrix(og.field, k, len(kept), [anti[c] for c in kept]).pivot_pairs()
-        # A's lows are distinct; descending, they are D's columns ascending
-        return [(m - 1 - kept[j], k - 1 - low) for low, j in sorted(pairs, reverse=True)]
+        cleared = {low for low, _ in self._pairs(n - 1)}
+        at = {i: k for k, i in enumerate(self._level_order(n))}
+        src = self._level_order(n - 1)
+        kept = [c for c in range(len(src)) if c not in cleared]
+        cols = [{at[i]: v for i, v in up.cols[src[c]].items()} for c in kept]
+        pairs = ExactMatrix(up.field, up.nrows, len(kept), cols).pivot_pairs()
+        return [(low, kept[j]) for low, j in pairs]
 
     def _pair_ends(self, n: int) -> list:
         """ends[p]: the lengths of the pivot pairs with an end at degree n, level p.
         Read through _ends, which builds it once per n.
 
-        A pair (i, j) of the map leaving degree m joins coordinate j of degree
-        m, at level a, to coordinate i of degree m - down, at level b; both are
-        level-order positions, so a and b are read off the sorted level lists.
-        Its length is down * (a - b) >= 0.  Degree n is the source of the map
-        leaving n and the target of the map leaving n + down.
+        A pair (i, j) of U_m joins row i of degree m, at level a, to column j
+        of degree m - 1, at level b; both are level-order positions, so a and
+        b are read off the sorted level lists.  Its length is a - b >= 0.
+        Degree n holds the rows of U_n and the columns of U_{n+1}.
         """
-        down = self._down
         ends = [[] for _ in self._counts[n]]
-        for m in (n, n + down):
+        for m in (n, n + 1):
             pairs = self._pairs(m)
             if not pairs:
                 continue
-            cols, rows = (sorted(self.levels[k], reverse=down == -1) for k in (m, m - down))
+            rows, cols = (sorted(self.levels[k], reverse=True) for k in (m, m - 1))
             for i, j in pairs:
-                a, b = cols[j], rows[i]
-                ends[a if m == n else b].append(down * (a - b))
+                a, b = rows[i], cols[j]
+                ends[a if m == n else b].append(a - b)
         return ends
 
     def page_cell_dim(self, r: int, p: int, q: int) -> int:

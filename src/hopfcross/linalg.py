@@ -33,7 +33,7 @@ generic reduction's, each by a nonzero scalar.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .fields import FieldSpec
 
@@ -272,11 +272,6 @@ class ExactMatrix:
         return cls(field, nrows, len(cols), cols)
 
     # inspection ---------------------------------------------------------
-    def iter_entries(self) -> Iterator[tuple[int, int, object]]:
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                yield i, j, v
-
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
 
@@ -310,8 +305,9 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         cols: list[dict] = [{} for _ in range(self.nrows)]
-        for i, j, v in self.iter_entries():
-            cols[i][j] = v
+        for j, col in enumerate(self.cols):
+            for i, v in col.items():
+                cols[i][j] = v
         return ExactMatrix(self.field, self.ncols, self.nrows, cols)
 
     @classmethod

@@ -34,8 +34,9 @@ def to_rows(m: ExactMatrix) -> list[list]:
     """The dense rows of m."""
     zero = m.field.zero
     rows = [[zero] * m.ncols for _ in range(m.nrows)]
-    for i, j, v in m.iter_entries():
-        rows[i][j] = v
+    for j, col in enumerate(m.cols):
+        for i, v in col.items():
+            rows[i][j] = v
     return rows
 
 

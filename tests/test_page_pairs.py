@@ -1,13 +1,17 @@
 """The cleared pivot pairs of FilteredComplex against the plain level-order reduction.
 
-FilteredComplex._pairs finds each map's pairs by an upward reduction cleared by
-the map below, of the map itself (cochains) or of its anti-transpose (chains).
-The pairs must be those of tests/page_pairs_reference.py entry for entry.
+FilteredComplex._pairs(n) finds the pairs of U_n : C_{n-1} -> C_n, the map
+joining degrees n - 1 and n written upward (maps[n] for cochains, its
+transpose for chains), by a reduction cleared by the map below.  The pairs
+must be those of tests/page_pairs_reference.py entry for entry, run on the
+cochain complex of the transposed maps at degree n - 1 (on the complex itself
+for cochains); the transposes are taken here, not through ChainComplex.up.
 """
 
 import pytest
 from hypothesis import given, settings
 
+from hopfcross.complexes import COHOMOLOGY, HOMOLOGY, ChainComplex
 from hopfcross.crossed import regular_bimodule
 from hopfcross.fields import FieldSpec
 from hopfcross.problems import BUILTIN_NAMES, builtin
@@ -21,8 +25,11 @@ FIELDS = {"Q": FieldSpec.rationals(), "F3": FieldSpec.prime(3), "F7": FieldSpec.
 
 def _assert_pairs_match(fc):
     c = fc.complex
-    for n in range(c.cap + 1):
-        assert fc._pairs(n) == reference_pairs(c, fc.levels, n), (c.direction, n)
+    up = c
+    if c.direction == HOMOLOGY:
+        up = ChainComplex(c.field, c.dims, [None] + [d.transpose() for d in c.maps[1:]], COHOMOLOGY)
+    for n in range(c.cap + 2):
+        assert fc._pairs(n) == reference_pairs(up, fc.levels, n - 1), (c.direction, n)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=list(FIELDS))

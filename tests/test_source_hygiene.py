@@ -43,6 +43,8 @@ PAGE_CODE = {"pivot_pairs", "page_cell_dim", "spectral_page", "infinity_page",
 PAGE_REDUCTION = PAGE_CODE - {"pivot_pairs"}
 # the page code outside FilteredComplex
 PAGE_FUNCTIONS = {"spectral_page", "stable_page_number", "infinity_page"}
+# the names that tell chains from cochains
+ORIENTATION = {"direction", "HOMOLOGY", "COHOMOLOGY", "outgoing", "incoming", "transpose"}
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
     # reduced.blocks layer, and perfbench/ changes only in a benchmark change
@@ -301,6 +303,13 @@ def _page_code_reduces(fn):
     names = {_name(n) for n in fn.nodes}
     return bool(calls & _matrix_methods() or any("rank" in c for c in calls)
                 or names & {"ExactMatrix", "pivot_pairs"})
+
+
+def _reads_orientation(fn):
+    """fn is page code (a FilteredComplex method or one of PAGE_FUNCTIONS)
+    and names one of ORIENTATION."""
+    page = fn.qualname.startswith("FilteredComplex.") or fn.qualname.split(".")[0] in PAGE_FUNCTIONS
+    return page and bool({_name(n) for n in fn.nodes} & ORIENTATION)
 
 
 def _builds_matrix(fn):
@@ -788,6 +797,40 @@ RULES = [
                 "        return [down * (a - b) for a, b in self._pairs(n)]",
                 # the independent side of the E-infinity check reduces on its own
                 "def homology_dims(c):\n    return len(c.maps[1].pivot_pairs()), c.maps[1].rank()")),
+    Rule("single-orientation", "ChainComplex alone decides a complex's orientation (ChainComplex.up, "
+         "U_n : C_{n-1} -> C_n, a chain map transposed): in complexes.py no page code (the FilteredComplex "
+         "methods, spectral_page, stable_page_number, infinity_page) reads direction, HOMOLOGY, COHOMOLOGY, "
+         "outgoing, incoming or transpose, so chains and cochains share one page path.  spectral_page passes "
+         "c.direction on as the page's label.",
+         (PACKAGE / "complexes.py",), defs_where(_reads_orientation), {"complexes.py": {"spectral_page"}},
+         # _pivot_pairs, __init__ and verify as they were, with a chain-only branch
+         bad=(Ex("class FilteredComplex:\n    def _pivot_pairs(self, n):\n"
+                 "        og = self.complex.outgoing(n)\n        below = self._pairs(n - 1)\n"
+                 "        if self._down == -1:\n            return self._cleared(og, below)\n"
+                 "        m, k = og.nrows, og.ncols\n        anti = [{} for _ in range(m)]\n"
+                 "        for c, j in enumerate(self._level_order(n)):\n"
+                 "            for i, v in og.cols[j].items():\n"
+                 "                anti[m - 1 - i][k - 1 - c] = v\n        return anti",
+                 {"FilteredComplex._pivot_pairs"}),
+              Ex("class FilteredComplex:\n    def __init__(self, complex, levels):\n"
+                 "        self._down = 1 if complex.direction == HOMOLOGY else -1",
+                 {"FilteredComplex.__init__"}),
+              Ex("class FilteredComplex:\n    def verify(self):\n        c = self.complex\n"
+                 "        for n in range(c.cap + 1):\n            og = c.outgoing(n)\n"
+                 "            if og is not None:\n                yield og.cols",
+                 {"FilteredComplex.verify"}),
+              Ex("class FilteredComplex:\n    def _pivot_pairs(self, n):\n"
+                 "        return self.complex.maps[n].transpose().pivot_pairs()", {"FilteredComplex._pivot_pairs"}),
+              # the allowance names spectral_page alone
+              Ex("def infinity_page(fc):\n    return fc.complex.direction == COHOMOLOGY", {"infinity_page"},
+                 file="complexes.py")),
+         clean=("class FilteredComplex:\n    def _pivot_pairs(self, n):\n        up = self.complex.up(n)\n"
+                "        return [] if up is None else up.pivot_pairs()",
+                Ex("def spectral_page(fc, r):\n    c = fc.complex\n    return SpectralPage(r, {}, c.cap - 1, c.direction)",
+                   file="complexes.py"),
+                "class ChainComplex:\n    def up(self, n):\n"
+                "        return self.maps[n] if self.direction == COHOMOLOGY else self.maps[n].transpose()",
+                "def homology_dims(c):\n    return c.maps[1].transpose().rank()")),
     Rule("every-function-reached", "Every top-level function and non-dunder method in src/ is reached: "
          "it is in __all__, or named by module-level code of src/, by a demo, or by the body of another "
          "reached function (see _unreached).  Test-only helpers belong in tests/.  The exemptions are "

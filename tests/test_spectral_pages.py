@@ -149,7 +149,7 @@ def test_page_sweep_reduces_each_map_once(monkeypatch, crossed_products):
         for r in range(stable_page_number(fc) + 2):
             spectral_page(fc, r)
         infinity_page(fc)
-        # each map at most once, cleared, as itself or as its anti-transpose
+        # each map at most once, cleared, as U_n: itself (cochains) or its transpose (chains)
         assert Counter(shapes) <= allowed
 
 
