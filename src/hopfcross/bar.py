@@ -28,11 +28,11 @@ cancel out:
 * e2-check, cochain side: the untwisted cochains, built through M^v, against
   the bar cochains of M_A.
 
-The same chains compute the homology of a Hopf algebra H with coefficients
-in a left H-module N: the standard complex Hbar^s (x) N of H_*(H, N) is the
-normalized Hochschild chain complex of H with coefficients in N_eps, the
-bimodule N with the counit as its right action (Cartan-Eilenberg 1956), and
-N_eps is crossed.tensor_bimodule(H, N, k_eps) with k_eps the counit module.
+The same complexes give the second page the e2-check expects, the (co)homology
+of a Hopf algebra H (Cartan-Eilenberg 1956): H_*(H, N) of a left H-module N
+from the bar cochains of (N (x) k_eps)^v, and H^*(H, N) of a right H-module N
+from the bar cochains of k_eps (x) N, both through homology._bar_dims; k_eps
+is k with the counit as the action.
 """
 
 from __future__ import annotations

@@ -318,6 +318,11 @@ class FilteredComplex:
         return self._counts[n][p] - sum(1 for length in self._ends(n)[p] if length < r)
 
 
+def cells_json(table: dict) -> dict:
+    """A page table {(p, q): dim} as JSON: keys "p,q" in (p, q) order."""
+    return {f"{p},{q}": v for (p, q), v in sorted(table.items())}
+
+
 class SpectralPage:
     """One page of a spectral sequence as a table of exact dimensions.
 
@@ -343,7 +348,7 @@ class SpectralPage:
             "page": self.r,
             "window": self.window,
             "direction": self.direction,
-            "cells": {f"{p},{q}": v for (p, q), v in sorted(self.table.items())},
+            "cells": cells_json(self.table),
         }
 
     def __repr__(self):

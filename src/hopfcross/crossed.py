@@ -428,9 +428,7 @@ class BimoduleData:
 
 def regular_bimodule(e: AlgebraData) -> BimoduleData:
     """M = E with both actions given by multiplication."""
-    left = [[e.mult[i][j] for j in range(e.dim)] for i in range(e.dim)]
-    right = [[e.mult[i][j] for j in range(e.dim)] for i in range(e.dim)]
-    return BimoduleData(e.field, e.dim, e.dim, left, right)
+    return BimoduleData(e.field, e.dim, e.dim, e.mult, e.mult)
 
 
 def dual_bimodule(m: BimoduleData) -> BimoduleData:

@@ -8,8 +8,8 @@ at the cap degree has an unknown incoming boundary and is never reported.
 
 from __future__ import annotations
 
-from .bar import hochschild_chain_complex, hochschild_cochain_complex
-from .complexes import check_convergence, homology_dims, spectral_page
+from .bar import hochschild_cochain_complex
+from .complexes import cells_json, check_convergence, homology_dims, spectral_page
 from .crossed import (
     AxiomViolation,
     BimoduleData,
@@ -34,14 +34,14 @@ def _dims_report(dims, cap, oracle_dims=None):
     return report
 
 
-def _bar_oracle_dims(e, m, cap, cochain: bool) -> list[int]:
+def _bar_dims(e, m, cap, cochain: bool) -> list[int]:
     """dim H^n(E, M), or dim H_n(E, M) = dim H^n(E, M^v), from the normalized
     bar cochains: for finite-dimensional M over a field the bar chains of M
     are the dual of the bar cochains of M^v, so both give the same dims."""
     return homology_dims(hochschild_cochain_complex(e, m if cochain else dual_bimodule(m), cap))
 
 
-def _hochschild(cp, m, cap, oracle, res, cochain: bool) -> dict:
+def _hochschild(rc: ReducedComplexes, oracle, cochain: bool) -> dict:
     """dim H_n(E, M) or dim H^n(E, M) for n < cap through the reduced
     complex; oracle=True recomputes through the normalized bar complex.
 
@@ -51,33 +51,26 @@ def _hochschild(cp, m, cap, oracle, res, cochain: bool) -> dict:
     M as it is and the oracle takes the bar cochains of M^v; for cohomology
     the reduced cochains are the transposed M^v chains and the oracle
     takes the bar cochains of M itself."""
-    if m is None:
-        m = regular_bimodule(cp.e)
-    rc = ReducedComplexes(cp, m, cap, res=res)
     # every ChainComplex checks d o d = 0 when it is made
     reduced = rc.reduced_cochain_complex() if cochain else rc.reduced_chain_complex()
     dims = homology_dims(reduced.complex)
-    oracle_dims = None
-    if oracle:
-        oracle_dims = _bar_oracle_dims(cp.e, m, cap, cochain)
-    return _dims_report(dims, cap, oracle_dims)
+    oracle_dims = _bar_dims(rc.cp.e, rc.m, rc.cap, cochain) if oracle else None
+    return _dims_report(dims, rc.cap, oracle_dims)
 
 
 def hochschild_homology(cp: CrossedProductData, m: BimoduleData | None = None,
                         cap: int = 4, oracle: bool = False, res=None) -> dict:
     """dim H_n(E, M) for n < cap through the reduced complex; oracle=True
     recomputes through the normalized bar complex and compares."""
-    return _hochschild(cp, m, cap, oracle, res, cochain=False)
+    rc = ReducedComplexes(cp, m if m is not None else regular_bimodule(cp.e), cap, res=res)
+    return _hochschild(rc, oracle, cochain=False)
 
 
 def hochschild_cohomology(cp: CrossedProductData, m: BimoduleData | None = None,
                           cap: int = 4, oracle: bool = False, res=None) -> dict:
     """dim H^n(E, M) for n < cap through the reduced cochain complex."""
-    return _hochschild(cp, m, cap, oracle, res, cochain=True)
-
-
-def _table_to_json(table):
-    return {f"{p},{q}": v for (p, q), v in sorted(table.items())}
+    rc = ReducedComplexes(cp, m if m is not None else regular_bimodule(cp.e), cap, res=res)
+    return _hochschild(rc, oracle, cochain=True)
 
 
 def e2_identification(cp: CrossedProductData, m: BimoduleData | None = None,
@@ -102,9 +95,10 @@ def _e2_identification(rc: ReducedComplexes) -> dict:
     window = cap - 1
     nhbar = cp.h.dim - 1
     hk = cp.h.algebra
-    # k with H acting by the counit: N (x) k_eps is N_eps, whose Hochschild
-    # chains are the standard complex Hbar^s (x) N of H_*(H, N)
-    k_eps = (1, [[{0: c} for c in cp.h.counit]])
+    # k_eps, k with H acting by the counit: H_*(H, N) is the Hochschild homology
+    # of N (x) k_eps, H^*(H, N) the Hochschild cohomology of k_eps (x) N (bar.py)
+    k_right = (1, [[{0: c} for c in cp.h.counit]])
+    k_left = (1, [[{0: c}] for c in cp.h.counit])
     out = {"window": window}
 
     def matches(page, expected) -> bool:
@@ -122,12 +116,11 @@ def _e2_identification(rc: ReducedComplexes) -> dict:
         for r in range(window + 1):
             h_cap = window - r + 1
             dim_n, rho = act.as_h_module(r)
-            if cochain:
-                # H-cohomology with right-module coefficients has the dims of the
-                # homology of the transposed (left) module: its maps are the transposes
-                rho = [mat.transpose() for mat in rho]
-            n_eps = tensor_bimodule(hk, (dim_n, [mat.cols for mat in rho]), k_eps)
-            h_dims = homology_dims(hochschild_chain_complex(hk, n_eps, h_cap))
+            if cochain:  # N is a right module, laid out act[n][h] = rho(h) on n
+                coeffs = tensor_bimodule(hk, k_left, (dim_n, list(zip(*(mat.cols for mat in rho)))))
+            else:
+                coeffs = tensor_bimodule(hk, (dim_n, [mat.cols for mat in rho]), k_right)
+            h_dims = _bar_dims(hk, coeffs, h_cap, cochain)
             for s in range(window - r + 1):
                 e1 = base_dims[r] * nhbar**s
                 if e1:
@@ -138,11 +131,11 @@ def _e2_identification(rc: ReducedComplexes) -> dict:
         total = homology_dims(fc.complex)
         conv = check_convergence(fc, total)
         out["cochain" if cochain else "chain"] = {
-            "e1": _table_to_json(page1.table),
-            "e1_expected": _table_to_json(e1_expected),
+            "e1": cells_json(page1.table),
+            "e1_expected": cells_json(e1_expected),
             "e1_match": e1_ok,
-            "e2": _table_to_json(page2.table),
-            "e2_expected": _table_to_json(e2_expected),
+            "e2": cells_json(page2.table),
+            "e2_expected": cells_json(e2_expected),
             "e2_match": e2_ok,
             "total_dims": total,
             "convergence": conv.as_dict(),
@@ -166,10 +159,8 @@ def tor_spectral_report(cp: CrossedProductData, right_module, left_module,
         report.title = "tor modules: " + report.title
         raise AxiomViolation(report)
     rc = ReducedComplexes(cp, bimod, cap, res=res)
-    dims = homology_dims(rc.reduced_chain_complex().complex)
-    oracle_dims = _bar_oracle_dims(cp.e, bimod, cap, cochain=False)
-    out = _dims_report(dims, cap, oracle_dims)
-    out["tor_dims"] = dims
+    out = _hochschild(rc, True, False)
+    out["tor_dims"] = out["dims"]
     if cp.conv_inverse is not None:
         out["e2"] = _e2_identification(rc)
     return out
@@ -178,8 +169,7 @@ def tor_spectral_report(cp: CrossedProductData, right_module, left_module,
 def regular_left_module(cp: CrossedProductData):
     """E over itself, as (dim, act) with act[i][j] = e_i e_j; the table reads
     both as a left action act[e][n] and as a right action act[m][e]."""
-    e = cp.e
-    return e.dim, [[e.mult[i][j] for j in range(e.dim)] for i in range(e.dim)]
+    return cp.e.dim, cp.e.mult
 
 
 regular_right_module = regular_left_module

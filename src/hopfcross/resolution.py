@@ -433,7 +433,6 @@ class CrossedResolution:
         for (r, s) in self.block_spaces:
             if r >= 1:
                 gens[(0, r, s)] = self._d0_generator_columns(r, s)
-        partial_column = cache(self._partial_column)
         for l in range(1, self.cap + 1):
             for r, s in sorted((p for p in self.block_spaces if l <= p[1]), key=lambda p: p[0]):
                 xs = self.block_spaces[(r, s)]
@@ -441,7 +440,7 @@ class CrossedResolution:
                 for m in xs.generators():
                     if r == 0 and l == 1:
                         vec = self._mu_column(s, xs.combine(0, m, 0))
-                        vec = apply_columns(vec, partial(partial_column, s), field)
+                        vec = apply_columns(vec, partial(self._partial_column, s), field)
                         cols.append({k: field.neg(v) for k, v in vec.items()})
                     else:
                         lower = [(j, gens[(j, r, s)][m]) for j in range(1 if r == 0 else 0, l)]

@@ -16,6 +16,7 @@ normalized leg (the class map B -> B/k sends it to zero).
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Iterator
 
 from .fields import FieldSpec
@@ -57,16 +58,7 @@ class TensorSpace:
         return tuple(out)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        def gen(prefix, rest):
-            if not rest:
-                yield tuple(prefix)
-                return
-            for i in range(rest[0]):
-                prefix.append(i)
-                yield from gen(prefix, rest[1:])
-                prefix.pop()
-
-        return gen([], list(self.dims))
+        return product(*map(range, self.dims))
 
     def __len__(self):
         return self.size

@@ -22,6 +22,7 @@ from hopfcross.complexes import (
     spectral_page,
 )
 from hopfcross.crossed import regular_bimodule, tensor_bimodule
+from hopfcross.homology import _bar_dims
 from hopfcross.hopf import group_hopf, sweedler_hopf, trivial_hopf  # noqa: F401
 from hopfcross.linalg import ExactMatrix
 from hopfcross.problems import BUILTIN_NAMES, builtin
@@ -150,19 +151,39 @@ def test_h_module_homology_sweedler_h4(field, dims):
     assert homology_dims(h_module_chains(h, trivial_module(h), 6)) == dims
 
 
+def _builtin_induced_modules(cochain):
+    """Every H_r(A, M) (a left H-module) or H^r(A, M) (a right H-module) of
+    the built-ins as it is induced, over Q and F_3."""
+    for field in (Q, F3):
+        for name in BUILTIN_NAMES:
+            cp = builtin(name, field=field).crossed_product()
+            act = HActionOnHomology(cp, regular_bimodule(cp.e), 4, cochain=cochain)
+            for r in range(4):
+                yield cp.h, act.as_h_module(r)
+
+
 def _builtin_h_modules():
     """The trivial modules of k[Z/2] and H4, and every H_r(A, M) of the
     built-ins as an H-module, chain and cochain (transposed), over Q and F_3."""
     for field in (Q, F3):
         for h in (z_n_hopf(field, 2), sweedler_hopf(field)):
             yield h, trivial_module(h)
-        for name in BUILTIN_NAMES:
-            cp = builtin(name, field=field).crossed_product()
-            for cochain in (False, True):
-                act = HActionOnHomology(cp, regular_bimodule(cp.e), 4, cochain=cochain)
-                for r in range(4):
-                    module = act.as_h_module(r)
-                    yield cp.h, _transposed(module) if cochain else module
+    yield from _builtin_induced_modules(False)
+    for h, module in _builtin_induced_modules(True):
+        yield h, _transposed(module)
+
+
+def test_h_cohomology_of_a_right_module_is_the_homology_of_its_transpose():
+    # the E^2 cochain expectation: H^*(H, N) from the bar cochains of
+    # k_eps (x) N, N laid out act[n][h] = rho(h) on n, against the old route,
+    # the homology of the transposed (left) module
+    for h, (dim_n, rho) in _builtin_induced_modules(True):
+        k_left = (1, [[{0: c}] for c in h.counit])
+        coeffs = tensor_bimodule(h.algebra, k_left, (dim_n, [[mat.cols[n] for mat in rho]
+                                                              for n in range(dim_n)]))
+        assert coeffs.verify(h.algebra).passed  # rho is a right action
+        want = homology_dims(h_module_chains(h, _transposed((dim_n, rho)), 4))
+        assert _bar_dims(h.algebra, coeffs, 4, True) == want
 
 
 def test_h_module_chains_match_reference():

@@ -1,7 +1,7 @@
 import pytest
 
 from hopfcross.fields import FieldSpec
-from hopfcross.crossed import regular_bimodule
+from hopfcross.crossed import regular_bimodule, tensor_bimodule
 from hopfcross.homology import (
     e2_identification,
     hochschild_cohomology,
@@ -10,6 +10,7 @@ from hopfcross.homology import (
     regular_right_module,
     tor_spectral_report,
 )
+from hopfcross.problems import builtin
 from conftest import BUILTIN_BUILDERS
 
 Q = FieldSpec.rationals()
@@ -95,6 +96,26 @@ def test_tor_free_module():
     # M = N = E free: Tor_0 = dim E (as E (x) E over E), higher Tor vanish
     assert rep["tor_dims"][0] == cp.e.dim
     assert all(d == 0 for d in rep["tor_dims"][1:])
+
+
+def _tor_cases():
+    """The four group-algebra built-ins with their tor_modules, and klein with
+    the regular modules."""
+    for name in ("z2_trivial", "z4_as_cocycle_extension", "s3_as_action_extension", "klein_four"):
+        pf = builtin(name)
+        yield pytest.param(pf.crossed_product(), pf.tor_modules, id=name)
+    cp = BUILTIN_BUILDERS["klein_four"](Q)
+    yield pytest.param(cp, (regular_right_module(cp), regular_left_module(cp)), id="klein_four-regular")
+
+
+@pytest.mark.parametrize("cp, modules", list(_tor_cases()))
+def test_tor_is_the_homology_report_of_the_tensor_bimodule(cp, modules):
+    # tor is the homology report, oracle on, of N (x) M, with tor_dims and e2 added
+    right, left = modules
+    rep = tor_spectral_report(cp, right, left, cap=3)
+    assert rep["tor_dims"] == rep["dims"]
+    assert {k: v for k, v in rep.items() if k not in ("tor_dims", "e2")} == hochschild_homology(
+        cp, tensor_bimodule(cp.e, left, right), 3, oracle=True)
 
 
 def test_tor_builds_and_checks_each_block_once(monkeypatch):

@@ -45,6 +45,8 @@ PAGE_REDUCTION = PAGE_CODE - {"pivot_pairs"}
 PAGE_FUNCTIONS = {"spectral_page", "stable_page_number", "infinity_page"}
 # the names that tell chains from cochains
 ORIENTATION = {"direction", "HOMOLOGY", "COHOMOLOGY", "outgoing", "incoming", "transpose"}
+# the bar builders and the transpose, which homology.py reads once, through _bar_dims
+BAR_ROUTE = {"hochschild_cochain_complex", "hochschild_chain_complex", "transpose"}
 REACHABILITY_EXEMPT = {
     # nothing in src/ calls it, but perfbench/spans.py wraps it by name for the
     # reduced.blocks layer, and perfbench/ changes only in a benchmark change
@@ -310,6 +312,16 @@ def _reads_orientation(fn):
     and names one of ORIENTATION."""
     page = fn.qualname.startswith("FilteredComplex.") or fn.qualname.split(".")[0] in PAGE_FUNCTIONS
     return page and bool({_name(n) for n in fn.nodes} & ORIENTATION)
+
+
+def _bar_route_names(idx):
+    """"owner: name" for each name of BAR_ROUTE that a def, lambda (owned by
+    its def) or the module-level code (imports included, as <module>) uses."""
+    sites = {f"<module>: {name}" for name in idx.aliases & BAR_ROUTE}
+    for fn in (idx.module, *idx.functions):
+        sites |= {f"{fn.owner}: {_name(n)}" for n in fn.own
+                  if isinstance(n, (ast.Name, ast.Attribute)) and _name(n) in BAR_ROUTE}
+    return sites
 
 
 def _builds_matrix(fn):
@@ -831,6 +843,36 @@ RULES = [
                 "class ChainComplex:\n    def up(self, n):\n"
                 "        return self.maps[n] if self.direction == COHOMOLOGY else self.maps[n].transpose()",
                 "def homology_dims(c):\n    return c.maps[1].transpose().rank()")),
+    Rule("one-bar-route", "homology.py reads a bar complex in one place: _bar_dims alone names "
+         "hochschild_cochain_complex, and nothing names hochschild_chain_complex or transpose, so the "
+         "oracles, tor and both E^2 expectations count bar dimensions by one route with no transposed map.",
+         (PACKAGE / "homology.py",), _bar_route_names,
+         {"homology.py": {"<module>: hochschild_cochain_complex", "_bar_dims: hochschild_cochain_complex"}},
+         # _e2_identification's loop as it was: the cochain side transposed every rho(h), and both
+         # sides took the homology of the bar chains of N_eps
+         bad=(Ex("from .bar import hochschild_chain_complex, hochschild_cochain_complex\n"
+                 "def _e2_identification(rc):\n    for cochain in (False, True):\n"
+                 "        for r in range(window + 1):\n            dim_n, rho = act.as_h_module(r)\n"
+                 "            if cochain:\n                rho = [mat.transpose() for mat in rho]\n"
+                 "            n_eps = tensor_bimodule(hk, (dim_n, [mat.cols for mat in rho]), k_eps)\n"
+                 "            h_dims = homology_dims(hochschild_chain_complex(hk, n_eps, h_cap))",
+                 {"<module>: hochschild_chain_complex", "_e2_identification: transpose",
+                  "_e2_identification: hochschild_chain_complex"}, file="homology.py"),
+              # the allowance names _bar_dims alone
+              Ex("def _oracle(e, m, cap):\n    return homology_dims(hochschild_cochain_complex(e, m, cap))",
+                 {"_oracle: hochschild_cochain_complex"}, file="homology.py"),
+              Ex("def _dims(c):\n    return homology_dims(c.maps[1].transpose())", {"_dims: transpose"},
+                 file="homology.py")),
+         clean=(Ex("from .bar import hochschild_cochain_complex\n"
+                   "def _bar_dims(e, m, cap, cochain):\n"
+                   "    return homology_dims(hochschild_cochain_complex(e, m if cochain else dual_bimodule(m), cap))\n"
+                   "def _e2_identification(rc):\n    for cochain in (False, True):\n"
+                   "        for r in range(window + 1):\n            dim_n, rho = act.as_h_module(r)\n"
+                   "            if cochain:\n"
+                   "                coeffs = tensor_bimodule(hk, k_left, (dim_n, list(zip(*(mat.cols for mat in rho)))))\n"
+                   "            else:\n"
+                   "                coeffs = tensor_bimodule(hk, (dim_n, [mat.cols for mat in rho]), k_right)\n"
+                   "            h_dims = _bar_dims(hk, coeffs, h_cap, cochain)", file="homology.py"),)),
     Rule("every-function-reached", "Every top-level function and non-dunder method in src/ is reached: "
          "it is in __all__, or named by module-level code of src/, by a demo, or by the body of another "
          "reached function (see _unreached).  Test-only helpers belong in tests/.  The exemptions are "

@@ -34,6 +34,12 @@ def test_tensor_space_2x2x2():
     assert space.index((1, 0, 1)) == 5
 
 
+@pytest.mark.parametrize("dims", [(), (1,), (2, 3), (3, 1, 2), (2, 0)])
+def test_tensor_space_iterates_in_flat_order(dims):
+    space = TensorSpace(dims)
+    assert list(space) == [space.unrank(i) for i in range(space.size)]
+
+
 def test_tensor_space_bounds():
     space = TensorSpace((2, 3))
     with pytest.raises(IndexError):
