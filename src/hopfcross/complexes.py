@@ -184,7 +184,7 @@ class HomologyLift:
         cycles = og.kernel_basis() if og is not None else ExactMatrix.identity(field, dim)
         bounds = inc.column_space_basis() if inc is not None else ExactMatrix.zeros(field, dim, 0)
         nb = bounds.ncols
-        self._solver = SpanSolver(ExactMatrix.hstack([bounds, cycles]))
+        self._solver = SpanSolver(ExactMatrix(field, dim, nb + cycles.ncols, bounds.cols + cycles.cols))
         self._kept = [j for _, j in self._solver.pairs if j >= nb]
         self.reps = ExactMatrix.from_columns(field, dim, [cycles.cols[j - nb] for j in self._kept])
         self.rank = self.reps.ncols

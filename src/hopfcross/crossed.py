@@ -76,15 +76,6 @@ def trivial_cocycle(field: FieldSpec, h: HopfData, a: AlgebraData) -> CocycleDat
     return CocycleData(field, h.dim, a.dim, f)
 
 
-def _act_elem(action: WeakActionData, a_field: FieldSpec, hvec: dict, avec: dict) -> dict:
-    """Bilinear extension of the action to sparse elements: (h, a) -> a^h."""
-    out: dict = {}
-    for hi, hc in hvec.items():
-        for ai, ac in avec.items():
-            vec_add_into(out, action.act[hi][ai], a_field.mul(hc, ac), a_field)
-    return out
-
-
 def verify_crossed_axioms(
     a: AlgebraData, h: HopfData, action: WeakActionData, cocycle: CocycleData
 ) -> Report:
@@ -102,7 +93,7 @@ def verify_crossed_axioms(
         dh = h.comult[hi]
         for ai in range(a.dim):
             for bi in range(a.dim):
-                lhs = _act_elem(action, field, {hi: field.one}, a.mult[ai][bi])
+                lhs = apply_columns(a.mult[ai][bi], action.act[hi], field)
                 rhs: dict = {}
                 for (h1, h2), c in dh.items():
                     part = a.mult_elems(action.act[h1][ai], action.act[h2][bi])
@@ -136,9 +127,7 @@ def verify_crossed_axioms(
                     for (m1, m2), cm in dm.items():
                         for (h1, h2), ch in dh.items():
                             coef = mul(cl, mul(cm, ch))
-                            acted = _act_elem(
-                                action, field, {h1: field.one}, cocycle.f[l1][m1]
-                            )
+                            acted = apply_columns(cocycle.f[l1][m1], action.act[h1], field)
                             second = apply_columns(h.algebra.mult[l2][m2], cocycle.f[h2], field)
                             vec_add_into(lhs, a.mult_elems(acted, second), coef, field)
                 rhs: dict = {}
@@ -160,8 +149,7 @@ def verify_crossed_axioms(
                 for (h1, h2), ch in dh.items():
                     for (l1, l2), cl in dl.items():
                         coef = mul(ch, cl)
-                        inner = action.act[l1][ai]
-                        outer = _act_elem(action, field, {h1: field.one}, inner)
+                        outer = apply_columns(action.act[l1][ai], action.act[h1], field)
                         vec_add_into(lhs, a.mult_elems(outer, cocycle.f[h2][l2]), coef, field)
                 rhs: dict = {}
                 for (h1, h2), ch in dh.items():

@@ -21,19 +21,6 @@ from .crossed import (
 from .reduced_complexes import HActionOnHomology, ReducedComplexes
 
 
-def _dims_report(dims, cap, oracle_dims=None):
-    report = {
-        "dims": dims,
-        "cap": cap,
-        "trusted_degrees": list(range(cap)),
-        "trust_note": f"degrees 0..{cap - 1} are exact; degree {cap} is kernel-only and not reported",
-    }
-    if oracle_dims is not None:
-        report["oracle_dims"] = oracle_dims
-        report["oracle_match"] = oracle_dims == dims
-    return report
-
-
 def _bar_dims(e, m, cap, cochain: bool) -> list[int]:
     """dim H^n(E, M), or dim H_n(E, M) = dim H^n(E, M^v), from the normalized
     bar cochains: for finite-dimensional M over a field the bar chains of M
@@ -54,8 +41,16 @@ def _hochschild(rc: ReducedComplexes, oracle, cochain: bool) -> dict:
     # every ChainComplex checks d o d = 0 when it is made
     reduced = rc.reduced_cochain_complex() if cochain else rc.reduced_chain_complex()
     dims = homology_dims(reduced.complex)
-    oracle_dims = _bar_dims(rc.cp.e, rc.m, rc.cap, cochain) if oracle else None
-    return _dims_report(dims, rc.cap, oracle_dims)
+    report = {
+        "dims": dims,
+        "cap": rc.cap,
+        "trusted_degrees": list(range(rc.cap)),
+        "trust_note": f"degrees 0..{rc.cap - 1} are exact; degree {rc.cap} is kernel-only and not reported",
+    }
+    if oracle:
+        report["oracle_dims"] = _bar_dims(rc.cp.e, rc.m, rc.cap, cochain)
+        report["oracle_match"] = report["oracle_dims"] == dims
+    return report
 
 
 def hochschild_homology(cp: CrossedProductData, m: BimoduleData | None = None,

@@ -310,19 +310,6 @@ class ExactMatrix:
                 cols[i][j] = v
         return ExactMatrix(self.field, self.ncols, self.nrows, cols)
 
-    @classmethod
-    def hstack(cls, mats: list["ExactMatrix"]) -> "ExactMatrix":
-        if not mats:
-            raise ValueError("hstack of nothing")
-        nrows = mats[0].nrows
-        field = mats[0].field
-        cols: list[dict] = []
-        for m in mats:
-            if m.nrows != nrows:
-                raise ValueError("row count mismatch in hstack")
-            cols.extend(dict(c) for c in m.cols)
-        return cls(field, nrows, len(cols), cols)
-
     # elimination --------------------------------------------------------
     def _echelon(self, track_combos: bool):
         """Left-to-right column reduction, by the integer reduction of self.field.

@@ -75,6 +75,7 @@ Degree spaces stack the blocks with r + s = n in increasing s.
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
+from itertools import accumulate
 
 from .complexes import COHOMOLOGY, HOMOLOGY, ChainComplex, FilteredComplex, HomologyLift
 from .crossed import (
@@ -390,48 +391,6 @@ def _inner_faces(cp: CrossedProductData, avs: tuple):
             yield avs[: i - 1] + (am,) + avs[i + 1 :], field.mul(sign, cm)
 
 
-# complex assembly --------------------------------------------------------------
-
-def _assemble_chain(field, cp, m, cap, block_fn, inserts):
-    """Stack blocks (r+s = n, s ascending) into degree matrices and filtration
-    levels (each coordinate's number of H legs).  block_fn is called only for
-    the l with inserts(l) (TwistingCalculus.inserts): the other d^l are zero.
-    """
-    sizes = [[(cp.h.dim - 1) ** s * (cp.a.dim - 1) ** (n - s) for s in range(n + 1)]
-             for n in range(cap + 1)]
-    dims = []
-    offsets = []  # offsets[n][s]: first index of block (n - s, s)
-    for per_degree in sizes:
-        offs = [0]
-        for size in per_degree:
-            offs.append(offs[-1] + m.dim * size)
-        dims.append(offs.pop())
-        offsets.append(offs)
-
-    maps: list = [None]
-    for n in range(1, cap + 1):
-        cols: list[dict] = []
-        for s in range(n + 1):
-            r = n - s
-            block_mats = {}
-            for l in range(0 if r else 1, s + 1):
-                if inserts(l):
-                    block_mats[l] = block_fn(l, r, s)
-            for local in range(m.dim * sizes[n][s]):
-                col: dict = {}
-                for l, mat in block_mats.items():
-                    # each l lands in its own target block (r + l - 1, s - l)
-                    toff = offsets[n - 1][s - l]
-                    col.update((i + toff, v) for i, v in mat.cols[local].items())
-                cols.append(col)
-        maps.append(ExactMatrix(field, dims[n - 1], dims[n], cols))
-
-    # each coordinate's level: the number s of H legs in its block
-    levels = [[s for s, size in enumerate(per_degree) for _ in range(m.dim * size)]
-              for per_degree in sizes]
-    return dims, maps, levels
-
-
 class ReducedComplexes:
     """Builder for all four small complexes attached to (cp, M).
 
@@ -449,6 +408,8 @@ class ReducedComplexes:
 
     def __init__(self, cp: CrossedProductData, m: BimoduleData, cap: int,
                  res: CrossedResolution | None = None):
+        if cap < 1:
+            raise ValueError(f"cap must be at least 1, got {cap}")
         self.cp = cp
         self.m = m
         self.cap = cap
@@ -499,16 +460,36 @@ class ReducedComplexes:
         return self._block(True, l, r, s, cochain)
 
     def _filtered(self, untwisted: bool, cochain: bool) -> FilteredComplex:
-        """Assembled complex; for cochains, the transpose of the M^v chains."""
+        """Assembled complex: degree n stacks the blocks (n - s, s) in
+        increasing s, sized from the resolution's block spaces, and each
+        coordinate's level is the s of its block.  Only the d^l with
+        calc.inserts(l) are built; the others are zero.  For cochains, the
+        transpose of the M^v chains."""
         if untwisted:
             self.cp.require_inverse()
-        block_fn = partial(self.untwisted_block if untwisted else self.reduced_block, cochain=cochain)
-        dims, maps, levels = _assemble_chain(
-            self.field, self.cp, self.m, self.cap, block_fn, self.calc.inserts
-        )
+        block = self.untwisted_block if untwisted else self.reduced_block
+        sizes = [[self.m.dim * self.res.block_spaces[(n - s, s)].mid_size for s in range(n + 1)]
+                 for n in range(self.cap + 1)]
+        offsets = [list(accumulate(per_degree, initial=0)) for per_degree in sizes]
+        dims = [offs[-1] for offs in offsets]
+        maps: list = [None]
+        for n in range(1, self.cap + 1):
+            cols: list[dict] = []
+            for s in range(n + 1):
+                r = n - s
+                mats = {l: block(l, r, s, cochain) for l in range(0 if r else 1, s + 1)
+                        if self.calc.inserts(l)}
+                for local in range(sizes[n][s]):
+                    col: dict = {}
+                    for l, mat in mats.items():
+                        # each l lands in its own target block (r + l - 1, s - l)
+                        toff = offsets[n - 1][s - l]
+                        col.update((i + toff, v) for i, v in mat.cols[local].items())
+                    cols.append(col)
+            d = ExactMatrix(self.field, dims[n - 1], dims[n], cols)
+            maps.append(d.transpose() if cochain else d)
         self.literal.images.cache_clear()
-        if cochain:
-            maps = [None] + [d.transpose() for d in maps[1:]]
+        levels = [[s for s, size in enumerate(per_degree) for _ in range(size)] for per_degree in sizes]
         cx = ChainComplex(self.field, dims, maps, COHOMOLOGY if cochain else HOMOLOGY)
         return FilteredComplex(cx, levels)
 

@@ -72,14 +72,11 @@ class TwistingCalculus:
         self.insertion_column = cache(self._insertion_column)
 
     # iterated weak action ------------------------------------------------
-    def act_vec(self, h_idx: int, avec: dict) -> dict:
-        return apply_columns(avec, self.cp.action.act[h_idx], self.field)
-
     def iter_act(self, hs: tuple, a_idx: int) -> dict:
         """a^(h_1, ..., h_k) applied right to left: h_k acts first, h_1 last."""
         if not hs:
             return {a_idx: self.field.one}
-        return self.act_vec(hs[0], self.iter_act(hs[1:], a_idx))
+        return apply_columns(self.iter_act(hs[1:], a_idx), self.cp.action.act[hs[0]], self.field)
 
     def iter_act_vec(self, hs: tuple, avec: dict) -> dict:
         """avec^(h_1, ..., h_k); avec itself, read only, when hs is empty or avec is 0."""

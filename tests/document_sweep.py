@@ -1,14 +1,21 @@
-"""Byte-identity sweep of the CLI over the built-in gallery.
+"""Byte-identity sweep of the CLI over the built-in gallery and the closed-form inputs.
 
     PYTHONPATH=src python tests/document_sweep.py OUT.json
     python tests/document_sweep.py --diff A.json B.json
 
-The first form runs 144 jobs in this process (the six built-ins, over the
-default field, F_3 and F_7, under eight subcommands) and writes, for each
-job, the sha1 of its JSON document, of its stdout and of its stderr, and its
-exit code.  The second lists the jobs whose records differ, or that only one
-file has, and exits 1 when there is any.  To compare two checkouts, run the
-first form once with PYTHONPATH naming each checkout's src/.
+The first form runs 208 jobs in this process and writes, for each job, the
+sha1 of its JSON document, of its stdout and of its stderr, and its exit
+code.  144 jobs run the six built-ins, over the default field, F_3 and F_7,
+under eight subcommands.  64 run the four inputs of closed_form_inputs.py,
+over Q and F_5, under the same subcommands: each is written by emit_problem
+with options {"cap": 3} into the temporary directory and run from there by
+its bare file name, since the document and the stdout header record the
+problem path; oracle-compare and resolution-check take --max-degree 2.  These
+are the only swept inputs whose cocycle lies outside k.1.
+
+The second form lists the jobs whose records differ, or that only one file
+has, and exits 1 when there is any.  To compare two checkouts, run the first
+form once with PYTHONPATH naming each checkout's src/.
 
 The name does not start with test_, so pytest does not collect it.
 """
@@ -32,6 +39,10 @@ COMMANDS = [
     ["resolution-check"],
     ["tor", "--cap", "2"],
 ]
+CLOSED_FORM = ["gauged_action_groupoid", "dual_numbers_tensor_quaternions",
+               "gauge_twisted_sweedler_smash", "nilpotent_cocycle_quartic"]
+CLOSED_FORM_FIELDS = ["q", "fp:5"]
+CLOSED_FORM_EXTRA = {"oracle-compare": ["--max-degree", "2"], "resolution-check": ["--max-degree", "2"]}
 
 
 def _sha1(data: bytes) -> str:
@@ -56,6 +67,24 @@ def run_job(main, argv: list, out: Path) -> dict:
     }
 
 
+def write_closed_form_problems(folder: Path) -> list:
+    """Each closed-form input over each field of CLOSED_FORM_FIELDS, written
+    into folder by emit_problem at cap 3; their bare file names."""
+    import closed_form_inputs
+    from hopfcross.fields import FieldSpec
+    from hopfcross.problems import ProblemFile, emit_problem
+
+    names = []
+    for builder in CLOSED_FORM:
+        for spec in CLOSED_FORM_FIELDS:
+            cp = getattr(closed_form_inputs, builder)(FieldSpec.parse(spec))
+            pf = ProblemFile(cp.field, cp.a, cp.h, cp.action, cp.cocycle, options={"cap": 3}, name=builder)
+            name = f"{builder}_{spec.replace(':', '')}.json"
+            (folder / name).write_text(json.dumps(emit_problem(pf)), encoding="utf-8")
+            names.append(name)
+    return names
+
+
 def sweep() -> dict:
     import hopfcross
     from hopfcross.cli import main
@@ -71,6 +100,11 @@ def sweep() -> dict:
                     argv = [command[0], name, *command[1:]]
                     if field is not None:
                         argv += ["--field", field]
+                    jobs[" ".join(argv)] = run_job(main, argv, out)
+        with contextlib.chdir(tmp):
+            for name in write_closed_form_problems(Path(tmp)):
+                for command in COMMANDS:
+                    argv = [command[0], name, *command[1:], *CLOSED_FORM_EXTRA.get(command[0], [])]
                     jobs[" ".join(argv)] = run_job(main, argv, out)
     return jobs
 

@@ -143,12 +143,6 @@ def test_matmul_and_transpose():
     assert to_rows(a.transpose()) == [[1, 3], [2, 4]]
 
 
-def test_stacking():
-    a = from_rows(Q, [[1], [2]])
-    b = from_rows(Q, [[3], [4]])
-    assert to_rows(ExactMatrix.hstack([a, b])) == [[1, 3], [2, 4]]
-
-
 def test_span_ops():
     e1 = from_rows(Q, [[1], [0], [0]])
     e12 = from_rows(Q, [[1, 0], [0, 1], [0, 0]])

@@ -18,16 +18,22 @@ from hopfcross.crossed import (
     trivial_action,
     trivial_cocycle,
 )
-from hopfcross.homology import regular_left_module
+from hopfcross.homology import (
+    e2_identification,
+    hochschild_cohomology,
+    hochschild_homology,
+    regular_left_module,
+    tor_spectral_report,
+)
 from hopfcross.hopf import trivial_hopf
 from hopfcross.linalg import ExactMatrix
-from hopfcross.problems import builtin
+from hopfcross.problems import BUILTIN_NAMES, builtin
 from hopfcross.reduced_complexes import (
     FormulaMismatch,
     ReducedComplexes,
     HActionOnHomology,
 )
-from hopfcross.resolution import build_resolution_recursive
+from hopfcross.resolution import CrossedResolution, build_resolution_recursive
 from hopfcross.twisting import TwistingCalculus
 from closed_form_inputs import dual_numbers_tensor_quaternions
 from lift_reference import homology_representatives, induced_reference
@@ -358,6 +364,37 @@ def test_resolution_cap_guard(cps):
     m = regular_bimodule(cp.e)
     with pytest.raises(ValueError):
         ReducedComplexes(cp, m, 4, res=small)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_library_cap_guard(cps, cap):
+    cp = cps["klein_four"]
+    calls = [
+        lambda: hochschild_homology(cp, cap=cap),
+        lambda: hochschild_cohomology(cp, cap=cap),
+        lambda: e2_identification(cp, cap=cap),
+        lambda: tor_spectral_report(cp, regular_left_module(cp), regular_left_module(cp), cap=cap),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^cap must be at least 1, got {cap}$"):
+            call()
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(3)], ids=["q", "fp3"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_larger_supplied_resolution_changes_nothing(name, field):
+    # the block sizes come from res.block_spaces, which a cap-5 resolution has for every degree
+    cp = BUILTIN_BUILDERS[name](field)
+    m = regular_bimodule(cp.e)
+    own, supplied = ReducedComplexes(cp, m, 3), ReducedComplexes(cp, m, 3, res=CrossedResolution(cp, 5))
+    families = ["reduced_chain_complex", "reduced_cochain_complex"]
+    if cp.conv_inverse is not None:
+        families += ["untwisted_chain_complex", "untwisted_cochain_complex"]
+    for family in families:
+        a, b = getattr(own, family)(), getattr(supplied, family)()
+        assert a.complex.dims == b.complex.dims, family
+        assert a.complex.maps == b.complex.maps, family
+        assert a.levels == b.levels, family
 
 
 FAMILIES = [(False, False, "chain"), (False, True, "cochain"),

@@ -324,6 +324,13 @@ def _bar_route_names(idx):
     return sites
 
 
+def _computes_leg_size(fn):
+    """fn holds x.dim - 1, the size of a normalized leg."""
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub) and isinstance(n.left, ast.Attribute)
+               and n.left.attr == "dim" and isinstance(n.right, ast.Constant) and n.right.value == 1
+               for n in fn.nodes)
+
+
 def _builds_matrix(fn):
     """A call ExactMatrix(...) or ExactMatrix.f(...), ExactMatrix a name or an attribute."""
     return any(isinstance(n, ast.Call) and (_name(n.func) == "ExactMatrix" or (
@@ -594,8 +601,8 @@ RULES = [
                 "    return extend_by_outer_mult(bar.split, bar.gen, bar.spaces[n].outer_mult, vec, bar.field)",)),
     Rule("column-rule-loop", "The column-rule loop (for j, c in vec.items(): vec_add_into(out, "
          "column(j), c, field), into a fresh dict) is written only in linalg.apply_columns; every other "
-         "linear map applied from its columns calls it.  The bilinear products (AlgebraData.mult_elems, "
-         "crossed._act_elem) scale by a product of two entries and are not this loop.", tuple(MODULES),
+         "linear map applied from its columns calls it.  The bilinear product AlgebraData.mult_elems "
+         "scales by a product of two entries and is not this loop.", tuple(MODULES),
          defs_where(_column_rule_loop), {"linalg.py": {"apply_columns"}},
          # BimoduleData.left_act and right_act before apply_columns
          bad=("def left_act(self, e_idx, mvec):\n    out: dict = {}\n    for mi, c in mvec.items():\n"
@@ -873,6 +880,19 @@ RULES = [
                    "            else:\n"
                    "                coeffs = tensor_bimodule(hk, (dim_n, [mat.cols for mat in rho]), k_right)\n"
                    "            h_dims = _bar_dims(hk, coeffs, h_cap, cochain)", file="homology.py"),)),
+    Rule("block-sizes-from-resolution", "In reduced_complexes.py the assembled complexes take their block "
+         "sizes from the resolution's block spaces (res.block_spaces[(r, s)].mid_size), so the layout is "
+         "decided in resolution.py alone.  Only the displayed formulas' own layout (_reduced_mid_space, "
+         "_untwisted_mid_space) and the A legs of the E^2 route (conjugation_chain_matrix) compute a "
+         "normalized leg size dim - 1.", (PACKAGE / "reduced_complexes.py",), defs_where(_computes_leg_size),
+         {"reduced_complexes.py": {"_reduced_mid_space", "_untwisted_mid_space", "conjugation_chain_matrix"}},
+         # _assemble_chain as it was: the sizes derived a second time from cp
+         bad=(Ex("def _assemble_chain(field, cp, m, cap, block_fn, inserts):\n"
+                 "    sizes = [[(cp.h.dim - 1) ** s * (cp.a.dim - 1) ** (n - s) for s in range(n + 1)]\n"
+                 "             for n in range(cap + 1)]", {"_assemble_chain"}, file="reduced_complexes.py"),),
+         clean=(Ex("class ReducedComplexes:\n    def _filtered(self, untwisted, cochain):\n"
+                   "        sizes = [[self.m.dim * self.res.block_spaces[(n - s, s)].mid_size for s in range(n + 1)]\n"
+                   "                 for n in range(self.cap + 1)]", file="reduced_complexes.py"),)),
     Rule("every-function-reached", "Every top-level function and non-dunder method in src/ is reached: "
          "it is in __all__, or named by module-level code of src/, by a demo, or by the body of another "
          "reached function (see _unreached).  Test-only helpers belong in tests/.  The exemptions are "
